@@ -211,11 +211,9 @@ impl AdmissionController {
         // report's converged/diverged flags into every member entry, so a
         // whole-system seed would poison clean islands with another
         // island's divergence (wedging later commits that heal it).
-        let all_platforms: Vec<PlatformId> = (0..controller.set.platforms().len())
-            .map(PlatformId)
-            .collect();
-        let mut islands = Islands::of(&controller.set);
-        let groups = islands.dirty_groups(&controller.set, &all_platforms);
+        // With every transaction dirty, the components are the islands.
+        let all_dirty = vec![true; controller.set.transactions().len()];
+        let groups = dirty_components(&controller.set, &all_dirty);
         let inputs: Vec<GroupInput> = groups
             .iter()
             .map(|group| controller.group_input(group, &[], false))

@@ -18,10 +18,10 @@
 //! the island. The controller computes cones per batch, pins everything
 //! outside them at the cached fixpoint, and re-analyzes only cone members
 //! ([`dirty_components`] groups them into independently-analyzable
-//! sub-problems). [`Islands`] survives as the seed-time partitioner and the
-//! engine's shard/routing granularity.
+//! sub-problems; with every transaction dirty — the seed analysis — its
+//! components are exactly the islands). [`Islands`] survives as the
+//! stale-island lookup and the engine's shard-splitting granularity.
 
-use hsched_platform::PlatformId;
 use hsched_transaction::TransactionSet;
 use std::collections::HashMap;
 
@@ -91,38 +91,6 @@ impl Islands {
     /// The island (root platform index) a transaction belongs to.
     pub(crate) fn island_of(&mut self, set: &TransactionSet, tx: usize) -> usize {
         self.find(set.transactions()[tx].tasks()[0].platform.0)
-    }
-
-    /// Groups the indices of transactions needing re-analysis, one group
-    /// per island reachable from the dirty platform seeds. Groups and
-    /// members are in deterministic (ascending) order.
-    pub(crate) fn dirty_groups(
-        &mut self,
-        set: &TransactionSet,
-        seeds: &[PlatformId],
-    ) -> Vec<Vec<usize>> {
-        let n_platforms = self.uf.parent.len();
-        let mut dirty_roots: Vec<usize> = seeds
-            .iter()
-            .filter(|p| p.0 < n_platforms)
-            .map(|p| self.find(p.0))
-            .collect();
-        dirty_roots.sort_unstable();
-        dirty_roots.dedup();
-
-        let mut groups: Vec<(usize, Vec<usize>)> =
-            dirty_roots.iter().map(|&r| (r, Vec::new())).collect();
-        for i in 0..set.transactions().len() {
-            let root = self.island_of(set, i);
-            if let Ok(g) = groups.binary_search_by_key(&root, |(r, _)| *r) {
-                groups[g].1.push(i);
-            }
-        }
-        groups
-            .into_iter()
-            .map(|(_, members)| members)
-            .filter(|members| !members.is_empty())
-            .collect()
     }
 }
 
@@ -196,7 +164,7 @@ pub(crate) fn component_context(
 mod tests {
     use super::*;
     use hsched_numeric::rat;
-    use hsched_platform::{Platform, PlatformSet};
+    use hsched_platform::{Platform, PlatformId, PlatformSet};
     use hsched_transaction::{Task, Transaction};
 
     fn set_on(n_platforms: usize, chains: &[&[usize]]) -> TransactionSet {
@@ -229,26 +197,12 @@ mod tests {
         assert_eq!(islands.island_of(&set, 0), islands.island_of(&set, 2));
         assert_ne!(islands.island_of(&set, 0), islands.island_of(&set, 1));
 
-        // Seeding P0 dirties tx0 and tx2, not tx1.
-        let groups = islands.dirty_groups(&set, &[PlatformId(0)]);
-        assert_eq!(groups, vec![vec![0, 2]]);
-        // Seeding P2 dirties only tx1.
-        let groups = islands.dirty_groups(&set, &[PlatformId(2)]);
-        assert_eq!(groups, vec![vec![1]]);
-        // Seeding both islands yields two groups; P3 hosts nothing.
-        let groups = islands.dirty_groups(&set, &[PlatformId(2), PlatformId(1), PlatformId(3)]);
-        assert_eq!(groups.len(), 2);
-        let mut all: Vec<usize> = groups.into_iter().flatten().collect();
-        all.sort_unstable();
-        assert_eq!(all, vec![0, 1, 2]);
-    }
-
-    #[test]
-    fn out_of_range_seeds_are_ignored() {
-        let set = set_on(2, &[&[0]]);
-        let mut islands = Islands::of(&set);
-        assert!(islands.dirty_groups(&set, &[PlatformId(9)]).is_empty());
-        assert!(islands.dirty_groups(&set, &[]).is_empty());
+        // With every transaction dirty (the seed analysis), the dirty
+        // components are exactly the islands; P3 hosts nothing.
+        assert_eq!(
+            dirty_components(&set, &[true; 3]),
+            vec![vec![0, 2], vec![1]]
+        );
     }
 
     #[test]

@@ -40,7 +40,7 @@
 //!    kept as [`AdmissionController::rollback_last`], which the sharded
 //!    `hsched-engine` router uses to keep cross-shard epochs atomic.
 //!
-//! At service scale, prefer `hsched-engine`'s `AdmissionRouter`: it
+//! At service scale, prefer `hsched-engine`'s `SchedService`: it
 //! partitions the live set into one controller shard per interference
 //! island group (routing with this crate's [`UnionFind`]), commits
 //! disjoint shards concurrently, and adds typed handles plus a journaled

@@ -624,7 +624,17 @@ mod tests {
     #[test]
     fn rta_cache_is_invisible_in_results() {
         let set = paper_example::transactions();
-        let with = analyze_with(&set, &AnalysisConfig::default()).unwrap();
+        let sink = std::sync::Arc::new(crate::AnalysisMetrics::new());
+        let with = analyze_with(
+            &set,
+            &AnalysisConfig {
+                metrics: Some(sink.clone()),
+                ..AnalysisConfig::default()
+            },
+        )
+        .unwrap();
+        // Invisible in results, visible in telemetry: this run hit the memo.
+        assert!(sink.rta_foreign_hits.get() + sink.rta_completion_hits.get() > 0);
         let without = analyze_with(
             &set,
             &AnalysisConfig {

@@ -3,8 +3,7 @@
 //! islands + warm starts) against the from-scratch baseline (full
 //! re-analysis per epoch), plus the oracle cost of one offline `analyze`.
 //!
-//! The headline claim (recorded in `BENCH_admission.json` by the
-//! `admission_perf` binary): incremental re-analysis beats from-scratch on
+//! The headline claim: incremental re-analysis beats from-scratch on
 //! single-transaction churn because only the touched interference island
 //! (~1/10th of the system here) is re-solved.
 

@@ -8,27 +8,8 @@ pub use workload::{random_system, WorkloadSpec};
 
 use hsched_transaction::{TaskRef, TransactionSet};
 
-/// The shared `"meta"` fragment of every `BENCH_*.json`: host parallelism
-/// (from the OS), plus the commit hash and run date the bench script
-/// passes in via `HSCHED_BENCH_COMMIT` / `HSCHED_BENCH_DATE` (`"unknown"`
-/// when run directly — the binaries take no clock or VCS dependency).
-/// Returns a `"meta": {...}` key-value pair, ready to splice into an
-/// object.
-pub fn run_meta_json() -> String {
-    let parallelism = std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1);
-    let commit = std::env::var("HSCHED_BENCH_COMMIT").unwrap_or_else(|_| "unknown".to_string());
-    let date = std::env::var("HSCHED_BENCH_DATE").unwrap_or_else(|_| "unknown".to_string());
-    format!(
-        "\"meta\": {{\"host_parallelism\": {parallelism}, \"commit\": \"{commit}\", \"date\": \"{date}\"}}"
-    )
-}
-
-/// The reference admission-churn workload, shared by the
-/// `admission_bench` criterion bench and the `admission_perf` binary (which
-/// records `BENCH_admission.json`) so the two cannot silently measure
-/// different systems.
+/// The reference admission-churn workload of the `admission_bench`
+/// criterion bench.
 pub mod admission_churn {
     use hsched_admission::gen::ScenarioSpec;
     use hsched_admission::{AdmissionController, AdmissionRequest};
@@ -64,159 +45,6 @@ pub mod admission_churn {
             "churn re-add rejected: {}",
             out.verdict
         );
-    }
-}
-
-/// The reference production-scale churn workload of the router benchmark,
-/// shared by `router_perf` (which records `BENCH_router.json`) and kept
-/// here so bench and tests cannot silently measure different systems.
-///
-/// The system is sized so that *per-epoch bookkeeping*, not one island's
-/// fixpoint, is what separates the architectures: 3072 transactions over
-/// 384 two-platform clusters (384 interference islands). The monolithic
-/// controller re-derives the island structure, re-checks utilization, and
-/// re-scans its verdict table over the whole live set on every commit —
-/// O(live set) serial work per epoch even when the batch touches one
-/// island. The sharded router routes in O(batch) and every shard's
-/// bookkeeping is O(island), so churn cost stays flat as the live set
-/// grows — the ROADMAP's "production-scale, heavy concurrent traffic"
-/// requirement.
-pub mod router_churn {
-    use hsched_admission::gen::{PlatformMix, ScenarioSpec};
-    use hsched_admission::AdmissionRequest;
-    use hsched_numeric::rat;
-    use hsched_transaction::{Transaction, TransactionSet};
-
-    /// Clusters whose victim transactions churn (epochs rotate over them).
-    pub const CHURN_CLUSTERS: usize = 16;
-
-    /// The headline system: 3072 transactions over 384 two-platform
-    /// clusters, linear platforms at 40% target load, seed 0 (verified
-    /// schedulable, so every toggle batch admits).
-    pub fn churn_spec() -> ScenarioSpec {
-        ScenarioSpec {
-            clusters: 384,
-            platforms_per_cluster: 2,
-            transactions: 3072,
-            max_tasks_per_tx: 2,
-            load: rat(2, 5),
-            mix: PlatformMix::Linear,
-            seed: 0,
-            ..ScenarioSpec::default()
-        }
-    }
-
-    /// One victim transaction for each of the first `n` clusters: the
-    /// highest-index transaction whose chain lives there. Victims from
-    /// different clusters occupy disjoint interference islands, so epochs
-    /// toggling them are routable to disjoint shards — the concurrency
-    /// grain of both `router_perf` and `service_perf`.
-    pub fn victims_up_to(set: &TransactionSet, spec: &ScenarioSpec, n: usize) -> Vec<Transaction> {
-        let mut victims: Vec<Option<Transaction>> = vec![None; spec.clusters];
-        for tx in set.transactions() {
-            let cluster = tx.tasks()[0].platform.0 / spec.platforms_per_cluster;
-            victims[cluster] = Some(tx.clone());
-        }
-        victims.into_iter().flatten().take(n).collect()
-    }
-
-    /// One victim transaction for each of the first [`CHURN_CLUSTERS`]
-    /// clusters (see [`victims_up_to`]).
-    pub fn victims(set: &TransactionSet, spec: &ScenarioSpec) -> Vec<Transaction> {
-        victims_up_to(set, spec, CHURN_CLUSTERS)
-    }
-
-    /// One *topology-stable* victim per interference island, smallest
-    /// islands first — the `service_perf` workload. Toggling a small
-    /// island keeps the island fixpoint cheap, so the measurement weighs
-    /// the *front end* (routing, epoch sequencing, journal durability)
-    /// rather than analysis math; victims from different islands are
-    /// disjoint by construction. A victim is topology-stable when its
-    /// departure neither empties nor splits its island and its re-arrival
-    /// claims no free platform — every toggle epoch is then a single-shard
-    /// read-path epoch (no shard allocation, merge, or drain).
-    pub fn smallest_island_victims(set: &TransactionSet, n: usize) -> Vec<Transaction> {
-        use hsched_admission::UnionFind;
-        use std::collections::HashMap;
-        let txs = set.transactions();
-        let platforms_of = |i: usize| -> Vec<usize> {
-            let mut out: Vec<usize> = txs[i].tasks().iter().map(|t| t.platform.0).collect();
-            out.sort_unstable();
-            out.dedup();
-            out
-        };
-        // Groups `indices` by platform sharing: (component roots per
-        // index, platform → first user). Reuses the dirty-tracker's
-        // union–find — the same structure the engine routes with.
-        let group = |indices: &[usize]| -> (Vec<usize>, HashMap<usize, usize>) {
-            let mut uf = UnionFind::new(indices.len());
-            let mut owner: HashMap<usize, usize> = HashMap::new();
-            for (k, &i) in indices.iter().enumerate() {
-                for platform in platforms_of(i) {
-                    match owner.get(&platform) {
-                        Some(&j) => {
-                            uf.union(k, j);
-                        }
-                        None => {
-                            owner.insert(platform, k);
-                        }
-                    }
-                }
-            }
-            let roots = (0..indices.len()).map(|k| uf.find(k)).collect();
-            (roots, owner)
-        };
-
-        let all: Vec<usize> = (0..txs.len()).collect();
-        let (roots, _) = group(&all);
-        let mut members: HashMap<usize, Vec<usize>> = HashMap::new();
-        for (i, root) in roots.iter().enumerate() {
-            members.entry(*root).or_default().push(i);
-        }
-        // A member is stable iff the island minus it stays one connected
-        // component that still covers all of the member's platforms.
-        let stable = |island: &[usize], victim: usize| -> bool {
-            let rest: Vec<usize> = island.iter().copied().filter(|&i| i != victim).collect();
-            if rest.is_empty() {
-                return false;
-            }
-            let (roots, owner) = group(&rest);
-            let connected = roots.iter().all(|&r| r == roots[0]);
-            let covered = platforms_of(victim)
-                .iter()
-                .all(|platform| owner.contains_key(platform));
-            connected && covered
-        };
-        let mut ranked: Vec<(usize, usize)> = Vec::new();
-        for island in members.values() {
-            if let Some(&victim) = island.iter().find(|&&i| stable(island, i)) {
-                ranked.push((island.len(), victim));
-            }
-        }
-        ranked.sort_unstable();
-        ranked
-            .into_iter()
-            .take(n)
-            .map(|(_, member)| txs[member].clone())
-            .collect()
-    }
-
-    /// One churn epoch over a chunk of victims: departures on even rounds,
-    /// re-arrivals on odd rounds, so the live set oscillates around the
-    /// seed state and every epoch is admissible.
-    pub fn toggle_batch(chunk: &[Transaction], round: usize) -> Vec<AdmissionRequest> {
-        chunk
-            .iter()
-            .map(|victim| {
-                if round % 2 == 0 {
-                    AdmissionRequest::RemoveTransaction {
-                        name: victim.name.clone(),
-                    }
-                } else {
-                    AdmissionRequest::AddTransaction(victim.clone())
-                }
-            })
-            .collect()
     }
 }
 

@@ -115,7 +115,7 @@ ADMIT: hsched admit <SPEC.hsc> <SCRIPT> [OPTIONS]
     committed by the sharded admission engine: disjoint interference-island
     shards analyze concurrently. Exit 0 unless the spec or script is
     malformed; rejections are regular output.
-    --json            machine-readable verdicts + final report (schema v1)
+    --json            machine-readable verdicts + final report (schema v2)
     --journal <FILE>  append every epoch to a write-ahead journal
     --auto-compact <N> fold the journal into a snapshot every N epochs
     --async           pipeline epochs: commit all batches without waiting
@@ -161,9 +161,6 @@ SERVE: hsched serve <SPEC.hsc> [OPTIONS]
     --journal <FILE>    write-ahead journal (resumed if non-empty)
     --heartbeat-ms <N>  replication digest-heartbeat cadence (default 500)
     --addr-file <F>     write the bound addresses to F (for scripts)
-    --json-lines        newline-delimited JSON debug console instead of
-                        the framed protocol (script grammar in, one JSON
-                        object per line out, with typed err_code fields)
 
 FOLLOW: hsched follow <SPEC.hsc> --from <HOST:PORT> --journal <FILE>
     Warm standby: mirror the primary's journal byte-for-byte into FILE,
@@ -1819,70 +1816,6 @@ instance I : W on S node 0;
         let _ = std::fs::remove_file(&journal);
         let _ = std::fs::remove_file(&mirror);
         let _ = std::fs::remove_file(&addr_file);
-    }
-
-    #[test]
-    fn serve_json_lines_console() {
-        use std::io::{BufRead as _, Write as _};
-        let _signal = signal_lock();
-        let spec = spec_file();
-        let (addr, _, serve) = spawn_serve(&[spec.to_str().unwrap(), "--json-lines"], "jsonl");
-
-        let stream = std::net::TcpStream::connect(&addr).expect("connect");
-        let mut reader = std::io::BufReader::new(stream.try_clone().expect("clone"));
-        let mut writer = stream;
-        fn ask(
-            writer: &mut std::net::TcpStream,
-            reader: &mut std::io::BufReader<std::net::TcpStream>,
-            text: &str,
-        ) -> String {
-            writeln!(writer, "{text}").expect("send line");
-            let mut line = String::new();
-            reader.read_line(&mut line).expect("read reply");
-            line.trim().to_string()
-        }
-
-        // Greeting first.
-        let mut greeting = String::new();
-        reader.read_line(&mut greeting).expect("greeting");
-        assert!(greeting.contains("\"mode\":\"json-lines\""), "{greeting}");
-
-        // Queue → commit → admitted epoch.
-        let queued = ask(
-            &mut writer,
-            &mut reader,
-            "add probe period 60 deadline 120 task p wcet 1 bcet 0.5 prio 1 on Pi1",
-        );
-        assert_eq!(queued, "{\"queued\":1}");
-        let epoch = ask(&mut writer, &mut reader, "commit");
-        assert!(epoch.contains("\"epoch\":1"), "{epoch}");
-        assert!(epoch.contains("\"verdict\":\"admitted\""), "{epoch}");
-
-        // An overload commit is a *successful* epoch with a typed
-        // rejection code, not an error.
-        ask(
-            &mut writer,
-            &mut reader,
-            "add hog period 10 deadline 10 task h wcet 9 bcet 9 prio 9 on Pi3",
-        );
-        let rejected = ask(&mut writer, &mut reader, "commit");
-        assert!(rejected.contains("\"verdict\":\"rejected\""), "{rejected}");
-        assert!(rejected.contains("\"reason\":\"overload\""), "{rejected}");
-        assert!(rejected.contains("\"err_code\":2"), "{rejected}");
-
-        // A malformed line errors with the stable code and the
-        // connection survives (debug console, not the production wire).
-        let bad = ask(&mut writer, &mut reader, "warble 3 5");
-        assert!(bad.contains("\"err_code\":100"), "{bad}");
-        let digest = ask(&mut writer, &mut reader, "digest");
-        assert!(digest.contains("\"epoch\":2"), "{digest}");
-        assert!(digest.contains("\"digest\":\""), "{digest}");
-
-        writeln!(writer, "quit").expect("quit");
-        hsched_net::signal::request_stop();
-        let summary = serve.join().expect("serve thread").expect("serve ok");
-        assert!(summary.contains("serve: drained"), "{summary}");
-        hsched_net::signal::reset();
     }
 
     #[test]

@@ -3,24 +3,18 @@
 //! the `--remote` client modes of `admit` and `stats`.
 //!
 //! All wire mechanics live in the `hsched-net` crate; this module is the
-//! argument parsing, the output rendering, and the `--json-lines` debug
-//! protocol (which reuses the CLI's own script grammar and JSON writer:
-//! each inbound line is a request-script line, each reply is one JSON
-//! object on one line).
+//! argument parsing and the output rendering.
 
 use crate::json::{begin_envelope, JsonWriter};
 use crate::{engine_policy, load, opt_flag, opt_value};
 use hsched_admission::AdmissionRequest;
 use hsched_analysis::AnalysisConfig;
-use hsched_engine::{EngineRequest, EngineResponse, SchedService, SCHEMA_VERSION};
+use hsched_engine::{SchedService, SCHEMA_VERSION};
 use hsched_net::{
-    engine_code, reason_code, signal, Client, ConnCtx, Follower, FollowerConfig, FollowerExit,
-    RemoteEpoch, RetryClient, RetryPolicy, Server, ServerConfig, SubmitMode, WireError,
+    signal, Client, Follower, FollowerConfig, FollowerExit, RemoteEpoch, RetryClient, RetryPolicy,
+    Server, ServerConfig, SubmitMode, WireError,
 };
-use hsched_transaction::TransactionSet;
 use std::fmt::Write as _;
-use std::io::{BufRead as _, Write as _};
-use std::net::TcpStream;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -52,7 +46,6 @@ pub(crate) fn run_serve(args: &[String]) -> Result<String, String> {
         None => 500,
     };
     let addr_file = opt_value(args, "--addr-file")?;
-    let json_lines = opt_flag(args, "--json-lines");
     if repl.is_some() && journal.is_none() {
         return Err("--repl requires --journal (the streamer reads raw journal bytes)".to_string());
     }
@@ -88,7 +81,6 @@ pub(crate) fn run_serve(args: &[String]) -> Result<String, String> {
         repl_addr: repl.map(str::to_string),
         journal_path: journal.map(PathBuf::from),
         heartbeat_interval: Duration::from_millis(heartbeat_ms),
-        handler: json_lines.then(json_lines_handler),
         shed: Default::default(),
     };
     let handle = Server::start(engine.clone(), config).map_err(|e| e.to_string())?;
@@ -104,11 +96,7 @@ pub(crate) fn run_serve(args: &[String]) -> Result<String, String> {
             stats.journal_bytes
         );
     }
-    println!(
-        "{path}: serving{} on {}",
-        if json_lines { " json-lines" } else { "" },
-        handle.service_addr()
-    );
+    println!("{path}: serving on {}", handle.service_addr());
     if let Some(repl_addr) = handle.repl_addr() {
         println!("replicating on {repl_addr}");
     }
@@ -289,7 +277,6 @@ fn promote_and_serve(
         repl_addr: repl.map(str::to_string),
         journal_path: Some(PathBuf::from(journal)),
         heartbeat_interval: Duration::from_millis(heartbeat_ms),
-        handler: None,
         shed: Default::default(),
     };
     let handle = Server::start(engine.clone(), config).map_err(|e| e.to_string())?;
@@ -530,172 +517,4 @@ pub(crate) fn run_stats_remote(remote: &str, json: bool) -> Result<String, Strin
     let _ = writeln!(out, "remote {remote}");
     let _ = write!(out, "{}", crate::stats::render_metrics_human(&snap));
     Ok(out)
-}
-
-// ----------------------------------------------------------- json-lines
-
-/// The `--json-lines` debug protocol: no length prefixes, no envelope
-/// grammar — each inbound line is a request-*script* line (`add` /
-/// `remove` / `retune` accumulate, `commit` settles an epoch, `digest`
-/// and `quit` as conveniences; `#` comments and blanks are skipped), and
-/// every effective line gets exactly one JSON object back on one line.
-/// Malformed lines and engine errors answer with an `error` object
-/// carrying the stable `err_code` and the connection *survives* — this
-/// is a console for humans and netcat, not the production wire.
-fn json_lines_handler() -> hsched_net::ConnHandler {
-    Arc::new(handle_json_lines)
-}
-
-fn handle_json_lines(mut stream: TcpStream, ctx: &ConnCtx) {
-    if stream.set_read_timeout(Some(WAIT_POLL * 4)).is_err() {
-        return;
-    }
-    let Ok(read_half) = stream.try_clone() else {
-        return;
-    };
-    let mut reader = std::io::BufReader::new(read_half);
-    let greeting = {
-        let mut w = JsonWriter::new();
-        w.begin_object()
-            .field_raw("v", SCHEMA_VERSION)
-            .field_str("command", "serve")
-            .field_str("mode", "json-lines")
-            .end_object();
-        w.finish()
-    };
-    if stream.write_all(greeting.as_bytes()).is_err() {
-        return;
-    }
-
-    // Raw script lines queued since the last commit. Each line was
-    // already validated on receipt, so the commit-time parse only fails
-    // on cross-line conditions.
-    let mut pending: Vec<String> = Vec::new();
-    let mut line = String::new();
-    loop {
-        match reader.read_line(&mut line) {
-            Ok(0) => return,
-            Ok(_) => {
-                ctx.metrics.frames_in.incr();
-                ctx.metrics.bytes_in.add(line.len() as u64);
-                let text = line.split('#').next().unwrap_or("").trim().to_string();
-                line.clear();
-                if text.is_empty() {
-                    continue;
-                }
-                if text == "quit" {
-                    return;
-                }
-                let reply = json_lines_dispatch(ctx, &mut pending, &text);
-                ctx.metrics.frames_out.incr();
-                ctx.metrics.bytes_out.add(reply.len() as u64);
-                if stream.write_all(reply.as_bytes()).is_err() {
-                    return;
-                }
-            }
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                if ctx.stop.load(Ordering::SeqCst) {
-                    return;
-                }
-            }
-            Err(_) => return,
-        }
-    }
-}
-
-/// One JSON line for one effective input line.
-fn json_lines_dispatch(ctx: &ConnCtx, pending: &mut Vec<String>, text: &str) -> String {
-    let mut w = JsonWriter::new();
-    match text {
-        "digest" => {
-            let (epoch, digest) = ctx.engine.epoch_digest();
-            w.begin_object()
-                .field_raw("epoch", epoch)
-                .field_str("digest", &digest)
-                .end_object();
-        }
-        "commit" => {
-            let source = format!("{}\ncommit\n", pending.join("\n"));
-            pending.clear();
-            match parse_batch(&source, &ctx.engine.current_set()) {
-                Ok(batch) => {
-                    match ctx.engine.submit(&EngineRequest::batch(batch)) {
-                        Ok(response) => write_json_lines_epoch(&mut w, &response),
-                        Err(e) => {
-                            ctx.metrics.malformed_rejects.incr();
-                            w.begin_object()
-                                .field_str("error", &e.to_string())
-                                .field_raw("err_code", engine_code(&e))
-                                .end_object();
-                        }
-                    };
-                }
-                Err(message) => {
-                    ctx.metrics.malformed_rejects.incr();
-                    w.begin_object()
-                        .field_str("error", &message)
-                        .field_raw("err_code", hsched_net::code::MALFORMED)
-                        .end_object();
-                }
-            }
-        }
-        request_line => {
-            // Validate eagerly (each request is one script line) so a
-            // typo errors where it was typed, not at commit.
-            match parse_batch(request_line, &ctx.engine.current_set()) {
-                Ok(_) => {
-                    pending.push(request_line.to_string());
-                    w.begin_object()
-                        .field_raw("queued", pending.len())
-                        .end_object();
-                }
-                Err(message) => {
-                    ctx.metrics.malformed_rejects.incr();
-                    w.begin_object()
-                        .field_str("error", &message)
-                        .field_raw("err_code", hsched_net::code::MALFORMED)
-                        .end_object();
-                }
-            }
-        }
-    }
-    w.finish()
-}
-
-/// Parses script source holding at most one batch.
-fn parse_batch(source: &str, set: &TransactionSet) -> Result<Vec<AdmissionRequest>, String> {
-    let mut batches = crate::admit::parse_script(source, set)?;
-    Ok(batches.pop().unwrap_or_default())
-}
-
-/// The epoch object a `commit` line answers with — same shape as the
-/// `admit --json` epochs array elements.
-fn write_json_lines_epoch(w: &mut JsonWriter, response: &EngineResponse) {
-    let outcome = &response.outcome;
-    w.begin_object()
-        .field_raw("epoch", outcome.epoch)
-        .field_str(
-            "verdict",
-            if outcome.verdict.admitted() {
-                "admitted"
-            } else {
-                "rejected"
-            },
-        )
-        .field_raw("requests", outcome.requests)
-        .field_raw("analyzed", outcome.analyzed_transactions)
-        .field_raw("total", outcome.total_transactions)
-        .field_raw("islands", outcome.islands)
-        .field_raw("warm", outcome.warm_started)
-        .field_raw("shards", response.shards_touched);
-    if let hsched_admission::Verdict::Rejected(reason) = &outcome.verdict {
-        let kind = hsched_net::reason_kind(reason);
-        w.field_str("reason", kind)
-            .field_str("detail", &reason.to_string())
-            .field_raw("err_code", reason_code(kind));
-    }
-    w.end_object();
 }

@@ -28,17 +28,10 @@ use std::fmt;
 /// epochs — `epoch` is that ticket) and the *shard set* the batch routed to
 /// ([`EngineResponse::shards`], slot ids, first-touch order), and the
 /// journal header becomes `hsched-journal v2` with an optional embedded
-/// snapshot block (journal compaction). v1 *requests* are still accepted —
-/// every v1 operation is a valid v2 operation — and v1 journals (no
-/// snapshot) still replay; responses and fresh journals are always written
-/// at the current version. Requests newer than [`SCHEMA_VERSION`] or older
-/// than [`MIN_SCHEMA_VERSION`] are refused with
-/// [`EngineError::UnsupportedVersion`] instead of being misinterpreted.
+/// snapshot block (journal compaction). Requests of any other version are
+/// refused with [`EngineError::UnsupportedVersion`] instead of being
+/// misinterpreted, and a journal with any other header is corruption.
 pub const SCHEMA_VERSION: u32 = 2;
-
-/// Oldest request schema this engine still accepts (see
-/// [`SCHEMA_VERSION`]).
-pub const MIN_SCHEMA_VERSION: u32 = 1;
 
 /// Stable handle of a live transaction, minted by the engine when the
 /// transaction is admitted (or at seeding, in set order). Handles are
@@ -74,8 +67,7 @@ impl From<AdmissionRequest> for EngineOp {
 /// A versioned batch of operations, committed atomically as one epoch.
 #[derive(Debug, Clone, PartialEq)]
 pub struct EngineRequest {
-    /// Schema version; must lie in
-    /// [`MIN_SCHEMA_VERSION`]`..=`[`SCHEMA_VERSION`].
+    /// Schema version; must equal [`SCHEMA_VERSION`].
     pub version: u32,
     /// The operations, applied in order.
     pub ops: Vec<EngineOp>,
@@ -200,6 +192,11 @@ pub enum EngineError {
     Seed(String),
     /// The write-ahead journal could not be created, written, or parsed.
     Journal(String),
+    /// The journal file ends inside its two header lines: there is no
+    /// complete header to judge *yet* (an empty file, or a mirror whose
+    /// bootstrap was cut short). A complete header that is wrong is
+    /// [`EngineError::Journal`] corruption instead.
+    JournalHeaderIncomplete,
     /// A journal replay diverged from the recorded verdicts — the journal
     /// is corrupt or was produced by an incompatible engine.
     Replay(String),
@@ -219,6 +216,9 @@ impl fmt::Display for EngineError {
             EngineError::UnknownTxn(id) => write!(f, "unknown transaction handle {id}"),
             EngineError::Seed(m) => write!(f, "seed analysis failed: {m}"),
             EngineError::Journal(m) => write!(f, "journal error: {m}"),
+            EngineError::JournalHeaderIncomplete => {
+                write!(f, "journal error: the file ends inside the journal header")
+            }
             EngineError::Replay(m) => write!(f, "replay diverged: {m}"),
             EngineError::Internal(m) => write!(f, "internal engine error: {m}"),
         }

@@ -30,8 +30,7 @@
 //! A **compacted** journal ([`crate::SchedService::snapshot`]) carries a
 //! snapshot block between the header and the first record; epoch numbers
 //! then continue from the snapshot's epoch instead of 1 (see
-//! [`crate::Snapshot`] and the `snapshot` module). v1 journals (no
-//! snapshot block) are still read.
+//! [`crate::Snapshot`] and the `snapshot` module).
 //!
 //! # Crash tolerance
 //!
@@ -60,9 +59,7 @@ use hsched_transaction::{Task, TaskKind, Transaction};
 use std::io::{BufRead as _, Write as _};
 use std::path::{Path, PathBuf};
 
-/// Header magic of journal schema v1 (still readable).
-const MAGIC_V1: &str = "hsched-journal v1";
-/// Header magic of journal schema v2 (written; optional snapshot block).
+/// Header magic of journal schema v2 (optional snapshot block).
 const MAGIC_V2: &str = "hsched-journal v2";
 
 /// Percent-escapes a name so it survives whitespace-delimited parsing:
@@ -388,36 +385,33 @@ pub struct JournalStream {
 }
 
 impl JournalStream {
-    /// Opens a journal, reading the header and — for v2 journals — the
-    /// optional snapshot block. A missing or malformed *header* (or a torn
-    /// snapshot block, which is written atomically) is an error: that is
-    /// corruption, not a crash.
+    /// Opens a journal, reading the header and the optional snapshot
+    /// block. A malformed *header* (or a torn snapshot block, which is
+    /// written atomically) is an error: that is corruption, not a crash.
+    /// A file that ends before its two header lines are complete is
+    /// [`EngineError::JournalHeaderIncomplete`] — the one case a
+    /// replication follower may treat as "not streamed yet".
     pub fn open(path: &Path) -> Result<JournalStream, EngineError> {
         let mut lines = LineReader::open(path)?;
         let magic = lines
             .next_line()?
-            .ok_or_else(|| EngineError::Journal("empty journal".to_string()))?;
-        let v2 = match magic.as_str() {
-            m if m == MAGIC_V2 => true,
-            m if m == MAGIC_V1 => false,
-            other => {
-                return Err(EngineError::Journal(format!(
-                    "bad journal header `{other}` (expected `{MAGIC_V2}`)"
-                )));
-            }
-        };
+            .ok_or(EngineError::JournalHeaderIncomplete)?;
+        if magic != MAGIC_V2 {
+            return Err(EngineError::Journal(format!(
+                "bad journal header `{magic}` (expected `{MAGIC_V2}`)"
+            )));
+        }
         let platform_line = lines
             .next_line()?
-            .ok_or_else(|| EngineError::Journal("truncated journal header".to_string()))?;
+            .ok_or(EngineError::JournalHeaderIncomplete)?;
         let platforms = platform_line
             .strip_prefix("platforms ")
             .and_then(|n| n.parse().ok())
             .ok_or_else(|| EngineError::Journal(format!("bad platform line `{platform_line}`")))?;
 
-        let snapshot = if v2
-            && lines
-                .peek_line()?
-                .is_some_and(|l| l.starts_with("snapshot begin"))
+        let snapshot = if lines
+            .peek_line()?
+            .is_some_and(|l| l.starts_with("snapshot begin"))
         {
             let header = lines.next_line()?.expect("peeked line present");
             Some(
@@ -1014,20 +1008,6 @@ mod tests {
     }
 
     #[test]
-    fn v1_journals_still_read() {
-        let path = temp("v1");
-        let mut writer = JournalWriter::create(&path, 4).unwrap();
-        writer.append(1, &sample_batch()[..1], true).unwrap();
-        drop(writer);
-        let v2 = std::fs::read_to_string(&path).unwrap();
-        std::fs::write(&path, v2.replacen(MAGIC_V2, MAGIC_V1, 1)).unwrap();
-        let contents = read_journal(&path).unwrap();
-        assert_eq!(contents.epochs.len(), 1);
-        assert!(contents.snapshot.is_none());
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
     fn name_escaping_round_trips() {
         for name in [
             "plain",
@@ -1053,8 +1033,26 @@ mod tests {
     #[test]
     fn bad_header_is_corruption_not_truncation() {
         let path = temp("badheader");
-        std::fs::write(&path, "not a journal\n").unwrap();
-        assert!(matches!(read_journal(&path), Err(EngineError::Journal(_))));
+        // A complete first line that is not the current magic — garbage, or
+        // the retired v1 header — is refused, never read as a journal.
+        for header in ["not a journal", "hsched-journal v1"] {
+            std::fs::write(&path, format!("{header}\nplatforms 4\n")).unwrap();
+            assert!(
+                matches!(read_journal(&path), Err(EngineError::Journal(_))),
+                "`{header}` must be refused"
+            );
+        }
+        // A file that ends inside the header has no header to judge yet.
+        for cut in ["", "hsched-jour", "hsched-journal v2\nplat"] {
+            std::fs::write(&path, cut).unwrap();
+            assert!(
+                matches!(
+                    read_journal(&path),
+                    Err(EngineError::JournalHeaderIncomplete)
+                ),
+                "`{cut}` is incomplete, not corrupt"
+            );
+        }
         let _ = std::fs::remove_file(&path);
     }
 }

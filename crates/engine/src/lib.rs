@@ -26,14 +26,11 @@
 //! * **Versioned envelope** — [`EngineRequest`]/[`EngineResponse`]
 //!   (schema [`SCHEMA_VERSION`], v2: epoch ticket + shard set) are shared
 //!   by the library API, `hsched admit`, `hsched replay`, `hsched
-//!   compact`, and the `--json` serializer; v1 requests are still
-//!   accepted.
+//!   compact`, and the `--json` serializer.
 //! * **Write-ahead journal** — every committed epoch (admitted *and*
 //!   rejected, so the epoch counter and shard topology replay exactly) is
 //!   appended — and group-commit synced — before the response returns;
 //!   torn tails are repaired, and replay streams records in O(1) memory.
-//! * **Single-threaded facade** — [`AdmissionRouter`] keeps the PR-3
-//!   exclusive-borrow API as a thin wrapper for one-client callers.
 //!
 //! # Example
 //!
@@ -96,23 +93,22 @@ mod digest;
 mod envelope;
 mod journal;
 mod metrics;
-mod router;
 mod routing;
 mod service;
 mod snapshot;
 mod stripes;
 mod sync;
 
+pub use digest::{fnv1a_64, fnv1a_64_extend};
 pub use envelope::{
     EngineError, EngineOp, EngineRequest, EngineResponse, EpochTicket, EpochTimings, TxnId,
-    MIN_SCHEMA_VERSION, SCHEMA_VERSION,
+    SCHEMA_VERSION,
 };
 pub use journal::{
     decode_request, encode_request, esc, read_journal, unesc, DurableMark, JournalContents,
     JournalEpoch, JournalStream, JournalSubscriber, JournalWriter,
 };
 pub use metrics::EngineMetrics;
-pub use router::AdmissionRouter;
 pub use service::{AutoCompactPolicy, ReplayStats, SchedService, SnapshotInfo};
 pub use snapshot::{Snapshot, SnapshotInstance, SnapshotPlatform, SnapshotTxn};
 
@@ -135,15 +131,14 @@ mod tests {
         .unwrap()
     }
 
-    fn two_island_engine() -> (AdmissionRouter, PlatformId, PlatformId) {
+    fn two_island_engine() -> (SchedService, PlatformId, PlatformId) {
         let mut platforms = PlatformSet::new();
         let a = platforms.add(Platform::dedicated("A"));
         let b = platforms.add(Platform::dedicated("B"));
         let set =
             TransactionSet::new(platforms, vec![tx_on("left", a), tx_on("right", b)]).unwrap();
         let engine =
-            AdmissionRouter::new(set, AnalysisConfig::default(), AdmissionPolicy::default())
-                .unwrap();
+            SchedService::new(set, AnalysisConfig::default(), AdmissionPolicy::default()).unwrap();
         (engine, a, b)
     }
 
@@ -163,24 +158,28 @@ mod tests {
 
     #[test]
     fn version_mismatch_is_a_typed_error_and_consumes_no_epoch() {
-        let (mut engine, _, _) = two_island_engine();
-        let mut request = EngineRequest::batch(vec![]);
-        request.version = 99;
-        assert_eq!(
-            engine.commit(&request),
-            Err(EngineError::UnsupportedVersion {
-                found: 99,
-                supported: SCHEMA_VERSION
-            })
-        );
+        let (engine, _, _) = two_island_engine();
+        // Exactly the current schema is accepted: a newer version and the
+        // retired v1 are refused alike.
+        for version in [99, 1] {
+            let mut request = EngineRequest::batch(vec![]);
+            request.version = version;
+            assert_eq!(
+                engine.submit(&request),
+                Err(EngineError::UnsupportedVersion {
+                    found: version,
+                    supported: SCHEMA_VERSION
+                })
+            );
+        }
         assert_eq!(engine.epoch(), 0);
     }
 
     #[test]
     fn unknown_handle_is_a_typed_error() {
-        let (mut engine, _, _) = two_island_engine();
+        let (engine, _, _) = two_island_engine();
         let err = engine
-            .commit(&EngineRequest::new(vec![EngineOp::Remove(TxnId(999))]))
+            .submit(&EngineRequest::new(vec![EngineOp::Remove(TxnId(999))]))
             .unwrap_err();
         assert_eq!(err, EngineError::UnknownTxn(TxnId(999)));
         assert_eq!(engine.epoch(), 0, "no epoch consumed");
@@ -188,18 +187,18 @@ mod tests {
         // A departed transaction's handle goes stale.
         let id = engine.resolve("left").unwrap();
         let response = engine
-            .commit(&EngineRequest::new(vec![EngineOp::Remove(id)]))
+            .submit(&EngineRequest::new(vec![EngineOp::Remove(id)]))
             .unwrap();
         assert!(response.outcome.verdict.admitted());
         assert_eq!(
-            engine.commit(&EngineRequest::new(vec![EngineOp::Remove(id)])),
+            engine.submit(&EngineRequest::new(vec![EngineOp::Remove(id)])),
             Err(EngineError::UnknownTxn(id))
         );
     }
 
     #[test]
     fn bridging_arrival_merges_shards_and_departure_splits_them() {
-        let (mut engine, a, b) = two_island_engine();
+        let (engine, a, b) = two_island_engine();
         let bridge = Transaction::new(
             "bridge",
             rat(20, 1),
@@ -211,7 +210,7 @@ mod tests {
         )
         .unwrap();
         let response = engine
-            .commit(&EngineRequest::batch(vec![
+            .submit(&EngineRequest::batch(vec![
                 AdmissionRequest::AddTransaction(bridge),
             ]))
             .unwrap();
@@ -219,7 +218,7 @@ mod tests {
         assert_eq!(engine.shard_count(), 1, "islands merged into one shard");
 
         let response = engine
-            .commit(&EngineRequest::batch(vec![
+            .submit(&EngineRequest::batch(vec![
                 AdmissionRequest::RemoveTransaction {
                     name: "bridge".into(),
                 },
@@ -233,7 +232,7 @@ mod tests {
 
     #[test]
     fn cross_shard_batch_is_atomic() {
-        let (mut engine, a, b) = two_island_engine();
+        let (engine, a, b) = two_island_engine();
         let set_before = engine.current_set();
         let report_before = engine.report();
         // Island A gets a fine arrival, island B an overload: the whole
@@ -246,7 +245,7 @@ mod tests {
         )
         .unwrap();
         let response = engine
-            .commit(&EngineRequest::batch(vec![
+            .submit(&EngineRequest::batch(vec![
                 AdmissionRequest::AddTransaction(tx_on("fine", a)),
                 AdmissionRequest::AddTransaction(hog),
             ]))
@@ -263,11 +262,10 @@ mod tests {
     #[test]
     fn retune_routes_to_the_owning_island_and_propagates() {
         let set = paper_example::transactions();
-        let mut engine =
-            AdmissionRouter::new(set, AnalysisConfig::default(), AdmissionPolicy::default())
-                .unwrap();
+        let engine =
+            SchedService::new(set, AnalysisConfig::default(), AdmissionPolicy::default()).unwrap();
         let response = engine
-            .commit(&EngineRequest::batch(vec![AdmissionRequest::Retune {
+            .submit(&EngineRequest::batch(vec![AdmissionRequest::Retune {
                 platform: PlatformId(2),
                 alpha: rat(3, 10),
                 delta: rat(1, 1),
@@ -285,8 +283,8 @@ mod tests {
 
     #[test]
     fn empty_batch_is_an_epoch_and_tracks_schedulability() {
-        let (mut engine, _, _) = two_island_engine();
-        let response = engine.commit(&EngineRequest::batch(vec![])).unwrap();
+        let (engine, _, _) = two_island_engine();
+        let response = engine.submit(&EngineRequest::batch(vec![])).unwrap();
         assert!(response.outcome.verdict.admitted());
         assert_eq!(engine.epoch(), 1);
         assert_eq!(response.shards_touched, 0);
@@ -308,12 +306,11 @@ mod tests {
         )
         .unwrap();
         let set = TransactionSet::new(platforms, vec![tx_on("good", a), hog]).unwrap();
-        let mut engine =
-            AdmissionRouter::new(set, AnalysisConfig::default(), AdmissionPolicy::default())
-                .unwrap();
+        let engine =
+            SchedService::new(set, AnalysisConfig::default(), AdmissionPolicy::default()).unwrap();
         assert!(!engine.schedulable());
         let response = engine
-            .commit(&EngineRequest::batch(vec![
+            .submit(&EngineRequest::batch(vec![
                 AdmissionRequest::AddTransaction(tx_on("more", a)),
             ]))
             .unwrap();
@@ -322,7 +319,7 @@ mod tests {
             Verdict::Rejected(RejectReason::Unschedulable { .. })
         ));
         let response = engine
-            .commit(&EngineRequest::batch(vec![
+            .submit(&EngineRequest::batch(vec![
                 AdmissionRequest::RemoveTransaction { name: "hog".into() },
             ]))
             .unwrap();
@@ -331,7 +328,7 @@ mod tests {
             "healing removal admits"
         );
         let response = engine
-            .commit(&EngineRequest::batch(vec![
+            .submit(&EngineRequest::batch(vec![
                 AdmissionRequest::AddTransaction(tx_on("more", a)),
             ]))
             .unwrap();
@@ -340,9 +337,9 @@ mod tests {
 
     #[test]
     fn out_of_range_platform_in_arrival_is_a_structural_rejection() {
-        let (mut engine, _, _) = two_island_engine();
+        let (engine, _, _) = two_island_engine();
         let response = engine
-            .commit(&EngineRequest::batch(vec![
+            .submit(&EngineRequest::batch(vec![
                 AdmissionRequest::AddTransaction(tx_on("ghost", PlatformId(99))),
             ]))
             .unwrap();
@@ -358,7 +355,7 @@ mod tests {
     #[test]
     fn instance_txn_name_is_reusable_in_the_removing_batch() {
         use hsched_model::{Action, ComponentClass, ThreadSpec};
-        let (mut engine, a, _) = two_island_engine();
+        let (engine, a, _) = two_island_engine();
         let class = ComponentClass::new("Worker").thread(ThreadSpec::periodic(
             "T",
             rat(50, 1),
@@ -366,7 +363,7 @@ mod tests {
             vec![Action::task("w", rat(1, 1), rat(1, 1))],
         ));
         let response = engine
-            .commit(&EngineRequest::batch(vec![AdmissionRequest::AddInstance {
+            .submit(&EngineRequest::batch(vec![AdmissionRequest::AddInstance {
                 name: "w1".into(),
                 class,
                 platform: a,
@@ -378,7 +375,7 @@ mod tests {
         // sequential application: the flattened name departs with the
         // instance, so the bare re-arrival under the same name admits.
         let response = engine
-            .commit(&EngineRequest::batch(vec![
+            .submit(&EngineRequest::batch(vec![
                 AdmissionRequest::RemoveInstance { name: "w1".into() },
                 AdmissionRequest::AddTransaction(tx_on("w1.T", a)),
             ]))
@@ -397,18 +394,18 @@ mod tests {
 
     #[test]
     fn stats_survive_shard_retirement() {
-        let (mut engine, a, _) = two_island_engine();
+        let (engine, a, _) = two_island_engine();
         let analyzed_before = engine.stats().transactions_analyzed;
         // Fresh island on nothing shared: add then remove — the shard
         // retires, but its analysis counters must stay in the totals.
         let response = engine
-            .commit(&EngineRequest::batch(vec![
+            .submit(&EngineRequest::batch(vec![
                 AdmissionRequest::AddTransaction(tx_on("ephemeral", a)),
             ]))
             .unwrap();
         assert!(response.outcome.verdict.admitted());
         let response = engine
-            .commit(&EngineRequest::batch(vec![
+            .submit(&EngineRequest::batch(vec![
                 AdmissionRequest::RemoveTransaction {
                     name: "left".into(),
                 },
@@ -427,7 +424,7 @@ mod tests {
     #[test]
     fn instance_lifecycle_via_engine() {
         use hsched_model::{Action, ComponentClass, ThreadSpec};
-        let (mut engine, a, _) = two_island_engine();
+        let (engine, a, _) = two_island_engine();
         let class = ComponentClass::new("Worker").thread(ThreadSpec::periodic(
             "T",
             rat(50, 1),
@@ -435,7 +432,7 @@ mod tests {
             vec![Action::task("w", rat(1, 1), rat(1, 1))],
         ));
         let response = engine
-            .commit(&EngineRequest::batch(vec![AdmissionRequest::AddInstance {
+            .submit(&EngineRequest::batch(vec![AdmissionRequest::AddInstance {
                 name: "w1".into(),
                 class,
                 platform: a,
@@ -448,7 +445,7 @@ mod tests {
         assert!(engine.resolve("w1.T").is_some());
 
         let response = engine
-            .commit(&EngineRequest::batch(vec![
+            .submit(&EngineRequest::batch(vec![
                 AdmissionRequest::RemoveInstance { name: "w1".into() },
             ]))
             .unwrap();
@@ -464,7 +461,7 @@ mod tests {
             std::process::id()
         ));
         let set = paper_example::transactions();
-        let mut engine = AdmissionRouter::new(
+        let engine = SchedService::new(
             set.clone(),
             AnalysisConfig::default(),
             AdmissionPolicy::default(),
@@ -494,13 +491,13 @@ mod tests {
                 name: "Sensor2.Thread1".into(),
             }],
         ] {
-            engine.commit(&EngineRequest::batch(batch)).unwrap();
+            engine.submit(&EngineRequest::batch(batch)).unwrap();
         }
         let digest = engine.state_digest();
         let epoch = engine.epoch();
         drop(engine); // "crash"
 
-        let (replayed, stats) = AdmissionRouter::replay(
+        let (replayed, stats) = SchedService::replay(
             set,
             AnalysisConfig::default(),
             AdmissionPolicy::default(),
@@ -560,7 +557,7 @@ mod tests {
             contents.epochs.len()
         );
         // The compacted journal still rebuilds the engine byte-identically.
-        let (replayed, _) = AdmissionRouter::replay(
+        let (replayed, _) = SchedService::replay(
             set,
             AnalysisConfig::default(),
             AdmissionPolicy::default(),
@@ -623,16 +620,15 @@ mod tests {
             .unwrap()
         };
         let set = TransactionSet::new(platforms, vec![slow("abe", a), slow("zed", b)]).unwrap();
-        let mut engine =
-            AdmissionRouter::new(set, AnalysisConfig::default(), AdmissionPolicy::default())
-                .unwrap();
+        let engine =
+            SchedService::new(set, AnalysisConfig::default(), AdmissionPolicy::default()).unwrap();
         let abe = slow("abe", a);
         for batch in [
             vec![AdmissionRequest::RemoveTransaction { name: "abe".into() }],
             vec![AdmissionRequest::AddTransaction(abe)],
         ] {
             assert!(engine
-                .commit(&EngineRequest::batch(batch))
+                .submit(&EngineRequest::batch(batch))
                 .unwrap()
                 .outcome
                 .verdict
@@ -651,7 +647,7 @@ mod tests {
             .unwrap()
         };
         let response = engine
-            .commit(&EngineRequest::batch(vec![
+            .submit(&EngineRequest::batch(vec![
                 AdmissionRequest::AddTransaction(hi("hi_a", a)),
                 AdmissionRequest::AddTransaction(hi("hi_b", b)),
             ]))
@@ -668,10 +664,10 @@ mod tests {
 
     #[test]
     fn structural_rejections_match_controller_semantics() {
-        let (mut engine, a, _) = two_island_engine();
+        let (engine, a, _) = two_island_engine();
         // Unknown removal.
         let response = engine
-            .commit(&EngineRequest::batch(vec![
+            .submit(&EngineRequest::batch(vec![
                 AdmissionRequest::RemoveTransaction {
                     name: "nope".into(),
                 },
@@ -684,7 +680,7 @@ mod tests {
         assert_eq!(engine.epoch(), 1, "structural rejection consumes an epoch");
         // Duplicate arrival.
         let response = engine
-            .commit(&EngineRequest::batch(vec![
+            .submit(&EngineRequest::batch(vec![
                 AdmissionRequest::AddTransaction(tx_on("left", a)),
             ]))
             .unwrap();
@@ -694,7 +690,7 @@ mod tests {
         ));
         // [remove X, add X] in one batch works like sequential application.
         let response = engine
-            .commit(&EngineRequest::batch(vec![
+            .submit(&EngineRequest::batch(vec![
                 AdmissionRequest::RemoveTransaction {
                     name: "left".into(),
                 },

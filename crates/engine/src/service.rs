@@ -103,7 +103,7 @@
 use crate::digest::fnv1a_64;
 use crate::envelope::{
     EngineError, EngineOp, EngineRequest, EngineResponse, EpochTicket, EpochTimings, TxnId,
-    MIN_SCHEMA_VERSION, SCHEMA_VERSION,
+    SCHEMA_VERSION,
 };
 use crate::journal::{DurableMark, JournalEpoch, JournalStream, JournalSubscriber, JournalWriter};
 use crate::metrics::EngineMetrics;
@@ -364,9 +364,7 @@ pub struct SnapshotInfo {
 /// The concurrent admission service (see the module docs).
 ///
 /// All methods take `&self`; the service is `Send + Sync` and is driven
-/// from as many client threads as desired. The single-threaded
-/// [`crate::AdmissionRouter`] wrapper preserves the PR-3 exclusive-borrow
-/// API on top of this type.
+/// from as many client threads as desired.
 #[derive(Debug)]
 pub struct SchedService {
     /// Name-addressed routing stripes (homes + claims), FNV-striped.
@@ -770,7 +768,7 @@ impl SchedService {
     /// and replay stops at the last complete one. Epochs at or below a
     /// ticket a successful `sync` covered are never lost.
     pub fn submit_async(&self, request: &EngineRequest) -> Result<EpochTicket, EngineError> {
-        if request.version < MIN_SCHEMA_VERSION || request.version > SCHEMA_VERSION {
+        if request.version != SCHEMA_VERSION {
             return Err(EngineError::UnsupportedVersion {
                 found: request.version,
                 supported: SCHEMA_VERSION,

@@ -1,7 +1,7 @@
 //! The sharded engine's two contracts, property-tested:
 //!
 //! (a) **equivalence** — driving the same churn stream through the sharded
-//!     `AdmissionRouter` and the single `AdmissionController` produces the
+//!     `SchedService` and the single `AdmissionController` produces the
 //!     same admit/reject verdict every epoch and the same live state and
 //!     analysis results (content-wise; the router is free to order its
 //!     aggregate set by shard), and both agree with a from-scratch
@@ -16,7 +16,7 @@
 use hsched_admission::gen::{random_scenario, ChurnGen, ScenarioSpec};
 use hsched_admission::{AdmissionController, AdmissionPolicy};
 use hsched_analysis::{analyze_with, AnalysisConfig, TaskResult, TransactionVerdict};
-use hsched_engine::{AdmissionRouter, EngineRequest};
+use hsched_engine::{EngineRequest, SchedService};
 use hsched_numeric::rat;
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -54,7 +54,7 @@ fn equivalence_session(seed: u64, clusters: usize, batches: usize, max_batch: us
     let policy = AdmissionPolicy::default();
     let mut single = AdmissionController::new(set.clone(), config.clone(), policy.clone())
         .unwrap_or_else(|e| panic!("seed {seed}: controller seed failed: {e}"));
-    let mut router = AdmissionRouter::new(set, config.clone(), policy)
+    let router = SchedService::new(set, config.clone(), policy)
         .unwrap_or_else(|e| panic!("seed {seed}: router seed failed: {e}"));
     // Feed the generator from the single controller's set so both engines
     // see the *identical* request stream (the generator picks departure
@@ -65,7 +65,7 @@ fn equivalence_session(seed: u64, clusters: usize, batches: usize, max_batch: us
         let batch = churn.next_batch(single.current_set(), max_batch);
         let single_outcome = single.commit(&batch);
         let response = router
-            .commit(&EngineRequest::batch(batch.clone()))
+            .submit(&EngineRequest::batch(batch.clone()))
             .unwrap_or_else(|e| panic!("seed {seed} step {step}: engine error: {e}"));
 
         assert_eq!(
@@ -187,7 +187,7 @@ fn crash_replay_session(seed: u64, cut_fraction: (u64, u64)) {
         cut_fraction.1
     ));
 
-    let mut engine = AdmissionRouter::new(set.clone(), config.clone(), policy.clone())
+    let engine = SchedService::new(set.clone(), config.clone(), policy.clone())
         .unwrap_or_else(|e| panic!("seed {seed}: router seed failed: {e}"))
         .with_journal(&path)
         .unwrap();
@@ -197,7 +197,7 @@ fn crash_replay_session(seed: u64, cut_fraction: (u64, u64)) {
     for _ in 0..5 {
         let batch = churn.next_batch(&engine.current_set(), 3);
         engine
-            .commit(&EngineRequest::batch(batch))
+            .submit(&EngineRequest::batch(batch))
             .unwrap_or_else(|e| panic!("seed {seed}: engine error: {e}"));
         digests.push(engine.state_digest());
     }
@@ -209,7 +209,7 @@ fn crash_replay_session(seed: u64, cut_fraction: (u64, u64)) {
     let cut = cut.clamp(40, bytes.len()); // keep the header intact
     std::fs::write(&path, &bytes[..cut]).unwrap();
 
-    let (replayed, stats) = AdmissionRouter::replay(set, config, policy, &path)
+    let (replayed, stats) = SchedService::replay(set, config, policy, &path)
         .unwrap_or_else(|e| panic!("seed {seed} cut {cut}: replay failed: {e}"));
     let epochs = stats.tail_records;
     assert!(epochs <= 5, "seed {seed}");
@@ -219,10 +219,9 @@ fn crash_replay_session(seed: u64, cut_fraction: (u64, u64)) {
         "seed {seed} cut {cut}: replayed engine diverged from the reference after {epochs} epochs"
     );
     // The repaired journal must keep serving: one more epoch appends fine.
-    let mut replayed = replayed;
     let batch = churn.next_batch(&replayed.current_set(), 2);
     replayed
-        .commit(&EngineRequest::batch(batch))
+        .submit(&EngineRequest::batch(batch))
         .unwrap_or_else(|e| panic!("seed {seed}: post-replay commit failed: {e}"));
     let _ = std::fs::remove_file(&path);
 }

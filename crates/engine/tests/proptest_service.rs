@@ -814,5 +814,11 @@ fn submit_async_sync_watermark_durability() {
     service.submit(&EngineRequest::batch(batch)).unwrap();
     assert_eq!(service.epoch(), 5);
     assert_eq!(service.durable_epoch(), 5);
+
+    // Why pipelining can only win: the four async epochs shared one
+    // flush, the lock-step `submit` paid one of its own.
+    let snap = service.metrics();
+    let flushes = snap.histogram("engine.sync.batch_epochs").unwrap();
+    assert_eq!((flushes.count(), flushes.sum()), (2, 5));
     let _ = std::fs::remove_file(&path);
 }

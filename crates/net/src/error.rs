@@ -100,7 +100,7 @@ pub fn engine_code(error: &EngineError) -> u16 {
         EngineError::UnsupportedVersion { .. } => code::UNSUPPORTED_VERSION,
         EngineError::UnknownTxn(_) => code::UNKNOWN_TXN,
         EngineError::Seed(_) => code::SEED,
-        EngineError::Journal(_) => code::JOURNAL,
+        EngineError::Journal(_) | EngineError::JournalHeaderIncomplete => code::JOURNAL,
         EngineError::Replay(_) => code::REPLAY,
         EngineError::Internal(_) => code::INTERNAL,
     }

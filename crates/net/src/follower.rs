@@ -23,11 +23,10 @@
 use crate::error::{code, WireError};
 use crate::frame::{read_frame, write_frame, FrameRead};
 use crate::proto;
-use crate::repl::fnv1a_64;
 use crate::server::POLL_INTERVAL;
 use hsched_admission::AdmissionPolicy;
 use hsched_analysis::AnalysisConfig;
-use hsched_engine::{JournalStream, SchedService};
+use hsched_engine::{fnv1a_64, EngineError, JournalStream, SchedService};
 use hsched_transaction::TransactionSet;
 use std::io::{Seek, SeekFrom, Write as IoWrite};
 use std::net::TcpStream;
@@ -322,15 +321,11 @@ impl Follower {
             }
             // An incomplete header (mirror cut off mid-bootstrap) is not
             // an error — resume will fetch the rest. Anything else is.
-            Err(e) => {
-                let message = e.to_string();
-                if message.contains("header") || message.contains("empty") {
-                    self.committed = 0;
-                    Ok(())
-                } else {
-                    Err(WireError::from_engine(e))
-                }
+            Err(EngineError::JournalHeaderIncomplete) => {
+                self.committed = 0;
+                Ok(())
             }
+            Err(e) => Err(WireError::from_engine(e)),
         }
     }
 

@@ -39,7 +39,4 @@ pub use follower::{Follower, FollowerConfig, FollowerExit};
 pub use frame::{queue_frame, read_frame, write_frame, FrameRead, MAX_FRAME_BYTES};
 pub use metrics::NetMetrics;
 pub use proto::{reason_kind, RemoteEpoch, RemoteReason, SubmitMode};
-pub use repl::fnv1a_64;
-pub use server::{
-    ConnCtx, ConnHandler, DedupTable, Server, ServerConfig, ServerHandle, ShedPolicy,
-};
+pub use server::{Server, ServerConfig, ServerHandle, ShedPolicy};

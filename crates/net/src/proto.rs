@@ -14,7 +14,7 @@ use hsched_engine::{decode_request, encode_request, esc, unesc, EngineResponse};
 use hsched_telemetry::{HistogramSnapshot, MetricsSnapshot};
 
 /// Greeting the service port sends on connect.
-pub const SERVICE_GREETING: &str = "hsched-net v2 min 1";
+pub const SERVICE_GREETING: &str = "hsched-net v2";
 /// Greeting the replication port sends on connect.
 pub const REPL_GREETING: &str = "hsched-repl v2";
 

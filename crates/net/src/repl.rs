@@ -29,7 +29,7 @@ use crate::error::{code, WireError};
 use crate::frame::{read_frame, write_frame, FrameRead};
 use crate::proto;
 use crate::server::{ConnCtx, POLL_INTERVAL};
-use hsched_engine::{DurableMark, SchedService};
+use hsched_engine::{fnv1a_64, fnv1a_64_extend, DurableMark, SchedService};
 use std::io::{Read, Seek, SeekFrom};
 use std::net::TcpStream;
 use std::path::PathBuf;
@@ -42,24 +42,12 @@ use std::time::Duration;
 /// many chunks.
 pub const CHUNK_BYTES: u64 = 256 * 1024;
 
-/// FNV-1a 64-bit digest (the replication prefix check). Matches the
-/// engine's digest primitive: offset basis `0xcbf29ce484222325`, prime
-/// `0x100000001b3`.
-pub fn fnv1a_64(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &byte in bytes {
-        hash ^= u64::from(byte);
-        hash = hash.wrapping_mul(0x100_0000_01b3);
-    }
-    hash
-}
-
 /// FNV-1a 64 of the first `prefix` bytes of the file at `path`, streamed
 /// (a journal can be long; nothing here holds it in memory).
 pub fn file_prefix_digest(path: &std::path::Path, prefix: u64) -> Result<u64, WireError> {
     let mut file = std::fs::File::open(path)?;
     let mut remaining = prefix;
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut hash = fnv1a_64(b"");
     let mut buf = [0u8; 8192];
     while remaining > 0 {
         let want = buf.len().min(remaining as usize);
@@ -70,10 +58,7 @@ pub fn file_prefix_digest(path: &std::path::Path, prefix: u64) -> Result<u64, Wi
                 format!("journal holds fewer than {prefix} bytes"),
             ));
         }
-        for &byte in &buf[..got] {
-            hash ^= u64::from(byte);
-            hash = hash.wrapping_mul(0x100_0000_01b3);
-        }
+        hash = fnv1a_64_extend(hash, &buf[..got]);
         remaining -= got as u64;
     }
     Ok(hash)
@@ -356,14 +341,6 @@ fn stream_bytes(
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn fnv_matches_the_reference_vectors() {
-        // Offset basis (empty input) and the classic test vector.
-        assert_eq!(fnv1a_64(b""), 0xcbf2_9ce4_8422_2325);
-        assert_eq!(fnv1a_64(b"a"), 0xaf63_dc4c_8601_ec8c);
-        assert_eq!(fnv1a_64(b"foobar"), 0x85944171f73967e8);
-    }
 
     #[test]
     fn file_prefix_digest_streams_and_bounds() {

@@ -129,14 +129,10 @@ pub struct ConnCtx {
     pub dedup: Arc<DedupTable>,
 }
 
-/// A pluggable per-connection protocol: the default is the framed
-/// envelope handler ([`handle_service_conn`]); the CLI swaps in a
-/// JSON-lines handler for `hsched serve --json-lines`.
-pub type ConnHandler = Arc<dyn Fn(TcpStream, &ConnCtx) + Send + Sync>;
-
 /// Server configuration. `service_addr` is required; replication needs
 /// both `repl_addr` and `journal_path` (the streamer reads raw bytes
 /// straight from the journal file).
+#[derive(Debug)]
 pub struct ServerConfig {
     /// Bind address of the service port (use port 0 to let the OS pick).
     pub service_addr: String,
@@ -149,9 +145,6 @@ pub struct ServerConfig {
     /// `(epoch, digest)` pair and offers it to followers. Heartbeats
     /// quiesce the pipeline — keep this well above the epoch rate.
     pub heartbeat_interval: Duration,
-    /// Connection protocol override (`None` = the framed envelope
-    /// handler).
-    pub handler: Option<ConnHandler>,
     /// Admission backpressure (see [`ShedPolicy`]).
     pub shed: ShedPolicy,
 }
@@ -163,22 +156,8 @@ impl Default for ServerConfig {
             repl_addr: None,
             journal_path: None,
             heartbeat_interval: Duration::from_millis(500),
-            handler: None,
             shed: ShedPolicy::default(),
         }
-    }
-}
-
-impl std::fmt::Debug for ServerConfig {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ServerConfig")
-            .field("service_addr", &self.service_addr)
-            .field("repl_addr", &self.repl_addr)
-            .field("journal_path", &self.journal_path)
-            .field("heartbeat_interval", &self.heartbeat_interval)
-            .field("handler", &self.handler.as_ref().map(|_| "<custom>"))
-            .field("shed", &self.shed)
-            .finish()
     }
 }
 
@@ -265,17 +244,13 @@ impl Server {
             },
             conns: Mutex::new(Vec::new()),
         });
-        let handler: ConnHandler = config
-            .handler
-            .unwrap_or_else(|| Arc::new(handle_service_conn));
-
         let listener = TcpListener::bind(&config.service_addr)?;
         let service_addr = listener.local_addr()?;
         let mut accepts = Vec::new();
         {
             let shared = shared.clone();
             accepts.push(std::thread::spawn(move || {
-                accept_loop(listener, shared, move |stream, ctx| handler(stream, ctx));
+                accept_loop(listener, shared, handle_service_conn);
             }));
         }
 
@@ -362,7 +337,7 @@ enum Flow {
     Quit,
 }
 
-/// The default service-port connection: greet, then a frame loop.
+/// One service-port connection: greet, then a frame loop.
 /// Engine errors become typed `error` frames and the connection
 /// survives; grammar violations become one `error` frame and drop
 /// **only this connection** — the accept loop and every sibling keep
@@ -374,7 +349,7 @@ enum Flow {
 /// when the loop is about to block on the socket, so lockstep clients
 /// still get every reply immediately and a burst pays one flush, not one
 /// per frame.
-pub fn handle_service_conn(stream: TcpStream, ctx: &ConnCtx) {
+fn handle_service_conn(stream: TcpStream, ctx: &ConnCtx) {
     if stream.set_read_timeout(Some(POLL_INTERVAL * 4)).is_err() {
         return;
     }

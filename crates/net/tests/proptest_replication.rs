@@ -66,7 +66,6 @@ fn resume_session(seed: u64, epochs: usize, cuts: &[u64]) {
             repl_addr: Some("127.0.0.1:0".to_string()),
             journal_path: Some(journal.clone()),
             heartbeat_interval: Duration::from_millis(80),
-            handler: None,
             ..ServerConfig::default()
         },
     )
@@ -267,6 +266,94 @@ fn corrupted_mirror_is_reset_and_rebuilt() {
             std::fs::remove_file(&mirror).expect("wipe mirror");
         }
         Ok(other) => panic!("unexpected exit {other:?}"),
+    }
+
+    handle.stop();
+    handle.join().expect("drain");
+    let _ = std::fs::remove_file(&journal);
+    let _ = std::fs::remove_file(&mirror);
+}
+
+/// A mirror whose first line is *complete* but is not the journal header
+/// is corruption: the follower must refuse it and leave the file alone —
+/// not take it for a bootstrap cut short, empty it and re-stream. The
+/// garbage line carries the words the old substring classifier keyed on.
+/// A mirror cut *inside* the header is the cut-short case and still
+/// bootstraps.
+#[test]
+fn garbage_mirror_is_refused_untouched_but_a_cut_header_bootstraps() {
+    let seed = 13u64;
+    let spec = spec_for(seed);
+    let set = random_scenario(&spec);
+    let config = AnalysisConfig::default();
+    let policy = AdmissionPolicy::default();
+    let journal = temp_path("garbage-primary", seed);
+    let mirror = temp_path("garbage-mirror", seed);
+    let _ = std::fs::remove_file(&journal);
+    let _ = std::fs::remove_file(&mirror);
+
+    let engine = Arc::new(
+        SchedService::new(set.clone(), config.clone(), policy.clone())
+            .expect("seed")
+            .with_journal(&journal)
+            .expect("journal attach"),
+    );
+    let handle = Server::start(
+        engine.clone(),
+        ServerConfig {
+            repl_addr: Some("127.0.0.1:0".to_string()),
+            journal_path: Some(journal.clone()),
+            heartbeat_interval: Duration::from_millis(80),
+            ..ServerConfig::default()
+        },
+    )
+    .expect("server start");
+    let repl_addr = handle.repl_addr().expect("repl port").to_string();
+
+    let mut churn = ChurnGen::new(&spec, seed);
+    let mut client = Client::connect(&handle.service_addr().to_string()).expect("connect");
+    for _ in 0..4 {
+        let batch = churn.next_batch(&engine.current_set(), 2);
+        client
+            .submit(SubmitMode::Sync, SCHEMA_VERSION, &batch)
+            .expect("submit");
+    }
+    let (epoch_p, digest_p) = client.digest().expect("digest");
+    let follower_over_mirror = || {
+        Follower::new(
+            set.clone(),
+            config.clone(),
+            policy.clone(),
+            FollowerConfig {
+                primary: repl_addr.clone(),
+                journal: mirror.clone(),
+                exit_on_disconnect: true,
+                catch_up_to: Some(epoch_p),
+                ..FollowerConfig::default()
+            },
+        )
+    };
+
+    let garbage = b"header_parser on platform empty\nplatforms 4\n";
+    std::fs::write(&mirror, garbage).expect("write garbage mirror");
+    let refusal = follower_over_mirror().run();
+    assert!(refusal.is_err(), "garbage mirror accepted: {refusal:?}");
+    assert_eq!(
+        std::fs::read(&mirror).expect("read mirror"),
+        garbage,
+        "a refused mirror must be left for the operator, not wiped"
+    );
+
+    let primary_bytes = std::fs::read(&journal).expect("read primary journal");
+    for cut in [7, "hsched-journal v2\nplat".len()] {
+        std::fs::write(&mirror, &primary_bytes[..cut]).expect("write cut mirror");
+        let mut follower = follower_over_mirror();
+        assert_eq!(
+            follower.run().expect("cut header bootstraps"),
+            FollowerExit::CaughtUp,
+            "cut at {cut}"
+        );
+        assert_eq!(follower.state_digest().as_deref(), Some(digest_p.as_str()));
     }
 
     handle.stop();

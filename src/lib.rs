@@ -49,16 +49,15 @@
 //!
 //! // Serve it online: the admission service admits/rejects batched
 //! // changes against the same analysis, with typed handles and journaling.
-//! // (`SchedService` is the shared-reference front end for concurrent
-//! // clients; `AdmissionRouter` is its single-threaded facade.)
-//! let mut engine = AdmissionRouter::new(
+//! // (`submit` takes `&self`: concurrent clients share one `SchedService`.)
+//! let engine = SchedService::new(
 //!     system.clone(),
 //!     AnalysisConfig::default(),
 //!     AdmissionPolicy::default(),
 //! )
 //! .unwrap();
 //! let response = engine
-//!     .commit(&EngineRequest::batch(vec![AdmissionRequest::RemoveTransaction {
+//!     .submit(&EngineRequest::batch(vec![AdmissionRequest::RemoveTransaction {
 //!         name: "Sensor2.Thread1".into(),
 //!     }]))
 //!     .unwrap();
@@ -86,8 +85,7 @@ pub mod prelude {
     pub use hsched_analysis::{analyze, analyze_with, AnalysisConfig, SchedulabilityReport};
     pub use hsched_design::{min_alpha, minimize_bandwidth, pareto_sweep, DesignConfig};
     pub use hsched_engine::{
-        AdmissionRouter, EngineError, EngineOp, EngineRequest, EngineResponse, SchedService,
-        SnapshotInfo, TxnId,
+        EngineError, EngineOp, EngineRequest, EngineResponse, SchedService, SnapshotInfo, TxnId,
     };
     pub use hsched_model::{
         Action, ComponentClass, ProvidedMethod, RequiredMethod, RpcLink, System, SystemBuilder,
