@@ -1,7 +1,7 @@
 //! `hsched-check` — a dependency-free, loom-style concurrency model
 //! checker for the service front door.
 //!
-//! The engine's concurrent protocol (striped routing, slot checkout,
+//! The engine's concurrent protocol (one-lock routing, shard checkout,
 //! ticketed settle, group-committed fsync) is verified here by
 //! *exhaustive bounded exploration* instead of stress sampling:
 //!
@@ -14,16 +14,16 @@
 //!   bit-for-bit.
 //! * **Lock-order validation** ([`LockClass`]): every acquisition is
 //!   checked against the documented partial order (for the engine:
-//!   name stripes → platform stripes → slot table → slot cells → core →
-//!   gate); violations report the offending cycle with both lock
-//!   classes named. Condvar waits are additionally checked to hold
-//!   nothing but the mutex they sleep on.
+//!   routing → core → gate); violations report the offending cycle with
+//!   both lock classes named. Condvar waits are additionally checked to
+//!   hold nothing but the mutex they sleep on.
 //! * **Vector-clock race detection** over the atomic shims: execution is
 //!   sequentially consistent, and every load is checked to observe its
 //!   store through a happens-before edge or a release/acquire pair — so
-//!   an ordering weakened below the documented contract (`issued`,
-//!   `poison_present`, `platforms_version`) is flagged even though the
-//!   interleaving itself still "worked".
+//!   an ordering weakened below a documented contract is flagged even
+//!   though the interleaving itself still "worked". (The engine's front
+//!   door now keeps all of its state under locks, so only this crate's
+//!   self-tests exercise the atomic shims.)
 //! * **Deadlock / lost-wakeup detection**: a state where no thread is
 //!   runnable but some are blocked aborts the execution with a report
 //!   naming what each thread is blocked on. `notify_one` against an

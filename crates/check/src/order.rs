@@ -2,21 +2,16 @@
 //!
 //! The validator does not discover an order — it checks every runtime
 //! acquisition against the order the system *documents* (for the engine,
-//! the `stripe → slot table → slot cell → core → gate` chain in
-//! `docs/ARCHITECTURE.md`). Classes are ranked by a `(major, minor)`
-//! pair: acquisitions must be strictly ascending in major rank, and
-//! strictly ascending in minor rank within one major rank.
+//! the `routing → core → gate` chain in `docs/ARCHITECTURE.md`). Classes
+//! are ranked by a `(major, minor)` pair: acquisitions must be strictly
+//! ascending in major rank, and strictly ascending in minor rank within
+//! one major rank.
 
 /// Major rank reserved for locks that opt out of order checking
 /// entirely (scratch cells, ad-hoc job queues).
 pub const UNRANKED: u16 = u16::MAX;
 
-/// A lock's position in the documented acquisition order, plus the two
-/// escape hatches real systems need: `at_most_one` (a rank whose members
-/// are taken transiently, never two together, so intra-rank order is
-/// irrelevant) and `exempt_under_write` (a rank whose members may be
-/// taken freely while a designated coarser write lock is held, because
-/// that write lock already excludes every competitor).
+/// A lock's position in the documented acquisition order.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct LockClass {
     /// Human-readable class name, used verbatim in reports.
@@ -24,15 +19,9 @@ pub struct LockClass {
     /// Major rank: acquisitions must be strictly ascending. [`UNRANKED`]
     /// skips checking.
     pub major: u16,
-    /// Minor rank inside one major rank (e.g. a stripe index): must also
-    /// be strictly ascending unless the class is `at_most_one`.
+    /// Minor rank inside one major rank (e.g. an index into a family of
+    /// sibling locks): must also be strictly ascending.
     pub minor: u32,
-    /// At most one lock of this major rank may be held at a time
-    /// (holding two is itself a violation; minor order is moot).
-    pub at_most_one: bool,
-    /// While a *write-mode* lock of this major rank is held, members of
-    /// this class may be acquired without order checks.
-    pub exempt_under_write: Option<u16>,
 }
 
 impl LockClass {
@@ -43,33 +32,12 @@ impl LockClass {
             name,
             major: UNRANKED,
             minor: 0,
-            at_most_one: false,
-            exempt_under_write: None,
         }
     }
 
     /// A class at `(major, minor)` in the documented order.
     pub const fn ranked(name: &'static str, major: u16, minor: u32) -> LockClass {
-        LockClass {
-            name,
-            major,
-            minor,
-            at_most_one: false,
-            exempt_under_write: None,
-        }
-    }
-
-    /// Marks the class transient: at most one member held at a time.
-    pub const fn singular(mut self) -> LockClass {
-        self.at_most_one = true;
-        self
-    }
-
-    /// Exempts the class from order checks while a write-mode lock of
-    /// `major` is held.
-    pub const fn exempt_under_write(mut self, major: u16) -> LockClass {
-        self.exempt_under_write = Some(major);
-        self
+        LockClass { name, major, minor }
     }
 
     /// Display form used in reports: `` `name` (rank major.minor)``.

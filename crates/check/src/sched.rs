@@ -134,8 +134,6 @@ pub(crate) fn payload_message(payload: &(dyn std::any::Any + Send)) -> String {
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub(crate) enum BlockedOn {
     Lock(usize),
-    Read(usize),
-    Write(usize),
     Cv(usize),
     Join(usize),
 }
@@ -151,7 +149,6 @@ pub(crate) enum Status {
 pub(crate) struct Held {
     pub lock: usize,
     pub class: LockClass,
-    pub write: bool,
 }
 
 pub(crate) struct ModelThread {
@@ -175,7 +172,6 @@ impl ModelThread {
 pub(crate) struct LockState {
     pub class: LockClass,
     pub holder: Option<usize>,
-    pub readers: Vec<usize>,
     pub clock: VClock,
 }
 
@@ -284,7 +280,6 @@ impl Execution {
             g.locks.push(LockState {
                 class: class.clone(),
                 holder: None,
-                readers: Vec::new(),
                 clock: VClock::default(),
             });
             g.locks.len() - 1
@@ -433,15 +428,6 @@ impl Execution {
         if class.major == UNRANKED {
             return;
         }
-        if let Some(em) = class.exempt_under_write {
-            if g.threads[me]
-                .held
-                .iter()
-                .any(|h| h.write && h.class.major == em)
-            {
-                return;
-            }
-        }
         let schedule = Self::schedule_string(g);
         let mut found: Vec<Report> = Vec::new();
         for h in &g.threads[me].held {
@@ -450,8 +436,7 @@ impl Execution {
             }
             let violation = h.lock == id
                 || h.class.major > class.major
-                || (h.class.major == class.major
-                    && (class.at_most_one || class.minor <= h.class.minor));
+                || (h.class.major == class.major && class.minor <= h.class.minor);
             if violation {
                 found.push(Report::LockOrder {
                     thread: me,
@@ -464,7 +449,7 @@ impl Execution {
         g.reports.extend(found);
     }
 
-    // ---- mutex / rwlock ops ------------------------------------------
+    // ---- mutex ops ---------------------------------------------------
 
     pub(crate) fn mutex_lock(&self, me: usize, slot: &AtomicU64, class: &LockClass) {
         let mut g = self.lock_state();
@@ -473,73 +458,21 @@ impl Execution {
         self.check_acquire(&mut g, me, id);
         loop {
             g = self.reschedule(g, me);
-            let lock = &g.locks[id];
-            if lock.holder.is_none() && lock.readers.is_empty() {
+            if g.locks[id].holder.is_none() {
                 g.locks[id].holder = Some(me);
                 let lc = g.locks[id].clock.clone();
                 let class = g.locks[id].class.clone();
                 g.threads[me].clock.join(&lc);
-                g.threads[me].held.push(Held {
-                    lock: id,
-                    class,
-                    write: true,
-                });
+                g.threads[me].held.push(Held { lock: id, class });
                 return;
             }
             g.threads[me].status = Status::Blocked(BlockedOn::Lock(id));
         }
     }
 
-    pub(crate) fn rw_write(&self, me: usize, slot: &AtomicU64, class: &LockClass) {
-        let mut g = self.lock_state();
-        let id = self.lock_id(&mut g, slot, class);
-        g.threads[me].clock.tick(me);
-        self.check_acquire(&mut g, me, id);
-        loop {
-            g = self.reschedule(g, me);
-            let lock = &g.locks[id];
-            if lock.holder.is_none() && lock.readers.is_empty() {
-                g.locks[id].holder = Some(me);
-                let lc = g.locks[id].clock.clone();
-                let class = g.locks[id].class.clone();
-                g.threads[me].clock.join(&lc);
-                g.threads[me].held.push(Held {
-                    lock: id,
-                    class,
-                    write: true,
-                });
-                return;
-            }
-            g.threads[me].status = Status::Blocked(BlockedOn::Write(id));
-        }
-    }
-
-    pub(crate) fn rw_read(&self, me: usize, slot: &AtomicU64, class: &LockClass) {
-        let mut g = self.lock_state();
-        let id = self.lock_id(&mut g, slot, class);
-        g.threads[me].clock.tick(me);
-        self.check_acquire(&mut g, me, id);
-        loop {
-            g = self.reschedule(g, me);
-            if g.locks[id].holder.is_none() {
-                g.locks[id].readers.push(me);
-                let lc = g.locks[id].clock.clone();
-                let class = g.locks[id].class.clone();
-                g.threads[me].clock.join(&lc);
-                g.threads[me].held.push(Held {
-                    lock: id,
-                    class,
-                    write: false,
-                });
-                return;
-            }
-            g.threads[me].status = Status::Blocked(BlockedOn::Read(id));
-        }
-    }
-
-    /// Release bookkeeping shared by mutex unlock and rwlock guard drops.
-    /// Not a yield point, and deliberately panic-free: it runs from
-    /// guard `Drop` impls, possibly mid-unwind.
+    /// Release bookkeeping of a mutex guard drop. Not a yield point, and
+    /// deliberately panic-free: it runs from guard `Drop` impls, possibly
+    /// mid-unwind.
     pub(crate) fn unlock(&self, me: usize, slot: &AtomicU64) {
         let mut g = self.lock_state();
         let packed = slot.load(AtomOrd::SeqCst);
@@ -553,21 +486,12 @@ impl Execution {
         if g.locks[id].holder == Some(me) {
             g.locks[id].holder = None;
         }
-        g.locks[id].readers.retain(|&r| r != me);
         g.threads[me].held.retain(|h| h.lock != id);
-        let free = g.locks[id].holder.is_none();
-        let no_readers = g.locks[id].readers.is_empty();
-        for t in g.threads.iter_mut() {
-            match &t.status {
-                Status::Blocked(BlockedOn::Lock(l)) | Status::Blocked(BlockedOn::Write(l))
-                    if *l == id && free && no_readers =>
-                {
+        if g.locks[id].holder.is_none() {
+            for t in g.threads.iter_mut() {
+                if t.status == Status::Blocked(BlockedOn::Lock(id)) {
                     t.status = Status::Runnable;
                 }
-                Status::Blocked(BlockedOn::Read(l)) if *l == id && free => {
-                    t.status = Status::Runnable;
-                }
-                _ => {}
             }
         }
     }
@@ -615,11 +539,7 @@ impl Execution {
         g.locks[lock_id].holder = None;
         g.threads[me].held.retain(|h| h.lock != lock_id);
         for t in g.threads.iter_mut() {
-            if matches!(
-                &t.status,
-                Status::Blocked(BlockedOn::Lock(l)) | Status::Blocked(BlockedOn::Write(l))
-                | Status::Blocked(BlockedOn::Read(l)) if *l == lock_id
-            ) {
+            if t.status == Status::Blocked(BlockedOn::Lock(lock_id)) {
                 t.status = Status::Runnable;
             }
         }
@@ -878,9 +798,7 @@ impl Execution {
 
 fn describe(g: &ExecState, on: &BlockedOn) -> String {
     match on {
-        BlockedOn::Lock(id) | BlockedOn::Write(id) | BlockedOn::Read(id) => {
-            format!("lock {}", g.locks[*id].class.display())
-        }
+        BlockedOn::Lock(id) => format!("lock {}", g.locks[*id].class.display()),
         BlockedOn::Cv(cv) => format!("condvar `{}`", g.cvs[*cv].name),
         BlockedOn::Join(t) => format!("join of thread {t}"),
     }

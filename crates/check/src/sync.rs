@@ -18,8 +18,7 @@ use std::fmt;
 use std::ops::{Deref, DerefMut};
 use std::sync::atomic::{AtomicBool as StdAtomicBool, AtomicU64 as StdAtomicU64, Ordering};
 use std::sync::{Condvar as StdCondvar, LockResult, PoisonError};
-use std::sync::{Mutex as StdMutex, MutexGuard as StdMutexGuard, RwLock as StdRwLock};
-use std::sync::{RwLockReadGuard as StdRwLockReadGuard, RwLockWriteGuard as StdRwLockWriteGuard};
+use std::sync::{Mutex as StdMutex, MutexGuard as StdMutexGuard};
 
 fn acquires(ord: Ordering) -> bool {
     matches!(ord, Ordering::Acquire | Ordering::AcqRel | Ordering::SeqCst)
@@ -212,124 +211,6 @@ impl fmt::Debug for Condvar {
         f.debug_struct("Condvar")
             .field("name", &self.name)
             .finish_non_exhaustive()
-    }
-}
-
-// ---- RwLock -----------------------------------------------------------
-
-/// A reader-writer lock under the same instrumentation as [`Mutex`].
-pub struct RwLock<T> {
-    class: LockClass,
-    slot: StdAtomicU64,
-    inner: StdRwLock<T>,
-}
-
-impl<T> RwLock<T> {
-    /// An order-unranked rwlock.
-    pub fn new(value: T) -> RwLock<T> {
-        RwLock::with_class(LockClass::unranked("rwlock"), value)
-    }
-
-    /// An rwlock at a documented position in the acquisition order.
-    pub fn with_class(class: LockClass, value: T) -> RwLock<T> {
-        RwLock {
-            class,
-            slot: StdAtomicU64::new(0),
-            inner: StdRwLock::new(value),
-        }
-    }
-
-    /// Acquires shared read access.
-    pub fn read(&self) -> LockResult<RwLockReadGuard<'_, T>> {
-        let model = current();
-        if let Some((exec, me)) = &model {
-            exec.rw_read(*me, &self.slot, &self.class);
-        }
-        let std = self.inner.read().unwrap_or_else(PoisonError::into_inner);
-        Ok(RwLockReadGuard {
-            lock: self,
-            std: Some(std),
-            model,
-        })
-    }
-
-    /// Acquires exclusive write access.
-    pub fn write(&self) -> LockResult<RwLockWriteGuard<'_, T>> {
-        let model = current();
-        if let Some((exec, me)) = &model {
-            exec.rw_write(*me, &self.slot, &self.class);
-        }
-        let std = self.inner.write().unwrap_or_else(PoisonError::into_inner);
-        Ok(RwLockWriteGuard {
-            lock: self,
-            std: Some(std),
-            model,
-        })
-    }
-
-    /// Direct access through an exclusive borrow — no locking.
-    pub fn get_mut(&mut self) -> LockResult<&mut T> {
-        Ok(self.inner.get_mut().unwrap_or_else(PoisonError::into_inner))
-    }
-}
-
-impl<T: fmt::Debug> fmt::Debug for RwLock<T> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("RwLock")
-            .field("class", &self.class.name)
-            .finish_non_exhaustive()
-    }
-}
-
-/// Guard returned by [`RwLock::read`].
-pub struct RwLockReadGuard<'a, T> {
-    lock: &'a RwLock<T>,
-    std: Option<StdRwLockReadGuard<'a, T>>,
-    model: Option<(std::sync::Arc<crate::sched::Execution>, usize)>,
-}
-
-impl<T> Deref for RwLockReadGuard<'_, T> {
-    type Target = T;
-    fn deref(&self) -> &T {
-        self.std.as_ref().expect("guard taken")
-    }
-}
-
-impl<T> Drop for RwLockReadGuard<'_, T> {
-    fn drop(&mut self) {
-        if let Some((exec, me)) = self.model.take() {
-            exec.unlock(me, &self.lock.slot);
-        }
-        self.std = None;
-    }
-}
-
-/// Guard returned by [`RwLock::write`].
-pub struct RwLockWriteGuard<'a, T> {
-    lock: &'a RwLock<T>,
-    std: Option<StdRwLockWriteGuard<'a, T>>,
-    model: Option<(std::sync::Arc<crate::sched::Execution>, usize)>,
-}
-
-impl<T> Deref for RwLockWriteGuard<'_, T> {
-    type Target = T;
-    fn deref(&self) -> &T {
-        self.std.as_ref().expect("guard taken")
-    }
-}
-
-impl<T> DerefMut for RwLockWriteGuard<'_, T> {
-    fn deref_mut(&mut self) -> &mut T {
-        self.std.as_mut().expect("guard taken")
-    }
-}
-
-impl<T> Drop for RwLockWriteGuard<'_, T> {
-    fn drop(&mut self) {
-        if let Some((exec, me)) = self.model.take() {
-            exec.unlock(me, &self.lock.slot);
-        }
-        self.std = None;
     }
 }
 

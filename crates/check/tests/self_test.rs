@@ -2,7 +2,7 @@
 //! known-good and a known-bad scenario, so the engine's model suite can
 //! trust a clean report.
 
-use hsched_check::sync::{AtomicBool, AtomicU64, Condvar, Mutex, RwLock};
+use hsched_check::sync::{AtomicBool, AtomicU64, Condvar, Mutex};
 use hsched_check::{explore, thread, Config, LockClass, Report};
 use std::sync::atomic::Ordering;
 
@@ -69,28 +69,6 @@ fn misordered_acquisition_reports_cycle_naming_both_classes() {
         "cycle must name both lock classes, got {cycle:?}"
     );
     assert!(stats.failing_schedule.is_some());
-}
-
-#[test]
-fn rwlock_read_read_is_clean_and_write_excludes() {
-    let stats = explore(&quick(), || {
-        let table = RwLock::new(vec![1u32, 2, 3]);
-        thread::scope(|s| {
-            s.spawn(|| {
-                let r = table.read().unwrap();
-                assert_eq!(r.len(), 3);
-            });
-            {
-                let mut w = table.write().unwrap();
-                w.push(4);
-                w.pop();
-            }
-            let r = table.read().unwrap();
-            assert_eq!(r.len(), 3);
-        });
-    });
-    assert!(stats.reports.is_empty(), "reports: {:?}", stats.reports);
-    assert!(stats.exhausted);
 }
 
 #[test]
@@ -224,48 +202,6 @@ fn condvar_wait_holding_second_lock_is_reported() {
 }
 
 #[test]
-fn at_most_one_class_rejects_two_members_held_together() {
-    let stats = explore(&quick(), || {
-        let cell_a = Mutex::with_class(LockClass::ranked("slot cell", 4, 0).singular(), ());
-        let cell_b = Mutex::with_class(LockClass::ranked("slot cell", 4, 1).singular(), ());
-        let _a = cell_a.lock().unwrap();
-        let _b = cell_b.lock().unwrap();
-    });
-    assert!(
-        stats
-            .reports
-            .iter()
-            .any(|r| matches!(r, Report::LockOrder { .. })),
-        "two transient cells held together must be reported: {stats:?}"
-    );
-}
-
-#[test]
-fn exempt_under_write_allows_cells_under_the_table_write_lock() {
-    let stats = explore(&quick(), || {
-        let table = RwLock::with_class(LockClass::ranked("slot table", 3, 0), ());
-        let cell_a = Mutex::with_class(
-            LockClass::ranked("slot cell", 4, 0)
-                .singular()
-                .exempt_under_write(3),
-            (),
-        );
-        let cell_b = Mutex::with_class(
-            LockClass::ranked("slot cell", 4, 1)
-                .singular()
-                .exempt_under_write(3),
-            (),
-        );
-        let _w = table.write().unwrap();
-        // Under the table's write lock the whole slot vector is private
-        // to this thread; holding several cells is safe and exempt.
-        let _a = cell_a.lock().unwrap();
-        let _b = cell_b.lock().unwrap();
-    });
-    assert!(stats.reports.is_empty(), "reports: {:?}", stats.reports);
-}
-
-#[test]
 fn thread_panic_is_reported_not_hung() {
     let stats = explore(&quick(), || {
         let cell = Mutex::new(0u32);
@@ -295,8 +231,6 @@ fn shims_pass_through_outside_explorations() {
     // No execution active: the shims must behave as the real primitives.
     let cell = Mutex::new(5u32);
     *cell.lock().unwrap() += 1;
-    let table = RwLock::new(1u32);
-    assert_eq!(*table.read().unwrap(), 1);
     let counter = AtomicU64::new(0);
     counter.fetch_add(3, Ordering::AcqRel);
     assert_eq!(counter.load(Ordering::Acquire), 3);

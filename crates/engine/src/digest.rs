@@ -2,9 +2,9 @@
 //! two engines' canonical state across a crash/replay boundary. Not
 //! cryptographic — it guards against *accidental* divergence (a torn
 //! journal, a non-deterministic replay), which is the WAL threat model
-//! here; byte-identity proper is asserted structurally by the tests. The
-//! routing stripes hash names with it, and `hsched-net` digests the journal
-//! prefix a resuming follower offers with it — one definition for all three.
+//! here; byte-identity proper is asserted structurally by the tests.
+//! `hsched-net` digests the journal prefix a resuming follower offers with
+//! the same function — one definition for both.
 
 /// 64-bit FNV-1a over a byte string.
 pub fn fnv1a_64(bytes: &[u8]) -> u64 {

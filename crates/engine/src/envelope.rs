@@ -100,8 +100,8 @@ impl EngineRequest {
 /// correlate one specific epoch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct EpochTimings {
-    /// Reserve phase excluding routing and checkout: admission gate,
-    /// stripe locking, and any contention retries.
+    /// Reserve phase excluding routing and checkout: lock and gate waits
+    /// and any retried attempts.
     pub reserve_ns: u64,
     /// Routing the batch to its shard slots.
     pub route_ns: u64,

@@ -9,8 +9,8 @@
 //! [`SchedService::submit`]: many client threads commit epochs
 //! concurrently, each batch routed to exactly the shards it touches and
 //! checked out under a lock-per-shard slot table — exact, because
-//! interference cannot cross island boundaries. An atomic epoch *ticket*
-//! totally orders concurrent epochs, so the write-ahead journal is a
+//! interference cannot cross island boundaries. An epoch *ticket* totally
+//! orders concurrent epochs, so the write-ahead journal is a
 //! serialization of the concurrent history and [`SchedService::replay`]
 //! rebuilds a byte-identical engine (the linearizability property suite
 //! fires N client threads and asserts exactly this). Long-lived journals
@@ -96,7 +96,6 @@ mod metrics;
 mod routing;
 mod service;
 mod snapshot;
-mod stripes;
 mod sync;
 
 pub use digest::{fnv1a_64, fnv1a_64_extend};

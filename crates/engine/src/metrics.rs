@@ -16,17 +16,18 @@ use hsched_telemetry::{Counter, Histogram, MetricsSnapshot};
 pub struct EngineMetrics {
     /// Epochs fully settled (admitted + rejected).
     pub epochs_settled: Counter,
-    /// Fast-path reservations that issued a ticket.
+    /// Reservations ticketed without requiring a drained pipeline. The
+    /// three reserve counters keep the names the two-path front door gave
+    /// them (`benchmark/` reads the snapshot names by string); a rename
+    /// waits for the next benchmark change.
     pub fast_reservations: Counter,
-    /// Fast-path attempts turned away by contention (busy shard, claimed
-    /// name/platform, writer fairness, capacity) — each one is a retry
-    /// after a gate-generation wait.
+    /// Reservation attempts that had to wait and route again (blocked
+    /// route — busy shard, claimed name/platform —, writer fairness,
+    /// pipeline depth).
     pub fast_conflicts: Counter,
-    /// Fast-path attempts that routed to a topology change and fell back
-    /// to the exclusive path.
-    pub fast_fallbacks: Counter,
-    /// Exclusive reservations (instance ops, topology changes, poison
-    /// parity) — each drains the whole pipeline first.
+    /// Reservations that required the pipeline drained first (instance
+    /// ops, topology changes, poison parity). With `fast_reservations`
+    /// this accounts for every ticket.
     pub exclusive_drains: Counter,
     /// Journal bytes appended (records only; snapshot rewrites excluded).
     pub journal_bytes: Counter,
@@ -42,11 +43,12 @@ pub struct EngineMetrics {
     pub replay_repaired_bytes: Counter,
 
     /// Reserve-phase time per epoch, *excluding* the route and checkout
-    /// slices below (gate waits, stripe locking, contention retries).
+    /// slices below (lock and gate waits, retried attempts).
     pub reserve_ns: Histogram,
-    /// Routing time per epoch (footprint → shard decision).
+    /// Routing time per epoch (batch → shard decision, winning attempt).
     pub route_ns: Histogram,
-    /// Shard checkout time per epoch (slot cells + platform re-sync).
+    /// Shard checkout time per epoch (merges, fresh shards, platform
+    /// re-sync).
     pub checkout_ns: Histogram,
     /// Analysis time per epoch (the lock-free phase 2).
     pub analyze_ns: Histogram,
@@ -71,7 +73,6 @@ impl EngineMetrics {
         snap.put_counter("engine.epochs_settled", self.epochs_settled.get());
         snap.put_counter("engine.reserve.fast", self.fast_reservations.get());
         snap.put_counter("engine.reserve.fast_conflicts", self.fast_conflicts.get());
-        snap.put_counter("engine.reserve.fast_fallbacks", self.fast_fallbacks.get());
         snap.put_counter(
             "engine.reserve.exclusive_drains",
             self.exclusive_drains.get(),

@@ -15,22 +15,38 @@
 //! longer serialize analysis work while the routed epoch structure — and
 //! therefore byte-identical replay — is unchanged.
 //!
-//! Since the striped front door, [`route`] is written against the
-//! [`RouteView`] trait instead of a concrete lock: the fast reserve path
-//! routes through [`crate::stripes::FastView`] (only the batch's stripes
-//! locked, busy checks deferred to checkout), the exclusive path through
-//! [`crate::service::World`] (everything locked, pipeline drained). The
-//! conflict rules and write-path gating are documented in the service
-//! module docs and `docs/ARCHITECTURE.md`.
+//! All of it runs under the one routing lock ([`Routing`], held inside a
+//! [`World`]), so [`route`] sees the exact state — claims *and* checked-out
+//! slots. The conflict rules and the drain conditions are documented in the
+//! service module docs and `docs/ARCHITECTURE.md`.
 
 use crate::envelope::EngineError;
 use crate::service::{Shard, Slot, World};
-use crate::stripes::{name_stripe, platform_stripe};
 use hsched_admission::{AdmissionController, AdmissionRequest, UnionFind};
 use hsched_model::{ComponentClass, SystemBuilder};
 use hsched_platform::PlatformId;
 use hsched_transaction::{flatten_annotated, FlattenOptions, TransactionSet};
 use std::collections::{HashMap, HashSet};
+
+/// Everything reserve routes against, behind the routing lock: the at-rest
+/// home maps, the claim sets of in-flight epochs, and the shard slot table.
+#[derive(Debug, Default)]
+pub(crate) struct Routing {
+    /// Live transaction name → shard slot.
+    pub(crate) txn_home: HashMap<String, usize>,
+    /// Live component-instance name → shard slot.
+    pub(crate) instance_home: HashMap<String, usize>,
+    /// Names (transactions + instances, including flattened members)
+    /// mentioned by in-flight epochs — the name-conflict set.
+    pub(crate) pending: HashSet<String>,
+    /// Platform index → owning shard slot (absent = no shard uses it).
+    pub(crate) home: HashMap<usize, usize>,
+    /// Free platforms claimed by in-flight epochs (their shard membership
+    /// is only indexed at settle).
+    pub(crate) pending_free: HashSet<usize>,
+    /// One entry per island group.
+    pub(crate) slots: Vec<Slot>,
+}
 
 /// A routing key of one request: either an existing shard or a platform no
 /// shard currently uses.
@@ -97,52 +113,9 @@ impl GroupDraft {
     }
 }
 
-/// The routing state [`route`] reads — implemented by the fast path's
-/// stripe-subset view and by the exclusive everything-locked [`World`].
-///
-/// The contract that keeps the two views equivalent: a view may report a
-/// slot as not busy ([`RouteView::slot_busy`] returning `false`) only when
-/// the caller re-verifies at shard checkout (the slot cell's `Busy` marker
-/// is authoritative); every other answer must be exact for the keys the
-/// view covers.
-pub(crate) trait RouteView {
-    /// Size of the (immutable) platform table.
-    fn platform_count(&self) -> usize;
-    /// Whether an in-flight epoch has claimed this name.
-    fn pending_name(&self, name: &str) -> bool;
-    /// Whether a live transaction carries this name.
-    fn txn_live(&self, name: &str) -> bool;
-    /// Home slot of a live transaction.
-    fn txn_slot(&self, name: &str) -> Option<usize>;
-    /// Whether an in-flight epoch has the slot's shard checked out (views
-    /// that defer the check to checkout return `false`).
-    fn slot_busy(&self, slot: usize) -> bool;
-    /// Owning shard slot of a platform (`None` = free).
-    fn platform_home(&self, p: usize) -> Option<usize>;
-    /// Whether an in-flight epoch has claimed this free platform.
-    fn pending_free(&self, p: usize) -> bool;
-    /// Whether a live instance carries this name.
-    fn instance_live(&self, name: &str) -> bool;
-    /// Home slot of a live instance.
-    fn instance_slot(&self, name: &str) -> Option<usize>;
-    /// Flattened member transactions of the live instance `name` homed at
-    /// `slot`; `None` when the owning shard is checked out.
-    fn instance_txns(&self, slot: usize, name: &str) -> Option<Vec<String>>;
-    /// Member transaction names an arriving instance would flatten into
-    /// (empty when the class has required interfaces or flattening fails —
-    /// the owning shard re-validates during commit).
-    fn preflatten(
-        &self,
-        name: &str,
-        class: &ComponentClass,
-        platform: PlatformId,
-        node: usize,
-    ) -> Vec<String>;
-}
-
 /// Resolves each request of the batch to routing keys, simulating
 /// batch-local name liveness, and collecting the conflict claim sets.
-pub(crate) fn route<V: RouteView>(view: &V, batch: &[AdmissionRequest]) -> RouteOutcome {
+pub(crate) fn route(view: &World<'_>, batch: &[AdmissionRequest]) -> RouteOutcome {
     let mut tx_state: HashMap<String, NameState> = HashMap::new();
     let mut instance_state: HashMap<String, NameState> = HashMap::new();
     let mut keys: Vec<Vec<Key>> = Vec::with_capacity(batch.len());
@@ -325,10 +298,7 @@ pub(crate) fn route<V: RouteView>(view: &V, batch: &[AdmissionRequest]) -> Route
 
 /// Deduplicated routing keys of a platform list; `None` when a key
 /// conflicts with an in-flight epoch (busy shard / claimed platform).
-fn platform_keys<V: RouteView>(
-    view: &V,
-    platforms: impl Iterator<Item = usize>,
-) -> Option<Vec<Key>> {
+fn platform_keys(view: &World<'_>, platforms: impl Iterator<Item = usize>) -> Option<Vec<Key>> {
     let mut out: Vec<Key> = Vec::new();
     for p in platforms {
         let key = match view.platform_home(p) {
@@ -412,59 +382,63 @@ pub(crate) fn plan_groups(
     out
 }
 
-impl RouteView for World<'_> {
+impl World<'_> {
+    /// Size of the (immutable) platform table.
     fn platform_count(&self) -> usize {
         self.core.platforms.len()
     }
 
+    /// Whether an in-flight epoch has claimed this name.
     fn pending_name(&self, name: &str) -> bool {
-        self.names[name_stripe(name)].pending.contains(name)
+        self.routing.pending.contains(name)
     }
 
+    /// Whether a live transaction carries this name.
     fn txn_live(&self, name: &str) -> bool {
-        self.names[name_stripe(name)].txn_home.contains_key(name)
+        self.routing.txn_home.contains_key(name)
     }
 
+    /// Home slot of a live transaction.
     fn txn_slot(&self, name: &str) -> Option<usize> {
-        self.names[name_stripe(name)].txn_home.get(name).copied()
+        self.routing.txn_home.get(name).copied()
     }
 
+    /// Whether an in-flight epoch has the slot's shard checked out.
     fn slot_busy(&self, slot: usize) -> bool {
-        // The world holds the slot table's write guard, so no cell mutex
-        // can be held or contended by anyone else — this lock is free.
-        matches!(
-            *self.slots[slot].lock().expect("slot cell poisoned"),
-            Slot::Busy
-        )
+        matches!(self.routing.slots[slot], Slot::Busy)
     }
 
+    /// Owning shard slot of a platform (`None` = free).
     fn platform_home(&self, p: usize) -> Option<usize> {
-        self.plats[platform_stripe(p)].home.get(&p).copied()
+        self.routing.home.get(&p).copied()
     }
 
+    /// Whether an in-flight epoch has claimed this free platform.
     fn pending_free(&self, p: usize) -> bool {
-        self.plats[platform_stripe(p)].pending_free.contains(&p)
+        self.routing.pending_free.contains(&p)
     }
 
+    /// Whether a live instance carries this name.
     fn instance_live(&self, name: &str) -> bool {
-        self.names[name_stripe(name)]
-            .instance_home
-            .contains_key(name)
+        self.routing.instance_home.contains_key(name)
     }
 
+    /// Home slot of a live instance.
     fn instance_slot(&self, name: &str) -> Option<usize> {
-        self.names[name_stripe(name)]
-            .instance_home
-            .get(name)
-            .copied()
+        self.routing.instance_home.get(name).copied()
     }
 
+    /// Flattened member transactions of the live instance `name` homed at
+    /// `slot`; `None` when the owning shard is checked out.
     fn instance_txns(&self, slot: usize, name: &str) -> Option<Vec<String>> {
-        let cell = self.slots[slot].lock().expect("slot cell poisoned");
-        cell.as_idle()
+        self.routing.slots[slot]
+            .as_idle()
             .map(|s| s.core.transactions_of_instance(name))
     }
 
+    /// Member transaction names an arriving instance would flatten into
+    /// (empty when the class has required interfaces or flattening fails —
+    /// the owning shard re-validates during commit).
     fn preflatten(
         &self,
         name: &str,
@@ -490,12 +464,11 @@ impl RouteView for World<'_> {
             Err(_) => Vec::new(),
         }
     }
-}
 
-impl World<'_> {
     /// The platforms of every island the routed batch touches (its touched
     /// shards' platform homes plus the claimed free platforms) — the
-    /// clearing scope of the numeric-parity poison map.
+    /// clearing scope of the numeric-parity poison map. O(platforms): only
+    /// called while that map is non-empty.
     pub(crate) fn touched_platform_set(&self, keys: &[Vec<Key>]) -> HashSet<usize> {
         let mut slots: HashSet<usize> = HashSet::new();
         let mut touched: HashSet<usize> = HashSet::new();
@@ -509,88 +482,112 @@ impl World<'_> {
                 }
             }
         }
-        for stripe in self.plats.iter() {
-            for (p, home) in &stripe.home {
-                if slots.contains(home) {
-                    touched.insert(*p);
-                }
+        for (p, home) in &self.routing.home {
+            if slots.contains(home) {
+                touched.insert(*p);
             }
         }
         touched
     }
 
-    /// Realizes the planned groups: merges shards bridged within a group
-    /// (cache-preserving concatenation — the merged island is re-analyzed
-    /// by the commit anyway, exactly as the single controller would) and
-    /// allocates fresh shards for all-free groups. Topology-changing
-    /// drafts only run on the exclusive path (pipeline drained, world
-    /// locked), so slot choices stay deterministic in ticket order.
-    pub(crate) fn apply_groups(
+    /// Realizes the planned groups and checks their shards out: merges
+    /// shards bridged within a group (cache-preserving concatenation — the
+    /// merged island is re-analyzed by the commit anyway, exactly as the
+    /// single controller would), mints fresh shards for all-free groups,
+    /// and leaves every target slot `Busy`. Topology-changing drafts only
+    /// get here on a drained pipeline, so slot choices stay deterministic
+    /// in ticket order.
+    ///
+    /// A failed reserve must not change the world: every fallible step
+    /// runs first, while each shard still sits idle in its slot, and an
+    /// `Err` leaves slots, home maps and digest exactly as they were (the
+    /// in-place platform sync only ever moves a shard's copy toward the
+    /// master). The second half cannot fail.
+    pub(crate) fn checkout(
         &mut self,
         drafts: Vec<GroupDraft>,
-    ) -> Result<Vec<Group>, EngineError> {
+    ) -> Result<(Vec<Group>, Vec<Shard>), EngineError> {
+        let mut fresh = Vec::new();
+        for draft in &drafts {
+            for &slot in &draft.member_slots {
+                let Slot::Idle(shard) = &mut self.routing.slots[slot] else {
+                    return Err(EngineError::Internal(
+                        "checkout of a non-idle slot".to_string(),
+                    ));
+                };
+                self.core.sync_shard_platforms(shard)?;
+                // Everywhere else the stamp is trusted; a merge cannot be
+                // undone, so it re-verifies what the stamp promises.
+                if draft.member_slots.len() > 1
+                    && shard.core.current_set().platforms() != &self.core.platforms
+                {
+                    return Err(EngineError::Internal(format!(
+                        "shard in slot {slot} is stamped current (version {}) \
+                         but its platform copy differs from the master",
+                        shard.platforms_version
+                    )));
+                }
+            }
+            if draft.member_slots.is_empty() {
+                let empty = TransactionSet::new(self.core.platforms.clone(), Vec::new())
+                    .map_err(EngineError::Internal)?;
+                let mut core = AdmissionController::new(
+                    empty,
+                    self.core.config.clone(),
+                    self.core.shard_policy.clone(),
+                )
+                .map_err(EngineError::Internal)?;
+                core.set_metrics_sink(self.core.admission_metrics.clone());
+                fresh.push(core);
+            }
+        }
+
+        let mut fresh = fresh.into_iter();
         let mut groups = Vec::with_capacity(drafts.len());
+        let mut shards = Vec::with_capacity(drafts.len());
         for draft in drafts {
-            let slot = match draft.member_slots.split_first() {
-                Some((&target, rest)) => {
-                    if !rest.is_empty() {
-                        let Slot::Idle(mut merged) =
-                            std::mem::replace(self.slot_mut(target), Slot::Busy)
-                        else {
-                            return Err(EngineError::Internal(
-                                "merge target not idle at reserve".to_string(),
-                            ));
-                        };
-                        self.core.sync_shard_platforms(&mut merged)?;
-                        for &loser in rest {
-                            let Slot::Idle(mut eaten) =
-                                std::mem::replace(self.slot_mut(loser), Slot::Vacant)
-                            else {
-                                return Err(EngineError::Internal(
-                                    "merge loser not idle at reserve".to_string(),
-                                ));
-                            };
-                            self.core.sync_shard_platforms(&mut eaten)?;
-                            merged
-                                .core
-                                .merge_from(eaten.core)
-                                .map_err(EngineError::Internal)?;
-                            self.reassign_home(loser, target);
-                            self.core.unsched.remove(&loser);
-                        }
-                        merged.schedulable = merged.core.schedulable();
-                        if merged.schedulable {
-                            self.core.unsched.remove(&target);
-                        } else {
-                            self.core.unsched.insert(target, merged.core.misses());
-                        }
-                        *self.slot_mut(target) = Slot::Idle(merged);
+            let (slot, shard) = match draft.member_slots.split_first() {
+                Some((&target, losers)) => {
+                    let mut merged = self.take_idle(target, Slot::Busy);
+                    for &loser in losers {
+                        let eaten = self.take_idle(loser, Slot::Vacant);
+                        merged
+                            .core
+                            .merge_from(eaten.core)
+                            .expect("shards of one service merge (platform copies verified above)");
+                        self.reassign_home(loser, target);
+                        self.core.unsched.remove(&loser);
                     }
-                    target
+                    if !losers.is_empty() {
+                        merged.schedulable = merged.core.schedulable();
+                    }
+                    (target, merged)
                 }
                 None => {
-                    let empty = TransactionSet::new(self.core.platforms.clone(), Vec::new())
-                        .map_err(EngineError::Internal)?;
-                    let mut core = AdmissionController::new(
-                        empty,
-                        self.core.config.clone(),
-                        self.core.shard_policy.clone(),
-                    )
-                    .map_err(EngineError::Internal)?;
-                    core.set_metrics_sink(self.core.admission_metrics.clone());
-                    let version = self.core.platforms_version;
-                    self.allocate_slot(Shard {
-                        core,
+                    let shard = Shard {
+                        core: fresh.next().expect("one fresh controller per free group"),
                         schedulable: true,
-                        platforms_version: version,
-                    })
+                        platforms_version: self.core.platforms_version,
+                    };
+                    let slot = self.vacant_slot();
+                    self.routing.slots[slot] = Slot::Busy;
+                    (slot, shard)
                 }
             };
             groups.push(Group {
                 slot,
                 requests: draft.requests,
             });
+            shards.push(shard);
         }
-        Ok(groups)
+        Ok((groups, shards))
+    }
+
+    /// Moves the idle shard out of `slot`, leaving `marker` behind.
+    fn take_idle(&mut self, slot: usize, marker: Slot) -> Shard {
+        match std::mem::replace(&mut self.routing.slots[slot], marker) {
+            Slot::Idle(shard) => shard,
+            _ => unreachable!("checkout verified every member slot idle"),
+        }
     }
 }

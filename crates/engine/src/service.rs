@@ -19,8 +19,8 @@
 //! 1. **Reserve** — route the batch to its shard slots (batch-local name
 //!    simulation included), check for conflicts against in-flight epochs,
 //!    and check the touched shard controllers out of their slots together
-//!    with the epoch's **ticket** (an atomic sequence number). Because a
-//!    ticket is only issued once every touched shard was acquired, an
+//!    with the epoch's **ticket** (a sequence number). Because a ticket
+//!    is only issued once every touched shard was acquired, an
 //!    earlier-ticketed epoch can never wait on a later-ticketed one — the
 //!    classic two-phase total-order argument, so cross-shard batches stay
 //!    atomic and deadlock-free.
@@ -38,28 +38,22 @@
 //!    byte-identically (the linearizability property suite drives N client
 //!    threads and asserts exactly this).
 //!
-//! ## The striped front door
+//! ## The front door
 //!
-//! Reserve no longer funnels through one routing lock. The name→shard and
-//! platform→shard tables live in [`crate::stripes`]: [`STRIPE_COUNT`]
-//! independently locked stripes per table, each carrying both the at-rest
-//! home map and the in-flight claim set for its keys. A transaction-level
-//! batch locks exactly the stripes in its footprint (ascending index), a
-//! read lock on the slot table, and checks its shards out cell by cell —
-//! disjoint batches touch disjoint locks and never contend. Epochs that
-//! need more — instance operations, topology changes (merges, fresh
-//! shards), or the cross-island poison parity check — take the
-//! **exclusive path**: drain the pipeline, lock the whole [`World`], and
-//! route against everything at once, exactly as the single-lock engine
-//! did.
+//! Reserve is one path behind one **routing lock**: the name→shard and
+//! platform→shard home maps, the claim sets of in-flight epochs and the
+//! slot table live together in [`Routing`], so [`route`] sees the exact
+//! state and the lock is held from the routing decision to the ticket —
+//! no settle can slip between the two. The concurrency that pays is in
+//! analyze (island-local, no lock held), not here: on the declared
+//! workloads reserve + route + checkout are ≈ 6 µs of an epoch that
+//! analyzes for ≈ 500 µs (`docs/PERFORMANCE.md`).
 //!
-//! The lock order is total and is documented with a deadlock-freedom
-//! argument in `docs/ARCHITECTURE.md`: name stripes (ascending) → platform
-//! stripes (ascending) → slot table → slot cells (transiently, one at a
-//! time) → core → gate. Condition variables wait on the gate (or the core,
-//! for group commit) while holding nothing earlier in the order.
+//! The lock order is total — routing → core → gate — and condition
+//! variables wait on the gate alone (or on the core alone, for group
+//! commit); `docs/ARCHITECTURE.md` has the deadlock-freedom argument.
 //!
-//! Journal `fsync`s are group-committed and now *exposed*: the record is
+//! Journal `fsync`s are group-committed and *exposed*: the record is
 //! written at settle (keeping ticket order) but `sync_data` happens in
 //! [`SchedService::sync`], and one fsync covers every record written
 //! before it started. [`SchedService::submit`] still returns only after
@@ -68,20 +62,23 @@
 //! pipeline epochs and pay one fsync per watermark instead of one per
 //! epoch.
 //!
-//! ## Conflicts and the write path
+//! ## Conflicts and drains
 //!
 //! Two in-flight epochs conflict when they touch the same shard, claim the
 //! same free platform, or *mention* the same transaction/instance name
 //! (validation against a name whose liveness an in-flight epoch may change
 //! must wait for that epoch's outcome — otherwise the journal would not
 //! replay serially). Conflicting submissions simply wait; disjoint ones
-//! run concurrently. Epochs that must *change topology* at routing time —
-//! merging shards bridged by an arrival, or creating a shard on free
-//! platforms — take the exclusive path: they drain all in-flight epochs
-//! first (a fairness gate holds new reservations off while a writer
-//! waits), keeping slot assignment deterministic in ticket order, which
-//! the state digest depends on. Splits after departures happen at settle
-//! time, which is already serialized.
+//! run concurrently. Three kinds of epoch first **drain** the pipeline
+//! (a fairness gate holds new reservations off while such a writer
+//! waits): instance operations (they flatten across names no footprint
+//! can be precomputed for), epochs that must *change topology* at routing
+//! time — merging shards bridged by an arrival, or creating a shard on
+//! free platforms — which keeps slot assignment deterministic in ticket
+//! order (the state digest depends on it), and every epoch while the
+//! utilization-poison map is non-empty (the parity scan must see every
+//! platform at rest). Splits after departures happen at settle time,
+//! which is already serialized.
 //!
 //! # Equivalence envelope
 //!
@@ -107,15 +104,10 @@ use crate::envelope::{
 };
 use crate::journal::{DurableMark, JournalEpoch, JournalStream, JournalSubscriber, JournalWriter};
 use crate::metrics::EngineMetrics;
-use crate::routing::{plan_groups, route, Group, RouteOutcome};
+use crate::routing::{plan_groups, route, Group, RouteOutcome, Routing};
 use crate::snapshot::{self, Snapshot};
-use crate::stripes::{
-    name_stripe, platform_stripe, FastView, NameStripe, PlatStripe, STRIPE_COUNT,
-};
 use crate::sync::{
-    condvar, core_lock, counter_cell, flag_cell, gate_lock, name_stripe_lock, plat_stripe_lock,
-    scratch_lock, slot_cell_lock, slot_table_lock, Arc, AtomicBool, AtomicU64, Condvar, Mutex,
-    MutexGuard, Ordering, RwLock, RwLockWriteGuard,
+    condvar, core_lock, gate_lock, routing_lock, scratch_lock, Arc, Condvar, Mutex, MutexGuard,
 };
 use hsched_admission::{
     AdmissionController, AdmissionMetrics, AdmissionPolicy, AdmissionRequest, ControllerStats,
@@ -139,17 +131,20 @@ pub(crate) struct Shard {
     pub(crate) core: AdmissionController,
     pub(crate) schedulable: bool,
     /// The master-platform version this shard's platform-set copy
-    /// reflects (see [`Core::platforms_version`]); checkout re-syncs only
-    /// when stale, so retune-free epochs pay nothing.
+    /// reflects (see [`Core::platforms_version`]). Invariant: a stamp equal
+    /// to the master version means the copy equals the master table —
+    /// checkout trusts it and re-syncs only a stale shard, so retune-free
+    /// epochs pay nothing. A retune settle may therefore advance the stamp
+    /// only of a shard that was current (`version - 1`) and got this
+    /// epoch's values; a shard that was checked out during an *earlier*
+    /// retune keeps its old stamp until the full diff at its next
+    /// checkout.
     pub(crate) platforms_version: u64,
 }
 
 /// One shard slot of the service. `Busy` means an in-flight epoch has the
 /// shard checked out — the lock-per-shard state, held from reserve to
-/// settle. Each slot is its own mutex cell: the fast path locks a cell
-/// only transiently (check out or return a shard), and never holds one
-/// across any other acquisition, so cells sit harmlessly at the bottom of
-/// the lock order.
+/// settle.
 ///
 /// The variant size skew is deliberate: the slot table is small (one entry
 /// per island group) and keeping shards inline avoids a pointer chase on
@@ -180,10 +175,10 @@ impl Slot {
 
 /// The non-routing heart of the service: handle maps, epoch accounting,
 /// the master platform set, journal bookkeeping, and the cross-island
-/// parity state. Routing state (name/platform homes, claim sets) lives in
-/// the stripes; the slot table is its own `RwLock`. The core mutex is
-/// held briefly — handle resolution, settle bookkeeping, journal sync
-/// arbitration — never across analysis.
+/// parity state. Routing state (name/platform homes, claim sets, the slot
+/// table) lives in [`Routing`] behind its own lock. The core mutex is held
+/// briefly — handle resolution, reserve and settle bookkeeping, journal
+/// sync arbitration — never across analysis.
 #[derive(Debug)]
 pub(crate) struct Core {
     /// Live transaction name → stable handle.
@@ -224,8 +219,7 @@ pub(crate) struct Core {
     /// later epoch may report durability (see [`SchedService::sync`]).
     sync_error: Option<String>,
     /// Monotone version of the master platform set (bumped per admitted
-    /// retune); shards carry the version they last synced against, and the
-    /// service mirrors it in an atomic for lock-free staleness checks.
+    /// retune epoch); shards carry the version they last synced against.
     pub(crate) platforms_version: u64,
     /// Snapshot auto-compaction thresholds (off by default).
     auto_compact: AutoCompactPolicy,
@@ -241,30 +235,35 @@ pub(crate) struct Core {
     /// error message of the global utilization sum. Non-empty entries on
     /// platforms a batch does not touch reject the epoch with
     /// [`RejectReason::Numeric`], exactly as the single controller's
-    /// global scan would.
+    /// global scan would. Only seeded at construction/rebuild and only
+    /// ever *cleared* afterwards.
     pub(crate) util_poison: BTreeMap<usize, String>,
     /// The service-wide admission telemetry sink; every shard controller —
     /// seeded, split, merged, or minted fresh by routing — records its
     /// cone geometry here (see [`AdmissionMetrics`]).
     pub(crate) admission_metrics: Arc<AdmissionMetrics>,
+    /// Model-checking fault hook: when set, the next journal `sync_data`
+    /// reports an injected I/O error instead of running, so the model
+    /// suite can explore poison propagation to every group-commit waiter.
+    #[cfg(hsched_model)]
+    fail_next_sync: bool,
 }
 
-/// Admission-flow coordination, locked **last** in the total order so the
-/// hot path can consult it while holding anything else. All condition
+/// Admission-flow coordination, locked **last** in the total order so
+/// reserve can consult it while holding the world. All condition
 /// variables except group commit wait on this mutex alone.
 #[derive(Debug)]
 struct Gate {
-    /// Last ticket fully settled. Together with the `issued` atomic:
-    /// `settled == issued` ⟺ no epoch in flight ⟺ no `Busy` slot.
+    /// Last epoch ticket issued. Only advanced with the routing lock held
+    /// as well (reserve tickets under both), so a world holder that reads
+    /// `issued == settled` knows nothing can be ticketed under it.
+    issued: u64,
+    /// Last ticket fully settled: `settled == issued` ⟺ no epoch in
+    /// flight ⟺ no `Busy` slot.
     settled: u64,
-    /// Write-path epochs waiting for the in-flight set to drain; while
-    /// nonzero, new reservations hold off (fairness gate).
+    /// Epochs waiting for the in-flight set to drain; while nonzero, new
+    /// reservations hold off (fairness gate).
     writers_waiting: usize,
-    /// Bumped whenever blocked reservations might make progress (an epoch
-    /// settled, a writer left). Contended reservations capture it before
-    /// routing and sleep until it moves — closing the missed-wakeup window
-    /// between their conflict observation and their wait.
-    generation: u64,
 }
 
 /// A granted reservation: the epoch's ticket plus everything checked out
@@ -279,8 +278,8 @@ struct Reservation {
     removed_instance_txns: Vec<Vec<String>>,
     claimed_names: Vec<String>,
     claimed_free: Vec<usize>,
-    /// Platforms of every touched island (poison accounting; empty on the
-    /// fast path, which only runs when the poison map is empty).
+    /// Platforms of every touched island (poison accounting; empty
+    /// whenever the poison map was empty at reserve).
     touched_platforms: Vec<usize>,
     /// Rejection decided at reserve time (structural / numeric parity):
     /// the epoch skips analysis and settles straight to a rejection.
@@ -289,17 +288,6 @@ struct Reservation {
     route_ns: u64,
     /// Wall time the winning attempt spent checking shards out (telemetry).
     checkout_ns: u64,
-}
-
-/// Outcome of one fast-path reservation attempt.
-enum FastAttempt {
-    /// Ticket issued; proceed to analyze.
-    Ready(Reservation),
-    /// The batch needs the exclusive path (topology change).
-    Fallback,
-    /// Conflict with an in-flight epoch (or writer fairness / capacity) —
-    /// wait until the captured gate generation moves, then retry.
-    Contended(u64),
 }
 
 /// Epoch outcome handed from the analyze phase to settle.
@@ -367,26 +355,8 @@ pub struct SnapshotInfo {
 /// from as many client threads as desired.
 #[derive(Debug)]
 pub struct SchedService {
-    /// Name-addressed routing stripes (homes + claims), FNV-striped.
-    names: Vec<Mutex<NameStripe>>,
-    /// Platform-addressed routing stripes (homes + claims), residue-striped.
-    plats: Vec<Mutex<PlatStripe>>,
-    /// The shard slot table. Readers (fast reservations) share it and lock
-    /// individual cells; the exclusive path and settle take it whole.
-    slots: RwLock<Vec<Mutex<Slot>>>,
-    /// Last epoch ticket issued. Only incremented while the gate is held,
-    /// so `issued` reads under the gate are exact.
-    issued: AtomicU64,
-    /// Lock-free mirror of [`Core::platforms_version`] (staleness check at
-    /// fast checkout without touching the core).
-    platforms_version: AtomicU64,
-    /// Whether the utilization-poison map is non-empty. Poison is only
-    /// seeded at construction/rebuild and only ever *cleared* afterwards,
-    /// so a `false` read is final and the fast path may skip the parity
-    /// scan entirely.
-    poison_present: AtomicBool,
-    /// Size of the (immutable) platform table.
-    platform_count: usize,
+    /// Home maps, claim sets and the shard slot table (rank 1).
+    routing: Mutex<Routing>,
     /// Pipeline depth bound: at most this many epochs in flight. Keeps a
     /// small machine from timeslicing a pile of analyses (reserve applies
     /// backpressure instead) while still overlapping analysis with journal
@@ -405,8 +375,8 @@ pub struct SchedService {
     /// thundering herd).
     capacity: Condvar,
     /// Reserve waiters blocked on a conflict (shared shard, claimed name
-    /// or platform, writer fairness) — rare; notified broadly on settle
-    /// and writer exit (on the gate).
+    /// or platform, writer fairness) — notified broadly on settle and
+    /// writer exit (on the gate).
     conflict: Condvar,
     /// Group-commit waiters (on the core; notified when a journal sync
     /// completes).
@@ -422,11 +392,6 @@ pub struct SchedService {
     /// The shared analysis-layer sink (every shard's `AnalysisConfig`
     /// carries it).
     analysis_metrics: Arc<AnalysisMetrics>,
-    /// Model-checking fault hook: when set, the next journal `sync_data`
-    /// reports an injected I/O error instead of running, so the model
-    /// suite can explore poison propagation to every group-commit waiter.
-    #[cfg(hsched_model)]
-    fail_next_sync: AtomicBool,
 }
 
 /// Compile-time audit: the whole service must be shareable across client
@@ -436,19 +401,12 @@ const _: () = {
     assert_sync::<SchedService>();
 };
 
-/// Exclusive view over every piece of service state: all stripes (in
-/// order), the whole slot table, and the core. Settle, the exclusive
-/// reserve path, observation and rebuild all run through one of these —
-/// with the world held no reservation can route and no sibling can
-/// settle, so the view is a consistent cut.
-///
-/// While the slot table's write guard is held no cell mutex can be
-/// contended, so the `&self` accessors below may lock cells freely and
-/// the `&mut self` ones use `get_mut`.
+/// Exclusive view over every piece of service state: the routing state
+/// (slot table included) and the core. Reserve, settle, observation and
+/// rebuild all run through one of these — with the world held no sibling
+/// can route, ticket or settle, so the view is a consistent cut.
 pub(crate) struct World<'a> {
-    pub(crate) names: Vec<MutexGuard<'a, NameStripe>>,
-    pub(crate) plats: Vec<MutexGuard<'a, PlatStripe>>,
-    pub(crate) slots: RwLockWriteGuard<'a, Vec<Mutex<Slot>>>,
+    pub(crate) routing: MutexGuard<'a, Routing>,
     pub(crate) core: MutexGuard<'a, Core>,
 }
 
@@ -494,9 +452,7 @@ impl SchedService {
             .map_err(EngineError::Seed)?;
         seed.set_metrics_sink(admission_metrics.clone());
 
-        let platform_count = platforms.len();
         let island_threads = policy.island_threads;
-        let poison_present = !util_poison.is_empty();
         let core = Core {
             ids: HashMap::new(),
             names: HashMap::new(),
@@ -521,26 +477,18 @@ impl SchedService {
             unsched: BTreeMap::new(),
             util_poison,
             admission_metrics: admission_metrics.clone(),
+            #[cfg(hsched_model)]
+            fail_next_sync: false,
         };
         let service = SchedService {
-            names: (0..STRIPE_COUNT)
-                .map(|i| name_stripe_lock(i, NameStripe::default()))
-                .collect(),
-            plats: (0..STRIPE_COUNT)
-                .map(|i| plat_stripe_lock(i, PlatStripe::default()))
-                .collect(),
-            slots: slot_table_lock(Vec::new()),
-            issued: counter_cell("issued", 0),
-            platforms_version: counter_cell("platforms_version", 0),
-            poison_present: flag_cell("poison_present", poison_present),
-            platform_count,
+            routing: routing_lock(Routing::default()),
             max_inflight: default_max_inflight(),
             island_threads,
             core: core_lock(core),
             gate: gate_lock(Gate {
+                issued: 0,
                 settled: 0,
                 writers_waiting: 0,
-                generation: 0,
             }),
             turn: condvar("turn"),
             capacity: condvar("capacity"),
@@ -549,8 +497,6 @@ impl SchedService {
             metrics: Arc::new(EngineMetrics::new()),
             admission_metrics,
             analysis_metrics,
-            #[cfg(hsched_model)]
-            fail_next_sync: flag_cell("fail_next_sync", false),
         };
         {
             let mut world = service.world();
@@ -558,7 +504,7 @@ impl SchedService {
                 world.core.mint_id(&name);
             }
             for part in seed.split_islands() {
-                let slot = world.slots.len();
+                let slot = world.routing.slots.len();
                 world.index_shard(slot, &part);
                 let shard = Shard {
                     schedulable: part.schedulable(),
@@ -568,8 +514,7 @@ impl SchedService {
                 if !shard.schedulable {
                     world.core.unsched.insert(slot, shard.core.misses());
                 }
-                let index = world.slots.len();
-                world.slots.push(slot_cell_lock(index, Slot::Idle(shard)));
+                world.routing.slots.push(Slot::Idle(shard));
             }
         }
         Ok(service)
@@ -839,10 +784,12 @@ impl SchedService {
             let file = journal.sync_handle();
             let durable_bytes = journal.bytes_written();
             let subscribers = journal.subscribers();
+            #[cfg(hsched_model)]
+            let inject = std::mem::take(&mut core.fail_next_sync);
             drop(core);
             let fsync_started = Instant::now();
             #[cfg(hsched_model)]
-            let outcome = if self.fail_next_sync.swap(false, Ordering::AcqRel) {
+            let outcome = if inject {
                 Err(std::io::Error::other("injected sync failure"))
             } else {
                 file.sync_data()
@@ -895,7 +842,7 @@ impl SchedService {
     /// journal exactly like a real `fsync` failure.
     #[cfg(hsched_model)]
     pub fn fail_next_sync(&self) {
-        self.fail_next_sync.store(true, Ordering::Release);
+        self.lock_core().fail_next_sync = true;
     }
 
     /// The last epoch ticket known durable on disk (0 before any sync; the
@@ -922,7 +869,7 @@ impl SchedService {
         } else {
             core.synced
         };
-        self.issued.load(Ordering::Acquire).saturating_sub(floor)
+        self.lock_gate().issued.saturating_sub(floor)
     }
 
     /// Records one shed (load-rejected) submission in the engine metrics
@@ -996,8 +943,8 @@ impl SchedService {
 
         // Attribute the epoch's wall time: route/checkout slices were
         // measured inside the winning reservation attempt, so the
-        // remainder (gate waits, stripe locking, contention retries) is
-        // the reserve slice and the five phases are disjoint.
+        // remainder (lock and gate waits, retried attempts) is the reserve
+        // slice and the five phases are disjoint.
         let timings = EpochTimings {
             reserve_ns: reserve_total_ns.saturating_sub(route_ns.saturating_add(checkout_ns)),
             route_ns,
@@ -1016,401 +963,99 @@ impl SchedService {
         Ok(response)
     }
 
-    /// Phase 1 dispatch: transaction-level batches try the striped fast
-    /// path (retrying while contended); instance operations, topology
-    /// changes and poisoned states take the exclusive path.
+    /// Phase 1, the one front door. Each attempt takes the world, routes
+    /// against the exact state — claims *and* `Busy` slots — and then,
+    /// under the gate, either parks or checks the shards out and tickets.
+    /// The routing lock is held from the routing decision to the ticket,
+    /// so the decisions are made against exactly the settled prefix the
+    /// ticket position implies.
+    ///
+    /// An epoch that must find the pipeline drained (module docs:
+    /// "Conflicts and drains") registers as a writer, which gates new
+    /// reservations off; the mark is dropped, and sleepers woken, on every
+    /// exit, success or error.
     fn reserve(&self, batch: &[AdmissionRequest]) -> Result<Reservation, EngineError> {
-        loop {
-            if self.fast_eligible(batch) {
-                match self.try_reserve_fast(batch)? {
-                    FastAttempt::Ready(resv) => return Ok(resv),
-                    FastAttempt::Fallback => {}
-                    FastAttempt::Contended(generation) => {
-                        self.await_generation(generation);
-                        continue;
-                    }
-                }
+        let mut writer = false;
+        let result = loop {
+            if let Some(result) = self.reserve_attempt(batch, &mut writer).transpose() {
+                break result;
             }
-            return self.reserve_exclusive(batch);
-        }
-    }
-
-    /// Whether the batch can route on the striped fast path: only
-    /// transaction-level requests (instance arrivals/departures flatten
-    /// across names no stripe footprint can be precomputed for), and no
-    /// utilization poison outstanding (the parity scan must see every
-    /// platform). Poison is monotone-clearing, so a `false` read here is
-    /// final.
-    fn fast_eligible(&self, batch: &[AdmissionRequest]) -> bool {
-        !self.poison_present.load(Ordering::Acquire)
-            && batch.iter().all(|r| {
-                matches!(
-                    r,
-                    AdmissionRequest::AddTransaction(_)
-                        | AdmissionRequest::RemoveTransaction { .. }
-                        | AdmissionRequest::Retune { .. }
-                )
-            })
-    }
-
-    /// Waits at the admission gate until no writer is queued and the
-    /// pipeline has depth to spare, then returns the gate generation to
-    /// retry against on contention.
-    fn admission_gate(&self) -> u64 {
-        let mut gate = self.lock_gate();
-        loop {
-            if gate.writers_waiting > 0 {
-                gate = self.conflict.wait(gate).expect("gate poisoned");
-                continue;
-            }
-            if self.issued.load(Ordering::Acquire) - gate.settled >= self.max_inflight {
-                gate = self.capacity.wait(gate).expect("gate poisoned");
-                continue;
-            }
-            return gate.generation;
-        }
-    }
-
-    /// Sleeps until the gate generation moves past `generation` (an epoch
-    /// settled or a writer left — the only events that can clear a
-    /// conflict).
-    fn await_generation(&self, generation: u64) {
-        let mut gate = self.lock_gate();
-        while gate.generation == generation {
-            gate = self.conflict.wait(gate).expect("gate poisoned");
-        }
-    }
-
-    /// One striped reservation attempt. Locks only the stripes in the
-    /// batch's footprint plus a shared slot-table guard, routes, checks
-    /// the shards out cell by cell, and issues the ticket under the gate —
-    /// holding the stripes throughout, so no settle can interleave between
-    /// the routing decision and the ticket (the decisions are made against
-    /// exactly the settled prefix the ticket position implies).
-    fn try_reserve_fast(&self, batch: &[AdmissionRequest]) -> Result<FastAttempt, EngineError> {
-        let generation = self.admission_gate();
-
-        // Stripe footprint straight from the batch literals (out-of-range
-        // platforms included — locking their stripe is harmless and the
-        // route bounds-check needs nothing more).
-        let mut name_footprint = [false; STRIPE_COUNT];
-        let mut plat_footprint = [false; STRIPE_COUNT];
-        for request in batch {
-            match request {
-                AdmissionRequest::AddTransaction(tx) => {
-                    name_footprint[name_stripe(&tx.name)] = true;
-                    for task in tx.tasks() {
-                        plat_footprint[platform_stripe(task.platform.0)] = true;
-                    }
-                }
-                AdmissionRequest::RemoveTransaction { name } => {
-                    name_footprint[name_stripe(name)] = true;
-                }
-                AdmissionRequest::Retune { platform, .. } => {
-                    plat_footprint[platform_stripe(platform.0)] = true;
-                }
-                _ => unreachable!("fast path screens request kinds"),
-            }
-        }
-        let mut name_guards: Vec<(usize, MutexGuard<'_, NameStripe>)> = Vec::new();
-        for (i, wanted) in name_footprint.iter().enumerate() {
-            if *wanted {
-                name_guards.push((i, self.names[i].lock().expect("name stripe poisoned")));
-            }
-        }
-        let mut plat_guards: Vec<(usize, MutexGuard<'_, PlatStripe>)> = Vec::new();
-        for (i, wanted) in plat_footprint.iter().enumerate() {
-            if *wanted {
-                plat_guards.push((i, self.plats[i].lock().expect("platform stripe poisoned")));
-            }
-        }
-        let slots = self.slots.read().expect("slot table poisoned");
-
-        let view = FastView {
-            names: &name_guards,
-            plats: &plat_guards,
-            platform_count: self.platform_count,
         };
-        let route_started = Instant::now();
-        let route_outcome = route(&view, batch);
-        let route_ns = elapsed_ns(route_started);
-        let routed = match route_outcome {
-            RouteOutcome::Blocked => {
-                self.metrics.fast_conflicts.incr();
-                return Ok(FastAttempt::Contended(generation));
-            }
-            RouteOutcome::Structural(message) => {
-                // Still holding the stripes: the structural verdict was
-                // made against this ticket position's state and must be
-                // ticketed before any settle can change it.
-                let gate = self.lock_gate();
-                if gate.writers_waiting > 0
-                    || self.issued.load(Ordering::Acquire) - gate.settled >= self.max_inflight
-                {
-                    self.metrics.fast_conflicts.incr();
-                    return Ok(FastAttempt::Contended(generation));
-                }
-                let ticket = self.issued.fetch_add(1, Ordering::AcqRel) + 1;
-                drop(gate);
-                self.metrics.fast_reservations.incr();
-                return Ok(FastAttempt::Ready(Reservation {
-                    ticket,
-                    groups: Vec::new(),
-                    shards: Vec::new(),
-                    removed_instance_txns: Vec::new(),
-                    claimed_names: Vec::new(),
-                    claimed_free: Vec::new(),
-                    touched_platforms: Vec::new(),
-                    early: Some(RejectReason::Structural(message)),
-                    route_ns,
-                    checkout_ns: 0,
-                }));
-            }
-            RouteOutcome::Routed(routed) => routed,
-        };
-
-        let drafts = plan_groups(&routed.keys, slots.len(), self.platform_count);
-        if drafts.iter().any(|d| d.changes_topology()) {
-            self.metrics.fast_fallbacks.incr();
-            return Ok(FastAttempt::Fallback);
+        if writer {
+            self.lock_gate().writers_waiting -= 1;
+            self.conflict.notify_all();
         }
-
-        // Checkout, one cell at a time; a Busy marker is a conflict.
-        let checkout_started = Instant::now();
-        let mut groups: Vec<Group> = Vec::with_capacity(drafts.len());
-        let mut shards: Vec<Shard> = Vec::new();
-        let mut conflicted = false;
-        for draft in drafts {
-            let slot = draft.member_slots[0];
-            let mut cell = slots[slot].lock().expect("slot cell poisoned");
-            match std::mem::replace(&mut *cell, Slot::Busy) {
-                Slot::Idle(shard) => {
-                    drop(cell);
-                    shards.push(shard);
-                    groups.push(Group {
-                        slot,
-                        requests: draft.requests,
-                    });
-                }
-                other => {
-                    *cell = other;
-                    drop(cell);
-                    conflicted = true;
-                    break;
-                }
-            }
-        }
-        if !conflicted {
-            // Lazy platform re-sync for shards that missed a retune epoch.
-            let master_version = self.platforms_version.load(Ordering::Acquire);
-            if shards.iter().any(|s| s.platforms_version != master_version) {
-                let core = self.lock_core();
-                for shard in &mut shards {
-                    if let Err(e) = core.sync_shard_platforms(shard) {
-                        drop(core);
-                        self.return_shards(&slots, &groups, shards);
-                        return Err(e);
-                    }
-                }
-            }
-        }
-        let checkout_ns = elapsed_ns(checkout_started);
-
-        // Ticket under the gate, re-verifying fairness and capacity (a
-        // sibling may have ticketed or a writer queued since the gate).
-        if !conflicted {
-            let gate = self.lock_gate();
-            if gate.writers_waiting == 0
-                && self.issued.load(Ordering::Acquire) - gate.settled < self.max_inflight
-            {
-                let ticket = self.issued.fetch_add(1, Ordering::AcqRel) + 1;
-                drop(gate);
-                for name in &routed.mentioned {
-                    let s = name_stripe(name);
-                    let (_, guard) = name_guards
-                        .iter_mut()
-                        .find(|(i, _)| *i == s)
-                        .expect("mentioned name inside footprint");
-                    guard.pending.insert(name.clone());
-                }
-                for p in &routed.free_platforms {
-                    let s = platform_stripe(*p);
-                    let (_, guard) = plat_guards
-                        .iter_mut()
-                        .find(|(i, _)| *i == s)
-                        .expect("claimed platform inside footprint");
-                    guard.pending_free.insert(*p);
-                }
-                self.metrics.fast_reservations.incr();
-                return Ok(FastAttempt::Ready(Reservation {
-                    ticket,
-                    groups,
-                    shards,
-                    removed_instance_txns: routed.removed_instance_txns,
-                    claimed_names: routed.mentioned,
-                    claimed_free: routed.free_platforms,
-                    // Poison is empty on this path (fast_eligible), so the
-                    // settle-time poison clearing has nothing to do.
-                    touched_platforms: Vec::new(),
-                    early: None,
-                    route_ns,
-                    checkout_ns,
-                }));
-            }
-        }
-
-        self.return_shards(&slots, &groups, shards);
-        // Pass the capacity baton: this thread may have consumed a
-        // capacity wakeup it could not use.
-        self.capacity.notify_one();
-        self.metrics.fast_conflicts.incr();
-        Ok(FastAttempt::Contended(generation))
-    }
-
-    /// Rolls a failed fast checkout back: every taken shard returns to its
-    /// idle slot.
-    fn return_shards(&self, slots: &[Mutex<Slot>], groups: &[Group], shards: Vec<Shard>) {
-        for (group, shard) in groups.iter().zip(shards) {
-            *slots[group.slot].lock().expect("slot cell poisoned") = Slot::Idle(shard);
-        }
-    }
-
-    /// The exclusive reserve path (instance operations, topology changes,
-    /// poison parity): registers as a writer — gating new fast
-    /// reservations off — drains the pipeline, and routes against the
-    /// whole world. The writer mark is dropped (and sleepers woken) on
-    /// every exit, success or error.
-    fn reserve_exclusive(&self, batch: &[AdmissionRequest]) -> Result<Reservation, EngineError> {
-        self.metrics.exclusive_drains.incr();
-        {
-            let mut gate = self.lock_gate();
-            gate.writers_waiting += 1;
-        }
-        let result = self.reserve_exclusive_inner(batch);
-        {
-            let mut gate = self.lock_gate();
-            gate.writers_waiting -= 1;
-            gate.generation += 1;
-        }
-        self.conflict.notify_all();
         result
     }
 
-    /// Drain-then-lock loop: waits for the pipeline to drain, locks the
-    /// world, and re-verifies the drain actually held (another writer may
-    /// have ticketed between our wakeup and the world acquisition).
-    fn reserve_exclusive_inner(
+    /// One reservation attempt: `Ok(Some(_))` with the ticket issued, or
+    /// `Ok(None)` after parking — the world has moved on, route again.
+    ///
+    /// Parking cannot miss its wakeup: the gate is taken while the world is
+    /// still held and kept until the wait releases it, and everything that
+    /// could unblock the attempt (a settle, a writer leaving) changes the
+    /// gate before it notifies.
+    fn reserve_attempt(
         &self,
         batch: &[AdmissionRequest],
-    ) -> Result<Reservation, EngineError> {
-        loop {
-            {
-                let mut gate = self.lock_gate();
-                while self.issued.load(Ordering::Acquire) != gate.settled {
-                    gate = self.turn.wait(gate).expect("gate poisoned");
-                }
-            }
-            let mut world = self.world();
-            let drained = {
-                let gate = self.lock_gate();
-                self.issued.load(Ordering::Acquire) == gate.settled
-            };
-            if !drained {
-                drop(world);
-                continue;
-            }
-            return self.reserve_in_world(&mut world, batch);
-        }
-    }
-
-    /// Routes and reserves one epoch against an exclusively held, drained
-    /// world — the port of the original single-lock reserve. With the
-    /// pipeline drained there is nothing to conflict with, so `Blocked`
-    /// outcomes are internal errors, capacity is irrelevant (in-flight is
-    /// zero), and the healer-in-flight poison deferral cannot trigger.
-    fn reserve_in_world(
-        &self,
-        world: &mut World<'_>,
-        batch: &[AdmissionRequest],
-    ) -> Result<Reservation, EngineError> {
+        writer: &mut bool,
+    ) -> Result<Option<Reservation>, EngineError> {
+        let mut world = self.world();
         let route_started = Instant::now();
-        let route_outcome = route(&*world, batch);
+        let outcome = route(&world, batch);
         let route_ns = elapsed_ns(route_started);
-        let routed = match route_outcome {
-            RouteOutcome::Blocked => {
-                return Err(EngineError::Internal(
-                    "conflict on a drained pipeline".to_string(),
-                ))
-            }
-            RouteOutcome::Structural(message) => {
-                return Ok(self.ticket_early(RejectReason::Structural(message)));
-            }
-            RouteOutcome::Routed(routed) => routed,
+        let drafts = match &outcome {
+            RouteOutcome::Routed(routed) => plan_groups(
+                &routed.keys,
+                world.routing.slots.len(),
+                world.core.platforms.len(),
+            ),
+            _ => Vec::new(),
         };
+        let poisoned = !world.core.util_poison.is_empty();
+        let drain = *writer
+            || poisoned
+            || drafts.iter().any(|d| d.changes_topology())
+            || batch.iter().any(|r| {
+                matches!(
+                    r,
+                    AdmissionRequest::AddInstance { .. } | AdmissionRequest::RemoveInstance { .. }
+                )
+            });
 
-        // Cross-island numeric parity: a poisoned platform the batch does
-        // not touch rejects exactly like the single controller's global
-        // utilization scan (touched islands re-run their own checked scan
-        // inside the shard commit and heal or re-reject there).
-        let touched = world.touched_platform_set(&routed.keys);
-        let poison = world
-            .core
-            .util_poison
-            .iter()
-            .find(|(p, _)| !touched.contains(*p))
-            .map(|(_, message)| message.clone());
-        if let Some(message) = poison {
-            return Ok(self.ticket_early(RejectReason::Numeric(message)));
+        let mut gate = self.lock_gate();
+        let inflight = gate.issued - gate.settled;
+        if drain && inflight > 0 {
+            if !*writer {
+                gate.writers_waiting += 1;
+                *writer = true;
+            }
+            drop(world);
+            while gate.issued != gate.settled {
+                gate = self.turn.wait(gate).expect("gate poisoned");
+            }
+            return Ok(None);
         }
-
-        let checkout_started = Instant::now();
-        let drafts = plan_groups(&routed.keys, world.slots.len(), self.platform_count);
-        let groups = world.apply_groups(drafts)?;
-        let mut shards = Vec::with_capacity(groups.len());
-        for group in &groups {
-            let Slot::Idle(mut shard) = std::mem::replace(world.slot_mut(group.slot), Slot::Busy)
-            else {
-                return Err(EngineError::Internal(
-                    "checkout of a non-idle slot".to_string(),
-                ));
+        let conflict = (matches!(outcome, RouteOutcome::Blocked) && inflight > 0)
+            || (!*writer && gate.writers_waiting > 0);
+        if conflict || inflight >= self.max_inflight {
+            drop(world);
+            self.metrics.fast_conflicts.incr();
+            let parked = if conflict {
+                // Pass the capacity baton: this thread may have consumed a
+                // capacity wakeup it could not use.
+                self.capacity.notify_one();
+                self.conflict.wait(gate)
+            } else {
+                self.capacity.wait(gate)
             };
-            world.core.sync_shard_platforms(&mut shard)?;
-            shards.push(shard);
+            drop(parked.expect("gate poisoned"));
+            return Ok(None);
         }
-        let checkout_ns = elapsed_ns(checkout_started);
-        let ticket = self.ticket();
-        for name in &routed.mentioned {
-            world.names[name_stripe(name)].pending.insert(name.clone());
-        }
-        for p in &routed.free_platforms {
-            world.plats[platform_stripe(*p)].pending_free.insert(*p);
-        }
-        Ok(Reservation {
+
+        let ticket = gate.issued + 1;
+        let early = |reason| Reservation {
             ticket,
-            groups,
-            shards,
-            removed_instance_txns: routed.removed_instance_txns,
-            claimed_names: routed.mentioned,
-            claimed_free: routed.free_platforms,
-            touched_platforms: touched.into_iter().collect(),
-            early: None,
-            route_ns,
-            checkout_ns,
-        })
-    }
-
-    /// Issues the next epoch ticket (under the gate — `issued` only moves
-    /// while the gate is held, so gate-side reads stay exact).
-    fn ticket(&self) -> u64 {
-        let _gate = self.lock_gate();
-        self.issued.fetch_add(1, Ordering::AcqRel) + 1
-    }
-
-    /// Tickets an epoch whose rejection was decided at reserve time
-    /// (structural / numeric parity): no shards, no claims.
-    fn ticket_early(&self, reason: RejectReason) -> Reservation {
-        Reservation {
-            ticket: self.ticket(),
             groups: Vec::new(),
             shards: Vec::new(),
             removed_instance_txns: Vec::new(),
@@ -1418,9 +1063,67 @@ impl SchedService {
             claimed_free: Vec::new(),
             touched_platforms: Vec::new(),
             early: Some(reason),
-            route_ns: 0,
+            route_ns,
             checkout_ns: 0,
+        };
+        let resv = match outcome {
+            // Nothing is in flight, so nothing can hold a claim or a shard.
+            RouteOutcome::Blocked => {
+                return Err(EngineError::Internal(
+                    "conflict on a drained pipeline".to_string(),
+                ))
+            }
+            RouteOutcome::Structural(message) => early(RejectReason::Structural(message)),
+            RouteOutcome::Routed(routed) => {
+                // Cross-island numeric parity: a poisoned platform the
+                // batch does not touch rejects exactly like the single
+                // controller's global utilization scan (touched islands
+                // re-run their own checked scan inside the shard commit
+                // and heal or re-reject there). The O(platforms) scope scan
+                // only runs while there is poison to clear.
+                let touched = if poisoned {
+                    world.touched_platform_set(&routed.keys)
+                } else {
+                    HashSet::new()
+                };
+                let poison = world
+                    .core
+                    .util_poison
+                    .iter()
+                    .find(|(p, _)| !touched.contains(*p))
+                    .map(|(_, message)| message.clone());
+                match poison {
+                    Some(message) => early(RejectReason::Numeric(message)),
+                    None => {
+                        let checkout_started = Instant::now();
+                        let (groups, shards) = world.checkout(drafts)?;
+                        let checkout_ns = elapsed_ns(checkout_started);
+                        let routing = &mut world.routing;
+                        routing.pending.extend(routed.mentioned.iter().cloned());
+                        routing.pending_free.extend(&routed.free_platforms);
+                        Reservation {
+                            ticket,
+                            groups,
+                            shards,
+                            removed_instance_txns: routed.removed_instance_txns,
+                            claimed_names: routed.mentioned,
+                            claimed_free: routed.free_platforms,
+                            touched_platforms: touched.into_iter().collect(),
+                            early: None,
+                            route_ns,
+                            checkout_ns,
+                        }
+                    }
+                }
+            }
+        };
+        gate.issued = ticket;
+        if drain {
+            self.metrics.exclusive_drains.incr();
+        } else {
+            self.metrics.fast_reservations.incr();
         }
+        Ok(Some(resv))
     }
 
     /// Phase 3: waits for this ticket's turn, locks the world, settles the
@@ -1447,7 +1150,7 @@ impl SchedService {
         // This thread is now the unique settler; in-flight siblings are
         // analyzing (holding only their checked-out shards) or queued
         // behind us on the turn, so the world acquisition only ever waits
-        // on reservations mid-flight — which never block holding stripes.
+        // on reservation attempts — which never sleep holding the world.
         let mut world = self.world();
         let journal_before = world
             .core
@@ -1474,22 +1177,14 @@ impl SchedService {
             }
         }
         for name in &claimed_names {
-            world.names[name_stripe(name)].pending.remove(name);
+            world.routing.pending.remove(name);
         }
         for p in &claimed_free {
-            world.plats[platform_stripe(*p)].pending_free.remove(p);
+            world.routing.pending_free.remove(p);
         }
         world.core.settled = ticket;
-        self.poison_present
-            .store(!world.core.util_poison.is_empty(), Ordering::Release);
-        self.platforms_version
-            .store(world.core.platforms_version, Ordering::Release);
         drop(world);
-        {
-            let mut gate = self.lock_gate();
-            gate.settled = ticket;
-            gate.generation += 1;
-        }
+        self.lock_gate().settled = ticket;
         self.turn.notify_all();
         self.capacity.notify_one();
         self.conflict.notify_all();
@@ -1537,28 +1232,11 @@ impl SchedService {
         self.gate.lock().expect("gate poisoned")
     }
 
-    /// Acquires the exclusive world view, in lock order: every name
-    /// stripe ascending, every platform stripe ascending, the slot table
-    /// write guard, the core.
+    /// Acquires the exclusive world view, in lock order: routing, core.
     fn world(&self) -> World<'_> {
-        let names = self
-            .names
-            .iter()
-            .map(|m| m.lock().expect("name stripe poisoned"))
-            .collect();
-        let plats = self
-            .plats
-            .iter()
-            .map(|m| m.lock().expect("platform stripe poisoned"))
-            .collect();
-        let slots = self.slots.write().expect("slot table poisoned");
+        let routing = self.routing.lock().expect("routing state poisoned");
         let core = self.lock_core();
-        World {
-            names,
-            plats,
-            slots,
-            core,
-        }
+        World { routing, core }
     }
 
     /// Locks the service *quiescent*: waits until no epoch is in flight
@@ -1569,14 +1247,14 @@ impl SchedService {
         loop {
             {
                 let mut gate = self.lock_gate();
-                while self.issued.load(Ordering::Acquire) != gate.settled {
+                while gate.issued != gate.settled {
                     gate = self.turn.wait(gate).expect("gate poisoned");
                 }
             }
             let world = self.world();
             let drained = {
                 let gate = self.lock_gate();
-                self.issued.load(Ordering::Acquire) == gate.settled
+                gate.issued == gate.settled
             };
             if drained {
                 return world;
@@ -1595,8 +1273,9 @@ impl SchedService {
     /// world's own `settled` mirror is set by the rebuild itself). Only
     /// sound while no epoch is in flight.
     pub(crate) fn force_epoch(&self, epoch: u64) {
-        self.issued.store(epoch, Ordering::Release);
-        self.lock_gate().settled = epoch;
+        let mut gate = self.lock_gate();
+        gate.issued = epoch;
+        gate.settled = epoch;
     }
 
     // ------------------------------------------------------------------
@@ -1622,12 +1301,8 @@ impl SchedService {
     /// `true` when every shard's live set meets its deadlines.
     pub fn schedulable(&self) -> bool {
         let world = self.quiescent_world();
-        world.slots.iter().all(|cell| {
-            cell.lock()
-                .expect("slot cell poisoned")
-                .as_idle()
-                .is_none_or(|s| s.schedulable)
-        })
+        let mut shards = world.idle_shards();
+        shards.all(|s| s.schedulable)
     }
 
     /// The stable handle of a live transaction.
@@ -1670,14 +1345,11 @@ impl SchedService {
             analyses_avoided: world.core.retired_stats.analyses_avoided,
             warm_epochs: world.core.retired_stats.warm_epochs,
         };
-        for cell in world.slots.iter() {
-            let slot = cell.lock().expect("slot cell poisoned");
-            if let Some(shard) = slot.as_idle() {
-                let s = shard.core.stats();
-                stats.transactions_analyzed += s.transactions_analyzed;
-                stats.analyses_avoided += s.analyses_avoided;
-                stats.warm_epochs += s.warm_epochs;
-            }
+        for shard in world.idle_shards() {
+            let s = shard.core.stats();
+            stats.transactions_analyzed += s.transactions_analyzed;
+            stats.analyses_avoided += s.analyses_avoided;
+            stats.warm_epochs += s.warm_epochs;
         }
         stats
     }
@@ -1817,71 +1489,47 @@ fn default_max_inflight() -> u64 {
 }
 
 impl World<'_> {
-    /// The slot cell behind `slot`, borrowed through the table's write
-    /// guard (no lock traffic).
-    pub(crate) fn slot_mut(&mut self, slot: usize) -> &mut Slot {
-        self.slots[slot].get_mut().expect("slot cell poisoned")
+    /// The idle shards, in slot order.
+    fn idle_shards(&self) -> impl Iterator<Item = &Shard> {
+        self.routing.slots.iter().filter_map(Slot::as_idle)
     }
 
-    /// Places a shard in the first vacant slot (or a new one). Exclusive
-    /// path only — slot choice must be deterministic in ticket order,
-    /// which the writer gate (drain in-flight epochs first) guarantees.
-    pub(crate) fn allocate_slot(&mut self, shard: Shard) -> usize {
-        let vacant = self
-            .slots
-            .iter_mut()
-            .position(|cell| cell.get_mut().expect("slot cell poisoned").is_vacant());
-        match vacant {
-            Some(slot) => {
-                *self.slot_mut(slot) = Slot::Idle(shard);
-                slot
-            }
-            None => {
-                let index = self.slots.len();
-                self.slots.push(slot_cell_lock(index, Slot::Idle(shard)));
-                index
-            }
-        }
+    /// The first vacant slot (a new one when none is). Slot choice must be
+    /// deterministic in ticket order: reserve only allocates on a drained
+    /// pipeline, settle runs in ticket order.
+    pub(crate) fn vacant_slot(&mut self) -> usize {
+        let slots = &mut self.routing.slots;
+        slots.iter().position(Slot::is_vacant).unwrap_or_else(|| {
+            slots.push(Slot::Vacant);
+            slots.len() - 1
+        })
     }
 
-    /// Registers a shard's members in the striped home maps.
+    /// Registers a shard's members in the home maps.
     pub(crate) fn index_shard(&mut self, slot: usize, core: &AdmissionController) {
+        let routing = &mut *self.routing;
         for tx in core.current_set().transactions() {
-            self.names[name_stripe(&tx.name)]
-                .txn_home
-                .insert(tx.name.clone(), slot);
+            routing.txn_home.insert(tx.name.clone(), slot);
             for task in tx.tasks() {
-                self.plats[platform_stripe(task.platform.0)]
-                    .home
-                    .insert(task.platform.0, slot);
+                routing.home.insert(task.platform.0, slot);
             }
         }
         for (_, instance) in core.system().instances() {
-            self.names[name_stripe(&instance.name)]
-                .instance_home
-                .insert(instance.name.clone(), slot);
+            routing.instance_home.insert(instance.name.clone(), slot);
         }
     }
 
     /// Points every home-map entry of `from` at `to` (after a merge).
     pub(crate) fn reassign_home(&mut self, from: usize, to: usize) {
-        for stripe in self.plats.iter_mut() {
-            for home in stripe.home.values_mut() {
-                if *home == from {
-                    *home = to;
-                }
-            }
-        }
-        for stripe in self.names.iter_mut() {
-            for home in stripe.txn_home.values_mut() {
-                if *home == from {
-                    *home = to;
-                }
-            }
-            for home in stripe.instance_home.values_mut() {
-                if *home == from {
-                    *home = to;
-                }
+        let routing = &mut *self.routing;
+        let homes = routing
+            .home
+            .values_mut()
+            .chain(routing.txn_home.values_mut())
+            .chain(routing.instance_home.values_mut());
+        for home in homes {
+            if *home == from {
+                *home = to;
             }
         }
     }
@@ -1890,7 +1538,7 @@ impl World<'_> {
     /// transactions.
     fn drop_empty_shards(&mut self, slots: impl Iterator<Item = usize>) {
         for slot in slots {
-            let cell = self.slots[slot].get_mut().expect("slot cell poisoned");
+            let cell = &mut self.routing.slots[slot];
             let empty = cell
                 .as_idle()
                 .is_some_and(|s| s.core.current_set().transactions().is_empty());
@@ -1900,9 +1548,7 @@ impl World<'_> {
                 };
                 self.core.retire_stats(&retired.core);
                 self.core.unsched.remove(&slot);
-                for stripe in self.plats.iter_mut() {
-                    stripe.home.retain(|_, home| *home != slot);
-                }
+                self.routing.home.retain(|_, home| *home != slot);
             }
         }
     }
@@ -1912,14 +1558,12 @@ impl World<'_> {
     /// ticket order, so the vacant-slot choices here are deterministic.
     fn repartition(&mut self, touched: &[usize]) {
         let affected: HashSet<usize> = touched.iter().copied().collect();
-        for stripe in self.plats.iter_mut() {
-            stripe.home.retain(|_, home| !affected.contains(home));
-        }
+        self.routing.home.retain(|_, home| !affected.contains(home));
         let mut slots: Vec<usize> = touched.to_vec();
         slots.sort_unstable();
         slots.dedup();
         for slot in slots {
-            let cell = self.slots[slot].get_mut().expect("slot cell poisoned");
+            let cell = &mut self.routing.slots[slot];
             let Slot::Idle(shard) = std::mem::replace(cell, Slot::Vacant) else {
                 continue;
             };
@@ -1927,31 +1571,12 @@ impl World<'_> {
                 self.core.retire_stats(&shard.core);
                 continue; // slot stays vacant
             }
-            let mut parts = shard.core.split_islands().into_iter();
             let version = shard.platforms_version;
-            if let Some(first) = parts.next() {
-                self.index_shard(slot, &first);
-                *self.slot_mut(slot) = Slot::Idle(Shard {
-                    schedulable: first.schedulable(),
-                    core: first,
-                    platforms_version: version,
-                });
-            }
-            for part in parts {
-                let vacant = self
-                    .slots
-                    .iter_mut()
-                    .position(|cell| cell.get_mut().expect("slot cell poisoned").is_vacant());
-                let part_slot = match vacant {
-                    Some(vacant) => vacant,
-                    None => {
-                        let index = self.slots.len();
-                        self.slots.push(slot_cell_lock(index, Slot::Vacant));
-                        index
-                    }
-                };
+            for (k, part) in shard.core.split_islands().into_iter().enumerate() {
+                // The first part stays put, the rest fill vacancies.
+                let part_slot = if k == 0 { slot } else { self.vacant_slot() };
                 self.index_shard(part_slot, &part);
-                *self.slot_mut(part_slot) = Slot::Idle(Shard {
+                self.routing.slots[part_slot] = Slot::Idle(Shard {
                     schedulable: part.schedulable(),
                     core: part,
                     platforms_version: version,
@@ -1970,15 +1595,15 @@ impl World<'_> {
         for (i, request) in batch.iter().enumerate() {
             match request {
                 AdmissionRequest::RemoveTransaction { name } => {
-                    self.names[name_stripe(name)].txn_home.remove(name);
+                    self.routing.txn_home.remove(name);
                     if let Some(id) = self.core.ids.remove(name) {
                         self.core.names.remove(&id);
                     }
                 }
                 AdmissionRequest::RemoveInstance { name } => {
-                    self.names[name_stripe(name)].instance_home.remove(name);
+                    self.routing.instance_home.remove(name);
                     for txn in &removed_instance_txns[i] {
-                        self.names[name_stripe(txn)].txn_home.remove(txn);
+                        self.routing.txn_home.remove(txn);
                         if let Some(id) = self.core.ids.remove(txn) {
                             self.core.names.remove(&id);
                         }
@@ -1996,21 +1621,14 @@ impl World<'_> {
         for request in batch {
             match request {
                 AdmissionRequest::AddTransaction(tx) => {
-                    let live = self.names[name_stripe(&tx.name)]
-                        .txn_home
-                        .contains_key(&tx.name);
+                    let live = self.routing.txn_home.contains_key(&tx.name);
                     if live && !self.core.ids.contains_key(&tx.name) {
                         minted.push(self.core.mint_id(&tx.name));
                     }
                 }
                 AdmissionRequest::AddInstance { name, .. } => {
-                    let home = self.names[name_stripe(name)]
-                        .instance_home
-                        .get(name)
-                        .copied();
-                    if let Some(slot) = home {
-                        let txns = self
-                            .slot_mut(slot)
+                    if let Some(&slot) = self.routing.instance_home.get(name) {
+                        let txns = self.routing.slots[slot]
                             .as_idle()
                             .expect("instance home live")
                             .core
@@ -2101,7 +1719,7 @@ impl World<'_> {
                 } else {
                     self.core.unsched.insert(group.slot, shard.core.misses());
                 }
-                *self.slot_mut(group.slot) = Slot::Idle(shard);
+                self.routing.slots[group.slot] = Slot::Idle(shard);
             }
             self.drop_empty_shards(slots.iter().copied());
             let mut response = self.finish_rejected(ticket, batch, reason, slots)?;
@@ -2116,7 +1734,7 @@ impl World<'_> {
         // O(batch + touched-shard members), never O(live set).
         let retunes = capture_retunes(batch, &groups, &shards);
         for (group, shard) in groups.iter().zip(shards) {
-            *self.slot_mut(group.slot) = Slot::Idle(shard);
+            self.routing.slots[group.slot] = Slot::Idle(shard);
         }
         // Admission required *every* shard schedulable, so the at-rest
         // unschedulable map and the touched platforms' poison entries are
@@ -2128,23 +1746,27 @@ impl World<'_> {
         self.unindex_departures(batch, &removed_instance_txns);
         self.repartition(&slots);
         if !retunes.is_empty() {
+            let previous = self.core.platforms_version;
             self.core.platforms_version += 1;
-            for (platform, value) in retunes {
-                self.core.platforms.replace(platform, value.clone());
-                for cell in self.slots.iter_mut() {
-                    if let Slot::Idle(shard) = cell.get_mut().expect("slot cell poisoned") {
-                        shard
-                            .core
-                            .sync_platform(platform, value.clone())
-                            .map_err(EngineError::Internal)?;
-                    }
-                }
+            for (platform, value) in &retunes {
+                self.core.platforms.replace(*platform, value.clone());
             }
-            let version = self.core.platforms_version;
-            for cell in self.slots.iter_mut() {
-                if let Slot::Idle(shard) = cell.get_mut().expect("slot cell poisoned") {
-                    shard.platforms_version = version;
+            // Only a shard that was current takes this epoch's values and
+            // the new stamp. One that was checked out during an earlier
+            // retune epoch still lacks *that* epoch's values: it keeps its
+            // stamp and takes the full diff at its next checkout.
+            for slot in self.routing.slots.iter_mut() {
+                let Slot::Idle(shard) = slot else { continue };
+                if shard.platforms_version != previous {
+                    continue;
                 }
+                for (platform, value) in &retunes {
+                    shard
+                        .core
+                        .sync_platform(*platform, value.clone())
+                        .map_err(EngineError::Internal)?;
+                }
+                shard.platforms_version = self.core.platforms_version;
             }
         }
         let admitted_ids = self.mint_arrival_ids(batch);
@@ -2219,64 +1841,44 @@ impl World<'_> {
     }
 
     // ------------------------------------------------------------------
-    // Observation helpers (the world is exclusive, so cell locks below
-    // are always free — see the type docs)
+    // Observation helpers
     // ------------------------------------------------------------------
 
     pub(crate) fn shard_count(&self) -> usize {
-        self.slots
-            .iter()
-            .filter(|cell| !cell.lock().expect("slot cell poisoned").is_vacant())
-            .count()
+        let slots = self.routing.slots.iter();
+        slots.filter(|slot| !slot.is_vacant()).count()
     }
 
     pub(crate) fn live_transactions(&self) -> usize {
-        self.slots
-            .iter()
-            .map(|cell| {
-                cell.lock()
-                    .expect("slot cell poisoned")
-                    .as_idle()
-                    .map_or(0, |s| s.core.current_set().transactions().len())
-            })
+        self.idle_shards()
+            .map(|s| s.core.current_set().transactions().len())
             .sum()
     }
 
     pub(crate) fn current_set(&self) -> TransactionSet {
-        let mut transactions = Vec::new();
-        for cell in self.slots.iter() {
-            let slot = cell.lock().expect("slot cell poisoned");
-            if let Some(shard) = slot.as_idle() {
-                transactions.extend(shard.core.current_set().transactions().iter().cloned());
-            }
-        }
+        let transactions = self
+            .idle_shards()
+            .flat_map(|s| s.core.current_set().transactions().iter().cloned())
+            .collect();
         TransactionSet::new(self.core.platforms.clone(), transactions)
             .expect("shard transactions reference the master platforms")
     }
 
     pub(crate) fn system(&self) -> System {
         let mut system = System::default();
-        for cell in self.slots.iter() {
-            let slot = cell.lock().expect("slot cell poisoned");
-            if let Some(shard) = slot.as_idle() {
-                let part = shard.core.system();
-                for instance in &part.instances {
-                    let class = part.classes[instance.class].clone();
-                    system.adopt_instance(class, instance.clone());
-                }
+        for shard in self.idle_shards() {
+            let part = shard.core.system();
+            for instance in &part.instances {
+                let class = part.classes[instance.class].clone();
+                system.adopt_instance(class, instance.clone());
             }
         }
         system
     }
 
     pub(crate) fn report(&self) -> SchedulabilityReport {
-        let mut parts: Vec<SchedulabilityReport> = Vec::new();
-        for cell in self.slots.iter() {
-            let slot = cell.lock().expect("slot cell poisoned");
-            if let Some(shard) = slot.as_idle() {
-                parts.push(shard.core.report());
-            }
-        }
+        let parts: Vec<SchedulabilityReport> =
+            self.idle_shards().map(|s| s.core.report()).collect();
         SchedulabilityReport::concat(parts.iter())
     }
 
@@ -2364,33 +1966,27 @@ impl World<'_> {
         let mut origin: HashMap<String, String> = HashMap::new();
         let mut instances = Vec::new();
         let mut txns = Vec::new();
-        for cell in self.slots.iter() {
-            let slot = cell.lock().expect("slot cell poisoned");
-            if let Some(shard) = slot.as_idle() {
-                let part = shard.core.system();
-                for instance in &part.instances {
-                    for txn in shard.core.transactions_of_instance(&instance.name) {
-                        origin.insert(txn, instance.name.clone());
-                    }
-                    instances.push(snapshot::SnapshotInstance {
-                        name: instance.name.clone(),
-                        platform: instance.platform,
-                        node: instance.node.0,
-                        class: part.classes[instance.class].clone(),
-                    });
+        for shard in self.idle_shards() {
+            let part = shard.core.system();
+            for instance in &part.instances {
+                for txn in shard.core.transactions_of_instance(&instance.name) {
+                    origin.insert(txn, instance.name.clone());
                 }
+                instances.push(snapshot::SnapshotInstance {
+                    name: instance.name.clone(),
+                    platform: instance.platform,
+                    node: instance.node.0,
+                    class: part.classes[instance.class].clone(),
+                });
             }
         }
-        for cell in self.slots.iter() {
-            let slot = cell.lock().expect("slot cell poisoned");
-            if let Some(shard) = slot.as_idle() {
-                for tx in shard.core.current_set().transactions() {
-                    txns.push(snapshot::SnapshotTxn {
-                        origin: origin.get(&tx.name).cloned(),
-                        id: self.core.ids.get(&tx.name).map(|id| id.0),
-                        tx: tx.clone(),
-                    });
-                }
+        for shard in self.idle_shards() {
+            for tx in shard.core.current_set().transactions() {
+                txns.push(snapshot::SnapshotTxn {
+                    origin: origin.get(&tx.name).cloned(),
+                    id: self.core.ids.get(&tx.name).map(|id| id.0),
+                    tx: tx.clone(),
+                });
             }
         }
         Snapshot {

@@ -42,7 +42,6 @@ use crate::journal::{
     decode_request, encode_request, esc, next_rational, next_token, next_usize, unesc,
 };
 use crate::service::{SchedService, Slot};
-use crate::stripes::name_stripe;
 use hsched_admission::{AdmissionPolicy, AdmissionRequest};
 use hsched_analysis::AnalysisConfig;
 use hsched_model::{ComponentClass, ComponentInstance, NodeId};
@@ -320,24 +319,22 @@ pub(crate) fn rebuild(
                 .filter(|t| t.origin.as_deref() == Some(instance.name.as_str()))
                 .map(|t| t.tx.name.clone())
                 .collect();
-            let home_of = |world: &crate::service::World<'_>, m: &str| -> Option<usize> {
-                world.names[name_stripe(m)].txn_home.get(m).copied()
-            };
-            let Some(slot) = members.first().and_then(|m| home_of(&world, m)) else {
+            let home_of = |m: &String| world.routing.txn_home.get(m).copied();
+            let Some(slot) = members.first().and_then(home_of) else {
                 return Err(fail(format!(
                     "instance `{}` has no live member transactions",
                     instance.name
                 )));
             };
             for member in &members {
-                if home_of(&world, member) != Some(slot) {
+                if home_of(member) != Some(slot) {
                     return Err(fail(format!(
                         "instance `{}` spans shards — snapshot is inconsistent",
                         instance.name
                     )));
                 }
             }
-            let Slot::Idle(shard) = world.slot_mut(slot) else {
+            let Slot::Idle(shard) = &mut world.routing.slots[slot] else {
                 return Err(fail("shard busy during rebuild".into()));
             };
             shard
@@ -353,7 +350,8 @@ pub(crate) fn rebuild(
                     &members,
                 )
                 .map_err(&fail)?;
-            world.names[name_stripe(&instance.name)]
+            world
+                .routing
                 .instance_home
                 .insert(instance.name.clone(), slot);
         }

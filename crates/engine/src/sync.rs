@@ -3,18 +3,16 @@
 //!
 //! In a normal build this module re-exports `std::sync` unchanged. Under
 //! `RUSTFLAGS="--cfg hsched_model"` it swaps in the instrumented shims
-//! from `hsched-check`, so the whole front door (stripes, slot table,
-//! core, gate, the three counters) runs inside the model checker's
-//! deterministic scheduler with lock-order and happens-before
-//! validation. Engine code must construct primitives through the classed
-//! helpers below — they carry the documented lock order (name stripes →
-//! platform stripes → slot table → slot cells → core → gate) into the
-//! checker; the std build ignores the class arguments entirely.
+//! from `hsched-check`, so the whole front door (routing, core, gate and
+//! their condvars) runs inside the model checker's deterministic
+//! scheduler with lock-order and deadlock validation. Engine code must
+//! construct primitives through the classed helpers below — they carry
+//! the documented lock order (routing → core → gate) into the checker;
+//! the std build ignores the class arguments entirely.
 //!
 //! `scripts/lint_concurrency.sh` enforces that no other engine source
 //! file names `std::sync` directly.
 
-pub(crate) use std::sync::atomic::Ordering;
 pub(crate) use std::sync::Arc;
 
 /// The engine's single fault-injection tap (the `hsched-faults` shim
@@ -37,36 +35,19 @@ pub(crate) fn fault(site: hsched_faults::Site) -> bool {
 
 #[cfg(not(hsched_model))]
 mod imp {
-    pub(crate) use std::sync::atomic::{AtomicBool, AtomicU64};
-    pub(crate) use std::sync::{Condvar, Mutex, MutexGuard, RwLock, RwLockWriteGuard};
+    pub(crate) use std::sync::{Condvar, Mutex, MutexGuard};
 
-    /// Lock over one name-routing stripe (rank 1.`index`).
-    pub(crate) fn name_stripe_lock<T>(_index: usize, value: T) -> Mutex<T> {
+    /// The routing state: home maps, claim sets, slot table (rank 1).
+    pub(crate) fn routing_lock<T>(value: T) -> Mutex<T> {
         Mutex::new(value)
     }
 
-    /// Lock over one platform-routing stripe (rank 2.`index`).
-    pub(crate) fn plat_stripe_lock<T>(_index: usize, value: T) -> Mutex<T> {
-        Mutex::new(value)
-    }
-
-    /// The slot-table `RwLock` (rank 3).
-    pub(crate) fn slot_table_lock<T>(value: T) -> RwLock<T> {
-        RwLock::new(value)
-    }
-
-    /// One transient slot cell (rank 4.`index`; at most one held at a
-    /// time unless the table's write lock is held).
-    pub(crate) fn slot_cell_lock<T>(_index: usize, value: T) -> Mutex<T> {
-        Mutex::new(value)
-    }
-
-    /// The service core (rank 5).
+    /// The service core (rank 2).
     pub(crate) fn core_lock<T>(value: T) -> Mutex<T> {
         Mutex::new(value)
     }
 
-    /// The settle gate (rank 6, the bottom of the order).
+    /// The settle gate (rank 3, the bottom of the order).
     pub(crate) fn gate_lock<T>(value: T) -> Mutex<T> {
         Mutex::new(value)
     }
@@ -77,16 +58,6 @@ mod imp {
         Mutex::new(value)
     }
 
-    /// A named `AtomicU64` (the name feeds race reports in model mode).
-    pub(crate) fn counter_cell(_name: &'static str, value: u64) -> AtomicU64 {
-        AtomicU64::new(value)
-    }
-
-    /// A named `AtomicBool`.
-    pub(crate) fn flag_cell(_name: &'static str, value: bool) -> AtomicBool {
-        AtomicBool::new(value)
-    }
-
     /// A named condvar.
     pub(crate) fn condvar(_name: &'static str) -> Condvar {
         Condvar::new()
@@ -95,53 +66,23 @@ mod imp {
 
 #[cfg(hsched_model)]
 mod imp {
-    pub(crate) use hsched_check::sync::{
-        AtomicBool, AtomicU64, Condvar, Mutex, MutexGuard, RwLock, RwLockWriteGuard,
-    };
+    pub(crate) use hsched_check::sync::{Condvar, Mutex, MutexGuard};
     use hsched_check::LockClass;
 
-    pub(crate) fn name_stripe_lock<T>(index: usize, value: T) -> Mutex<T> {
-        Mutex::with_class(LockClass::ranked("name stripe", 1, index as u32), value)
-    }
-
-    pub(crate) fn plat_stripe_lock<T>(index: usize, value: T) -> Mutex<T> {
-        Mutex::with_class(LockClass::ranked("platform stripe", 2, index as u32), value)
-    }
-
-    pub(crate) fn slot_table_lock<T>(value: T) -> RwLock<T> {
-        RwLock::with_class(LockClass::ranked("slot table", 3, 0), value)
-    }
-
-    pub(crate) fn slot_cell_lock<T>(index: usize, value: T) -> Mutex<T> {
-        // Transient cells: the fast path holds at most one at a time;
-        // the exclusive path may hold several, but only under the slot
-        // table's write lock (rank 3), which makes the vector private.
-        Mutex::with_class(
-            LockClass::ranked("slot cell", 4, index as u32)
-                .singular()
-                .exempt_under_write(3),
-            value,
-        )
+    pub(crate) fn routing_lock<T>(value: T) -> Mutex<T> {
+        Mutex::with_class(LockClass::ranked("routing", 1, 0), value)
     }
 
     pub(crate) fn core_lock<T>(value: T) -> Mutex<T> {
-        Mutex::with_class(LockClass::ranked("core", 5, 0), value)
+        Mutex::with_class(LockClass::ranked("core", 2, 0), value)
     }
 
     pub(crate) fn gate_lock<T>(value: T) -> Mutex<T> {
-        Mutex::with_class(LockClass::ranked("gate", 6, 0), value)
+        Mutex::with_class(LockClass::ranked("gate", 3, 0), value)
     }
 
     pub(crate) fn scratch_lock<T>(value: T) -> Mutex<T> {
         Mutex::with_class(LockClass::unranked("scratch"), value)
-    }
-
-    pub(crate) fn counter_cell(name: &'static str, value: u64) -> AtomicU64 {
-        AtomicU64::named(name, value)
-    }
-
-    pub(crate) fn flag_cell(name: &'static str, value: bool) -> AtomicBool {
-        AtomicBool::named(name, value)
     }
 
     pub(crate) fn condvar(name: &'static str) -> Condvar {

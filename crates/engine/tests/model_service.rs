@@ -4,11 +4,10 @@
 //! engine's sync facade (`crates/engine/src/sync.rs`) swaps `std::sync`
 //! for the instrumented shims in `hsched-check`: every test below runs
 //! its scenario under exhaustive bounded exploration, with lock-order
-//! validation against the documented stripe → slot → core → gate
-//! partial order, vector-clock race detection over the `issued` /
-//! `platforms_version` / `poison_present` atomics, and deadlock
-//! detection that turns a missed wakeup into a named report instead of
-//! a hung test.
+//! validation against the documented routing → core → gate order, the
+//! condvar-hold check (a wait holds nothing but the mutex it sleeps on),
+//! and deadlock detection that turns a missed wakeup into a named report
+//! instead of a hung test.
 //!
 //! Each scenario asserts that exploration visited at least 1,000
 //! distinct interleavings (or exhausted the space) with zero reports,
@@ -100,13 +99,13 @@ fn assert_clean(name: &str, stats: &Stats) {
 /// missed wakeup (the PR-6 hazard this suite exists for) deadlocks the
 /// interleaving and is reported with the parked thread named.
 #[test]
-fn contended_fast_attempts_never_miss_a_gate_wakeup() {
+fn contended_attempts_never_miss_a_gate_wakeup() {
     let stats = explore(&model_config(), || {
         let service = service(tiny_set(false)).with_max_inflight(1);
         thread::scope(|s| {
             let h = s.spawn(|| service.submit(&arrival("c", 0)).map(|r| r.epoch));
-            let mine = service.submit(&arrival("d", 1)).expect("fast epoch");
-            let theirs = h.join().expect("no panic").expect("fast epoch");
+            let mine = service.submit(&arrival("d", 1)).expect("epoch");
+            let theirs = h.join().expect("no panic").expect("epoch");
             // Tickets are dense and distinct regardless of interleaving.
             assert_ne!(mine.epoch, theirs);
         });
@@ -117,11 +116,11 @@ fn contended_fast_attempts_never_miss_a_gate_wakeup() {
 }
 
 /// Busy-checkout conflict: both epochs route to the same island, so one
-/// finds the shard checked out, rolls its reservation back, and retries
-/// against the next gate generation. Every interleaving must settle
-/// both epochs exactly once.
+/// finds the shard checked out (a blocked route), parks on the conflict
+/// condvar, and routes again after the settle. Every interleaving must
+/// settle both epochs exactly once.
 #[test]
-fn busy_checkout_conflict_rolls_back_and_retries() {
+fn busy_checkout_conflict_parks_and_retries() {
     let stats = explore(&model_config(), || {
         let service = service(tiny_set(false));
         thread::scope(|s| {
@@ -135,24 +134,47 @@ fn busy_checkout_conflict_rolls_back_and_retries() {
     assert_clean("busy_checkout", &stats);
 }
 
-/// Exclusive-path drain racing an in-flight fast epoch: the arrival on
-/// the vacant platform changes shard topology, so it must register as a
-/// writer, gate new fast reservations off, and drain the pipeline
-/// before locking the world — while the fast epoch settles under it.
+/// Drain racing an in-flight epoch: the arrival on the vacant platform
+/// changes shard topology, so it must register as a writer, gate new
+/// reservations off, and wait for the pipeline to drain before it
+/// tickets — while the other epoch settles under it.
 #[test]
-fn exclusive_drain_coexists_with_in_flight_fast_epochs() {
+fn exclusive_drain_coexists_with_in_flight_epochs() {
     let stats = explore(&model_config(), || {
         let service = service(tiny_set(true));
         thread::scope(|s| {
-            // Fresh shard on p2: fast fallback -> exclusive drain.
+            // Fresh shard on p2: a topology change, so it drains.
             let h = s.spawn(|| service.submit(&arrival("c", 2)).map(|r| r.epoch));
-            service.submit(&arrival("d", 0)).expect("fast epoch");
-            h.join().expect("no panic").expect("exclusive epoch");
+            service.submit(&arrival("d", 0)).expect("plain epoch");
+            h.join().expect("no panic").expect("draining epoch");
         });
         assert_eq!(service.epoch(), 2);
         assert_eq!(service.shard_count(), 3);
     });
     assert_clean("exclusive_drain", &stats);
+}
+
+/// The set-up of ROADMAP 1(ii): two clients on the *same* island plus a
+/// topology-changing arrival on the vacant platform in flight — a blocked
+/// route, a writer registration (which turns the blocked client's retry
+/// into a fairness wait) and a drain in one exploration, which none of
+/// the scenarios above combines.
+#[test]
+fn same_island_conflict_races_a_topology_drain() {
+    let stats = explore(&model_config(), || {
+        let service = service(tiny_set(true));
+        thread::scope(|s| {
+            let c = s.spawn(|| service.submit(&arrival("c", 0)).map(|r| r.epoch));
+            let e = s.spawn(|| service.submit(&arrival("e", 2)).map(|r| r.epoch));
+            service.submit(&arrival("d", 0)).expect("same-island epoch");
+            c.join().expect("no panic").expect("same-island epoch");
+            e.join().expect("no panic").expect("draining epoch");
+        });
+        assert_eq!(service.epoch(), 3);
+        assert_eq!(service.shard_count(), 3);
+        assert_eq!(service.live_transactions(), 5);
+    });
+    assert_clean("conflict_and_drain", &stats);
 }
 
 /// Group-commit poison propagation: with the first `sync_data` armed to

@@ -1,4 +1,4 @@
-//! The concurrent service's three contracts, property-tested:
+//! The concurrent service's four contracts, property-tested:
 //!
 //! (a) **linearizability** — N client threads fire generated churn at one
 //!     `SchedService` concurrently; the write-ahead journal's epoch order
@@ -17,7 +17,12 @@
 //! (c) **numeric parity** — the service-wide utilization poison map
 //!     reproduces the single controller's global checked utilization scan
 //!     on overflow-boundary scenarios (covered by a deterministic test
-//!     below since generated scenarios keep magnitudes sane).
+//!     below since generated scenarios keep magnitudes sane);
+//!
+//! (d) **racing clients** — the same linearizability contract with every
+//!     client on the *same* islands and the full churn mix (retunes and
+//!     topology changes included), behind a watchdog that turns a parked
+//!     front door into a failure naming the seed.
 
 use hsched_admission::gen::{random_scenario, ChurnGen, ScenarioSpec};
 use hsched_admission::{
@@ -30,7 +35,10 @@ use hsched_platform::{Platform, PlatformId, PlatformSet};
 use hsched_transaction::{Task, Transaction, TransactionSet};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
+use std::sync::mpsc::{self, RecvTimeoutError};
+use std::sync::Arc;
+use std::time::Duration;
 
 fn spec_for(seed: u64, clusters: usize) -> ScenarioSpec {
     ScenarioSpec {
@@ -615,11 +623,11 @@ fn cross_island_overflow_parity_matches_single_controller() {
 
 /// One *overlapping* concurrent session: every thread churns over the
 /// same shared name pool and the same clusters, so concurrent batches
-/// collide on name stripes, platform stripes, and shard slots constantly.
-/// Structural rejections (duplicate adds, removes of departed names) are
-/// expected — each is a valid journal record. The contract under fire is
-/// the striped fast path's conflict handling: the journal must still be a
-/// consecutive-ticket serialization whose serial replay is byte-identical.
+/// collide on names, platforms, and shard slots constantly. Structural
+/// rejections (duplicate adds, removes of departed names) are expected —
+/// each is a valid journal record. The contract under fire is reserve's
+/// conflict handling: the journal must still be a consecutive-ticket
+/// serialization whose serial replay is byte-identical.
 fn contention_session(seed: u64, threads: usize, batches: usize) {
     let spec = spec_for(seed, 2);
     let set = random_scenario(&spec);
@@ -690,12 +698,37 @@ fn contention_session(seed: u64, threads: usize, batches: usize) {
         }
     });
 
-    let digest = service.state_digest();
-    assert_eq!(service.epoch(), (threads * batches) as u64);
+    assert_journal_linearizes(
+        seed,
+        &service,
+        set,
+        config,
+        policy,
+        &path,
+        threads * batches,
+    );
+}
 
-    // Consecutive tickets: the WAL is a serialization of the contended run.
-    let contents = read_journal(&path).unwrap();
-    assert_eq!(contents.epochs.len(), threads * batches);
+/// The verdict both contended sessions end on: the engine settled `epochs`
+/// epochs, its journal is a consecutive-ticket serialization of the
+/// concurrent run, serial single-controller application reproduces every
+/// journaled verdict, and a serial replay is byte-identical to the live
+/// engine. Removes the journal on success.
+fn assert_journal_linearizes(
+    seed: u64,
+    service: &SchedService,
+    set: TransactionSet,
+    config: AnalysisConfig,
+    policy: AdmissionPolicy,
+    path: &Path,
+    epochs: usize,
+) {
+    let digest = service.state_digest();
+    assert_eq!(service.epoch(), epochs as u64, "seed {seed}");
+
+    // Consecutive tickets: the WAL is a serialization of the concurrent run.
+    let contents = read_journal(path).unwrap();
+    assert_eq!(contents.epochs.len(), epochs, "seed {seed}");
     for (i, record) in contents.epochs.iter().enumerate() {
         assert_eq!(record.epoch, i as u64 + 1, "seed {seed}: ticket order");
     }
@@ -715,29 +748,29 @@ fn contention_session(seed: u64, threads: usize, batches: usize) {
     }
 
     // Serial replay is byte-identical.
-    let (replayed, stats) = SchedService::replay(set, config, policy, &path)
+    let (replayed, stats) = SchedService::replay(set, config, policy, path)
         .unwrap_or_else(|e| panic!("seed {seed}: replay failed: {e}"));
-    assert_eq!(stats.tail_records, threads * batches);
+    assert_eq!(stats.tail_records, epochs, "seed {seed}");
     assert_eq!(
         replayed.state_digest(),
         digest,
-        "seed {seed}: contended replay digest"
+        "seed {seed}: replay digest"
     );
-    let _ = std::fs::remove_file(&path);
+    let _ = std::fs::remove_file(path);
 }
 
-/// Contention-case count, env-tunable so CI can dial the stress level
-/// (e.g. a nightly with `HSCHED_PROPTEST_CASES=200`) without editing
-/// the test. Defaults to the tier-1 budget of 10.
-fn contention_cases() -> u32 {
+/// Case count of the two contended suites, env-tunable so CI can dial the
+/// stress level (e.g. a nightly with `HSCHED_PROPTEST_CASES=200`) without
+/// editing the tests. Defaults to each suite's tier-1 budget.
+fn stress_cases(tier1: u32) -> u32 {
     std::env::var("HSCHED_PROPTEST_CASES")
         .ok()
         .and_then(|v| v.parse().ok())
-        .unwrap_or(10)
+        .unwrap_or(tier1)
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(contention_cases()))]
+    #![proptest_config(ProptestConfig::with_cases(stress_cases(10)))]
 
     /// 4 threads × 6 epochs over one shared name pool, random seeds.
     #[test]
@@ -750,6 +783,110 @@ proptest! {
 #[test]
 fn overlapping_epochs_linearize_seed_zero() {
     contention_session(7, 6, 5);
+}
+
+/// One *racing* session: every thread submits the full [`ChurnGen`] mix —
+/// arrivals, departures, retunes, batches of up to three — over the **same**
+/// system, so epochs collide on islands while retunes move the master
+/// platform table and arrivals on vacated platforms mint, merge and split
+/// shards under them.
+///
+/// Every earlier generator stayed clear of exactly this: [`ClientGen`] keeps
+/// each client on its own clusters, and [`contention_session`] shares names
+/// and platforms but only adds and removes over four platforms — no retune,
+/// no topology change beside traffic. That is how the stale-platform-stamp
+/// and half-applied-merge defects (ROADMAP 1(ii)/(iii)) survived every gate
+/// until a benchmark raced two connections.
+///
+/// The streams are generated up front against the seed set, so a remove may
+/// name a transaction a sibling already removed and two threads may mint the
+/// same `churnK` name: both are valid structural rejections, journaled like
+/// any other epoch. A watchdog on the progress channel turns a parked front
+/// door into a failure instead of a hung test; the client threads are
+/// detached for that reason (a scoped join would wait on the deadlock).
+fn racing_churn_session(seed: u64, threads: usize, batches: usize) {
+    let spec = ScenarioSpec {
+        clusters: 8,
+        platforms_per_cluster: 2,
+        transactions: 32,
+        max_tasks_per_tx: 2,
+        load: rat(1, 2),
+        priority_levels: 5,
+        seed,
+        ..ScenarioSpec::default()
+    };
+    let set = random_scenario(&spec);
+    let config = AnalysisConfig::default();
+    let policy = AdmissionPolicy::default();
+    let path = temp_journal("racing", seed);
+
+    let service = Arc::new(
+        SchedService::new(set.clone(), config.clone(), policy.clone())
+            .unwrap_or_else(|e| panic!("seed {seed}: service seed failed: {e}"))
+            .with_journal(&path)
+            .unwrap(),
+    );
+
+    let (progress, watchdog) = mpsc::channel::<Result<(), String>>();
+    let clients: Vec<_> = (0..threads)
+        .map(|thread| {
+            let mut churn = ChurnGen::new(&spec, seed.wrapping_mul(31).wrapping_add(thread as u64));
+            let stream: Vec<Vec<AdmissionRequest>> =
+                (0..batches).map(|_| churn.next_batch(&set, 3)).collect();
+            let service = Arc::clone(&service);
+            let progress = progress.clone();
+            std::thread::spawn(move || {
+                for (step, batch) in stream.into_iter().enumerate() {
+                    // Rejections are fine; engine errors are not.
+                    let outcome = service
+                        .submit(&EngineRequest::batch(batch))
+                        .map(|_| ())
+                        .map_err(|e| format!("thread {thread} step {step}: {e}"));
+                    let failed = outcome.is_err();
+                    if progress.send(outcome).is_err() || failed {
+                        return;
+                    }
+                }
+            })
+        })
+        .collect();
+    drop(progress);
+    let mut settled = 0usize;
+    loop {
+        match watchdog.recv_timeout(Duration::from_secs(60)) {
+            Ok(Ok(())) => settled += 1,
+            Ok(Err(message)) => panic!("seed {seed}: after {settled} epochs: {message}"),
+            Err(RecvTimeoutError::Timeout) => panic!(
+                "seed {seed}: no progress in 60 s after {settled} of {} epochs \
+                 (clients parked at the front door)",
+                threads * batches
+            ),
+            Err(RecvTimeoutError::Disconnected) => break,
+        }
+    }
+    for client in clients {
+        client.join().expect("client thread panicked");
+    }
+
+    assert_journal_linearizes(
+        seed,
+        &service,
+        set,
+        config,
+        policy,
+        &path,
+        threads * batches,
+    );
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(stress_cases(4)))]
+
+    /// 2 threads × 150 batches of the full churn mix over one system.
+    #[test]
+    fn racing_clients_linearize(seed in 0u64..10_000) {
+        racing_churn_session(seed, 2, 150);
+    }
 }
 
 /// `submit_async` + `sync(w)`: epochs settle without touching the disk

@@ -1,6 +1,6 @@
 //! Always-on telemetry primitives for the hsched stack.
 //!
-//! Every layer of the service — engine phase timers, stripe contention
+//! Every layer of the service — engine phase timers, front-door contention
 //! counters, journal accounting, RTA cache hit rates — records into these
 //! types on its hot paths, so the design goals are fixed by that use:
 //!
