@@ -566,8 +566,8 @@ impl AdmissionController {
     /// Partitions this controller into one controller per interference
     /// island group, carrying the cached analysis over — no re-analysis
     /// happens (the cache is island-local, so each part's state equals what
-    /// a fresh seed of just that island would compute). Every part keeps the
-    /// full platform set, so task `PlatformId`s stay valid.
+    /// a fresh seed of just that island would compute). Every part shares
+    /// this controller's platform table, so task `PlatformId`s stay valid.
     ///
     /// Returns `vec![self]` unchanged when there is a single island, no
     /// transaction at all, or the system carries RPC bindings (bound
@@ -589,7 +589,6 @@ impl AdmissionController {
         if groups.len() == 1 {
             return vec![self];
         }
-        let platforms = self.set.platforms().clone();
         groups
             .into_iter()
             .enumerate()
@@ -611,7 +610,7 @@ impl AdmissionController {
                     }
                 }
                 AdmissionController {
-                    set: TransactionSet::new(platforms.clone(), transactions)
+                    set: TransactionSet::new(self.set.platforms().clone(), transactions)
                         .expect("island members reference live platforms"),
                     system,
                     config: self.config.clone(),
@@ -671,14 +670,23 @@ impl AdmissionController {
         Ok(())
     }
 
-    /// Overwrites a platform's definition *without* re-analysis — the
-    /// propagation half of a routed retune: the shard owning the platform's
-    /// island commits the retune (and re-analyzes); every other shard only
-    /// needs its platform-set copy kept in sync, which is exact because no
-    /// transaction of those shards executes on the platform (it belongs to
-    /// the owning shard's island by definition).
-    pub fn sync_platform(&mut self, id: PlatformId, platform: Platform) -> Result<(), String> {
-        self.set.replace_platform(id, platform)
+    /// Adopts `platforms` as this controller's table *without* re-analysis,
+    /// in O(1) — how a shard router hands every shard the one shared table
+    /// after a retune settled elsewhere. Exact because the cached analysis
+    /// depends only on the platforms this controller's tasks run on, which
+    /// both tables must define identically (a retuned platform belongs to
+    /// the island, hence the shard, that committed the retune).
+    pub fn adopt_platforms(&mut self, platforms: PlatformSet) -> Result<(), String> {
+        debug_assert!(
+            self.set.platforms().same_table(&platforms)
+                || self
+                    .set
+                    .task_refs()
+                    .map(|r| self.set.task(r).platform)
+                    .all(|p| self.set.platforms().get(p) == platforms.get(p)),
+            "adopted table redefines a platform this controller's tasks run on"
+        );
+        self.set.replace_platforms(platforms)
     }
 
     /// Names of the live transactions flattened from the named component
@@ -921,8 +929,8 @@ impl AdmissionController {
     }
 
     /// Builds one analysis sub-problem: the cone members (active) plus
-    /// their clean platform-sharing context (frozen), all over the full
-    /// platform set.
+    /// their clean platform-sharing context (frozen), sharing this
+    /// controller's platform table.
     ///
     /// Frozen members are pinned at their cached fixpoint — exact because
     /// nothing that reaches them changed (cone closure). Active members

@@ -15,6 +15,8 @@ use hsched_admission::gen::{random_scenario, ChurnGen, ScenarioSpec};
 use hsched_admission::{AdmissionController, AdmissionPolicy, RejectReason, UnionFind, Verdict};
 use hsched_analysis::{analyze_with, AnalysisConfig, DirtySeed, HpGraph};
 use hsched_numeric::rat;
+use hsched_platform::{Platform, PlatformId, PlatformSet};
+use hsched_transaction::TransactionSet;
 use proptest::prelude::*;
 use std::collections::{HashMap, HashSet};
 
@@ -177,6 +179,66 @@ proptest! {
             island_threads: 1,
             ..AdmissionPolicy::default()
         });
+    }
+}
+
+/// `adopt_platforms` is exact: a controller over one island, handed a table
+/// in which a platform of *another* island was retuned and then committed
+/// to, equals a controller seeded from scratch on that table — the shard
+/// router's situation after a sibling shard's retune settled.
+fn adopt_session(seed: u64) {
+    let spec = ScenarioSpec {
+        clusters: 3,
+        platforms_per_cluster: 2,
+        transactions: 9,
+        seed,
+        ..ScenarioSpec::default()
+    };
+    let full = random_scenario(&spec);
+    let island: Vec<_> = full
+        .transactions()
+        .iter()
+        .filter(|tx| tx.tasks().iter().all(|t| t.platform.0 < 2))
+        .cloned()
+        .collect();
+    let seeded = |table: PlatformSet| {
+        let set = TransactionSet::new(table, island.clone()).unwrap();
+        AdmissionController::new(set, AnalysisConfig::default(), AdmissionPolicy::default())
+            .unwrap_or_else(|e| panic!("seed {seed}: controller construction failed: {e}"))
+    };
+    let foreign = PlatformId(full.platforms().len() - 1);
+    let mut adopted = full.platforms().clone();
+    adopted.replace(
+        foreign,
+        Platform::dedicated(full.platforms()[foreign].name()),
+    );
+
+    let mut shard = seeded(full.platforms().clone());
+    shard.adopt_platforms(adopted.clone()).unwrap();
+    let mut fresh = seeded(adopted);
+    let mut churn = ChurnGen::new(&spec, seed.wrapping_mul(0x9e3779b9).wrapping_add(7));
+    for step in 0..3 {
+        let batch = churn.next_batch(shard.current_set(), 2);
+        assert_eq!(
+            shard.commit(&batch).verdict,
+            fresh.commit(&batch).verdict,
+            "seed {seed} step {step}"
+        );
+        assert_eq!(
+            shard.current_set(),
+            fresh.current_set(),
+            "seed {seed} step {step}"
+        );
+        assert_eq!(shard.report(), fresh.report(), "seed {seed} step {step}");
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(30))]
+
+    #[test]
+    fn adopt_then_commit_matches_fresh_seed(seed in 50_000u64..60_000) {
+        adopt_session(seed);
     }
 }
 

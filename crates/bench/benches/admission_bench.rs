@@ -7,11 +7,13 @@
 //! single-transaction churn because only the touched interference island
 //! (~1/10th of the system here) is re-solved.
 
-use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use hsched_admission::gen::random_scenario;
+use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
+use hsched_admission::gen::{random_scenario, PlatformMix, ScenarioSpec};
 use hsched_admission::{AdmissionController, AdmissionPolicy, AdmissionRequest};
 use hsched_analysis::{analyze_with, AnalysisConfig};
 use hsched_bench::admission_churn::{churn_once, churn_spec};
+use hsched_platform::{Platform, PlatformSet};
+use hsched_transaction::{Transaction, TransactionSet};
 
 fn bench_single_tx_churn(c: &mut Criterion) {
     let set = random_scenario(&churn_spec());
@@ -140,10 +142,72 @@ fn bench_generator(c: &mut Criterion) {
     });
 }
 
+/// What a commit costs as the *system* grows while its cone does not: the
+/// engine's shard situation — one island's transactions over the whole
+/// system's platform table, in the wire benchmark's shape (light linear
+/// islands of 8). The island, and so the fixpoint work, is the same at
+/// every size; only the table length differs, so any slope is set-up that
+/// scales with the system (`docs/PERFORMANCE.md` attributes it).
+fn bench_platform_scaling(c: &mut Criterion) {
+    let base = random_scenario(&ScenarioSpec {
+        clusters: 48,
+        platforms_per_cluster: 2,
+        transactions: 8 * 48,
+        max_tasks_per_tx: 2,
+        load: hsched_numeric::rat(2, 5),
+        mix: PlatformMix::Linear,
+        seed: 1,
+        ..ScenarioSpec::default()
+    });
+    let policy = AdmissionPolicy {
+        island_threads: 1,
+        ..AdmissionPolicy::default()
+    };
+    let controller_over = |table: PlatformSet, island: &[Transaction]| {
+        let set = TransactionSet::new(table, island.to_vec()).expect("island uses platforms 0-1");
+        AdmissionController::new(set, AnalysisConfig::default(), policy.clone())
+            .expect("seed analysis")
+    };
+    let mut island: Vec<Transaction> = base
+        .transactions()
+        .iter()
+        .filter(|tx| tx.tasks().iter().all(|t| t.platform.0 < 2))
+        .cloned()
+        .collect();
+    // Admission needs every live transaction schedulable: drop the misses.
+    let misses = controller_over(base.platforms().clone(), &island).misses();
+    island.retain(|tx| !misses.contains(&tx.name));
+    let victim = island.last().expect("cluster 0 is populated").clone();
+    // One epoch that returns to its start state: iterations are independent.
+    let churn = [
+        AdmissionRequest::RemoveTransaction {
+            name: victim.name.clone(),
+        },
+        AdmissionRequest::AddTransaction(victim),
+    ];
+
+    let mut group = c.benchmark_group("admission/platform_scaling");
+    group.sample_size(20);
+    for platforms in [96usize, 768, 3072] {
+        let mut table = base.platforms().clone();
+        while table.len() < platforms {
+            table.add(Platform::dedicated(format!("idle{}", table.len())));
+        }
+        let mut controller = controller_over(table, &island);
+        group.bench_with_input(
+            BenchmarkId::from_parameter(platforms),
+            &churn,
+            |b, churn| b.iter(|| assert!(controller.commit(black_box(churn)).verdict.admitted())),
+        );
+    }
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_single_tx_churn,
     bench_batching,
-    bench_generator
+    bench_generator,
+    bench_platform_scaling
 );
 criterion_main!(benches);

@@ -105,8 +105,7 @@ pub struct EpochTimings {
     pub reserve_ns: u64,
     /// Routing the batch to its shard slots.
     pub route_ns: u64,
-    /// Checking the routed shards out of their slots (platform re-sync
-    /// included).
+    /// Checking the routed shards out of their slots.
     pub checkout_ns: u64,
     /// The lock-free analysis phase (shard sub-batch commits).
     pub analyze_ns: u64,

@@ -47,8 +47,7 @@ pub struct EngineMetrics {
     pub reserve_ns: Histogram,
     /// Routing time per epoch (batch → shard decision, winning attempt).
     pub route_ns: Histogram,
-    /// Shard checkout time per epoch (merges, fresh shards, platform
-    /// re-sync).
+    /// Shard checkout time per epoch (merges, fresh shards).
     pub checkout_ns: Histogram,
     /// Analysis time per epoch (the lock-free phase 2).
     pub analyze_ns: Histogram,

@@ -500,9 +500,8 @@ impl World<'_> {
     ///
     /// A failed reserve must not change the world: every fallible step
     /// runs first, while each shard still sits idle in its slot, and an
-    /// `Err` leaves slots, home maps and digest exactly as they were (the
-    /// in-place platform sync only ever moves a shard's copy toward the
-    /// master). The second half cannot fail.
+    /// `Err` leaves slots, home maps and digest exactly as they were. The
+    /// second half cannot fail.
     pub(crate) fn checkout(
         &mut self,
         drafts: Vec<GroupDraft>,
@@ -510,21 +509,17 @@ impl World<'_> {
         let mut fresh = Vec::new();
         for draft in &drafts {
             for &slot in &draft.member_slots {
-                let Slot::Idle(shard) = &mut self.routing.slots[slot] else {
+                let Slot::Idle(shard) = &self.routing.slots[slot] else {
                     return Err(EngineError::Internal(
                         "checkout of a non-idle slot".to_string(),
                     ));
                 };
-                self.core.sync_shard_platforms(shard)?;
-                // Everywhere else the stamp is trusted; a merge cannot be
-                // undone, so it re-verifies what the stamp promises.
-                if draft.member_slots.len() > 1
-                    && shard.core.current_set().platforms() != &self.core.platforms
-                {
+                // The at-rest invariant (`World::put_idle`), checked before
+                // the point of no return: shards on different tables would
+                // fail their merge below.
+                if !shard.holds(&self.core.platforms) {
                     return Err(EngineError::Internal(format!(
-                        "shard in slot {slot} is stamped current (version {}) \
-                         but its platform copy differs from the master",
-                        shard.platforms_version
+                        "idle shard in slot {slot} does not hold the master platform table"
                     )));
                 }
             }
@@ -554,7 +549,7 @@ impl World<'_> {
                         merged
                             .core
                             .merge_from(eaten.core)
-                            .expect("shards of one service merge (platform copies verified above)");
+                            .expect("shards of one service merge (both hold the master table)");
                         self.reassign_home(loser, target);
                         self.core.unsched.remove(&loser);
                     }
@@ -567,7 +562,6 @@ impl World<'_> {
                     let shard = Shard {
                         core: fresh.next().expect("one fresh controller per free group"),
                         schedulable: true,
-                        platforms_version: self.core.platforms_version,
                     };
                     let slot = self.vacant_slot();
                     self.routing.slots[slot] = Slot::Busy;

@@ -124,22 +124,27 @@ use std::path::Path;
 use std::time::Instant;
 
 /// One island-group shard: a full admission controller over the shard's
-/// transactions (with the complete platform set, so `PlatformId`s stay
-/// global) plus its cached schedulability flag.
+/// transactions plus its cached schedulability flag. `PlatformId`s are
+/// global: the controller holds a handle on the service's one platform
+/// table (see [`World::put_idle`]).
 #[derive(Debug)]
 pub(crate) struct Shard {
     pub(crate) core: AdmissionController,
     pub(crate) schedulable: bool,
-    /// The master-platform version this shard's platform-set copy
-    /// reflects (see [`Core::platforms_version`]). Invariant: a stamp equal
-    /// to the master version means the copy equals the master table —
-    /// checkout trusts it and re-syncs only a stale shard, so retune-free
-    /// epochs pay nothing. A retune settle may therefore advance the stamp
-    /// only of a shard that was current (`version - 1`) and got this
-    /// epoch's values; a shard that was checked out during an *earlier*
-    /// retune keeps its old stamp until the full diff at its next
-    /// checkout.
-    pub(crate) platforms_version: u64,
+}
+
+impl Shard {
+    /// Points the shard's controller at `master`, in O(1).
+    fn adopt(&mut self, master: &PlatformSet) {
+        self.core
+            .adopt_platforms(master.clone())
+            .expect("the master platform table never shrinks");
+    }
+
+    /// Whether the shard's controller holds `master` itself, not a copy.
+    pub(crate) fn holds(&self, master: &PlatformSet) -> bool {
+        self.core.current_set().platforms().same_table(master)
+    }
 }
 
 /// One shard slot of the service. `Busy` means an in-flight epoch has the
@@ -195,8 +200,8 @@ pub(crate) struct Core {
     /// emptied, slot vacated) — kept so [`SchedService::stats`] stays
     /// cumulative like the single controller's.
     pub(crate) retired_stats: ControllerStats,
-    /// Master platform copy (kept in sync with admitted retunes); shard
-    /// copies are re-synced lazily at checkout.
+    /// The platform table: replaced (copy-on-write) when an admitted
+    /// retune settles; every idle shard holds a handle on this very table.
     pub(crate) platforms: PlatformSet,
     pub(crate) config: AnalysisConfig,
     pub(crate) policy: AdmissionPolicy,
@@ -218,9 +223,6 @@ pub(crate) struct Core {
     /// Sticky journal-sync failure: once a group-commit fsync fails, no
     /// later epoch may report durability (see [`SchedService::sync`]).
     sync_error: Option<String>,
-    /// Monotone version of the master platform set (bumped per admitted
-    /// retune epoch); shards carry the version they last synced against.
-    pub(crate) platforms_version: u64,
     /// Snapshot auto-compaction thresholds (off by default).
     auto_compact: AutoCompactPolicy,
     /// Epoch the journal was last compacted at (0 = never).
@@ -470,7 +472,6 @@ impl SchedService {
             durable_bytes: 0,
             syncing: false,
             sync_error: None,
-            platforms_version: 0,
             auto_compact: AutoCompactPolicy::default(),
             last_compact_epoch: 0,
             compacting: false,
@@ -504,17 +505,16 @@ impl SchedService {
                 world.core.mint_id(&name);
             }
             for part in seed.split_islands() {
-                let slot = world.routing.slots.len();
+                let slot = world.vacant_slot();
                 world.index_shard(slot, &part);
                 let shard = Shard {
                     schedulable: part.schedulable(),
                     core: part,
-                    platforms_version: 0,
                 };
                 if !shard.schedulable {
                     world.core.unsched.insert(slot, shard.core.misses());
                 }
-                world.routing.slots.push(Slot::Idle(shard));
+                world.put_idle(slot, shard);
             }
         }
         Ok(service)
@@ -1166,6 +1166,10 @@ impl SchedService {
             touched_platforms,
             early,
         );
+        debug_assert!(
+            world.idle_shards_hold_master(),
+            "epoch {ticket} left an idle shard off the master platform table"
+        );
         if let (Some(before), Some(journal)) = (journal_before, world.core.journal.as_ref()) {
             // Bytes the settle appended for this epoch's record (the
             // journal only ever grows between here and the pre-settle
@@ -1303,6 +1307,12 @@ impl SchedService {
         let world = self.quiescent_world();
         let mut shards = world.idle_shards();
         shards.all(|s| s.schedulable)
+    }
+
+    /// Test hook: every idle shard holds the master platform table itself.
+    #[doc(hidden)]
+    pub fn idle_shards_hold_master(&self) -> bool {
+        self.quiescent_world().idle_shards_hold_master()
     }
 
     /// The stable handle of a live transaction.
@@ -1494,6 +1504,20 @@ impl World<'_> {
         self.routing.slots.iter().filter_map(Slot::as_idle)
     }
 
+    /// Puts a shard at rest in `slot` — the one place a slot becomes
+    /// `Idle`, so the one place the at-rest invariant is established: an
+    /// idle shard holds the master platform table (`docs/ARCHITECTURE.md`,
+    /// "One platform table").
+    pub(crate) fn put_idle(&mut self, slot: usize, mut shard: Shard) {
+        shard.adopt(&self.core.platforms);
+        self.routing.slots[slot] = Slot::Idle(shard);
+    }
+
+    /// The at-rest invariant of [`World::put_idle`], checked.
+    fn idle_shards_hold_master(&self) -> bool {
+        self.idle_shards().all(|s| s.holds(&self.core.platforms))
+    }
+
     /// The first vacant slot (a new one when none is). Slot choice must be
     /// deterministic in ticket order: reserve only allocates on a drained
     /// pipeline, settle runs in ticket order.
@@ -1571,16 +1595,15 @@ impl World<'_> {
                 self.core.retire_stats(&shard.core);
                 continue; // slot stays vacant
             }
-            let version = shard.platforms_version;
             for (k, part) in shard.core.split_islands().into_iter().enumerate() {
                 // The first part stays put, the rest fill vacancies.
                 let part_slot = if k == 0 { slot } else { self.vacant_slot() };
                 self.index_shard(part_slot, &part);
-                self.routing.slots[part_slot] = Slot::Idle(Shard {
+                let shard = Shard {
                     schedulable: part.schedulable(),
                     core: part,
-                    platforms_version: version,
-                });
+                };
+                self.put_idle(part_slot, shard);
             }
         }
     }
@@ -1719,7 +1742,7 @@ impl World<'_> {
                 } else {
                     self.core.unsched.insert(group.slot, shard.core.misses());
                 }
-                self.routing.slots[group.slot] = Slot::Idle(shard);
+                self.put_idle(group.slot, shard);
             }
             self.drop_empty_shards(slots.iter().copied());
             let mut response = self.finish_rejected(ticket, batch, reason, slots)?;
@@ -1729,12 +1752,23 @@ impl World<'_> {
             return Ok(response);
         }
 
-        // --- Admitted: re-partition touched shards, propagate retunes,
-        // settle the handle maps, journal, respond. Map maintenance is
-        // O(batch + touched-shard members), never O(live set).
-        let retunes = capture_retunes(batch, &groups, &shards);
+        // --- Admitted: apply retunes to the master table, re-partition
+        // touched shards, settle the handle maps, journal, respond. Map
+        // maintenance is O(batch + touched-shard members), never O(live
+        // set).
+        let mut retuned = false;
+        for (group, shard) in groups.iter().zip(&shards) {
+            for &i in &group.requests {
+                if let AdmissionRequest::Retune { platform, .. } = &batch[i] {
+                    // The post-commit value, from the shard that owns it.
+                    let value = shard.core.current_set().platforms()[*platform].clone();
+                    self.core.platforms.replace(*platform, value);
+                    retuned = true;
+                }
+            }
+        }
         for (group, shard) in groups.iter().zip(shards) {
-            self.routing.slots[group.slot] = Slot::Idle(shard);
+            self.put_idle(group.slot, shard);
         }
         // Admission required *every* shard schedulable, so the at-rest
         // unschedulable map and the touched platforms' poison entries are
@@ -1745,28 +1779,13 @@ impl World<'_> {
         }
         self.unindex_departures(batch, &removed_instance_txns);
         self.repartition(&slots);
-        if !retunes.is_empty() {
-            let previous = self.core.platforms_version;
-            self.core.platforms_version += 1;
-            for (platform, value) in &retunes {
-                self.core.platforms.replace(*platform, value.clone());
-            }
-            // Only a shard that was current takes this epoch's values and
-            // the new stamp. One that was checked out during an earlier
-            // retune epoch still lacks *that* epoch's values: it keeps its
-            // stamp and takes the full diff at its next checkout.
+        if retuned {
+            // The master is a new table: hand it to every shard at rest.
+            // A `Busy` shard takes it when its own epoch puts it back.
             for slot in self.routing.slots.iter_mut() {
-                let Slot::Idle(shard) = slot else { continue };
-                if shard.platforms_version != previous {
-                    continue;
+                if let Slot::Idle(shard) = slot {
+                    shard.adopt(&self.core.platforms);
                 }
-                for (platform, value) in &retunes {
-                    shard
-                        .core
-                        .sync_platform(*platform, value.clone())
-                        .map_err(EngineError::Internal)?;
-                }
-                shard.platforms_version = self.core.platforms_version;
             }
         }
         let admitted_ids = self.mint_arrival_ids(batch);
@@ -1844,15 +1863,18 @@ impl World<'_> {
     // Observation helpers
     // ------------------------------------------------------------------
 
+    /// Live shards, `Busy` ones included. Exact under overlap: a reserve
+    /// that merges or mints shards drains the pipeline first.
     pub(crate) fn shard_count(&self) -> usize {
         let slots = self.routing.slots.iter();
         slots.filter(|slot| !slot.is_vacant()).count()
     }
 
+    /// Live transactions as of the settled prefix. Only settle edits the
+    /// home map, so the count is exact while later tickets still hold
+    /// their shards `Busy` (a scan of the idle ones would miss those).
     pub(crate) fn live_transactions(&self) -> usize {
-        self.idle_shards()
-            .map(|s| s.core.current_set().transactions().len())
-            .sum()
+        self.routing.txn_home.len()
     }
 
     pub(crate) fn current_set(&self) -> TransactionSet {
@@ -2031,25 +2053,6 @@ impl Core {
         self.retired_stats.warm_epochs += s.warm_epochs;
     }
 
-    /// Brings a shard's platform-set copy up to date with the master
-    /// (shards checked out during a sibling's retune epoch sync lazily at
-    /// their next checkout).
-    pub(crate) fn sync_shard_platforms(&self, shard: &mut Shard) -> Result<(), EngineError> {
-        if shard.platforms_version == self.platforms_version {
-            return Ok(());
-        }
-        for (id, platform) in self.platforms.iter() {
-            if shard.core.current_set().platforms().get(id) != Some(platform) {
-                shard
-                    .core
-                    .sync_platform(id, platform.clone())
-                    .map_err(EngineError::Internal)?;
-            }
-        }
-        shard.platforms_version = self.platforms_version;
-        Ok(())
-    }
-
     /// The rank of a transaction name in the *global set order* — the
     /// order a single controller's live set would hold it in: seeded and
     /// admitted transactions in handle-mint order (appends preserve
@@ -2163,29 +2166,6 @@ impl Core {
             .map(|(_, reason)| reason.clone())
             .expect("at least one rejecting shard")
     }
-}
-
-/// Post-commit values of every platform retuned by the batch, in batch
-/// order (read from the owning checked-out shard before any repartition).
-fn capture_retunes(
-    batch: &[AdmissionRequest],
-    groups: &[Group],
-    shards: &[Shard],
-) -> Vec<(hsched_platform::PlatformId, hsched_platform::Platform)> {
-    let mut out = Vec::new();
-    for (i, request) in batch.iter().enumerate() {
-        let AdmissionRequest::Retune { platform, .. } = request else {
-            continue;
-        };
-        let shard = groups
-            .iter()
-            .position(|g| g.requests.contains(&i))
-            .map(|at| &shards[at])
-            .expect("every request belongs to a group");
-        let value = shard.core.current_set().platforms()[*platform].clone();
-        out.push((*platform, value));
-    }
-    out
 }
 
 /// Scans a transaction set's per-platform utilization with the single

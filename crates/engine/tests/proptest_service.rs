@@ -827,7 +827,9 @@ fn racing_churn_session(seed: u64, threads: usize, batches: usize) {
             .unwrap(),
     );
 
-    let (progress, watchdog) = mpsc::channel::<Result<(), String>>();
+    // Per settled epoch, what the client was told: (epoch, live
+    // transactions, live shards).
+    let (progress, watchdog) = mpsc::channel::<Result<(u64, usize, usize), String>>();
     let clients: Vec<_> = (0..threads)
         .map(|thread| {
             let mut churn = ChurnGen::new(&spec, seed.wrapping_mul(31).wrapping_add(thread as u64));
@@ -840,7 +842,7 @@ fn racing_churn_session(seed: u64, threads: usize, batches: usize) {
                     // Rejections are fine; engine errors are not.
                     let outcome = service
                         .submit(&EngineRequest::batch(batch))
-                        .map(|_| ())
+                        .map(|r| (r.epoch, r.outcome.total_transactions, r.shards_live))
                         .map_err(|e| format!("thread {thread} step {step}: {e}"));
                     let failed = outcome.is_err();
                     if progress.send(outcome).is_err() || failed {
@@ -851,14 +853,17 @@ fn racing_churn_session(seed: u64, threads: usize, batches: usize) {
         })
         .collect();
     drop(progress);
-    let mut settled = 0usize;
+    let mut told: BTreeMap<u64, (usize, usize)> = BTreeMap::new();
     loop {
         match watchdog.recv_timeout(Duration::from_secs(60)) {
-            Ok(Ok(())) => settled += 1,
-            Ok(Err(message)) => panic!("seed {seed}: after {settled} epochs: {message}"),
+            Ok(Ok((epoch, transactions, shards))) => {
+                told.insert(epoch, (transactions, shards));
+            }
+            Ok(Err(message)) => panic!("seed {seed}: after {} epochs: {message}", told.len()),
             Err(RecvTimeoutError::Timeout) => panic!(
-                "seed {seed}: no progress in 60 s after {settled} of {} epochs \
+                "seed {seed}: no progress in 60 s after {} of {} epochs \
                  (clients parked at the front door)",
+                told.len(),
                 threads * batches
             ),
             Err(RecvTimeoutError::Disconnected) => break,
@@ -866,6 +871,25 @@ fn racing_churn_session(seed: u64, threads: usize, batches: usize) {
     }
     for client in clients {
         client.join().expect("client thread panicked");
+    }
+
+    // At rest, every shard is back on the one platform table (identity,
+    // not equality: a stale-but-equal copy would pass every digest).
+    assert!(service.idle_shards_hold_master(), "seed {seed}");
+
+    // What each client was told while siblings were mid-analysis is what
+    // a serial run of the same journal reports for that epoch.
+    let serial = SchedService::new(set.clone(), config.clone(), policy.clone()).unwrap();
+    for record in &read_journal(&path).unwrap().epochs {
+        let response = serial
+            .submit(&EngineRequest::batch(record.batch.clone()))
+            .unwrap_or_else(|e| panic!("seed {seed} epoch {}: serial run: {e}", record.epoch));
+        assert_eq!(
+            told.get(&response.epoch),
+            Some(&(response.outcome.total_transactions, response.shards_live)),
+            "seed {seed} epoch {}: (live transactions, live shards) told vs serial",
+            response.epoch
+        );
     }
 
     assert_journal_linearizes(

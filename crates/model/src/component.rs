@@ -5,7 +5,6 @@ use hsched_numeric::{Cycles, Time};
 
 /// A method of a provided interface, e.g. `SensorReading.provided.read`.
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ProvidedMethod {
     /// Method name (the paper's *signature*; parameters are irrelevant to
     /// timing and omitted).
@@ -28,7 +27,6 @@ impl ProvidedMethod {
 /// A method of a required interface, e.g.
 /// `SensorIntegration.required.readSensor1`.
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct RequiredMethod {
     /// Method name.
     pub name: String,
@@ -58,12 +56,10 @@ impl RequiredMethod {
 
 /// Reference to a required method by name (resolved during validation).
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct MethodRef(pub String);
 
 /// One step of a thread body.
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Action {
     /// A *task*: a piece of code executed by the component itself, with a
     /// worst-case and best-case execution time (in cycles of a unit-speed
@@ -99,7 +95,6 @@ impl Action {
 
 /// How a thread is activated (§2.1).
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum ThreadActivation {
     /// Time-triggered: released every `period`, must finish within
     /// `deadline` of its release.
@@ -116,7 +111,6 @@ pub enum ThreadActivation {
 
 /// A thread of a component implementation.
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ThreadSpec {
     /// Thread name, unique within the class.
     pub name: String,
@@ -215,7 +209,6 @@ impl ThreadSpec {
 /// EDF is accepted by the model and the simulator, and rejected by the
 /// analysis with a clear error.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum LocalScheduler {
     /// Preemptive fixed priorities, greater number = higher priority.
     #[default]
@@ -227,7 +220,6 @@ pub enum LocalScheduler {
 /// A component class (§2.1): interface + implementation template, e.g. the
 /// paper's `SensorReading` (Figure 1) instantiated twice.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ComponentClass {
     /// Class name.
     pub name: String,

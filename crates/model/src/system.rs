@@ -7,20 +7,17 @@ use std::collections::HashMap;
 
 /// Index of a component instance within a [`System`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct InstanceId(pub usize);
 
 /// Index of a physical computational node. Components on the same node call
 /// each other with no messaging; calls across nodes go through a network
 /// platform.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct NodeId(pub usize);
 
 /// A named instantiation of a component class, placed on an abstract
 /// platform (for its threads) and a physical node (for RPC locality).
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ComponentInstance {
     /// Instance name, unique in the system (e.g. `Sensor1`).
     pub name: String,
@@ -37,7 +34,6 @@ pub struct ComponentInstance {
 /// after it completes, both scheduled on a network platform (§2.2.1 — "the
 /// network is similar to a computational node").
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct RpcLink {
     /// The network platform carrying both messages.
     pub network: PlatformId,
@@ -56,7 +52,6 @@ pub struct RpcLink {
 /// A connection from one instance's required method to another instance's
 /// provided method.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Binding {
     /// The calling instance.
     pub from: InstanceId,
@@ -75,7 +70,6 @@ pub struct Binding {
 /// A complete system: classes, instances, and bindings. Build one with
 /// [`SystemBuilder`].
 #[derive(Debug, Clone, PartialEq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct System {
     /// Component classes (templates).
     pub classes: Vec<ComponentClass>,

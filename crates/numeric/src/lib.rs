@@ -27,16 +27,6 @@
 //! assert_eq!("0.4".parse::<Rational>().unwrap(), alpha);
 //! ```
 
-// Every hsched crate's `serde` feature chains down to this one, so this is
-// the single gate for the whole workspace: the feature is declared to keep
-// the cfg surface stable, but the serde crate itself is not vendored in this
-// offline workspace (see vendor/README.md).
-#[cfg(feature = "serde")]
-compile_error!(
-    "the `serde` feature is declared but unavailable offline: the serde crate \
-     is not vendored in this workspace (see vendor/README.md)"
-);
-
 mod rational;
 
 pub use rational::{rat, NumericError, ParseRationalError, Rational};

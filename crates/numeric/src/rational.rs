@@ -576,26 +576,6 @@ impl FromStr for Rational {
     }
 }
 
-#[cfg(feature = "serde")]
-mod serde_impl {
-    use super::Rational;
-    use serde::de::Error as _;
-    use serde::{Deserialize, Deserializer, Serialize, Serializer};
-
-    impl Serialize for Rational {
-        fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-            serializer.serialize_str(&format!("{}/{}", self.numer(), self.denom()))
-        }
-    }
-
-    impl<'de> Deserialize<'de> for Rational {
-        fn deserialize<D: Deserializer<'de>>(deserializer: D) -> Result<Rational, D::Error> {
-            let s = String::deserialize(deserializer)?;
-            s.parse().map_err(D::Error::custom)
-        }
-    }
-}
-
 /// Convenience constructor used pervasively in tests and examples:
 /// `rat(5, 2)` is `5/2`.
 #[inline]

@@ -35,11 +35,11 @@ use hsched_supply::{
     SupplyCurve, TdmaSupply,
 };
 use std::fmt;
+use std::sync::Arc;
 
 /// Index of a platform within a [`PlatformSet`] — the paper's mapping
 /// variable `si,j` takes these values.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct PlatformId(pub usize);
 
 impl fmt::Display for PlatformId {
@@ -52,7 +52,6 @@ impl fmt::Display for PlatformId {
 /// network "similar to a computational node" (§2.2.1); the distinction only
 /// matters for reporting and for message-task insertion.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum PlatformKind {
     /// A share of a processor.
     Cpu,
@@ -63,7 +62,6 @@ pub enum PlatformKind {
 /// The mechanism behind a platform: either the abstract `(α, Δ, β)` triple
 /// or a concrete reservation scheme with exact supply curves.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum ServiceModel {
     /// The paper's linear abstraction.
     Linear(BoundedDelay),
@@ -111,7 +109,6 @@ impl ServiceModel {
 
 /// An abstract computing platform Π.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Platform {
     name: String,
     kind: PlatformKind,
@@ -263,10 +260,20 @@ impl fmt::Display for Platform {
 }
 
 /// The set of platforms `Π1 … ΠM` available to a system.
-#[derive(Debug, Clone, Default, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
+///
+/// A handle on one shared table: `clone` is O(1), and [`PlatformSet::add`]
+/// / [`PlatformSet::replace`] copy the table first when another handle
+/// still shares it, so a clone never observes a later mutation.
+#[derive(Debug, Clone, Default)]
 pub struct PlatformSet {
-    platforms: Vec<Platform>,
+    platforms: Arc<Vec<Platform>>,
+}
+
+impl PartialEq for PlatformSet {
+    /// By value; handles on the same table compare equal without a scan.
+    fn eq(&self, other: &PlatformSet) -> bool {
+        self.same_table(other) || self.platforms == other.platforms
+    }
 }
 
 impl PlatformSet {
@@ -278,8 +285,9 @@ impl PlatformSet {
     /// Adds a platform, returning its id. Names need not be unique, but
     /// [`PlatformSet::by_name`] returns the first match.
     pub fn add(&mut self, platform: Platform) -> PlatformId {
-        self.platforms.push(platform);
-        PlatformId(self.platforms.len() - 1)
+        let platforms = Arc::make_mut(&mut self.platforms);
+        platforms.push(platform);
+        PlatformId(platforms.len() - 1)
     }
 
     /// Number of platforms `M`.
@@ -325,7 +333,14 @@ impl PlatformSet {
 
     /// Replaces the platform at `id` (used during design-space search).
     pub fn replace(&mut self, id: PlatformId, platform: Platform) {
-        self.platforms[id.0] = platform;
+        Arc::make_mut(&mut self.platforms)[id.0] = platform;
+    }
+
+    /// `true` when both handles share one table — an O(1) sufficient
+    /// condition for equality (two separately built tables may still
+    /// compare equal by value).
+    pub fn same_table(&self, other: &PlatformSet) -> bool {
+        Arc::ptr_eq(&self.platforms, &other.platforms)
     }
 }
 
@@ -478,6 +493,33 @@ mod tests {
         ));
         assert_eq!(q.name(), "x");
         assert_eq!(q.alpha(), rat(3, 4));
+    }
+
+    #[test]
+    fn clones_share_until_one_side_writes() {
+        let (master, [p1, _, _]) = paper_platforms();
+        let mut retuned = master.clone();
+        let mut grown = master.clone();
+        assert!(master.same_table(&retuned) && master == retuned);
+
+        let stronger = Platform::linear("Sensor1", rat(1, 2), rat(1, 1), rat(1, 1)).unwrap();
+        retuned.replace(p1, stronger);
+        grown.add(Platform::dedicated("extra"));
+        assert_eq!(retuned[p1].alpha(), rat(1, 2));
+        assert_eq!(grown.len(), 4);
+        // The other side of each clone is untouched.
+        assert_eq!(master[p1].alpha(), rat(2, 5));
+        assert_eq!(master.len(), 3);
+        assert!(!master.same_table(&retuned) && master != retuned);
+        assert!(!master.same_table(&grown) && master != grown);
+    }
+
+    #[test]
+    fn equality_is_by_value_across_allocations() {
+        let (a, _) = paper_platforms();
+        let (b, _) = paper_platforms();
+        assert!(!a.same_table(&b));
+        assert_eq!(a, b);
     }
 
     #[test]

@@ -23,7 +23,6 @@ use hsched_numeric::{Cycles, Rational, Time};
 /// * the per-period gain of both envelopes equals `α·P` (otherwise the
 ///   periodic extension would drift away from the measurement).
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct EmpiricalSupply {
     min_curve: PiecewiseCurve,
     max_curve: PiecewiseCurve,

@@ -9,7 +9,6 @@ use hsched_numeric::{Cycles, Rational, Time};
 /// The first breakpoint must be `(0, 0)` for supply-function use, but the
 /// type itself only requires monotonicity in both coordinates.
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct PiecewiseCurve {
     /// Breakpoints `(t, value)`, strictly increasing in `t`,
     /// non-decreasing in `value`.

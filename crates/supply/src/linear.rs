@@ -19,7 +19,6 @@ use hsched_numeric::{Cycles, Rational, Time};
 /// need the physical cap in a mechanism-specific type instead
 /// ([`crate::PeriodicServer`], [`crate::TdmaSupply`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct BoundedDelay {
     alpha: Rational,
     delta: Time,

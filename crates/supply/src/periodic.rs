@@ -16,7 +16,6 @@ use hsched_numeric::{Cycles, Rational, Time};
 /// was scheduled as late as possible, immediately followed by the next
 /// period's budget: `2Q` cycles back-to-back, then `Q` each period.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct PeriodicServer {
     budget: Cycles,
     period: Time,

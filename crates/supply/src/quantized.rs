@@ -12,7 +12,6 @@ use hsched_numeric::{Cycles, Rational, Time};
 ///
 /// where `L` is the lag bound in cycles.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct QuantizedFluid {
     alpha: Rational,
     lag: Cycles,

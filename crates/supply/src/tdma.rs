@@ -38,7 +38,6 @@ impl std::error::Error for TdmaError {}
 /// 0 outside — the same for best and worst case *patterns*; Zmin/Zmax differ
 /// only in the alignment of the observation window.
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct TdmaSupply {
     frame: Time,
     /// Sorted, disjoint `(start, len)` slots within `[0, frame)`.

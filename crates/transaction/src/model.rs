@@ -6,7 +6,6 @@ use std::collections::HashMap;
 
 /// Whether a task models component code or an RPC message in flight.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum TaskKind {
     /// A piece of component code on a CPU platform.
     Computation,
@@ -22,7 +21,6 @@ pub enum TaskKind {
 /// They are therefore not stored here; the analysis crate keeps its own
 /// per-task state vector.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Task {
     /// Human-readable name, e.g. `Integrator.Thread2.init`.
     pub name: String,
@@ -80,7 +78,6 @@ impl Task {
 /// A transaction Γi: an event stream with period/MIT `T`, end-to-end
 /// deadline `D`, and an ordered chain of tasks.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Transaction {
     /// Name, e.g. `Integrator.Thread2` (the originating thread).
     pub name: String,
@@ -173,7 +170,6 @@ impl Transaction {
 /// Reference to a task: transaction index `i` and position `j` (0-based,
 /// unlike the paper's 1-based τi,j — display adds 1).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct TaskRef {
     /// Transaction index.
     pub tx: usize,
@@ -190,7 +186,6 @@ impl std::fmt::Display for TaskRef {
 /// The full analyzable system: transactions plus the platform set they map
 /// onto.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct TransactionSet {
     platforms: PlatformSet,
     transactions: Vec<Transaction>,
@@ -399,6 +394,20 @@ impl TransactionSet {
             return Err(format!("platform {id} out of range"));
         }
         self.platforms.replace(id, platform);
+        Ok(())
+    }
+
+    /// Swaps the whole platform table in O(1), keeping the transactions.
+    /// Every task id was checked against the current table, so a table at
+    /// least as long keeps them all in range; a shorter one is refused.
+    pub fn replace_platforms(&mut self, platforms: PlatformSet) -> Result<(), String> {
+        if platforms.len() < self.platforms.len() {
+            return Err(format!(
+                "platform table shrinks below {} entries",
+                self.platforms.len()
+            ));
+        }
+        self.platforms = platforms;
         Ok(())
     }
 }
