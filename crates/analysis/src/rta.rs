@@ -2,11 +2,12 @@
 //! and busy-period fixpoints over scenarios.
 
 use crate::cache::{RtaCache, TaskMemo};
-use crate::interference::{hp_tasks, phase, w_scenario, w_star};
+use crate::interference::{hp_tasks, phase, scenarios, w_star, Scenario};
 use crate::state::TaskState;
 use crate::{service_time, AnalysisConfig, ScenarioMode};
 use hsched_numeric::{Cycles, Rational, Time};
 use hsched_transaction::{TaskRef, TransactionSet};
+use std::cell::OnceCell;
 use std::sync::Mutex;
 
 /// Errors that abort the analysis (as opposed to an *unschedulable* verdict,
@@ -96,6 +97,10 @@ struct TaskContext<'a> {
     blocking: Time,
     /// Bail-out bound for busy periods / completion times.
     bound: Time,
+    /// `W*_i` (Eq. 15) of every foreign transaction with hp tasks, built on
+    /// the first [`Self::foreign_demand`] miss: a late sweep whose busy
+    /// windows are all memoized never pays for the phases.
+    foreign: OnceCell<Vec<Vec<Scenario>>>,
     /// This task's hot-path memo (foreign W* totals, supply inversions).
     memo: Option<&'a Mutex<TaskMemo>>,
     /// Telemetry sink for cache hit/miss accounting, resolved once from
@@ -130,6 +135,7 @@ impl<'a> TaskContext<'a> {
             jitter: st.jitter,
             blocking: config.blocking_of(under.tx, under.idx),
             bound,
+            foreign: OnceCell::new(),
             memo,
             metrics: config.metrics.as_deref(),
         }
@@ -187,13 +193,13 @@ impl<'a> TaskContext<'a> {
                 return w;
             }
         }
-        let mut total = Cycles::ZERO;
-        for i in 0..self.set.transactions().len() {
-            if i == self.under.tx || self.hp[i].is_empty() {
-                continue;
-            }
-            total += w_star(self.set, self.states, i, &self.hp[i], t);
-        }
+        let foreign = self.foreign.get_or_init(|| {
+            (0..self.set.transactions().len())
+                .filter(|&i| i != self.under.tx && !self.hp[i].is_empty())
+                .map(|i| scenarios(self.set, self.states, i, &self.hp[i]))
+                .collect()
+        });
+        let total = foreign.iter().map(|w| w_star(w, t)).sum();
         if let Some(memo) = self.memo {
             if let Some(m) = self.metrics {
                 m.rta_foreign_misses.incr();
@@ -209,24 +215,21 @@ impl<'a> TaskContext<'a> {
     /// §3.1.2: other transactions bounded by `W*`, own transaction's
     /// scenarios enumerated.
     fn analyze_approximate(&self) -> Result<TaskAnalysis, AnalysisError> {
-        let mut scenarios: Vec<usize> = self.hp[self.under.tx].clone();
-        scenarios.push(self.under.idx); // τa,b itself starts the busy period
+        let mut starters: Vec<usize> = self.hp[self.under.tx].clone();
+        starters.push(self.under.idx); // τa,b itself starts the busy period
         let mut best = TaskAnalysis {
             response: Time::ZERO,
             bounded: true,
         };
-        for &c in &scenarios {
-            let interference = |t: Time| -> Cycles {
-                self.foreign_demand(t)
-                    + w_scenario(
-                        self.set,
-                        self.states,
-                        self.under.tx,
-                        c,
-                        &self.hp[self.under.tx],
-                        t,
-                    )
-            };
+        for &c in &starters {
+            let own = Scenario::new(
+                self.set,
+                self.states,
+                self.under.tx,
+                c,
+                &self.hp[self.under.tx],
+            );
+            let interference = |t: Time| -> Cycles { self.foreign_demand(t) + own.demand(t) };
             let outcome = self.analyze_scenario(c, &interference)?;
             best.response = best.response.max(outcome.response);
             best.bounded &= outcome.bounded;
@@ -241,7 +244,8 @@ impl<'a> TaskContext<'a> {
     fn analyze_exact(&self, max_scenarios: u64) -> Result<TaskAnalysis, AnalysisError> {
         // Candidate starters per transaction: hpi for i ≠ a (skipped when
         // empty — no contribution), hpa ∪ {τa,b} for the own transaction.
-        let mut axes: Vec<(usize, Vec<usize>)> = Vec::new();
+        // Each candidate carries its W^k_i (Eq. 11).
+        let mut axes: Vec<(usize, Vec<(usize, Scenario)>)> = Vec::new();
         let mut count: u128 = 1;
         for i in 0..self.set.transactions().len() {
             let mut candidates = self.hp[i].clone();
@@ -252,6 +256,10 @@ impl<'a> TaskContext<'a> {
                 continue;
             }
             count = count.saturating_mul(candidates.len() as u128);
+            let candidates = candidates
+                .into_iter()
+                .map(|k| (k, Scenario::new(self.set, self.states, i, k, &self.hp[i])))
+                .collect();
             axes.push((i, candidates));
         }
         if count > max_scenarios as u128 {
@@ -276,17 +284,12 @@ impl<'a> TaskContext<'a> {
                 .iter()
                 .position(|(i, _)| *i == self.under.tx)
                 .expect("own transaction always contributes an axis");
-            let c = axes[own_axis].1[odo[own_axis]];
+            let c = axes[own_axis].1[odo[own_axis]].0;
             let interference = |t: Time| -> Cycles {
-                let mut total = Cycles::ZERO;
-                for (axis, &(i, ref candidates)) in axes.iter().enumerate() {
-                    if self.hp[i].is_empty() {
-                        continue;
-                    }
-                    let k = candidates[odo[axis]];
-                    total += w_scenario(self.set, self.states, i, k, &self.hp[i], t);
-                }
-                total
+                axes.iter()
+                    .zip(&odo)
+                    .map(|((_, candidates), &pick)| candidates[pick].1.demand(t))
+                    .sum()
             };
             let outcome = self.analyze_scenario(c, &interference)?;
             best.response = best.response.max(outcome.response);
@@ -329,7 +332,7 @@ impl<'a> TaskContext<'a> {
         let mut iterations = 0usize;
         let busy_len = loop {
             // Arrivals clamped at 0 so the L = 0 seed sees the pending jobs
-            // (right-limit semantics, as in `job_count`).
+            // (right-limit semantics, as in `Scenario::demand`).
             let own_arrivals = ((len - phi_c) / self.period).ceil().max(0);
             let own_jobs = (own_arrivals - p0 + 1).max(0);
             let demand = Rational::from_integer(own_jobs) * self.wcet + interference(len);

@@ -1031,6 +1031,25 @@ mod tests {
     }
 
     #[test]
+    fn out_of_range_rational_token_is_a_decode_error() {
+        // Shared by journal records and wire `submit` frames. The period's
+        // decimal mantissa leaves i128 although its value does not: this
+        // used to wrap to a negative period in release and panic in debug.
+        let line = |period: &str| format!("add tx {period} 10 0 1 t 1 1 1 0 c");
+        let mut no_lines = std::iter::empty();
+        assert!(decode_request(&line("20"), &mut no_lines).is_ok());
+        for period in [
+            "200000000000.000000000000000000000000001",
+            "1/-170141183460469231731687303715884105728",
+        ] {
+            assert_eq!(
+                decode_request(&line(period), &mut no_lines),
+                Err(format!("bad period `{period}`"))
+            );
+        }
+    }
+
+    #[test]
     fn bad_header_is_corruption_not_truncation() {
         let path = temp("badheader");
         // A complete first line that is not the current magic — garbage, or

@@ -8,12 +8,21 @@
 //! iteration look unconverged (or worse, oscillate). All quantities in this
 //! workspace — times, cycles, rates — are therefore exact rationals.
 //!
-//! [`Rational`] is a normalized `i128` fraction. Operations check for
-//! overflow and panic with a descriptive message; the magnitudes occurring in
-//! schedulability analysis (periods, WCETs, a handful of digits) leave ~30
-//! decimal orders of headroom, so an overflow indicates a logic error rather
-//! than a tight limit. Checked variants are available where graceful handling
-//! matters.
+//! [`Rational`] is a normalized fraction: `i128` storage, 64-bit arithmetic
+//! when operands fit. Operations check for overflow and panic with a
+//! descriptive message; the magnitudes occurring in schedulability analysis
+//! (periods, WCETs, a handful of digits) leave ~30 decimal orders of
+//! headroom, so an overflow indicates a logic error rather than a tight
+//! limit. Checked variants are available where graceful handling matters.
+//!
+//! Those same magnitudes are why there are two arithmetic widths under the
+//! one type. When every component of both operands lies inside `±i64::MAX`
+//! — all of them, on every measured workload — an operation takes its gcds
+//! and divisions at machine width and forms its products in `i128`, where
+//! they cannot overflow, so it needs no overflow checks either. Anything
+//! wider takes the checked full-width code. The width is chosen per
+//! operation from the operands; the stored form, and with it `==`, `Hash`
+//! and every rendering, is the same whichever path produced a value.
 //!
 //! # Example
 //!

@@ -1,4 +1,5 @@
-//! The [`Rational`] type: a normalized `i128` fraction.
+//! The [`Rational`] type: a normalized `i128` fraction whose operations
+//! run at 64-bit width when both operands fit (see the crate docs).
 
 use crate::gcd;
 use std::cmp::Ordering;
@@ -76,19 +77,54 @@ impl Rational {
     ///
     /// # Panics
     ///
-    /// Panics if `den == 0`.
+    /// Panics if `den == 0`, or if the normal form does not fit `i128`
+    /// (a denominator of magnitude 2¹²⁷, or `i128::MIN / -1`).
     #[inline]
     pub fn new(num: i128, den: i128) -> Rational {
         assert!(den != 0, "Rational with zero denominator");
-        let sign = if den < 0 { -1 } else { 1 };
-        let g = gcd(num.unsigned_abs(), den.unsigned_abs()) as i128;
-        if g == 0 {
-            return Rational { num: 0, den: 1 };
+        Rational::normalized(num, den)
+            .unwrap_or_else(|| panic!("Rational {num}/{den} has no i128 normal form"))
+    }
+
+    /// The normal form of `num / den`, `den != 0`; `None` when it does not
+    /// fit `i128`. What [`Rational::new`] and `FromStr` share.
+    #[inline]
+    fn normalized(num: i128, den: i128) -> Option<Rational> {
+        match (narrow(num), narrow(den)) {
+            (Some(num), Some(den)) => Some(Rational::new_narrow(num, den)),
+            _ => Rational::new_wide(num, den),
         }
+    }
+
+    /// `normalized` for components inside `±i64::MAX`: the gcd and the two
+    /// divisions run at machine width.
+    #[inline]
+    fn new_narrow(num: i64, den: i64) -> Rational {
+        let (num, den) = if den < 0 { (-num, -den) } else { (num, den) };
+        if den == 1 {
+            return Rational::from_integer(num as i128);
+        }
+        let g = gcd_u64(num.unsigned_abs(), den as u64) as i64;
         Rational {
-            num: sign * (num / g),
-            den: (den / g).abs(),
+            num: (num / g) as i128,
+            den: (den / g) as i128,
         }
+    }
+
+    /// `normalized` at full width: `None` when the normal form (sign in the
+    /// numerator, positive denominator) leaves `i128`.
+    fn new_wide(num: i128, den: i128) -> Option<Rational> {
+        let g = gcd(num.unsigned_abs(), den.unsigned_abs());
+        let magnitude = i128::try_from(num.unsigned_abs() / g);
+        let den_abs = i128::try_from(den.unsigned_abs() / g).ok()?;
+        let num = match ((num < 0) != (den < 0), magnitude) {
+            (false, Ok(m)) => m,
+            (true, Ok(m)) => -m,
+            // |num|/g = 2¹²⁷ is representable only with the minus sign.
+            (true, Err(_)) => i128::MIN,
+            (false, Err(_)) => return None,
+        };
+        Some(Rational { num, den: den_abs })
     }
 
     /// Creates a rational from an integer.
@@ -134,24 +170,44 @@ impl Rational {
     }
 
     /// Absolute value.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the value is `i128::MIN` (see [`Neg`]).
     #[inline]
     pub fn abs(self) -> Rational {
-        Rational {
-            num: self.num.abs(),
-            den: self.den,
+        if self.num < 0 {
+            -self
+        } else {
+            self
         }
     }
 
     /// Largest integer `<= self`.
     #[inline]
     pub fn floor(self) -> i128 {
+        match self.narrowed() {
+            Some((num, den)) => num.div_euclid(den) as i128,
+            None => self.floor_wide(),
+        }
+    }
+
+    fn floor_wide(self) -> i128 {
         self.num.div_euclid(self.den)
     }
 
     /// Smallest integer `>= self`.
     #[inline]
     pub fn ceil(self) -> i128 {
-        -(-self.num).div_euclid(self.den)
+        match self.narrowed() {
+            Some((num, den)) => -(-num).div_euclid(den) as i128,
+            None => self.ceil_wide(),
+        }
+    }
+
+    fn ceil_wide(self) -> i128 {
+        // Not `-(-num).div_euclid(den)`: `i128::MIN` has no negation.
+        self.num.div_euclid(self.den) + i128::from(self.num.rem_euclid(self.den) != 0)
     }
 
     /// Truncation towards zero.
@@ -211,8 +267,25 @@ impl Rational {
         self.max(lo).min(hi)
     }
 
+    /// Both components as `i64`, when the numerator lies inside
+    /// `±i64::MAX` and the denominator inside `i64::MAX` — the operands on
+    /// which every operation below runs at machine width. `i64::MIN` is
+    /// excluded so that negation stays inside the width.
+    #[inline]
+    fn narrowed(self) -> Option<(i64, i64)> {
+        Some((narrow(self.num)?, narrow(self.den)?))
+    }
+
     /// Checked addition; `None` on overflow.
+    #[inline]
     pub fn checked_add(self, rhs: Rational) -> Option<Rational> {
+        match (self.narrowed(), rhs.narrowed()) {
+            (Some(lhs), Some(rhs)) => Some(add_narrow(lhs, rhs)),
+            _ => self.add_wide(rhs),
+        }
+    }
+
+    fn add_wide(self, rhs: Rational) -> Option<Rational> {
         // a/b + c/d = (a*(l/b) + c*(l/d)) / l with l = lcm(b, d).
         let g = gcd(self.den as u128, rhs.den as u128) as i128;
         let lhs_scale = rhs.den / g;
@@ -222,33 +295,58 @@ impl Rational {
             .checked_mul(lhs_scale)?
             .checked_add(rhs.num.checked_mul(rhs_scale)?)?;
         let den = self.den.checked_mul(lhs_scale)?;
-        Some(Rational::new(num, den))
+        Rational::new_wide(num, den)
     }
 
     /// Checked subtraction; `None` on overflow.
+    #[inline]
     pub fn checked_sub(self, rhs: Rational) -> Option<Rational> {
-        self.checked_add(Rational {
+        match (self.narrowed(), rhs.narrowed()) {
+            (Some(lhs), Some((num, den))) => Some(add_narrow(lhs, (-num, den))),
+            _ => self.sub_wide(rhs),
+        }
+    }
+
+    fn sub_wide(self, rhs: Rational) -> Option<Rational> {
+        self.add_wide(Rational {
             num: rhs.num.checked_neg()?,
             den: rhs.den,
         })
     }
 
     /// Checked multiplication; `None` on overflow.
+    #[inline]
     pub fn checked_mul(self, rhs: Rational) -> Option<Rational> {
+        match (self.narrowed(), rhs.narrowed()) {
+            (Some(lhs), Some(rhs)) => Some(mul_narrow(lhs, rhs)),
+            _ => self.mul_wide(rhs),
+        }
+    }
+
+    fn mul_wide(self, rhs: Rational) -> Option<Rational> {
         // Cross-reduce before multiplying to keep magnitudes small.
         let g1 = gcd(self.num.unsigned_abs(), rhs.den as u128) as i128;
         let g2 = gcd(rhs.num.unsigned_abs(), self.den as u128) as i128;
         let num = (self.num / g1).checked_mul(rhs.num / g2)?;
         let den = (self.den / g2).checked_mul(rhs.den / g1)?;
-        Some(Rational::new(num, den))
+        Rational::new_wide(num, den)
     }
 
     /// Checked division; `None` on overflow or division by zero.
+    #[inline]
     pub fn checked_div(self, rhs: Rational) -> Option<Rational> {
         if rhs.is_zero() {
             return None;
         }
-        self.checked_mul(Rational::new(rhs.den, rhs.num))
+        match (self.narrowed(), rhs.narrowed()) {
+            // a/b ÷ c/d = a/b · (±d)/|c|, already in lowest terms.
+            (Some(lhs), Some((num, den))) => Some(mul_narrow(lhs, (den * num.signum(), num.abs()))),
+            _ => self.div_wide(rhs),
+        }
+    }
+
+    fn div_wide(self, rhs: Rational) -> Option<Rational> {
+        self.mul_wide(Rational::new_wide(rhs.den, rhs.num)?)
     }
 
     /// Fallible addition: [`Rational::checked_add`] with a descriptive
@@ -296,7 +394,8 @@ impl Rational {
     ///
     /// # Panics
     ///
-    /// Panics if `self` is zero.
+    /// Panics if `self` is zero (or `i128::MIN`, whose reciprocal has no
+    /// normal form).
     #[inline]
     pub fn recip(self) -> Rational {
         assert!(!self.is_zero(), "reciprocal of zero");
@@ -375,11 +474,13 @@ impl Rem for Rational {
 
 impl Neg for Rational {
     type Output = Rational;
+    /// `0 − self`, with the subtraction operator's overflow panic for
+    /// `i128::MIN`.
     #[inline]
     fn neg(self) -> Rational {
-        Rational {
-            num: -self.num,
-            den: self.den,
+        match self.num.checked_neg() {
+            Some(num) => Rational { num, den: self.den },
+            None => Rational::ZERO - self,
         }
     }
 }
@@ -432,19 +533,118 @@ impl PartialOrd for Rational {
 }
 
 impl Ord for Rational {
+    #[inline]
     fn cmp(&self, other: &Rational) -> Ordering {
+        match (self.narrowed(), other.narrowed()) {
+            // a/b vs c/d via a*d vs c*b: both products are below 2¹²⁶.
+            (Some((a, b)), Some((c, d))) => (a as i128 * d as i128).cmp(&(c as i128 * b as i128)),
+            _ => self
+                .cmp_wide(other)
+                // Exactness loss here would be a bug, so panic instead.
+                .unwrap_or_else(|| panic!("rational comparison overflow: {self} vs {other}")),
+        }
+    }
+}
+
+impl Rational {
+    /// Full-width comparison; `None` in the astronomically unlikely case
+    /// that the cross-reduced products overflow.
+    fn cmp_wide(&self, other: &Rational) -> Option<Ordering> {
         // Compare a/b vs c/d via a*d vs c*b; cross-reduce to dodge overflow.
         let g1 = gcd(self.num.unsigned_abs(), other.num.unsigned_abs()).max(1) as i128;
         let g2 = gcd(self.den as u128, other.den as u128) as i128;
-        let lhs = (self.num / g1).checked_mul(other.den / g2);
-        let rhs = (other.num / g1).checked_mul(self.den / g2);
-        match (lhs, rhs) {
-            (Some(l), Some(r)) => l.cmp(&r),
-            // Fall back to sign/f64 comparison only in the astronomically
-            // unlikely overflow case; exactness loss here would be a bug, so
-            // panic instead.
-            _ => panic!("rational comparison overflow: {self} vs {other}"),
+        let lhs = (self.num / g1).checked_mul(other.den / g2)?;
+        let rhs = (other.num / g1).checked_mul(self.den / g2)?;
+        Some(lhs.cmp(&rhs))
+    }
+}
+
+/// `n` as an `i64` when it lies inside `±i64::MAX`.
+#[inline]
+fn narrow(n: i128) -> Option<i64> {
+    i64::try_from(n).ok().filter(|&n| n != i64::MIN)
+}
+
+/// Binary gcd at machine width; `gcd_u64(0, n) == n`.
+#[inline]
+fn gcd_u64(mut a: u64, mut b: u64) -> u64 {
+    // Integer operands make a unit denominator the common case.
+    if a == 1 || b == 1 {
+        return 1;
+    }
+    if a == 0 || b == 0 {
+        return a | b;
+    }
+    let shift = (a | b).trailing_zeros();
+    a >>= a.trailing_zeros();
+    loop {
+        b >>= b.trailing_zeros();
+        if a > b {
+            std::mem::swap(&mut a, &mut b);
         }
+        b -= a;
+        if b == 0 {
+            return a << shift;
+        }
+    }
+}
+
+/// `a/b + c/d` on narrow operands in lowest terms. Nothing here can
+/// overflow: every product of two components is below 2¹²⁶.
+#[inline]
+fn add_narrow((a, b): (i64, i64), (c, d): (i64, i64)) -> Rational {
+    if b == d {
+        // Integer periods and WCETs make equal denominators — of 1 — the
+        // common case: no lcm, and |a + c| < 2⁶⁴ reduces at machine width.
+        let num = a as i128 + c as i128;
+        if b == 1 {
+            return Rational { num, den: 1 };
+        }
+        return reduced(num, b as i128, gcd_u64(num.unsigned_abs() as u64, b as u64));
+    }
+    let g = gcd_u64(b as u64, d as u64) as i64;
+    let num = a as i128 * (d / g) as i128 + c as i128 * (b / g) as i128;
+    let den = b as i128 * (d / g) as i128;
+    // gcd(num, lcm(b, d)) = gcd(num, g) for operands in lowest terms — in
+    // particular coprime denominators need no reduction at all.
+    if g == 1 {
+        return Rational { num, den };
+    }
+    let g = g as u64;
+    let residue = match u64::try_from(num.unsigned_abs()) {
+        Ok(n) => n % g,
+        Err(_) => (num.unsigned_abs() % g as u128) as u64,
+    };
+    reduced(num, den, gcd_u64(residue, g))
+}
+
+/// `num/g` over `den/g`, divided at machine width when both still fit.
+#[inline]
+fn reduced(num: i128, den: i128, g: u64) -> Rational {
+    if g == 1 {
+        return Rational { num, den };
+    }
+    match (i64::try_from(num), i64::try_from(den)) {
+        (Ok(n), Ok(d)) => Rational {
+            num: (n / g as i64) as i128,
+            den: (d / g as i64) as i128,
+        },
+        _ => Rational {
+            num: num / g as i128,
+            den: den / g as i128,
+        },
+    }
+}
+
+/// `a/b · c/d` on narrow operands in lowest terms: cross-reduced factors
+/// in lowest terms give a product in lowest terms, so no final gcd.
+#[inline]
+fn mul_narrow((a, b): (i64, i64), (c, d): (i64, i64)) -> Rational {
+    let g1 = gcd_u64(a.unsigned_abs(), d as u64) as i64;
+    let g2 = gcd_u64(c.unsigned_abs(), b as u64) as i64;
+    Rational {
+        num: (a / g1) as i128 * (c / g2) as i128,
+        den: (b / g2) as i128 * (d / g1) as i128,
     }
 }
 
@@ -516,7 +716,9 @@ impl fmt::Display for Rational {
         if d == 1 && twos <= 27 && fives <= 27 {
             let digits = twos.max(fives);
             let scale = 10i128.pow(digits);
-            let scaled = self.num * (scale / self.den);
+            let Some(scaled) = self.num.checked_mul(scale / self.den) else {
+                return write!(f, "{}/{}", self.num, self.den);
+            };
             let int_part = scaled / scale;
             let frac_part = (scaled % scale).unsigned_abs();
             let sign = if self.num < 0 && int_part == 0 {
@@ -549,7 +751,7 @@ impl FromStr for Rational {
             if den == 0 {
                 return Err(err("zero denominator"));
             }
-            return Ok(Rational::new(num, den));
+            return Rational::normalized(num, den).ok_or_else(|| err("out of range"));
         }
         if let Some((int_s, frac_s)) = s.split_once('.') {
             if frac_s.is_empty() || !frac_s.bytes().all(|b| b.is_ascii_digit()) {
@@ -567,7 +769,12 @@ impl FromStr for Rational {
             let frac_digits = frac_s.len() as u32;
             let frac_num: i128 = frac_s.parse().map_err(|_| err("bad fractional part"))?;
             let scale = 10i128.pow(frac_digits);
-            let mag = int_part.unsigned_abs() as i128 * scale + frac_num;
+            // The mantissa `|int|·10^digits + frac` of an external string can
+            // leave i128 long before its value does.
+            let mag = i128::try_from(int_part.unsigned_abs())
+                .ok()
+                .and_then(|int| int.checked_mul(scale)?.checked_add(frac_num))
+                .ok_or_else(|| err("out of range"))?;
             let signed = if negative { -mag } else { mag };
             return Ok(Rational::new(signed, scale));
         }
@@ -812,3 +1019,6 @@ mod tests {
         assert_eq!(Rational::from_decimal(-25, 1), r(-5, 2));
     }
 }
+
+#[cfg(test)]
+mod parity;
