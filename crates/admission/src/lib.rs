@@ -28,9 +28,10 @@
 //!    mixed batches use the **downward-restart bound**: cone coordinates
 //!    restart cold while the pinned rest carries the old fixpoint — the
 //!    combined seed is still ≤ the new least fixpoint, so the resume is
-//!    exact (no more cold island fixpoints on departures). Below both, the
-//!    RTA hot-path cache memoizes foreign-interference totals and supply
-//!    inversions across sweeps, invalidated through the hp-graph.
+//!    exact (no more cold island fixpoints on departures). Below both, each
+//!    task's analysis memoizes its foreign-interference totals across
+//!    sweeps, and drops them when the hp states they were computed from
+//!    move.
 //! 3. **Batching + parallelism** — requests are coalesced per epoch and
 //!    disjoint dirty cones (even inside one island) are analyzed
 //!    concurrently via [`hsched_analysis::parallel_map`]; a rejected batch

@@ -2,15 +2,15 @@
 //! jitters on successor tasks; iterate the static-offset analysis until the
 //! jitter vector stabilizes.
 
-use crate::cache::RtaCache;
 use crate::par::parallel_map;
 use crate::report::{IterationRecord, SchedulabilityReport, TaskResult, TransactionVerdict};
 pub use crate::rta::AnalysisError;
-use crate::rta::{analyze_task, TaskAnalysis};
+use crate::rta::{analyze_task, TaskAnalysis, TaskMemo};
 use crate::state::{best_case_offsets, initial_states, TaskState};
 use crate::AnalysisConfig;
 use hsched_numeric::Time;
 use hsched_transaction::{TaskRef, TransactionSet};
+use std::sync::Mutex;
 
 /// Runs the paper's analysis with the default (paper-faithful)
 /// configuration: linear platform bounds, reduced scenarios, Jacobi jitter
@@ -169,6 +169,26 @@ pub fn analyze_resumed(
     config: &AnalysisConfig,
     warm: Option<&WarmStart>,
 ) -> Result<SchedulabilityReport, AnalysisError> {
+    fixpoint(set, config, warm, true)
+}
+
+/// [`analyze_resumed`] with nothing memoized: the reference the memo's
+/// exactness tests compare against.
+#[cfg(test)]
+pub(crate) fn analyze_unmemoized(
+    set: &TransactionSet,
+    config: &AnalysisConfig,
+    warm: Option<&WarmStart>,
+) -> Result<SchedulabilityReport, AnalysisError> {
+    fixpoint(set, config, warm, false)
+}
+
+fn fixpoint(
+    set: &TransactionSet,
+    config: &AnalysisConfig,
+    warm: Option<&WarmStart>,
+    memoize: bool,
+) -> Result<SchedulabilityReport, AnalysisError> {
     let (_, best_responses) = best_case_offsets(set, config.service_mode);
     let mut states = initial_states(set, config.service_mode);
     let mut frozen = None;
@@ -185,19 +205,21 @@ pub fn analyze_resumed(
             frozen = warm.frozen.as_ref();
         }
     }
-    let refs: Vec<TaskRef> = set.task_refs().collect();
     // Frozen coordinates are pinned at the seed and skipped in every sweep;
-    // see the WarmStart docs for why that is exact.
-    let active_refs: Vec<TaskRef> = match frozen {
-        Some(f) => refs
-            .iter()
-            .copied()
-            .filter(|r| f.active[r.tx][r.idx])
-            .collect(),
-        None => refs,
+    // see the WarmStart docs for why that is exact. Each active task gets a
+    // memo slot, filled on its first analysis, so frozen context never pays
+    // for one. A sweep hands every slot to one worker only: the locks are
+    // uncontended.
+    let active: Vec<(TaskRef, Mutex<Option<TaskMemo>>)> = set
+        .task_refs()
+        .filter(|r| frozen.is_none_or(|f| f.active[r.tx][r.idx]))
+        .map(|r| (r, Mutex::new(None)))
+        .collect();
+    let analyze = |(r, memo): &(TaskRef, Mutex<Option<TaskMemo>>), states: &[Vec<TaskState>]| {
+        let mut memo = memo.lock().expect("task memo lock poisoned");
+        let memo = memo.get_or_insert_with(|| TaskMemo::new(set, *r, memoize));
+        analyze_task(set, states, *r, config, memo)
     };
-    let cache = config.rta_cache.then(|| RtaCache::new(set));
-    let cache = cache.as_ref();
 
     let mut trace: Vec<IterationRecord> = Vec::new();
     let mut converged = false;
@@ -223,10 +245,8 @@ pub fn analyze_resumed(
                 // vector (parallelizable, reproduces Table 3 column by
                 // column).
                 let outcomes: Vec<Result<TaskAnalysis, AnalysisError>> =
-                    parallel_map(&active_refs, config.threads, |&r| {
-                        analyze_task(set, &states, r, config, cache)
-                    });
-                for (r, outcome) in active_refs.iter().zip(outcomes) {
+                    parallel_map(&active, config.threads, |job| analyze(job, &states));
+                for ((r, _), outcome) in active.iter().zip(outcomes) {
                     let outcome = outcome?;
                     responses[r.tx][r.idx] = outcome.response;
                     all_bounded &= outcome.bounded;
@@ -234,24 +254,14 @@ pub fn analyze_resumed(
             }
             crate::UpdateOrder::GaussSeidel => {
                 // Fresh responses feed successors within the sweep.
-                for &r in &active_refs {
-                    let outcome = analyze_task(set, &states, r, config, cache)?;
+                for job in &active {
+                    let r = job.0;
+                    let outcome = analyze(job, &states)?;
                     responses[r.tx][r.idx] = outcome.response;
                     all_bounded &= outcome.bounded;
-                    let n_tasks = set.transactions()[r.tx].len();
-                    if all_bounded && r.idx + 1 < n_tasks {
-                        let successor = TaskRef {
-                            tx: r.tx,
-                            idx: r.idx + 1,
-                        };
-                        let new_jitter =
+                    if all_bounded && r.idx + 1 < set.transactions()[r.tx].len() {
+                        states[r.tx][r.idx + 1].jitter =
                             (outcome.response - best_responses[r.tx][r.idx]).max(Time::ZERO);
-                        if new_jitter != states[r.tx][r.idx + 1].jitter {
-                            states[r.tx][r.idx + 1].jitter = new_jitter;
-                            if let Some(cache) = cache {
-                                cache.invalidate_changed(successor);
-                            }
-                        }
                     }
                 }
             }
@@ -274,15 +284,8 @@ pub fn analyze_resumed(
         for (i, tx) in set.transactions().iter().enumerate() {
             for j in 1..tx.len() {
                 let new_jitter = (responses[i][j - 1] - best_responses[i][j - 1]).max(Time::ZERO);
-                if new_jitter != states[i][j].jitter {
-                    states[i][j].jitter = new_jitter;
-                    if let Some(cache) = cache {
-                        cache.invalidate_changed(TaskRef { tx: i, idx: j });
-                    }
-                }
-                if new_jitter != sweep_start_jitters[i][j] {
-                    changed = true;
-                }
+                changed |= new_jitter != sweep_start_jitters[i][j];
+                states[i][j].jitter = new_jitter;
             }
         }
         if !changed {
@@ -302,7 +305,6 @@ pub fn analyze_resumed(
 
     Ok(build_report(
         set,
-        config,
         states,
         best_responses,
         responses,
@@ -312,10 +314,8 @@ pub fn analyze_resumed(
     ))
 }
 
-#[allow(clippy::too_many_arguments)]
 fn build_report(
     set: &TransactionSet,
-    config: &AnalysisConfig,
     states: Vec<Vec<TaskState>>,
     best_responses: Vec<Vec<Time>>,
     responses: Vec<Vec<Time>>,
@@ -323,7 +323,6 @@ fn build_report(
     converged: bool,
     all_bounded: bool,
 ) -> SchedulabilityReport {
-    let _ = config;
     let mut tasks = Vec::new();
     let mut verdicts = Vec::new();
     for (i, tx) in set.transactions().iter().enumerate() {
@@ -619,47 +618,6 @@ mod tests {
         }
         // The frozen transaction never moved off its pinned seed.
         assert_eq!(resumed.tasks[1], survivors.tasks[1]);
-    }
-
-    #[test]
-    fn rta_cache_is_invisible_in_results() {
-        let set = paper_example::transactions();
-        let sink = std::sync::Arc::new(crate::AnalysisMetrics::new());
-        let with = analyze_with(
-            &set,
-            &AnalysisConfig {
-                metrics: Some(sink.clone()),
-                ..AnalysisConfig::default()
-            },
-        )
-        .unwrap();
-        // Invisible in results, visible in telemetry: this run hit the memo.
-        assert!(sink.rta_foreign_hits.get() + sink.rta_completion_hits.get() > 0);
-        let without = analyze_with(
-            &set,
-            &AnalysisConfig {
-                rta_cache: false,
-                ..AnalysisConfig::default()
-            },
-        )
-        .unwrap();
-        assert_eq!(with.tasks, without.tasks);
-        assert_eq!(with.trace, without.trace);
-        // Gauss-Seidel invalidates mid-sweep; results still identical.
-        let gs = AnalysisConfig {
-            update_order: crate::UpdateOrder::GaussSeidel,
-            ..AnalysisConfig::default()
-        };
-        let gs_with = analyze_with(&set, &gs).unwrap();
-        let gs_without = analyze_with(
-            &set,
-            &AnalysisConfig {
-                rta_cache: false,
-                ..gs
-            },
-        )
-        .unwrap();
-        assert_eq!(gs_with.tasks, gs_without.tasks);
     }
 
     #[test]

@@ -20,8 +20,8 @@
 //!
 //! [`HpGraph`] is the reusable form of that graph: built once per
 //! transaction set, it answers closure queries for the admission layer's
-//! dirty tracking and drives the [`crate`]-internal RTA-cache invalidation
-//! between holistic sweeps.
+//! dirty tracking. (The analysis reads Eq. 17's hp sets directly; it does
+//! not consult this graph.)
 
 use hsched_platform::PlatformId;
 use hsched_transaction::{TaskRef, TransactionSet};
@@ -175,31 +175,6 @@ impl HpGraph {
             transactions,
         }
     }
-
-    /// Direct interference targets of task `r` (excluding `r` itself), as
-    /// flat indices — used by the RTA cache to invalidate exactly the tasks
-    /// whose foreign-interference memo reads `r`'s state.
-    pub(crate) fn targets_of(&self, r: TaskRef, out: &mut Vec<usize>) {
-        let flat = self.flat(r);
-        let node = self.nodes[flat];
-        if let Some(tasks) = self.platform_tasks.get(node.platform) {
-            for &(other, prio) in tasks {
-                if other != flat && prio <= node.priority {
-                    out.push(other);
-                }
-            }
-        }
-    }
-
-    /// Total number of tasks in the graph.
-    pub(crate) fn task_count(&self) -> usize {
-        self.nodes.len()
-    }
-
-    /// Flat index of a task (crate-visible for the RTA cache).
-    pub(crate) fn flat_index(&self, r: TaskRef) -> usize {
-        self.flat(r)
-    }
 }
 
 #[cfg(test)]
@@ -277,19 +252,5 @@ mod tests {
         assert_eq!(cone.transaction_count(), 0);
         let cone = graph.closure(&set, &[]);
         assert_eq!(cone.transaction_count(), 0);
-    }
-
-    #[test]
-    fn targets_follow_the_hp_relation() {
-        let (_, graph) = paper();
-        // τ1,4 (Π3, p3) targets τ1,1 (p2) and τ4,1 (p1), not itself.
-        let mut out = Vec::new();
-        graph.targets_of(TaskRef { tx: 0, idx: 3 }, &mut out);
-        out.sort_unstable();
-        assert_eq!(out, vec![0, 6]); // flat: τ1,1 = 0, τ4,1 = 6
-                                     // τ4,1 (p1) targets nothing.
-        let mut out = Vec::new();
-        graph.targets_of(TaskRef { tx: 3, idx: 0 }, &mut out);
-        assert!(out.is_empty());
     }
 }

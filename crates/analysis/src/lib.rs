@@ -12,7 +12,9 @@
 //!   (Eq. 15);
 //! * `rta` — the per-task static-offset analysis: exact scenario
 //!   enumeration (§3.1.1, Eqs. 12–14) and the reduced-scenario
-//!   approximation (§3.1.2, Eq. 16);
+//!   approximation (§3.1.2, Eq. 16), with a per-task memo of the foreign
+//!   interference that carries over sweeps and is dropped when the states
+//!   it was computed from move;
 //! * `holistic` — the outer dynamic-offset (holistic) fixpoint of §3.2:
 //!   jitter propagation `J_{i,j} = R_{i,j−1} − Rbest_{i,j−1}` iterated to
 //!   convergence, in parallel across tasks;
@@ -49,7 +51,6 @@
 
 #![warn(missing_docs)]
 
-mod cache;
 pub mod classic;
 mod holistic;
 mod hpgraph;
@@ -149,12 +150,7 @@ pub struct AnalysisConfig {
     /// Eq. (13)/(16) without prescribing a protocol; this hook lets callers
     /// plug in blocking from e.g. SRP on each platform.
     pub blocking: Vec<Vec<Time>>,
-    /// Memoize the RTA hot path (foreign `W*` totals per busy-window
-    /// length, supply inversions per demand) across holistic sweeps,
-    /// invalidated through the hp-graph when a jitter changes. Identical
-    /// results either way; off is only useful for measuring the cache.
-    pub rta_cache: bool,
-    /// Optional telemetry sink: RTA cache hit/miss counters and fixpoint
+    /// Optional telemetry sink: RTA memo hit/miss counters and fixpoint
     /// iteration distributions are recorded here when present (see
     /// [`AnalysisMetrics`]). The config clone handed to every island
     /// analysis shares the sink, so one `Arc` observes a whole
@@ -174,7 +170,6 @@ impl PartialEq for AnalysisConfig {
             && self.divergence_factor == other.divergence_factor
             && self.threads == other.threads
             && self.blocking == other.blocking
-            && self.rta_cache == other.rta_cache
     }
 }
 
@@ -189,7 +184,6 @@ impl Default for AnalysisConfig {
             divergence_factor: 64,
             threads: 1,
             blocking: Vec::new(),
-            rta_cache: true,
             metrics: None,
         }
     }

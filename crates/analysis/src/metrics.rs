@@ -1,4 +1,4 @@
-//! Analysis-layer telemetry: RTA cache effectiveness and fixpoint
+//! Analysis-layer telemetry: RTA memo effectiveness and fixpoint
 //! iteration counts, recorded into always-on relaxed atomics.
 //!
 //! A sink is attached through [`crate::AnalysisConfig::metrics`]; since
@@ -14,16 +14,11 @@ use hsched_telemetry::{Counter, Histogram, MetricsSnapshot};
 /// never blocks an analysis in flight.
 #[derive(Debug, Default)]
 pub struct AnalysisMetrics {
-    /// RTA cache hits on the foreign-interference memo (`W*` totals per
+    /// Hits on the per-task foreign-interference memo (`W*` totals per
     /// busy-window length).
     pub rta_foreign_hits: Counter,
-    /// RTA cache misses on the foreign-interference memo.
+    /// Misses on the per-task foreign-interference memo.
     pub rta_foreign_misses: Counter,
-    /// RTA cache hits on the supply-inversion memo (completion time per
-    /// accumulated demand).
-    pub rta_completion_hits: Counter,
-    /// RTA cache misses on the supply-inversion memo.
-    pub rta_completion_misses: Counter,
     /// Outer holistic sweeps per warm-started fixpoint (resumed from a
     /// previous converged state).
     pub fixpoint_iterations_warm: Histogram,
@@ -47,14 +42,6 @@ impl AnalysisMetrics {
         snap.put_counter(
             "analysis.rta_cache.foreign_misses",
             self.rta_foreign_misses.get(),
-        );
-        snap.put_counter(
-            "analysis.rta_cache.completion_hits",
-            self.rta_completion_hits.get(),
-        );
-        snap.put_counter(
-            "analysis.rta_cache.completion_misses",
-            self.rta_completion_misses.get(),
         );
         snap.put_histogram(
             "analysis.fixpoint.iterations_warm",

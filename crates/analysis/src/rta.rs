@@ -1,14 +1,13 @@
 //! Per-task static-offset response-time analysis (§3.1): completion-time
 //! and busy-period fixpoints over scenarios.
 
-use crate::cache::{RtaCache, TaskMemo};
 use crate::interference::{hp_tasks, phase, scenarios, w_star, Scenario};
 use crate::state::TaskState;
 use crate::{service_time, AnalysisConfig, ScenarioMode};
 use hsched_numeric::{Cycles, Rational, Time};
 use hsched_transaction::{TaskRef, TransactionSet};
-use std::cell::OnceCell;
-use std::sync::Mutex;
+use std::cell::{OnceCell, RefCell};
+use std::collections::HashMap;
 
 /// Errors that abort the analysis (as opposed to an *unschedulable* verdict,
 /// which is a result).
@@ -59,18 +58,77 @@ pub(crate) struct TaskAnalysis {
     pub bounded: bool,
 }
 
+/// What the analysis of one task keeps across the holistic sweeps of one
+/// `analyze_resumed` call: its hp sets, and a memo of its foreign
+/// interference `Σ_{i ≠ a} W*_i(τa,b, t)` (Eqs. 15–16) per busy-window
+/// length `t`. Every scenario of the task's own transaction, and every
+/// later sweep, re-evaluates that sum at the same lengths; it depends only
+/// on the states of the foreign hp members, so the memo is stamped with
+/// them and [`analyze_task`] drops it when any of them moved.
+#[derive(Debug)]
+pub(crate) struct TaskMemo {
+    /// `(i, hpi(τa,b))` (Eq. 17) for the task's own transaction and every
+    /// other transaction with hp tasks, by transaction index: every task
+    /// holds one for a whole call, so the empty sets are left out.
+    hp: Vec<(usize, Vec<usize>)>,
+    /// States of the foreign hp members `foreign` was computed from, in
+    /// `hp` order.
+    stamp: Vec<TaskState>,
+    /// `t` → foreign demand in cycles; `None` memoizes nothing (the
+    /// reference the exactness tests compare against).
+    foreign: Option<HashMap<Time, Cycles>>,
+}
+
+impl TaskMemo {
+    pub(crate) fn new(set: &TransactionSet, under: TaskRef, memoize: bool) -> TaskMemo {
+        TaskMemo {
+            hp: (0..set.transactions().len())
+                .map(|i| (i, hp_tasks(set, i, under)))
+                .filter(|(i, hp)| *i == under.tx || !hp.is_empty())
+                .collect(),
+            stamp: Vec::new(),
+            foreign: memoize.then(HashMap::new),
+        }
+    }
+
+    /// The validity rule: the memo survives exactly while every foreign hp
+    /// member's state equals the stamp.
+    fn revalidate(&mut self, states: &[Vec<TaskState>], under: TaskRef) {
+        let Some(foreign) = &mut self.foreign else {
+            return;
+        };
+        let current = self
+            .hp
+            .iter()
+            .filter(|(i, _)| *i != under.tx)
+            .flat_map(|(i, hp)| hp.iter().map(|&j| states[*i][j]));
+        if !current.clone().eq(self.stamp.iter().copied()) {
+            foreign.clear();
+            self.stamp.clear();
+            self.stamp.extend(current);
+        }
+    }
+}
+
 /// Analyzes task `under` given the current offset/jitter state of every
-/// task (§3.1.2 approximate or §3.1.1 exact, per config). `cache`, when
-/// present, memoizes this task's foreign-interference totals and supply
-/// inversions across calls (the holistic loop owns invalidation).
+/// task (§3.1.2 approximate or §3.1.1 exact, per config), reusing what
+/// `memo` still holds from earlier calls for the same task.
 pub(crate) fn analyze_task(
     set: &TransactionSet,
     states: &[Vec<TaskState>],
     under: TaskRef,
     config: &AnalysisConfig,
-    cache: Option<&RtaCache>,
+    memo: &mut TaskMemo,
 ) -> Result<TaskAnalysis, AnalysisError> {
-    let ctx = TaskContext::new(set, states, under, config, cache.map(|c| c.memo(under)));
+    memo.revalidate(states, under);
+    let ctx = TaskContext::new(
+        set,
+        states,
+        under,
+        config,
+        &memo.hp,
+        memo.foreign.as_mut().map(RefCell::new),
+    );
     match config.scenario_mode {
         ScenarioMode::Approximate => ctx.analyze_approximate(),
         ScenarioMode::Exact { max_scenarios } => ctx.analyze_exact(max_scenarios),
@@ -83,8 +141,8 @@ struct TaskContext<'a> {
     states: &'a [Vec<TaskState>],
     under: TaskRef,
     config: &'a AnalysisConfig,
-    /// `hpi(τa,b)` per transaction (Eq. 17).
-    hp: Vec<Vec<usize>>,
+    /// The task's hp sets (see [`TaskMemo`]).
+    hp: &'a [(usize, Vec<usize>)],
     /// Period of the task's own transaction.
     period: Time,
     /// WCET of the task under analysis.
@@ -101,9 +159,9 @@ struct TaskContext<'a> {
     /// the first [`Self::foreign_demand`] miss: a late sweep whose busy
     /// windows are all memoized never pays for the phases.
     foreign: OnceCell<Vec<Vec<Scenario>>>,
-    /// This task's hot-path memo (foreign W* totals, supply inversions).
-    memo: Option<&'a Mutex<TaskMemo>>,
-    /// Telemetry sink for cache hit/miss accounting, resolved once from
+    /// The task's foreign-demand memo, already revalidated.
+    memo: Option<RefCell<&'a mut HashMap<Time, Cycles>>>,
+    /// Telemetry sink for memo hit/miss accounting, resolved once from
     /// the config so the hot path pays a single pointer check.
     metrics: Option<&'a crate::AnalysisMetrics>,
 }
@@ -114,12 +172,10 @@ impl<'a> TaskContext<'a> {
         states: &'a [Vec<TaskState>],
         under: TaskRef,
         config: &'a AnalysisConfig,
-        memo: Option<&'a Mutex<TaskMemo>>,
+        hp: &'a [(usize, Vec<usize>)],
+        memo: Option<RefCell<&'a mut HashMap<Time, Cycles>>>,
     ) -> TaskContext<'a> {
         let tx = &set.transactions()[under.tx];
-        let hp = (0..set.transactions().len())
-            .map(|i| hp_tasks(set, i, under))
-            .collect();
         let st = states[under.tx][under.idx];
         let bound = (tx.deadline + tx.period + st.jitter)
             * Rational::from_integer(config.divergence_factor as i128);
@@ -147,46 +203,16 @@ impl<'a> TaskContext<'a> {
     }
 
     /// Worst-case time to serve `demand` cycles plus the blocking term:
-    /// the `Δ + B + …/α` prefix of Eqs. (13)/(16). Memoized per demand when
-    /// a cache is attached — the map is static for the whole analysis.
+    /// the `Δ + B + …/α` prefix of Eqs. (13)/(16).
     fn completion(&self, demand: Cycles) -> Time {
-        if let Some(memo) = self.memo {
-            if let Some(&t) = memo
-                .lock()
-                .expect("rta cache lock poisoned")
-                .completion
-                .get(&demand)
-            {
-                if let Some(m) = self.metrics {
-                    m.rta_completion_hits.incr();
-                }
-                return t;
-            }
-        }
-        let t = self.blocking + service_time(self.platform(), demand, self.config.service_mode);
-        if let Some(memo) = self.memo {
-            if let Some(m) = self.metrics {
-                m.rta_completion_misses.incr();
-            }
-            memo.lock()
-                .expect("rta cache lock poisoned")
-                .completion
-                .insert(demand, t);
-        }
-        t
+        self.blocking + service_time(self.platform(), demand, self.config.service_mode)
     }
 
     /// `Σ_{i ≠ a} W*_i(τa,b, t)` — the scenario-independent part of the
-    /// reduced analysis's interference, memoized per `t` (valid until an hp
-    /// member's state changes; the holistic loop invalidates).
+    /// reduced analysis's interference, memoized per `t` (see [`TaskMemo`]).
     fn foreign_demand(&self, t: Time) -> Cycles {
-        if let Some(memo) = self.memo {
-            if let Some(&w) = memo
-                .lock()
-                .expect("rta cache lock poisoned")
-                .foreign
-                .get(&t)
-            {
+        if let Some(memo) = &self.memo {
+            if let Some(&w) = memo.borrow().get(&t) {
                 if let Some(m) = self.metrics {
                     m.rta_foreign_hits.incr();
                 }
@@ -194,20 +220,18 @@ impl<'a> TaskContext<'a> {
             }
         }
         let foreign = self.foreign.get_or_init(|| {
-            (0..self.set.transactions().len())
-                .filter(|&i| i != self.under.tx && !self.hp[i].is_empty())
-                .map(|i| scenarios(self.set, self.states, i, &self.hp[i]))
+            self.hp
+                .iter()
+                .filter(|(i, _)| *i != self.under.tx)
+                .map(|(i, hp)| scenarios(self.set, self.states, *i, hp))
                 .collect()
         });
         let total = foreign.iter().map(|w| w_star(w, t)).sum();
-        if let Some(memo) = self.memo {
+        if let Some(memo) = &self.memo {
             if let Some(m) = self.metrics {
                 m.rta_foreign_misses.incr();
             }
-            memo.lock()
-                .expect("rta cache lock poisoned")
-                .foreign
-                .insert(t, total);
+            memo.borrow_mut().insert(t, total);
         }
         total
     }
@@ -215,20 +239,19 @@ impl<'a> TaskContext<'a> {
     /// §3.1.2: other transactions bounded by `W*`, own transaction's
     /// scenarios enumerated.
     fn analyze_approximate(&self) -> Result<TaskAnalysis, AnalysisError> {
-        let mut starters: Vec<usize> = self.hp[self.under.tx].clone();
+        let (_, own_hp) = self
+            .hp
+            .iter()
+            .find(|(i, _)| *i == self.under.tx)
+            .expect("the own transaction's hp set is always kept");
+        let mut starters = own_hp.clone();
         starters.push(self.under.idx); // τa,b itself starts the busy period
         let mut best = TaskAnalysis {
             response: Time::ZERO,
             bounded: true,
         };
         for &c in &starters {
-            let own = Scenario::new(
-                self.set,
-                self.states,
-                self.under.tx,
-                c,
-                &self.hp[self.under.tx],
-            );
+            let own = Scenario::new(self.set, self.states, self.under.tx, c, own_hp);
             let interference = |t: Time| -> Cycles { self.foreign_demand(t) + own.demand(t) };
             let outcome = self.analyze_scenario(c, &interference)?;
             best.response = best.response.max(outcome.response);
@@ -242,25 +265,22 @@ impl<'a> TaskContext<'a> {
 
     /// §3.1.1: full cartesian enumeration of scenario vectors ν (Eq. 12).
     fn analyze_exact(&self, max_scenarios: u64) -> Result<TaskAnalysis, AnalysisError> {
-        // Candidate starters per transaction: hpi for i ≠ a (skipped when
-        // empty — no contribution), hpa ∪ {τa,b} for the own transaction.
+        // Candidate starters per transaction: hpi for i ≠ a (only the
+        // non-empty ones are kept), hpa ∪ {τa,b} for the own transaction.
         // Each candidate carries its W^k_i (Eq. 11).
         let mut axes: Vec<(usize, Vec<(usize, Scenario)>)> = Vec::new();
         let mut count: u128 = 1;
-        for i in 0..self.set.transactions().len() {
-            let mut candidates = self.hp[i].clone();
-            if i == self.under.tx {
+        for (i, hp) in self.hp {
+            let mut candidates = hp.clone();
+            if *i == self.under.tx {
                 candidates.push(self.under.idx);
-            }
-            if candidates.is_empty() {
-                continue;
             }
             count = count.saturating_mul(candidates.len() as u128);
             let candidates = candidates
                 .into_iter()
-                .map(|k| (k, Scenario::new(self.set, self.states, i, k, &self.hp[i])))
+                .map(|k| (k, Scenario::new(self.set, self.states, *i, k, hp)))
                 .collect();
-            axes.push((i, candidates));
+            axes.push((*i, candidates));
         }
         if count > max_scenarios as u128 {
             return Err(AnalysisError::TooManyScenarios {
@@ -270,6 +290,13 @@ impl<'a> TaskContext<'a> {
             });
         }
 
+        // The own transaction always has an axis (τa,b is one of its
+        // candidates); its pick is the starter c that determines ϕ^c_{a,b}.
+        let own_axis = axes
+            .iter()
+            .position(|(i, _)| *i == self.under.tx)
+            .expect("own transaction always contributes an axis");
+
         let mut best = TaskAnalysis {
             response: Time::ZERO,
             bounded: true,
@@ -277,13 +304,6 @@ impl<'a> TaskContext<'a> {
         // Iterate the cartesian product with an odometer.
         let mut odo = vec![0usize; axes.len()];
         loop {
-            // The own transaction's starter determines ϕ^c_{a,b}; when the
-            // own transaction has no axis (impossible — we always add τa,b),
-            // fall back to self-start.
-            let own_axis = axes
-                .iter()
-                .position(|(i, _)| *i == self.under.tx)
-                .expect("own transaction always contributes an axis");
             let c = axes[own_axis].1[odo[own_axis]].0;
             let interference = |t: Time| -> Cycles {
                 axes.iter()
@@ -395,15 +415,38 @@ impl<'a> TaskContext<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::holistic::analyze_unmemoized;
     use crate::state::initial_states;
-    use crate::ServiceTimeMode;
+    use crate::{
+        analyze_resumed, AnalysisMetrics, DirtySeed, HpGraph, ServiceTimeMode, UpdateOrder,
+        WarmStart,
+    };
     use hsched_numeric::rat;
-    use hsched_transaction::paper_example;
+    use hsched_platform::{Platform, PlatformKind, PlatformSet, ServiceModel};
+    use hsched_supply::TdmaSupply;
+    use hsched_transaction::{paper_example, Task, Transaction};
+    use std::sync::Arc;
 
     fn setup() -> (TransactionSet, Vec<Vec<TaskState>>, AnalysisConfig) {
         let set = paper_example::transactions();
         let states = initial_states(&set, ServiceTimeMode::LinearBounds);
         (set, states, AnalysisConfig::default())
+    }
+
+    /// One task analyzed on its own, outside any holistic sweep.
+    fn analyze_alone(
+        set: &TransactionSet,
+        states: &[Vec<TaskState>],
+        under: TaskRef,
+        config: &AnalysisConfig,
+    ) -> Result<TaskAnalysis, AnalysisError> {
+        analyze_task(
+            set,
+            states,
+            under,
+            config,
+            &mut TaskMemo::new(set, under, false),
+        )
     }
 
     #[test]
@@ -412,7 +455,7 @@ mod tests {
         // Table 3, k = 0: R(0) = [12, 9, 10, 12] for Γ1.
         let expected = [rat(12, 1), rat(9, 1), rat(10, 1), rat(12, 1)];
         for (idx, want) in expected.into_iter().enumerate() {
-            let r = analyze_task(&set, &states, TaskRef { tx: 0, idx }, &config, None).unwrap();
+            let r = analyze_alone(&set, &states, TaskRef { tx: 0, idx }, &config).unwrap();
             assert!(r.bounded);
             assert_eq!(r.response, want, "τ1,{} at iteration 0", idx + 1);
         }
@@ -422,14 +465,14 @@ mod tests {
     fn independent_transactions_iteration0() {
         let (set, states, config) = setup();
         // τ2,1 on Π1 (p=3, no interference): Δ + C/α = 1 + 2.5 = 3.5.
-        let r = analyze_task(&set, &states, TaskRef { tx: 1, idx: 0 }, &config, None).unwrap();
+        let r = analyze_alone(&set, &states, TaskRef { tx: 1, idx: 0 }, &config).unwrap();
         assert_eq!(r.response, rat(7, 2));
         // τ3,1 symmetric.
-        let r = analyze_task(&set, &states, TaskRef { tx: 2, idx: 0 }, &config, None).unwrap();
+        let r = analyze_alone(&set, &states, TaskRef { tx: 2, idx: 0 }, &config).unwrap();
         assert_eq!(r.response, rat(7, 2));
         // τ4,1 on Π3 (p=1): interference from τ1,1 and τ1,4 (one job each in
         // its busy period): 2 + (7 + 1 + 1)/0.2 = 47.
-        let r = analyze_task(&set, &states, TaskRef { tx: 3, idx: 0 }, &config, None).unwrap();
+        let r = analyze_alone(&set, &states, TaskRef { tx: 3, idx: 0 }, &config).unwrap();
         assert_eq!(r.response, rat(47, 1));
     }
 
@@ -442,7 +485,7 @@ mod tests {
         states[0][1].jitter = rat(9, 1); // converged J1,2
         states[0][2].jitter = rat(14, 1); // converged J1,3
         states[0][3].jitter = rat(19, 1); // converged J1,4
-        let r = analyze_task(&set, &states, TaskRef { tx: 0, idx: 3 }, &config, None).unwrap();
+        let r = analyze_alone(&set, &states, TaskRef { tx: 0, idx: 3 }, &config).unwrap();
         assert_eq!(r.response, rat(31, 1));
     }
 
@@ -454,8 +497,8 @@ mod tests {
         let approx = AnalysisConfig::default();
         let exact = AnalysisConfig::exact(10_000);
         for r in set.task_refs() {
-            let a = analyze_task(&set, &states, r, &approx, None).unwrap();
-            let e = analyze_task(&set, &states, r, &exact, None).unwrap();
+            let a = analyze_alone(&set, &states, r, &approx).unwrap();
+            let e = analyze_alone(&set, &states, r, &exact).unwrap();
             assert_eq!(a.response, e.response, "mismatch at {r}");
         }
     }
@@ -489,15 +532,8 @@ mod tests {
         let set = TransactionSet::new(platforms, vec![noisy, victim]).unwrap();
         let states = initial_states(&set, ServiceTimeMode::LinearBounds);
         let under = TaskRef { tx: 1, idx: 0 };
-        let approx = analyze_task(&set, &states, under, &AnalysisConfig::default(), None).unwrap();
-        let exact = analyze_task(
-            &set,
-            &states,
-            under,
-            &AnalysisConfig::exact(1_000_000),
-            None,
-        )
-        .unwrap();
+        let approx = analyze_alone(&set, &states, under, &AnalysisConfig::default()).unwrap();
+        let exact = analyze_alone(&set, &states, under, &AnalysisConfig::exact(1_000_000)).unwrap();
         assert!(
             exact.response <= approx.response,
             "exact {} > approx {}",
@@ -510,7 +546,7 @@ mod tests {
     fn scenario_cap_enforced() {
         let (set, states, _) = setup();
         let tight = AnalysisConfig::exact(0);
-        let err = analyze_task(&set, &states, TaskRef { tx: 0, idx: 0 }, &tight, None).unwrap_err();
+        let err = analyze_alone(&set, &states, TaskRef { tx: 0, idx: 0 }, &tight).unwrap_err();
         assert!(matches!(err, AnalysisError::TooManyScenarios { .. }));
     }
 
@@ -537,12 +573,11 @@ mod tests {
         .unwrap();
         let set = TransactionSet::new(platforms, vec![hog, victim]).unwrap();
         let states = initial_states(&set, ServiceTimeMode::LinearBounds);
-        let r = analyze_task(
+        let r = analyze_alone(
             &set,
             &states,
             TaskRef { tx: 1, idx: 0 },
             &AnalysisConfig::default(),
-            None,
         )
         .unwrap();
         assert!(!r.bounded, "expected overload detection");
@@ -574,12 +609,11 @@ mod tests {
         .unwrap();
         let set = TransactionSet::new(platforms, vec![hi, lo]).unwrap();
         let states = initial_states(&set, ServiceTimeMode::LinearBounds);
-        let r = analyze_task(
+        let r = analyze_alone(
             &set,
             &states,
             TaskRef { tx: 1, idx: 0 },
             &AnalysisConfig::default(),
-            None,
         )
         .unwrap();
         assert!(r.bounded);
@@ -608,12 +642,11 @@ mod tests {
         let set = TransactionSet::new(platforms, vec![tx]).unwrap();
         let states = initial_states(&set, ServiceTimeMode::LinearBounds);
         assert_eq!(states[0][0].jitter, rat(12, 1));
-        let r = analyze_task(
+        let r = analyze_alone(
             &set,
             &states,
             TaskRef { tx: 0, idx: 0 },
             &AnalysisConfig::default(),
-            None,
         )
         .unwrap();
         assert!(r.bounded);
@@ -625,7 +658,7 @@ mod tests {
         let (set, states, mut config) = setup();
         // Add B = 2 to τ2,1 (otherwise interference-free): R = 3.5 + 2.
         config.blocking = vec![vec![], vec![rat(2, 1)], vec![], vec![]];
-        let r = analyze_task(&set, &states, TaskRef { tx: 1, idx: 0 }, &config, None).unwrap();
+        let r = analyze_alone(&set, &states, TaskRef { tx: 1, idx: 0 }, &config).unwrap();
         assert_eq!(r.response, rat(11, 2));
     }
 
@@ -653,11 +686,129 @@ mod tests {
         let set = TransactionSet::new(platforms, vec![hi, lo]).unwrap();
         let states = initial_states(&set, ServiceTimeMode::LinearBounds);
         let config = AnalysisConfig::default();
-        let r_hi = analyze_task(&set, &states, TaskRef { tx: 0, idx: 0 }, &config, None).unwrap();
+        let r_hi = analyze_alone(&set, &states, TaskRef { tx: 0, idx: 0 }, &config).unwrap();
         assert_eq!(r_hi.response, rat(2, 1));
         // lo: w = 3 + ⌈w/5⌉·2 → w = 5 (classic RTA fixpoint; the second job
         // of `hi` arrives exactly at 5 and is outside the busy window).
-        let r_lo = analyze_task(&set, &states, TaskRef { tx: 1, idx: 0 }, &config, None).unwrap();
+        let r_lo = analyze_alone(&set, &states, TaskRef { tx: 1, idx: 0 }, &config).unwrap();
         assert_eq!(r_lo.response, rat(5, 1));
+    }
+
+    /// Asserts that the memo is invisible in the whole report on `set`, for
+    /// both update orders and both service modes, from four starts: cold;
+    /// warm after `set` gained its last transaction; and restricted to the
+    /// cone of `seed`, with the cone restarting cold and warm.
+    fn assert_memo_invisible(set: &TransactionSet, seed: DirtySeed, config: &AnalysisConfig) {
+        let (last, rest) = set.transactions().split_last().unwrap();
+        let before = TransactionSet::new(set.platforms().clone(), rest.to_vec()).unwrap();
+        let cone = HpGraph::of(set).closure(set, &[seed]);
+        for update_order in [UpdateOrder::Jacobi, UpdateOrder::GaussSeidel] {
+            for service_mode in [ServiceTimeMode::LinearBounds, ServiceTimeMode::ExactCurve] {
+                let config = AnalysisConfig {
+                    update_order,
+                    service_mode,
+                    ..config.clone()
+                };
+                let cold = analyze_unmemoized(set, &config, None).unwrap();
+                let mut grown =
+                    WarmStart::from_report(&analyze_unmemoized(&before, &config, None).unwrap());
+                grown.jitters.push(vec![Time::ZERO; last.len()]);
+                let starts = [
+                    None,
+                    Some(grown),
+                    Some(WarmStart::restricted(&cold, cone.tasks.clone(), true)),
+                    Some(WarmStart::restricted(&cold, cone.tasks.clone(), false)),
+                ];
+                for (k, warm) in starts.iter().enumerate() {
+                    assert_eq!(
+                        analyze_resumed(set, &config, warm.as_ref()).unwrap(),
+                        analyze_unmemoized(set, &config, warm.as_ref()).unwrap(),
+                        "{update_order:?}, {service_mode:?}, start {k}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn memo_matches_reference_on_the_paper_example() {
+        let sink = Arc::new(AnalysisMetrics::new());
+        let config = AnalysisConfig {
+            metrics: Some(sink.clone()),
+            ..AnalysisConfig::default()
+        };
+        let seed = DirtySeed::Task(TaskRef { tx: 0, idx: 0 });
+        assert_memo_invisible(&paper_example::transactions(), seed, &config);
+        // Invisible in results, visible in telemetry: the memo was hit.
+        assert!(sink.rta_foreign_hits.get() > 0);
+    }
+
+    /// Case count of the generated-systems property, env-tunable so CI can
+    /// run it extended (`HSCHED_PROPTEST_CASES=50`) without editing it.
+    fn stress_cases(tier1: u32) -> u32 {
+        std::env::var("HSCHED_PROPTEST_CASES")
+            .ok()
+            .and_then(|v| v.parse().ok())
+            .unwrap_or(tier1)
+    }
+
+    /// Platform `kind` of a generated system: linear, periodic server, or
+    /// TDMA — the last two invert differently under `ExactCurve`.
+    fn generated_platform(k: usize, kind: u8) -> Platform {
+        let name = format!("P{k}");
+        match kind {
+            0 => Platform::linear(name, rat(1, 2), rat(1, 1), rat(0, 1)).unwrap(),
+            1 => Platform::server(name, rat(2, 1), rat(5, 1)).unwrap(),
+            _ => {
+                let tdma = TdmaSupply::new(rat(10, 1), vec![(rat(2, 1), rat(5, 1))]).unwrap();
+                Platform::new(name, PlatformKind::Cpu, ServiceModel::Tdma(tdma))
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(stress_cases(24)))]
+
+        /// The memo is invisible on generated systems: chains of up to four
+        /// tasks across two or three platforms at three priority levels, so
+        /// foreign transactions often hold several hp tasks (and `W*`
+        /// really maximizes), analyzed on one or two worker threads.
+        #[test]
+        fn memo_matches_reference_on_generated_systems(
+            kinds in proptest::collection::vec(0u8..3, 2..=3),
+            raw in proptest::collection::vec(
+                (0usize..4, proptest::collection::vec((1i128..=20, 1u32..=3, 0usize..3), 1..=4)),
+                2..=4,
+            ),
+            pick in 0usize..16,
+            threads in 1usize..=2,
+        ) {
+            let mut platforms = PlatformSet::new();
+            let ids: Vec<_> = kinds
+                .iter()
+                .enumerate()
+                .map(|(k, &kind)| platforms.add(generated_platform(k, kind)))
+                .collect();
+            let txs = raw
+                .iter()
+                .enumerate()
+                .map(|(i, (period, tasks))| {
+                    let period = rat([20, 30, 40, 60][*period], 1);
+                    let tasks = tasks
+                        .iter()
+                        .enumerate()
+                        .map(|(j, &(wcet, priority, p))| {
+                            let wcet = rat(wcet, 10);
+                            Task::new(format!("t{i}_{j}"), wcet, wcet / rat(2, 1), priority, ids[p % ids.len()])
+                        })
+                        .collect();
+                    Transaction::new(format!("tx{i}"), period, period * rat(3, 1), tasks).unwrap()
+                })
+                .collect();
+            let set = TransactionSet::new(platforms, txs).unwrap();
+            let seed = DirtySeed::Task(TaskRef { tx: pick % raw.len(), idx: 0 });
+            let config = AnalysisConfig { threads, ..AnalysisConfig::default() };
+            assert_memo_invisible(&set, seed, &config);
+        }
     }
 }

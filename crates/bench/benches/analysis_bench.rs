@@ -1,11 +1,14 @@
 //! Criterion bench: the holistic analysis — the paper example (Table 3),
-//! scaling in system size, exact vs approximate scenario handling, and the
-//! parallel Jacobi step.
+//! scaling in system size, exact vs approximate scenario handling, the
+//! parallel Jacobi step, and one mixed-kind island's cold and warm
+//! fixpoints under both service-time modes.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
-use hsched_analysis::{analyze_with, AnalysisConfig};
+use hsched_admission::gen::{random_scenario, PlatformMix, ScenarioSpec};
+use hsched_analysis::{analyze_resumed, analyze_with, AnalysisConfig, ServiceTimeMode, WarmStart};
 use hsched_bench::{random_system, WorkloadSpec};
-use hsched_transaction::paper_example;
+use hsched_numeric::{rat, Time};
+use hsched_transaction::{paper_example, TransactionSet};
 
 fn bench_paper_example(c: &mut Criterion) {
     let set = paper_example::transactions();
@@ -64,5 +67,52 @@ fn bench_parallel(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_paper_example, bench_scaling, bench_parallel);
+/// One island in `deep_cone`'s shape (≈ 10 transactions over 3 platforms
+/// of mixed kinds, 5 priority levels): a cold fixpoint, and a warm one
+/// resumed after the island gained its last transaction — under the
+/// paper's linear bounds and under exact supply inversion.
+fn bench_island_fixpoint(c: &mut Criterion) {
+    let island = random_scenario(&ScenarioSpec {
+        clusters: 1,
+        platforms_per_cluster: 3,
+        transactions: 10,
+        max_tasks_per_tx: 4,
+        load: rat(1, 2),
+        priority_levels: 5,
+        mix: PlatformMix::Mixed,
+        seed: 2,
+    });
+    let txs = island.transactions();
+    let (last, rest) = txs.split_last().expect("the island is populated");
+    let before = TransactionSet::new(island.platforms().clone(), rest.to_vec())
+        .expect("a prefix of a valid set");
+    let mut group = c.benchmark_group("analysis/island_fixpoint");
+    group.sample_size(20);
+    for (name, service_mode) in [
+        ("linear", ServiceTimeMode::LinearBounds),
+        ("exact_curve", ServiceTimeMode::ExactCurve),
+    ] {
+        let config = AnalysisConfig {
+            service_mode,
+            ..AnalysisConfig::default()
+        };
+        let mut warm = WarmStart::from_report(&analyze_with(&before, &config).expect("analyzes"));
+        warm.jitters.push(vec![Time::ZERO; last.len()]);
+        group.bench_function(format!("{name}/cold"), |b| {
+            b.iter(|| black_box(analyze_resumed(&island, &config, None)))
+        });
+        group.bench_function(format!("{name}/warm"), |b| {
+            b.iter(|| black_box(analyze_resumed(&island, &config, Some(&warm))))
+        });
+    }
+    group.finish();
+}
+
+criterion_group!(
+    benches,
+    bench_paper_example,
+    bench_scaling,
+    bench_parallel,
+    bench_island_fixpoint
+);
 criterion_main!(benches);
