@@ -2,7 +2,7 @@
 //! cone-restricted re-analysis, warm-started fixpoints, transactional
 //! rollback.
 
-use crate::dirty::{component_context, dirty_components, Islands};
+use crate::dirty::{component_context, dirty_components};
 use crate::request::{AdmissionRequest, EpochOutcome, RejectReason, Verdict};
 use hsched_analysis::{
     analyze_resumed, parallel_map, AnalysisConfig, DirtySeed, FrozenSeed, HpGraph,
@@ -13,6 +13,7 @@ use hsched_numeric::{Rational, Time};
 use hsched_platform::{Platform, PlatformId, PlatformSet, ServiceModel};
 use hsched_supply::BoundedDelay;
 use hsched_transaction::{flatten_annotated, FlattenOptions, TaskRef, TransactionSet};
+use std::collections::HashSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// Tuning knobs of the controller. The defaults enable every optimization;
@@ -112,9 +113,8 @@ enum UndoOp {
 }
 
 /// The inverse-request log of one epoch (see [`UndoOp`]). Kept after an
-/// admitted commit so a router coordinating several shard controllers can
-/// revert this shard when a *different* shard rejects its part of the batch
-/// ([`AdmissionController::rollback_last`]).
+/// admitted commit so a caller that judges the epoch by a wider rule can
+/// still turn it into a rejection ([`AdmissionController::rollback_last`]).
 #[derive(Debug, Default)]
 struct UndoLog {
     ops: Vec<UndoOp>,
@@ -474,10 +474,10 @@ impl AdmissionController {
     /// `false` when there is nothing to roll back (no commit yet, last
     /// commit rejected, or already rolled back).
     ///
-    /// This is the shard-coordination primitive: a router committing one
-    /// batch across several disjoint shard controllers uses it to revert
-    /// shards that admitted their sub-batch when a sibling shard rejects,
-    /// keeping the cross-shard epoch atomic. The epoch stays consumed and
+    /// The sharded engine commits each epoch on one controller holding only
+    /// the touched islands; it uses this to reject an admitted commit when
+    /// an untouched shard is unschedulable at rest (the single controller
+    /// would have scanned those entries too). The epoch stays consumed and
     /// is re-classified rejected in the stats.
     pub fn rollback_last(&mut self) -> bool {
         let Some(undo) = self.last_undo.take() else {
@@ -524,8 +524,7 @@ impl AdmissionController {
     /// are concatenated. Exact when the two controllers' transactions occupy
     /// disjoint interference islands (the cached fixpoints are island-local,
     /// so the union's analysis is the union of the analyses) — the situation
-    /// a shard router is in when an arriving transaction bridges two
-    /// previously independent shards.
+    /// the sharded engine is in when one epoch touches several shards.
     ///
     /// Both controllers must share the same platform set, analysis config,
     /// and policy, and neither may carry RPC bindings (router-built shards
@@ -577,22 +576,14 @@ impl AdmissionController {
         if self.set.transactions().is_empty() || !self.system.bindings.is_empty() {
             return vec![self];
         }
-        let mut islands = Islands::of(&self.set);
-        let mut groups: Vec<(usize, Vec<usize>)> = Vec::new();
-        for i in 0..self.set.transactions().len() {
-            let root = islands.island_of(&self.set, i);
-            match groups.iter_mut().find(|(r, _)| *r == root) {
-                Some((_, members)) => members.push(i),
-                None => groups.push((root, vec![i])),
-            }
-        }
-        if groups.len() == 1 {
+        let islands = dirty_components(&self.set, &vec![true; self.set.transactions().len()]);
+        if islands.len() == 1 {
             return vec![self];
         }
-        groups
+        islands
             .into_iter()
             .enumerate()
-            .map(|(part, (_, members))| {
+            .map(|(part, members)| {
                 let transactions: Vec<_> = members
                     .iter()
                     .map(|&i| self.set.transactions()[i].clone())
@@ -892,36 +883,34 @@ impl AdmissionController {
     /// admit identically; untouched islands keep their (stale, rejected-at-
     /// admission) rows exactly as before.
     fn seed_stale_islands(&self, seeds: &mut Vec<DirtySeed>) {
-        let stale: Vec<usize> = self
-            .entries
-            .iter()
-            .enumerate()
-            .filter(|(_, e)| {
-                e.outcome
-                    .as_ref()
-                    .is_some_and(|o| !(o.converged && o.bounded))
-            })
-            .map(|(i, _)| i)
-            .collect();
-        if stale.is_empty() {
+        let stale = |e: &Entry| {
+            e.outcome
+                .as_ref()
+                .is_some_and(|o| !(o.converged && o.bounded))
+        };
+        if !self.entries.iter().any(stale) {
             return;
         }
-        let mut islands = Islands::of(&self.set);
-        let mut touched: Vec<usize> = seeds
+        let touched: HashSet<usize> = seeds
             .iter()
-            .filter_map(|seed| match *seed {
-                DirtySeed::Task(r) => Some(self.set.task(r).platform.0),
-                DirtySeed::Footprint { platform, .. } | DirtySeed::Platform(platform) => {
-                    (platform.0 < self.set.platforms().len()).then_some(platform.0)
-                }
+            .map(|seed| match *seed {
+                DirtySeed::Task(r) => self.set.task(r).platform.0,
+                DirtySeed::Footprint { platform, .. } | DirtySeed::Platform(platform) => platform.0,
             })
-            .map(|p| islands.find_platform(p))
             .collect();
-        touched.sort_unstable();
-        touched.dedup();
-        for i in stale {
-            if touched.contains(&islands.island_of(&self.set, i)) {
-                for idx in 0..self.set.transactions()[i].len() {
+        let txs = self.set.transactions();
+        for island in dirty_components(&self.set, &vec![true; txs.len()]) {
+            let hit = island.iter().any(|&i| {
+                txs[i]
+                    .tasks()
+                    .iter()
+                    .any(|t| touched.contains(&t.platform.0))
+            });
+            if !hit {
+                continue;
+            }
+            for &i in island.iter().filter(|&&i| stale(&self.entries[i])) {
+                for idx in 0..txs[i].len() {
                     seeds.push(DirtySeed::Task(TaskRef { tx: i, idx }));
                 }
             }

@@ -18,16 +18,18 @@
 //! the island. The controller computes cones per batch, pins everything
 //! outside them at the cached fixpoint, and re-analyzes only cone members
 //! ([`dirty_components`] groups them into independently-analyzable
-//! sub-problems; with every transaction dirty — the seed analysis — its
-//! components are exactly the islands). [`Islands`] survives as the
-//! stale-island lookup and the engine's shard-splitting granularity.
+//! sub-problems). With every transaction dirty its components are exactly
+//! the islands, so the same function is the island partition wherever one
+//! is needed: the seed analysis, the stale-island lookup and
+//! `AdmissionController::split_islands`.
 
 use hsched_transaction::TransactionSet;
 use std::collections::HashMap;
 
-/// A plain union–find (path halving, no ranks) over `0..n`. The crate-internal `Islands` partitioner
-/// builds on it; `hsched-engine` reuses it to group an admission batch's
-/// routing keys (shards ∪ free platforms) into connected target groups.
+/// A plain union–find (path halving, no ranks) over `0..n`: the partition
+/// behind the controller's dirty components and islands, public for
+/// callers that group platforms the same way (the benchmark's island
+/// inputs).
 #[derive(Debug, Clone)]
 pub struct UnionFind {
     parent: Vec<usize>,
@@ -56,41 +58,6 @@ impl UnionFind {
         if ra != rb {
             self.parent[rb] = ra;
         }
-    }
-}
-
-/// Union–find over platform indices, unioned through transactions.
-pub(crate) struct Islands {
-    uf: UnionFind,
-}
-
-impl Islands {
-    /// Builds the island structure of the current set.
-    pub(crate) fn of(set: &TransactionSet) -> Islands {
-        let mut islands = Islands {
-            uf: UnionFind::new(set.platforms().len()),
-        };
-        for tx in set.transactions() {
-            let first = tx.tasks()[0].platform.0;
-            for task in tx.tasks() {
-                islands.uf.union(first, task.platform.0);
-            }
-        }
-        islands
-    }
-
-    fn find(&mut self, x: usize) -> usize {
-        self.uf.find(x)
-    }
-
-    /// The island (root platform index) a platform belongs to.
-    pub(crate) fn find_platform(&mut self, platform: usize) -> usize {
-        self.find(platform)
-    }
-
-    /// The island (root platform index) a transaction belongs to.
-    pub(crate) fn island_of(&mut self, set: &TransactionSet, tx: usize) -> usize {
-        self.find(set.transactions()[tx].tasks()[0].platform.0)
     }
 }
 
@@ -193,12 +160,8 @@ mod tests {
     fn chains_union_their_platforms() {
         // tx0 bridges P0–P1, tx1 sits on P2, tx2 on P1 (joins island A).
         let set = set_on(4, &[&[0, 1], &[2], &[1]]);
-        let mut islands = Islands::of(&set);
-        assert_eq!(islands.island_of(&set, 0), islands.island_of(&set, 2));
-        assert_ne!(islands.island_of(&set, 0), islands.island_of(&set, 1));
-
-        // With every transaction dirty (the seed analysis), the dirty
-        // components are exactly the islands; P3 hosts nothing.
+        // With every transaction dirty, the dirty components are exactly
+        // the islands; P3 hosts nothing.
         assert_eq!(
             dirty_components(&set, &[true; 3]),
             vec![vec![0, 2], vec![1]]

@@ -39,15 +39,18 @@
 //!    by playing back an undo log of inverse requests — O(batch + dirty),
 //!    not a full-state snapshot clone. The log of an *admitted* epoch is
 //!    kept as [`AdmissionController::rollback_last`], which the sharded
-//!    `hsched-engine` router uses to keep cross-shard epochs atomic.
+//!    `hsched-engine` uses when a shard the epoch did not touch turns the
+//!    admission into a rejection.
 //!
 //! At service scale, prefer `hsched-engine`'s `SchedService`: it
 //! partitions the live set into one controller shard per interference
-//! island group (routing with this crate's [`UnionFind`]), commits
-//! disjoint shards concurrently, and adds typed handles plus a journaled
-//! write-ahead log with byte-identical replay. This single-controller API
-//! remains the shard core and the right tool for small or single-island
-//! systems.
+//! island ([`AdmissionController::split_islands`]), commits each epoch on
+//! one controller merged from the shards it touches
+//! ([`AdmissionController::merge_from`]), runs epochs on disjoint shards
+//! concurrently, and adds typed handles plus a journaled write-ahead log
+//! with byte-identical replay. This single-controller API remains the
+//! shard core and the right tool for small or single-island systems.
+//! [`UnionFind`] is the partition behind the island split.
 //!
 //! Hostile workloads degrade gracefully: the utilization precheck uses the
 //! fallible `try_*` arithmetic of `hsched-numeric`, and any exact-arithmetic

@@ -107,7 +107,7 @@ pub struct EpochTimings {
     pub route_ns: u64,
     /// Checking the routed shards out of their slots.
     pub checkout_ns: u64,
-    /// The lock-free analysis phase (shard sub-batch commits).
+    /// The lock-free analysis phase (the epoch's one controller commit).
     pub analyze_ns: u64,
     /// The settle phase, including the ticket-order turn wait.
     pub settle_ns: u64,
@@ -135,8 +135,8 @@ pub struct EngineResponse {
     /// records epochs in ticket order, so a serial replay reproduces the
     /// same sequence.
     pub epoch: u64,
-    /// Aggregated verdict + work accounting across the touched shards
-    /// (same shape as the single-controller outcome).
+    /// Verdict + work accounting of the epoch's commit over the touched
+    /// shards (same shape as the single-controller outcome).
     pub outcome: EpochOutcome,
     /// Handles minted for the arrivals of this batch (empty on rejection),
     /// in batch order; an instance arrival contributes one handle per
@@ -144,7 +144,9 @@ pub struct EngineResponse {
     pub admitted: Vec<TxnId>,
     /// The shard set the batch routed to: slot ids in first-touch order
     /// (empty for an empty or structurally rejected batch). Slot ids are
-    /// stable while a shard lives; merges and splits reassign them.
+    /// stable while a shard lives; merges and splits reassign them. A
+    /// merge's absorbed slot is left out; a fresh shard's slot, assigned
+    /// at settle, comes last.
     pub shards: Vec<usize>,
     /// Island shards the batch routed to (`shards.len()`; kept as its own
     /// field since schema v1).

@@ -3,13 +3,14 @@
 //! PR 2's [`hsched_admission::AdmissionController`] made admission
 //! *incremental*; PR 3 made it a sharded engine; this crate's
 //! [`SchedService`] makes it a *concurrent service*. The live set is
-//! partitioned by platform-sharing interference-island groups (the same
-//! union–find that drives dirty tracking), one shard controller per group,
+//! partitioned by platform-sharing interference islands (the same
+//! partition that drives dirty tracking), one shard controller per island,
 //! and the front door is a shared-reference `&self`
 //! [`SchedService::submit`]: many client threads commit epochs
-//! concurrently, each batch routed to exactly the shards it touches and
-//! checked out under a lock-per-shard slot table — exact, because
-//! interference cannot cross island boundaries. An epoch *ticket* totally
+//! concurrently, each batch routed to exactly the shards it touches,
+//! checked out under a lock-per-shard slot table and committed once on
+//! their merge — exact, because interference cannot cross island
+//! boundaries. An epoch *ticket* totally
 //! orders concurrent epochs, so the write-ahead journal is a
 //! serialization of the concurrent history and [`SchedService::replay`]
 //! rebuilds a byte-identical engine (the linearizability property suite
@@ -332,6 +333,91 @@ mod tests {
             ]))
             .unwrap();
         assert!(response.outcome.verdict.admitted());
+    }
+
+    #[test]
+    fn rejection_names_the_misses_of_untouched_shards_too() {
+        // Island B is unschedulable at rest (`hog` misses its deadline); the
+        // batch's own island A misses too. The single controller's reason
+        // names both, in set order — so must the engine's.
+        let mut platforms = PlatformSet::new();
+        let a = platforms.add(Platform::dedicated("A"));
+        let b = platforms.add(Platform::linear("B", rat(1, 10), rat(0, 1), rat(0, 1)).unwrap());
+        let hog = Transaction::new(
+            "hog",
+            rat(10, 1),
+            rat(1, 1),
+            vec![Task::new("h", rat(1, 2), rat(1, 2), 1, b)],
+        )
+        .unwrap();
+        let set = TransactionSet::new(platforms, vec![tx_on("good", a), hog]).unwrap();
+        let newcomer = Transaction::new(
+            "newcomer",
+            rat(10, 1),
+            rat(2, 1),
+            vec![Task::new("n", rat(3, 1), rat(3, 1), 9, a)],
+        )
+        .unwrap();
+        let batch = vec![AdmissionRequest::AddTransaction(newcomer)];
+        let mut single = hsched_admission::AdmissionController::new(
+            set.clone(),
+            AnalysisConfig::default(),
+            AdmissionPolicy::default(),
+        )
+        .unwrap();
+        let engine =
+            SchedService::new(set, AnalysisConfig::default(), AdmissionPolicy::default()).unwrap();
+        let expected = Verdict::Rejected(RejectReason::Unschedulable {
+            misses: vec!["hog".to_string(), "newcomer".to_string()],
+        });
+        assert_eq!(single.commit(&batch).verdict, expected);
+        let response = engine.submit(&EngineRequest::batch(batch)).unwrap();
+        assert_eq!(response.outcome.verdict, expected);
+    }
+
+    #[test]
+    fn shard_set_lists_routed_slots_minus_absorbed_plus_fresh() {
+        let mut platforms = PlatformSet::new();
+        let a = platforms.add(Platform::dedicated("A"));
+        let b = platforms.add(Platform::dedicated("B"));
+        let c = platforms.add(Platform::dedicated("C"));
+        let set =
+            TransactionSet::new(platforms, vec![tx_on("left", a), tx_on("right", b)]).unwrap();
+        let engine =
+            SchedService::new(set, AnalysisConfig::default(), AdmissionPolicy::default()).unwrap();
+        let submit = |batch| engine.submit(&EngineRequest::batch(batch)).unwrap();
+
+        // Two islands, one epoch: both slots, both stay.
+        let response = submit(vec![
+            AdmissionRequest::AddTransaction(tx_on("a2", a)),
+            AdmissionRequest::AddTransaction(tx_on("b2", b)),
+        ]);
+        assert!(response.outcome.verdict.admitted());
+        assert_eq!((response.shards, response.shards_touched), (vec![0, 1], 2));
+        assert_eq!(response.shards_live, 2);
+
+        // A bridge merges them: slot 1 is absorbed into slot 0.
+        let bridge = Transaction::new(
+            "bridge",
+            rat(20, 1),
+            rat(20, 1),
+            vec![
+                Task::new("b0", rat(1, 1), rat(1, 1), 2, a),
+                Task::new("b1", rat(1, 1), rat(1, 1), 2, b),
+            ],
+        )
+        .unwrap();
+        let response = submit(vec![AdmissionRequest::AddTransaction(bridge)]);
+        assert!(response.outcome.verdict.admitted());
+        assert_eq!((response.shards, response.shards_touched), (vec![0], 1));
+        assert_eq!(response.shards_live, 1);
+
+        // A fresh island on the free platform takes the first vacancy —
+        // the slot the merge vacated, assigned at settle.
+        let response = submit(vec![AdmissionRequest::AddTransaction(tx_on("c1", c))]);
+        assert!(response.outcome.verdict.admitted());
+        assert_eq!((response.shards, response.shards_touched), (vec![1], 1));
+        assert_eq!(response.shards_live, 2);
     }
 
     #[test]

@@ -26,8 +26,8 @@ pub struct EngineMetrics {
     /// pipeline depth).
     pub fast_conflicts: Counter,
     /// Reservations that required the pipeline drained first (instance
-    /// ops, topology changes, poison parity). With `fast_reservations`
-    /// this accounts for every ticket.
+    /// ops, poison parity). With `fast_reservations` this accounts for
+    /// every ticket.
     pub exclusive_drains: Counter,
     /// Journal bytes appended (records only; snapshot rewrites excluded).
     pub journal_bytes: Counter,
@@ -47,7 +47,7 @@ pub struct EngineMetrics {
     pub reserve_ns: Histogram,
     /// Routing time per epoch (batch → shard decision, winning attempt).
     pub route_ns: Histogram,
-    /// Shard checkout time per epoch (merges, fresh shards).
+    /// Shard checkout time per epoch (marking the touched slots `Busy`).
     pub checkout_ns: Histogram,
     /// Analysis time per epoch (the lock-free phase 2).
     pub analyze_ns: Histogram,

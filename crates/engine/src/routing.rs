@@ -1,19 +1,20 @@
-//! The routing front end of [`crate::SchedService`]: resolves each request
-//! of a batch to the island shards it touches (with batch-local name
+//! The routing front end of [`crate::SchedService`]: resolves a batch to
+//! the island shards and free platforms it touches (with batch-local name
 //! simulation, so `[remove X, add X]` resolves like sequential
-//! application), detects conflicts with in-flight epochs, and plans/applies
-//! the group structure (merging shards bridged within a batch, allocating
-//! fresh shards for all-free groups).
+//! application), detects conflicts with in-flight epochs, and checks the
+//! touched shards out. Routing never changes shard topology: the epoch
+//! commits once on the merged checked-out shards, and settle re-partitions
+//! the result into islands (see the service module docs).
 //!
 //! Routing is deliberately **island**-granular — shard ownership, conflict
 //! detection, and the journal's replay determinism all key off the
 //! platform-sharing partition, which is stable under priority changes.
-//! The finer **cone** granularity of PR 5 lives one layer down: each
-//! checked-out shard's commit re-analyzes only the hp-graph interference
-//! cones of its sub-batch (pinning the rest of the island) and
-//! parallelizes across disjoint cones, so cones inside one island no
-//! longer serialize analysis work while the routed epoch structure — and
-//! therefore byte-identical replay — is unchanged.
+//! The finer **cone** granularity of PR 5 lives one layer down: the
+//! epoch's commit re-analyzes only the hp-graph interference cones of its
+//! batch (pinning the rest of the touched islands) and parallelizes across
+//! disjoint cones, so cones inside one island no longer serialize analysis
+//! work while the routed epoch structure — and therefore byte-identical
+//! replay — is unchanged.
 //!
 //! All of it runs under the one routing lock ([`Routing`], held inside a
 //! [`World`]), so [`route`] sees the exact state — claims *and* checked-out
@@ -21,8 +22,8 @@
 //! service module docs and `docs/ARCHITECTURE.md`.
 
 use crate::envelope::EngineError;
-use crate::service::{Shard, Slot, World};
-use hsched_admission::{AdmissionController, AdmissionRequest, UnionFind};
+use crate::service::{Slot, World};
+use hsched_admission::{AdmissionController, AdmissionRequest};
 use hsched_model::{ComponentClass, SystemBuilder};
 use hsched_platform::PlatformId;
 use hsched_transaction::{flatten_annotated, FlattenOptions, TransactionSet};
@@ -48,34 +49,42 @@ pub(crate) struct Routing {
     pub(crate) slots: Vec<Slot>,
 }
 
-/// A routing key of one request: either an existing shard or a platform no
-/// shard currently uses.
+/// What a batch touches: an existing shard, or a platform no shard uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Key {
     Shard(usize),
     Free(usize),
 }
 
-/// One routed group: the target shard slot and the batch indices of its
-/// sub-batch (in batch order).
-#[derive(Debug)]
-pub(crate) struct Group {
-    pub(crate) slot: usize,
-    pub(crate) requests: Vec<usize>,
+/// The shard slots among `keys`, in their order.
+pub(crate) fn shard_slots(keys: &[Key]) -> Vec<usize> {
+    keys.iter()
+        .filter_map(|key| match *key {
+            Key::Shard(slot) => Some(slot),
+            Key::Free(_) => None,
+        })
+        .collect()
+}
+
+/// The free platforms among `keys`, in their order.
+pub(crate) fn free_platforms(keys: &[Key]) -> impl Iterator<Item = usize> + '_ {
+    keys.iter().filter_map(|key| match *key {
+        Key::Free(p) => Some(p),
+        Key::Shard(_) => None,
+    })
 }
 
 /// Routing result of one batch.
 pub(crate) struct Routed {
-    /// Per-request routing keys.
-    pub(crate) keys: Vec<Vec<Key>>,
+    /// The shards and free platforms the batch touches, each once, in
+    /// first-touch order.
+    pub(crate) keys: Vec<Key>,
     /// Per request: the flattened transaction names of a removed instance
     /// (needed for handle cleanup after commit).
     pub(crate) removed_instance_txns: Vec<Vec<String>>,
     /// Every transaction/instance name the batch mentions (validates or
     /// mutates) — the epoch's name-conflict claim set.
     pub(crate) mentioned: Vec<String>,
-    /// Free platforms the batch claims (no shard owns them yet).
-    pub(crate) free_platforms: Vec<usize>,
 }
 
 /// What routing decided.
@@ -93,35 +102,18 @@ pub(crate) enum RouteOutcome {
 /// Batch-local liveness override of one name.
 enum NameState {
     Absent,
-    Pending(usize),
+    Pending,
 }
 
-/// A planned routing group before any topology mutation: the member shard
-/// slots (first-reference order) and the request indices. No member slots
-/// means the group lands entirely on free platforms (a fresh shard).
-#[derive(Debug)]
-pub(crate) struct GroupDraft {
-    pub(crate) requests: Vec<usize>,
-    pub(crate) member_slots: Vec<usize>,
-}
-
-impl GroupDraft {
-    /// Whether realizing this draft changes shard topology (merge or fresh
-    /// shard) — the write path.
-    pub(crate) fn changes_topology(&self) -> bool {
-        self.member_slots.len() != 1
-    }
-}
-
-/// Resolves each request of the batch to routing keys, simulating
-/// batch-local name liveness, and collecting the conflict claim sets.
+/// Resolves the batch to the shard slots and free platforms it touches,
+/// simulating batch-local name liveness, and collects the conflict claim
+/// sets.
 pub(crate) fn route(view: &World<'_>, batch: &[AdmissionRequest]) -> RouteOutcome {
     let mut tx_state: HashMap<String, NameState> = HashMap::new();
     let mut instance_state: HashMap<String, NameState> = HashMap::new();
-    let mut keys: Vec<Vec<Key>> = Vec::with_capacity(batch.len());
+    let mut keys: Vec<Key> = Vec::new();
     let mut removed_instance_txns: Vec<Vec<String>> = vec![Vec::new(); batch.len()];
     let mut mentioned: Vec<String> = Vec::new();
-    let mut free_platforms: Vec<usize> = Vec::new();
 
     // A name an in-flight epoch mentions may change liveness when that
     // epoch settles; validating against it now would not replay
@@ -135,9 +127,25 @@ pub(crate) fn route(view: &World<'_>, batch: &[AdmissionRequest]) -> RouteOutcom
             mentioned.push(name.to_string());
         }};
     }
+    // A shard or free platform an in-flight epoch holds: wait as well.
+    macro_rules! touch {
+        ($key:expr) => {{
+            let key: Key = $key;
+            let held = match key {
+                Key::Shard(slot) => view.slot_busy(slot),
+                Key::Free(p) => view.pending_free(p),
+            };
+            if held {
+                return RouteOutcome::Blocked;
+            }
+            if !keys.contains(&key) {
+                keys.push(key);
+            }
+        }};
+    }
 
     for (i, request) in batch.iter().enumerate() {
-        let request_keys = match request {
+        match request {
             AdmissionRequest::AddTransaction(tx) => {
                 claim_name!(&tx.name);
                 for task in tx.tasks() {
@@ -150,7 +158,7 @@ pub(crate) fn route(view: &World<'_>, batch: &[AdmissionRequest]) -> RouteOutcom
                 }
                 let live = match tx_state.get(&tx.name) {
                     Some(NameState::Absent) => false,
-                    Some(NameState::Pending(_)) => true,
+                    Some(NameState::Pending) => true,
                     None => view.txn_live(&tx.name),
                 };
                 if live {
@@ -159,31 +167,21 @@ pub(crate) fn route(view: &World<'_>, batch: &[AdmissionRequest]) -> RouteOutcom
                         tx.name
                     ));
                 }
-                tx_state.insert(tx.name.clone(), NameState::Pending(i));
-                match platform_keys(view, tx.tasks().iter().map(|t| t.platform.0)) {
-                    Some(keys) => keys,
-                    None => return RouteOutcome::Blocked,
+                tx_state.insert(tx.name.clone(), NameState::Pending);
+                for task in tx.tasks() {
+                    touch!(view.platform_key(task.platform.0));
                 }
             }
             AdmissionRequest::RemoveTransaction { name } => {
                 claim_name!(name);
                 match tx_state.get(name) {
-                    Some(NameState::Pending(add)) => {
-                        let cloned = keys[*add].clone();
-                        tx_state.insert(name.clone(), NameState::Absent);
-                        cloned
-                    }
+                    // A batch-local arrival departs from where it landed.
+                    Some(NameState::Pending) => {}
                     Some(NameState::Absent) => {
                         return RouteOutcome::Structural(format!("no transaction named `{name}`"));
                     }
                     None => match view.txn_slot(name) {
-                        Some(slot) => {
-                            if view.slot_busy(slot) {
-                                return RouteOutcome::Blocked;
-                            }
-                            tx_state.insert(name.clone(), NameState::Absent);
-                            vec![Key::Shard(slot)]
-                        }
+                        Some(slot) => touch!(Key::Shard(slot)),
                         None => {
                             return RouteOutcome::Structural(format!(
                                 "no transaction named `{name}`"
@@ -191,15 +189,13 @@ pub(crate) fn route(view: &World<'_>, batch: &[AdmissionRequest]) -> RouteOutcom
                         }
                     },
                 }
+                tx_state.insert(name.clone(), NameState::Absent);
             }
             AdmissionRequest::Retune { platform, .. } => {
                 if platform.0 >= view.platform_count() {
                     return RouteOutcome::Structural(format!("platform {platform} out of range"));
                 }
-                match platform_keys(view, std::iter::once(platform.0)) {
-                    Some(keys) => keys,
-                    None => return RouteOutcome::Blocked,
-                }
+                touch!(view.platform_key(platform.0));
             }
             AdmissionRequest::AddInstance {
                 name,
@@ -213,7 +209,7 @@ pub(crate) fn route(view: &World<'_>, batch: &[AdmissionRequest]) -> RouteOutcom
                 }
                 let live = match instance_state.get(name) {
                     Some(NameState::Absent) => false,
-                    Some(NameState::Pending(_)) => true,
+                    Some(NameState::Pending) => true,
                     None => view.instance_live(name),
                 };
                 if live {
@@ -226,7 +222,7 @@ pub(crate) fn route(view: &World<'_>, batch: &[AdmissionRequest]) -> RouteOutcom
                     claim_name!(member);
                     let live = match tx_state.get(member) {
                         Some(NameState::Absent) => false,
-                        Some(NameState::Pending(_)) => true,
+                        Some(NameState::Pending) => true,
                         None => view.txn_live(member),
                     };
                     if live {
@@ -236,22 +232,15 @@ pub(crate) fn route(view: &World<'_>, batch: &[AdmissionRequest]) -> RouteOutcom
                     }
                 }
                 for member in members {
-                    tx_state.insert(member, NameState::Pending(i));
+                    tx_state.insert(member, NameState::Pending);
                 }
-                instance_state.insert(name.clone(), NameState::Pending(i));
-                match platform_keys(view, std::iter::once(platform.0)) {
-                    Some(keys) => keys,
-                    None => return RouteOutcome::Blocked,
-                }
+                instance_state.insert(name.clone(), NameState::Pending);
+                touch!(view.platform_key(platform.0));
             }
             AdmissionRequest::RemoveInstance { name } => {
                 claim_name!(name);
                 match instance_state.get(name) {
-                    Some(NameState::Pending(add)) => {
-                        let cloned = keys[*add].clone();
-                        instance_state.insert(name.clone(), NameState::Absent);
-                        cloned
-                    }
+                    Some(NameState::Pending) => {}
                     Some(NameState::Absent) => {
                         return RouteOutcome::Structural(format!("no instance named `{name}`"));
                     }
@@ -260,7 +249,6 @@ pub(crate) fn route(view: &World<'_>, batch: &[AdmissionRequest]) -> RouteOutcom
                             let Some(members) = view.instance_txns(slot, name) else {
                                 return RouteOutcome::Blocked;
                             };
-                            instance_state.insert(name.clone(), NameState::Absent);
                             for txn in &members {
                                 claim_name!(txn);
                                 // The instance's flattened transactions
@@ -268,23 +256,16 @@ pub(crate) fn route(view: &World<'_>, batch: &[AdmissionRequest]) -> RouteOutcom
                                 tx_state.insert(txn.clone(), NameState::Absent);
                             }
                             removed_instance_txns[i] = members;
-                            vec![Key::Shard(slot)]
+                            touch!(Key::Shard(slot));
                         }
                         None => {
                             return RouteOutcome::Structural(format!("no instance named `{name}`"));
                         }
                     },
                 }
-            }
-        };
-        for key in &request_keys {
-            if let Key::Free(p) = key {
-                if !free_platforms.contains(p) {
-                    free_platforms.push(*p);
-                }
+                instance_state.insert(name.clone(), NameState::Absent);
             }
         }
-        keys.push(request_keys);
     }
     mentioned.sort_unstable();
     mentioned.dedup();
@@ -292,94 +273,7 @@ pub(crate) fn route(view: &World<'_>, batch: &[AdmissionRequest]) -> RouteOutcom
         keys,
         removed_instance_txns,
         mentioned,
-        free_platforms,
     })
-}
-
-/// Deduplicated routing keys of a platform list; `None` when a key
-/// conflicts with an in-flight epoch (busy shard / claimed platform).
-fn platform_keys(view: &World<'_>, platforms: impl Iterator<Item = usize>) -> Option<Vec<Key>> {
-    let mut out: Vec<Key> = Vec::new();
-    for p in platforms {
-        let key = match view.platform_home(p) {
-            Some(slot) => {
-                if view.slot_busy(slot) {
-                    return None;
-                }
-                Key::Shard(slot)
-            }
-            None => {
-                if view.pending_free(p) {
-                    return None;
-                }
-                Key::Free(p)
-            }
-        };
-        if !out.contains(&key) {
-            out.push(key);
-        }
-    }
-    Some(out)
-}
-
-/// Unions the routing keys into connected groups (pure — no topology
-/// mutation). Returns one draft per group, in first-touch order.
-pub(crate) fn plan_groups(
-    keys: &[Vec<Key>],
-    slots_len: usize,
-    platform_count: usize,
-) -> Vec<GroupDraft> {
-    let node = |key: &Key| match *key {
-        Key::Shard(s) => s,
-        Key::Free(p) => slots_len + p,
-    };
-    let mut uf = UnionFind::new(slots_len + platform_count);
-    for request_keys in keys {
-        for key in &request_keys[1..] {
-            uf.union(node(&request_keys[0]), node(key));
-        }
-    }
-
-    struct Draft {
-        root: usize,
-        requests: Vec<usize>,
-    }
-    let mut drafts: Vec<Draft> = Vec::new();
-    for (i, request_keys) in keys.iter().enumerate() {
-        debug_assert!(!request_keys.is_empty(), "every request routes somewhere");
-        let root = uf.find(node(&request_keys[0]));
-        match drafts.iter_mut().find(|d| d.root == root) {
-            Some(draft) => draft.requests.push(i),
-            None => drafts.push(Draft {
-                root,
-                requests: vec![i],
-            }),
-        }
-    }
-    let mut referenced: Vec<usize> = keys
-        .iter()
-        .flatten()
-        .filter_map(|k| match k {
-            Key::Shard(s) => Some(*s),
-            Key::Free(_) => None,
-        })
-        .collect();
-    referenced.sort_unstable();
-    referenced.dedup();
-    let mut out: Vec<GroupDraft> = drafts
-        .iter()
-        .map(|d| GroupDraft {
-            requests: d.requests.clone(),
-            member_slots: Vec::new(),
-        })
-        .collect();
-    for slot in referenced {
-        let root = uf.find(slot);
-        if let Some(at) = drafts.iter().position(|d| d.root == root) {
-            out[at].member_slots.push(slot);
-        }
-    }
-    out
 }
 
 impl World<'_> {
@@ -408,9 +302,12 @@ impl World<'_> {
         matches!(self.routing.slots[slot], Slot::Busy)
     }
 
-    /// Owning shard slot of a platform (`None` = free).
-    fn platform_home(&self, p: usize) -> Option<usize> {
-        self.routing.home.get(&p).copied()
+    /// The key of a platform: its owning shard, or itself when free.
+    fn platform_key(&self, p: usize) -> Key {
+        match self.routing.home.get(&p) {
+            Some(&slot) => Key::Shard(slot),
+            None => Key::Free(p),
+        }
     }
 
     /// Whether an in-flight epoch has claimed this free platform.
@@ -469,119 +366,63 @@ impl World<'_> {
     /// shards' platform homes plus the claimed free platforms) — the
     /// clearing scope of the numeric-parity poison map. O(platforms): only
     /// called while that map is non-empty.
-    pub(crate) fn touched_platform_set(&self, keys: &[Vec<Key>]) -> HashSet<usize> {
-        let mut slots: HashSet<usize> = HashSet::new();
-        let mut touched: HashSet<usize> = HashSet::new();
-        for key in keys.iter().flatten() {
-            match key {
-                Key::Shard(slot) => {
-                    slots.insert(*slot);
-                }
-                Key::Free(p) => {
-                    touched.insert(*p);
-                }
-            }
-        }
+    pub(crate) fn touched_platform_set(&self, keys: &[Key]) -> HashSet<usize> {
+        let mut touched: HashSet<usize> = free_platforms(keys).collect();
         for (p, home) in &self.routing.home {
-            if slots.contains(home) {
+            if keys.contains(&Key::Shard(*home)) {
                 touched.insert(*p);
             }
         }
         touched
     }
 
-    /// Realizes the planned groups and checks their shards out: merges
-    /// shards bridged within a group (cache-preserving concatenation — the
-    /// merged island is re-analyzed by the commit anyway, exactly as the
-    /// single controller would), mints fresh shards for all-free groups,
-    /// and leaves every target slot `Busy`. Topology-changing drafts only
-    /// get here on a drained pipeline, so slot choices stay deterministic
-    /// in ticket order.
+    /// Checks the shards in `slots` out, leaving each slot `Busy`, and
+    /// returns their controllers in ascending slot order — the order the
+    /// analyze phase merges them in. A batch that touches only free
+    /// platforms gets one empty controller instead. No slot is allocated
+    /// or vacated: shard topology changes only at settle.
     ///
-    /// A failed reserve must not change the world: every fallible step
-    /// runs first, while each shard still sits idle in its slot, and an
-    /// `Err` leaves slots, home maps and digest exactly as they were. The
-    /// second half cannot fail.
+    /// A failed reserve must not change the world: every slot is verified
+    /// before the first one moves, so an `Err` leaves slots, home maps and
+    /// digest exactly as they were.
     pub(crate) fn checkout(
         &mut self,
-        drafts: Vec<GroupDraft>,
-    ) -> Result<(Vec<Group>, Vec<Shard>), EngineError> {
-        let mut fresh = Vec::new();
-        for draft in &drafts {
-            for &slot in &draft.member_slots {
-                let Slot::Idle(shard) = &self.routing.slots[slot] else {
-                    return Err(EngineError::Internal(
-                        "checkout of a non-idle slot".to_string(),
-                    ));
-                };
-                // The at-rest invariant (`World::put_idle`), checked before
-                // the point of no return: shards on different tables would
-                // fail their merge below.
-                if !shard.holds(&self.core.platforms) {
-                    return Err(EngineError::Internal(format!(
-                        "idle shard in slot {slot} does not hold the master platform table"
-                    )));
-                }
-            }
-            if draft.member_slots.is_empty() {
-                let empty = TransactionSet::new(self.core.platforms.clone(), Vec::new())
-                    .map_err(EngineError::Internal)?;
-                let mut core = AdmissionController::new(
-                    empty,
-                    self.core.config.clone(),
-                    self.core.shard_policy.clone(),
-                )
+        slots: &[usize],
+    ) -> Result<Vec<AdmissionController>, EngineError> {
+        if slots.is_empty() {
+            let empty = TransactionSet::new(self.core.platforms.clone(), Vec::new())
                 .map_err(EngineError::Internal)?;
-                core.set_metrics_sink(self.core.admission_metrics.clone());
-                fresh.push(core);
+            let mut core =
+                AdmissionController::new(empty, self.core.config.clone(), self.core.policy.clone())
+                    .map_err(EngineError::Internal)?;
+            core.set_metrics_sink(self.core.admission_metrics.clone());
+            return Ok(vec![core]);
+        }
+        for &slot in slots {
+            let Slot::Idle(shard) = &self.routing.slots[slot] else {
+                return Err(EngineError::Internal(
+                    "checkout of a non-idle slot".to_string(),
+                ));
+            };
+            // The at-rest invariant (`World::put_idle`), checked before the
+            // point of no return: shards on different tables would fail
+            // their merge in the analyze phase.
+            if !shard.holds(&self.core.platforms) {
+                return Err(EngineError::Internal(format!(
+                    "idle shard in slot {slot} does not hold the master platform table"
+                )));
             }
         }
-
-        let mut fresh = fresh.into_iter();
-        let mut groups = Vec::with_capacity(drafts.len());
-        let mut shards = Vec::with_capacity(drafts.len());
-        for draft in drafts {
-            let (slot, shard) = match draft.member_slots.split_first() {
-                Some((&target, losers)) => {
-                    let mut merged = self.take_idle(target, Slot::Busy);
-                    for &loser in losers {
-                        let eaten = self.take_idle(loser, Slot::Vacant);
-                        merged
-                            .core
-                            .merge_from(eaten.core)
-                            .expect("shards of one service merge (both hold the master table)");
-                        self.reassign_home(loser, target);
-                        self.core.unsched.remove(&loser);
-                    }
-                    if !losers.is_empty() {
-                        merged.schedulable = merged.core.schedulable();
-                    }
-                    (target, merged)
-                }
-                None => {
-                    let shard = Shard {
-                        core: fresh.next().expect("one fresh controller per free group"),
-                        schedulable: true,
-                    };
-                    let slot = self.vacant_slot();
-                    self.routing.slots[slot] = Slot::Busy;
-                    (slot, shard)
-                }
-            };
-            groups.push(Group {
-                slot,
-                requests: draft.requests,
-            });
-            shards.push(shard);
-        }
-        Ok((groups, shards))
-    }
-
-    /// Moves the idle shard out of `slot`, leaving `marker` behind.
-    fn take_idle(&mut self, slot: usize, marker: Slot) -> Shard {
-        match std::mem::replace(&mut self.routing.slots[slot], marker) {
-            Slot::Idle(shard) => shard,
-            _ => unreachable!("checkout verified every member slot idle"),
-        }
+        let mut sorted = slots.to_vec();
+        sorted.sort_unstable();
+        Ok(sorted
+            .into_iter()
+            .map(
+                |slot| match std::mem::replace(&mut self.routing.slots[slot], Slot::Busy) {
+                    Slot::Idle(shard) => shard.core,
+                    _ => unreachable!("verified idle above"),
+                },
+            )
+            .collect())
     }
 }

@@ -16,24 +16,29 @@
 //!
 //! Every epoch passes through three phases:
 //!
-//! 1. **Reserve** — route the batch to its shard slots (batch-local name
-//!    simulation included), check for conflicts against in-flight epochs,
-//!    and check the touched shard controllers out of their slots together
-//!    with the epoch's **ticket** (a sequence number). Because a ticket
-//!    is only issued once every touched shard was acquired, an
-//!    earlier-ticketed epoch can never wait on a later-ticketed one — the
-//!    classic two-phase total-order argument, so cross-shard batches stay
-//!    atomic and deadlock-free.
-//! 2. **Analyze** — no lock held: the checked-out shards commit their
-//!    sub-batches (concurrently across client threads *and* across the
-//!    groups of one batch). This is where the analysis time goes, and it
-//!    fully overlaps between clients on disjoint islands.
+//! 1. **Reserve** — route the batch to the shard slots and free platforms
+//!    it touches (batch-local name simulation included), check for
+//!    conflicts against in-flight epochs, and check the touched shard
+//!    controllers out of their slots together with the epoch's **ticket**
+//!    (a sequence number). Because a ticket is only issued once every
+//!    touched shard was acquired, an earlier-ticketed epoch can never wait
+//!    on a later-ticketed one — the classic two-phase total-order argument,
+//!    so cross-shard batches stay atomic and deadlock-free. Reserve never
+//!    allocates or vacates a slot.
+//! 2. **Analyze** — no lock held: the checked-out shards are merged into
+//!    one controller (an empty one when the batch touches only free
+//!    platforms) and the whole batch is committed on it **once** — the
+//!    paper's one transaction set, restricted to the islands the batch
+//!    touches. The controller parallelizes across the batch's disjoint
+//!    interference cones itself; across client threads, analyses on
+//!    disjoint islands overlap fully.
 //! 3. **Settle** — strictly in ticket order: the cross-shard admission
-//!    rule is evaluated against the service-wide state, routing tables and
-//!    handle maps are updated, shards are returned (split back per island
-//!    when departures drifted them apart), and the epoch's record is
-//!    appended to the journal. Settling in ticket order makes the journal
-//!    a *serialization* of the concurrent history: replaying it epoch by
+//!    rule is evaluated against the service-wide state, the controller is
+//!    split back into islands and each is placed in a slot (the one place
+//!    shard topology changes; see [`World::place`]), routing tables and
+//!    handle maps are updated, and the epoch's record is appended to the
+//!    journal. Settling in ticket order makes the journal a
+//!    *serialization* of the concurrent history: replaying it epoch by
 //!    epoch through a single-threaded engine reproduces verdicts and state
 //!    byte-identically (the linearizability property suite drives N client
 //!    threads and asserts exactly this).
@@ -69,33 +74,41 @@
 //! (validation against a name whose liveness an in-flight epoch may change
 //! must wait for that epoch's outcome — otherwise the journal would not
 //! replay serially). Conflicting submissions simply wait; disjoint ones
-//! run concurrently. Three kinds of epoch first **drain** the pipeline
-//! (a fairness gate holds new reservations off while such a writer
-//! waits): instance operations (they flatten across names no footprint
-//! can be precomputed for), epochs that must *change topology* at routing
-//! time — merging shards bridged by an arrival, or creating a shard on
-//! free platforms — which keeps slot assignment deterministic in ticket
-//! order (the state digest depends on it), and every epoch while the
+//! run concurrently, merges, splits and fresh shards included: only
+//! settle, which runs in ticket order, allocates or vacates a slot, so
+//! slot choice is deterministic in ticket order (the state digest depends
+//! on it) and `shards_live` is exact. Two kinds of epoch first **drain**
+//! the pipeline (a fairness gate holds new reservations off while such a
+//! writer waits): instance operations (they flatten across names no
+//! footprint can be precomputed for), and every epoch while the
 //! utilization-poison map is non-empty (the parity scan must see every
-//! platform at rest). Splits after departures happen at settle time,
-//! which is already serialized.
+//! platform at rest).
 //!
 //! # Equivalence envelope
 //!
-//! The service matches the single-controller verdict and post-state
-//! exactly on transaction-level traffic, including the cross-island
-//! numeric parity: a service-wide utilization poison map reproduces the
-//! single controller's global checked utilization scan (whose exact
-//! arithmetic can overflow on islands the batch never touches), so
-//! overflow-boundary scenarios reject identically. Rejection *reasons*
-//! are emitted deterministically in single-controller stage order:
-//! structural failures first (earliest request), then numeric errors (the
-//! global scan overflows before it collects overloads), then overloads
-//! (platform lists merged, sorted by platform index like the global
-//! scan), then deadline misses merged and sorted in **global set order**
-//! (handle-mint order — the order the serial controller's live set holds
-//! them in — with this batch's unminted arrivals after, in batch order),
-//! closing the shard-slot-order relaxation PR 4 documented.
+//! The service matches the single-controller verdict — rejection reason
+//! included — and post-state exactly on transaction-level traffic. Each
+//! epoch is one controller commit over the touched islands, so the
+//! controller's own stage order (structural, numeric, overload, deadline
+//! misses, analysis aborts) decides the reason. Two rules reach beyond the
+//! touched islands, as the single controller's whole-set scans do:
+//!
+//! - a service-wide utilization poison map reproduces the global checked
+//!   utilization scan (whose exact arithmetic can overflow on islands the
+//!   batch never touches), so overflow-boundary scenarios reject
+//!   identically;
+//! - untouched shards unschedulable at rest (the `unsched` map) reject the
+//!   epoch, and their misses join the batch's own in an
+//!   [`RejectReason::Unschedulable`] reason sorted in **global set order**
+//!   (handle-mint order — the order the serial controller's live set holds
+//!   them in — with this batch's unminted arrivals after, in batch order).
+//!
+//! One difference remains, documented rather than mapped: a foreign
+//! island seeded *overloaded* (utilization above its rate). The single
+//! controller's precheck scans every platform and says `overload on …`;
+//! the service's precheck sees only the touched islands, so the epoch
+//! fails the unschedulable rule instead. Admitted epochs never overload a
+//! platform, so only a seed can produce this state.
 
 use crate::digest::fnv1a_64;
 use crate::envelope::{
@@ -104,16 +117,14 @@ use crate::envelope::{
 };
 use crate::journal::{DurableMark, JournalEpoch, JournalStream, JournalSubscriber, JournalWriter};
 use crate::metrics::EngineMetrics;
-use crate::routing::{plan_groups, route, Group, RouteOutcome, Routing};
+use crate::routing::{free_platforms, route, shard_slots, Key, RouteOutcome, Routing};
 use crate::snapshot::{self, Snapshot};
-use crate::sync::{
-    condvar, core_lock, gate_lock, routing_lock, scratch_lock, Arc, Condvar, Mutex, MutexGuard,
-};
+use crate::sync::{condvar, core_lock, gate_lock, routing_lock, Arc, Condvar, Mutex, MutexGuard};
 use hsched_admission::{
     AdmissionController, AdmissionMetrics, AdmissionPolicy, AdmissionRequest, ControllerStats,
     EpochOutcome, RejectReason, Verdict,
 };
-use hsched_analysis::{parallel_map, AnalysisConfig, AnalysisMetrics, SchedulabilityReport};
+use hsched_analysis::{AnalysisConfig, AnalysisMetrics, SchedulabilityReport};
 use hsched_model::System;
 use hsched_numeric::Rational;
 use hsched_platform::PlatformSet;
@@ -123,7 +134,7 @@ use std::collections::{BTreeMap, HashMap, HashSet};
 use std::path::Path;
 use std::time::Instant;
 
-/// One island-group shard: a full admission controller over the shard's
+/// One island shard: a full admission controller over the island's
 /// transactions plus its cached schedulability flag. `PlatformId`s are
 /// global: the controller holds a handle on the service's one platform
 /// table (see [`World::put_idle`]).
@@ -196,18 +207,16 @@ pub(crate) struct Core {
     pub(crate) settled: u64,
     pub(crate) admitted_epochs: u64,
     pub(crate) rejected_epochs: u64,
-    /// Analysis counters of shards that have since been retired (island
-    /// emptied, slot vacated) — kept so [`SchedService::stats`] stays
-    /// cumulative like the single controller's.
+    /// Analysis counters of epoch controllers that ended with no
+    /// transaction (nothing left to place) — kept so
+    /// [`SchedService::stats`] stays cumulative like the single
+    /// controller's.
     pub(crate) retired_stats: ControllerStats,
     /// The platform table: replaced (copy-on-write) when an admitted
     /// retune settles; every idle shard holds a handle on this very table.
     pub(crate) platforms: PlatformSet,
     pub(crate) config: AnalysisConfig,
     pub(crate) policy: AdmissionPolicy,
-    /// Shard-internal policy: shards parallelize across the disjoint
-    /// interference cones of their sub-batch (the grain below islands).
-    pub(crate) shard_policy: AdmissionPolicy,
     pub(crate) journal: Option<JournalWriter>,
     /// Last ticket whose record is known durable (group commit).
     synced: u64,
@@ -230,8 +239,8 @@ pub(crate) struct Core {
     /// A thread is currently running an auto-compaction (guards pile-ups).
     compacting: bool,
     /// At-rest unschedulable shards: slot → cached miss list. Maintained
-    /// at settle (and seed/merge) so the cross-shard admission rule can be
-    /// evaluated without touching foreign shards.
+    /// where shards are placed ([`World::place`]) so the cross-shard
+    /// admission rule can be evaluated without touching foreign shards.
     pub(crate) unsched: BTreeMap<usize, Vec<String>>,
     /// Cross-island numeric parity (see module docs): platform index →
     /// error message of the global utilization sum. Non-empty entries on
@@ -240,8 +249,8 @@ pub(crate) struct Core {
     /// global scan would. Only seeded at construction/rebuild and only
     /// ever *cleared* afterwards.
     pub(crate) util_poison: BTreeMap<usize, String>,
-    /// The service-wide admission telemetry sink; every shard controller —
-    /// seeded, split, merged, or minted fresh by routing — records its
+    /// The service-wide admission telemetry sink; every controller —
+    /// seeded, split, merged, or fresh for free platforms — records its
     /// cone geometry here (see [`AdmissionMetrics`]).
     pub(crate) admission_metrics: Arc<AdmissionMetrics>,
     /// Model-checking fault hook: when set, the next journal `sync_data`
@@ -272,31 +281,29 @@ struct Gate {
 /// at reserve time.
 struct Reservation {
     ticket: u64,
-    /// One per routed group: target slot + request indices (batch order).
-    groups: Vec<Group>,
-    /// Checked-out shards, aligned with `groups`.
-    shards: Vec<Shard>,
+    /// The shards (checked out) and free platforms (claimed) the batch
+    /// touches, first-touch order.
+    keys: Vec<Key>,
+    /// The checked-out controllers in ascending slot order (one empty
+    /// controller when the batch touches only free platforms) — or the
+    /// rejection reserve decided (structural / numeric parity), with which
+    /// the epoch skips analysis and settles straight to a rejection.
+    cores: Result<Vec<AdmissionController>, RejectReason>,
     /// Per request: flattened transaction names of a removed instance.
     removed_instance_txns: Vec<Vec<String>>,
     claimed_names: Vec<String>,
-    claimed_free: Vec<usize>,
     /// Platforms of every touched island (poison accounting; empty
     /// whenever the poison map was empty at reserve).
     touched_platforms: Vec<usize>,
-    /// Rejection decided at reserve time (structural / numeric parity):
-    /// the epoch skips analysis and settles straight to a rejection.
-    early: Option<RejectReason>,
     /// Wall time the winning attempt spent routing (telemetry).
     route_ns: u64,
     /// Wall time the winning attempt spent checking shards out (telemetry).
     checkout_ns: u64,
 }
 
-/// Epoch outcome handed from the analyze phase to settle.
-struct Analyzed {
-    outcomes: Vec<EpochOutcome>,
-    shards: Vec<Shard>,
-}
+/// What the analyze phase hands settle: the epoch's one controller and its
+/// commit outcome, or the rejection reserve already decided.
+type Analyzed = Result<(AdmissionController, EpochOutcome), RejectReason>;
 
 /// When the service folds its own journal into a snapshot without being
 /// asked (see [`SchedService::with_auto_compact`]). Both thresholds are
@@ -365,8 +372,6 @@ pub struct SchedService {
     /// syncs; sized to the host's parallelism by default. Set by the
     /// builder before the service is shared, hence plain.
     max_inflight: u64,
-    /// Worker threads per epoch's group commits (from the policy).
-    island_threads: usize,
     core: Mutex<Core>,
     gate: Mutex<Gate>,
     /// Settle-order, drain and quiesce waiters (on the gate; notified when
@@ -415,7 +420,7 @@ pub(crate) struct World<'a> {
 impl SchedService {
     /// Builds a service over an already-flattened transaction set: one full
     /// seed analysis (per island, via a temporary single controller), then
-    /// the live set is split into island-group shards and every seeded
+    /// the live set is split into island shards and every seeded
     /// transaction gets a stable [`TxnId`] in set order.
     ///
     /// Transaction names must be unique — they are the name-addressed half
@@ -434,11 +439,6 @@ impl SchedService {
                 )));
             }
         }
-        // Shards inherit the island-thread budget: since PR 5 a shard's
-        // dirty set is the batch's interference *cones*, and one island can
-        // hold several disjoint cones — letting the shard parallelize them
-        // means cones inside one island no longer serialize analysis work.
-        let shard_policy = policy.clone();
         let platforms = set.platforms().clone();
         let util_poison = util_poison_scan(&set);
         let seed_names: Vec<String> = set.transactions().iter().map(|t| t.name.clone()).collect();
@@ -450,11 +450,10 @@ impl SchedService {
         let admission_metrics = Arc::new(AdmissionMetrics::new());
         let mut config = config;
         config.metrics = Some(analysis_metrics.clone());
-        let mut seed = AdmissionController::new(set, config.clone(), shard_policy.clone())
+        let mut seed = AdmissionController::new(set, config.clone(), policy.clone())
             .map_err(EngineError::Seed)?;
         seed.set_metrics_sink(admission_metrics.clone());
 
-        let island_threads = policy.island_threads;
         let core = Core {
             ids: HashMap::new(),
             names: HashMap::new(),
@@ -466,7 +465,6 @@ impl SchedService {
             platforms,
             config,
             policy,
-            shard_policy,
             journal: None,
             synced: 0,
             durable_bytes: 0,
@@ -484,7 +482,6 @@ impl SchedService {
         let service = SchedService {
             routing: routing_lock(Routing::default()),
             max_inflight: default_max_inflight(),
-            island_threads,
             core: core_lock(core),
             gate: gate_lock(Gate {
                 issued: 0,
@@ -504,18 +501,9 @@ impl SchedService {
             for name in seed_names {
                 world.core.mint_id(&name);
             }
-            for part in seed.split_islands() {
-                let slot = world.vacant_slot();
-                world.index_shard(slot, &part);
-                let shard = Shard {
-                    schedulable: part.schedulable(),
-                    core: part,
-                };
-                if !shard.schedulable {
-                    world.core.unsched.insert(slot, shard.core.misses());
-                }
-                world.put_idle(slot, shard);
-            }
+            // Seeding is an epoch over no slots: every island is fresh.
+            let islands = world.homed_islands(seed);
+            world.place(&[], islands);
         }
         Ok(service)
     }
@@ -903,27 +891,18 @@ impl SchedService {
         let reserve_total_ns = elapsed_ns(reserve_started);
         let Reservation {
             ticket,
-            groups,
-            shards,
+            keys,
+            cores,
             removed_instance_txns,
             claimed_names,
-            claimed_free,
             touched_platforms,
-            early,
             route_ns,
             checkout_ns,
         } = resv;
 
         // Phase 2: analyze — no lock held; overlaps across client threads.
         let analyze_started = Instant::now();
-        let analyzed = if early.is_none() && !groups.is_empty() {
-            run_groups(&groups, shards, &batch, self.island_threads)
-        } else {
-            Analyzed {
-                outcomes: Vec::new(),
-                shards,
-            }
-        };
+        let analyzed = cores.map(|cores| commit_merged(cores, &batch));
         let analyze_ns = elapsed_ns(analyze_started);
 
         // Phase 3: settle strictly in ticket order — the linearization
@@ -932,13 +911,11 @@ impl SchedService {
         let mut response = self.settle_epoch(
             ticket,
             &batch,
-            groups,
+            &keys,
             analyzed,
-            removed_instance_txns,
-            touched_platforms,
-            early,
-            claimed_names,
-            claimed_free,
+            &removed_instance_txns,
+            &touched_platforms,
+            &claimed_names,
         )?;
 
         // Attribute the epoch's wall time: route/checkout slices were
@@ -1004,18 +981,9 @@ impl SchedService {
         let route_started = Instant::now();
         let outcome = route(&world, batch);
         let route_ns = elapsed_ns(route_started);
-        let drafts = match &outcome {
-            RouteOutcome::Routed(routed) => plan_groups(
-                &routed.keys,
-                world.routing.slots.len(),
-                world.core.platforms.len(),
-            ),
-            _ => Vec::new(),
-        };
         let poisoned = !world.core.util_poison.is_empty();
         let drain = *writer
             || poisoned
-            || drafts.iter().any(|d| d.changes_topology())
             || batch.iter().any(|r| {
                 matches!(
                     r,
@@ -1056,13 +1024,11 @@ impl SchedService {
         let ticket = gate.issued + 1;
         let early = |reason| Reservation {
             ticket,
-            groups: Vec::new(),
-            shards: Vec::new(),
+            keys: Vec::new(),
+            cores: Err(reason),
             removed_instance_txns: Vec::new(),
             claimed_names: Vec::new(),
-            claimed_free: Vec::new(),
             touched_platforms: Vec::new(),
-            early: Some(reason),
             route_ns,
             checkout_ns: 0,
         };
@@ -1096,20 +1062,18 @@ impl SchedService {
                     Some(message) => early(RejectReason::Numeric(message)),
                     None => {
                         let checkout_started = Instant::now();
-                        let (groups, shards) = world.checkout(drafts)?;
+                        let cores = world.checkout(&shard_slots(&routed.keys))?;
                         let checkout_ns = elapsed_ns(checkout_started);
                         let routing = &mut world.routing;
                         routing.pending.extend(routed.mentioned.iter().cloned());
-                        routing.pending_free.extend(&routed.free_platforms);
+                        routing.pending_free.extend(free_platforms(&routed.keys));
                         Reservation {
                             ticket,
-                            groups,
-                            shards,
+                            keys: routed.keys,
+                            cores: Ok(cores),
                             removed_instance_txns: routed.removed_instance_txns,
                             claimed_names: routed.mentioned,
-                            claimed_free: routed.free_platforms,
                             touched_platforms: touched.into_iter().collect(),
-                            early: None,
                             route_ns,
                             checkout_ns,
                         }
@@ -1133,13 +1097,11 @@ impl SchedService {
         &self,
         ticket: u64,
         batch: &[AdmissionRequest],
-        groups: Vec<Group>,
+        keys: &[Key],
         analyzed: Analyzed,
-        removed_instance_txns: Vec<Vec<String>>,
-        touched_platforms: Vec<usize>,
-        early: Option<RejectReason>,
-        claimed_names: Vec<String>,
-        claimed_free: Vec<usize>,
+        removed_instance_txns: &[Vec<String>],
+        touched_platforms: &[usize],
+        claimed_names: &[String],
     ) -> Result<EngineResponse, EngineError> {
         {
             let mut gate = self.lock_gate();
@@ -1160,11 +1122,10 @@ impl SchedService {
         let result = world.settle(
             ticket,
             batch,
-            groups,
+            keys,
             analyzed,
             removed_instance_txns,
             touched_platforms,
-            early,
         );
         debug_assert!(
             world.idle_shards_hold_master(),
@@ -1180,11 +1141,11 @@ impl SchedService {
                 self.metrics.journal_records.incr();
             }
         }
-        for name in &claimed_names {
+        for name in claimed_names {
             world.routing.pending.remove(name);
         }
-        for p in &claimed_free {
-            world.routing.pending_free.remove(p);
+        for p in free_platforms(keys) {
+            world.routing.pending_free.remove(&p);
         }
         world.core.settled = ticket;
         drop(world);
@@ -1504,33 +1465,12 @@ impl World<'_> {
         self.routing.slots.iter().filter_map(Slot::as_idle)
     }
 
-    /// Puts a shard at rest in `slot` — the one place a slot becomes
-    /// `Idle`, so the one place the at-rest invariant is established: an
-    /// idle shard holds the master platform table (`docs/ARCHITECTURE.md`,
-    /// "One platform table").
-    pub(crate) fn put_idle(&mut self, slot: usize, mut shard: Shard) {
-        shard.adopt(&self.core.platforms);
-        self.routing.slots[slot] = Slot::Idle(shard);
-    }
-
-    /// The at-rest invariant of [`World::put_idle`], checked.
-    fn idle_shards_hold_master(&self) -> bool {
-        self.idle_shards().all(|s| s.holds(&self.core.platforms))
-    }
-
-    /// The first vacant slot (a new one when none is). Slot choice must be
-    /// deterministic in ticket order: reserve only allocates on a drained
-    /// pipeline, settle runs in ticket order.
-    pub(crate) fn vacant_slot(&mut self) -> usize {
-        let slots = &mut self.routing.slots;
-        slots.iter().position(Slot::is_vacant).unwrap_or_else(|| {
-            slots.push(Slot::Vacant);
-            slots.len() - 1
-        })
-    }
-
-    /// Registers a shard's members in the home maps.
-    pub(crate) fn index_shard(&mut self, slot: usize, core: &AdmissionController) {
+    /// Puts an island's controller at rest in `slot` — the one place a slot
+    /// becomes `Idle`: its members enter the home maps, its schedulability
+    /// is cached (and entered in `unsched` when it fails), and it adopts the
+    /// master platform table — the at-rest invariant
+    /// (`docs/ARCHITECTURE.md`, "One platform table").
+    fn put_idle(&mut self, slot: usize, core: AdmissionController) {
         let routing = &mut *self.routing;
         for tx in core.current_set().transactions() {
             routing.txn_home.insert(tx.name.clone(), slot);
@@ -1541,71 +1481,127 @@ impl World<'_> {
         for (_, instance) in core.system().instances() {
             routing.instance_home.insert(instance.name.clone(), slot);
         }
+        let mut shard = Shard {
+            schedulable: core.schedulable(),
+            core,
+        };
+        if !shard.schedulable {
+            self.core.unsched.insert(slot, shard.core.misses());
+        }
+        shard.adopt(&self.core.platforms);
+        self.routing.slots[slot] = Slot::Idle(shard);
     }
 
-    /// Points every home-map entry of `from` at `to` (after a merge).
-    pub(crate) fn reassign_home(&mut self, from: usize, to: usize) {
-        let routing = &mut *self.routing;
-        let homes = routing
-            .home
-            .values_mut()
-            .chain(routing.txn_home.values_mut())
-            .chain(routing.instance_home.values_mut());
-        for home in homes {
-            if *home == from {
-                *home = to;
+    /// The at-rest invariant of [`World::put_idle`], checked.
+    fn idle_shards_hold_master(&self) -> bool {
+        self.idle_shards().all(|s| s.holds(&self.core.platforms))
+    }
+
+    /// Splits an epoch's controller into islands, each with the pre-epoch
+    /// home slots of its transactions (ascending; empty for an island of
+    /// arrivals only). Reads the home maps, so it runs before the epoch's
+    /// departures leave them. An empty controller has nothing to place: its
+    /// analysis counters are banked instead.
+    fn homed_islands(
+        &mut self,
+        core: AdmissionController,
+    ) -> Vec<(Vec<usize>, AdmissionController)> {
+        if core.current_set().transactions().is_empty() {
+            self.core.retire_stats(&core);
+            return Vec::new();
+        }
+        core.split_islands()
+            .into_iter()
+            .map(|part| {
+                let txn_home = &self.routing.txn_home;
+                let mut homes: Vec<usize> = part
+                    .current_set()
+                    .transactions()
+                    .iter()
+                    .filter_map(|tx| txn_home.get(&tx.name).copied())
+                    .collect();
+                homes.sort_unstable();
+                homes.dedup();
+                (homes, part)
+            })
+            .collect()
+    }
+
+    /// Settles shard topology, the one place it changes. The epoch touched
+    /// `keys` (its checked-out slots and claimed free platforms); each of
+    /// its `islands` is placed in turn:
+    ///
+    /// - in the lowest of its pre-epoch homes that no earlier island
+    ///   claimed;
+    /// - otherwise in the first vacancy.
+    ///
+    /// An epoch slot no island claims becomes `Vacant`. Only settle, which
+    /// runs in ticket order, allocates or vacates, so slot choice is
+    /// deterministic in ticket order. Seeding is the same placement with no
+    /// keys.
+    ///
+    /// Returns the epoch's shard set ([`EngineResponse::shards`]) in
+    /// first-touch order: each touched slot unless a merge absorbed it into
+    /// another island's slot, and the slot each touched free platform's
+    /// island landed in.
+    pub(crate) fn place(
+        &mut self,
+        keys: &[Key],
+        islands: Vec<(Vec<usize>, AdmissionController)>,
+    ) -> Vec<usize> {
+        let slots = shard_slots(keys);
+        let mut claimed: Vec<usize> = Vec::new();
+        let claims: Vec<Option<usize>> = islands
+            .iter()
+            .map(|(homes, _)| {
+                let claim = homes.iter().copied().find(|h| !claimed.contains(h));
+                claimed.extend(claim);
+                claim
+            })
+            .collect();
+        let absorbed: Vec<usize> = slots
+            .iter()
+            .copied()
+            .filter(|s| !claimed.contains(s) && islands.iter().any(|(h, _)| h.contains(s)))
+            .collect();
+
+        self.routing.home.retain(|_, home| !slots.contains(home));
+        for &slot in &slots {
+            self.core.unsched.remove(&slot);
+            self.routing.slots[slot] = Slot::Vacant;
+        }
+        let mut unclaimed = Vec::new();
+        for (part, claim) in islands.into_iter().map(|(_, part)| part).zip(claims) {
+            match claim {
+                Some(slot) => self.put_idle(slot, part),
+                None => unclaimed.push(part),
             }
         }
-    }
-
-    /// Vacates touched slots whose shard ended the epoch with no live
-    /// transactions.
-    fn drop_empty_shards(&mut self, slots: impl Iterator<Item = usize>) {
-        for slot in slots {
-            let cell = &mut self.routing.slots[slot];
-            let empty = cell
-                .as_idle()
-                .is_some_and(|s| s.core.current_set().transactions().is_empty());
-            if empty {
-                let Slot::Idle(retired) = std::mem::replace(cell, Slot::Vacant) else {
-                    unreachable!("checked idle above");
-                };
-                self.core.retire_stats(&retired.core);
-                self.core.unsched.remove(&slot);
-                self.routing.home.retain(|_, home| *home != slot);
-            }
+        for part in unclaimed {
+            let slot = self.vacant_slot();
+            self.put_idle(slot, part);
         }
-    }
 
-    /// Splits every touched shard back into island-group shards and
-    /// rebuilds the home maps for the affected slots. Settles run in
-    /// ticket order, so the vacant-slot choices here are deterministic.
-    fn repartition(&mut self, touched: &[usize]) {
-        let affected: HashSet<usize> = touched.iter().copied().collect();
-        self.routing.home.retain(|_, home| !affected.contains(home));
-        let mut slots: Vec<usize> = touched.to_vec();
-        slots.sort_unstable();
-        slots.dedup();
-        for slot in slots {
-            let cell = &mut self.routing.slots[slot];
-            let Slot::Idle(shard) = std::mem::replace(cell, Slot::Vacant) else {
-                continue;
+        let mut shards = Vec::new();
+        for key in keys {
+            let slot = match *key {
+                Key::Shard(slot) => (!absorbed.contains(&slot)).then_some(slot),
+                Key::Free(p) => self.routing.home.get(&p).copied(),
             };
-            if shard.core.current_set().transactions().is_empty() {
-                self.core.retire_stats(&shard.core);
-                continue; // slot stays vacant
-            }
-            for (k, part) in shard.core.split_islands().into_iter().enumerate() {
-                // The first part stays put, the rest fill vacancies.
-                let part_slot = if k == 0 { slot } else { self.vacant_slot() };
-                self.index_shard(part_slot, &part);
-                let shard = Shard {
-                    schedulable: part.schedulable(),
-                    core: part,
-                };
-                self.put_idle(part_slot, shard);
+            if let Some(slot) = slot.filter(|s| !shards.contains(s)) {
+                shards.push(slot);
             }
         }
+        shards
+    }
+
+    /// The first vacant slot (a new one when none is).
+    fn vacant_slot(&mut self) -> usize {
+        let slots = &mut self.routing.slots;
+        slots.iter().position(Slot::is_vacant).unwrap_or_else(|| {
+            slots.push(Slot::Vacant);
+            slots.len() - 1
+        })
     }
 
     /// Drops the home/handle entries of everything the admitted batch
@@ -1670,115 +1666,78 @@ impl World<'_> {
     }
 
     /// Finalizes one epoch: evaluates the cross-shard admission rule,
-    /// returns/repartitions the checked-out shards, maintains every map,
+    /// settles shard topology ([`World::place`]), maintains every map,
     /// appends the journal record (write only; durability is the group
     /// commit in [`SchedService::sync`]), and builds the response.
-    #[allow(clippy::too_many_arguments)]
     fn settle(
         &mut self,
         ticket: u64,
         batch: &[AdmissionRequest],
-        groups: Vec<Group>,
+        keys: &[Key],
         analyzed: Analyzed,
-        removed_instance_txns: Vec<Vec<String>>,
-        touched_platforms: Vec<usize>,
-        early: Option<RejectReason>,
+        removed_instance_txns: &[Vec<String>],
+        touched_platforms: &[usize],
     ) -> Result<EngineResponse, EngineError> {
-        if let Some(reason) = early {
-            return self.finish_rejected(ticket, batch, reason, Vec::new());
-        }
-        let Analyzed { outcomes, shards } = analyzed;
-        let slots: Vec<usize> = groups.iter().map(|g| g.slot).collect();
-
-        let all_admitted = outcomes.iter().all(|o| o.verdict.admitted());
-        let analyzed_txns: usize = outcomes.iter().map(|o| o.analyzed_transactions).sum();
-        let islands: usize = outcomes.iter().map(|o| o.islands).sum();
-        let warm = outcomes.iter().any(|o| o.warm_started);
+        let (mut core, outcome) = match analyzed {
+            Ok(committed) => committed,
+            Err(reason) => {
+                let verdict = Verdict::Rejected(reason);
+                return self.finish(ticket, batch, verdict, None, Vec::new(), Vec::new());
+            }
+        };
 
         // Cross-shard admission rule: every shard everywhere must be
         // schedulable (a single controller scans its whole entry table).
-        // Foreign shards are read from the at-rest `unsched` map — their
-        // state cannot change before this epoch in the ticket order.
-        let global_misses: Vec<String> = if all_admitted {
-            let mut by_slot: BTreeMap<usize, Vec<String>> = self
-                .core
-                .unsched
-                .iter()
-                .filter(|(slot, _)| !slots.contains(slot))
-                .map(|(slot, misses)| (*slot, misses.clone()))
-                .collect();
-            for (group, shard) in groups.iter().zip(&shards) {
-                if !shard.schedulable {
-                    by_slot.insert(group.slot, shard.core.misses());
-                }
+        // Untouched shards are read from the at-rest `unsched` map — their
+        // state cannot change before this epoch in the ticket order — and
+        // their misses join the epoch's own in global set order.
+        let foreign: Vec<String> = self
+            .core
+            .unsched
+            .iter()
+            .filter(|(slot, _)| !keys.contains(&Key::Shard(**slot)))
+            .flat_map(|(_, misses)| misses.iter().cloned())
+            .collect();
+        let unschedulable = |misses| {
+            Verdict::Rejected(RejectReason::Unschedulable {
+                misses: self.core.order_misses(misses, batch),
+            })
+        };
+        let verdict = match outcome.verdict.clone() {
+            Verdict::Admitted if foreign.is_empty() => Verdict::Admitted,
+            Verdict::Admitted => {
+                core.rollback_last();
+                unschedulable(foreign)
             }
-            self.core
-                .order_misses(by_slot.into_values().flatten().collect(), batch)
-        } else {
-            Vec::new()
+            Verdict::Rejected(RejectReason::Unschedulable { mut misses }) => {
+                misses.extend(foreign);
+                unschedulable(misses)
+            }
+            rejected => rejected,
         };
 
-        if !all_admitted || !global_misses.is_empty() {
-            // Revert shards that admitted their sub-batch; the epoch is
-            // atomic across shards.
-            let mut shards = shards;
-            for (shard, outcome) in shards.iter_mut().zip(&outcomes) {
-                if outcome.verdict.admitted() {
-                    shard.core.rollback_last();
-                    shard.schedulable = shard.core.schedulable();
-                }
-            }
-            let reason = if !all_admitted {
-                self.core.aggregate_reason(batch, &groups, &outcomes)
-            } else {
-                RejectReason::Unschedulable {
-                    misses: global_misses,
-                }
-            };
-            // Return the shards and refresh their at-rest bookkeeping.
-            for (group, shard) in groups.iter().zip(shards) {
-                if shard.schedulable {
-                    self.core.unsched.remove(&group.slot);
-                } else {
-                    self.core.unsched.insert(group.slot, shard.core.misses());
-                }
-                self.put_idle(group.slot, shard);
-            }
-            self.drop_empty_shards(slots.iter().copied());
-            let mut response = self.finish_rejected(ticket, batch, reason, slots)?;
-            response.outcome.analyzed_transactions = analyzed_txns;
-            response.outcome.islands = islands;
-            response.outcome.warm_started = warm;
-            return Ok(response);
-        }
-
-        // --- Admitted: apply retunes to the master table, re-partition
-        // touched shards, settle the handle maps, journal, respond. Map
-        // maintenance is O(batch + touched-shard members), never O(live
-        // set).
+        let admitted = verdict.admitted();
         let mut retuned = false;
-        for (group, shard) in groups.iter().zip(&shards) {
-            for &i in &group.requests {
-                if let AdmissionRequest::Retune { platform, .. } = &batch[i] {
-                    // The post-commit value, from the shard that owns it.
-                    let value = shard.core.current_set().platforms()[*platform].clone();
+        if admitted {
+            // Retunes reach the master table from the controller that
+            // committed them. Admission required every shard schedulable,
+            // which also clears the touched platforms' poison entries.
+            for request in batch {
+                if let AdmissionRequest::Retune { platform, .. } = request {
+                    let value = core.current_set().platforms()[*platform].clone();
                     self.core.platforms.replace(*platform, value);
                     retuned = true;
                 }
             }
+            for p in touched_platforms {
+                self.core.util_poison.remove(p);
+            }
         }
-        for (group, shard) in groups.iter().zip(shards) {
-            self.put_idle(group.slot, shard);
+        let islands = self.homed_islands(core);
+        if admitted {
+            self.unindex_departures(batch, removed_instance_txns);
         }
-        // Admission required *every* shard schedulable, so the at-rest
-        // unschedulable map and the touched platforms' poison entries are
-        // both clear now.
-        self.core.unsched.clear();
-        for p in &touched_platforms {
-            self.core.util_poison.remove(p);
-        }
-        self.unindex_departures(batch, &removed_instance_txns);
-        self.repartition(&slots);
+        let shards = self.place(keys, islands);
         if retuned {
             // The master is a new table: hand it to every shard at rest.
             // A `Busy` shard takes it when its own epoch puts it back.
@@ -1788,10 +1747,27 @@ impl World<'_> {
                 }
             }
         }
-        let admitted_ids = self.mint_arrival_ids(batch);
+        let minted = if admitted {
+            self.mint_arrival_ids(batch)
+        } else {
+            Vec::new()
+        };
+        self.finish(ticket, batch, verdict, Some(&outcome), shards, minted)
+    }
 
+    /// Journals and accounts a settled epoch, building the response. `work`
+    /// is the commit's outcome (`None` when reserve rejected the epoch).
+    fn finish(
+        &mut self,
+        ticket: u64,
+        batch: &[AdmissionRequest],
+        verdict: Verdict,
+        work: Option<&EpochOutcome>,
+        shards: Vec<usize>,
+        admitted: Vec<TxnId>,
+    ) -> Result<EngineResponse, EngineError> {
         if let Some(journal) = &mut self.core.journal {
-            if let Err(e) = journal.append_nosync(ticket, batch, true) {
+            if let Err(e) = journal.append_nosync(ticket, batch, verdict.admitted()) {
                 // Memory has already applied this epoch; the journal has
                 // not. Poison durability so no later sync can claim a
                 // watermark covering an epoch the journal never recorded.
@@ -1800,60 +1776,26 @@ impl World<'_> {
                 return Err(EngineError::Journal(message));
             }
         }
-        self.core.admitted_epochs += 1;
-        Ok(EngineResponse {
-            version: SCHEMA_VERSION,
-            epoch: ticket,
-            outcome: EpochOutcome {
-                epoch: ticket,
-                verdict: Verdict::Admitted,
-                requests: batch.len(),
-                analyzed_transactions: analyzed_txns,
-                total_transactions: self.live_transactions(),
-                islands,
-                warm_started: warm,
-            },
-            admitted: admitted_ids,
-            shards_touched: slots.len(),
-            shards: slots,
-            shards_live: self.shard_count(),
-            timings: EpochTimings::default(),
-        })
-    }
-
-    /// Journals and accounts a rejected epoch, building the response.
-    fn finish_rejected(
-        &mut self,
-        ticket: u64,
-        batch: &[AdmissionRequest],
-        reason: RejectReason,
-        slots: Vec<usize>,
-    ) -> Result<EngineResponse, EngineError> {
-        if let Some(journal) = &mut self.core.journal {
-            if let Err(e) = journal.append_nosync(ticket, batch, false) {
-                // Same sticky poison as the admitted path: the epoch
-                // counter has advanced past a record the journal lacks.
-                let message = format!("journal append failed: {e}");
-                self.core.sync_error = Some(message.clone());
-                return Err(EngineError::Journal(message));
-            }
+        if verdict.admitted() {
+            self.core.admitted_epochs += 1;
+        } else {
+            self.core.rejected_epochs += 1;
         }
-        self.core.rejected_epochs += 1;
         Ok(EngineResponse {
             version: SCHEMA_VERSION,
             epoch: ticket,
             outcome: EpochOutcome {
                 epoch: ticket,
-                verdict: Verdict::Rejected(reason),
+                verdict,
                 requests: batch.len(),
-                analyzed_transactions: 0,
+                analyzed_transactions: work.map_or(0, |o| o.analyzed_transactions),
                 total_transactions: self.live_transactions(),
-                islands: 0,
-                warm_started: false,
+                islands: work.map_or(0, |o| o.islands),
+                warm_started: work.is_some_and(|o| o.warm_started),
             },
-            admitted: Vec::new(),
-            shards_touched: slots.len(),
-            shards: slots,
+            admitted,
+            shards_touched: shards.len(),
+            shards,
             shards_live: self.shard_count(),
             timings: EpochTimings::default(),
         })
@@ -1863,8 +1805,9 @@ impl World<'_> {
     // Observation helpers
     // ------------------------------------------------------------------
 
-    /// Live shards, `Busy` ones included. Exact under overlap: a reserve
-    /// that merges or mints shards drains the pipeline first.
+    /// Live shards, `Busy` ones included. Exact under overlap: only settle
+    /// allocates or vacates a slot, and a `Busy` slot holds a later
+    /// epoch's shard, live at this point of the ticket order.
     pub(crate) fn shard_count(&self) -> usize {
         let slots = self.routing.slots.iter();
         slots.filter(|slot| !slot.is_vacant()).count()
@@ -2083,89 +2026,6 @@ impl Core {
         misses.dedup();
         misses
     }
-
-    /// Aggregates the rejection reason of a multi-shard epoch, mirroring
-    /// the single controller's stage order: structural failures surface
-    /// during request application (earliest request wins); then numeric
-    /// errors — the global utilization scan propagates its first overflow
-    /// *before* it ever collects overloads, so `Numeric` outranks
-    /// `Overload`; then overloads (platform lists merged and sorted by
-    /// platform index, like the global scan); then deadline misses (merged
-    /// and sorted in global set order); then analysis aborts.
-    fn aggregate_reason(
-        &self,
-        batch: &[AdmissionRequest],
-        groups: &[Group],
-        outcomes: &[EpochOutcome],
-    ) -> RejectReason {
-        let rejecting: Vec<(usize, &RejectReason)> = groups
-            .iter()
-            .zip(outcomes)
-            .filter_map(|(g, o)| match &o.verdict {
-                Verdict::Rejected(reason) => Some((g.requests[0], reason)),
-                Verdict::Admitted => None,
-            })
-            .collect();
-        debug_assert!(!rejecting.is_empty());
-        if let Some((_, reason)) = rejecting
-            .iter()
-            .filter(|(_, r)| matches!(r, RejectReason::Structural(_)))
-            .min_by_key(|(first_request, _)| *first_request)
-        {
-            return (*reason).clone();
-        }
-        if let Some((_, reason)) = rejecting
-            .iter()
-            .filter(|(_, r)| matches!(r, RejectReason::Numeric(_)))
-            .min_by_key(|(first_request, _)| *first_request)
-        {
-            return (*reason).clone();
-        }
-        let overloaded: Vec<String> = rejecting
-            .iter()
-            .filter_map(|(_, r)| match r {
-                RejectReason::Overload { platforms } => Some(platforms.clone()),
-                _ => None,
-            })
-            .flatten()
-            .collect();
-        if !overloaded.is_empty() {
-            let mut named: Vec<(usize, String)> = overloaded
-                .into_iter()
-                .map(|name| {
-                    let index = self
-                        .platforms
-                        .by_name(&name)
-                        .map(|(id, _)| id.0)
-                        .unwrap_or(usize::MAX);
-                    (index, name)
-                })
-                .collect();
-            named.sort();
-            named.dedup();
-            return RejectReason::Overload {
-                platforms: named.into_iter().map(|(_, name)| name).collect(),
-            };
-        }
-        let misses: Vec<String> = rejecting
-            .iter()
-            .filter_map(|(_, r)| match r {
-                RejectReason::Unschedulable { misses } => Some(misses.clone()),
-                _ => None,
-            })
-            .flatten()
-            .collect();
-        if !misses.is_empty() {
-            return RejectReason::Unschedulable {
-                misses: self.order_misses(misses, batch),
-            };
-        }
-        rejecting
-            .into_iter()
-            .min_by_key(|(first_request, _)| *first_request)
-            .map(|(_, reason)| reason.clone())
-            .expect("at least one rejecting shard")
-    }
 }
 
 /// Scans a transaction set's per-platform utilization with the single
@@ -2191,37 +2051,22 @@ pub(crate) fn util_poison_scan(set: &TransactionSet) -> BTreeMap<usize, String> 
     poison
 }
 
-/// Phase 2 of an epoch: commits each group's sub-batch on its checked-out
-/// shard, concurrently across groups.
-fn run_groups(
-    groups: &[Group],
-    shards: Vec<Shard>,
+/// Phase 2 of an epoch: merges the checked-out controllers (ascending
+/// slot order) into one and commits the whole batch on it once. The
+/// controller parallelizes across the batch's disjoint interference cones
+/// itself ([`AdmissionPolicy::island_threads`]).
+fn commit_merged(
+    cores: Vec<AdmissionController>,
     batch: &[AdmissionRequest],
-    threads: usize,
-) -> Analyzed {
-    let jobs: Vec<(Mutex<Option<Shard>>, Vec<AdmissionRequest>)> = groups
-        .iter()
-        .zip(shards)
-        .map(|(group, shard)| {
-            let sub: Vec<AdmissionRequest> =
-                group.requests.iter().map(|&i| batch[i].clone()).collect();
-            (scratch_lock(Some(shard)), sub)
-        })
-        .collect();
-    let outcomes: Vec<EpochOutcome> = parallel_map(&jobs, threads, |(cell, sub)| {
-        let mut guard = cell.lock().expect("shard cell poisoned");
-        let shard = guard.as_mut().expect("shard present for this job");
-        let outcome = shard.core.commit(sub);
-        shard.schedulable = shard.core.schedulable();
-        outcome
-    });
-    let shards = jobs
-        .into_iter()
-        .map(|(cell, _)| {
-            cell.into_inner()
-                .expect("shard cell poisoned")
-                .expect("shard present after job")
-        })
-        .collect();
-    Analyzed { outcomes, shards }
+) -> (AdmissionController, EpochOutcome) {
+    let mut cores = cores.into_iter();
+    let mut core = cores
+        .next()
+        .expect("checkout yields at least one controller");
+    for other in cores {
+        core.merge_from(other)
+            .expect("shards of one service merge (all hold the master table)");
+    }
+    let outcome = core.commit(batch);
+    (core, outcome)
 }

@@ -52,12 +52,6 @@ mod imp {
         Mutex::new(value)
     }
 
-    /// A scratch cell outside the lock order (never held across other
-    /// acquisitions — e.g. per-job result hand-off in `run_groups`).
-    pub(crate) fn scratch_lock<T>(value: T) -> Mutex<T> {
-        Mutex::new(value)
-    }
-
     /// A named condvar.
     pub(crate) fn condvar(_name: &'static str) -> Condvar {
         Condvar::new()
@@ -79,10 +73,6 @@ mod imp {
 
     pub(crate) fn gate_lock<T>(value: T) -> Mutex<T> {
         Mutex::with_class(LockClass::ranked("gate", 3, 0), value)
-    }
-
-    pub(crate) fn scratch_lock<T>(value: T) -> Mutex<T> {
-        Mutex::with_class(LockClass::unranked("scratch"), value)
     }
 
     pub(crate) fn condvar(name: &'static str) -> Condvar {

@@ -18,6 +18,7 @@ use hsched_admission::{AdmissionPolicy, AdmissionRequest};
 use hsched_analysis::AnalysisConfig;
 use hsched_check::{explore, thread, Config, Stats};
 use hsched_engine::{EngineRequest, SchedService};
+use hsched_model::{Action, ComponentClass, ThreadSpec};
 use hsched_numeric::rat;
 use hsched_platform::{Platform, PlatformId, PlatformSet};
 use hsched_transaction::{Task, Transaction, TransactionSet};
@@ -40,7 +41,7 @@ fn tx(name: &str, platform: PlatformId) -> Transaction {
 }
 
 /// Two occupied single-transaction islands (p0, p1), plus optionally a
-/// vacant platform p2 so an arrival can force a topology change.
+/// vacant platform p2 on which an arrival mints a fresh shard.
 fn tiny_set(vacant_platform: bool) -> TransactionSet {
     let mut platforms = PlatformSet::new();
     let p0 = platforms.add(Platform::dedicated("p0"));
@@ -134,33 +135,45 @@ fn busy_checkout_conflict_parks_and_retries() {
     assert_clean("busy_checkout", &stats);
 }
 
-/// Drain racing an in-flight epoch: the arrival on the vacant platform
-/// changes shard topology, so it must register as a writer, gate new
-/// reservations off, and wait for the pipeline to drain before it
-/// tickets — while the other epoch settles under it.
+/// Drain racing an in-flight epoch: an instance arrival must register as a
+/// writer, gate new reservations off, and wait for the pipeline to drain
+/// before it tickets — while the other epoch settles under it. The
+/// instance lands on the vacant platform, so its settle also mints a
+/// shard.
 #[test]
-fn exclusive_drain_coexists_with_in_flight_epochs() {
+fn instance_drain_coexists_with_in_flight_epochs() {
     let stats = explore(&model_config(), || {
         let service = service(tiny_set(true));
+        let class = ComponentClass::new("Worker").thread(ThreadSpec::periodic(
+            "T",
+            rat(100, 1),
+            1,
+            vec![Action::task("w", rat(1, 1), rat(1, 1))],
+        ));
+        let instance = EngineRequest::batch(vec![AdmissionRequest::AddInstance {
+            name: "w".into(),
+            class,
+            platform: PlatformId(2),
+            node: 0,
+        }]);
         thread::scope(|s| {
-            // Fresh shard on p2: a topology change, so it drains.
-            let h = s.spawn(|| service.submit(&arrival("c", 2)).map(|r| r.epoch));
+            let h = s.spawn(|| service.submit(&instance).map(|r| r.epoch));
             service.submit(&arrival("d", 0)).expect("plain epoch");
             h.join().expect("no panic").expect("draining epoch");
         });
         assert_eq!(service.epoch(), 2);
         assert_eq!(service.shard_count(), 3);
+        assert_eq!(service.live_transactions(), 4);
     });
-    assert_clean("exclusive_drain", &stats);
+    assert_clean("instance_drain", &stats);
 }
 
-/// The set-up of ROADMAP 1(ii): two clients on the *same* island plus a
-/// topology-changing arrival on the vacant platform in flight — a blocked
-/// route, a writer registration (which turns the blocked client's retry
-/// into a fairness wait) and a drain in one exploration, which none of
-/// the scenarios above combines.
+/// The set-up of ROADMAP 1(ii): two clients on the *same* island plus an
+/// arrival on the vacant platform in flight — a blocked route and a fresh
+/// shard minted at settle while a sibling epoch is in flight, with no
+/// drain: slot allocation happens only at settle, in ticket order.
 #[test]
-fn same_island_conflict_races_a_topology_drain() {
+fn same_island_conflict_races_a_fresh_shard() {
     let stats = explore(&model_config(), || {
         let service = service(tiny_set(true));
         thread::scope(|s| {
@@ -168,13 +181,13 @@ fn same_island_conflict_races_a_topology_drain() {
             let e = s.spawn(|| service.submit(&arrival("e", 2)).map(|r| r.epoch));
             service.submit(&arrival("d", 0)).expect("same-island epoch");
             c.join().expect("no panic").expect("same-island epoch");
-            e.join().expect("no panic").expect("draining epoch");
+            e.join().expect("no panic").expect("fresh-shard epoch");
         });
         assert_eq!(service.epoch(), 3);
         assert_eq!(service.shard_count(), 3);
         assert_eq!(service.live_transactions(), 5);
     });
-    assert_clean("conflict_and_drain", &stats);
+    assert_clean("conflict_and_fresh_shard", &stats);
 }
 
 /// Group-commit poison propagation: with the first `sync_data` armed to

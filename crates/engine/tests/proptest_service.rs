@@ -20,13 +20,14 @@
 //!     below since generated scenarios keep magnitudes sane);
 //!
 //! (d) **racing clients** — the same linearizability contract with every
-//!     client on the *same* islands and the full churn mix (retunes and
-//!     topology changes included), behind a watchdog that turns a parked
-//!     front door into a failure naming the seed.
+//!     client on the *same* islands and the full churn mix (retunes,
+//!     merges, splits and fresh shards included, all while sibling epochs
+//!     are in flight), behind a watchdog that turns a parked front door
+//!     into a failure naming the seed.
 
 use hsched_admission::gen::{random_scenario, ChurnGen, ScenarioSpec};
 use hsched_admission::{
-    AdmissionController, AdmissionPolicy, AdmissionRequest, RejectReason, Verdict,
+    AdmissionController, AdmissionPolicy, AdmissionRequest, RejectReason, UnionFind, Verdict,
 };
 use hsched_analysis::{analyze_with, AnalysisConfig};
 use hsched_engine::{read_journal, EngineError, EngineRequest, SchedService};
@@ -34,7 +35,7 @@ use hsched_numeric::{rat, Rational};
 use hsched_platform::{Platform, PlatformId, PlatformSet};
 use hsched_transaction::{Task, Transaction, TransactionSet};
 use proptest::prelude::*;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::path::{Path, PathBuf};
 use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::Arc;
@@ -788,8 +789,10 @@ fn overlapping_epochs_linearize_seed_zero() {
 /// One *racing* session: every thread submits the full [`ChurnGen`] mix —
 /// arrivals, departures, retunes, batches of up to three — over the **same**
 /// system, so epochs collide on islands while retunes move the master
-/// platform table and arrivals on vacated platforms mint, merge and split
-/// shards under them.
+/// platform table and arrivals mint, merge and split shards under them.
+/// Two of the ten clusters get no seed transaction: their platforms start
+/// free, so fresh shards are minted (and then bridged) while sibling epochs
+/// are in flight.
 ///
 /// Every earlier generator stayed clear of exactly this: [`ClientGen`] keeps
 /// each client on its own clusters, and [`contention_session`] shares names
@@ -804,18 +807,32 @@ fn overlapping_epochs_linearize_seed_zero() {
 /// any other epoch. A watchdog on the progress channel turns a parked front
 /// door into a failure instead of a hung test; the client threads are
 /// detached for that reason (a scoped join would wait on the deadlock).
-fn racing_churn_session(seed: u64, threads: usize, batches: usize) {
+///
+/// Returns how the session's epochs changed shard topology, counted on the
+/// serial re-run of its journal.
+fn racing_churn_session(seed: u64, threads: usize, batches: usize) -> TopologyCounts {
     let spec = ScenarioSpec {
-        clusters: 8,
-        platforms_per_cluster: 2,
-        transactions: 32,
+        clusters: 10,
+        platforms_per_cluster: 4,
+        transactions: 40,
         max_tasks_per_tx: 2,
         load: rat(1, 2),
         priority_levels: 5,
         seed,
         ..ScenarioSpec::default()
     };
-    let set = random_scenario(&spec);
+    let generated = random_scenario(&spec);
+    let seeded_platforms = 8 * spec.platforms_per_cluster;
+    let set = TransactionSet::new(
+        generated.platforms().clone(),
+        generated
+            .transactions()
+            .iter()
+            .filter(|tx| tx.tasks()[0].platform.0 < seeded_platforms)
+            .cloned()
+            .collect(),
+    )
+    .unwrap();
     let config = AnalysisConfig::default();
     let policy = AdmissionPolicy::default();
     let path = temp_journal("racing", seed);
@@ -878,8 +895,13 @@ fn racing_churn_session(seed: u64, threads: usize, batches: usize) {
     assert!(service.idle_shards_hold_master(), "seed {seed}");
 
     // What each client was told while siblings were mid-analysis is what
-    // a serial run of the same journal reports for that epoch.
+    // a serial run of the same journal reports for that epoch — the net
+    // for merges, splits and fresh shards settling out from under
+    // in-flight epochs. The serial run also counts those changes and
+    // checks that every shard is exactly one island.
     let serial = SchedService::new(set.clone(), config.clone(), policy.clone()).unwrap();
+    let mut counts = TopologyCounts::default();
+    let mut before = islands_by_name(&serial.current_set());
     for record in &read_journal(&path).unwrap().epochs {
         let response = serial
             .submit(&EngineRequest::batch(record.batch.clone()))
@@ -890,6 +912,16 @@ fn racing_churn_session(seed: u64, threads: usize, batches: usize) {
             "seed {seed} epoch {}: (live transactions, live shards) told vs serial",
             response.epoch
         );
+        let after = islands_by_name(&serial.current_set());
+        let islands: BTreeSet<usize> = after.values().copied().collect();
+        assert_eq!(
+            response.shards_live,
+            islands.len(),
+            "seed {seed} epoch {}: one shard per island",
+            response.epoch
+        );
+        counts.count(&before, &after, response.shards_touched);
+        before = after;
     }
 
     assert_journal_linearizes(
@@ -901,16 +933,82 @@ fn racing_churn_session(seed: u64, threads: usize, batches: usize) {
         &path,
         threads * batches,
     );
+    counts
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(stress_cases(4)))]
-
-    /// 2 threads × 150 batches of the full churn mix over one system.
-    #[test]
-    fn racing_clients_linearize(seed in 0u64..10_000) {
-        racing_churn_session(seed, 2, 150);
+/// Each live transaction's island (the partition recomputed test-side):
+/// transaction name → an island id, comparable within one map only.
+fn islands_by_name(set: &TransactionSet) -> HashMap<String, usize> {
+    let mut uf = UnionFind::new(set.platforms().len());
+    for tx in set.transactions() {
+        for task in tx.tasks() {
+            uf.union(tx.tasks()[0].platform.0, task.platform.0);
+        }
     }
+    set.transactions()
+        .iter()
+        .map(|tx| (tx.name.clone(), uf.find(tx.tasks()[0].platform.0)))
+        .collect()
+}
+
+/// Epochs that touched ≥ 2 shards, merged shards, minted one, and split
+/// one.
+#[derive(Debug, Default, Clone, Copy)]
+struct TopologyCounts {
+    multi_shard: usize,
+    merges: usize,
+    mints: usize,
+    splits: usize,
+}
+
+impl TopologyCounts {
+    /// Classifies one epoch from the islands before and after it.
+    fn count(
+        &mut self,
+        before: &HashMap<String, usize>,
+        after: &HashMap<String, usize>,
+        shards_touched: usize,
+    ) {
+        // After-island → the before-islands its survivors came from, and
+        // before-island → the after-islands its survivors went to.
+        let mut sources: HashMap<usize, BTreeSet<usize>> = HashMap::new();
+        let mut sinks: HashMap<usize, BTreeSet<usize>> = HashMap::new();
+        for (name, &to) in after {
+            let from = sources.entry(to).or_default();
+            if let Some(&was) = before.get(name) {
+                from.insert(was);
+                sinks.entry(was).or_default().insert(to);
+            }
+        }
+        self.multi_shard += usize::from(shards_touched >= 2);
+        self.merges += usize::from(sources.values().any(|s| s.len() >= 2));
+        self.mints += usize::from(sources.values().any(BTreeSet::is_empty));
+        self.splits += usize::from(sinks.values().any(|s| s.len() >= 2));
+    }
+
+    fn add(&mut self, other: TopologyCounts) {
+        self.multi_shard += other.multi_shard;
+        self.merges += other.merges;
+        self.mints += other.mints;
+        self.splits += other.splits;
+    }
+}
+
+/// 2 threads × 150 batches of the full churn mix over one system, one
+/// session per seed. Together the sessions must have changed topology every
+/// way while sibling epochs were in flight.
+#[test]
+fn racing_clients_linearize() {
+    let mut counts = TopologyCounts::default();
+    for case in 0..u64::from(stress_cases(4)) {
+        let seed = case.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 50;
+        counts.add(racing_churn_session(seed, 2, 150));
+    }
+    println!("racing_clients_linearize: {counts:?}");
+    assert!(
+        counts.multi_shard > 0 && counts.merges > 0 && counts.mints > 0 && counts.splits > 0,
+        "the racing sessions left a topology change untested: {counts:?}"
+    );
 }
 
 /// `submit_async` + `sync(w)`: epochs settle without touching the disk
