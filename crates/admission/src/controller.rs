@@ -207,26 +207,40 @@ impl AdmissionController {
             last_undo: None,
             metrics: std::sync::Arc::new(crate::AdmissionMetrics::new()),
         };
-        // Seed per island, not as one big group: `absorb` stores the
-        // report's converged/diverged flags into every member entry, so a
-        // whole-system seed would poison clean islands with another
-        // island's divergence (wedging later commits that heal it).
-        // With every transaction dirty, the components are the islands.
-        let all_dirty = vec![true; controller.set.transactions().len()];
-        let groups = dirty_components(&controller.set, &all_dirty);
-        let inputs: Vec<GroupInput> = groups
-            .iter()
-            .map(|group| controller.group_input(group, &[], false))
-            .collect();
-        let results = parallel_map(&inputs, controller.policy.island_threads, |input| {
-            controller.guarded_analyze(input)
-        });
-        let mut scratch = UndoLog::default();
-        for (input, result) in inputs.iter().zip(results) {
-            let report = result.map_err(|r| format!("initial analysis failed: {r}"))?;
-            controller.absorb(&input.indices, &input.active, &report, &mut scratch);
-        }
+        controller
+            .analyze_from_scratch()
+            .map_err(|r| format!("initial analysis failed: {r}"))?;
         Ok(controller)
+    }
+
+    /// Analyzes the whole live set from scratch and caches the results: the
+    /// seed analysis of [`AdmissionController::new`], and how a controller
+    /// whose batches were applied by
+    /// [`AdmissionController::apply_unanalyzed`] gets its cache back. Exact
+    /// wherever incremental analysis is: the cached report of a schedulable
+    /// live set equals its from-scratch analysis. On an error no cached
+    /// result changes.
+    pub fn analyze_from_scratch(&mut self) -> Result<(), RejectReason> {
+        // Per island, not as one big group: `absorb` stores the report's
+        // converged/diverged flags into every member entry, so a
+        // whole-system analysis would poison clean islands with another
+        // island's divergence (wedging later commits that heal it). With
+        // every transaction dirty, the components are the islands.
+        let all_dirty = vec![true; self.set.transactions().len()];
+        let inputs: Vec<GroupInput> = dirty_components(&self.set, &all_dirty)
+            .iter()
+            .map(|group| self.group_input(group, &[], false))
+            .collect();
+        let reports = parallel_map(&inputs, self.policy.island_threads, |input| {
+            self.guarded_analyze(input)
+        })
+        .into_iter()
+        .collect::<Result<Vec<_>, _>>()?;
+        let mut scratch = UndoLog::default();
+        for (input, report) in inputs.iter().zip(&reports) {
+            self.absorb(&input.indices, &input.active, report, &mut scratch);
+        }
+        Ok(())
     }
 
     /// Starts a controller from a component system, flattening it and
@@ -285,6 +299,13 @@ impl AdmissionController {
     /// replacement; [`AdmissionController::merge_from`] keeps `self`'s.
     pub fn set_metrics_sink(&mut self, sink: std::sync::Arc<crate::AdmissionMetrics>) {
         self.metrics = sink;
+    }
+
+    /// `false` while the live set has no cached analysis — after
+    /// [`AdmissionController::apply_unanalyzed`], until
+    /// [`AdmissionController::analyze_from_scratch`].
+    pub fn is_analyzed(&self) -> bool {
+        self.entries.iter().all(|e| e.outcome.is_some())
     }
 
     /// `true` when every live transaction meets its deadline under the
@@ -452,6 +473,36 @@ impl AdmissionController {
             islands,
             warm_started,
         }
+    }
+
+    /// Applies a batch whose verdict is already known to be *admitted* —
+    /// a journal record being replayed — as one epoch, without analyzing
+    /// it: the same request application as [`AdmissionController::commit`]
+    /// and nothing after it (no precheck, cone or fixpoint). A batch that
+    /// fails structurally is undone and its error returned.
+    ///
+    /// On success every cached result is dropped: until
+    /// [`AdmissionController::analyze_from_scratch`] runs, the controller
+    /// holds a live set but no analysis of it, and [`Self::report`],
+    /// [`Self::misses`] and [`Self::commit`] must not be called.
+    pub fn apply_unanalyzed(&mut self, batch: &[AdmissionRequest]) -> Result<(), String> {
+        self.epoch += 1;
+        self.stats.epochs += 1;
+        self.last_undo = None;
+        let mut undo = UndoLog::default();
+        let (mut seeds, mut arrivals) = (Vec::new(), Vec::new());
+        for request in batch {
+            if let Err(message) = self.apply(request, &mut seeds, &mut arrivals, &mut undo) {
+                self.playback(undo);
+                self.stats.rejected += 1;
+                return Err(message);
+            }
+        }
+        for entry in &mut self.entries {
+            entry.outcome = None;
+        }
+        self.stats.admitted += 1;
+        Ok(())
     }
 
     /// Names of live transactions whose cached verdict is not a converged,

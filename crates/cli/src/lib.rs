@@ -129,10 +129,15 @@ ADMIT: hsched admit <SPEC.hsc> <SCRIPT> [OPTIONS]
 
 REPLAY: hsched replay <SPEC.hsc> <JOURNAL> [OPTIONS]
     Rebuilds the engine recorded by `admit --journal` (same spec!) by
-    re-committing every journaled epoch (streamed, O(1) memory); torn
-    journal tails are repaired, and a compacted journal resumes from its
-    snapshot block. The printed state digest matches the admit run's
-    digest iff the rebuilt engine is byte-identical. Options as for admit.
+    applying every journaled epoch (streamed, O(1) memory) and analyzing
+    each island the epochs changed once, at the end; torn journal tails
+    are repaired, and a compacted journal resumes from its snapshot
+    block. The printed state digest matches the admit run's digest iff
+    the rebuilt engine is byte-identical. Options as for admit, plus:
+    --verify          audit: re-analyze every epoch as the live engine did
+                      and cross-check each recorded verdict (the only check
+                      that catches a record marked rejected whose batch
+                      admits; costs the whole history's analysis)
 
 COMPACT: hsched compact <SPEC.hsc> <JOURNAL> [OPTIONS]
     Journal compaction for long-lived engines: rebuilds the engine (as
@@ -426,7 +431,14 @@ fn cmd_replay(args: &[String]) -> Result<String, String> {
     let (path, set) = load(args)?;
     let journal_path = journal_arg(args)?.to_string();
     let policy = engine_policy(args)?;
-    replay::run_replay(&path, set, &journal_path, policy, opt_flag(args, "--json"))
+    replay::run_replay(
+        &path,
+        set,
+        &journal_path,
+        policy,
+        opt_flag(args, "--json"),
+        opt_flag(args, "--verify"),
+    )
 }
 
 fn cmd_compact(args: &[String]) -> Result<String, String> {
@@ -1054,6 +1066,63 @@ instance I : W on S node 0;
         assert!(!human.contains("torn-tail"), "{human}");
         assert!(human.contains(&admit_digest));
         assert!(human.contains("final system:"));
+
+        // The audit re-derives all three verdicts and lands on the same
+        // engine.
+        let verified = run(&args(&[
+            "replay",
+            spec.to_str().unwrap(),
+            journal.to_str().unwrap(),
+            "--verify",
+        ]))
+        .unwrap();
+        assert!(
+            verified.contains("all 3 recorded verdict(s) agree"),
+            "{verified}"
+        );
+        assert!(verified.contains(&admit_digest), "{verified}");
+        let _ = std::fs::remove_file(&journal);
+    }
+
+    #[test]
+    fn replay_verify_refuses_a_rejected_record_whose_batch_admits() {
+        let spec = spec_file();
+        let script =
+            script_file("add probe period 60 deadline 120 task p wcet 1 bcet 0.5 prio 1 on Pi1\n");
+        let journal = std::env::temp_dir().join(format!(
+            "hsched-cli-test-forged-{}.journal",
+            std::process::id()
+        ));
+        run(&args(&[
+            "admit",
+            spec.to_str().unwrap(),
+            script.to_str().unwrap(),
+            "--journal",
+            journal.to_str().unwrap(),
+        ]))
+        .unwrap();
+        // Forge the one record's verdict: the batch admits, the journal
+        // now says it was rejected.
+        let text = std::fs::read_to_string(&journal).unwrap();
+        assert_eq!(text.matches("verdict admitted").count(), 1, "{text}");
+        std::fs::write(
+            &journal,
+            text.replace("verdict admitted", "verdict rejected"),
+        )
+        .unwrap();
+        let replay = |extra: &[&str]| {
+            let mut argv = vec!["replay", spec.to_str().unwrap(), journal.to_str().unwrap()];
+            argv.extend_from_slice(extra);
+            run(&args(&argv))
+        };
+        // Structural replay cannot see it: a rejection changes nothing.
+        let plain = replay(&[]).unwrap();
+        assert!(plain.contains("admitted 0 / rejected 1"), "{plain}");
+        let err = replay(&["--verify"]).unwrap_err();
+        assert!(
+            err.contains("journal records rejected, replay produced admitted"),
+            "{err}"
+        );
         let _ = std::fs::remove_file(&journal);
     }
 

@@ -3,6 +3,15 @@
 //! --journal` recorded, repairing any torn tail. The printed state digest
 //! equals the one the original `admit` run printed iff the rebuilt engine
 //! is byte-identical — that string compare is the whole recovery check.
+//!
+//! Replay applies records, not analyses: a record marked admitted has its
+//! batch applied and must pass reserve's rules, a record marked rejected
+//! only advances the counters, and every island the records changed is
+//! analyzed once at the end — where a shard an admitted record left
+//! unschedulable refuses the journal. `--verify` is the audit: the same
+//! applier re-analyzes every epoch as the live engine did and cross-checks
+//! each recorded verdict, which is the only way to catch a record marked
+//! rejected whose batch admits.
 
 use crate::admit::{stats_line, write_stats};
 use crate::json::{begin_envelope, write_engine_section, write_report, JsonWriter};
@@ -11,16 +20,23 @@ use hsched_engine::SchedService;
 use hsched_transaction::TransactionSet;
 use std::fmt::Write as _;
 
-/// Replays `journal` against the spec-seeded `set` and renders the rebuilt
-/// engine (epochs replayed, shard topology, digest, final report).
+/// Replays `journal` against the spec-seeded `set` (re-deriving every
+/// verdict with `verify`) and renders the rebuilt engine (epochs replayed,
+/// shard topology, digest, final report).
 pub(crate) fn run_replay(
     path: &str,
     set: TransactionSet,
     journal_path: &str,
     policy: AdmissionPolicy,
     json: bool,
+    verify: bool,
 ) -> Result<String, String> {
-    let (engine, stats) = SchedService::replay(
+    let replay = if verify {
+        SchedService::replay_verified
+    } else {
+        SchedService::replay
+    };
+    let (engine, stats) = replay(
         set,
         hsched_analysis::AnalysisConfig::default(),
         policy,
@@ -34,6 +50,7 @@ pub(crate) fn run_replay(
         begin_envelope(&mut w, "replay");
         w.field_str("spec", path)
             .field_raw("epochs_replayed", epochs)
+            .field_raw("verified", verify)
             .field_raw("journal_bytes", stats.journal_bytes)
             .field_raw("repaired_bytes", stats.repaired_bytes);
         // A compacted journal resumes from its snapshot: the tickets
@@ -53,6 +70,12 @@ pub(crate) fn run_replay(
         out,
         "{journal_path}: replayed {epochs} epoch(s) against {path}"
     );
+    if verify {
+        let _ = writeln!(
+            out,
+            "verified: every epoch re-analyzed, all {epochs} recorded verdict(s) agree"
+        );
+    }
     let _ = writeln!(
         out,
         "journal: {} record(s), {} byte(s) valid{}",

@@ -281,7 +281,9 @@ pub struct JournalEpoch {
     pub epoch: u64,
     /// The batch, in application order.
     pub batch: Vec<AdmissionRequest>,
-    /// Recorded verdict — replay cross-checks its own verdict against it.
+    /// Recorded verdict: replay applies an admitted record without
+    /// re-deciding it, and skips a rejected one (a verified replay
+    /// re-derives the verdict and cross-checks it).
     pub admitted: bool,
 }
 

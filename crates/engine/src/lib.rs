@@ -654,6 +654,206 @@ mod tests {
         let _ = std::fs::remove_file(&path);
     }
 
+    /// A journal whose records are the given `(batch, admitted)` pairs,
+    /// epochs numbered from 1 — a forger's pen.
+    fn forged_journal(
+        tag: &str,
+        platforms: usize,
+        records: &[(Vec<AdmissionRequest>, bool)],
+    ) -> std::path::PathBuf {
+        let path = std::env::temp_dir().join(format!(
+            "hsched-engine-test-forged-{tag}-{}.journal",
+            std::process::id()
+        ));
+        let mut writer = JournalWriter::create(&path, platforms).unwrap();
+        for (epoch, (batch, admitted)) in records.iter().enumerate() {
+            writer.append(epoch as u64 + 1, batch, *admitted).unwrap();
+        }
+        path
+    }
+
+    #[test]
+    fn replay_refuses_an_admitted_record_that_does_not_apply() {
+        let (engine, a, _) = two_island_engine();
+        let set = engine.current_set();
+        let replay = |path: &std::path::Path| {
+            SchedService::replay(
+                set.clone(),
+                AnalysisConfig::default(),
+                AdmissionPolicy::default(),
+                path,
+            )
+        };
+        let bad_retune = AdmissionRequest::Retune {
+            platform: a,
+            alpha: rat(3, 2),
+            delta: rat(0, 1),
+            beta: rat(0, 1),
+        };
+        let fine = AdmissionRequest::AddTransaction(tx_on("fine", a));
+        // Routing refuses the duplicate before anything is checked out;
+        // the retune only fails inside the shard, after a checkout and a
+        // first request that applied.
+        for (tag, batch, why) in [
+            (
+                "dup",
+                vec![AdmissionRequest::AddTransaction(tx_on("left", a))],
+                "the engine rejects it",
+            ),
+            ("retune", vec![fine, bad_retune], "it does not apply"),
+        ] {
+            let path = forged_journal(tag, 2, &[(batch.clone(), true)]);
+            match replay(&path) {
+                Err(EngineError::Replay(message)) => assert!(message.contains(why), "{message}"),
+                other => panic!("{tag}: expected a refusal, got {other:?}"),
+            }
+            // The streaming applier refuses it without changing anything.
+            let before = (engine.epoch(), engine.state_digest());
+            let record = JournalEpoch {
+                epoch: 1,
+                batch,
+                admitted: true,
+            };
+            assert!(matches!(
+                engine.apply_journal_record(&record),
+                Err(EngineError::Replay(_))
+            ));
+            assert_eq!((engine.epoch(), engine.state_digest()), before, "{tag}");
+            let _ = std::fs::remove_file(&path);
+        }
+        // The engine still serves.
+        let response = engine
+            .submit(&EngineRequest::batch(vec![
+                AdmissionRequest::AddTransaction(tx_on("after", a)),
+            ]))
+            .unwrap();
+        assert!(response.outcome.verdict.admitted());
+    }
+
+    #[test]
+    fn replay_refuses_an_admitted_record_that_leaves_a_shard_unschedulable() {
+        let (engine, _, b) = two_island_engine();
+        let set = engine.current_set();
+        let hog = Transaction::new(
+            "hog",
+            rat(10, 1),
+            rat(10, 1),
+            vec![Task::new("h", rat(11, 1), rat(11, 1), 9, b)],
+        )
+        .unwrap();
+        let batch = vec![AdmissionRequest::AddTransaction(hog)];
+        // Live, the batch is rejected (overload); the forgery says admitted.
+        let path = forged_journal("unsched", 2, &[(batch.clone(), true)]);
+        let replayed = SchedService::replay(
+            set.clone(),
+            AnalysisConfig::default(),
+            AdmissionPolicy::default(),
+            &path,
+        );
+        match replayed {
+            Err(EngineError::Replay(message)) => assert!(message.contains("hog"), "{message}"),
+            other => panic!("expected a refusal at refresh, got {other:?}"),
+        }
+        // Record by record: the applier takes the structure on trust, the
+        // refresh checks the promise and leaves the truth behind.
+        let record = JournalEpoch {
+            epoch: 1,
+            batch,
+            admitted: true,
+        };
+        engine.apply_journal_record(&record).unwrap();
+        assert!(matches!(engine.refresh(), Err(EngineError::Replay(_))));
+        assert!(!engine.schedulable());
+        // A later admitted record that leaves the unschedulable shard alone
+        // would have been rejected live: it is refused too.
+        let record = JournalEpoch {
+            epoch: 2,
+            batch: vec![AdmissionRequest::RemoveTransaction {
+                name: "left".into(),
+            }],
+            admitted: true,
+        };
+        assert!(matches!(
+            engine.apply_journal_record(&record),
+            Err(EngineError::Replay(_))
+        ));
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn verified_replay_refuses_a_rejected_record_whose_batch_admits() {
+        let (engine, a, _) = two_island_engine();
+        let set = engine.current_set();
+        let batch = vec![AdmissionRequest::AddTransaction(tx_on("fine", a))];
+        let path = forged_journal("rejected-admits", 2, &[(batch, false)]);
+        let replay = |verified: bool| {
+            let replay = if verified {
+                SchedService::replay_verified
+            } else {
+                SchedService::replay
+            };
+            replay(
+                set.clone(),
+                AnalysisConfig::default(),
+                AdmissionPolicy::default(),
+                &path,
+            )
+        };
+        // Structural replay cannot see this forgery: a rejection only
+        // advances the counters.
+        let (replayed, _) = replay(false).unwrap();
+        assert_eq!(replayed.epoch(), 1);
+        assert_eq!(replayed.live_transactions(), 2);
+        drop(replayed);
+        assert!(matches!(replay(true), Err(EngineError::Replay(_))));
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn pipelined_epochs_compact_at_sync() {
+        let path = std::env::temp_dir().join(format!(
+            "hsched-engine-test-autocompact-sync-{}.journal",
+            std::process::id()
+        ));
+        let (engine, a, _) = two_island_engine();
+        let set = engine.current_set();
+        let engine = engine
+            .with_journal(&path)
+            .unwrap()
+            .with_auto_compact(AutoCompactPolicy {
+                every_epochs: Some(2),
+                max_journal_bytes: None,
+            });
+        for name in ["p1", "p2", "p3"] {
+            engine
+                .submit_async(&EngineRequest::batch(vec![
+                    AdmissionRequest::AddTransaction(tx_on(name, a)),
+                ]))
+                .unwrap();
+        }
+        assert!(
+            read_journal(&path).unwrap().snapshot.is_none(),
+            "settling alone never compacts"
+        );
+        assert_eq!(engine.sync(3).unwrap(), 3);
+        let contents = read_journal(&path).unwrap();
+        assert_eq!(
+            contents.snapshot.map(|s| s.epoch),
+            Some(3),
+            "sync compacted"
+        );
+        assert!(contents.epochs.is_empty());
+        let (replayed, _) = SchedService::replay(
+            set,
+            AnalysisConfig::default(),
+            AdmissionPolicy::default(),
+            &path,
+        )
+        .unwrap();
+        assert_eq!(replayed.state_digest(), engine.state_digest());
+        let _ = std::fs::remove_file(&path);
+    }
+
     #[test]
     fn byte_threshold_also_triggers_auto_compaction() {
         let path = std::env::temp_dir().join(format!(

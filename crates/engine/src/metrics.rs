@@ -41,6 +41,9 @@ pub struct EngineMetrics {
     pub shed_rejected: Counter,
     /// Torn-tail bytes truncated by replay/recovery (WAL tail repair).
     pub replay_repaired_bytes: Counter,
+    /// Shards analyzed from scratch because journal records left them
+    /// stale (replay, standby, promotion).
+    pub refreshed_shards: Counter,
 
     /// Reserve-phase time per epoch, *excluding* the route and checkout
     /// slices below (lock and gate waits, retried attempts).
@@ -83,6 +86,10 @@ impl EngineMetrics {
         snap.put_counter(
             "engine.replay.repaired_bytes",
             self.replay_repaired_bytes.get(),
+        );
+        snap.put_counter(
+            "engine.replay.refreshed_shards",
+            self.refreshed_shards.get(),
         );
         snap.put_histogram("engine.phase.reserve_ns", self.reserve_ns.snapshot());
         snap.put_histogram("engine.phase.route_ns", self.route_ns.snapshot());

@@ -19,15 +19,18 @@
 //! All of it runs under the one routing lock ([`Routing`], held inside a
 //! [`World`]), so [`route`] sees the exact state — claims *and* checked-out
 //! slots. The conflict rules and the drain conditions are documented in the
-//! service module docs and `docs/ARCHITECTURE.md`.
+//! service module docs and `docs/ARCHITECTURE.md`. Journal replay takes
+//! the same path ([`World::check_out`]) for every record it applies.
 
 use crate::envelope::EngineError;
-use crate::service::{Slot, World};
-use hsched_admission::{AdmissionController, AdmissionRequest};
+use crate::service::{Seam, Slot, World};
+use hsched_admission::{AdmissionController, AdmissionRequest, RejectReason};
 use hsched_model::{ComponentClass, SystemBuilder};
 use hsched_platform::PlatformId;
+use hsched_telemetry::elapsed_ns;
 use hsched_transaction::{flatten_annotated, FlattenOptions, TransactionSet};
 use std::collections::{HashMap, HashSet};
+use std::time::Instant;
 
 /// Everything reserve routes against, behind the routing lock: the at-rest
 /// home maps, the claim sets of in-flight epochs, and the shard slot table.
@@ -67,7 +70,7 @@ pub(crate) fn shard_slots(keys: &[Key]) -> Vec<usize> {
 }
 
 /// The free platforms among `keys`, in their order.
-pub(crate) fn free_platforms(keys: &[Key]) -> impl Iterator<Item = usize> + '_ {
+fn free_platforms(keys: &[Key]) -> impl Iterator<Item = usize> + '_ {
     keys.iter().filter_map(|key| match *key {
         Key::Free(p) => Some(p),
         Key::Shard(_) => None,
@@ -97,6 +100,34 @@ pub(crate) enum RouteOutcome {
     /// The batch is structurally invalid against the current state — the
     /// epoch is consumed as a structural rejection.
     Structural(String),
+}
+
+/// What an epoch touches and claims, from reserve to settle (empty for an
+/// epoch reserve rejected).
+#[derive(Debug, Default)]
+pub(crate) struct Footprint {
+    /// The shards (checked out) and free platforms (claimed) the batch
+    /// touches, first-touch order.
+    pub(crate) keys: Vec<Key>,
+    /// Per request: flattened transaction names of a removed instance.
+    pub(crate) removed_instance_txns: Vec<Vec<String>>,
+    /// The names the epoch claimed.
+    pub(crate) claimed_names: Vec<String>,
+    /// Platforms of every touched island (poison accounting; empty
+    /// whenever the poison map was empty at reserve).
+    pub(crate) touched_platforms: Vec<usize>,
+}
+
+/// What reserve checked out for one epoch ([`World::check_out`]).
+pub(crate) struct Checkout {
+    pub(crate) footprint: Footprint,
+    /// The checked-out controllers in ascending slot order (one empty
+    /// controller when the batch touches only free platforms) — or the
+    /// rejection reserve decided (structural / numeric parity), with which
+    /// the epoch skips analysis and settles straight to a rejection.
+    pub(crate) cores: Result<Vec<AdmissionController>, RejectReason>,
+    /// Wall time spent checking the shards out (telemetry).
+    pub(crate) checkout_ns: u64,
 }
 
 /// Batch-local liveness override of one name.
@@ -366,7 +397,7 @@ impl World<'_> {
     /// shards' platform homes plus the claimed free platforms) — the
     /// clearing scope of the numeric-parity poison map. O(platforms): only
     /// called while that map is non-empty.
-    pub(crate) fn touched_platform_set(&self, keys: &[Key]) -> HashSet<usize> {
+    fn touched_platform_set(&self, keys: &[Key]) -> HashSet<usize> {
         let mut touched: HashSet<usize> = free_platforms(keys).collect();
         for (p, home) in &self.routing.home {
             if keys.contains(&Key::Shard(*home)) {
@@ -376,18 +407,115 @@ impl World<'_> {
         touched
     }
 
+    /// Everything reserve does after the conflict check, for both seams:
+    /// a batch that routing or the numeric parity rule rejects checks
+    /// nothing out; otherwise its shards are checked out and its names and
+    /// free platforms claimed until settle releases them.
+    ///
+    /// A journaled admitted record ([`Seam::Apply`]) is also held to the
+    /// cross-shard rule here, before anything moves: a shard it does not
+    /// touch that is unschedulable at rest means the live engine would
+    /// have rejected it.
+    pub(crate) fn check_out(
+        &mut self,
+        outcome: RouteOutcome,
+        seam: Seam,
+    ) -> Result<Checkout, EngineError> {
+        let rejected = |reason| Checkout {
+            footprint: Footprint::default(),
+            cores: Err(reason),
+            checkout_ns: 0,
+        };
+        let routed = match outcome {
+            // Nothing is in flight, so nothing can hold a claim or a shard.
+            RouteOutcome::Blocked => {
+                return Err(EngineError::Internal(
+                    "conflict on a drained pipeline".to_string(),
+                ))
+            }
+            RouteOutcome::Structural(message) => {
+                return Ok(rejected(RejectReason::Structural(message)))
+            }
+            RouteOutcome::Routed(routed) => routed,
+        };
+        // Cross-island numeric parity: a poisoned platform the batch does
+        // not touch rejects exactly like the single controller's global
+        // utilization scan (touched islands re-run their own checked scan
+        // inside the commit and heal or re-reject there). The
+        // O(platforms) scope scan only runs while there is poison to
+        // clear.
+        let touched = if self.core.util_poison.is_empty() {
+            HashSet::new()
+        } else {
+            self.touched_platform_set(&routed.keys)
+        };
+        let poison = self
+            .core
+            .util_poison
+            .iter()
+            .find(|(p, _)| !touched.contains(*p));
+        if let Some((_, message)) = poison {
+            return Ok(rejected(RejectReason::Numeric(message.clone())));
+        }
+        if seam == Seam::Apply {
+            let foreign: Vec<String> = self
+                .core
+                .unsched
+                .iter()
+                .filter(|(slot, _)| !routed.keys.contains(&Key::Shard(**slot)))
+                .flat_map(|(_, misses)| misses.iter().cloned())
+                .collect();
+            if !foreign.is_empty() {
+                return Ok(rejected(RejectReason::Unschedulable { misses: foreign }));
+            }
+        }
+        let started = Instant::now();
+        let cores = self.checkout(&shard_slots(&routed.keys), seam)?;
+        let checkout_ns = elapsed_ns(started);
+        self.routing
+            .pending
+            .extend(routed.mentioned.iter().cloned());
+        self.routing
+            .pending_free
+            .extend(free_platforms(&routed.keys));
+        Ok(Checkout {
+            footprint: Footprint {
+                keys: routed.keys,
+                removed_instance_txns: routed.removed_instance_txns,
+                claimed_names: routed.mentioned,
+                touched_platforms: touched.into_iter().collect(),
+            },
+            cores: Ok(cores),
+            checkout_ns,
+        })
+    }
+
+    /// Releases the name and free-platform claims [`World::check_out`]
+    /// took for an epoch.
+    pub(crate) fn release(&mut self, footprint: &Footprint) {
+        for name in &footprint.claimed_names {
+            self.routing.pending.remove(name);
+        }
+        for p in free_platforms(&footprint.keys) {
+            self.routing.pending_free.remove(&p);
+        }
+    }
+
     /// Checks the shards in `slots` out, leaving each slot `Busy`, and
     /// returns their controllers in ascending slot order — the order the
     /// analyze phase merges them in. A batch that touches only free
     /// platforms gets one empty controller instead. No slot is allocated
-    /// or vacated: shard topology changes only at settle.
+    /// or vacated: shard topology changes only at settle. For a commit
+    /// that analyzes ([`Seam::Analyze`]), stale shards are refreshed first.
     ///
     /// A failed reserve must not change the world: every slot is verified
     /// before the first one moves, so an `Err` leaves slots, home maps and
-    /// digest exactly as they were.
-    pub(crate) fn checkout(
+    /// digest exactly as they were (a refresh only fills in the analysis
+    /// of what is already there).
+    fn checkout(
         &mut self,
         slots: &[usize],
+        seam: Seam,
     ) -> Result<Vec<AdmissionController>, EngineError> {
         if slots.is_empty() {
             let empty = TransactionSet::new(self.core.platforms.clone(), Vec::new())
@@ -399,6 +527,9 @@ impl World<'_> {
             return Ok(vec![core]);
         }
         for &slot in slots {
+            if seam == Seam::Analyze {
+                self.refresh_slot(slot)?;
+            }
             let Slot::Idle(shard) = &self.routing.slots[slot] else {
                 return Err(EngineError::Internal(
                     "checkout of a non-idle slot".to_string(),

@@ -84,6 +84,28 @@
 //! utilization-poison map is non-empty (the parity scan must see every
 //! platform at rest).
 //!
+//! # Recovery applies records, not analyses
+//!
+//! The holistic analysis is a function of the transaction set alone, and
+//! the cached report equals a from-scratch analysis of the live set
+//! (property-tested). So replay, a warm standby and promotion do not
+//! re-run the analyses the journal records the outcome of: one streaming
+//! applier ([`SchedService::apply_journal_record`]) settles each record
+//! through the same route → checkout → merge → settle path as a live epoch,
+//! with only the analyze step swapped ([`Seam`]):
+//!
+//! - a record marked rejected only advances the counters — every rejection
+//!   leaves shard topology as it was;
+//! - a record marked admitted has its batch applied without analysis
+//!   ([`AdmissionController::apply_unanalyzed`]); its islands are placed
+//!   **stale**, on the record's promise that they are schedulable.
+//!
+//! A stale shard is analyzed from scratch, once, when the state is next
+//! read ([`World::refresh_slot`]): by an observer of analysis results, at
+//! the end of a replay, by a standby before it compares a heartbeat
+//! digest, and before a live epoch checks the shard out. That is also where
+//! the promise is checked; `--verify` replay keeps the analyze step on.
+//!
 //! # Equivalence envelope
 //!
 //! The service matches the single-controller verdict — rejection reason
@@ -117,7 +139,7 @@ use crate::envelope::{
 };
 use crate::journal::{DurableMark, JournalEpoch, JournalStream, JournalSubscriber, JournalWriter};
 use crate::metrics::EngineMetrics;
-use crate::routing::{free_platforms, route, shard_slots, Key, RouteOutcome, Routing};
+use crate::routing::{route, shard_slots, Checkout, Footprint, Key, RouteOutcome, Routing};
 use crate::snapshot::{self, Snapshot};
 use crate::sync::{condvar, core_lock, gate_lock, routing_lock, Arc, Condvar, Mutex, MutexGuard};
 use hsched_admission::{
@@ -141,7 +163,14 @@ use std::time::Instant;
 #[derive(Debug)]
 pub(crate) struct Shard {
     pub(crate) core: AdmissionController,
+    /// Cached [`AdmissionController::schedulable`]; for a stale shard,
+    /// what its journal record promised (admitted ⇒ schedulable) until a
+    /// refresh checks it.
     pub(crate) schedulable: bool,
+    /// The shard was placed by a journal record applied without analysis
+    /// ([`Seam::Apply`]): its controller holds the live set but no
+    /// analysis of it until [`World::refresh_slot`] runs.
+    pub(crate) stale: bool,
 }
 
 impl Shard {
@@ -281,29 +310,31 @@ struct Gate {
 /// at reserve time.
 struct Reservation {
     ticket: u64,
-    /// The shards (checked out) and free platforms (claimed) the batch
-    /// touches, first-touch order.
-    keys: Vec<Key>,
-    /// The checked-out controllers in ascending slot order (one empty
-    /// controller when the batch touches only free platforms) — or the
-    /// rejection reserve decided (structural / numeric parity), with which
-    /// the epoch skips analysis and settles straight to a rejection.
-    cores: Result<Vec<AdmissionController>, RejectReason>,
-    /// Per request: flattened transaction names of a removed instance.
-    removed_instance_txns: Vec<Vec<String>>,
-    claimed_names: Vec<String>,
-    /// Platforms of every touched island (poison accounting; empty
-    /// whenever the poison map was empty at reserve).
-    touched_platforms: Vec<usize>,
+    checkout: Checkout,
     /// Wall time the winning attempt spent routing (telemetry).
     route_ns: u64,
-    /// Wall time the winning attempt spent checking shards out (telemetry).
-    checkout_ns: u64,
 }
 
-/// What the analyze phase hands settle: the epoch's one controller and its
-/// commit outcome, or the rejection reserve already decided.
-type Analyzed = Result<(AdmissionController, EpochOutcome), RejectReason>;
+/// What an epoch's analyze phase does with its merged controller.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Seam {
+    /// Commit the batch: analyze it and let the verdict decide. Every live
+    /// epoch, and every record of a verified replay.
+    Analyze,
+    /// Apply a journal record whose verdict is admitted without analyzing
+    /// it; settle places the epoch's shards stale.
+    Apply,
+}
+
+/// What the analyze phase hands settle.
+enum Analyzed {
+    /// The epoch's one controller and its commit outcome.
+    Committed(AdmissionController, EpochOutcome),
+    /// A journaled admitted batch, applied without analysis.
+    Applied(AdmissionController),
+    /// The rejection reserve already decided.
+    Rejected(RejectReason),
+}
 
 /// When the service folds its own journal into a snapshot without being
 /// asked (see [`SchedService::with_auto_compact`]). Both thresholds are
@@ -330,8 +361,8 @@ impl AutoCompactPolicy {
 /// the recovery dropped. `hsched replay` prints these facts verbatim.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ReplayStats {
-    /// Complete tail records re-committed (excluding epochs folded into
-    /// the snapshot block).
+    /// Complete tail records applied (excluding epochs folded into the
+    /// snapshot block).
     pub tail_records: usize,
     /// Epoch of the embedded snapshot the rebuild resumed from, or `None`
     /// when the journal was never compacted (replay started from the
@@ -415,6 +446,7 @@ const _: () = {
 pub(crate) struct World<'a> {
     pub(crate) routing: MutexGuard<'a, Routing>,
     pub(crate) core: MutexGuard<'a, Core>,
+    metrics: &'a EngineMetrics,
 }
 
 impl SchedService {
@@ -554,34 +586,44 @@ impl SchedService {
     /// Rebuilds a service after a restart: seeds from the journal's
     /// snapshot if it was compacted (verifying the recorded state digest),
     /// else from `set` (the same specification the crashed engine started
-    /// from); then re-commits every complete tail record — streamed, O(1)
-    /// memory — cross-checking each replayed verdict against the recorded
-    /// one, repairs any torn journal tail, and re-attaches the journal in
-    /// append mode. Returns the service plus the journal facts the
-    /// recovery established ([`ReplayStats`]: tail records replayed,
-    /// snapshot resume point, valid and repaired byte counts).
+    /// from); then applies every complete tail record — streamed, O(1)
+    /// memory — through [`SchedService::apply_journal_record`], analyzes
+    /// what the records changed ([`SchedService::refresh`]), repairs any
+    /// torn journal tail, and re-attaches the journal in append mode.
+    /// Returns the service plus the journal facts the recovery established
+    /// ([`ReplayStats`]: tail records replayed, snapshot resume point,
+    /// valid and repaired byte counts).
     ///
     /// The rebuilt engine is byte-identical to the crashed one as of its
     /// last complete record: same epoch ticket, same live set and system
     /// mirror, same cached report, same [`TxnId`] assignments — the
     /// property suites assert this across random crash points, with and
     /// without compaction.
+    ///
+    /// What is checked: each record's epoch number, that every record
+    /// marked admitted applies and passes reserve's rules (routing, the
+    /// numeric parity scan, no foreign shard unschedulable), and that it
+    /// leaves every shard it touched schedulable. Each touched island is
+    /// analyzed once, at the end, not once per record; rejected records
+    /// are not re-run at all. That a record marked *rejected* would really
+    /// have been rejected is what only [`SchedService::replay_verified`]
+    /// checks.
     pub fn replay(
         set: TransactionSet,
         config: AnalysisConfig,
         policy: AdmissionPolicy,
         path: &Path,
     ) -> Result<(SchedService, ReplayStats), EngineError> {
-        Self::replay_inner(set, config, policy, path, true)
+        Self::replay_inner(set, config, policy, path, true, Seam::Apply)
     }
 
     /// [`SchedService::replay`] for a **warm standby**: rebuilds the same
-    /// byte-identical state but does *not* repair or re-attach the journal
-    /// — the file stays read-only and untouched. A replication follower
-    /// uses this to seed its standby from the locally mirrored journal
-    /// while a separate thread keeps appending raw streamed bytes to the
-    /// same file; attaching a writer here would double-write every record
-    /// the standby later applies through
+    /// byte-identical state, with the same checks, but does *not* repair or
+    /// re-attach the journal — the file stays read-only and untouched. A
+    /// replication follower uses this to seed its standby from the locally
+    /// mirrored journal while a separate thread keeps appending raw
+    /// streamed bytes to the same file; attaching a writer here would
+    /// double-write every record the standby later applies through
     /// [`SchedService::apply_journal_record`].
     pub fn replay_standby(
         set: TransactionSet,
@@ -589,7 +631,22 @@ impl SchedService {
         policy: AdmissionPolicy,
         path: &Path,
     ) -> Result<(SchedService, ReplayStats), EngineError> {
-        Self::replay_inner(set, config, policy, path, false)
+        Self::replay_inner(set, config, policy, path, false, Seam::Apply)
+    }
+
+    /// [`SchedService::replay`] as an audit (`hsched replay --verify`):
+    /// every record is committed and analyzed as the live engine did, and
+    /// its verdict is cross-checked against the recorded one. The same
+    /// applier with the analysis switched on, at the cost of re-running
+    /// every epoch's fixpoint — rejected ones included. It is the only
+    /// replay that notices a record marked rejected whose batch admits.
+    pub fn replay_verified(
+        set: TransactionSet,
+        config: AnalysisConfig,
+        policy: AdmissionPolicy,
+        path: &Path,
+    ) -> Result<(SchedService, ReplayStats), EngineError> {
+        Self::replay_inner(set, config, policy, path, true, Seam::Analyze)
     }
 
     fn replay_inner(
@@ -598,6 +655,7 @@ impl SchedService {
         policy: AdmissionPolicy,
         path: &Path,
         attach: bool,
+        seam: Seam,
     ) -> Result<(SchedService, ReplayStats), EngineError> {
         let file_bytes = std::fs::metadata(path).map(|m| m.len()).unwrap_or(0);
         let mut stream = JournalStream::open(path)?;
@@ -616,9 +674,10 @@ impl SchedService {
         };
         let mut replayed = 0usize;
         for record in &mut stream {
-            service.apply_journal_record(&record?)?;
+            service.apply_record(&record?, seam)?;
             replayed += 1;
         }
+        service.refresh()?;
         let valid = stream.valid_prefix();
         service
             .metrics
@@ -642,30 +701,77 @@ impl SchedService {
         ))
     }
 
-    /// Applies one journal record to this engine exactly as replay would:
-    /// the batch commits as the next epoch, and both the epoch number and
-    /// the verdict are cross-checked against what the record claims —
-    /// divergence is an [`EngineError::Replay`], the loud refusal a
-    /// replication follower owes its operator. With no journal attached
+    /// Applies one journal record to this engine as the next epoch, exactly
+    /// as replay does: a record marked rejected only advances the epoch
+    /// counters (every rejection leaves shard topology as it was); one
+    /// marked admitted has its batch applied without analysis, and the
+    /// shards it touched are analyzed when the state is next read
+    /// ([`SchedService::refresh`]). Divergence — a wrong epoch number, an
+    /// admitted batch that does not apply or that reserve would reject —
+    /// is an [`EngineError::Replay`] that changes nothing, the loud refusal
+    /// a replication follower owes its operator. With no journal attached
     /// (the standby configuration) the record is applied in memory only.
     pub fn apply_journal_record(&self, record: &JournalEpoch) -> Result<(), EngineError> {
-        let response = self.commit_named(record.batch.clone())?;
-        if response.epoch != record.epoch {
+        self.apply_record(record, Seam::Apply)
+    }
+
+    /// Analyzes every shard that journal records left stale, now rather
+    /// than at the next observation that needs it. Refuses with
+    /// [`EngineError::Replay`] a journal whose admitted records left a
+    /// shard unschedulable or unanalyzable — admitted means every shard
+    /// schedulable, and this is where structural replay checks it. Replay
+    /// calls it at its end; a standby before it compares a heartbeat
+    /// digest. A no-op on an engine no record was applied to.
+    pub fn refresh(&self) -> Result<(), EngineError> {
+        self.quiescent_world().refresh()
+    }
+
+    /// The streaming applier behind [`SchedService::replay`],
+    /// [`SchedService::replay_standby`], [`SchedService::replay_verified`]
+    /// and [`SchedService::apply_journal_record`]: settles one record as
+    /// the next epoch through the live engine's route → checkout → merge →
+    /// settle path, with `seam` at the analyze step. It runs on a quiescent
+    /// world and tickets the epoch itself, so a refusal leaves nothing
+    /// behind.
+    fn apply_record(&self, record: &JournalEpoch, seam: Seam) -> Result<(), EngineError> {
+        let mut world = self.quiescent_world();
+        let ticket = world.core.settled + 1;
+        if record.epoch != ticket {
             return Err(EngineError::Replay(format!(
-                "epoch numbering diverged: journal {}, engine {}",
-                record.epoch, response.epoch
+                "epoch numbering diverged: journal {}, engine {ticket}",
+                record.epoch
             )));
         }
-        if response.outcome.verdict.admitted() != record.admitted {
+        let response = if seam == Seam::Apply && !record.admitted {
+            // A rolled-back commit puts every island back in its own slot,
+            // and a reserve rejection checks nothing out: a rejection
+            // changes nothing but the counters.
+            world.record(ticket, &record.batch, false)?;
+            world.core.settled = ticket;
+            None
+        } else {
+            let (footprint, analyzed) = world.take_record(record, seam)?;
+            Some(world.settle(ticket, &record.batch, &footprint, analyzed))
+        };
+        {
+            let mut gate = self.lock_gate();
+            gate.issued = ticket;
+            gate.settled = ticket;
+        }
+        drop(world);
+        self.notify_settled();
+        let Some(response) = response else {
+            return Ok(());
+        };
+        let verdict = response?.outcome.verdict;
+        if verdict.admitted() != record.admitted {
             return Err(EngineError::Replay(format!(
-                "epoch {}: journal records {}, replay produced {}",
-                record.epoch,
+                "epoch {ticket}: journal records {}, replay produced {verdict}",
                 if record.admitted {
                     "admitted"
                 } else {
                     "rejected"
                 },
-                response.outcome.verdict,
             )));
         }
         Ok(())
@@ -685,7 +791,6 @@ impl SchedService {
     pub fn submit(&self, request: &EngineRequest) -> Result<EngineResponse, EngineError> {
         let ticket = self.submit_async(request)?;
         self.sync(ticket.epoch)?;
-        self.maybe_auto_compact();
         Ok(ticket.response)
     }
 
@@ -742,7 +847,18 @@ impl SchedService {
     /// watermark never advances past the failure, and *every* waiter — not
     /// just the thread that ran the syscall — gets the error instead of a
     /// result claiming durability.
+    ///
+    /// A successful sync is where auto-compaction fires (see
+    /// [`SchedService::with_auto_compact`]), so pipelined clients that only
+    /// ever `submit_async` and `sync` compact as lock-step ones do.
     pub fn sync(&self, watermark: u64) -> Result<u64, EngineError> {
+        let covered = self.sync_journal(watermark)?;
+        self.maybe_auto_compact();
+        Ok(covered)
+    }
+
+    /// The group commit behind [`SchedService::sync`].
+    fn sync_journal(&self, watermark: u64) -> Result<u64, EngineError> {
         let mut core = self.lock_core();
         loop {
             let target = watermark.min(core.settled);
@@ -867,18 +983,6 @@ impl SchedService {
         self.metrics.shed_rejected.incr();
     }
 
-    /// The name-addressed commit path (also the replay path): settle plus
-    /// per-epoch durability, like [`SchedService::submit`].
-    pub(crate) fn commit_named(
-        &self,
-        batch: Vec<AdmissionRequest>,
-    ) -> Result<EngineResponse, EngineError> {
-        let response = self.commit_named_async(batch)?;
-        self.sync(response.epoch)?;
-        self.maybe_auto_compact();
-        Ok(response)
-    }
-
     /// Runs one epoch through reserve → analyze → settle. The record is
     /// journaled (in ticket order) but not fsynced.
     fn commit_named_async(
@@ -887,36 +991,23 @@ impl SchedService {
     ) -> Result<EngineResponse, EngineError> {
         // Phase 1: reserve (wait out conflicts; writers drain in-flight).
         let reserve_started = Instant::now();
-        let resv = self.reserve(&batch)?;
-        let reserve_total_ns = elapsed_ns(reserve_started);
         let Reservation {
             ticket,
-            keys,
-            cores,
-            removed_instance_txns,
-            claimed_names,
-            touched_platforms,
+            checkout,
             route_ns,
-            checkout_ns,
-        } = resv;
+        } = self.reserve(&batch)?;
+        let reserve_total_ns = elapsed_ns(reserve_started);
+        let checkout_ns = checkout.checkout_ns;
 
         // Phase 2: analyze — no lock held; overlaps across client threads.
         let analyze_started = Instant::now();
-        let analyzed = cores.map(|cores| commit_merged(cores, &batch));
+        let analyzed = commit_merged(checkout.cores, &batch);
         let analyze_ns = elapsed_ns(analyze_started);
 
         // Phase 3: settle strictly in ticket order — the linearization
         // point, and the journal's serialization order.
         let settle_started = Instant::now();
-        let mut response = self.settle_epoch(
-            ticket,
-            &batch,
-            &keys,
-            analyzed,
-            &removed_instance_txns,
-            &touched_platforms,
-            &claimed_names,
-        )?;
+        let mut response = self.settle_epoch(ticket, &batch, &checkout.footprint, analyzed)?;
 
         // Attribute the epoch's wall time: route/checkout slices were
         // measured inside the winning reservation attempt, so the
@@ -981,9 +1072,8 @@ impl SchedService {
         let route_started = Instant::now();
         let outcome = route(&world, batch);
         let route_ns = elapsed_ns(route_started);
-        let poisoned = !world.core.util_poison.is_empty();
         let drain = *writer
-            || poisoned
+            || !world.core.util_poison.is_empty()
             || batch.iter().any(|r| {
                 matches!(
                     r,
@@ -1021,87 +1111,28 @@ impl SchedService {
             return Ok(None);
         }
 
-        let ticket = gate.issued + 1;
-        let early = |reason| Reservation {
-            ticket,
-            keys: Vec::new(),
-            cores: Err(reason),
-            removed_instance_txns: Vec::new(),
-            claimed_names: Vec::new(),
-            touched_platforms: Vec::new(),
-            route_ns,
-            checkout_ns: 0,
-        };
-        let resv = match outcome {
-            // Nothing is in flight, so nothing can hold a claim or a shard.
-            RouteOutcome::Blocked => {
-                return Err(EngineError::Internal(
-                    "conflict on a drained pipeline".to_string(),
-                ))
-            }
-            RouteOutcome::Structural(message) => early(RejectReason::Structural(message)),
-            RouteOutcome::Routed(routed) => {
-                // Cross-island numeric parity: a poisoned platform the
-                // batch does not touch rejects exactly like the single
-                // controller's global utilization scan (touched islands
-                // re-run their own checked scan inside the shard commit
-                // and heal or re-reject there). The O(platforms) scope scan
-                // only runs while there is poison to clear.
-                let touched = if poisoned {
-                    world.touched_platform_set(&routed.keys)
-                } else {
-                    HashSet::new()
-                };
-                let poison = world
-                    .core
-                    .util_poison
-                    .iter()
-                    .find(|(p, _)| !touched.contains(*p))
-                    .map(|(_, message)| message.clone());
-                match poison {
-                    Some(message) => early(RejectReason::Numeric(message)),
-                    None => {
-                        let checkout_started = Instant::now();
-                        let cores = world.checkout(&shard_slots(&routed.keys))?;
-                        let checkout_ns = elapsed_ns(checkout_started);
-                        let routing = &mut world.routing;
-                        routing.pending.extend(routed.mentioned.iter().cloned());
-                        routing.pending_free.extend(free_platforms(&routed.keys));
-                        Reservation {
-                            ticket,
-                            keys: routed.keys,
-                            cores: Ok(cores),
-                            removed_instance_txns: routed.removed_instance_txns,
-                            claimed_names: routed.mentioned,
-                            touched_platforms: touched.into_iter().collect(),
-                            route_ns,
-                            checkout_ns,
-                        }
-                    }
-                }
-            }
-        };
-        gate.issued = ticket;
+        let checkout = world.check_out(outcome, Seam::Analyze)?;
+        gate.issued += 1;
         if drain {
             self.metrics.exclusive_drains.incr();
         } else {
             self.metrics.fast_reservations.incr();
         }
-        Ok(Some(resv))
+        Ok(Some(Reservation {
+            ticket: gate.issued,
+            checkout,
+            route_ns,
+        }))
     }
 
     /// Phase 3: waits for this ticket's turn, locks the world, settles the
-    /// epoch, releases the claims, and publishes the new settled ticket.
-    #[allow(clippy::too_many_arguments)]
+    /// epoch ([`World::settle`]), and publishes the new settled ticket.
     fn settle_epoch(
         &self,
         ticket: u64,
         batch: &[AdmissionRequest],
-        keys: &[Key],
+        footprint: &Footprint,
         analyzed: Analyzed,
-        removed_instance_txns: &[Vec<String>],
-        touched_platforms: &[usize],
-        claimed_names: &[String],
     ) -> Result<EngineResponse, EngineError> {
         {
             let mut gate = self.lock_gate();
@@ -1114,46 +1145,18 @@ impl SchedService {
         // behind us on the turn, so the world acquisition only ever waits
         // on reservation attempts — which never sleep holding the world.
         let mut world = self.world();
-        let journal_before = world
-            .core
-            .journal
-            .as_ref()
-            .map(JournalWriter::bytes_written);
-        let result = world.settle(
-            ticket,
-            batch,
-            keys,
-            analyzed,
-            removed_instance_txns,
-            touched_platforms,
-        );
-        debug_assert!(
-            world.idle_shards_hold_master(),
-            "epoch {ticket} left an idle shard off the master platform table"
-        );
-        if let (Some(before), Some(journal)) = (journal_before, world.core.journal.as_ref()) {
-            // Bytes the settle appended for this epoch's record (the
-            // journal only ever grows between here and the pre-settle
-            // read — compaction rewrites drain the pipeline first).
-            let appended = journal.bytes_written().saturating_sub(before);
-            if appended > 0 {
-                self.metrics.journal_bytes.add(appended);
-                self.metrics.journal_records.incr();
-            }
-        }
-        for name in claimed_names {
-            world.routing.pending.remove(name);
-        }
-        for p in free_platforms(keys) {
-            world.routing.pending_free.remove(&p);
-        }
-        world.core.settled = ticket;
+        let result = world.settle(ticket, batch, footprint, analyzed);
         drop(world);
         self.lock_gate().settled = ticket;
+        self.notify_settled();
+        result
+    }
+
+    /// Wakes everything a settled ticket may unblock.
+    fn notify_settled(&self) {
         self.turn.notify_all();
         self.capacity.notify_one();
         self.conflict.notify_all();
-        result
     }
 
     /// Fires a snapshot compaction when the configured auto-compaction
@@ -1201,7 +1204,11 @@ impl SchedService {
     fn world(&self) -> World<'_> {
         let routing = self.routing.lock().expect("routing state poisoned");
         let core = self.lock_core();
-        World { routing, core }
+        World {
+            routing,
+            core,
+            metrics: &self.metrics,
+        }
     }
 
     /// Locks the service *quiescent*: waits until no epoch is in flight
@@ -1226,6 +1233,18 @@ impl SchedService {
             }
             drop(world);
         }
+    }
+
+    /// [`SchedService::quiescent_world`] with every stale shard analyzed —
+    /// the view of observers that read analysis results, so no stale
+    /// outcome ever reaches them. A refusal ([`World::refresh_slot`]) is
+    /// left for [`SchedService::refresh`] and the next applied record to
+    /// report: the offending shard is analyzed and unschedulable, which is
+    /// the truth to render, or — when it does not analyze at all — stale.
+    fn analyzed_world(&self) -> World<'_> {
+        let mut world = self.quiescent_world();
+        let _ = world.refresh();
+        world
     }
 
     /// World access for the snapshot rebuild path (single-threaded by
@@ -1265,7 +1284,7 @@ impl SchedService {
 
     /// `true` when every shard's live set meets its deadlines.
     pub fn schedulable(&self) -> bool {
-        let world = self.quiescent_world();
+        let world = self.analyzed_world();
         let mut shards = world.idle_shards();
         shards.all(|s| s.schedulable)
     }
@@ -1301,7 +1320,7 @@ impl SchedService {
     /// (index-aligned with [`SchedService::current_set`]). Exact for the
     /// same reason sharding is: the cache is island-local.
     pub fn report(&self) -> SchedulabilityReport {
-        self.quiescent_world().report()
+        self.analyzed_world().report()
     }
 
     /// Service-level stats in the controller's shape: epoch counters are
@@ -1348,7 +1367,7 @@ impl SchedService {
     /// --journal`, `hsched replay` and `hsched compact` all print it so a
     /// recovery can be verified with a string compare.
     pub fn state_digest(&self) -> String {
-        self.quiescent_world().state_digest()
+        self.analyzed_world().state_digest()
     }
 
     /// The settled epoch and its state digest as one consistent pair
@@ -1359,7 +1378,7 @@ impl SchedService {
     /// a replication primary emits these as low-rate heartbeats, not per
     /// epoch.
     pub fn epoch_digest(&self) -> (u64, String) {
-        let world = self.quiescent_world();
+        let world = self.analyzed_world();
         (world.core.settled, world.state_digest())
     }
 
@@ -1398,9 +1417,12 @@ impl SchedService {
     /// of re-running the whole history. The wire format of the block is
     /// specified in `docs/JOURNAL_FORMAT.md`.
     ///
-    /// Errors when no journal is attached.
+    /// Errors when no journal is attached, and refuses (like
+    /// [`SchedService::refresh`]) to capture a state its journal records
+    /// claimed schedulable but is not.
     pub fn snapshot(&self) -> Result<SnapshotInfo, EngineError> {
         let mut world = self.quiescent_world();
+        world.refresh()?;
         let Some(journal) = &world.core.journal else {
             return Err(EngineError::Journal(
                 "snapshot requires an attached journal".to_string(),
@@ -1434,6 +1456,10 @@ impl SchedService {
             digest,
             compacted_bytes,
         };
+        // From here on the journal replays from the snapshot, whose rebuild
+        // seeds a dense slot table: drop the vacancies here too, or the next
+        // slot allocated lands in a different place on the two sides.
+        world.renumber_slots();
         drop(world);
         if !subscribers.is_empty() {
             let mark = DurableMark {
@@ -1469,7 +1495,9 @@ impl World<'_> {
     /// becomes `Idle`: its members enter the home maps, its schedulability
     /// is cached (and entered in `unsched` when it fails), and it adopts the
     /// master platform table — the at-rest invariant
-    /// (`docs/ARCHITECTURE.md`, "One platform table").
+    /// (`docs/ARCHITECTURE.md`, "One platform table"). A controller a
+    /// journal record left without analysis goes to rest stale, on the
+    /// record's promise that it is schedulable.
     fn put_idle(&mut self, slot: usize, core: AdmissionController) {
         let routing = &mut *self.routing;
         for tx in core.current_set().transactions() {
@@ -1481,8 +1509,10 @@ impl World<'_> {
         for (_, instance) in core.system().instances() {
             routing.instance_home.insert(instance.name.clone(), slot);
         }
+        let stale = !core.is_analyzed();
         let mut shard = Shard {
-            schedulable: core.schedulable(),
+            schedulable: stale || core.schedulable(),
+            stale,
             core,
         };
         if !shard.schedulable {
@@ -1490,6 +1520,54 @@ impl World<'_> {
         }
         shard.adopt(&self.core.platforms);
         self.routing.slots[slot] = Slot::Idle(shard);
+    }
+
+    /// Analyzes the stale shard in `slot` from scratch
+    /// ([`AdmissionController::analyze_from_scratch`], exact by incremental
+    /// == from-scratch) and caches its schedulability; anything else is
+    /// left alone. The journal record that left the shard stale promised
+    /// it schedulable (admitted ⇒ every shard schedulable): a shard that is
+    /// not is refused with [`EngineError::Replay`], and stays analyzed and
+    /// in `unsched`; one that does not analyze at all is refused and stays
+    /// stale.
+    pub(crate) fn refresh_slot(&mut self, slot: usize) -> Result<(), EngineError> {
+        let Slot::Idle(shard) = &mut self.routing.slots[slot] else {
+            return Ok(());
+        };
+        if !shard.stale {
+            return Ok(());
+        }
+        shard.core.analyze_from_scratch().map_err(|reason| {
+            EngineError::Replay(format!(
+                "journal refused: an admitted record left a shard that does not analyze: {reason}"
+            ))
+        })?;
+        self.metrics.refreshed_shards.incr();
+        shard.stale = false;
+        shard.schedulable = shard.core.schedulable();
+        if shard.schedulable {
+            return Ok(());
+        }
+        let misses = shard.core.misses();
+        let message = format!(
+            "journal refused: an admitted record left {} unschedulable",
+            misses.join(", ")
+        );
+        self.core.unsched.insert(slot, misses);
+        Err(EngineError::Replay(message))
+    }
+
+    /// Refreshes every stale shard ([`World::refresh_slot`]) — all of them,
+    /// even past a refusal — and returns the first refusal.
+    fn refresh(&mut self) -> Result<(), EngineError> {
+        let mut first = Ok(());
+        for slot in 0..self.routing.slots.len() {
+            let refreshed = self.refresh_slot(slot);
+            if first.is_ok() {
+                first = refreshed;
+            }
+        }
+        first
     }
 
     /// The at-rest invariant of [`World::put_idle`], checked.
@@ -1595,6 +1673,40 @@ impl World<'_> {
         shards
     }
 
+    /// Closes the slot table's vacancies, keeping slot order — the table
+    /// [`snapshot::rebuild`] seeds from a snapshot of this state, so the two
+    /// allocate their next slot alike. Only sound at rest (no `Busy` slot,
+    /// no claim), which compaction is.
+    fn renumber_slots(&mut self) {
+        let routing = &mut *self.routing;
+        let mut next = 0;
+        let renumbered: Vec<usize> = routing
+            .slots
+            .iter()
+            .map(|slot| {
+                let index = next;
+                next += usize::from(!slot.is_vacant());
+                index
+            })
+            .collect();
+        if next == routing.slots.len() {
+            return;
+        }
+        routing.slots.retain(|slot| !slot.is_vacant());
+        let homes = routing.home.values_mut();
+        for slot in homes
+            .chain(routing.txn_home.values_mut())
+            .chain(routing.instance_home.values_mut())
+        {
+            *slot = renumbered[*slot];
+        }
+        let unsched = std::mem::take(&mut self.core.unsched);
+        self.core.unsched = unsched
+            .into_iter()
+            .map(|(slot, misses)| (renumbered[slot], misses))
+            .collect();
+    }
+
     /// The first vacant slot (a new one when none is).
     fn vacant_slot(&mut self) -> usize {
         let slots = &mut self.routing.slots;
@@ -1665,55 +1777,121 @@ impl World<'_> {
         minted
     }
 
-    /// Finalizes one epoch: evaluates the cross-shard admission rule,
-    /// settles shard topology ([`World::place`]), maintains every map,
-    /// appends the journal record (write only; durability is the group
-    /// commit in [`SchedService::sync`]), and builds the response.
+    /// Reserve and analyze for one journal record ([`SchedService::apply_record`]):
+    /// checks out what the batch touches and runs `seam` on it. A record
+    /// marked admitted that reserve would reject, or whose batch does not
+    /// apply, is refused and leaves the world as it was.
+    fn take_record(
+        &mut self,
+        record: &JournalEpoch,
+        seam: Seam,
+    ) -> Result<(Footprint, Analyzed), EngineError> {
+        let batch = &record.batch;
+        let refused = |why: String| {
+            EngineError::Replay(format!(
+                "epoch {}: the journal records it admitted, but {why}",
+                record.epoch
+            ))
+        };
+        let Checkout {
+            footprint, cores, ..
+        } = self.check_out(route(self, batch), seam)?;
+        let analyzed = match seam {
+            Seam::Analyze => commit_merged(cores, batch),
+            Seam::Apply => {
+                let cores =
+                    cores.map_err(|reason| refused(format!("the engine rejects it: {reason}")))?;
+                let (core, applied) = apply_merged(cores, batch);
+                if let Err(message) = applied {
+                    // Undone: every island goes back to the slot it left.
+                    let islands = self.homed_islands(core);
+                    self.place(&footprint.keys, islands);
+                    self.release(&footprint);
+                    return Err(refused(format!("it does not apply: {message}")));
+                }
+                Analyzed::Applied(core)
+            }
+        };
+        Ok((footprint, analyzed))
+    }
+
+    /// Settles epoch `ticket`: [`World::settle_commit`] for a batch that
+    /// reached the analyze phase, a bare rejection for one reserve turned
+    /// away; then the epoch's claims are released and the settled mirror
+    /// advances.
     fn settle(
         &mut self,
         ticket: u64,
         batch: &[AdmissionRequest],
-        keys: &[Key],
+        footprint: &Footprint,
         analyzed: Analyzed,
-        removed_instance_txns: &[Vec<String>],
-        touched_platforms: &[usize],
     ) -> Result<EngineResponse, EngineError> {
-        let (mut core, outcome) = match analyzed {
-            Ok(committed) => committed,
-            Err(reason) => {
+        let result = match analyzed {
+            Analyzed::Committed(core, outcome) => {
+                self.settle_commit(ticket, batch, footprint, core, Some(outcome))
+            }
+            Analyzed::Applied(core) => self.settle_commit(ticket, batch, footprint, core, None),
+            Analyzed::Rejected(reason) => {
                 let verdict = Verdict::Rejected(reason);
-                return self.finish(ticket, batch, verdict, None, Vec::new(), Vec::new());
+                self.finish(ticket, batch, verdict, None, Vec::new(), Vec::new())
             }
         };
+        debug_assert!(
+            self.idle_shards_hold_master(),
+            "epoch {ticket} left an idle shard off the master platform table"
+        );
+        self.release(footprint);
+        self.core.settled = ticket;
+        result
+    }
 
+    /// Finalizes an epoch's controller: decides the verdict, settles shard
+    /// topology ([`World::place`]), maintains every map, and journals the
+    /// record ([`World::finish`]). `outcome` is the commit's; `None` for a
+    /// journaled admitted batch applied without analysis, whose verdict the
+    /// journal already gave (and [`World::check_out`] already held to the
+    /// cross-shard rule).
+    fn settle_commit(
+        &mut self,
+        ticket: u64,
+        batch: &[AdmissionRequest],
+        footprint: &Footprint,
+        mut core: AdmissionController,
+        outcome: Option<EpochOutcome>,
+    ) -> Result<EngineResponse, EngineError> {
         // Cross-shard admission rule: every shard everywhere must be
         // schedulable (a single controller scans its whole entry table).
         // Untouched shards are read from the at-rest `unsched` map — their
         // state cannot change before this epoch in the ticket order — and
         // their misses join the epoch's own in global set order.
-        let foreign: Vec<String> = self
-            .core
-            .unsched
-            .iter()
-            .filter(|(slot, _)| !keys.contains(&Key::Shard(**slot)))
-            .flat_map(|(_, misses)| misses.iter().cloned())
-            .collect();
+        let foreign = || -> Vec<String> {
+            let keys = &footprint.keys;
+            self.core
+                .unsched
+                .iter()
+                .filter(|(slot, _)| !keys.contains(&Key::Shard(**slot)))
+                .flat_map(|(_, misses)| misses.iter().cloned())
+                .collect()
+        };
         let unschedulable = |misses| {
             Verdict::Rejected(RejectReason::Unschedulable {
                 misses: self.core.order_misses(misses, batch),
             })
         };
-        let verdict = match outcome.verdict.clone() {
-            Verdict::Admitted if foreign.is_empty() => Verdict::Admitted,
-            Verdict::Admitted => {
-                core.rollback_last();
-                unschedulable(foreign)
-            }
-            Verdict::Rejected(RejectReason::Unschedulable { mut misses }) => {
-                misses.extend(foreign);
+        let verdict = match outcome.as_ref().map(|o| o.verdict.clone()) {
+            None => Verdict::Admitted,
+            Some(Verdict::Admitted) => match foreign() {
+                misses if misses.is_empty() => Verdict::Admitted,
+                misses => {
+                    core.rollback_last();
+                    unschedulable(misses)
+                }
+            },
+            Some(Verdict::Rejected(RejectReason::Unschedulable { mut misses })) => {
+                misses.extend(foreign());
                 unschedulable(misses)
             }
-            rejected => rejected,
+            Some(rejected) => rejected,
         };
 
         let admitted = verdict.admitted();
@@ -1729,15 +1907,15 @@ impl World<'_> {
                     retuned = true;
                 }
             }
-            for p in touched_platforms {
+            for p in &footprint.touched_platforms {
                 self.core.util_poison.remove(p);
             }
         }
         let islands = self.homed_islands(core);
         if admitted {
-            self.unindex_departures(batch, removed_instance_txns);
+            self.unindex_departures(batch, &footprint.removed_instance_txns);
         }
-        let shards = self.place(keys, islands);
+        let shards = self.place(&footprint.keys, islands);
         if retuned {
             // The master is a new table: hand it to every shard at rest.
             // A `Busy` shard takes it when its own epoch puts it back.
@@ -1752,11 +1930,42 @@ impl World<'_> {
         } else {
             Vec::new()
         };
-        self.finish(ticket, batch, verdict, Some(&outcome), shards, minted)
+        self.finish(ticket, batch, verdict, outcome.as_ref(), shards, minted)
     }
 
-    /// Journals and accounts a settled epoch, building the response. `work`
-    /// is the commit's outcome (`None` when reserve rejected the epoch).
+    /// Journals and counts a settled epoch: the record is written, not
+    /// synced (durability is the group commit in [`SchedService::sync`]).
+    fn record(
+        &mut self,
+        ticket: u64,
+        batch: &[AdmissionRequest],
+        admitted: bool,
+    ) -> Result<(), EngineError> {
+        if let Some(journal) = &mut self.core.journal {
+            let before = journal.bytes_written();
+            if let Err(e) = journal.append_nosync(ticket, batch, admitted) {
+                // Memory has already applied this epoch; the journal has
+                // not. Poison durability so no later sync can claim a
+                // watermark covering an epoch the journal never recorded.
+                let message = format!("journal append failed: {e}");
+                self.core.sync_error = Some(message.clone());
+                return Err(EngineError::Journal(message));
+            }
+            self.metrics
+                .journal_bytes
+                .add(journal.bytes_written().saturating_sub(before));
+            self.metrics.journal_records.incr();
+        }
+        if admitted {
+            self.core.admitted_epochs += 1;
+        } else {
+            self.core.rejected_epochs += 1;
+        }
+        Ok(())
+    }
+
+    /// Records a settled epoch ([`World::record`]) and builds its response.
+    /// `work` is the commit's outcome (`None` when nothing was analyzed).
     fn finish(
         &mut self,
         ticket: u64,
@@ -1766,21 +1975,7 @@ impl World<'_> {
         shards: Vec<usize>,
         admitted: Vec<TxnId>,
     ) -> Result<EngineResponse, EngineError> {
-        if let Some(journal) = &mut self.core.journal {
-            if let Err(e) = journal.append_nosync(ticket, batch, verdict.admitted()) {
-                // Memory has already applied this epoch; the journal has
-                // not. Poison durability so no later sync can claim a
-                // watermark covering an epoch the journal never recorded.
-                let message = format!("journal append failed: {e}");
-                self.core.sync_error = Some(message.clone());
-                return Err(EngineError::Journal(message));
-            }
-        }
-        if verdict.admitted() {
-            self.core.admitted_epochs += 1;
-        } else {
-            self.core.rejected_epochs += 1;
-        }
+        self.record(ticket, batch, verdict.admitted())?;
         Ok(EngineResponse {
             version: SCHEMA_VERSION,
             epoch: ticket,
@@ -2051,14 +2246,8 @@ pub(crate) fn util_poison_scan(set: &TransactionSet) -> BTreeMap<usize, String> 
     poison
 }
 
-/// Phase 2 of an epoch: merges the checked-out controllers (ascending
-/// slot order) into one and commits the whole batch on it once. The
-/// controller parallelizes across the batch's disjoint interference cones
-/// itself ([`AdmissionPolicy::island_threads`]).
-fn commit_merged(
-    cores: Vec<AdmissionController>,
-    batch: &[AdmissionRequest],
-) -> (AdmissionController, EpochOutcome) {
+/// The checked-out controllers (ascending slot order) merged into one.
+fn merge(cores: Vec<AdmissionController>) -> AdmissionController {
     let mut cores = cores.into_iter();
     let mut core = cores
         .next()
@@ -2067,6 +2256,37 @@ fn commit_merged(
         core.merge_from(other)
             .expect("shards of one service merge (all hold the master table)");
     }
-    let outcome = core.commit(batch);
-    (core, outcome)
+    core
+}
+
+/// Phase 2 of an epoch ([`Seam::Analyze`]): merges the checked-out
+/// controllers and commits the whole batch on them once, or passes the
+/// rejection reserve decided through. The controller parallelizes across
+/// the batch's disjoint interference cones itself
+/// ([`AdmissionPolicy::island_threads`]).
+fn commit_merged(
+    cores: Result<Vec<AdmissionController>, RejectReason>,
+    batch: &[AdmissionRequest],
+) -> Analyzed {
+    match cores {
+        Ok(cores) => {
+            let mut core = merge(cores);
+            let outcome = core.commit(batch);
+            Analyzed::Committed(core, outcome)
+        }
+        Err(reason) => Analyzed::Rejected(reason),
+    }
+}
+
+/// Phase 2 of a journaled admitted record ([`Seam::Apply`]): merges the
+/// checked-out controllers and applies the batch without analysis. A batch
+/// that does not apply is undone, and its error returned beside the merged
+/// controller.
+fn apply_merged(
+    cores: Vec<AdmissionController>,
+    batch: &[AdmissionRequest],
+) -> (AdmissionController, Result<(), String>) {
+    let mut core = merge(cores);
+    let applied = core.apply_unanalyzed(batch);
+    (core, applied)
 }

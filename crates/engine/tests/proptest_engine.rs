@@ -9,18 +9,22 @@
 //!     `analyze_with` oracle — across ≥100 generated multi-island churn
 //!     scenarios;
 //!
-//! (b) **durability** — a journaled engine torn at a *random byte* and
-//!     rebuilt via `replay()` is byte-identical (state digest over epoch,
-//!     set, system, report, and handle table) to the reference engine as
-//!     of the last complete journal record.
+//! (b) **durability** — a journaled full-mix session (instances, bridges,
+//!     mints, compaction, a rejection from every stage) torn at a *random
+//!     byte* and rebuilt via `replay()` is byte-identical (state digest
+//!     over epoch, set, system, report, and handle table) to the reference
+//!     engine as of the last complete journal record — and so are a
+//!     verified replay and a standby streamed the journal record by record.
+
+mod common;
 
 use hsched_admission::gen::{random_scenario, ChurnGen, ScenarioSpec};
-use hsched_admission::{AdmissionController, AdmissionPolicy};
+use hsched_admission::{AdmissionController, AdmissionPolicy, AdmissionRequest, Verdict};
 use hsched_analysis::{analyze_with, AnalysisConfig, TaskResult, TransactionVerdict};
-use hsched_engine::{EngineRequest, SchedService};
+use hsched_engine::{AutoCompactPolicy, EngineRequest, SchedService};
 use hsched_numeric::rat;
 use proptest::prelude::*;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 fn spec_for(seed: u64, clusters: usize) -> ScenarioSpec {
     ScenarioSpec {
@@ -180,77 +184,124 @@ fn equivalence_session_seed_zero() {
     equivalence_session(0, 4, 6, 3);
 }
 
-/// Crash-point replay: run a journaled session, snapshot the reference
-/// digest after every epoch, tear the journal at a random byte, replay,
-/// and demand byte-identity with the reference at the surviving prefix.
-fn crash_replay_session(seed: u64, cut_fraction: (u64, u64)) {
-    let spec = spec_for(seed, 4);
-    let set = random_scenario(&spec);
+/// Crash-point recovery of a full-mix session ([`common::FullMix`]:
+/// instances, bridges, mints, retunes and a rejection from every stage),
+/// with auto-compaction on for odd seeds: the live digest after every
+/// epoch is the reference, and replay, verified replay and a streamed
+/// standby must reach it at random cut points ([`common::assert_recovery`]).
+fn crash_replay_session(seed: u64, cuts: (u64, u64)) {
+    let (spec, set) = common::full_mix_scenario(seed);
     let config = AnalysisConfig::default();
     let policy = AdmissionPolicy::default();
     let path = std::env::temp_dir().join(format!(
         "hsched-proptest-journal-{}-{seed}-{}-{}.journal",
         std::process::id(),
-        cut_fraction.0,
-        cut_fraction.1
+        cuts.0,
+        cuts.1
     ));
 
-    let engine = SchedService::new(set.clone(), config.clone(), policy.clone())
+    let mut engine = SchedService::new(set.clone(), config, policy)
         .unwrap_or_else(|e| panic!("seed {seed}: router seed failed: {e}"))
         .with_journal(&path)
         .unwrap();
-    let mut churn = ChurnGen::new(&spec, seed.wrapping_mul(0x517c_c1b7).wrapping_add(3));
+    if seed % 2 == 1 {
+        engine = engine.with_auto_compact(AutoCompactPolicy {
+            every_epochs: Some(3 + seed % 4),
+            max_journal_bytes: None,
+        });
+    }
+    let mut mix = common::FullMix::new(&spec, seed.wrapping_mul(0x517c_c1b7).wrapping_add(3));
     // digests[k] = reference state after k epochs.
     let mut digests = vec![engine.state_digest()];
-    for _ in 0..5 {
-        let batch = churn.next_batch(&engine.current_set(), 3);
+    for _ in 0..12 {
+        let batch = mix.next_batch(&engine);
         engine
             .submit(&EngineRequest::batch(batch))
             .unwrap_or_else(|e| panic!("seed {seed}: engine error: {e}"));
         digests.push(engine.state_digest());
     }
+    let next = mix.next_batch(&engine);
     drop(engine); // crash
 
-    // Tear the journal at a deterministic pseudo-random byte.
-    let bytes = std::fs::read(&path).unwrap();
-    let cut = (bytes.len() as u64 * cut_fraction.0 / cut_fraction.1) as usize;
-    let cut = cut.clamp(40, bytes.len()); // keep the header intact
-    std::fs::write(&path, &bytes[..cut]).unwrap();
-
-    let (replayed, stats) = SchedService::replay(set, config, policy, &path)
-        .unwrap_or_else(|e| panic!("seed {seed} cut {cut}: replay failed: {e}"));
-    let epochs = stats.tail_records;
-    assert!(epochs <= 5, "seed {seed}");
-    assert_eq!(
-        replayed.state_digest(),
-        digests[epochs],
-        "seed {seed} cut {cut}: replayed engine diverged from the reference after {epochs} epochs"
-    );
-    // The repaired journal must keep serving: one more epoch appends fine.
-    let batch = churn.next_batch(&replayed.current_set(), 2);
-    replayed
-        .submit(&EngineRequest::batch(batch))
-        .unwrap_or_else(|e| panic!("seed {seed}: post-replay commit failed: {e}"));
+    common::assert_recovery(&set, &path, &digests, &next, cuts);
     let _ = std::fs::remove_file(&path);
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
+    #![proptest_config(ProptestConfig::with_cases(stress_cases(24)))]
 
-    /// Random crash points across random scenarios.
+    /// Random crash points across random full-mix sessions.
     #[test]
     fn journal_replay_is_byte_identical_after_crash(
         seed in 0u64..5_000,
-        num in 1u64..=100,
+        standby_cut in 0u64..=100,
+        tear in 0u64..=100,
     ) {
-        crash_replay_session(seed, (num, 100));
+        crash_replay_session(seed, (standby_cut, tear));
     }
 }
 
-/// Deterministic crash-replay smoke: full journal (no tear) and a tear in
-/// the middle.
+/// The full mix reaches everything the recovery property claims to cover:
+/// a rejection from each stage, instances admitted and removed, and every
+/// kind of topology change. Counted over the sessions of the first seeds.
+#[test]
+fn full_mix_covers_every_kind_of_epoch() {
+    let mut reasons = BTreeSet::new();
+    let (mut instances_in, mut instances_out) = (0, 0);
+    let mut topology = common::TopologyCounts::default();
+    for seed in 0..16 {
+        let (spec, set) = common::full_mix_scenario(seed);
+        let engine =
+            SchedService::new(set, AnalysisConfig::default(), AdmissionPolicy::default()).unwrap();
+        let mut mix = common::FullMix::new(&spec, seed);
+        let mut before = common::islands_by_name(&engine.current_set());
+        for _ in 0..12 {
+            let batch = mix.next_batch(&engine);
+            let response = engine.submit(&EngineRequest::batch(batch.clone())).unwrap();
+            match &response.outcome.verdict {
+                Verdict::Admitted => {
+                    for request in &batch {
+                        match request {
+                            AdmissionRequest::AddInstance { .. } => instances_in += 1,
+                            AdmissionRequest::RemoveInstance { .. } => instances_out += 1,
+                            _ => {}
+                        }
+                    }
+                }
+                Verdict::Rejected(reason) => {
+                    reasons.insert(reason.to_string().split(':').next().unwrap().to_string());
+                }
+            }
+            let after = common::islands_by_name(&engine.current_set());
+            topology.count(&before, &after, response.shards_touched);
+            before = after;
+        }
+    }
+    println!("full mix: rejections {reasons:?}, instances +{instances_in} -{instances_out}, {topology:?}");
+    for stage in ["structural", "numeric", "overload", "unschedulable"] {
+        assert!(
+            reasons.iter().any(|r| r.starts_with(stage)),
+            "no {stage} rejection in {reasons:?}"
+        );
+    }
+    assert!(instances_in > 0 && instances_out > 0);
+    let common::TopologyCounts {
+        multi_shard,
+        merges,
+        mints,
+        splits,
+    } = topology;
+    assert!(
+        multi_shard > 0 && merges > 0 && mints > 0 && splits > 0,
+        "{topology:?}"
+    );
+}
+
+/// Deterministic crash-replay smoke: the whole journal, and cuts in the
+/// middle, with and without compaction.
 #[test]
 fn crash_replay_seed_zero() {
     crash_replay_session(0, (100, 100));
-    crash_replay_session(0, (55, 100));
+    crash_replay_session(0, (30, 55));
+    crash_replay_session(1, (60, 40));
 }

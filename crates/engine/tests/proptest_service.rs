@@ -25,17 +25,22 @@
 //!     are in flight), behind a watchdog that turns a parked front door
 //!     into a failure naming the seed.
 
-use hsched_admission::gen::{random_scenario, ChurnGen, ScenarioSpec};
+mod common;
+
+use hsched_admission::gen::{random_scenario, ChurnGen, PlatformMix, ScenarioSpec};
 use hsched_admission::{
-    AdmissionController, AdmissionPolicy, AdmissionRequest, RejectReason, UnionFind, Verdict,
+    AdmissionController, AdmissionPolicy, AdmissionRequest, RejectReason, Verdict,
 };
 use hsched_analysis::{analyze_with, AnalysisConfig};
-use hsched_engine::{read_journal, EngineError, EngineRequest, SchedService};
+use hsched_engine::{
+    read_journal, AutoCompactPolicy, EngineError, EngineRequest, EngineResponse, JournalEpoch,
+    SchedService,
+};
 use hsched_numeric::{rat, Rational};
 use hsched_platform::{Platform, PlatformId, PlatformSet};
 use hsched_transaction::{Task, Transaction, TransactionSet};
 use proptest::prelude::*;
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
 use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::Arc;
@@ -321,11 +326,14 @@ fn concurrent_epochs_linearize_seed_zero() {
     linearizability_session(0, 6, 5);
 }
 
-/// One compaction session: churn → snapshot → churn → crash at a random
-/// byte of the tail → replay resumes from snapshot + surviving records.
-fn compaction_crash_session(seed: u64, cut_fraction: (u64, u64)) {
-    let spec = spec_for(seed, 4);
-    let set = random_scenario(&spec);
+/// One compaction session over the full mix ([`common::FullMix`]): churn →
+/// snapshot → churn → crash. The recovery invariants hold at random cuts
+/// past the snapshot block ([`common::assert_recovery`]: replay, verified
+/// replay and a streamed standby all reach the live digest), and a tear
+/// *inside* the atomically-written block is corruption, never silent data
+/// loss.
+fn compaction_crash_session(seed: u64, cuts: (u64, u64)) {
+    let (spec, set) = common::full_mix_scenario(seed);
     let config = AnalysisConfig::default();
     let policy = AdmissionPolicy::default();
     let path = temp_journal("compact", seed);
@@ -334,52 +342,31 @@ fn compaction_crash_session(seed: u64, cut_fraction: (u64, u64)) {
         .unwrap_or_else(|e| panic!("seed {seed}: service seed failed: {e}"))
         .with_journal(&path)
         .unwrap();
-    let mut churn = ChurnGen::new(&spec, seed.wrapping_mul(0x517c_c1b7).wrapping_add(11));
-    for _ in 0..3 {
-        let batch = churn.next_batch(&service.current_set(), 3);
-        service.submit(&EngineRequest::batch(batch)).unwrap();
-    }
+    let mut mix = common::FullMix::new(&spec, seed.wrapping_mul(0x517c_c1b7).wrapping_add(11));
+    // digests[k] = reference state after k epochs.
+    let mut digests = vec![service.state_digest()];
+    let mut churn = |epochs: usize, digests: &mut Vec<String>| {
+        for _ in 0..epochs {
+            let batch = mix.next_batch(&service);
+            service.submit(&EngineRequest::batch(batch)).unwrap();
+            digests.push(service.state_digest());
+        }
+    };
+    churn(3, &mut digests);
     let info = service.snapshot().unwrap();
     assert_eq!(info.epoch, 3, "seed {seed}");
     let compacted_bytes = std::fs::metadata(&path).unwrap().len();
     assert_eq!(info.compacted_bytes, compacted_bytes);
-
-    // digests[k] = reference state after k post-snapshot epochs.
-    let mut digests = vec![service.state_digest()];
     assert_eq!(
-        digests[0], info.digest,
+        digests[3], info.digest,
         "snapshot digest is the live digest"
     );
-    for _ in 0..4 {
-        let batch = churn.next_batch(&service.current_set(), 3);
-        service.submit(&EngineRequest::batch(batch)).unwrap();
-        digests.push(service.state_digest());
-    }
+    churn(6, &mut digests);
+    let next = mix.next_batch(&service);
     drop(service); // crash
 
     let bytes = std::fs::read(&path).unwrap();
-    let tail = bytes.len() as u64 - compacted_bytes;
-    let cut = compacted_bytes + tail * cut_fraction.0 / cut_fraction.1;
-    std::fs::write(&path, &bytes[..cut as usize]).unwrap();
-
-    let (replayed, stats) =
-        SchedService::replay(set.clone(), config.clone(), policy.clone(), &path)
-            .unwrap_or_else(|e| panic!("seed {seed} cut {cut}: replay failed: {e}"));
-    let epochs = stats.tail_records;
-    assert!(epochs <= 4, "seed {seed}");
-    assert_eq!(
-        replayed.epoch(),
-        3 + epochs as u64,
-        "seed {seed}: tickets resume after the snapshot epoch"
-    );
-    assert_eq!(
-        replayed.state_digest(),
-        digests[epochs],
-        "seed {seed} cut {cut}: diverged from the reference after {epochs} tail epochs"
-    );
-    // The repaired journal keeps serving.
-    let batch = churn.next_batch(&replayed.current_set(), 2);
-    replayed.submit(&EngineRequest::batch(batch)).unwrap();
+    common::assert_recovery(&set, &path, &digests, &next, cuts);
 
     // A tear *inside* the snapshot block is corruption, not data loss.
     if compacted_bytes > 60 {
@@ -400,17 +387,202 @@ proptest! {
     #[test]
     fn compaction_replay_is_byte_identical_after_crash(
         seed in 0u64..5_000,
-        num in 0u64..=100,
+        standby_cut in 0u64..=100,
+        tear in 0u64..=100,
     ) {
-        compaction_crash_session(seed, (num, 100));
+        compaction_crash_session(seed, (standby_cut, tear));
     }
 }
 
-/// Deterministic compaction smoke: full tail and a mid-tail tear.
+/// Deterministic compaction smoke: full tail and mid-tail cuts.
 #[test]
 fn compaction_crash_seed_zero() {
     compaction_crash_session(0, (100, 100));
-    compaction_crash_session(0, (40, 100));
+    compaction_crash_session(0, (20, 40));
+}
+
+/// Runs `epochs` serial [`ChurnGen`] batches (up to three requests each)
+/// against a journaled service. Auto-compaction is switched on after
+/// `switch_at` epochs by a restart: the journal written so far is replayed
+/// into a fresh service that carries the policy, as an operator restarting
+/// with `--auto-compact` would. After each epoch that `check` selects (by
+/// epoch number and response), a read-only replica rebuilt from the
+/// journal must reach the live digest — a divergence lasts only until the
+/// next compaction re-captures the live state, so a check at the end alone
+/// would mostly miss it.
+#[allow(clippy::too_many_arguments)]
+fn churn_with_compaction_switch(
+    spec: &ScenarioSpec,
+    set: &TransactionSet,
+    churn_seed: u64,
+    epochs: usize,
+    switch_at: usize,
+    policy: AutoCompactPolicy,
+    check: impl Fn(usize, &EngineResponse) -> bool,
+    path: &Path,
+) {
+    let config = AnalysisConfig::default();
+    let admission = AdmissionPolicy::default();
+    let mut service = SchedService::new(set.clone(), config.clone(), admission.clone())
+        .unwrap()
+        .with_journal(path)
+        .unwrap();
+    let mut churn = ChurnGen::new(spec, churn_seed);
+    for epoch in 1..=epochs {
+        if epoch == switch_at + 1 {
+            drop(service);
+            let (restarted, _) =
+                SchedService::replay(set.clone(), config.clone(), admission.clone(), path)
+                    .unwrap_or_else(|e| panic!("restart at epoch {switch_at}: {e}"));
+            service = restarted.with_auto_compact(policy);
+        }
+        let batch = churn.next_batch(&service.current_set(), 3);
+        let response = service
+            .submit(&EngineRequest::batch(batch))
+            .unwrap_or_else(|e| panic!("epoch {epoch}: {e}"));
+        if check(epoch, &response) {
+            let (replica, _) =
+                SchedService::replay_standby(set.clone(), config.clone(), admission.clone(), path)
+                    .unwrap_or_else(|e| panic!("epoch {epoch}: replay failed: {e}"));
+            assert_eq!(replica.epoch(), epoch as u64);
+            assert_eq!(
+                replica.state_digest(),
+                service.state_digest(),
+                "epoch {epoch}: replay of the journal diverged from the live engine"
+            );
+        }
+    }
+}
+
+/// ROADMAP item 1's reproducer as a fixed case: 768 transactions over 192
+/// clusters, `ChurnGen` seed 1, batches of up to three, compaction every
+/// 500 epochs. A post-compaction epoch that allocates a shard slot must
+/// land where an engine rebuilt from the snapshot puts it, however many
+/// vacancies the live engine's history left.
+#[test]
+fn compaction_replay_matches_live_roadmap_case() {
+    let spec = ScenarioSpec {
+        clusters: 192,
+        platforms_per_cluster: 2,
+        transactions: 768,
+        max_tasks_per_tx: 2,
+        load: rat(1, 2),
+        priority_levels: 5,
+        mix: PlatformMix::Linear,
+        seed: 1,
+    };
+    let set = common::schedulable_scenario(&spec);
+    let path = temp_journal("roadmap1", 1);
+    let policy = AutoCompactPolicy {
+        every_epochs: Some(500),
+        max_journal_bytes: None,
+    };
+    // A divergence starts at an epoch that allocates a slot; checking the
+    // epochs after the last compaction whose shard count grew, and the
+    // last one, keeps the case affordable.
+    let shards = std::cell::Cell::new(0);
+    let check = |epoch: usize, response: &EngineResponse| {
+        let grew = response.shards_live > shards.replace(response.shards_live);
+        epoch > 1000 && (grew || epoch == 1220)
+    };
+    churn_with_compaction_switch(&spec, &set, 1, 1220, 0, policy, check, &path);
+    let contents = read_journal(&path).unwrap();
+    assert_eq!(
+        contents.snapshot.map(|s| s.epoch),
+        Some(1000),
+        "two compactions ran"
+    );
+    let _ = std::fs::remove_file(&path);
+}
+
+/// The smallest shape of item 1: a merge vacates a slot, the journal is
+/// compacted, and the next epoch mints a shard. Every rendering follows
+/// slot order, so the new island must take the same slot in the live
+/// engine, which had a vacancy, and in the engine rebuilt from the
+/// snapshot, which is seeded dense.
+#[test]
+fn mint_after_compaction_replays_like_live() {
+    let mut platforms = PlatformSet::new();
+    let a = platforms.add(Platform::dedicated("A"));
+    let b = platforms.add(Platform::dedicated("B"));
+    let c = platforms.add(Platform::dedicated("C"));
+    let d = platforms.add(Platform::dedicated("D"));
+    let tx = |name: &str, on: &[PlatformId]| {
+        let tasks = on
+            .iter()
+            .enumerate()
+            .map(|(k, &p)| Task::new(format!("{name}{k}"), rat(1, 1), rat(1, 1), 1, p))
+            .collect();
+        Transaction::new(name, rat(20, 1), rat(20, 1), tasks).unwrap()
+    };
+    let set =
+        TransactionSet::new(platforms, vec![tx("a", &[a]), tx("b", &[b]), tx("c", &[c])]).unwrap();
+    let path = temp_journal("mintaftercompact", 0);
+    let service = SchedService::new(
+        set.clone(),
+        AnalysisConfig::default(),
+        AdmissionPolicy::default(),
+    )
+    .unwrap()
+    .with_journal(&path)
+    .unwrap();
+    let add = |t| EngineRequest::batch(vec![AdmissionRequest::AddTransaction(t)]);
+    // Slots [a, b, c] → the bridge merges b into a's slot: [ab, -, c].
+    assert!(service
+        .submit(&add(tx("ab", &[a, b])))
+        .unwrap()
+        .outcome
+        .verdict
+        .admitted());
+    service.snapshot().unwrap();
+    // A fresh island on the free platform D.
+    let response = service.submit(&add(tx("d", &[d]))).unwrap();
+    assert!(response.outcome.verdict.admitted());
+    let (replayed, _) = SchedService::replay(
+        set,
+        AnalysisConfig::default(),
+        AdmissionPolicy::default(),
+        &path,
+    )
+    .unwrap();
+    assert_eq!(replayed.current_set(), service.current_set());
+    assert_eq!(replayed.state_digest(), service.state_digest());
+    let _ = std::fs::remove_file(&path);
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(stress_cases(8)))]
+
+    /// Compaction switched on at a random epoch of a serial churn session
+    /// (a restart with the policy armed), firing every few epochs after
+    /// that: after every epoch, replay of the journal reaches the live
+    /// digest.
+    #[test]
+    fn compaction_switched_on_mid_session_replays_like_live(
+        seed in 0u64..5_000,
+        switch_at in 0usize..12,
+        every in 2u64..7,
+    ) {
+        // One seed transaction per cluster of three platforms: islands
+        // empty out, merge and split, and free platforms mint new ones.
+        let spec = ScenarioSpec {
+            clusters: 6,
+            platforms_per_cluster: 3,
+            transactions: 6,
+            max_tasks_per_tx: 2,
+            load: rat(1, 2),
+            priority_levels: 3,
+            mix: PlatformMix::Linear,
+            seed,
+        };
+        let set = common::schedulable_scenario(&spec);
+        let path = temp_journal("compactswitch", seed);
+        let policy = AutoCompactPolicy { every_epochs: Some(every), max_journal_bytes: None };
+        churn_with_compaction_switch(
+            &spec, &set, seed ^ 0x5eed, 40, switch_at, policy, |epoch, _| epoch > switch_at, &path,
+        );
+        let _ = std::fs::remove_file(&path);
+    }
 }
 
 /// A concurrent heal of a poisoned island must serialize against disjoint
@@ -699,22 +871,18 @@ fn contention_session(seed: u64, threads: usize, batches: usize) {
         }
     });
 
-    assert_journal_linearizes(
-        seed,
-        &service,
-        set,
-        config,
-        policy,
-        &path,
-        threads * batches,
-    );
+    let history = read_journal(&path).unwrap().epochs;
+    assert_eq!(history.len(), threads * batches, "seed {seed}");
+    assert_journal_linearizes(seed, &service, set, config, policy, &path, &history);
 }
 
-/// The verdict both contended sessions end on: the engine settled `epochs`
-/// epochs, its journal is a consecutive-ticket serialization of the
-/// concurrent run, serial single-controller application reproduces every
-/// journaled verdict, and a serial replay is byte-identical to the live
-/// engine. Removes the journal on success.
+/// The verdict both contended sessions end on: `history` — every epoch
+/// the clients were answered, in ticket order — is a consecutive-ticket
+/// serialization of the concurrent run whose suffix the journal holds
+/// (all of it unless the engine compacted), serial single-controller
+/// application reproduces every verdict, and a serial replay of the
+/// journal is byte-identical to the live engine. Removes the journal on
+/// success.
 fn assert_journal_linearizes(
     seed: u64,
     service: &SchedService,
@@ -722,22 +890,27 @@ fn assert_journal_linearizes(
     config: AnalysisConfig,
     policy: AdmissionPolicy,
     path: &Path,
-    epochs: usize,
+    history: &[JournalEpoch],
 ) {
     let digest = service.state_digest();
-    assert_eq!(service.epoch(), epochs as u64, "seed {seed}");
+    assert_eq!(service.epoch(), history.len() as u64, "seed {seed}");
 
     // Consecutive tickets: the WAL is a serialization of the concurrent run.
-    let contents = read_journal(path).unwrap();
-    assert_eq!(contents.epochs.len(), epochs, "seed {seed}");
-    for (i, record) in contents.epochs.iter().enumerate() {
+    for (i, record) in history.iter().enumerate() {
         assert_eq!(record.epoch, i as u64 + 1, "seed {seed}: ticket order");
     }
+    let contents = read_journal(path).unwrap();
+    let folded = contents.snapshot.as_ref().map_or(0, |s| s.epoch as usize);
+    assert_eq!(
+        contents.epochs,
+        history[folded..],
+        "seed {seed}: the journal's records past its snapshot are the answered epochs"
+    );
 
     // Serial single-controller application reproduces every verdict.
     let mut single = AdmissionController::new(set.clone(), config.clone(), policy.clone())
         .unwrap_or_else(|e| panic!("seed {seed}: controller seed failed: {e}"));
-    for record in &contents.epochs {
+    for record in history {
         let outcome = single.commit(&record.batch);
         assert_eq!(
             outcome.verdict.admitted(),
@@ -751,7 +924,7 @@ fn assert_journal_linearizes(
     // Serial replay is byte-identical.
     let (replayed, stats) = SchedService::replay(set, config, policy, path)
         .unwrap_or_else(|e| panic!("seed {seed}: replay failed: {e}"));
-    assert_eq!(stats.tail_records, epochs, "seed {seed}");
+    assert_eq!(stats.tail_records, history.len() - folded, "seed {seed}");
     assert_eq!(
         replayed.state_digest(),
         digest,
@@ -792,7 +965,9 @@ fn overlapping_epochs_linearize_seed_zero() {
 /// platform table and arrivals mint, merge and split shards under them.
 /// Two of the ten clusters get no seed transaction: their platforms start
 /// free, so fresh shards are minted (and then bridged) while sibling epochs
-/// are in flight.
+/// are in flight. Halfway through, the engine restarts from its journal
+/// with auto-compaction switched on, so the second half races compactions
+/// as well.
 ///
 /// Every earlier generator stayed clear of exactly this: [`ClientGen`] keeps
 /// each client on its own clusters, and [`contention_session`] shares names
@@ -804,13 +979,11 @@ fn overlapping_epochs_linearize_seed_zero() {
 /// The streams are generated up front against the seed set, so a remove may
 /// name a transaction a sibling already removed and two threads may mint the
 /// same `churnK` name: both are valid structural rejections, journaled like
-/// any other epoch. A watchdog on the progress channel turns a parked front
-/// door into a failure instead of a hung test; the client threads are
-/// detached for that reason (a scoped join would wait on the deadlock).
+/// any other epoch.
 ///
 /// Returns how the session's epochs changed shard topology, counted on the
-/// serial re-run of its journal.
-fn racing_churn_session(seed: u64, threads: usize, batches: usize) -> TopologyCounts {
+/// serial re-run of its history.
+fn racing_churn_session(seed: u64, threads: usize, batches: usize) -> common::TopologyCounts {
     let spec = ScenarioSpec {
         clusters: 10,
         platforms_per_cluster: 4,
@@ -837,29 +1010,106 @@ fn racing_churn_session(seed: u64, threads: usize, batches: usize) -> TopologyCo
     let policy = AdmissionPolicy::default();
     let path = temp_journal("racing", seed);
 
-    let service = Arc::new(
-        SchedService::new(set.clone(), config.clone(), policy.clone())
-            .unwrap_or_else(|e| panic!("seed {seed}: service seed failed: {e}"))
-            .with_journal(&path)
-            .unwrap(),
-    );
+    let mut first = Vec::new();
+    let mut second = Vec::new();
+    for thread in 0..threads {
+        let mut churn = ChurnGen::new(&spec, seed.wrapping_mul(31).wrapping_add(thread as u64));
+        let mut stream: Vec<Vec<AdmissionRequest>> =
+            (0..batches).map(|_| churn.next_batch(&set, 3)).collect();
+        second.push(stream.split_off(batches / 2));
+        first.push(stream);
+    }
+    let service = SchedService::new(set.clone(), config.clone(), policy.clone())
+        .unwrap_or_else(|e| panic!("seed {seed}: service seed failed: {e}"))
+        .with_journal(&path)
+        .unwrap();
+    let mut told = race(seed, Arc::new(service), first);
+    let (restarted, _) = SchedService::replay(set.clone(), config.clone(), policy.clone(), &path)
+        .unwrap_or_else(|e| panic!("seed {seed}: restart failed: {e}"));
+    let service = Arc::new(restarted.with_auto_compact(AutoCompactPolicy {
+        every_epochs: Some(16 + seed % 32),
+        max_journal_bytes: None,
+    }));
+    told.extend(race(seed, Arc::clone(&service), second));
 
-    // Per settled epoch, what the client was told: (epoch, live
-    // transactions, live shards).
-    let (progress, watchdog) = mpsc::channel::<Result<(u64, usize, usize), String>>();
-    let clients: Vec<_> = (0..threads)
-        .map(|thread| {
-            let mut churn = ChurnGen::new(&spec, seed.wrapping_mul(31).wrapping_add(thread as u64));
-            let stream: Vec<Vec<AdmissionRequest>> =
-                (0..batches).map(|_| churn.next_batch(&set, 3)).collect();
+    // At rest, every shard is back on the one platform table (identity,
+    // not equality: a stale-but-equal copy would pass every digest).
+    assert!(service.idle_shards_hold_master(), "seed {seed}");
+
+    // What each client was told while siblings were mid-analysis is what
+    // a serial run of the same history reports for that epoch — the net
+    // for merges, splits and fresh shards settling out from under
+    // in-flight epochs. The serial run also counts those changes and
+    // checks that every shard is exactly one island.
+    let serial = SchedService::new(set.clone(), config.clone(), policy.clone()).unwrap();
+    let mut counts = common::TopologyCounts::default();
+    let mut before = common::islands_by_name(&serial.current_set());
+    for (epoch, answer) in &told {
+        let response = serial
+            .submit(&EngineRequest::batch(answer.record.batch.clone()))
+            .unwrap_or_else(|e| panic!("seed {seed} epoch {epoch}: serial run: {e}"));
+        assert_eq!(response.epoch, *epoch, "seed {seed}");
+        assert_eq!(
+            (answer.transactions, answer.shards),
+            (response.outcome.total_transactions, response.shards_live),
+            "seed {seed} epoch {epoch}: (live transactions, live shards) told vs serial",
+        );
+        let after = common::islands_by_name(&serial.current_set());
+        let islands: BTreeSet<usize> = after.values().copied().collect();
+        assert_eq!(
+            response.shards_live,
+            islands.len(),
+            "seed {seed} epoch {epoch}: one shard per island",
+        );
+        counts.count(&before, &after, response.shards_touched);
+        before = after;
+    }
+
+    let history: Vec<JournalEpoch> = told.into_values().map(|answer| answer.record).collect();
+    assert_eq!(history.len(), threads * batches, "seed {seed}");
+    assert_journal_linearizes(seed, &service, set, config, policy, &path, &history);
+    counts
+}
+
+/// What one epoch's client was told: its record (ticket, batch, verdict)
+/// and the live transaction and shard counts of the response.
+struct Answer {
+    record: JournalEpoch,
+    transactions: usize,
+    shards: usize,
+}
+
+/// Races one client thread per stream against `service` and returns every
+/// answer by epoch. Rejections are fine; engine errors are not. A watchdog
+/// on the progress channel turns a parked front door into a failure naming
+/// the seed instead of a hung test; the client threads are detached for
+/// that reason (a scoped join would wait on the deadlock).
+fn race(
+    seed: u64,
+    service: Arc<SchedService>,
+    streams: Vec<Vec<Vec<AdmissionRequest>>>,
+) -> BTreeMap<u64, Answer> {
+    let expected: usize = streams.iter().map(Vec::len).sum();
+    let (progress, watchdog) = mpsc::channel::<Result<Answer, String>>();
+    let clients: Vec<_> = streams
+        .into_iter()
+        .enumerate()
+        .map(|(thread, stream)| {
             let service = Arc::clone(&service);
             let progress = progress.clone();
             std::thread::spawn(move || {
                 for (step, batch) in stream.into_iter().enumerate() {
-                    // Rejections are fine; engine errors are not.
                     let outcome = service
-                        .submit(&EngineRequest::batch(batch))
-                        .map(|r| (r.epoch, r.outcome.total_transactions, r.shards_live))
+                        .submit(&EngineRequest::batch(batch.clone()))
+                        .map(|r| Answer {
+                            record: JournalEpoch {
+                                epoch: r.epoch,
+                                batch,
+                                admitted: r.outcome.verdict.admitted(),
+                            },
+                            transactions: r.outcome.total_transactions,
+                            shards: r.shards_live,
+                        })
                         .map_err(|e| format!("thread {thread} step {step}: {e}"));
                     let failed = outcome.is_err();
                     if progress.send(outcome).is_err() || failed {
@@ -870,18 +1120,17 @@ fn racing_churn_session(seed: u64, threads: usize, batches: usize) -> TopologyCo
         })
         .collect();
     drop(progress);
-    let mut told: BTreeMap<u64, (usize, usize)> = BTreeMap::new();
+    let mut told = BTreeMap::new();
     loop {
         match watchdog.recv_timeout(Duration::from_secs(60)) {
-            Ok(Ok((epoch, transactions, shards))) => {
-                told.insert(epoch, (transactions, shards));
+            Ok(Ok(answer)) => {
+                told.insert(answer.record.epoch, answer);
             }
             Ok(Err(message)) => panic!("seed {seed}: after {} epochs: {message}", told.len()),
             Err(RecvTimeoutError::Timeout) => panic!(
-                "seed {seed}: no progress in 60 s after {} of {} epochs \
+                "seed {seed}: no progress in 60 s after {} of {expected} epochs \
                  (clients parked at the front door)",
                 told.len(),
-                threads * batches
             ),
             Err(RecvTimeoutError::Disconnected) => break,
         }
@@ -889,109 +1138,7 @@ fn racing_churn_session(seed: u64, threads: usize, batches: usize) -> TopologyCo
     for client in clients {
         client.join().expect("client thread panicked");
     }
-
-    // At rest, every shard is back on the one platform table (identity,
-    // not equality: a stale-but-equal copy would pass every digest).
-    assert!(service.idle_shards_hold_master(), "seed {seed}");
-
-    // What each client was told while siblings were mid-analysis is what
-    // a serial run of the same journal reports for that epoch — the net
-    // for merges, splits and fresh shards settling out from under
-    // in-flight epochs. The serial run also counts those changes and
-    // checks that every shard is exactly one island.
-    let serial = SchedService::new(set.clone(), config.clone(), policy.clone()).unwrap();
-    let mut counts = TopologyCounts::default();
-    let mut before = islands_by_name(&serial.current_set());
-    for record in &read_journal(&path).unwrap().epochs {
-        let response = serial
-            .submit(&EngineRequest::batch(record.batch.clone()))
-            .unwrap_or_else(|e| panic!("seed {seed} epoch {}: serial run: {e}", record.epoch));
-        assert_eq!(
-            told.get(&response.epoch),
-            Some(&(response.outcome.total_transactions, response.shards_live)),
-            "seed {seed} epoch {}: (live transactions, live shards) told vs serial",
-            response.epoch
-        );
-        let after = islands_by_name(&serial.current_set());
-        let islands: BTreeSet<usize> = after.values().copied().collect();
-        assert_eq!(
-            response.shards_live,
-            islands.len(),
-            "seed {seed} epoch {}: one shard per island",
-            response.epoch
-        );
-        counts.count(&before, &after, response.shards_touched);
-        before = after;
-    }
-
-    assert_journal_linearizes(
-        seed,
-        &service,
-        set,
-        config,
-        policy,
-        &path,
-        threads * batches,
-    );
-    counts
-}
-
-/// Each live transaction's island (the partition recomputed test-side):
-/// transaction name → an island id, comparable within one map only.
-fn islands_by_name(set: &TransactionSet) -> HashMap<String, usize> {
-    let mut uf = UnionFind::new(set.platforms().len());
-    for tx in set.transactions() {
-        for task in tx.tasks() {
-            uf.union(tx.tasks()[0].platform.0, task.platform.0);
-        }
-    }
-    set.transactions()
-        .iter()
-        .map(|tx| (tx.name.clone(), uf.find(tx.tasks()[0].platform.0)))
-        .collect()
-}
-
-/// Epochs that touched ≥ 2 shards, merged shards, minted one, and split
-/// one.
-#[derive(Debug, Default, Clone, Copy)]
-struct TopologyCounts {
-    multi_shard: usize,
-    merges: usize,
-    mints: usize,
-    splits: usize,
-}
-
-impl TopologyCounts {
-    /// Classifies one epoch from the islands before and after it.
-    fn count(
-        &mut self,
-        before: &HashMap<String, usize>,
-        after: &HashMap<String, usize>,
-        shards_touched: usize,
-    ) {
-        // After-island → the before-islands its survivors came from, and
-        // before-island → the after-islands its survivors went to.
-        let mut sources: HashMap<usize, BTreeSet<usize>> = HashMap::new();
-        let mut sinks: HashMap<usize, BTreeSet<usize>> = HashMap::new();
-        for (name, &to) in after {
-            let from = sources.entry(to).or_default();
-            if let Some(&was) = before.get(name) {
-                from.insert(was);
-                sinks.entry(was).or_default().insert(to);
-            }
-        }
-        self.multi_shard += usize::from(shards_touched >= 2);
-        self.merges += usize::from(sources.values().any(|s| s.len() >= 2));
-        self.mints += usize::from(sources.values().any(BTreeSet::is_empty));
-        self.splits += usize::from(sinks.values().any(|s| s.len() >= 2));
-    }
-
-    fn add(&mut self, other: TopologyCounts) {
-        self.multi_shard += other.multi_shard;
-        self.merges += other.merges;
-        self.mints += other.mints;
-        self.splits += other.splits;
-    }
+    told
 }
 
 /// 2 threads × 150 batches of the full churn mix over one system, one
@@ -999,7 +1146,7 @@ impl TopologyCounts {
 /// way while sibling epochs were in flight.
 #[test]
 fn racing_clients_linearize() {
-    let mut counts = TopologyCounts::default();
+    let mut counts = common::TopologyCounts::default();
     for case in 0..u64::from(stress_cases(4)) {
         let seed = case.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 50;
         counts.add(racing_churn_session(seed, 2, 150));

@@ -130,7 +130,7 @@ pub struct Follower {
 impl Follower {
     /// Builds a follower over the same system specification the primary
     /// was started from (the journal's platform count is cross-checked,
-    /// and replay itself cross-checks every verdict).
+    /// and replay refuses records that do not apply to it).
     pub fn new(
         set: TransactionSet,
         analysis: AnalysisConfig,
@@ -500,15 +500,18 @@ impl Follower {
 
     /// Cross-checks a pending heartbeat once the standby reaches its
     /// epoch. Divergence is a fatal [`code::REPLAY`] error — the loud
-    /// refusal this subsystem owes its operator.
+    /// refusal this subsystem owes its operator. The digest is rendered
+    /// only for a beat that is due: it reads the whole canonical state,
+    /// and analyzes whatever the records applied since the last beat left
+    /// stale.
     fn check_heartbeat(&mut self) -> Result<(), WireError> {
         let Some((epoch, expected)) = self.pending_heartbeat.clone() else {
             return Ok(());
         };
-        let Some(ours) = self.state_digest() else {
+        let Some(standby) = &self.standby else {
             return Ok(()); // no standby yet — keep the beat pending
         };
-        let applied = self.epoch();
+        let applied = standby.epoch();
         if applied < epoch {
             return Ok(()); // still pending
         }
@@ -516,6 +519,8 @@ impl Follower {
         if applied > epoch {
             return Ok(()); // stale beat from before our last chunk
         }
+        standby.refresh().map_err(WireError::from_engine)?;
+        let ours = standby.state_digest();
         if ours != expected {
             return Err(WireError::remote(
                 code::REPLAY,
@@ -526,5 +531,91 @@ impl Follower {
             ));
         }
         Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use hsched_admission::AdmissionRequest;
+    use hsched_engine::EngineRequest;
+    use hsched_numeric::rat;
+    use hsched_platform::{Platform, PlatformSet};
+    use hsched_transaction::{Task, Transaction};
+
+    fn refreshes(follower: &Follower) -> u64 {
+        let standby = follower.standby.as_ref().expect("standby seeded");
+        standby.metrics().counter("engine.replay.refreshed_shards")
+    }
+
+    /// Streamed chunks that leave a heartbeat pending neither render the
+    /// standby's state nor analyze what the chunks applied: only the chunk
+    /// that reaches the beat's epoch does, once.
+    #[test]
+    fn a_pending_beat_renders_nothing_until_it_is_due() {
+        let tmp = |tag: &str| {
+            std::env::temp_dir().join(format!(
+                "hsched-follower-test-{tag}-{}.journal",
+                std::process::id()
+            ))
+        };
+        let (journal, mirror) = (tmp("primary"), tmp("mirror"));
+        let mut platforms = PlatformSet::new();
+        let on = [
+            platforms.add(Platform::dedicated("A")),
+            platforms.add(Platform::dedicated("B")),
+        ];
+        let tx = |name: String, k: usize| {
+            let task = Task::new(format!("{name}_t"), rat(1, 1), rat(1, 1), 1, on[k % 2]);
+            Transaction::new(name, rat(20, 1), rat(20, 1), vec![task]).unwrap()
+        };
+        let set = TransactionSet::new(platforms, vec![tx("seed".into(), 0)]).unwrap();
+        let (analysis, policy) = (AnalysisConfig::default(), AdmissionPolicy::default());
+        let primary = SchedService::new(set.clone(), analysis.clone(), policy.clone())
+            .unwrap()
+            .with_journal(&journal)
+            .unwrap();
+        // Journal length after each of four admitted epochs.
+        let mut ends = Vec::new();
+        for k in 0..4 {
+            let add = AdmissionRequest::AddTransaction(tx(format!("t{k}"), k));
+            let response = primary.submit(&EngineRequest::batch(vec![add])).unwrap();
+            assert!(response.outcome.verdict.admitted());
+            ends.push(primary.durable_journal().unwrap().0 as usize);
+        }
+        let beat = primary.epoch_digest();
+        let bytes = std::fs::read(&journal).unwrap();
+
+        // The mirror holds epoch 1: the standby seeds from it.
+        std::fs::write(&mirror, &bytes[..ends[0]]).unwrap();
+        let config = FollowerConfig {
+            journal: mirror.clone(),
+            ..FollowerConfig::default()
+        };
+        let mut follower = Follower::new(set, analysis, policy, config);
+        follower.seed_from_mirror().unwrap();
+        let seeded = refreshes(&follower);
+        follower.pending_heartbeat = Some(beat);
+        let stream = |follower: &mut Follower, chunk: &[u8]| {
+            let mut file = std::fs::OpenOptions::new()
+                .append(true)
+                .open(&mirror)
+                .unwrap();
+            file.write_all(chunk).unwrap();
+            follower.apply_new_records().unwrap();
+        };
+        for k in 1..3 {
+            stream(&mut follower, &bytes[ends[k - 1]..ends[k]]);
+            assert_eq!(follower.epoch(), k as u64 + 1);
+            assert!(follower.pending_heartbeat.is_some(), "the beat is pending");
+            assert_eq!(refreshes(&follower), seeded, "a pending beat analyzed");
+        }
+        // The last chunk makes the beat due: checked once, and it matches.
+        stream(&mut follower, &bytes[ends[2]..ends[3]]);
+        assert!(follower.pending_heartbeat.is_none(), "the beat was checked");
+        assert!(refreshes(&follower) > seeded);
+        assert_eq!(follower.state_digest(), Some(primary.state_digest()));
+        let _ = std::fs::remove_file(&journal);
+        let _ = std::fs::remove_file(&mirror);
     }
 }
