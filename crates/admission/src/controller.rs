@@ -301,13 +301,6 @@ impl AdmissionController {
         self.metrics = sink;
     }
 
-    /// `false` while the live set has no cached analysis — after
-    /// [`AdmissionController::apply_unanalyzed`], until
-    /// [`AdmissionController::analyze_from_scratch`].
-    pub fn is_analyzed(&self) -> bool {
-        self.entries.iter().all(|e| e.outcome.is_some())
-    }
-
     /// `true` when every live transaction meets its deadline under the
     /// cached converged analysis.
     pub fn schedulable(&self) -> bool {

@@ -7,8 +7,9 @@
 //! Replay applies records, not analyses: a record marked admitted has its
 //! batch applied and must pass reserve's rules, a record marked rejected
 //! only advances the counters, and every island the records changed is
-//! analyzed once at the end — where a shard an admitted record left
-//! unschedulable refuses the journal. `--verify` is the audit: the same
+//! analyzed once at the end — where a shard an admitted record left failing
+//! the numeric precheck, unanalyzable or unschedulable refuses the journal.
+//! `--verify` is the audit: the same
 //! applier re-analyzes every epoch as the live engine did and cross-checks
 //! each recorded verdict, which is the only way to catch a record marked
 //! rejected whose batch admits.

@@ -755,17 +755,18 @@ mod tests {
             other => panic!("expected a refusal at refresh, got {other:?}"),
         }
         // Record by record: the applier takes the structure on trust, the
-        // refresh checks the promise and leaves the truth behind.
+        // refresh checks the promise, and the refusal is kept.
         let record = JournalEpoch {
             epoch: 1,
             batch,
             admitted: true,
         };
         engine.apply_journal_record(&record).unwrap();
-        assert!(matches!(engine.refresh(), Err(EngineError::Replay(_))));
+        for _ in 0..2 {
+            assert!(matches!(engine.refresh(), Err(EngineError::Replay(_))));
+        }
         assert!(!engine.schedulable());
-        // A later admitted record that leaves the unschedulable shard alone
-        // would have been rejected live: it is refused too.
+        // A later record is refused too.
         let record = JournalEpoch {
             epoch: 2,
             batch: vec![AdmissionRequest::RemoveTransaction {

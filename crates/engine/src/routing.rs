@@ -126,6 +126,9 @@ pub(crate) struct Checkout {
     /// rejection reserve decided (structural / numeric parity), with which
     /// the epoch skips analysis and settles straight to a rejection.
     pub(crate) cores: Result<Vec<AdmissionController>, RejectReason>,
+    /// The checked-out slots whose shards were stale. Always empty for a
+    /// commit that analyzes ([`Seam::Analyze`]): it refreshes them first.
+    pub(crate) stale: Vec<usize>,
     /// Wall time spent checking the shards out (telemetry).
     pub(crate) checkout_ns: u64,
 }
@@ -413,9 +416,9 @@ impl World<'_> {
     /// free platforms claimed until settle releases them.
     ///
     /// A journaled admitted record ([`Seam::Apply`]) is also held to the
-    /// cross-shard rule here, before anything moves: a shard it does not
-    /// touch that is unschedulable at rest means the live engine would
-    /// have rejected it.
+    /// cross-shard rule ([`World::foreign_misses`]) here, before anything
+    /// moves: a shard it does not touch that is unschedulable at rest means
+    /// the live engine would have rejected it.
     pub(crate) fn check_out(
         &mut self,
         outcome: RouteOutcome,
@@ -424,6 +427,7 @@ impl World<'_> {
         let rejected = |reason| Checkout {
             footprint: Footprint::default(),
             cores: Err(reason),
+            stale: Vec::new(),
             checkout_ns: 0,
         };
         let routed = match outcome {
@@ -458,19 +462,13 @@ impl World<'_> {
             return Ok(rejected(RejectReason::Numeric(message.clone())));
         }
         if seam == Seam::Apply {
-            let foreign: Vec<String> = self
-                .core
-                .unsched
-                .iter()
-                .filter(|(slot, _)| !routed.keys.contains(&Key::Shard(**slot)))
-                .flat_map(|(_, misses)| misses.iter().cloned())
-                .collect();
+            let foreign = self.foreign_misses(&routed.keys);
             if !foreign.is_empty() {
                 return Ok(rejected(RejectReason::Unschedulable { misses: foreign }));
             }
         }
         let started = Instant::now();
-        let cores = self.checkout(&shard_slots(&routed.keys), seam)?;
+        let (cores, stale) = self.checkout(&shard_slots(&routed.keys), seam)?;
         let checkout_ns = elapsed_ns(started);
         self.routing
             .pending
@@ -486,6 +484,7 @@ impl World<'_> {
                 touched_platforms: touched.into_iter().collect(),
             },
             cores: Ok(cores),
+            stale,
             checkout_ns,
         })
     }
@@ -503,10 +502,11 @@ impl World<'_> {
 
     /// Checks the shards in `slots` out, leaving each slot `Busy`, and
     /// returns their controllers in ascending slot order — the order the
-    /// analyze phase merges them in. A batch that touches only free
-    /// platforms gets one empty controller instead. No slot is allocated
-    /// or vacated: shard topology changes only at settle. For a commit
-    /// that analyzes ([`Seam::Analyze`]), stale shards are refreshed first.
+    /// analyze phase merges them in — with the slots whose shards were
+    /// stale. A batch that touches only free platforms gets one empty
+    /// controller instead. No slot is allocated or vacated: shard topology
+    /// changes only at settle. For a commit that analyzes
+    /// ([`Seam::Analyze`]), stale shards are refreshed first.
     ///
     /// A failed reserve must not change the world: every slot is verified
     /// before the first one moves, so an `Err` leaves slots, home maps and
@@ -516,7 +516,7 @@ impl World<'_> {
         &mut self,
         slots: &[usize],
         seam: Seam,
-    ) -> Result<Vec<AdmissionController>, EngineError> {
+    ) -> Result<(Vec<AdmissionController>, Vec<usize>), EngineError> {
         if slots.is_empty() {
             let empty = TransactionSet::new(self.core.platforms.clone(), Vec::new())
                 .map_err(EngineError::Internal)?;
@@ -524,8 +524,9 @@ impl World<'_> {
                 AdmissionController::new(empty, self.core.config.clone(), self.core.policy.clone())
                     .map_err(EngineError::Internal)?;
             core.set_metrics_sink(self.core.admission_metrics.clone());
-            return Ok(vec![core]);
+            return Ok((vec![core], Vec::new()));
         }
+        let mut stale = Vec::new();
         for &slot in slots {
             if seam == Seam::Analyze {
                 self.refresh_slot(slot)?;
@@ -543,10 +544,13 @@ impl World<'_> {
                     "idle shard in slot {slot} does not hold the master platform table"
                 )));
             }
+            if shard.stale {
+                stale.push(slot);
+            }
         }
         let mut sorted = slots.to_vec();
         sorted.sort_unstable();
-        Ok(sorted
+        let cores = sorted
             .into_iter()
             .map(
                 |slot| match std::mem::replace(&mut self.routing.slots[slot], Slot::Busy) {
@@ -554,6 +558,7 @@ impl World<'_> {
                     _ => unreachable!("verified idle above"),
                 },
             )
-            .collect())
+            .collect();
+        Ok((cores, stale))
     }
 }

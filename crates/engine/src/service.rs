@@ -261,6 +261,11 @@ pub(crate) struct Core {
     /// Sticky journal-sync failure: once a group-commit fsync fails, no
     /// later epoch may report durability (see [`SchedService::sync`]).
     sync_error: Option<String>,
+    /// Sticky journal refusal: a refresh ([`World::refresh_slot`]) found
+    /// that admitted records left a shard unanalyzable or unschedulable —
+    /// a state no live engine reaches. From then on every fallible entry
+    /// point returns it, and observers render it in place of any analysis.
+    refusal: Option<String>,
     /// Snapshot auto-compaction thresholds (off by default).
     auto_compact: AutoCompactPolicy,
     /// Epoch the journal was last compacted at (0 = never).
@@ -502,6 +507,7 @@ impl SchedService {
             durable_bytes: 0,
             syncing: false,
             sync_error: None,
+            refusal: None,
             auto_compact: AutoCompactPolicy::default(),
             last_compact_epoch: 0,
             compacting: false,
@@ -535,7 +541,7 @@ impl SchedService {
             }
             // Seeding is an epoch over no slots: every island is fresh.
             let islands = world.homed_islands(seed);
-            world.place(&[], islands);
+            world.place(&[], islands, |_| false);
         }
         Ok(service)
     }
@@ -603,7 +609,8 @@ impl SchedService {
     /// What is checked: each record's epoch number, that every record
     /// marked admitted applies and passes reserve's rules (routing, the
     /// numeric parity scan, no foreign shard unschedulable), and that it
-    /// leaves every shard it touched schedulable. Each touched island is
+    /// leaves every shard it touched passing the numeric precheck and
+    /// schedulable ([`SchedService::refresh`]). Each touched island is
     /// analyzed once, at the end, not once per record; rejected records
     /// are not re-run at all. That a record marked *rejected* would really
     /// have been rejected is what only [`SchedService::replay_verified`]
@@ -711,6 +718,8 @@ impl SchedService {
     /// is an [`EngineError::Replay`] that changes nothing, the loud refusal
     /// a replication follower owes its operator. With no journal attached
     /// (the standby configuration) the record is applied in memory only.
+    /// Once a refresh has refused the journal, every later record is
+    /// refused with that refusal.
     pub fn apply_journal_record(&self, record: &JournalEpoch) -> Result<(), EngineError> {
         self.apply_record(record, Seam::Apply)
     }
@@ -721,7 +730,14 @@ impl SchedService {
     /// shard unschedulable or unanalyzable — admitted means every shard
     /// schedulable, and this is where structural replay checks it. Replay
     /// calls it at its end; a standby before it compares a heartbeat
-    /// digest. A no-op on an engine no record was applied to.
+    /// digest, and before promotion. A no-op on an engine no record was
+    /// applied to.
+    ///
+    /// The refusal is sticky: from then on this, [`SchedService::submit`],
+    /// [`SchedService::snapshot`] and [`SchedService::apply_journal_record`]
+    /// return it, [`SchedService::schedulable`] is `false`, and
+    /// [`SchedService::report`] and [`SchedService::state_digest`] render
+    /// the refusal instead of an analysis.
     pub fn refresh(&self) -> Result<(), EngineError> {
         self.quiescent_world().refresh()
     }
@@ -735,6 +751,7 @@ impl SchedService {
     /// behind.
     fn apply_record(&self, record: &JournalEpoch, seam: Seam) -> Result<(), EngineError> {
         let mut world = self.quiescent_world();
+        world.core.refused()?;
         let ticket = world.core.settled + 1;
         if record.epoch != ticket {
             return Err(EngineError::Replay(format!(
@@ -787,7 +804,7 @@ impl SchedService {
     /// Rejections are *responses* (the verdict rides in the outcome);
     /// [`EngineError`]s are caller or environment failures that consume no
     /// epoch (bad version, unknown handle) or leave the engine unusable
-    /// (journal I/O).
+    /// (journal I/O, a journal [`SchedService::refresh`] refused).
     pub fn submit(&self, request: &EngineRequest) -> Result<EngineResponse, EngineError> {
         let ticket = self.submit_async(request)?;
         self.sync(ticket.epoch)?;
@@ -815,6 +832,7 @@ impl SchedService {
         let mut batch = Vec::with_capacity(request.ops.len());
         {
             let core = self.lock_core();
+            core.refused()?;
             for op in &request.ops {
                 match op {
                     EngineOp::Admission(r) => batch.push(r.clone()),
@@ -1237,10 +1255,9 @@ impl SchedService {
 
     /// [`SchedService::quiescent_world`] with every stale shard analyzed —
     /// the view of observers that read analysis results, so no stale
-    /// outcome ever reaches them. A refusal ([`World::refresh_slot`]) is
-    /// left for [`SchedService::refresh`] and the next applied record to
-    /// report: the offending shard is analyzed and unschedulable, which is
-    /// the truth to render, or — when it does not analyze at all — stale.
+    /// outcome ever reaches them. A refusal needs no handling here: it is
+    /// sticky ([`Core::refusal`]), and the world renders it in place of any
+    /// analysis ([`World::report`], [`World::state_digest`]).
     fn analyzed_world(&self) -> World<'_> {
         let mut world = self.quiescent_world();
         let _ = world.refresh();
@@ -1282,11 +1299,12 @@ impl SchedService {
         self.quiescent_world().live_transactions()
     }
 
-    /// `true` when every shard's live set meets its deadlines.
+    /// `true` when every shard's live set meets its deadlines — never on
+    /// an engine that refused its journal ([`SchedService::refresh`]).
     pub fn schedulable(&self) -> bool {
         let world = self.analyzed_world();
         let mut shards = world.idle_shards();
-        shards.all(|s| s.schedulable)
+        world.core.refusal.is_none() && shards.all(|s| s.schedulable)
     }
 
     /// Test hook: every idle shard holds the master platform table itself.
@@ -1318,7 +1336,9 @@ impl SchedService {
 
     /// Assembles the cached per-transaction results into a global report
     /// (index-aligned with [`SchedService::current_set`]). Exact for the
-    /// same reason sharding is: the cache is island-local.
+    /// same reason sharding is: the cache is island-local. An engine that
+    /// refused its journal ([`SchedService::refresh`]) has no analysis to
+    /// report: its report is empty and not converged.
     pub fn report(&self) -> SchedulabilityReport {
         self.analyzed_world().report()
     }
@@ -1365,7 +1385,9 @@ impl SchedService {
     /// set, system mirror, cached report, handle table). Two engines with
     /// equal digests are byte-identical in every observable; `hsched admit
     /// --journal`, `hsched replay` and `hsched compact` all print it so a
-    /// recovery can be verified with a string compare.
+    /// recovery can be verified with a string compare. An engine that
+    /// refused its journal ([`SchedService::refresh`]) digests the refusal
+    /// in place of the report, which no live engine's digest matches.
     pub fn state_digest(&self) -> String {
         self.analyzed_world().state_digest()
     }
@@ -1491,14 +1513,29 @@ impl World<'_> {
         self.routing.slots.iter().filter_map(Slot::as_idle)
     }
 
+    /// The cross-shard admission rule's input: every shard everywhere must
+    /// be schedulable (a single controller scans its whole entry table),
+    /// so an epoch over `keys` gets the at-rest misses of the unschedulable
+    /// shards it does not touch, in slot order. They are read from the
+    /// `unsched` map: their state cannot change before the epoch in the
+    /// ticket order.
+    pub(crate) fn foreign_misses(&self, keys: &[Key]) -> Vec<String> {
+        self.core
+            .unsched
+            .iter()
+            .filter(|(slot, _)| !keys.contains(&Key::Shard(**slot)))
+            .flat_map(|(_, misses)| misses.iter().cloned())
+            .collect()
+    }
+
     /// Puts an island's controller at rest in `slot` — the one place a slot
     /// becomes `Idle`: its members enter the home maps, its schedulability
     /// is cached (and entered in `unsched` when it fails), and it adopts the
     /// master platform table — the at-rest invariant
-    /// (`docs/ARCHITECTURE.md`, "One platform table"). A controller a
-    /// journal record left without analysis goes to rest stale, on the
+    /// (`docs/ARCHITECTURE.md`, "One platform table"). A `stale` controller
+    /// — one a journal record left without analysis — goes to rest on the
     /// record's promise that it is schedulable.
-    fn put_idle(&mut self, slot: usize, core: AdmissionController) {
+    fn put_idle(&mut self, slot: usize, core: AdmissionController, stale: bool) {
         let routing = &mut *self.routing;
         for tx in core.current_set().transactions() {
             routing.txn_home.insert(tx.name.clone(), slot);
@@ -1509,7 +1546,6 @@ impl World<'_> {
         for (_, instance) in core.system().instances() {
             routing.instance_home.insert(instance.name.clone(), slot);
         }
-        let stale = !core.is_analyzed();
         let mut shard = Shard {
             schedulable: stale || core.schedulable(),
             stale,
@@ -1526,10 +1562,12 @@ impl World<'_> {
     /// ([`AdmissionController::analyze_from_scratch`], exact by incremental
     /// == from-scratch) and caches its schedulability; anything else is
     /// left alone. The journal record that left the shard stale promised
-    /// it schedulable (admitted ⇒ every shard schedulable): a shard that is
-    /// not is refused with [`EngineError::Replay`], and stays analyzed and
-    /// in `unsched`; one that does not analyze at all is refused and stays
-    /// stale.
+    /// that it passed admission: a shard whose utilization sum the numeric
+    /// precheck cannot compute, that does not analyze, or that is not
+    /// schedulable is refused with [`EngineError::Replay`], and the refusal
+    /// is kept ([`Core::refusal`]). The precheck is exact here because the
+    /// last admitted record touching the island summed its platforms'
+    /// tasks in the order the shard holds them.
     pub(crate) fn refresh_slot(&mut self, slot: usize) -> Result<(), EngineError> {
         let Slot::Idle(shard) = &mut self.routing.slots[slot] else {
             return Ok(());
@@ -1537,37 +1575,50 @@ impl World<'_> {
         if !shard.stale {
             return Ok(());
         }
-        shard.core.analyze_from_scratch().map_err(|reason| {
-            EngineError::Replay(format!(
-                "journal refused: an admitted record left a shard that does not analyze: {reason}"
-            ))
-        })?;
-        self.metrics.refreshed_shards.incr();
-        shard.stale = false;
-        shard.schedulable = shard.core.schedulable();
-        if shard.schedulable {
-            return Ok(());
-        }
-        let misses = shard.core.misses();
-        let message = format!(
-            "journal refused: an admitted record left {} unschedulable",
-            misses.join(", ")
-        );
-        self.core.unsched.insert(slot, misses);
+        let unsummable = if self.core.policy.utilization_precheck {
+            util_poison_scan(shard.core.current_set()).pop_first()
+        } else {
+            None
+        };
+        let analyzed = match unsummable {
+            Some((p, error)) => Err(format!(
+                "the utilization of platform {p} unsummable: {error}"
+            )),
+            None => shard
+                .core
+                .analyze_from_scratch()
+                .map_err(|reason| format!("a shard that does not analyze: {reason}")),
+        };
+        let message = match analyzed {
+            Err(why) => format!("journal refused: an admitted record left {why}"),
+            Ok(()) => {
+                self.metrics.refreshed_shards.incr();
+                shard.stale = false;
+                shard.schedulable = shard.core.schedulable();
+                if shard.schedulable {
+                    return Ok(());
+                }
+                let misses = shard.core.misses();
+                let message = format!(
+                    "journal refused: an admitted record left {} unschedulable",
+                    misses.join(", ")
+                );
+                self.core.unsched.insert(slot, misses);
+                message
+            }
+        };
+        self.core.refusal.get_or_insert_with(|| message.clone());
         Err(EngineError::Replay(message))
     }
 
-    /// Refreshes every stale shard ([`World::refresh_slot`]) — all of them,
-    /// even past a refusal — and returns the first refusal.
+    /// Refreshes every stale shard ([`World::refresh_slot`]), up to the
+    /// first refusal — or returns the refusal an earlier refresh kept.
     fn refresh(&mut self) -> Result<(), EngineError> {
-        let mut first = Ok(());
+        self.core.refused()?;
         for slot in 0..self.routing.slots.len() {
-            let refreshed = self.refresh_slot(slot);
-            if first.is_ok() {
-                first = refreshed;
-            }
+            self.refresh_slot(slot)?;
         }
-        first
+        Ok(())
     }
 
     /// The at-rest invariant of [`World::put_idle`], checked.
@@ -1616,7 +1667,8 @@ impl World<'_> {
     /// An epoch slot no island claims becomes `Vacant`. Only settle, which
     /// runs in ticket order, allocates or vacates, so slot choice is
     /// deterministic in ticket order. Seeding is the same placement with no
-    /// keys.
+    /// keys. An island goes to rest stale ([`World::put_idle`]) when
+    /// `stale` says so of its homes.
     ///
     /// Returns the epoch's shard set ([`EngineResponse::shards`]) in
     /// first-touch order: each touched slot unless a merge absorbed it into
@@ -1626,15 +1678,16 @@ impl World<'_> {
         &mut self,
         keys: &[Key],
         islands: Vec<(Vec<usize>, AdmissionController)>,
+        stale: impl Fn(&[usize]) -> bool,
     ) -> Vec<usize> {
         let slots = shard_slots(keys);
         let mut claimed: Vec<usize> = Vec::new();
-        let claims: Vec<Option<usize>> = islands
+        let claims: Vec<(Option<usize>, bool)> = islands
             .iter()
             .map(|(homes, _)| {
                 let claim = homes.iter().copied().find(|h| !claimed.contains(h));
                 claimed.extend(claim);
-                claim
+                (claim, stale(homes))
             })
             .collect();
         let absorbed: Vec<usize> = slots
@@ -1649,15 +1702,15 @@ impl World<'_> {
             self.routing.slots[slot] = Slot::Vacant;
         }
         let mut unclaimed = Vec::new();
-        for (part, claim) in islands.into_iter().map(|(_, part)| part).zip(claims) {
+        for (part, (claim, stale)) in islands.into_iter().map(|(_, part)| part).zip(claims) {
             match claim {
-                Some(slot) => self.put_idle(slot, part),
-                None => unclaimed.push(part),
+                Some(slot) => self.put_idle(slot, part, stale),
+                None => unclaimed.push((part, stale)),
             }
         }
-        for part in unclaimed {
+        for (part, stale) in unclaimed {
             let slot = self.vacant_slot();
-            self.put_idle(slot, part);
+            self.put_idle(slot, part, stale);
         }
 
         let mut shards = Vec::new();
@@ -1794,7 +1847,10 @@ impl World<'_> {
             ))
         };
         let Checkout {
-            footprint, cores, ..
+            footprint,
+            cores,
+            stale,
+            ..
         } = self.check_out(route(self, batch), seam)?;
         let analyzed = match seam {
             Seam::Analyze => commit_merged(cores, batch),
@@ -1803,9 +1859,12 @@ impl World<'_> {
                     cores.map_err(|reason| refused(format!("the engine rejects it: {reason}")))?;
                 let (core, applied) = apply_merged(cores, batch);
                 if let Err(message) = applied {
-                    // Undone: every island goes back to the slot it left.
+                    // Undone: every island goes back to the slot it left,
+                    // as stale as it left it.
                     let islands = self.homed_islands(core);
-                    self.place(&footprint.keys, islands);
+                    self.place(&footprint.keys, islands, |homes| {
+                        homes.iter().any(|h| stale.contains(h))
+                    });
                     self.release(&footprint);
                     return Err(refused(format!("it does not apply: {message}")));
                 }
@@ -1859,28 +1918,17 @@ impl World<'_> {
         mut core: AdmissionController,
         outcome: Option<EpochOutcome>,
     ) -> Result<EngineResponse, EngineError> {
-        // Cross-shard admission rule: every shard everywhere must be
-        // schedulable (a single controller scans its whole entry table).
-        // Untouched shards are read from the at-rest `unsched` map — their
-        // state cannot change before this epoch in the ticket order — and
-        // their misses join the epoch's own in global set order.
-        let foreign = || -> Vec<String> {
-            let keys = &footprint.keys;
-            self.core
-                .unsched
-                .iter()
-                .filter(|(slot, _)| !keys.contains(&Key::Shard(**slot)))
-                .flat_map(|(_, misses)| misses.iter().cloned())
-                .collect()
-        };
+        // Cross-shard admission rule ([`World::foreign_misses`]); their
+        // misses join the epoch's own in global set order.
         let unschedulable = |misses| {
             Verdict::Rejected(RejectReason::Unschedulable {
                 misses: self.core.order_misses(misses, batch),
             })
         };
+        let stale = outcome.is_none();
         let verdict = match outcome.as_ref().map(|o| o.verdict.clone()) {
             None => Verdict::Admitted,
-            Some(Verdict::Admitted) => match foreign() {
+            Some(Verdict::Admitted) => match self.foreign_misses(&footprint.keys) {
                 misses if misses.is_empty() => Verdict::Admitted,
                 misses => {
                     core.rollback_last();
@@ -1888,7 +1936,7 @@ impl World<'_> {
                 }
             },
             Some(Verdict::Rejected(RejectReason::Unschedulable { mut misses })) => {
-                misses.extend(foreign());
+                misses.extend(self.foreign_misses(&footprint.keys));
                 unschedulable(misses)
             }
             Some(rejected) => rejected,
@@ -1915,7 +1963,7 @@ impl World<'_> {
         if admitted {
             self.unindex_departures(batch, &footprint.removed_instance_txns);
         }
-        let shards = self.place(&footprint.keys, islands);
+        let shards = self.place(&footprint.keys, islands, |_| stale);
         if retuned {
             // The master is a new table: hand it to every shard at rest.
             // A `Busy` shard takes it when its own epoch puts it back.
@@ -2036,7 +2084,18 @@ impl World<'_> {
         system
     }
 
+    /// The shards' reports in slot order; empty and not converged after a
+    /// refusal, whose stale shards have no analysis.
     pub(crate) fn report(&self) -> SchedulabilityReport {
+        if self.core.refusal.is_some() {
+            return SchedulabilityReport {
+                tasks: Vec::new(),
+                verdicts: Vec::new(),
+                trace: Vec::new(),
+                converged: false,
+                diverged: false,
+            };
+        }
         let parts: Vec<SchedulabilityReport> =
             self.idle_shards().map(|s| s.core.report()).collect();
         SchedulabilityReport::concat(parts.iter())
@@ -2060,6 +2119,10 @@ impl World<'_> {
         );
         for (id, platform) in self.core.platforms.iter() {
             let _ = writeln!(out, "platform {id} {platform}");
+        }
+        if let Some(why) = &self.core.refusal {
+            let _ = writeln!(out, "refused {why}");
+            return out;
         }
         let set = self.current_set();
         let report = self.report();
@@ -2181,6 +2244,15 @@ impl Core {
         self.ids.insert(name.to_string(), id);
         self.names.insert(id, name.to_string());
         id
+    }
+
+    /// The kept journal refusal ([`Core::refusal`]), as the error every
+    /// fallible entry point returns once there is one.
+    fn refused(&self) -> Result<(), EngineError> {
+        match &self.refusal {
+            Some(why) => Err(EngineError::Replay(why.clone())),
+            None => Ok(()),
+        }
     }
 
     /// Banks a retiring shard's analysis counters into the service totals.

@@ -81,7 +81,9 @@ pub fn full_mix_scenario(seed: u64) -> (ScenarioSpec, TransactionSet) {
 ///   the records have left its shards stale, alongside the verified
 ///   replay taking it;
 /// - structural and verified replay of the journal torn at `cuts.1`
-///   reach the live digest of the epoch they stop at.
+///   reach the live digest of the epoch they stop at, and the repaired
+///   journal keeps serving: both take `next` alike, and the journal the
+///   structural one appended it to replays to its digest.
 pub fn assert_recovery(
     set: &TransactionSet,
     path: &Path,
@@ -149,6 +151,7 @@ pub fn assert_recovery(
     assert_eq!(serving.state_digest(), verified.state_digest());
 
     let torn = copy("torn", &bytes[..cut(cuts.1)]);
+    let audit = copy("torn-verified", &bytes[..cut(cuts.1)]);
     let structural = replay(false, &torn);
     let epoch = structural.epoch() as usize;
     assert_eq!(
@@ -156,9 +159,25 @@ pub fn assert_recovery(
         digests[epoch],
         "replay == live at {epoch}"
     );
+    let audited = replay(true, &audit);
+    assert_eq!(audited.state_digest(), digests[epoch]);
+    let ours = structural
+        .submit(&request)
+        .unwrap_or_else(|e| panic!("commit on the repaired journal failed: {e}"));
+    let theirs = audited.submit(&request).unwrap();
+    assert_eq!(
+        ours.outcome.verdict, theirs.outcome.verdict,
+        "commit after a torn tail"
+    );
+    let digest = structural.state_digest();
+    assert_eq!(digest, audited.state_digest());
     drop(structural);
-    assert_eq!(replay(true, &torn).state_digest(), digests[epoch]);
-    for tag in ["verified", "torn"] {
+    assert_eq!(
+        replay(false, &torn).state_digest(),
+        digest,
+        "the repaired journal took the append"
+    );
+    for tag in ["verified", "torn", "torn-verified"] {
         let _ = std::fs::remove_file(path.with_extension(tag));
     }
 }

@@ -253,13 +253,17 @@ impl Follower {
     /// tail repaired, writer reopened in append mode) and cross-checks
     /// the result against the state the live standby had applied — a
     /// promotion that does not reproduce the standby's own epoch and
-    /// digest is refused with [`code::REPLAY`]. Returns the promoted
-    /// service (ready for `Server::start`) and the replay stats.
+    /// digest is refused with [`code::REPLAY`], and so is a standby whose
+    /// records a refresh refuses ([`SchedService::refresh`]). Returns the
+    /// promoted service (ready for `Server::start`) and the replay stats.
     ///
     /// Consumes the follower: after promotion the mirror is a living
     /// journal owned by the returned service, and tailing it would
     /// corrupt it.
     pub fn promote(mut self) -> Result<(Arc<SchedService>, hsched_engine::ReplayStats), WireError> {
+        if let Some(standby) = &self.standby {
+            standby.refresh().map_err(WireError::from_engine)?;
+        }
         let expect_epoch = self.epoch();
         let expect_digest = self.state_digest();
         // Drop the live standby first: promotion replays the mirror from
@@ -616,6 +620,88 @@ mod tests {
         assert!(refreshes(&follower) > seeded);
         assert_eq!(follower.state_digest(), Some(primary.state_digest()));
         let _ = std::fs::remove_file(&journal);
+        let _ = std::fs::remove_file(&mirror);
+    }
+
+    /// A streamed record marked admitted whose utilizations no exact
+    /// fraction can sum — a batch the live engine's numeric precheck
+    /// rejects — applies structurally, and is refused as soon as the state
+    /// is read: its shard is never analyzed, the standby renders the
+    /// refusal instead, and promotion refuses with the replay code.
+    #[test]
+    fn a_forged_overflow_record_is_refused_not_rendered() {
+        let mirror = std::env::temp_dir().join(format!(
+            "hsched-follower-test-forged-{}.journal",
+            std::process::id()
+        ));
+        let mut platforms = PlatformSet::new();
+        let a = platforms.add(Platform::dedicated("A"));
+        let seed = Transaction::new(
+            "seed",
+            rat(20, 1),
+            rat(20, 1),
+            vec![Task::new("seed_t", rat(1, 1), rat(1, 1), 1, a)],
+        )
+        .unwrap();
+        let set = TransactionSet::new(platforms, vec![seed]).unwrap();
+        let overflow: Vec<AdmissionRequest> = [
+            1_000_000_000_039i128,
+            1_000_000_000_061,
+            1_000_000_000_063,
+            1_000_000_000_091,
+            999_999_999_989,
+        ]
+        .iter()
+        .enumerate()
+        .map(|(i, &p)| {
+            let task = Task::new(format!("huge{i}_t"), rat(1, 1), rat(1, 1), 1, a);
+            let tx = Transaction::new(format!("huge{i}"), rat(p, 1), rat(p, 1), vec![task]);
+            AdmissionRequest::AddTransaction(tx.unwrap())
+        })
+        .collect();
+        let (analysis, policy) = (AnalysisConfig::default(), AdmissionPolicy::default());
+        let live = SchedService::new(set.clone(), analysis.clone(), policy.clone()).unwrap();
+        let verdict = live
+            .submit(&EngineRequest::batch(overflow.clone()))
+            .unwrap();
+        assert!(!verdict.outcome.verdict.admitted(), "live rejects it");
+
+        // The mirror holds the header: the standby seeds at epoch 0, then
+        // the forged record streams in.
+        let mut writer = hsched_engine::JournalWriter::create(&mirror, 1).unwrap();
+        let config = FollowerConfig {
+            journal: mirror.clone(),
+            ..FollowerConfig::default()
+        };
+        let mut follower = Follower::new(set, analysis, policy, config);
+        follower.seed_from_mirror().unwrap();
+        writer.append(1, &overflow, true).unwrap();
+        follower.apply_new_records().unwrap();
+        assert_eq!(follower.epoch(), 1);
+
+        let standby = follower.standby.as_ref().expect("standby seeded");
+        let refused = |result: Result<(), EngineError>| matches!(result, Err(EngineError::Replay(m)) if m.contains("unsummable"));
+        let digest = follower.state_digest().expect("standby seeded");
+        assert!(!standby.schedulable());
+        assert!(standby.report().verdicts.is_empty());
+        assert_ne!(
+            digest,
+            live.state_digest(),
+            "no live engine renders a refusal"
+        );
+        assert!(refused(standby.refresh()), "the refusal is kept");
+        let next = hsched_engine::JournalEpoch {
+            epoch: 2,
+            batch: Vec::new(),
+            admitted: false,
+        };
+        assert!(refused(standby.apply_journal_record(&next)));
+        let submitted = standby.submit(&EngineRequest::batch(Vec::new()));
+        assert!(matches!(submitted, Err(EngineError::Replay(_))));
+        match follower.promote() {
+            Err(e) => assert_eq!(e.wire_code(), code::REPLAY, "{e}"),
+            Ok(_) => panic!("promoted a refused standby"),
+        }
         let _ = std::fs::remove_file(&mirror);
     }
 }
