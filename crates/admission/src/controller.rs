@@ -13,7 +13,7 @@ use hsched_numeric::{Rational, Time};
 use hsched_platform::{Platform, PlatformId, PlatformSet, ServiceModel};
 use hsched_supply::BoundedDelay;
 use hsched_transaction::{flatten_annotated, FlattenOptions, TaskRef, TransactionSet};
-use std::collections::HashSet;
+use std::collections::{BTreeMap, HashSet};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// Tuning knobs of the controller. The defaults enable every optimization;
@@ -34,7 +34,11 @@ pub struct AdmissionPolicy {
     pub warm_start: bool,
     /// Reject on the necessary condition `U_k ≤ α_k` before running any
     /// fixpoint (uses checked arithmetic, so hostile magnitudes reject
-    /// instead of panicking).
+    /// instead of panicking). Checked on the platforms of the islands the
+    /// batch touches — those that, once it is applied, hold a platform of an
+    /// arrival, a departure or a retune — whether or not `dirty_tracking`
+    /// is on: an overloaded or unsummable island the batch never touches
+    /// does not reject it here.
     pub utilization_precheck: bool,
     /// Worker threads for analyzing independent dirty cones in parallel
     /// (`0` = all cores, `1` = sequential) — disjoint cones inside one
@@ -371,9 +375,19 @@ impl AdmissionController {
                 return self.reject(undo, batch, RejectReason::Structural(message));
             }
         }
+        // Arrivals seed their own (now live) tasks; `apply` seeded the
+        // departures' interference footprints and the retuned platforms.
+        for name in &arrivals {
+            if let Some(i) = self.set.transaction_index(name) {
+                for idx in 0..self.set.transactions()[i].len() {
+                    seeds.push(DirtySeed::Task(TaskRef { tx: i, idx }));
+                }
+            }
+        }
+        let touched = self.touched_islands(&seeds);
 
         if self.policy.utilization_precheck {
-            match self.checked_overload() {
+            match self.overload_in(touched.iter().flatten().copied()) {
                 Ok(overloaded) if !overloaded.is_empty() => {
                     return self.reject(
                         undo,
@@ -390,19 +404,10 @@ impl AdmissionController {
             }
         }
 
-        // The dirty set is the hp-graph closure of the batch's seeds:
-        // arrivals seed their own (now live) tasks, departures their
-        // interference footprints, retunes their platform's population.
+        // The dirty set is the hp-graph closure of the batch's seeds.
         let inputs: Vec<GroupInput> = if self.policy.dirty_tracking {
             let graph = HpGraph::of(&self.set);
-            for name in &arrivals {
-                if let Some(i) = self.set.transaction_index(name) {
-                    for idx in 0..self.set.transactions()[i].len() {
-                        seeds.push(DirtySeed::Task(TaskRef { tx: i, idx }));
-                    }
-                }
-            }
-            self.seed_stale_islands(&mut seeds);
+            self.seed_stale_islands(&touched, &mut seeds);
             let cone = graph.closure(&self.set, &seeds);
             dirty_components(&self.set, &cone.transactions)
                 .into_iter()
@@ -895,46 +900,41 @@ impl AdmissionController {
         }
     }
 
-    /// Necessary-condition check `U_k ≤ α_k` with fallible arithmetic:
-    /// hostile magnitudes surface as an `Err` (→ numeric rejection) instead
-    /// of a panic.
-    fn checked_overload(&self) -> Result<Vec<String>, String> {
-        let platforms = self.set.platforms();
-        let mut utilization = vec![Rational::ZERO; platforms.len()];
-        for tx in self.set.transactions() {
+    /// The utilization precheck over the whole live set: the names of the
+    /// platforms with `U_k > α_k`, in platform order, or `Err` when an
+    /// exact sum overflows. A commit checks only the islands its batch
+    /// touches; a shard router checks a whole shard with this.
+    pub fn checked_overload(&self) -> Result<Vec<String>, String> {
+        self.overload_in(0..self.set.transactions().len())
+    }
+
+    /// Necessary-condition check `U_k ≤ α_k` on the platforms of the given
+    /// transactions (whole islands, so each platform's sum is complete),
+    /// with fallible arithmetic: hostile magnitudes surface as an `Err`
+    /// (→ numeric rejection) instead of a panic.
+    fn overload_in(&self, members: impl Iterator<Item = usize>) -> Result<Vec<String>, String> {
+        let mut utilization: BTreeMap<usize, Rational> = BTreeMap::new();
+        for i in members {
+            let tx = &self.set.transactions()[i];
             for task in tx.tasks() {
                 let u = task.wcet.try_div(tx.period).map_err(|e| e.to_string())?;
-                let k = task.platform.0;
-                utilization[k] = utilization[k].try_add(u).map_err(|e| e.to_string())?;
+                let sum = utilization.entry(task.platform.0).or_insert(Rational::ZERO);
+                *sum = sum.try_add(u).map_err(|e| e.to_string())?;
             }
         }
+        let platforms = self.set.platforms();
         Ok(utilization
-            .iter()
-            .enumerate()
-            .filter(|(k, &u)| u > platforms[PlatformId(*k)].alpha())
+            .into_iter()
+            .filter(|&(k, u)| u > platforms[PlatformId(k)].alpha())
             .map(|(k, _)| platforms[PlatformId(k)].name().to_string())
             .collect())
     }
 
-    /// Extends the dirty seeds with every live transaction whose cached
-    /// analysis did **not** converge, whenever the batch touches its
-    /// island. A non-converged cache row holds bail-out values, not a
-    /// fixpoint — it cannot serve as a frozen pin, and a batch that heals
-    /// the island (say, removing the diverging hog) may leave such a row
-    /// outside the hp-graph cone (a higher-priority neighbor the hog never
-    /// delayed). Re-activating stale rows at island granularity reproduces
-    /// exactly what the PR-2 island tracker recomputed, so recovery batches
-    /// admit identically; untouched islands keep their (stale, rejected-at-
-    /// admission) rows exactly as before.
-    fn seed_stale_islands(&self, seeds: &mut Vec<DirtySeed>) {
-        let stale = |e: &Entry| {
-            e.outcome
-                .as_ref()
-                .is_some_and(|o| !(o.converged && o.bounded))
-        };
-        if !self.entries.iter().any(stale) {
-            return;
-        }
+    /// The islands an applied batch touches: those holding a platform one
+    /// of its `seeds` names — an arrival's tasks, a departure's footprint,
+    /// a retuned platform. Interference never crosses an island (Eq. 17's
+    /// `hp` sets are per platform), so no other island's verdict can move.
+    fn touched_islands(&self, seeds: &[DirtySeed]) -> Vec<Vec<usize>> {
         let touched: HashSet<usize> = seeds
             .iter()
             .map(|seed| match *seed {
@@ -943,18 +943,36 @@ impl AdmissionController {
             })
             .collect();
         let txs = self.set.transactions();
-        for island in dirty_components(&self.set, &vec![true; txs.len()]) {
-            let hit = island.iter().any(|&i| {
-                txs[i]
-                    .tasks()
-                    .iter()
-                    .any(|t| touched.contains(&t.platform.0))
-            });
-            if !hit {
-                continue;
-            }
-            for &i in island.iter().filter(|&&i| stale(&self.entries[i])) {
-                for idx in 0..txs[i].len() {
+        dirty_components(&self.set, &vec![true; txs.len()])
+            .into_iter()
+            .filter(|island| {
+                island.iter().any(|&i| {
+                    txs[i]
+                        .tasks()
+                        .iter()
+                        .any(|t| touched.contains(&t.platform.0))
+                })
+            })
+            .collect()
+    }
+
+    /// Extends the dirty seeds with every live transaction of a `touched`
+    /// island whose cached analysis did **not** converge. A non-converged
+    /// cache row holds bail-out values, not a fixpoint — it cannot serve as
+    /// a frozen pin, and a batch that heals the island (say, removing the
+    /// diverging hog) may leave such a row outside the hp-graph cone (a
+    /// higher-priority neighbor the hog never delayed). Re-activating stale
+    /// rows at island granularity re-solves what an island-granular tracker
+    /// would, so recovery batches admit identically; untouched islands keep
+    /// their (stale, rejected-at-admission) rows exactly as before.
+    fn seed_stale_islands(&self, touched: &[Vec<usize>], seeds: &mut Vec<DirtySeed>) {
+        for &i in touched.iter().flatten() {
+            let stale = self.entries[i]
+                .outcome
+                .as_ref()
+                .is_some_and(|o| !(o.converged && o.bounded));
+            if stale {
+                for idx in 0..self.set.transactions()[i].len() {
                     seeds.push(DirtySeed::Task(TaskRef { tx: i, idx }));
                 }
             }

@@ -20,7 +20,8 @@
 //! ([`dirty_components`] groups them into independently-analyzable
 //! sub-problems). With every transaction dirty its components are exactly
 //! the islands, so the same function is the island partition wherever one
-//! is needed: the seed analysis, the stale-island lookup and
+//! is needed: the seed analysis, every commit's touched-island lookup
+//! (utilization precheck and stale rows) and
 //! `AdmissionController::split_islands`.
 
 use hsched_transaction::TransactionSet;
@@ -85,15 +86,21 @@ pub(crate) fn dirty_components(set: &TransactionSet, dirty: &[bool]) -> Vec<Vec<
             }
         }
     }
-    let mut components: Vec<(usize, Vec<usize>)> = Vec::new();
+    // Root member position → its component's index, so the grouping stays
+    // linear in the members however many components there are.
+    let mut component_of: Vec<Option<usize>> = vec![None; members.len()];
+    let mut components: Vec<Vec<usize>> = Vec::new();
     for (k, &i) in members.iter().enumerate() {
         let root = uf.find(k);
-        match components.iter_mut().find(|(r, _)| *r == root) {
-            Some((_, list)) => list.push(i),
-            None => components.push((root, vec![i])),
+        match component_of[root] {
+            Some(c) => components[c].push(i),
+            None => {
+                component_of[root] = Some(components.len());
+                components.push(vec![i]);
+            }
         }
     }
-    components.into_iter().map(|(_, list)| list).collect()
+    components
 }
 
 /// The clean transactions whose state a component's analysis reads: every
@@ -108,12 +115,12 @@ pub(crate) fn component_context(
     members: &[usize],
     dirty: &[bool],
 ) -> Vec<usize> {
-    // Per platform: the lowest priority any member task holds there.
-    let mut floor: Vec<Option<u32>> = vec![None; set.platforms().len()];
+    // Per member platform: the lowest priority any member task holds there.
+    let mut floor: HashMap<usize, u32> = HashMap::new();
     for &i in members {
         for task in set.transactions()[i].tasks() {
-            let p = &mut floor[task.platform.0];
-            *p = Some(p.map_or(task.priority, |f| f.min(task.priority)));
+            let f = floor.entry(task.platform.0).or_insert(task.priority);
+            *f = (*f).min(task.priority);
         }
     }
     (0..set.transactions().len())
@@ -122,7 +129,7 @@ pub(crate) fn component_context(
                 && set.transactions()[i]
                     .tasks()
                     .iter()
-                    .any(|t| floor[t.platform.0].is_some_and(|f| t.priority >= f))
+                    .any(|t| floor.get(&t.platform.0).is_some_and(|&f| t.priority >= f))
         })
         .collect()
 }

@@ -499,6 +499,122 @@ mod tests {
         assert!(controller.schedulable(), "state survived the hostile batch");
     }
 
+    /// Island A holds `good` on a dedicated platform; island B is `hostile`:
+    /// overloaded (one hog at U = 0.2 on a rate-0.1 platform) or unsummable
+    /// (five tasks whose huge coprime periods no 128-bit fraction can sum,
+    /// though each response time stays in range).
+    fn with_hostile_island(overloaded: bool, policy: AdmissionPolicy) -> AdmissionController {
+        let mut platforms = PlatformSet::new();
+        let pa = platforms.add(Platform::dedicated("A"));
+        let pb = if overloaded {
+            platforms.add(Platform::linear("B", rat(1, 10), rat(0, 1), rat(0, 1)).unwrap())
+        } else {
+            platforms.add(Platform::dedicated("B"))
+        };
+        let one = |name: &str, period: i128, wcet: i128, prio: u32, p: PlatformId| {
+            let task = Task::new(format!("{name}.t"), rat(wcet, 1), rat(wcet, 1), prio, p);
+            Transaction::new(name, rat(period, 1), rat(period, 1), vec![task]).unwrap()
+        };
+        let mut txs = vec![one("good", 10, 1, 1, pa)];
+        if overloaded {
+            txs.push(one("hog", 10, 2, 1, pb));
+        } else {
+            let periods = [
+                1_000_000_000_039,
+                1_000_000_000_061,
+                1_000_000_000_063,
+                1_000_000_000_091,
+                999_999_999_989,
+            ];
+            for (i, period) in periods.into_iter().enumerate() {
+                txs.push(one(&format!("huge{i}"), period, 1, 1 + i as u32, pb));
+            }
+        }
+        let set = TransactionSet::new(platforms, txs).unwrap();
+        AdmissionController::new(set, AnalysisConfig::default(), policy).unwrap()
+    }
+
+    fn arrival_on(platform: usize) -> AdmissionRequest {
+        let task = Task::new("x.t", rat(1, 1), rat(1, 1), 2, PlatformId(platform));
+        AdmissionRequest::AddTransaction(
+            Transaction::new("x", rat(10, 1), rat(10, 1), vec![task]).unwrap(),
+        )
+    }
+
+    fn policies() -> [AdmissionPolicy; 2] {
+        let scratch = AdmissionPolicy {
+            dirty_tracking: false,
+            ..AdmissionPolicy::default()
+        };
+        [AdmissionPolicy::default(), scratch]
+    }
+
+    #[test]
+    fn a_foreign_overloaded_island_rejects_for_its_misses_not_overload() {
+        for policy in policies() {
+            let mut controller = with_hostile_island(true, policy);
+            let outcome = controller.admit(arrival_on(0));
+            match &outcome.verdict {
+                Verdict::Rejected(RejectReason::Unschedulable { misses }) => {
+                    assert!(misses.contains(&"hog".to_string()), "{misses:?}")
+                }
+                other => panic!("expected B's misses, got {other}"),
+            }
+            // A batch that touches B still meets the precheck.
+            let outcome = controller.admit(arrival_on(1));
+            assert_eq!(
+                outcome.verdict,
+                Verdict::Rejected(RejectReason::Overload {
+                    platforms: vec!["B".into()]
+                })
+            );
+        }
+    }
+
+    #[test]
+    fn a_foreign_unsummable_island_does_not_reject() {
+        for policy in policies() {
+            let mut controller = with_hostile_island(false, policy);
+            let outcome = controller.admit(arrival_on(0));
+            assert!(outcome.verdict.admitted(), "{}", outcome.verdict);
+            assert!(controller.schedulable());
+        }
+    }
+
+    #[test]
+    fn a_touched_unsummable_island_rejects_numeric_until_healed() {
+        for policy in policies() {
+            let mut controller = with_hostile_island(false, policy);
+            let outcome = controller.admit(arrival_on(1));
+            assert!(
+                matches!(outcome.verdict, Verdict::Rejected(RejectReason::Numeric(_))),
+                "{}",
+                outcome.verdict
+            );
+            let retune = AdmissionRequest::Retune {
+                platform: PlatformId(1),
+                alpha: rat(1, 2),
+                delta: rat(0, 1),
+                beta: rat(0, 1),
+            };
+            let outcome = controller.admit(retune);
+            assert!(
+                matches!(outcome.verdict, Verdict::Rejected(RejectReason::Numeric(_))),
+                "{}",
+                outcome.verdict
+            );
+            assert!(controller.checked_overload().is_err());
+            let heal: Vec<AdmissionRequest> = (0..4)
+                .map(|i| AdmissionRequest::RemoveTransaction {
+                    name: format!("huge{i}"),
+                })
+                .collect();
+            let outcome = controller.commit(&heal);
+            assert!(outcome.verdict.admitted(), "{}", outcome.verdict);
+            assert_eq!(controller.checked_overload(), Ok(Vec::new()));
+        }
+    }
+
     #[test]
     fn removing_a_divergent_transaction_heals_the_system() {
         // Regression: the seed analysis must keep convergence flags

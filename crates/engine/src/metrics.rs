@@ -26,8 +26,7 @@ pub struct EngineMetrics {
     /// pipeline depth).
     pub fast_conflicts: Counter,
     /// Reservations that required the pipeline drained first (instance
-    /// ops, poison parity). With `fast_reservations` this accounts for
-    /// every ticket.
+    /// ops). With `fast_reservations` this accounts for every ticket.
     pub exclusive_drains: Counter,
     /// Journal bytes appended (records only; snapshot rewrites excluded).
     pub journal_bytes: Counter,

@@ -77,23 +77,10 @@ fn free_platforms(keys: &[Key]) -> impl Iterator<Item = usize> + '_ {
     })
 }
 
-/// Routing result of one batch.
-pub(crate) struct Routed {
-    /// The shards and free platforms the batch touches, each once, in
-    /// first-touch order.
-    pub(crate) keys: Vec<Key>,
-    /// Per request: the flattened transaction names of a removed instance
-    /// (needed for handle cleanup after commit).
-    pub(crate) removed_instance_txns: Vec<Vec<String>>,
-    /// Every transaction/instance name the batch mentions (validates or
-    /// mutates) — the epoch's name-conflict claim set.
-    pub(crate) mentioned: Vec<String>,
-}
-
 /// What routing decided.
 pub(crate) enum RouteOutcome {
     /// The batch routes cleanly; shards can be checked out.
-    Routed(Routed),
+    Routed(Footprint),
     /// The batch conflicts with an in-flight epoch (shared shard, claimed
     /// free platform, or mentioned name) — wait and retry.
     Blocked,
@@ -102,20 +89,19 @@ pub(crate) enum RouteOutcome {
     Structural(String),
 }
 
-/// What an epoch touches and claims, from reserve to settle (empty for an
-/// epoch reserve rejected).
+/// What an epoch touches and claims — routed at reserve, held to settle
+/// (empty for an epoch reserve rejected).
 #[derive(Debug, Default)]
 pub(crate) struct Footprint {
     /// The shards (checked out) and free platforms (claimed) the batch
-    /// touches, first-touch order.
+    /// touches, each once, in first-touch order.
     pub(crate) keys: Vec<Key>,
-    /// Per request: flattened transaction names of a removed instance.
+    /// Per request: the flattened transaction names of a removed instance
+    /// (needed for handle cleanup after commit).
     pub(crate) removed_instance_txns: Vec<Vec<String>>,
-    /// The names the epoch claimed.
+    /// Every transaction/instance name the batch mentions (validates or
+    /// mutates) — the epoch's name-conflict claim set.
     pub(crate) claimed_names: Vec<String>,
-    /// Platforms of every touched island (poison accounting; empty
-    /// whenever the poison map was empty at reserve).
-    pub(crate) touched_platforms: Vec<usize>,
 }
 
 /// What reserve checked out for one epoch ([`World::check_out`]).
@@ -123,8 +109,9 @@ pub(crate) struct Checkout {
     pub(crate) footprint: Footprint,
     /// The checked-out controllers in ascending slot order (one empty
     /// controller when the batch touches only free platforms) — or the
-    /// rejection reserve decided (structural / numeric parity), with which
-    /// the epoch skips analysis and settles straight to a rejection.
+    /// rejection reserve decided (structural, or the cross-shard rule for a
+    /// journaled record), with which the epoch skips analysis and settles
+    /// straight to a rejection.
     pub(crate) cores: Result<Vec<AdmissionController>, RejectReason>,
     /// The checked-out slots whose shards were stale. Always empty for a
     /// commit that analyzes ([`Seam::Analyze`]): it refreshes them first.
@@ -303,10 +290,10 @@ pub(crate) fn route(view: &World<'_>, batch: &[AdmissionRequest]) -> RouteOutcom
     }
     mentioned.sort_unstable();
     mentioned.dedup();
-    RouteOutcome::Routed(Routed {
+    RouteOutcome::Routed(Footprint {
         keys,
         removed_instance_txns,
-        mentioned,
+        claimed_names: mentioned,
     })
 }
 
@@ -396,24 +383,10 @@ impl World<'_> {
         }
     }
 
-    /// The platforms of every island the routed batch touches (its touched
-    /// shards' platform homes plus the claimed free platforms) — the
-    /// clearing scope of the numeric-parity poison map. O(platforms): only
-    /// called while that map is non-empty.
-    fn touched_platform_set(&self, keys: &[Key]) -> HashSet<usize> {
-        let mut touched: HashSet<usize> = free_platforms(keys).collect();
-        for (p, home) in &self.routing.home {
-            if keys.contains(&Key::Shard(*home)) {
-                touched.insert(*p);
-            }
-        }
-        touched
-    }
-
     /// Everything reserve does after the conflict check, for both seams:
-    /// a batch that routing or the numeric parity rule rejects checks
-    /// nothing out; otherwise its shards are checked out and its names and
-    /// free platforms claimed until settle releases them.
+    /// a batch that routing rejects checks nothing out; otherwise its
+    /// shards are checked out and its names and free platforms claimed
+    /// until settle releases them.
     ///
     /// A journaled admitted record ([`Seam::Apply`]) is also held to the
     /// cross-shard rule ([`World::foreign_misses`]) here, before anything
@@ -430,7 +403,7 @@ impl World<'_> {
             stale: Vec::new(),
             checkout_ns: 0,
         };
-        let routed = match outcome {
+        let footprint = match outcome {
             // Nothing is in flight, so nothing can hold a claim or a shard.
             RouteOutcome::Blocked => {
                 return Err(EngineError::Internal(
@@ -440,49 +413,25 @@ impl World<'_> {
             RouteOutcome::Structural(message) => {
                 return Ok(rejected(RejectReason::Structural(message)))
             }
-            RouteOutcome::Routed(routed) => routed,
+            RouteOutcome::Routed(footprint) => footprint,
         };
-        // Cross-island numeric parity: a poisoned platform the batch does
-        // not touch rejects exactly like the single controller's global
-        // utilization scan (touched islands re-run their own checked scan
-        // inside the commit and heal or re-reject there). The
-        // O(platforms) scope scan only runs while there is poison to
-        // clear.
-        let touched = if self.core.util_poison.is_empty() {
-            HashSet::new()
-        } else {
-            self.touched_platform_set(&routed.keys)
-        };
-        let poison = self
-            .core
-            .util_poison
-            .iter()
-            .find(|(p, _)| !touched.contains(*p));
-        if let Some((_, message)) = poison {
-            return Ok(rejected(RejectReason::Numeric(message.clone())));
-        }
         if seam == Seam::Apply {
-            let foreign = self.foreign_misses(&routed.keys);
+            let foreign = self.foreign_misses(&footprint.keys);
             if !foreign.is_empty() {
                 return Ok(rejected(RejectReason::Unschedulable { misses: foreign }));
             }
         }
         let started = Instant::now();
-        let (cores, stale) = self.checkout(&shard_slots(&routed.keys), seam)?;
+        let (cores, stale) = self.checkout(&shard_slots(&footprint.keys), seam)?;
         let checkout_ns = elapsed_ns(started);
         self.routing
             .pending
-            .extend(routed.mentioned.iter().cloned());
+            .extend(footprint.claimed_names.iter().cloned());
         self.routing
             .pending_free
-            .extend(free_platforms(&routed.keys));
+            .extend(free_platforms(&footprint.keys));
         Ok(Checkout {
-            footprint: Footprint {
-                keys: routed.keys,
-                removed_instance_txns: routed.removed_instance_txns,
-                claimed_names: routed.mentioned,
-                touched_platforms: touched.into_iter().collect(),
-            },
+            footprint,
             cores: Ok(cores),
             stale,
             checkout_ns,

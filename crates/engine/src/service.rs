@@ -77,12 +77,10 @@
 //! run concurrently, merges, splits and fresh shards included: only
 //! settle, which runs in ticket order, allocates or vacates a slot, so
 //! slot choice is deterministic in ticket order (the state digest depends
-//! on it) and `shards_live` is exact. Two kinds of epoch first **drain**
+//! on it) and `shards_live` is exact. Instance operations first **drain**
 //! the pipeline (a fairness gate holds new reservations off while such a
-//! writer waits): instance operations (they flatten across names no
-//! footprint can be precomputed for), and every epoch while the
-//! utilization-poison map is non-empty (the parity scan must see every
-//! platform at rest).
+//! writer waits): they flatten across names no footprint can be
+//! precomputed for.
 //!
 //! # Recovery applies records, not analyses
 //!
@@ -112,25 +110,15 @@
 //! included — and post-state exactly on transaction-level traffic. Each
 //! epoch is one controller commit over the touched islands, so the
 //! controller's own stage order (structural, numeric, overload, deadline
-//! misses, analysis aborts) decides the reason. Two rules reach beyond the
-//! touched islands, as the single controller's whole-set scans do:
-//!
-//! - a service-wide utilization poison map reproduces the global checked
-//!   utilization scan (whose exact arithmetic can overflow on islands the
-//!   batch never touches), so overflow-boundary scenarios reject
-//!   identically;
-//! - untouched shards unschedulable at rest (the `unsched` map) reject the
-//!   epoch, and their misses join the batch's own in an
-//!   [`RejectReason::Unschedulable`] reason sorted in **global set order**
-//!   (handle-mint order — the order the serial controller's live set holds
-//!   them in — with this batch's unminted arrivals after, in batch order).
-//!
-//! One difference remains, documented rather than mapped: a foreign
-//! island seeded *overloaded* (utilization above its rate). The single
-//! controller's precheck scans every platform and says `overload on …`;
-//! the service's precheck sees only the touched islands, so the epoch
-//! fails the unschedulable rule instead. Admitted epochs never overload a
-//! platform, so only a seed can produce this state.
+//! misses, analysis aborts) decides the reason; its utilization precheck
+//! covers the islands the batch touches, which are exactly the islands the
+//! epoch checked out. One rule reaches beyond them, as the single
+//! controller's whole-set miss scan does: untouched shards unschedulable
+//! at rest (the `unsched` map) reject the epoch, and their misses join the
+//! batch's own in an [`RejectReason::Unschedulable`] reason sorted in
+//! **global set order** (handle-mint order — the order the serial
+//! controller's live set holds them in — with this batch's unminted
+//! arrivals after, in batch order).
 
 use crate::digest::fnv1a_64;
 use crate::envelope::{
@@ -148,7 +136,6 @@ use hsched_admission::{
 };
 use hsched_analysis::{AnalysisConfig, AnalysisMetrics, SchedulabilityReport};
 use hsched_model::System;
-use hsched_numeric::Rational;
 use hsched_platform::PlatformSet;
 use hsched_telemetry::{elapsed_ns, MetricsSnapshot};
 use hsched_transaction::TransactionSet;
@@ -219,11 +206,11 @@ impl Slot {
 }
 
 /// The non-routing heart of the service: handle maps, epoch accounting,
-/// the master platform set, journal bookkeeping, and the cross-island
-/// parity state. Routing state (name/platform homes, claim sets, the slot
-/// table) lives in [`Routing`] behind its own lock. The core mutex is held
-/// briefly — handle resolution, reserve and settle bookkeeping, journal
-/// sync arbitration — never across analysis.
+/// the master platform set, journal bookkeeping, and the at-rest
+/// unschedulable shards. Routing state (name/platform homes, claim sets,
+/// the slot table) lives in [`Routing`] behind its own lock. The core mutex
+/// is held briefly — handle resolution, reserve and settle bookkeeping,
+/// journal sync arbitration — never across analysis.
 #[derive(Debug)]
 pub(crate) struct Core {
     /// Live transaction name → stable handle.
@@ -276,13 +263,6 @@ pub(crate) struct Core {
     /// where shards are placed ([`World::place`]) so the cross-shard
     /// admission rule can be evaluated without touching foreign shards.
     pub(crate) unsched: BTreeMap<usize, Vec<String>>,
-    /// Cross-island numeric parity (see module docs): platform index →
-    /// error message of the global utilization sum. Non-empty entries on
-    /// platforms a batch does not touch reject the epoch with
-    /// [`RejectReason::Numeric`], exactly as the single controller's
-    /// global scan would. Only seeded at construction/rebuild and only
-    /// ever *cleared* afterwards.
-    pub(crate) util_poison: BTreeMap<usize, String>,
     /// The service-wide admission telemetry sink; every controller —
     /// seeded, split, merged, or fresh for free platforms — records its
     /// cone geometry here (see [`AdmissionMetrics`]).
@@ -477,7 +457,6 @@ impl SchedService {
             }
         }
         let platforms = set.platforms().clone();
-        let util_poison = util_poison_scan(&set);
         let seed_names: Vec<String> = set.transactions().iter().map(|t| t.name.clone()).collect();
         // One sink per layer for the whole service: the analysis sink rides
         // inside the config (cloned into every island analysis), the
@@ -512,7 +491,6 @@ impl SchedService {
             last_compact_epoch: 0,
             compacting: false,
             unsched: BTreeMap::new(),
-            util_poison,
             admission_metrics: admission_metrics.clone(),
             #[cfg(hsched_model)]
             fail_next_sync: false,
@@ -607,8 +585,8 @@ impl SchedService {
     /// without compaction.
     ///
     /// What is checked: each record's epoch number, that every record
-    /// marked admitted applies and passes reserve's rules (routing, the
-    /// numeric parity scan, no foreign shard unschedulable), and that it
+    /// marked admitted applies and passes reserve's rules (routing, no
+    /// foreign shard unschedulable), and that it
     /// leaves every shard it touched passing the numeric precheck and
     /// schedulable ([`SchedService::refresh`]). Each touched island is
     /// analyzed once, at the end, not once per record; rejected records
@@ -1091,7 +1069,6 @@ impl SchedService {
         let outcome = route(&world, batch);
         let route_ns = elapsed_ns(route_started);
         let drain = *writer
-            || !world.core.util_poison.is_empty()
             || batch.iter().any(|r| {
                 matches!(
                     r,
@@ -1565,9 +1542,11 @@ impl World<'_> {
     /// that it passed admission: a shard whose utilization sum the numeric
     /// precheck cannot compute, that does not analyze, or that is not
     /// schedulable is refused with [`EngineError::Replay`], and the refusal
-    /// is kept ([`Core::refusal`]). The precheck is exact here because the
-    /// last admitted record touching the island summed its platforms'
-    /// tasks in the order the shard holds them.
+    /// is kept ([`Core::refusal`]). The precheck
+    /// ([`AdmissionController::checked_overload`], over the whole shard) is
+    /// exact here because the last admitted record touching the island
+    /// checked all of its platforms, summing their tasks in the order the
+    /// shard holds them.
     pub(crate) fn refresh_slot(&mut self, slot: usize) -> Result<(), EngineError> {
         let Slot::Idle(shard) = &mut self.routing.slots[slot] else {
             return Ok(());
@@ -1576,14 +1555,12 @@ impl World<'_> {
             return Ok(());
         }
         let unsummable = if self.core.policy.utilization_precheck {
-            util_poison_scan(shard.core.current_set()).pop_first()
+            shard.core.checked_overload().err()
         } else {
             None
         };
         let analyzed = match unsummable {
-            Some((p, error)) => Err(format!(
-                "the utilization of platform {p} unsummable: {error}"
-            )),
+            Some(error) => Err(format!("a platform's utilization unsummable: {error}")),
             None => shard
                 .core
                 .analyze_from_scratch()
@@ -1946,17 +1923,13 @@ impl World<'_> {
         let mut retuned = false;
         if admitted {
             // Retunes reach the master table from the controller that
-            // committed them. Admission required every shard schedulable,
-            // which also clears the touched platforms' poison entries.
+            // committed them.
             for request in batch {
                 if let AdmissionRequest::Retune { platform, .. } = request {
                     let value = core.current_set().platforms()[*platform].clone();
                     self.core.platforms.replace(*platform, value);
                     retuned = true;
                 }
-            }
-            for p in &footprint.touched_platforms {
-                self.core.util_poison.remove(p);
             }
         }
         let islands = self.homed_islands(core);
@@ -2293,29 +2266,6 @@ impl Core {
         misses.dedup();
         misses
     }
-}
-
-/// Scans a transaction set's per-platform utilization with the single
-/// controller's fallible arithmetic, recording the first error per
-/// platform — the poison map of the cross-island numeric parity check.
-pub(crate) fn util_poison_scan(set: &TransactionSet) -> BTreeMap<usize, String> {
-    let mut acc = vec![Rational::ZERO; set.platforms().len()];
-    let mut poison = BTreeMap::new();
-    for tx in set.transactions() {
-        for task in tx.tasks() {
-            let p = task.platform.0;
-            if poison.contains_key(&p) {
-                continue;
-            }
-            match task.wcet.try_div(tx.period).and_then(|u| acc[p].try_add(u)) {
-                Ok(sum) => acc[p] = sum,
-                Err(e) => {
-                    poison.insert(p, e.to_string());
-                }
-            }
-        }
-    }
-    poison
 }
 
 /// The checked-out controllers (ascending slot order) merged into one.

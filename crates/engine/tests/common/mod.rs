@@ -183,7 +183,7 @@ pub fn assert_recovery(
 }
 
 /// Coprime periods whose utilizations no 128-bit fraction can sum.
-const HUGE_PERIODS: [i128; 5] = [
+pub const HUGE_PERIODS: [i128; 5] = [
     1_000_000_000_039,
     1_000_000_000_061,
     1_000_000_000_063,

@@ -7,7 +7,8 @@
 //!     analysis results (content-wise; the router is free to order its
 //!     aggregate set by shard), and both agree with a from-scratch
 //!     `analyze_with` oracle — across ≥100 generated multi-island churn
-//!     scenarios;
+//!     scenarios, two in three seeded with an overloaded or unsummable
+//!     island beside them;
 //!
 //! (b) **durability** — a journaled full-mix session (instances, bridges,
 //!     mints, compaction, a rejection from every stage) torn at a *random
@@ -23,6 +24,8 @@ use hsched_admission::{AdmissionController, AdmissionPolicy, AdmissionRequest, V
 use hsched_analysis::{analyze_with, AnalysisConfig, TaskResult, TransactionVerdict};
 use hsched_engine::{AutoCompactPolicy, EngineRequest, SchedService};
 use hsched_numeric::rat;
+use hsched_platform::Platform;
+use hsched_transaction::{Task, Transaction, TransactionSet};
 use proptest::prelude::*;
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -51,10 +54,42 @@ fn by_name(
         .collect()
 }
 
+/// The generated scenario of `seed`, plus — for two seeds in three — one
+/// hostile island on a platform of its own that the churn only reaches by
+/// retuning it or removing its transactions: overloaded (`U > α`, so its
+/// seed analysis diverges) or unsummable (utilizations no 128-bit
+/// fraction can sum, [`common::HUGE_PERIODS`]). Batches that never touch
+/// it must get the same verdict from both engines: its misses for the
+/// overloaded island, the analysis' for the unsummable one.
+fn seed_shape(spec: &ScenarioSpec) -> TransactionSet {
+    let set = random_scenario(spec);
+    let mut platforms = set.platforms().clone();
+    let mut transactions = set.transactions().to_vec();
+    let one = |name: String, period: i128, wcet: i128, priority: u32, p| {
+        let task = Task::new(format!("{name}_t"), rat(wcet, 1), rat(wcet, 1), priority, p);
+        Transaction::new(name, rat(period, 1), rat(period, 1), vec![task]).unwrap()
+    };
+    match spec.seed % 3 {
+        0 => return set,
+        1 => {
+            let p = platforms
+                .add(Platform::linear("hostile", rat(1, 4), rat(0, 1), rat(0, 1)).unwrap());
+            transactions.push(one("hog".into(), 10, 5, 1, p));
+        }
+        _ => {
+            let p = platforms.add(Platform::dedicated("hostile"));
+            for (i, &period) in common::HUGE_PERIODS.iter().enumerate() {
+                transactions.push(one(format!("huge{i}"), period, 1, 1 + i as u32, p));
+            }
+        }
+    }
+    TransactionSet::new(platforms, transactions).unwrap()
+}
+
 /// One churn session driven through both engines in lockstep.
 fn equivalence_session(seed: u64, clusters: usize, batches: usize, max_batch: usize) {
     let spec = spec_for(seed, clusters);
-    let set = random_scenario(&spec);
+    let set = seed_shape(&spec);
     let config = AnalysisConfig::default();
     let policy = AdmissionPolicy::default();
     let mut single = AdmissionController::new(set.clone(), config.clone(), policy.clone())
@@ -177,11 +212,13 @@ proptest! {
     }
 }
 
-/// Deterministic smoke mirroring one proptest case (stable name for
-/// `cargo test` triage).
+/// Deterministic smoke mirroring proptest cases, one per seed shape
+/// (stable name for `cargo test` triage).
 #[test]
 fn equivalence_session_seed_zero() {
-    equivalence_session(0, 4, 6, 3);
+    for seed in 0..3 {
+        equivalence_session(seed, 4, 6, 3);
+    }
 }
 
 /// Crash-point recovery of a full-mix session ([`common::FullMix`]:

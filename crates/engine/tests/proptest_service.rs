@@ -14,10 +14,11 @@
 //!     the surviving epoch count; tears *inside* the atomically-written
 //!     snapshot block surface as corruption, never as silent data loss;
 //!
-//! (c) **numeric parity** — the service-wide utilization poison map
-//!     reproduces the single controller's global checked utilization scan
-//!     on overflow-boundary scenarios (covered by a deterministic test
-//!     below since generated scenarios keep magnitudes sane);
+//! (c) **numeric parity** — both engines check utilization only on the
+//!     islands a batch touches, so an island whose exact utilization sum
+//!     overflows rejects `Numeric` exactly the batches that touch it, on
+//!     both sides (a deterministic test below; `proptest_engine` adds such
+//!     an island to generated scenarios);
 //!
 //! (d) **racing clients** — the same linearizability contract with every
 //!     client on the *same* islands and the full churn mix (retunes,
@@ -585,11 +586,13 @@ proptest! {
     }
 }
 
-/// A concurrent heal of a poisoned island must serialize against disjoint
-/// epochs: whichever ticket order the service picks, the journal has to
-/// replay to the same verdicts (regression test — the reserve-time parity
-/// rejection used to race the in-flight healer and record a rejection
-/// that replayed as admitted).
+/// A concurrent heal of an unsummable island must serialize against
+/// disjoint epochs: whichever ticket order the service picks, the journal
+/// has to replay to the same verdicts. The reserve-time numeric rejection
+/// this first guarded (it raced the in-flight healer and recorded a
+/// rejection that replayed as admitted) no longer exists — batches on the
+/// other island never look at the unsummable one — so what is left is that
+/// a heal racing disjoint epochs replays serially.
 #[test]
 fn concurrent_poison_heal_replays_serially() {
     for round in 0..6u64 {
@@ -638,7 +641,7 @@ fn concurrent_poison_heal_replays_serially() {
             .unwrap();
 
         std::thread::scope(|scope| {
-            // Healer: touches the poisoned island B.
+            // Healer: touches the unsummable island B.
             let healer = &service;
             scope.spawn(move || {
                 let heal: Vec<AdmissionRequest> = (0..4)
@@ -678,12 +681,11 @@ fn concurrent_poison_heal_replays_serially() {
     }
 }
 
-/// (c) Cross-island numeric parity: a seeded island whose exact
+/// (c) Cross-island numeric parity: a seeded island B whose exact
 /// utilization sum overflows i128 (huge coprime periods) — but whose
-/// response-time analysis stays in range — poisons *every* epoch of the
-/// single controller's global scan. The service must reject identically
-/// on batches that never touch that island, and heal identically once a
-/// batch does.
+/// response-time analysis stays in range. Both engines admit a batch that
+/// never touches B, reject `Numeric` a batch that adds to B, and admit the
+/// batch that heals B.
 #[test]
 fn cross_island_overflow_parity_matches_single_controller() {
     let mut platforms = PlatformSet::new();
@@ -729,37 +731,28 @@ fn cross_island_overflow_parity_matches_single_controller() {
         .expect("analysis itself stays in range");
     let service = SchedService::new(set, config, policy).unwrap();
 
-    let fresh = |name: &str| {
-        AdmissionRequest::AddTransaction(
-            Transaction::new(
-                name,
-                rat(10, 1),
-                rat(10, 1),
-                vec![Task::new(format!("{name}.t"), rat(1, 1), rat(1, 1), 2, a)],
-            )
-            .unwrap(),
-        )
+    let fresh = |name: &str, platform| {
+        let task = Task::new(format!("{name}.t"), rat(1, 1), rat(1, 1), 9, platform);
+        let tx = Transaction::new(name, rat(10, 1), rat(10, 1), vec![task]);
+        AdmissionRequest::AddTransaction(tx.unwrap())
+    };
+    // Commits `batch` on both engines and returns their common verdict.
+    let mut both = |batch: Vec<AdmissionRequest>| {
+        let outcome = single.commit(&batch);
+        let response = service.submit(&EngineRequest::batch(batch)).unwrap();
+        assert_eq!(response.outcome.verdict, outcome.verdict);
+        outcome.verdict
     };
 
-    // An island-A batch: the single controller's global scan overflows on
-    // island B and rejects Numeric — the service must agree even though it
-    // never touches B.
-    let outcome = single.commit(&[fresh("x1")]);
+    // An island-A batch never looks at B's utilization.
+    let verdict = both(vec![fresh("x1", a)]);
+    assert!(verdict.admitted(), "{verdict}");
+
+    // A batch that adds to B meets B's overflow in the precheck.
+    let verdict = both(vec![fresh("y1", b)]);
     assert!(
-        matches!(outcome.verdict, Verdict::Rejected(RejectReason::Numeric(_))),
-        "single controller: {}",
-        outcome.verdict
-    );
-    let response = service
-        .submit(&EngineRequest::batch(vec![fresh("x1")]))
-        .unwrap();
-    assert!(
-        matches!(
-            response.outcome.verdict,
-            Verdict::Rejected(RejectReason::Numeric(_))
-        ),
-        "service: {}",
-        response.outcome.verdict
+        matches!(verdict, Verdict::Rejected(RejectReason::Numeric(_))),
+        "{verdict}"
     );
 
     // Healing: remove enough hostile transactions that the sum computes.
@@ -768,30 +761,12 @@ fn cross_island_overflow_parity_matches_single_controller() {
             name: format!("hostile{i}"),
         })
         .collect();
-    let outcome = single.commit(&heal);
-    assert!(
-        outcome.verdict.admitted(),
-        "single heal: {}",
-        outcome.verdict
-    );
-    let response = service.submit(&EngineRequest::batch(heal)).unwrap();
-    assert!(
-        response.outcome.verdict.admitted(),
-        "service heal: {}",
-        response.outcome.verdict
-    );
+    let verdict = both(heal);
+    assert!(verdict.admitted(), "heal: {verdict}");
 
-    // Both now admit island-A traffic again.
-    let outcome = single.commit(&[fresh("x2")]);
-    assert!(outcome.verdict.admitted(), "{}", outcome.verdict);
-    let response = service
-        .submit(&EngineRequest::batch(vec![fresh("x2")]))
-        .unwrap();
-    assert!(
-        response.outcome.verdict.admitted(),
-        "{}",
-        response.outcome.verdict
-    );
+    // Both now admit B's traffic too.
+    let verdict = both(vec![fresh("y2", b)]);
+    assert!(verdict.admitted(), "{verdict}");
 }
 
 /// One *overlapping* concurrent session: every thread churns over the

@@ -2,7 +2,8 @@
 # Crash-recovery smoke test for the journaled admission engine:
 # admit (writing the write-ahead journal) → "kill" (the admit process is
 # gone; tear the journal tail like a mid-write crash would) → replay →
-# verify the rebuilt engine is byte-identical via the state digest.
+# verify the rebuilt engine is byte-identical via the state digest, with
+# the `--verify` audit (every verdict re-derived) agreeing on it.
 # CI runs this on every push.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -30,6 +31,12 @@ echo "$replayed"
 echo "$replayed" | grep -q "replayed 4 epoch(s)"
 echo "$replayed" | grep -q "state digest $digest"
 
+#    The audit re-commits every epoch and cross-checks each recorded
+#    verdict; it must land on the same digest as the structural replay.
+verified=$(run replay "$SPEC" "$JOURNAL" --verify)
+echo "$verified" | grep -q "verified: every epoch re-analyzed, all 4 recorded verdict(s) agree"
+echo "$verified" | grep -q "state digest $digest"
+
 # 3. Crash tolerance: tear the journal mid-record (as a crash during the
 #    final append would) — replay repairs the tail and rebuilds the state
 #    as of the last complete record.
@@ -54,6 +61,9 @@ resumed=$(run replay "$SPEC" "$JOURNAL")
 echo "$resumed" | grep -q "replayed 0 epoch(s)"
 echo "$resumed" | grep -q "resumed from snapshot at epoch 4"
 echo "$resumed" | grep -q "state digest $digest"
+verified=$(run replay "$SPEC" "$JOURNAL" --verify)
+echo "$verified" | grep -q "resumed from snapshot at epoch 4"
+echo "$verified" | grep -q "state digest $digest"
 
 # 6. Compact → crash → replay: a record torn after the snapshot is
 #    repaired; the engine rebuilds from snapshot + surviving tail.
