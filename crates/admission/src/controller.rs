@@ -24,7 +24,8 @@ pub struct AdmissionPolicy {
     /// Re-analyze only the batch's interference cones — the hp-graph
     /// closure of what it adds, removes, or retunes — pinning everything
     /// outside them at the cached fixpoint. Off = every commit re-analyzes
-    /// the full system (the from-scratch baseline).
+    /// the full system island by island (the from-scratch baseline, as
+    /// [`AdmissionController::analyze_from_scratch`] runs it).
     pub dirty_tracking: bool,
     /// Resume the holistic fixpoint of cone members from the previous
     /// epoch's converged jitters when the batch is purely additive (exact;
@@ -36,7 +37,8 @@ pub struct AdmissionPolicy {
     /// fixpoint (uses checked arithmetic, so hostile magnitudes reject
     /// instead of panicking). Checked on the platforms of the islands the
     /// batch touches — those that, once it is applied, hold a platform of an
-    /// arrival, a departure or a retune — whether or not `dirty_tracking`
+    /// arrival, a departure, a retune or an added or removed instance —
+    /// whether or not `dirty_tracking`
     /// is on: an overloaded or unsummable island the batch never touches
     /// does not reject it here.
     pub utilization_precheck: bool,
@@ -116,9 +118,8 @@ enum UndoOp {
     },
 }
 
-/// The inverse-request log of one epoch (see [`UndoOp`]). Kept after an
-/// admitted commit so a caller that judges the epoch by a wider rule can
-/// still turn it into a rejection ([`AdmissionController::rollback_last`]).
+/// The inverse-request log of one epoch (see [`UndoOp`]): played back when
+/// the epoch is rejected, dropped when it is admitted.
 #[derive(Debug, Default)]
 struct UndoLog {
     ops: Vec<UndoOp>,
@@ -146,7 +147,7 @@ struct Entry {
 /// See the crate docs for the full lifecycle.
 ///
 /// [`commit`]: AdmissionController::commit
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct AdmissionController {
     set: TransactionSet,
     system: System,
@@ -155,9 +156,6 @@ pub struct AdmissionController {
     entries: Vec<Entry>,
     epoch: u64,
     stats: ControllerStats,
-    /// Undo log of the last *admitted* epoch (rejections consume theirs
-    /// immediately); see [`AdmissionController::rollback_last`].
-    last_undo: Option<UndoLog>,
     /// Always-on cone-geometry telemetry, recorded on every commit. Fresh
     /// per controller by default; a sharded engine swaps in one shared sink
     /// ([`AdmissionController::set_metrics_sink`]) so split/merge/new-shard
@@ -165,29 +163,12 @@ pub struct AdmissionController {
     metrics: std::sync::Arc<crate::AdmissionMetrics>,
 }
 
-impl Clone for AdmissionController {
-    fn clone(&self) -> AdmissionController {
-        AdmissionController {
-            set: self.set.clone(),
-            system: self.system.clone(),
-            config: self.config.clone(),
-            policy: self.policy.clone(),
-            entries: self.entries.clone(),
-            epoch: self.epoch,
-            stats: self.stats,
-            // The undo log references the state it was recorded against;
-            // a clone starts with nothing to roll back.
-            last_undo: None,
-            metrics: self.metrics.clone(),
-        }
-    }
-}
-
 impl AdmissionController {
     /// Starts a controller over an already-flattened transaction set,
     /// running one full analysis to seed the cache. The initial system may
-    /// be unschedulable — the controller reports it faithfully, and only
-    /// batches whose *post-state* is schedulable are admitted.
+    /// be unschedulable — the controller reports it faithfully, and a batch
+    /// is admitted when the islands it touches are schedulable after it
+    /// (see [`AdmissionController::commit`]).
     pub fn new(
         set: TransactionSet,
         config: AnalysisConfig,
@@ -208,7 +189,6 @@ impl AdmissionController {
             policy,
             epoch: 0,
             stats: ControllerStats::default(),
-            last_undo: None,
             metrics: std::sync::Arc::new(crate::AdmissionMetrics::new()),
         };
         controller
@@ -319,9 +299,10 @@ impl AdmissionController {
     /// [`SchedulabilityReport`]. The report's iteration trace is empty (the
     /// numbers come from per-island analyses at different epochs).
     ///
-    /// Whenever the live state is schedulable — which every admitted epoch
-    /// guarantees — the per-task responses, jitters and verdicts are
-    /// exactly those a from-scratch [`hsched_analysis::analyze_with`] of
+    /// Whenever the live state is schedulable — as every admitted epoch
+    /// keeps a schedulable seed — the per-task responses, jitters and
+    /// verdicts are exactly those a from-scratch
+    /// [`hsched_analysis::analyze_with`] of
     /// [`Self::current_set`] would produce (the property tests enforce
     /// this). If the controller was *seeded* with a system containing a
     /// divergent island, verdicts stay island-local and therefore finer
@@ -357,17 +338,34 @@ impl AdmissionController {
 
     /// Applies a batch of requests as one epoch: all requests are applied,
     /// the affected interference islands are re-analyzed (in parallel, warm
-    /// where exact), and the batch is admitted iff the post-change system
-    /// is schedulable. On any rejection the controller's state is restored
-    /// byte-identically by playing back an undo log of inverse requests
-    /// (O(batch + dirty), not O(live set) — there is no snapshot clone).
+    /// where exact), and the batch is admitted iff every island it touches
+    /// — one that, once it is applied, holds a platform of an arrival, a
+    /// departure, a retune or an added or removed instance — is
+    /// schedulable. Interference never crosses
+    /// an island (Eq. 17), so no other island's verdict can move: admitted
+    /// ⇒ every touched island is schedulable, and a controller seeded
+    /// schedulable stays schedulable. On any rejection the controller's
+    /// state is restored byte-identically by playing back an undo log of
+    /// inverse requests (O(batch + dirty), not O(live set) — there is no
+    /// snapshot clone).
     pub fn commit(&mut self, batch: &[AdmissionRequest]) -> EpochOutcome {
         self.epoch += 1;
         self.stats.epochs += 1;
-        self.last_undo = None;
         let mut undo = UndoLog::default();
         let additive = batch.iter().all(AdmissionRequest::is_additive);
 
+        // An instance touches its platform even if its class flattens to no
+        // transaction; a departing one is looked up before it departs.
+        let placed: Vec<PlatformId> = batch
+            .iter()
+            .filter_map(|request| match request {
+                AdmissionRequest::AddInstance { platform, .. } => Some(*platform),
+                AdmissionRequest::RemoveInstance { name } => {
+                    self.system.instance_by_name(name).map(|(_, i)| i.platform)
+                }
+                _ => None,
+            })
+            .collect();
         let mut seeds: Vec<DirtySeed> = Vec::new();
         let mut arrivals: Vec<String> = Vec::new();
         for request in batch {
@@ -384,7 +382,7 @@ impl AdmissionController {
                 }
             }
         }
-        let touched = self.touched_islands(&seeds);
+        let touched = self.touched_islands(&seeds, &placed);
 
         if self.policy.utilization_precheck {
             match self.overload_in(touched.iter().flatten().copied()) {
@@ -404,24 +402,25 @@ impl AdmissionController {
             }
         }
 
-        // The dirty set is the hp-graph closure of the batch's seeds.
-        let inputs: Vec<GroupInput> = if self.policy.dirty_tracking {
-            let graph = HpGraph::of(&self.set);
+        // The dirty set is the hp-graph closure of the batch's seeds — or,
+        // with dirty tracking off, every transaction, whose components are
+        // the islands (as in `analyze_from_scratch`).
+        let dirty = if self.policy.dirty_tracking {
             self.seed_stale_islands(&touched, &mut seeds);
-            let cone = graph.closure(&self.set, &seeds);
-            dirty_components(&self.set, &cone.transactions)
-                .into_iter()
-                .map(|members| {
-                    let context = component_context(&self.set, &members, &cone.transactions);
-                    self.group_input(&members, &context, additive && self.policy.warm_start)
-                })
-                .collect()
-        } else if self.set.transactions().is_empty() {
-            Vec::new()
+            HpGraph::of(&self.set)
+                .closure(&self.set, &seeds)
+                .transactions
         } else {
-            let all: Vec<usize> = (0..self.set.transactions().len()).collect();
-            vec![self.group_input(&all, &[], additive && self.policy.warm_start)]
+            vec![true; self.set.transactions().len()]
         };
+        let warm = additive && self.policy.warm_start;
+        let inputs: Vec<GroupInput> = dirty_components(&self.set, &dirty)
+            .into_iter()
+            .map(|members| {
+                let context = component_context(&self.set, &members, &dirty);
+                self.group_input(&members, &context, warm)
+            })
+            .collect();
         let analyzed: usize = inputs.iter().map(GroupInput::active_count).sum();
         let total = self.set.transactions().len();
         let islands = inputs.len();
@@ -447,7 +446,9 @@ impl AdmissionController {
             self.stats.warm_epochs += 1;
         }
 
-        let misses = self.misses();
+        let mut judged = touched.concat();
+        judged.sort_unstable();
+        let misses = self.misses_in(judged);
         if !misses.is_empty() {
             let mut outcome = self.reject(undo, batch, RejectReason::Unschedulable { misses });
             // The fixpoints did run before the verdict turned the batch away;
@@ -461,7 +462,6 @@ impl AdmissionController {
         }
 
         self.stats.admitted += 1;
-        self.last_undo = Some(undo);
         EpochOutcome {
             epoch: self.epoch,
             verdict: Verdict::Admitted,
@@ -486,7 +486,6 @@ impl AdmissionController {
     pub fn apply_unanalyzed(&mut self, batch: &[AdmissionRequest]) -> Result<(), String> {
         self.epoch += 1;
         self.stats.epochs += 1;
-        self.last_undo = None;
         let mut undo = UndoLog::default();
         let (mut seeds, mut arrivals) = (Vec::new(), Vec::new());
         for request in batch {
@@ -504,38 +503,23 @@ impl AdmissionController {
     }
 
     /// Names of live transactions whose cached verdict is not a converged,
-    /// bounded deadline pass — the set that blocks an admission. Empty iff
-    /// [`AdmissionController::schedulable`].
+    /// bounded deadline pass, in set order. Empty iff
+    /// [`AdmissionController::schedulable`]. A commit is rejected for those
+    /// of the islands its batch touches.
     pub fn misses(&self) -> Vec<String> {
-        self.entries
-            .iter()
-            .filter_map(|e| {
-                let o = e.outcome.as_ref().expect("outcome cached after absorb");
+        self.misses_in(0..self.entries.len())
+    }
+
+    /// [`AdmissionController::misses`] among the given live transactions.
+    fn misses_in(&self, members: impl IntoIterator<Item = usize>) -> Vec<String> {
+        members
+            .into_iter()
+            .filter_map(|i| {
+                let o = self.entries[i].outcome.as_ref().expect("outcome cached");
                 (!(o.verdict.schedulable && o.converged && o.bounded))
                     .then(|| o.verdict.name.clone())
             })
             .collect()
-    }
-
-    /// Reverts the last *admitted* [`AdmissionController::commit`] by
-    /// playing its undo log back, restoring set, system mirror, and cached
-    /// analysis results byte-identically to the pre-commit state. Returns
-    /// `false` when there is nothing to roll back (no commit yet, last
-    /// commit rejected, or already rolled back).
-    ///
-    /// The sharded engine commits each epoch on one controller holding only
-    /// the touched islands; it uses this to reject an admitted commit when
-    /// an untouched shard is unschedulable at rest (the single controller
-    /// would have scanned those entries too). The epoch stays consumed and
-    /// is re-classified rejected in the stats.
-    pub fn rollback_last(&mut self) -> bool {
-        let Some(undo) = self.last_undo.take() else {
-            return false;
-        };
-        self.playback(undo);
-        self.stats.admitted -= 1;
-        self.stats.rejected += 1;
-        true
     }
 
     /// Plays an undo log back (reverse order), restoring pre-batch state.
@@ -607,7 +591,6 @@ impl AdmissionController {
         self.stats.transactions_analyzed += other.stats.transactions_analyzed;
         self.stats.analyses_avoided += other.stats.analyses_avoided;
         self.stats.warm_epochs += other.stats.warm_epochs;
-        self.last_undo = None;
         Ok(())
     }
 
@@ -662,7 +645,6 @@ impl AdmissionController {
                     } else {
                         ControllerStats::default()
                     },
-                    last_undo: None,
                     metrics: self.metrics.clone(),
                 }
             })
@@ -932,15 +914,17 @@ impl AdmissionController {
 
     /// The islands an applied batch touches: those holding a platform one
     /// of its `seeds` names — an arrival's tasks, a departure's footprint,
-    /// a retuned platform. Interference never crosses an island (Eq. 17's
+    /// a retuned platform — or the platform of an instance it adds or
+    /// removes (`placed`). Interference never crosses an island (Eq. 17's
     /// `hp` sets are per platform), so no other island's verdict can move.
-    fn touched_islands(&self, seeds: &[DirtySeed]) -> Vec<Vec<usize>> {
+    fn touched_islands(&self, seeds: &[DirtySeed], placed: &[PlatformId]) -> Vec<Vec<usize>> {
         let touched: HashSet<usize> = seeds
             .iter()
             .map(|seed| match *seed {
                 DirtySeed::Task(r) => self.set.task(r).platform.0,
                 DirtySeed::Footprint { platform, .. } | DirtySeed::Platform(platform) => platform.0,
             })
+            .chain(placed.iter().map(|p| p.0))
             .collect();
         let txs = self.set.transactions();
         dirty_components(&self.set, &vec![true; txs.len()])

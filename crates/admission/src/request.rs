@@ -107,7 +107,8 @@ pub enum RejectReason {
         /// Names of the overloaded platforms.
         platforms: Vec<String>,
     },
-    /// The post-change system misses deadlines (or its fixpoint diverged).
+    /// An island the batch touches misses deadlines after the change (or
+    /// its fixpoint diverged).
     Unschedulable {
         /// Names of the transactions that would miss their deadline.
         misses: Vec<String>,

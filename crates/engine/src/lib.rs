@@ -291,10 +291,9 @@ mod tests {
     }
 
     #[test]
-    fn unschedulable_foreign_shard_blocks_admission_until_healed() {
-        // Shard B is seeded unschedulable; an arrival on shard A must be
-        // rejected (the single controller scans all entries), and healing B
-        // unblocks A.
+    fn unschedulable_foreign_shard_does_not_block_admission() {
+        // Shard B is seeded unschedulable; an arrival on shard A is judged
+        // on A alone and admitted, and B keeps missing until healed.
         let mut platforms = PlatformSet::new();
         let a = platforms.add(Platform::dedicated("A"));
         let b = platforms.add(Platform::linear("B", rat(1, 10), rat(0, 1), rat(0, 1)).unwrap());
@@ -306,18 +305,35 @@ mod tests {
         )
         .unwrap();
         let set = TransactionSet::new(platforms, vec![tx_on("good", a), hog]).unwrap();
-        let engine =
-            SchedService::new(set, AnalysisConfig::default(), AdmissionPolicy::default()).unwrap();
+        let engine = SchedService::new(
+            set.clone(),
+            AnalysisConfig::default(),
+            AdmissionPolicy::default(),
+        )
+        .unwrap();
         assert!(!engine.schedulable());
+        let arrival = vec![AdmissionRequest::AddTransaction(tx_on("more", a))];
         let response = engine
-            .submit(&EngineRequest::batch(vec![
-                AdmissionRequest::AddTransaction(tx_on("more", a)),
-            ]))
+            .submit(&EngineRequest::batch(arrival.clone()))
             .unwrap();
-        assert!(matches!(
-            response.outcome.verdict,
-            Verdict::Rejected(RejectReason::Unschedulable { .. })
-        ));
+        assert!(response.outcome.verdict.admitted());
+        assert!(!engine.schedulable());
+
+        // A journal holding that admitted record replays, structurally and
+        // verified, to the live state.
+        let path = forged_journal("foreign-unsched", 2, &[(arrival, true)]);
+        for replay in [SchedService::replay, SchedService::replay_verified] {
+            let (replayed, _) = replay(
+                set.clone(),
+                AnalysisConfig::default(),
+                AdmissionPolicy::default(),
+                &path,
+            )
+            .unwrap();
+            assert_eq!(replayed.state_digest(), engine.state_digest());
+        }
+        let _ = std::fs::remove_file(&path);
+
         let response = engine
             .submit(&EngineRequest::batch(vec![
                 AdmissionRequest::RemoveTransaction { name: "hog".into() },
@@ -327,19 +343,14 @@ mod tests {
             response.outcome.verdict.admitted(),
             "healing removal admits"
         );
-        let response = engine
-            .submit(&EngineRequest::batch(vec![
-                AdmissionRequest::AddTransaction(tx_on("more", a)),
-            ]))
-            .unwrap();
-        assert!(response.outcome.verdict.admitted());
+        assert!(engine.schedulable());
     }
 
     #[test]
-    fn rejection_names_the_misses_of_untouched_shards_too() {
+    fn rejection_names_only_the_misses_of_touched_shards() {
         // Island B is unschedulable at rest (`hog` misses its deadline); the
-        // batch's own island A misses too. The single controller's reason
-        // names both, in set order — so must the engine's.
+        // batch's own island A misses too. Both engines judge A alone, so
+        // their reason names the newcomer only.
         let mut platforms = PlatformSet::new();
         let a = platforms.add(Platform::dedicated("A"));
         let b = platforms.add(Platform::linear("B", rat(1, 10), rat(0, 1), rat(0, 1)).unwrap());
@@ -368,11 +379,107 @@ mod tests {
         let engine =
             SchedService::new(set, AnalysisConfig::default(), AdmissionPolicy::default()).unwrap();
         let expected = Verdict::Rejected(RejectReason::Unschedulable {
-            misses: vec!["hog".to_string(), "newcomer".to_string()],
+            misses: vec!["newcomer".to_string()],
         });
         assert_eq!(single.commit(&batch).verdict, expected);
         let response = engine.submit(&EngineRequest::batch(batch)).unwrap();
         assert_eq!(response.outcome.verdict, expected);
+    }
+
+    #[test]
+    fn an_instance_without_transactions_is_judged_on_its_platform() {
+        // Island B is unschedulable at rest (`hog` misses its deadline). An
+        // instance of a class with no threads adds no transaction, but it
+        // lands on its platform's shard: on B both engines reject it for
+        // B's misses, on A they admit it and let it depart. The journal then
+        // replays — structurally, verified and on a standby — to the live
+        // state, and a forged admitted record of the batch on B is refused.
+        use hsched_model::ComponentClass;
+        let mut platforms = PlatformSet::new();
+        let a = platforms.add(Platform::dedicated("A"));
+        let b = platforms.add(Platform::linear("B", rat(1, 10), rat(0, 1), rat(0, 1)).unwrap());
+        let hog = Transaction::new(
+            "hog",
+            rat(10, 1),
+            rat(1, 1),
+            vec![Task::new("h", rat(1, 2), rat(1, 2), 1, b)],
+        )
+        .unwrap();
+        let set = TransactionSet::new(platforms, vec![tx_on("good", a), hog]).unwrap();
+        let idle_on = |platform| {
+            vec![AdmissionRequest::AddInstance {
+                name: "idle".into(),
+                class: ComponentClass::new("Idle"),
+                platform,
+                node: 0,
+            }]
+        };
+        let seed = || {
+            SchedService::new(
+                set.clone(),
+                AnalysisConfig::default(),
+                AdmissionPolicy::default(),
+            )
+            .unwrap()
+        };
+        let path = std::env::temp_dir().join(format!(
+            "hsched-engine-test-idle-instance-{}.journal",
+            std::process::id()
+        ));
+        let engine = seed().with_journal(&path).unwrap();
+        let mut single = hsched_admission::AdmissionController::new(
+            set.clone(),
+            AnalysisConfig::default(),
+            AdmissionPolicy::default(),
+        )
+        .unwrap();
+        let miss = Verdict::Rejected(RejectReason::Unschedulable {
+            misses: vec!["hog".to_string()],
+        });
+        let remove = vec![AdmissionRequest::RemoveInstance {
+            name: "idle".into(),
+        }];
+        for (batch, expected) in [
+            (idle_on(b), miss),
+            (idle_on(a), Verdict::Admitted),
+            (remove, Verdict::Admitted),
+        ] {
+            assert_eq!(single.commit(&batch).verdict, expected);
+            let response = engine.submit(&EngineRequest::batch(batch)).unwrap();
+            assert_eq!(response.outcome.verdict, expected);
+        }
+        let digest = engine.state_digest();
+        drop(engine);
+
+        for replay in [SchedService::replay, SchedService::replay_verified] {
+            let (replayed, _) = replay(
+                set.clone(),
+                AnalysisConfig::default(),
+                AdmissionPolicy::default(),
+                &path,
+            )
+            .unwrap();
+            assert_eq!(replayed.state_digest(), digest);
+        }
+        let standby = seed();
+        for record in read_journal(&path).unwrap().epochs {
+            standby.apply_journal_record(&record).unwrap();
+        }
+        standby.refresh().unwrap();
+        assert_eq!(standby.state_digest(), digest);
+        let _ = std::fs::remove_file(&path);
+
+        let path = forged_journal("idle-instance", 2, &[(idle_on(b), true)]);
+        match SchedService::replay(
+            set.clone(),
+            AnalysisConfig::default(),
+            AdmissionPolicy::default(),
+            &path,
+        ) {
+            Err(EngineError::Replay(message)) => assert!(message.contains("hog"), "{message}"),
+            other => panic!("expected a refusal, got {other:?}"),
+        }
+        let _ = std::fs::remove_file(&path);
     }
 
     #[test]

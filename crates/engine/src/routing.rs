@@ -109,9 +109,8 @@ pub(crate) struct Checkout {
     pub(crate) footprint: Footprint,
     /// The checked-out controllers in ascending slot order (one empty
     /// controller when the batch touches only free platforms) — or the
-    /// rejection reserve decided (structural, or the cross-shard rule for a
-    /// journaled record), with which the epoch skips analysis and settles
-    /// straight to a rejection.
+    /// structural rejection routing decided, with which the epoch skips
+    /// analysis and settles straight to a rejection.
     pub(crate) cores: Result<Vec<AdmissionController>, RejectReason>,
     /// The checked-out slots whose shards were stale. Always empty for a
     /// commit that analyzes ([`Seam::Analyze`]): it refreshes them first.
@@ -387,22 +386,11 @@ impl World<'_> {
     /// a batch that routing rejects checks nothing out; otherwise its
     /// shards are checked out and its names and free platforms claimed
     /// until settle releases them.
-    ///
-    /// A journaled admitted record ([`Seam::Apply`]) is also held to the
-    /// cross-shard rule ([`World::foreign_misses`]) here, before anything
-    /// moves: a shard it does not touch that is unschedulable at rest means
-    /// the live engine would have rejected it.
     pub(crate) fn check_out(
         &mut self,
         outcome: RouteOutcome,
         seam: Seam,
     ) -> Result<Checkout, EngineError> {
-        let rejected = |reason| Checkout {
-            footprint: Footprint::default(),
-            cores: Err(reason),
-            stale: Vec::new(),
-            checkout_ns: 0,
-        };
         let footprint = match outcome {
             // Nothing is in flight, so nothing can hold a claim or a shard.
             RouteOutcome::Blocked => {
@@ -411,16 +399,15 @@ impl World<'_> {
                 ))
             }
             RouteOutcome::Structural(message) => {
-                return Ok(rejected(RejectReason::Structural(message)))
+                return Ok(Checkout {
+                    footprint: Footprint::default(),
+                    cores: Err(RejectReason::Structural(message)),
+                    stale: Vec::new(),
+                    checkout_ns: 0,
+                })
             }
             RouteOutcome::Routed(footprint) => footprint,
         };
-        if seam == Seam::Apply {
-            let foreign = self.foreign_misses(&footprint.keys);
-            if !foreign.is_empty() {
-                return Ok(rejected(RejectReason::Unschedulable { misses: foreign }));
-            }
-        }
         let started = Instant::now();
         let (cores, stale) = self.checkout(&shard_slots(&footprint.keys), seam)?;
         let checkout_ns = elapsed_ns(started);

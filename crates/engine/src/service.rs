@@ -32,9 +32,8 @@
 //!    touches. The controller parallelizes across the batch's disjoint
 //!    interference cones itself; across client threads, analyses on
 //!    disjoint islands overlap fully.
-//! 3. **Settle** — strictly in ticket order: the cross-shard admission
-//!    rule is evaluated against the service-wide state, the controller is
-//!    split back into islands and each is placed in a slot (the one place
+//! 3. **Settle** — strictly in ticket order: the controller is split back
+//!    into islands and each is placed in a slot (the one place
 //!    shard topology changes; see [`World::place`]), routing tables and
 //!    handle maps are updated, and the epoch's record is appended to the
 //!    journal. Settling in ticket order makes the journal a
@@ -110,14 +109,13 @@
 //! included — and post-state exactly on transaction-level traffic. Each
 //! epoch is one controller commit over the touched islands, so the
 //! controller's own stage order (structural, numeric, overload, deadline
-//! misses, analysis aborts) decides the reason; its utilization precheck
-//! covers the islands the batch touches, which are exactly the islands the
-//! epoch checked out. One rule reaches beyond them, as the single
-//! controller's whole-set miss scan does: untouched shards unschedulable
-//! at rest (the `unsched` map) reject the epoch, and their misses join the
-//! batch's own in an [`RejectReason::Unschedulable`] reason sorted in
-//! **global set order** (handle-mint order — the order the serial
-//! controller's live set holds them in — with this batch's unminted
+//! misses, analysis aborts) decides the reason, and the controller judges
+//! exactly the islands the batch touches — the islands the epoch checked
+//! out. The contract: admitted ⇒ every island the batch touched is
+//! schedulable, and a system seeded schedulable stays schedulable. The
+//! engine only re-orders: an [`RejectReason::Unschedulable`] reason lists
+//! the misses in **global set order** (handle-mint order — the order the
+//! serial controller's live set holds them in — with this batch's unminted
 //! arrivals after, in batch order).
 
 use crate::digest::fnv1a_64;
@@ -139,21 +137,16 @@ use hsched_model::System;
 use hsched_platform::PlatformSet;
 use hsched_telemetry::{elapsed_ns, MetricsSnapshot};
 use hsched_transaction::TransactionSet;
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{HashMap, HashSet};
 use std::path::Path;
 use std::time::Instant;
 
 /// One island shard: a full admission controller over the island's
-/// transactions plus its cached schedulability flag. `PlatformId`s are
-/// global: the controller holds a handle on the service's one platform
-/// table (see [`World::put_idle`]).
+/// transactions. `PlatformId`s are global: the controller holds a handle
+/// on the service's one platform table (see [`World::put_idle`]).
 #[derive(Debug)]
 pub(crate) struct Shard {
     pub(crate) core: AdmissionController,
-    /// Cached [`AdmissionController::schedulable`]; for a stale shard,
-    /// what its journal record promised (admitted ⇒ schedulable) until a
-    /// refresh checks it.
-    pub(crate) schedulable: bool,
     /// The shard was placed by a journal record applied without analysis
     /// ([`Seam::Apply`]): its controller holds the live set but no
     /// analysis of it until [`World::refresh_slot`] runs.
@@ -206,11 +199,11 @@ impl Slot {
 }
 
 /// The non-routing heart of the service: handle maps, epoch accounting,
-/// the master platform set, journal bookkeeping, and the at-rest
-/// unschedulable shards. Routing state (name/platform homes, claim sets,
-/// the slot table) lives in [`Routing`] behind its own lock. The core mutex
-/// is held briefly — handle resolution, reserve and settle bookkeeping,
-/// journal sync arbitration — never across analysis.
+/// the master platform set and journal bookkeeping. Routing state
+/// (name/platform homes, claim sets, the slot table) lives in [`Routing`]
+/// behind its own lock. The core mutex is held briefly — handle resolution,
+/// reserve and settle bookkeeping, journal sync arbitration — never across
+/// analysis.
 #[derive(Debug)]
 pub(crate) struct Core {
     /// Live transaction name → stable handle.
@@ -259,10 +252,6 @@ pub(crate) struct Core {
     last_compact_epoch: u64,
     /// A thread is currently running an auto-compaction (guards pile-ups).
     compacting: bool,
-    /// At-rest unschedulable shards: slot → cached miss list. Maintained
-    /// where shards are placed ([`World::place`]) so the cross-shard
-    /// admission rule can be evaluated without touching foreign shards.
-    pub(crate) unsched: BTreeMap<usize, Vec<String>>,
     /// The service-wide admission telemetry sink; every controller —
     /// seeded, split, merged, or fresh for free platforms — records its
     /// cone geometry here (see [`AdmissionMetrics`]).
@@ -490,7 +479,6 @@ impl SchedService {
             auto_compact: AutoCompactPolicy::default(),
             last_compact_epoch: 0,
             compacting: false,
-            unsched: BTreeMap::new(),
             admission_metrics: admission_metrics.clone(),
             #[cfg(hsched_model)]
             fail_next_sync: false,
@@ -585,11 +573,10 @@ impl SchedService {
     /// without compaction.
     ///
     /// What is checked: each record's epoch number, that every record
-    /// marked admitted applies and passes reserve's rules (routing, no
-    /// foreign shard unschedulable), and that it
-    /// leaves every shard it touched passing the numeric precheck and
-    /// schedulable ([`SchedService::refresh`]). Each touched island is
-    /// analyzed once, at the end, not once per record; rejected records
+    /// marked admitted routes and applies, and that it leaves every shard
+    /// it touched passing the numeric precheck and schedulable
+    /// ([`SchedService::refresh`]). Each touched island is analyzed once,
+    /// at the end, not once per record; rejected records
     /// are not re-run at all. That a record marked *rejected* would really
     /// have been rejected is what only [`SchedService::replay_verified`]
     /// checks.
@@ -690,12 +677,13 @@ impl SchedService {
     /// as replay does: a record marked rejected only advances the epoch
     /// counters (every rejection leaves shard topology as it was); one
     /// marked admitted has its batch applied without analysis, and the
-    /// shards it touched are analyzed when the state is next read
-    /// ([`SchedService::refresh`]). Divergence — a wrong epoch number, an
-    /// admitted batch that does not apply or that reserve would reject —
-    /// is an [`EngineError::Replay`] that changes nothing, the loud refusal
-    /// a replication follower owes its operator. With no journal attached
-    /// (the standby configuration) the record is applied in memory only.
+    /// shards it touched are analyzed — and must be schedulable — when the
+    /// state is next read ([`SchedService::refresh`]). Divergence — a wrong
+    /// epoch number, an admitted batch that does not apply or that reserve
+    /// would reject — is an [`EngineError::Replay`] that changes nothing,
+    /// the loud refusal a replication follower owes its operator. With no
+    /// journal attached (the standby configuration) the record is applied
+    /// in memory only.
     /// Once a refresh has refused the journal, every later record is
     /// refused with that refusal.
     pub fn apply_journal_record(&self, record: &JournalEpoch) -> Result<(), EngineError> {
@@ -705,11 +693,11 @@ impl SchedService {
     /// Analyzes every shard that journal records left stale, now rather
     /// than at the next observation that needs it. Refuses with
     /// [`EngineError::Replay`] a journal whose admitted records left a
-    /// shard unschedulable or unanalyzable — admitted means every shard
-    /// schedulable, and this is where structural replay checks it. Replay
-    /// calls it at its end; a standby before it compares a heartbeat
-    /// digest, and before promotion. A no-op on an engine no record was
-    /// applied to.
+    /// shard unschedulable or unanalyzable — admitted means every shard it
+    /// touched is schedulable, and this is where structural replay checks
+    /// it. Replay calls it at its end; a standby before it compares a
+    /// heartbeat digest, and before promotion. A no-op on an engine no
+    /// record was applied to.
     ///
     /// The refusal is sticky: from then on this, [`SchedService::submit`],
     /// [`SchedService::snapshot`] and [`SchedService::apply_journal_record`]
@@ -1281,7 +1269,7 @@ impl SchedService {
     pub fn schedulable(&self) -> bool {
         let world = self.analyzed_world();
         let mut shards = world.idle_shards();
-        world.core.refusal.is_none() && shards.all(|s| s.schedulable)
+        world.core.refusal.is_none() && shards.all(|s| s.core.schedulable())
     }
 
     /// Test hook: every idle shard holds the master platform table itself.
@@ -1490,24 +1478,8 @@ impl World<'_> {
         self.routing.slots.iter().filter_map(Slot::as_idle)
     }
 
-    /// The cross-shard admission rule's input: every shard everywhere must
-    /// be schedulable (a single controller scans its whole entry table),
-    /// so an epoch over `keys` gets the at-rest misses of the unschedulable
-    /// shards it does not touch, in slot order. They are read from the
-    /// `unsched` map: their state cannot change before the epoch in the
-    /// ticket order.
-    pub(crate) fn foreign_misses(&self, keys: &[Key]) -> Vec<String> {
-        self.core
-            .unsched
-            .iter()
-            .filter(|(slot, _)| !keys.contains(&Key::Shard(**slot)))
-            .flat_map(|(_, misses)| misses.iter().cloned())
-            .collect()
-    }
-
     /// Puts an island's controller at rest in `slot` — the one place a slot
-    /// becomes `Idle`: its members enter the home maps, its schedulability
-    /// is cached (and entered in `unsched` when it fails), and it adopts the
+    /// becomes `Idle`: its members enter the home maps, and it adopts the
     /// master platform table — the at-rest invariant
     /// (`docs/ARCHITECTURE.md`, "One platform table"). A `stale` controller
     /// — one a journal record left without analysis — goes to rest on the
@@ -1523,26 +1495,19 @@ impl World<'_> {
         for (_, instance) in core.system().instances() {
             routing.instance_home.insert(instance.name.clone(), slot);
         }
-        let mut shard = Shard {
-            schedulable: stale || core.schedulable(),
-            stale,
-            core,
-        };
-        if !shard.schedulable {
-            self.core.unsched.insert(slot, shard.core.misses());
-        }
+        let mut shard = Shard { core, stale };
         shard.adopt(&self.core.platforms);
         self.routing.slots[slot] = Slot::Idle(shard);
     }
 
     /// Analyzes the stale shard in `slot` from scratch
     /// ([`AdmissionController::analyze_from_scratch`], exact by incremental
-    /// == from-scratch) and caches its schedulability; anything else is
-    /// left alone. The journal record that left the shard stale promised
-    /// that it passed admission: a shard whose utilization sum the numeric
-    /// precheck cannot compute, that does not analyze, or that is not
-    /// schedulable is refused with [`EngineError::Replay`], and the refusal
-    /// is kept ([`Core::refusal`]). The precheck
+    /// == from-scratch); anything else is left alone. The journal record
+    /// that left the shard stale promised that it passed admission: a
+    /// shard whose utilization sum the numeric precheck cannot compute,
+    /// that does not analyze, or that is not schedulable is refused with
+    /// [`EngineError::Replay`], and the refusal is kept
+    /// ([`Core::refusal`]). The precheck
     /// ([`AdmissionController::checked_overload`], over the whole shard) is
     /// exact here because the last admitted record touching the island
     /// checked all of its platforms, summing their tasks in the order the
@@ -1571,17 +1536,13 @@ impl World<'_> {
             Ok(()) => {
                 self.metrics.refreshed_shards.incr();
                 shard.stale = false;
-                shard.schedulable = shard.core.schedulable();
-                if shard.schedulable {
+                if shard.core.schedulable() {
                     return Ok(());
                 }
-                let misses = shard.core.misses();
-                let message = format!(
+                format!(
                     "journal refused: an admitted record left {} unschedulable",
-                    misses.join(", ")
-                );
-                self.core.unsched.insert(slot, misses);
-                message
+                    shard.core.misses().join(", ")
+                )
             }
         };
         self.core.refusal.get_or_insert_with(|| message.clone());
@@ -1675,7 +1636,6 @@ impl World<'_> {
 
         self.routing.home.retain(|_, home| !slots.contains(home));
         for &slot in &slots {
-            self.core.unsched.remove(&slot);
             self.routing.slots[slot] = Slot::Vacant;
         }
         let mut unclaimed = Vec::new();
@@ -1730,11 +1690,6 @@ impl World<'_> {
         {
             *slot = renumbered[*slot];
         }
-        let unsched = std::mem::take(&mut self.core.unsched);
-        self.core.unsched = unsched
-            .into_iter()
-            .map(|(slot, misses)| (renumbered[slot], misses))
-            .collect();
     }
 
     /// The first vacant slot (a new one when none is).
@@ -1881,42 +1836,29 @@ impl World<'_> {
         result
     }
 
-    /// Finalizes an epoch's controller: decides the verdict, settles shard
-    /// topology ([`World::place`]), maintains every map, and journals the
-    /// record ([`World::finish`]). `outcome` is the commit's; `None` for a
-    /// journaled admitted batch applied without analysis, whose verdict the
-    /// journal already gave (and [`World::check_out`] already held to the
-    /// cross-shard rule).
+    /// Finalizes an epoch's controller: takes the commit's verdict, settles
+    /// shard topology ([`World::place`]), maintains every map, and journals
+    /// the record ([`World::finish`]). `outcome` is the commit's; `None` for
+    /// a journaled admitted batch applied without analysis, whose verdict
+    /// the journal already gave.
     fn settle_commit(
         &mut self,
         ticket: u64,
         batch: &[AdmissionRequest],
         footprint: &Footprint,
-        mut core: AdmissionController,
+        core: AdmissionController,
         outcome: Option<EpochOutcome>,
     ) -> Result<EngineResponse, EngineError> {
-        // Cross-shard admission rule ([`World::foreign_misses`]); their
-        // misses join the epoch's own in global set order.
-        let unschedulable = |misses| {
-            Verdict::Rejected(RejectReason::Unschedulable {
-                misses: self.core.order_misses(misses, batch),
-            })
-        };
         let stale = outcome.is_none();
         let verdict = match outcome.as_ref().map(|o| o.verdict.clone()) {
             None => Verdict::Admitted,
-            Some(Verdict::Admitted) => match self.foreign_misses(&footprint.keys) {
-                misses if misses.is_empty() => Verdict::Admitted,
-                misses => {
-                    core.rollback_last();
-                    unschedulable(misses)
-                }
-            },
-            Some(Verdict::Rejected(RejectReason::Unschedulable { mut misses })) => {
-                misses.extend(self.foreign_misses(&footprint.keys));
-                unschedulable(misses)
+            // The merged controller holds its shards in slot order.
+            Some(Verdict::Rejected(RejectReason::Unschedulable { misses })) => {
+                Verdict::Rejected(RejectReason::Unschedulable {
+                    misses: self.core.order_misses(misses, batch),
+                })
             }
-            Some(rejected) => rejected,
+            Some(verdict) => verdict,
         };
 
         let admitted = verdict.admitted();
@@ -2263,7 +2205,6 @@ impl Core {
                 .cmp(&self.set_rank(b, batch))
                 .then_with(|| a.cmp(b))
         });
-        misses.dedup();
         misses
     }
 }

@@ -24,8 +24,8 @@ use std::collections::{BTreeSet, HashMap};
 use std::path::Path;
 
 /// A generated scenario with every deadline-missing transaction removed,
-/// so arrivals are judged on their own merit (the service refuses every
-/// arrival while any island misses).
+/// so arrivals are judged on their own merit (an island that already
+/// misses rejects every arrival on it).
 pub fn schedulable_scenario(spec: &ScenarioSpec) -> TransactionSet {
     let set = random_scenario(spec);
     let mut controller =

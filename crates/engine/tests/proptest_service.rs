@@ -586,50 +586,45 @@ proptest! {
     }
 }
 
-/// A concurrent heal of an unsummable island must serialize against
-/// disjoint epochs: whichever ticket order the service picks, the journal
-/// has to replay to the same verdicts. The reserve-time numeric rejection
-/// this first guarded (it raced the in-flight healer and recorded a
-/// rejection that replayed as admitted) no longer exists — batches on the
-/// other island never look at the unsummable one — so what is left is that
-/// a heal racing disjoint epochs replays serially.
+/// A concurrent heal of a hostile island B — unsummable in even rounds,
+/// missing a deadline in odd ones — must serialize against disjoint epochs
+/// on island A: those are judged on A alone, so all three are admitted
+/// whatever their ticket order against the heal, and the journal replays
+/// to the same state. The healer waits for 0–3 of A's epochs to return
+/// before it races the rest, so every order occurs. The reserve-time
+/// numeric rejection this first guarded (it raced the in-flight healer and
+/// recorded a rejection that replayed as admitted) no longer exists, and
+/// neither does the rejection of A's epochs for B's misses.
 #[test]
 fn concurrent_poison_heal_replays_serially() {
-    for round in 0..6u64 {
+    for round in 0..8u64 {
         let mut platforms = PlatformSet::new();
         let a = platforms.add(Platform::dedicated("A"));
-        let b = platforms.add(Platform::dedicated("B"));
-        let primes: [i128; 5] = [
-            1_000_000_000_039,
-            1_000_000_000_061,
-            1_000_000_000_063,
-            1_000_000_000_091,
-            999_999_999_989,
-        ];
-        let mut seed_txns = vec![Transaction::new(
-            "normal",
+        let one = |name: String, period, deadline, wcet, priority, p| {
+            let task = Task::new(format!("{name}_t"), wcet, wcet, priority, p);
+            Transaction::new(name, period, deadline, vec![task]).unwrap()
+        };
+        let mut seed_txns = vec![one(
+            "normal".into(),
             rat(10, 1),
             rat(10, 1),
-            vec![Task::new("n", rat(1, 1), rat(1, 1), 1, a)],
-        )
-        .unwrap()];
-        for (i, p) in primes.iter().enumerate() {
-            seed_txns.push(
-                Transaction::new(
-                    format!("hostile{i}"),
-                    rat(*p, 1),
-                    rat(*p, 1),
-                    vec![Task::new(
-                        format!("h{i}"),
-                        rat(1, 1),
-                        rat(1, 1),
-                        1 + i as u32,
-                        b,
-                    )],
-                )
-                .unwrap(),
-            );
-        }
+            rat(1, 1),
+            1,
+            a,
+        )];
+        let heal: Vec<String> = if round % 2 == 0 {
+            let b = platforms.add(Platform::dedicated("B"));
+            for (i, &p) in common::HUGE_PERIODS.iter().enumerate() {
+                let (name, period) = (format!("hostile{i}"), rat(p, 1));
+                seed_txns.push(one(name, period, period, rat(1, 1), 1 + i as u32, b));
+            }
+            (0..4).map(|i| format!("hostile{i}")).collect()
+        } else {
+            // Converged, but 1/2 unit at rate 1/10 takes 5 > 1.
+            let b = platforms.add(Platform::linear("B", rat(1, 10), rat(0, 1), rat(0, 1)).unwrap());
+            seed_txns.push(one("hog".into(), rat(10, 1), rat(1, 1), rat(1, 2), 1, b));
+            vec!["hog".into()]
+        };
         let set = TransactionSet::new(platforms, seed_txns).unwrap();
         let config = AnalysisConfig::default();
         let policy = AdmissionPolicy::default();
@@ -640,14 +635,17 @@ fn concurrent_poison_heal_replays_serially() {
             .with_journal(&path)
             .unwrap();
 
+        let (returned, client_returned) = std::sync::mpsc::channel();
         std::thread::scope(|scope| {
-            // Healer: touches the unsummable island B.
+            // Healer: touches the hostile island B.
             let healer = &service;
             scope.spawn(move || {
-                let heal: Vec<AdmissionRequest> = (0..4)
-                    .map(|i| AdmissionRequest::RemoveTransaction {
-                        name: format!("hostile{i}"),
-                    })
+                for _ in 0..round / 2 {
+                    client_returned.recv().unwrap();
+                }
+                let heal = heal
+                    .into_iter()
+                    .map(|name| AdmissionRequest::RemoveTransaction { name })
                     .collect();
                 healer.submit(&EngineRequest::batch(heal)).unwrap();
             });
@@ -655,18 +653,12 @@ fn concurrent_poison_heal_replays_serially() {
             let client = &service;
             scope.spawn(move || {
                 for k in 0..3 {
-                    let tx = Transaction::new(
-                        format!("x{k}"),
-                        rat(10, 1),
-                        rat(10, 1),
-                        vec![Task::new(format!("x{k}.t"), rat(1, 1), rat(1, 1), 2, a)],
-                    )
-                    .unwrap();
-                    client
-                        .submit(&EngineRequest::batch(vec![
-                            AdmissionRequest::AddTransaction(tx),
-                        ]))
-                        .unwrap();
+                    let tx = one(format!("x{k}"), rat(10, 1), rat(10, 1), rat(1, 1), 2, a);
+                    let batch = vec![AdmissionRequest::AddTransaction(tx)];
+                    let response = client.submit(&EngineRequest::batch(batch)).unwrap();
+                    let verdict = response.outcome.verdict;
+                    assert!(verdict.admitted(), "round {round}: x{k} {verdict}");
+                    let _ = returned.send(());
                 }
             });
         });
