@@ -37,8 +37,7 @@ pub struct AdmissionPolicy {
     /// fixpoint (uses checked arithmetic, so hostile magnitudes reject
     /// instead of panicking). Checked on the platforms of the islands the
     /// batch touches — those that, once it is applied, hold a platform of an
-    /// arrival, a departure, a retune or an added or removed instance —
-    /// whether or not `dirty_tracking`
+    /// arrival, a departure or a retune — whether or not `dirty_tracking`
     /// is on: an overloaded or unsummable island the batch never touches
     /// does not reject it here.
     pub utilization_precheck: bool,
@@ -227,29 +226,6 @@ impl AdmissionController {
         Ok(())
     }
 
-    /// Starts a controller from a component system, flattening it and
-    /// remembering which instance originated each transaction (so those
-    /// instances can later depart via
-    /// [`AdmissionRequest::RemoveInstance`]).
-    pub fn from_system(
-        system: System,
-        platforms: PlatformSet,
-        config: AnalysisConfig,
-        policy: AdmissionPolicy,
-    ) -> Result<AdmissionController, String> {
-        let options = FlattenOptions {
-            external_stimuli: policy.external_stimuli,
-        };
-        let (set, origins) =
-            flatten_annotated(&system, &platforms, options).map_err(|e| e.to_string())?;
-        let mut controller = AdmissionController::new(set, config, policy)?;
-        for (entry, origin) in controller.entries.iter_mut().zip(origins) {
-            entry.origin = Some(system.instances[origin.0].name.clone());
-        }
-        controller.system = system;
-        Ok(controller)
-    }
-
     /// The live transaction set.
     pub fn current_set(&self) -> &TransactionSet {
         &self.set
@@ -340,8 +316,7 @@ impl AdmissionController {
     /// the affected interference islands are re-analyzed (in parallel, warm
     /// where exact), and the batch is admitted iff every island it touches
     /// — one that, once it is applied, holds a platform of an arrival, a
-    /// departure, a retune or an added or removed instance — is
-    /// schedulable. Interference never crosses
+    /// departure or a retune — is schedulable. Interference never crosses
     /// an island (Eq. 17), so no other island's verdict can move: admitted
     /// ⇒ every touched island is schedulable, and a controller seeded
     /// schedulable stays schedulable. On any rejection the controller's
@@ -354,18 +329,6 @@ impl AdmissionController {
         let mut undo = UndoLog::default();
         let additive = batch.iter().all(AdmissionRequest::is_additive);
 
-        // An instance touches its platform even if its class flattens to no
-        // transaction; a departing one is looked up before it departs.
-        let placed: Vec<PlatformId> = batch
-            .iter()
-            .filter_map(|request| match request {
-                AdmissionRequest::AddInstance { platform, .. } => Some(*platform),
-                AdmissionRequest::RemoveInstance { name } => {
-                    self.system.instance_by_name(name).map(|(_, i)| i.platform)
-                }
-                _ => None,
-            })
-            .collect();
         let mut seeds: Vec<DirtySeed> = Vec::new();
         let mut arrivals: Vec<String> = Vec::new();
         for request in batch {
@@ -382,7 +345,7 @@ impl AdmissionController {
                 }
             }
         }
-        let touched = self.touched_islands(&seeds, &placed);
+        let touched = self.touched_islands(&seeds);
 
         if self.policy.utilization_precheck {
             match self.overload_in(touched.iter().flatten().copied()) {
@@ -560,8 +523,7 @@ impl AdmissionController {
     /// the sharded engine is in when one epoch touches several shards.
     ///
     /// Both controllers must share the same platform set, analysis config,
-    /// and policy, and neither may carry RPC bindings (router-built shards
-    /// never do). The merged controller keeps the larger epoch and sums the
+    /// and policy. The merged controller keeps the larger epoch and sums the
     /// stats.
     pub fn merge_from(&mut self, other: AdmissionController) -> Result<(), String> {
         if self.set.platforms() != other.set.platforms() {
@@ -572,9 +534,6 @@ impl AdmissionController {
         }
         if self.policy != other.policy {
             return Err("cannot merge controllers with different policies".into());
-        }
-        if !self.system.bindings.is_empty() || !other.system.bindings.is_empty() {
-            return Err("cannot merge controllers whose systems carry RPC bindings".into());
         }
         for tx in other.set.transactions() {
             self.set.push_transaction(tx.clone())?;
@@ -600,12 +559,13 @@ impl AdmissionController {
     /// a fresh seed of just that island would compute). Every part shares
     /// this controller's platform table, so task `PlatformId`s stay valid.
     ///
-    /// Returns `vec![self]` unchanged when there is a single island, no
-    /// transaction at all, or the system carries RPC bindings (bound
-    /// instances may interfere through messages, so they stay together).
-    /// The first part inherits the stats; later parts start from zero.
+    /// Returns `vec![self]` unchanged when there is a single island or no
+    /// transaction at all. The first part inherits the stats; later parts
+    /// start from zero. Instances follow their transactions: the system
+    /// never carries bindings (only self-contained instances are admitted),
+    /// so instances interfere only through the transactions they own.
     pub fn split_islands(self) -> Vec<AdmissionController> {
-        if self.set.transactions().is_empty() || !self.system.bindings.is_empty() {
+        if self.set.transactions().is_empty() {
             return vec![self];
         }
         let islands = dirty_components(&self.set, &vec![true; self.set.transactions().len()]);
@@ -661,8 +621,8 @@ impl AdmissionController {
     /// controller is seeded from them and the instance bookkeeping is
     /// replayed onto it with this call instead of re-flattening.
     ///
-    /// Every member must name a live transaction that is not already owned
-    /// by an instance.
+    /// There must be a member, and every member must name a live
+    /// transaction that is not already owned by an instance.
     pub fn restore_instance(
         &mut self,
         class: hsched_model::ComponentClass,
@@ -671,6 +631,9 @@ impl AdmissionController {
     ) -> Result<(), String> {
         if self.system.instance_by_name(&instance.name).is_some() {
             return Err(format!("instance `{}` already live", instance.name));
+        }
+        if members.is_empty() {
+            return Err(format!("instance `{}` owns no transaction", instance.name));
         }
         let mut indices = Vec::with_capacity(members.len());
         for member in members {
@@ -829,6 +792,9 @@ impl AdmissionController {
                 };
                 let (subset, _) = flatten_annotated(&staged, self.set.platforms(), options)
                     .map_err(|e| e.to_string())?;
+                if subset.transactions().is_empty() {
+                    return Err(format!("class `{}` flattens to no transaction", class.name));
+                }
                 for tx in subset.transactions() {
                     if self.set.transaction_index(&tx.name).is_some() {
                         return Err(format!("transaction `{}` already live", tx.name));
@@ -914,17 +880,15 @@ impl AdmissionController {
 
     /// The islands an applied batch touches: those holding a platform one
     /// of its `seeds` names — an arrival's tasks, a departure's footprint,
-    /// a retuned platform — or the platform of an instance it adds or
-    /// removes (`placed`). Interference never crosses an island (Eq. 17's
+    /// a retuned platform. Interference never crosses an island (Eq. 17's
     /// `hp` sets are per platform), so no other island's verdict can move.
-    fn touched_islands(&self, seeds: &[DirtySeed], placed: &[PlatformId]) -> Vec<Vec<usize>> {
+    fn touched_islands(&self, seeds: &[DirtySeed]) -> Vec<Vec<usize>> {
         let touched: HashSet<usize> = seeds
             .iter()
             .map(|seed| match *seed {
                 DirtySeed::Task(r) => self.set.task(r).platform.0,
                 DirtySeed::Footprint { platform, .. } | DirtySeed::Platform(platform) => platform.0,
             })
-            .chain(placed.iter().map(|p| p.0))
             .collect();
         let txs = self.set.transactions();
         dirty_components(&self.set, &vec![true; txs.len()])

@@ -58,10 +58,10 @@
 //!
 //! 1. **Seed** — build a controller from a flattened
 //!    [`hsched_transaction::TransactionSet`]
-//!    ([`AdmissionController::new`]) or from a component-level `System`
-//!    ([`AdmissionController::from_system`], which remembers each
-//!    transaction's originating instance). One full analysis populates the
-//!    per-transaction cache.
+//!    ([`AdmissionController::new`]). One full analysis populates the
+//!    per-transaction cache. Component instances arrive later, as
+//!    [`AdmissionRequest::AddInstance`] requests that remember each
+//!    flattened transaction's originating instance.
 //! 2. **Serve** — for each epoch, collect the pending
 //!    [`AdmissionRequest`]s and call [`AdmissionController::commit`]. The
 //!    returned [`EpochOutcome`] says whether the batch is live and how much
@@ -610,62 +610,60 @@ mod tests {
     }
 
     #[test]
-    fn an_instance_without_transactions_touches_its_platform() {
-        // B holds an overloaded `hog` instance and `idle`, an instance of a
-        // class with no threads; `good` runs on A. Adding or removing a
-        // thread-less instance on B is judged on B's island all the same.
+    fn an_instance_without_transactions_is_rejected_structural() {
+        // `good` runs on A, an overloaded `hog` on B, and C is free. A class
+        // with no threads, or only an event-triggered one while external
+        // stimuli are off, flattens to no transaction: it is turned away as
+        // structural on every platform, and the state is rolled back.
         let unchecked = AdmissionPolicy {
             utilization_precheck: false,
             ..AdmissionPolicy::default()
         };
+        let idle = ComponentClass::new("Idle");
+        let on_call = ComponentClass::new("OnCall")
+            .provides(ProvidedMethod::new("poke", rat(50, 1)))
+            .thread(ThreadSpec::realizes(
+                "Poke",
+                "poke",
+                1,
+                vec![Action::task("p", rat(1, 1), rat(1, 1))],
+            ));
         for policy in policies().into_iter().chain([unchecked]) {
-            let mut platforms = PlatformSet::new();
-            let a = platforms.add(Platform::dedicated("A"));
-            let b = platforms.add(Platform::linear("B", rat(1, 10), rat(0, 1), rat(0, 1)).unwrap());
-            let thread = |period, wcet| {
-                ThreadSpec::periodic(
-                    "T",
-                    rat(period, 1),
-                    1,
-                    vec![Action::task("t", rat(wcet, 1), rat(wcet, 1))],
-                )
-            };
-            let mut builder = hsched_model::SystemBuilder::new();
-            let good = builder.add_class(ComponentClass::new("Good").thread(thread(10, 1)));
-            let hog = builder.add_class(ComponentClass::new("Hog").thread(thread(10, 2)));
-            let idle = builder.add_class(ComponentClass::new("Idle"));
-            builder.instantiate("good", good, a, 0);
-            builder.instantiate("hog", hog, b, 0);
-            builder.instantiate("idle", idle, b, 0);
-            let mut controller = AdmissionController::from_system(
-                builder.build(),
-                platforms,
-                AnalysisConfig::default(),
-                policy,
-            )
-            .unwrap();
-            let report = controller.report();
-            let add_idle = |name: &str, platform| AdmissionRequest::AddInstance {
-                name: name.into(),
-                class: ComponentClass::new("Idle"),
-                platform,
-                node: 0,
-            };
-            for request in [
-                add_idle("more", b),
-                AdmissionRequest::RemoveInstance {
-                    name: "idle".into(),
-                },
-            ] {
-                let outcome = controller.admit(request);
-                assert!(!outcome.verdict.admitted(), "{}", outcome.verdict);
-                assert_eq!(controller.report(), report, "rolled back");
+            for (class, external_stimuli) in [(&idle, true), (&on_call, false)] {
+                let mut platforms = PlatformSet::new();
+                let a = platforms.add(Platform::dedicated("A"));
+                let b =
+                    platforms.add(Platform::linear("B", rat(1, 10), rat(0, 1), rat(0, 1)).unwrap());
+                let c = platforms.add(Platform::dedicated("C"));
+                let one = |name: &str, wcet, p| {
+                    let task = Task::new(format!("{name}.t"), rat(wcet, 1), rat(wcet, 1), 1, p);
+                    Transaction::new(name, rat(10, 1), rat(10, 1), vec![task]).unwrap()
+                };
+                let set = TransactionSet::new(platforms, vec![one("good", 1, a), one("hog", 2, b)])
+                    .unwrap();
+                let policy = AdmissionPolicy {
+                    external_stimuli,
+                    ..policy.clone()
+                };
+                let mut controller =
+                    AdmissionController::new(set, AnalysisConfig::default(), policy).unwrap();
+                let report = controller.report();
+                for platform in [a, b, c] {
+                    let outcome = controller.admit(AdmissionRequest::AddInstance {
+                        name: "empty".into(),
+                        class: class.clone(),
+                        platform,
+                        node: 0,
+                    });
+                    let expected = Verdict::Rejected(RejectReason::Structural(format!(
+                        "class `{}` flattens to no transaction",
+                        class.name
+                    )));
+                    assert_eq!(outcome.verdict, expected);
+                    assert_eq!(controller.report(), report, "rolled back");
+                    assert!(controller.system().instances.is_empty());
+                }
             }
-            assert!(controller.admit(add_idle("more", a)).verdict.admitted());
-            let outcome = controller.admit(AdmissionRequest::RemoveInstance {
-                name: "more".into(),
-            });
-            assert!(outcome.verdict.admitted());
         }
     }
 
@@ -757,34 +755,5 @@ mod tests {
         assert!(outcome.verdict.admitted());
         assert_eq!(outcome.analyzed_transactions, 0);
         assert_eq!(controller.epoch(), 1);
-    }
-
-    #[test]
-    fn from_system_tags_origins() {
-        use hsched_model::SystemBuilder;
-        let mut platforms = PlatformSet::new();
-        let p = platforms.add(Platform::dedicated("cpu"));
-        let class = ComponentClass::new("Worker").thread(ThreadSpec::periodic(
-            "T",
-            rat(20, 1),
-            1,
-            vec![Action::task("w", rat(1, 1), rat(1, 1))],
-        ));
-        let mut builder = SystemBuilder::new();
-        let c = builder.add_class(class);
-        builder.instantiate("w1", c, p, 0);
-        builder.instantiate("w2", c, p, 0);
-        let mut controller = AdmissionController::from_system(
-            builder.build(),
-            platforms,
-            AnalysisConfig::default(),
-            AdmissionPolicy::default(),
-        )
-        .unwrap();
-        assert_eq!(controller.current_set().transactions().len(), 2);
-        let outcome = controller.admit(AdmissionRequest::RemoveInstance { name: "w2".into() });
-        assert!(outcome.verdict.admitted(), "{}", outcome.verdict);
-        assert_eq!(controller.current_set().transactions().len(), 1);
-        assert_eq!(controller.current_set().transactions()[0].name, "w1.T");
     }
 }

@@ -39,7 +39,9 @@ pub enum AdmissionRequest {
     /// transactions tagged with the instance, so the instance can later
     /// depart as a unit. The class must be self-contained (no required
     /// methods) — cross-component bindings cannot be admitted atomically
-    /// with a single instance.
+    /// with a single instance — and must flatten to at least one
+    /// transaction: an instance reaches the analysis only through its
+    /// transactions, so one with none is rejected as structural.
     AddInstance {
         /// Unique instance name.
         name: String,

@@ -387,17 +387,19 @@ mod tests {
     }
 
     #[test]
-    fn an_instance_without_transactions_is_judged_on_its_platform() {
-        // Island B is unschedulable at rest (`hog` misses its deadline). An
-        // instance of a class with no threads adds no transaction, but it
-        // lands on its platform's shard: on B both engines reject it for
-        // B's misses, on A they admit it and let it depart. The journal then
-        // replays — structurally, verified and on a standby — to the live
-        // state, and a forged admitted record of the batch on B is refused.
-        use hsched_model::ComponentClass;
+    fn both_engines_reject_an_instance_without_transactions() {
+        // `good` runs on A, an unschedulable `hog` on B, and C is free. A
+        // class with no threads, or only an event-triggered one while
+        // external stimuli are off, flattens to no transaction: both engines
+        // reject it as structural on every platform, before and after a
+        // bridge joins A and C and leaves again and a snapshot compacts the
+        // journal. Every replay reaches the live state, and a forged
+        // admitted record of the add does not apply.
+        use hsched_model::{Action, ComponentClass, ProvidedMethod, ThreadSpec};
         let mut platforms = PlatformSet::new();
         let a = platforms.add(Platform::dedicated("A"));
         let b = platforms.add(Platform::linear("B", rat(1, 10), rat(0, 1), rat(0, 1)).unwrap());
+        let c = platforms.add(Platform::dedicated("C"));
         let hog = Transaction::new(
             "hog",
             rat(10, 1),
@@ -406,78 +408,181 @@ mod tests {
         )
         .unwrap();
         let set = TransactionSet::new(platforms, vec![tx_on("good", a), hog]).unwrap();
-        let idle_on = |platform| {
-            vec![AdmissionRequest::AddInstance {
-                name: "idle".into(),
-                class: ComponentClass::new("Idle"),
-                platform,
-                node: 0,
-            }]
-        };
-        let seed = || {
-            SchedService::new(
-                set.clone(),
-                AnalysisConfig::default(),
-                AdmissionPolicy::default(),
-            )
-            .unwrap()
-        };
-        let path = std::env::temp_dir().join(format!(
-            "hsched-engine-test-idle-instance-{}.journal",
-            std::process::id()
-        ));
-        let engine = seed().with_journal(&path).unwrap();
-        let mut single = hsched_admission::AdmissionController::new(
-            set.clone(),
-            AnalysisConfig::default(),
-            AdmissionPolicy::default(),
+        let bridge = Transaction::new(
+            "bridge",
+            rat(20, 1),
+            rat(20, 1),
+            vec![
+                Task::new("b0", rat(1, 1), rat(1, 1), 2, a),
+                Task::new("b1", rat(1, 1), rat(1, 1), 2, c),
+            ],
         )
         .unwrap();
-        let miss = Verdict::Rejected(RejectReason::Unschedulable {
-            misses: vec!["hog".to_string()],
-        });
-        let remove = vec![AdmissionRequest::RemoveInstance {
-            name: "idle".into(),
-        }];
-        for (batch, expected) in [
-            (idle_on(b), miss),
-            (idle_on(a), Verdict::Admitted),
-            (remove, Verdict::Admitted),
-        ] {
-            assert_eq!(single.commit(&batch).verdict, expected);
-            let response = engine.submit(&EngineRequest::batch(batch)).unwrap();
-            assert_eq!(response.outcome.verdict, expected);
-        }
-        let digest = engine.state_digest();
-        drop(engine);
+        let on_call = ComponentClass::new("OnCall")
+            .provides(ProvidedMethod::new("poke", rat(50, 1)))
+            .thread(ThreadSpec::realizes(
+                "Poke",
+                "poke",
+                1,
+                vec![Action::task("p", rat(1, 1), rat(1, 1))],
+            ));
+        let quiet = AdmissionPolicy {
+            external_stimuli: false,
+            ..AdmissionPolicy::default()
+        };
+        let cases = [
+            (ComponentClass::new("Idle"), AdmissionPolicy::default()),
+            (on_call, quiet),
+        ];
+        for (k, (class, policy)) in cases.into_iter().enumerate() {
+            let add_on = |platform| {
+                vec![AdmissionRequest::AddInstance {
+                    name: "empty".into(),
+                    class: class.clone(),
+                    platform,
+                    node: 0,
+                }]
+            };
+            let empty = Verdict::Rejected(RejectReason::Structural(format!(
+                "class `{}` flattens to no transaction",
+                class.name
+            )));
+            let unknown =
+                Verdict::Rejected(RejectReason::Structural("no instance named `empty`".into()));
+            let remove = vec![AdmissionRequest::RemoveInstance {
+                name: "empty".into(),
+            }];
+            let seed = || {
+                SchedService::new(set.clone(), AnalysisConfig::default(), policy.clone()).unwrap()
+            };
+            let path = std::env::temp_dir().join(format!(
+                "hsched-engine-test-empty-instance-{k}-{}.journal",
+                std::process::id()
+            ));
+            let engine = seed().with_journal(&path).unwrap();
+            let mut single = hsched_admission::AdmissionController::new(
+                set.clone(),
+                AnalysisConfig::default(),
+                policy.clone(),
+            )
+            .unwrap();
+            let mut history = vec![
+                (add_on(c), empty.clone()),
+                (remove.clone(), unknown.clone()),
+                (add_on(a), empty.clone()),
+                (add_on(b), empty.clone()),
+                (
+                    vec![AdmissionRequest::AddTransaction(bridge.clone())],
+                    Verdict::Admitted,
+                ),
+                (
+                    vec![AdmissionRequest::RemoveTransaction {
+                        name: "bridge".into(),
+                    }],
+                    Verdict::Admitted,
+                ),
+                (remove.clone(), unknown.clone()),
+                (add_on(a), empty.clone()),
+            ];
+            let tail = history.split_off(4);
+            let mut run = |history: Vec<(Vec<AdmissionRequest>, Verdict)>| {
+                for (batch, expected) in history {
+                    assert_eq!(single.commit(&batch).verdict, expected);
+                    let response = engine.submit(&EngineRequest::batch(batch)).unwrap();
+                    assert_eq!(response.outcome.verdict, expected);
+                }
+            };
+            run(history);
+            let standby = seed();
+            for record in read_journal(&path).unwrap().epochs {
+                standby.apply_journal_record(&record).unwrap();
+            }
+            standby.refresh().unwrap();
+            assert_eq!(standby.state_digest(), engine.state_digest());
+            engine.snapshot().unwrap();
+            run(tail);
+            let digest = engine.state_digest();
+            drop(engine);
 
-        for replay in [SchedService::replay, SchedService::replay_verified] {
-            let (replayed, _) = replay(
+            for replay in [SchedService::replay, SchedService::replay_verified] {
+                let (replayed, _) = replay(
+                    set.clone(),
+                    AnalysisConfig::default(),
+                    policy.clone(),
+                    &path,
+                )
+                .unwrap();
+                assert_eq!(replayed.state_digest(), digest);
+            }
+            let _ = std::fs::remove_file(&path);
+
+            let path = forged_journal("empty-instance", 3, &[(add_on(b), true)]);
+            match SchedService::replay(set.clone(), AnalysisConfig::default(), policy, &path) {
+                Err(EngineError::Replay(message)) => {
+                    assert!(message.contains("does not apply: class"), "{message}")
+                }
+                other => panic!("expected a refusal, got {other:?}"),
+            }
+            let _ = std::fs::remove_file(&path);
+        }
+    }
+
+    #[test]
+    fn rebuild_refuses_a_snapshot_instance_without_transactions() {
+        // A snapshot block whose instance owns no listed transaction: on a
+        // platform with a shard the shard refuses it, on a free platform
+        // there is no shard to attach it to.
+        use hsched_model::ComponentClass;
+        let (engine, a, _) = two_island_engine();
+        let set = engine.current_set();
+        let free = PlatformId(set.platforms().len());
+        let mut platforms = set.platforms().clone();
+        platforms.add(Platform::dedicated("C"));
+        let set = TransactionSet::new(platforms, set.transactions().to_vec()).unwrap();
+        let txns = set
+            .transactions()
+            .iter()
+            .enumerate()
+            .map(|(id, tx)| SnapshotTxn {
+                origin: None,
+                id: Some(id as u64),
+                tx: tx.clone(),
+            })
+            .collect();
+        let path = std::env::temp_dir().join(format!(
+            "hsched-engine-test-empty-snapshot-instance-{}.journal",
+            std::process::id()
+        ));
+        for (platform, why) in [
+            (a, "owns no transaction"),
+            (free, "has no shard on its platform"),
+        ] {
+            let snap = Snapshot {
+                epoch: 0,
+                admitted: 0,
+                rejected: 0,
+                next_id: 2,
+                digest: engine.state_digest(),
+                platforms: Vec::new(),
+                instances: vec![SnapshotInstance {
+                    name: "idle".into(),
+                    platform,
+                    node: 0,
+                    class: ComponentClass::new("Idle"),
+                }],
+                txns: Vec::clone(&txns),
+            };
+            JournalWriter::rewrite_with_snapshot(&path, 3, &snap.encode_block()).unwrap();
+            let replayed = SchedService::replay(
                 set.clone(),
                 AnalysisConfig::default(),
                 AdmissionPolicy::default(),
                 &path,
-            )
-            .unwrap();
-            assert_eq!(replayed.state_digest(), digest);
-        }
-        let standby = seed();
-        for record in read_journal(&path).unwrap().epochs {
-            standby.apply_journal_record(&record).unwrap();
-        }
-        standby.refresh().unwrap();
-        assert_eq!(standby.state_digest(), digest);
-        let _ = std::fs::remove_file(&path);
-
-        let path = forged_journal("idle-instance", 2, &[(idle_on(b), true)]);
-        match SchedService::replay(
-            set.clone(),
-            AnalysisConfig::default(),
-            AdmissionPolicy::default(),
-            &path,
-        ) {
-            Err(EngineError::Replay(message)) => assert!(message.contains("hog"), "{message}"),
-            other => panic!("expected a refusal, got {other:?}"),
+            );
+            match replayed {
+                Err(EngineError::Replay(message)) => assert!(message.contains(why), "{message}"),
+                other => panic!("expected a refusal, got {other:?}"),
+            }
         }
         let _ = std::fs::remove_file(&path);
     }

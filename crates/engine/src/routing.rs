@@ -34,11 +34,17 @@ use std::time::Instant;
 
 /// Everything reserve routes against, behind the routing lock: the at-rest
 /// home maps, the claim sets of in-flight epochs, and the shard slot table.
+///
+/// Islands partition the platforms, so a name is homed by a platform it
+/// lives on and only `home` names a slot: renumbering or re-placing a shard
+/// rewrites `home` alone.
 #[derive(Debug, Default)]
 pub(crate) struct Routing {
-    /// Live transaction name → shard slot.
+    /// Live transaction name → a platform its tasks run on (its first
+    /// task's). Fixed while the transaction is live.
     pub(crate) txn_home: HashMap<String, usize>,
-    /// Live component-instance name → shard slot.
+    /// Live component-instance name → its platform, which one of its
+    /// transactions at least runs on. Fixed while the instance is live.
     pub(crate) instance_home: HashMap<String, usize>,
     /// Names (transactions + instances, including flattened members)
     /// mentioned by in-flight epochs — the name-conflict set.
@@ -266,9 +272,8 @@ pub(crate) fn route(view: &World<'_>, batch: &[AdmissionRequest]) -> RouteOutcom
                     }
                     None => match view.instance_slot(name) {
                         Some(slot) => {
-                            let Some(members) = view.instance_txns(slot, name) else {
-                                return RouteOutcome::Blocked;
-                            };
+                            touch!(Key::Shard(slot));
+                            let members = view.instance_members(name);
                             for txn in &members {
                                 claim_name!(txn);
                                 // The instance's flattened transactions
@@ -276,7 +281,6 @@ pub(crate) fn route(view: &World<'_>, batch: &[AdmissionRequest]) -> RouteOutcom
                                 tx_state.insert(txn.clone(), NameState::Absent);
                             }
                             removed_instance_txns[i] = members;
-                            touch!(Key::Shard(slot));
                         }
                         None => {
                             return RouteOutcome::Structural(format!("no instance named `{name}`"));
@@ -308,13 +312,14 @@ impl World<'_> {
     }
 
     /// Whether a live transaction carries this name.
-    fn txn_live(&self, name: &str) -> bool {
+    pub(crate) fn txn_live(&self, name: &str) -> bool {
         self.routing.txn_home.contains_key(name)
     }
 
     /// Home slot of a live transaction.
-    fn txn_slot(&self, name: &str) -> Option<usize> {
-        self.routing.txn_home.get(name).copied()
+    pub(crate) fn txn_slot(&self, name: &str) -> Option<usize> {
+        let p = self.routing.txn_home.get(name)?;
+        self.routing.home.get(p).copied()
     }
 
     /// Whether an in-flight epoch has the slot's shard checked out.
@@ -341,16 +346,43 @@ impl World<'_> {
     }
 
     /// Home slot of a live instance.
-    fn instance_slot(&self, name: &str) -> Option<usize> {
-        self.routing.instance_home.get(name).copied()
+    pub(crate) fn instance_slot(&self, name: &str) -> Option<usize> {
+        let p = self.routing.instance_home.get(name)?;
+        self.routing.home.get(p).copied()
     }
 
-    /// Flattened member transactions of the live instance `name` homed at
-    /// `slot`; `None` when the owning shard is checked out.
-    fn instance_txns(&self, slot: usize, name: &str) -> Option<Vec<String>> {
-        self.routing.slots[slot]
-            .as_idle()
-            .map(|s| s.core.transactions_of_instance(name))
+    /// Flattened member transactions of the live instance `name` (empty
+    /// when it is not live at rest).
+    pub(crate) fn instance_members(&self, name: &str) -> Vec<String> {
+        let shard = self
+            .instance_slot(name)
+            .and_then(|slot| self.routing.slots[slot].as_idle());
+        shard.map_or_else(Vec::new, |s| s.core.transactions_of_instance(name))
+    }
+
+    /// The homing invariant, checked: every name an idle shard holds, and
+    /// every platform it uses, resolves through `home` to its slot; every
+    /// `home` entry leads to a slot that uses the platform or is `Busy`.
+    pub(crate) fn homes_resolve(&self) -> bool {
+        let mut used = HashSet::new();
+        for (slot, entry) in self.routing.slots.iter().enumerate() {
+            let Slot::Idle(shard) = entry else { continue };
+            let set = shard.core.current_set();
+            let txns = set.transactions().iter().map(|t| self.txn_slot(&t.name));
+            let instances = shard.core.system().instances.iter();
+            if !txns
+                .chain(instances.map(|i| self.instance_slot(&i.name)))
+                .all(|home| home == Some(slot))
+            {
+                return false;
+            }
+            used.extend(set.task_refs().map(|r| (set.task(r).platform.0, slot)));
+        }
+        let home = &self.routing.home;
+        used.iter().all(|(p, slot)| home.get(p) == Some(slot))
+            && home.iter().all(|(&p, &slot)| {
+                matches!(self.routing.slots[slot], Slot::Busy) || used.contains(&(p, slot))
+            })
     }
 
     /// Member transaction names an arriving instance would flatten into

@@ -44,9 +44,9 @@
 //!
 //! ## The front door
 //!
-//! Reserve is one path behind one **routing lock**: the name→shard and
-//! platform→shard home maps, the claim sets of in-flight epochs and the
-//! slot table live together in [`Routing`], so [`route`] sees the exact
+//! Reserve is one path behind one **routing lock**: the platform→shard
+//! home map (a name is homed by its platform), the claim sets of in-flight
+//! epochs and the slot table live together in [`Routing`], so [`route`] sees the exact
 //! state and the lock is held from the routing decision to the ticket —
 //! no settle can slip between the two. The concurrency that pays is in
 //! analyze (island-local, no lock held), not here: on the declared
@@ -446,7 +446,6 @@ impl SchedService {
             }
         }
         let platforms = set.platforms().clone();
-        let seed_names: Vec<String> = set.transactions().iter().map(|t| t.name.clone()).collect();
         // One sink per layer for the whole service: the analysis sink rides
         // inside the config (cloned into every island analysis), the
         // admission sink is pushed into every shard controller. Equality
@@ -502,8 +501,10 @@ impl SchedService {
         };
         {
             let mut world = service.world();
-            for name in seed_names {
-                world.core.mint_id(&name);
+            for tx in seed.current_set().transactions() {
+                world.core.mint_id(&tx.name);
+                let p = tx.tasks()[0].platform.0;
+                world.routing.txn_home.insert(tx.name.clone(), p);
             }
             // Seeding is an epoch over no slots: every island is fresh.
             let islands = world.homed_islands(seed);
@@ -1479,21 +1480,16 @@ impl World<'_> {
     }
 
     /// Puts an island's controller at rest in `slot` — the one place a slot
-    /// becomes `Idle`: its members enter the home maps, and it adopts the
+    /// becomes `Idle`: its platforms are homed at `slot`, and it adopts the
     /// master platform table — the at-rest invariant
     /// (`docs/ARCHITECTURE.md`, "One platform table"). A `stale` controller
     /// — one a journal record left without analysis — goes to rest on the
     /// record's promise that it is schedulable.
     fn put_idle(&mut self, slot: usize, core: AdmissionController, stale: bool) {
-        let routing = &mut *self.routing;
         for tx in core.current_set().transactions() {
-            routing.txn_home.insert(tx.name.clone(), slot);
             for task in tx.tasks() {
-                routing.home.insert(task.platform.0, slot);
+                self.routing.home.insert(task.platform.0, slot);
             }
-        }
-        for (_, instance) in core.system().instances() {
-            routing.instance_home.insert(instance.name.clone(), slot);
         }
         let mut shard = Shard { core, stale };
         shard.adopt(&self.core.platforms);
@@ -1566,8 +1562,8 @@ impl World<'_> {
 
     /// Splits an epoch's controller into islands, each with the pre-epoch
     /// home slots of its transactions (ascending; empty for an island of
-    /// arrivals only). Reads the home maps, so it runs before the epoch's
-    /// departures leave them. An empty controller has nothing to place: its
+    /// arrivals only). Reads the home maps, so it runs before the epoch is
+    /// placed and indexed. An empty controller has nothing to place: its
     /// analysis counters are banked instead.
     fn homed_islands(
         &mut self,
@@ -1580,12 +1576,11 @@ impl World<'_> {
         core.split_islands()
             .into_iter()
             .map(|part| {
-                let txn_home = &self.routing.txn_home;
                 let mut homes: Vec<usize> = part
                     .current_set()
                     .transactions()
                     .iter()
-                    .filter_map(|tx| txn_home.get(&tx.name).copied())
+                    .filter_map(|tx| self.txn_slot(&tx.name))
                     .collect();
                 homes.sort_unstable();
                 homes.dedup();
@@ -1683,11 +1678,7 @@ impl World<'_> {
             return;
         }
         routing.slots.retain(|slot| !slot.is_vacant());
-        let homes = routing.home.values_mut();
-        for slot in homes
-            .chain(routing.txn_home.values_mut())
-            .chain(routing.instance_home.values_mut())
-        {
+        for slot in routing.home.values_mut() {
             *slot = renumbered[*slot];
         }
     }
@@ -1701,65 +1692,63 @@ impl World<'_> {
         })
     }
 
-    /// Drops the home/handle entries of everything the admitted batch
-    /// removed (O(batch), by name — never a map scan).
-    fn unindex_departures(
+    /// Re-indexes the names an admitted batch moved, in batch order — its
+    /// arrivals enter the home maps at their platform, its departures leave
+    /// them and their handles (O(batch), by name — never a map scan) — and
+    /// mints handles for the surviving arrivals, returned in batch order.
+    /// Runs after [`World::place`], which homes an arriving instance's
+    /// platform.
+    fn index_batch(
         &mut self,
         batch: &[AdmissionRequest],
         removed_instance_txns: &[Vec<String>],
-    ) {
+    ) -> Vec<TxnId> {
         for (i, request) in batch.iter().enumerate() {
             match request {
-                AdmissionRequest::RemoveTransaction { name } => {
-                    self.routing.txn_home.remove(name);
-                    if let Some(id) = self.core.ids.remove(name) {
-                        self.core.names.remove(&id);
+                AdmissionRequest::AddTransaction(tx) => {
+                    let p = tx.tasks()[0].platform.0;
+                    self.routing.txn_home.insert(tx.name.clone(), p);
+                }
+                AdmissionRequest::RemoveTransaction { name } => self.unindex_txn(name),
+                AdmissionRequest::AddInstance { name, platform, .. } => {
+                    self.routing.instance_home.insert(name.clone(), platform.0);
+                    for txn in self.instance_members(name) {
+                        self.routing.txn_home.insert(txn, platform.0);
                     }
                 }
                 AdmissionRequest::RemoveInstance { name } => {
                     self.routing.instance_home.remove(name);
                     for txn in &removed_instance_txns[i] {
-                        self.routing.txn_home.remove(txn);
-                        if let Some(id) = self.core.ids.remove(txn) {
-                            self.core.names.remove(&id);
-                        }
+                        self.unindex_txn(txn);
                     }
                 }
-                _ => {}
+                AdmissionRequest::Retune { .. } => {}
             }
         }
-    }
-
-    /// Mints handles for the batch's surviving arrivals (after the home
-    /// maps settled) and returns them in batch order.
-    fn mint_arrival_ids(&mut self, batch: &[AdmissionRequest]) -> Vec<TxnId> {
         let mut minted = Vec::new();
         for request in batch {
-            match request {
-                AdmissionRequest::AddTransaction(tx) => {
-                    let live = self.routing.txn_home.contains_key(&tx.name);
-                    if live && !self.core.ids.contains_key(&tx.name) {
-                        minted.push(self.core.mint_id(&tx.name));
-                    }
+            let arrivals = match request {
+                AdmissionRequest::AddTransaction(tx) if self.txn_live(&tx.name) => {
+                    vec![tx.name.clone()]
                 }
-                AdmissionRequest::AddInstance { name, .. } => {
-                    if let Some(&slot) = self.routing.instance_home.get(name) {
-                        let txns = self.routing.slots[slot]
-                            .as_idle()
-                            .expect("instance home live")
-                            .core
-                            .transactions_of_instance(name);
-                        for txn in txns {
-                            if !self.core.ids.contains_key(&txn) {
-                                minted.push(self.core.mint_id(&txn));
-                            }
-                        }
-                    }
+                AdmissionRequest::AddInstance { name, .. } => self.instance_members(name),
+                _ => Vec::new(),
+            };
+            for txn in arrivals {
+                if !self.core.ids.contains_key(&txn) {
+                    minted.push(self.core.mint_id(&txn));
                 }
-                _ => {}
             }
         }
         minted
+    }
+
+    /// Drops a departed transaction's home and handle.
+    fn unindex_txn(&mut self, name: &str) {
+        self.routing.txn_home.remove(name);
+        if let Some(id) = self.core.ids.remove(name) {
+            self.core.names.remove(&id);
+        }
     }
 
     /// Reserve and analyze for one journal record ([`SchedService::apply_record`]):
@@ -1831,6 +1820,10 @@ impl World<'_> {
             self.idle_shards_hold_master(),
             "epoch {ticket} left an idle shard off the master platform table"
         );
+        debug_assert!(
+            self.homes_resolve(),
+            "epoch {ticket} left a name or platform homed off its slot"
+        );
         self.release(footprint);
         self.core.settled = ticket;
         result
@@ -1875,9 +1868,6 @@ impl World<'_> {
             }
         }
         let islands = self.homed_islands(core);
-        if admitted {
-            self.unindex_departures(batch, &footprint.removed_instance_txns);
-        }
         let shards = self.place(&footprint.keys, islands, |_| stale);
         if retuned {
             // The master is a new table: hand it to every shard at rest.
@@ -1889,7 +1879,7 @@ impl World<'_> {
             }
         }
         let minted = if admitted {
-            self.mint_arrival_ids(batch)
+            self.index_batch(batch, &footprint.removed_instance_txns)
         } else {
             Vec::new()
         };

@@ -33,9 +33,12 @@
 //! reproduces the crashed engine's shard layout (islands are discovered in
 //! first-occurrence order, which *is* slot order for an at-rest engine)
 //! and — because incremental analysis is exact — the same cached report.
-//! Handles, counters and instance bookkeeping are restored explicitly; the
-//! recorded digest is then re-verified, so a snapshot that would not
-//! rebuild byte-identically refuses to load instead of silently diverging.
+//! Handles and counters are restored explicitly. Each instance re-attaches
+//! to the shard homing its platform: a live instance owns at least one
+//! transaction on its own platform, so its members are in that shard, and
+//! the shard refuses one whose members are not. The recorded digest is then
+//! re-verified, so a snapshot that would not rebuild byte-identically
+//! refuses to load instead of silently diverging.
 
 use crate::envelope::{EngineError, TxnId};
 use crate::journal::{
@@ -311,7 +314,7 @@ pub(crate) fn rebuild(
         world.core.admitted_epochs = snap.admitted;
         world.core.rejected_epochs = snap.rejected;
 
-        // Instances: re-attach to the owning shards with their members.
+        // Instances: re-attach each to its platform's shard with its members.
         for instance in &snap.instances {
             let members: Vec<String> = snap
                 .txns
@@ -319,23 +322,13 @@ pub(crate) fn rebuild(
                 .filter(|t| t.origin.as_deref() == Some(instance.name.as_str()))
                 .map(|t| t.tx.name.clone())
                 .collect();
-            let home_of = |m: &String| world.routing.txn_home.get(m).copied();
-            let Some(slot) = members.first().and_then(home_of) else {
+            let platform = instance.platform.0;
+            let slot = world.routing.home.get(&platform).copied();
+            let Some(Slot::Idle(shard)) = slot.map(|slot| &mut world.routing.slots[slot]) else {
                 return Err(fail(format!(
-                    "instance `{}` has no live member transactions",
+                    "instance `{}` has no shard on its platform",
                     instance.name
                 )));
-            };
-            for member in &members {
-                if home_of(member) != Some(slot) {
-                    return Err(fail(format!(
-                        "instance `{}` spans shards — snapshot is inconsistent",
-                        instance.name
-                    )));
-                }
-            }
-            let Slot::Idle(shard) = &mut world.routing.slots[slot] else {
-                return Err(fail("shard busy during rebuild".into()));
             };
             shard
                 .core
@@ -353,7 +346,7 @@ pub(crate) fn rebuild(
             world
                 .routing
                 .instance_home
-                .insert(instance.name.clone(), slot);
+                .insert(instance.name.clone(), platform);
         }
 
         let digest = world.state_digest();

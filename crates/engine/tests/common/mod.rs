@@ -291,7 +291,9 @@ impl FullMix {
                 beta: rat(0, 1),
             }],
             // A component instance arrives — under a live instance's name
-            // now and then, which routing rejects.
+            // now and then, which routing rejects, and now and then of a
+            // class with no threads, which flattens to no transaction and is
+            // rejected inside the shard.
             5 | 6 => {
                 let name = match some_instance(&mut self.rng) {
                     Some(name) if self.rng.gen_range(0..4u32) == 0 => name,
@@ -299,12 +301,16 @@ impl FullMix {
                 };
                 let period = rat(40 + 20 * self.rng.gen_range(0..4i128), 1);
                 let wcet = Rational::new(1, 1 + self.rng.gen_range(0..3i128));
-                let class = ComponentClass::new(format!("Worker{k}")).thread(ThreadSpec::periodic(
-                    "T",
-                    period,
-                    1 + self.rng.gen_range(0..3u32),
-                    vec![Action::task("w", wcet, wcet)],
-                ));
+                let class = ComponentClass::new(format!("Worker{k}"));
+                let class = match self.rng.gen_range(0..5u32) {
+                    0 => class,
+                    _ => class.thread(ThreadSpec::periodic(
+                        "T",
+                        period,
+                        1 + self.rng.gen_range(0..3u32),
+                        vec![Action::task("w", wcet, wcet)],
+                    )),
+                };
                 vec![AdmissionRequest::AddInstance {
                     name,
                     class,

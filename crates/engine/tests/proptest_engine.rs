@@ -354,7 +354,7 @@ proptest! {
 #[test]
 fn full_mix_covers_every_kind_of_epoch() {
     let mut reasons = BTreeSet::new();
-    let (mut instances_in, mut instances_out) = (0, 0);
+    let (mut instances_in, mut instances_out, mut empty_classes) = (0, 0, 0);
     let mut topology = common::TopologyCounts::default();
     for seed in 0..16 {
         let (spec, set) = common::full_mix_scenario(seed);
@@ -365,6 +365,19 @@ fn full_mix_covers_every_kind_of_epoch() {
         for _ in 0..12 {
             let batch = mix.next_batch(&engine);
             let response = engine.submit(&EngineRequest::batch(batch.clone())).unwrap();
+            // An instance of a class with no threads is never admitted.
+            let empty = batch.iter().find_map(|request| match request {
+                AdmissionRequest::AddInstance { class, .. } if class.threads.is_empty() => {
+                    Some(format!("class `{}` flattens to no transaction", class.name))
+                }
+                _ => None,
+            });
+            if let Some(message) = empty {
+                let verdict = &response.outcome.verdict;
+                assert!(!verdict.admitted(), "{verdict}");
+                let expected = Verdict::Rejected(RejectReason::Structural(message));
+                empty_classes += usize::from(*verdict == expected);
+            }
             match &response.outcome.verdict {
                 Verdict::Admitted => {
                     for request in &batch {
@@ -384,14 +397,17 @@ fn full_mix_covers_every_kind_of_epoch() {
             before = after;
         }
     }
-    println!("full mix: rejections {reasons:?}, instances +{instances_in} -{instances_out}, {topology:?}");
+    println!(
+        "full mix: rejections {reasons:?}, instances +{instances_in} -{instances_out}, \
+         {empty_classes} empty classes, {topology:?}"
+    );
     for stage in ["structural", "numeric", "overload", "unschedulable"] {
         assert!(
             reasons.iter().any(|r| r.starts_with(stage)),
             "no {stage} rejection in {reasons:?}"
         );
     }
-    assert!(instances_in > 0 && instances_out > 0);
+    assert!(instances_in > 0 && instances_out > 0 && empty_classes > 0);
     let common::TopologyCounts {
         multi_shard,
         merges,

@@ -382,7 +382,7 @@ fn compaction_crash_session(seed: u64, cuts: (u64, u64)) {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(16))]
+    #![proptest_config(ProptestConfig::with_cases(stress_cases(16)))]
 
     /// Random crash points in the post-compaction tail.
     #[test]
