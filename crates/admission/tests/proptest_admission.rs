@@ -1,4 +1,4 @@
-//! The two admission invariants, property-tested across generated
+//! The admission invariants, property-tested across generated
 //! scenarios and churn sequences:
 //!
 //! (a) **equivalence** — after any admitted batch, every island the batch
@@ -7,20 +7,23 @@
 //!     from-scratch `analyze_with` of that island alone, while every other
 //!     row is byte-identical to the pre-batch report;
 //! (b) **transactionality** — after any rejected batch, the controller's
-//!     state is exactly its pre-batch snapshot.
+//!     state is exactly its pre-batch snapshot;
+//! (c) **update order** — every verdict and reason is the one Jacobi
+//!     analyses of the touched islands give, although the controller
+//!     iterates Gauss-Seidel (the Jacobi oracle at the end of this file).
 //!
 //! Together they give the end-to-end guarantee: a system seeded
 //! schedulable stays schedulable, and the incremental fast path can never
 //! drift from the paper's offline analysis.
 
-use hsched_admission::gen::{random_scenario, ChurnGen, ScenarioSpec};
+use hsched_admission::gen::{random_scenario, ChurnGen, PlatformMix, ScenarioSpec};
 use hsched_admission::{
     AdmissionController, AdmissionPolicy, AdmissionRequest, RejectReason, UnionFind, Verdict,
 };
 use hsched_analysis::{analyze_with, AnalysisConfig, DirtySeed, HpGraph, SchedulabilityReport};
-use hsched_numeric::rat;
+use hsched_numeric::{rat, Rational};
 use hsched_platform::{Platform, PlatformId, PlatformSet};
-use hsched_transaction::TransactionSet;
+use hsched_transaction::{Task, Transaction, TransactionSet};
 use proptest::prelude::*;
 use std::collections::{BTreeMap, HashMap, HashSet};
 
@@ -564,4 +567,235 @@ fn dirty_tracking_avoids_work_on_clustered_scenarios() {
         stats.transactions_analyzed,
         stats.analyses_avoided
     );
+}
+
+// The Jacobi oracle. The controller iterates every island Gauss-Seidel
+// whatever its `AnalysisConfig` says, so no controller, not even one with
+// `dirty_tracking: false`, can serve as a Jacobi reference. The oracle
+// decides each epoch without a controller's analysis: it applies the batch
+// structurally (`apply_unanalyzed` on a clone), runs the utilization
+// precheck on the islands the batch touches, and analyses each of those
+// islands alone with `analyze_with(_, &AnalysisConfig::default())`, which is
+// Jacobi, exactly as `hsched analyze` runs it. After every epoch the
+// controller's verdict and reason must equal the oracle's, and every island
+// whose Jacobi analysis converges must hold exactly that analysis's rows.
+// The system is dense and mixed-kind, in the shape of the `deep_cone`
+// benchmark workload, driven through that workload's seven-step script and
+// then through seeded random churn.
+
+/// One `deep_cone` island: 3 platforms, 10 transactions of up to 4 tasks,
+/// 5 priority levels, every reservation mechanism.
+fn spec(seed: u64) -> ScenarioSpec {
+    ScenarioSpec {
+        clusters: 1,
+        platforms_per_cluster: 3,
+        transactions: 10,
+        max_tasks_per_tx: 4,
+        load: rat(1, 2),
+        priority_levels: 5,
+        mix: PlatformMix::Mixed,
+        seed,
+    }
+}
+
+/// The island's transactions as a set of their own.
+fn alone(set: &TransactionSet, island: &[usize]) -> TransactionSet {
+    let txs = island.iter().map(|&i| set.transactions()[i].clone());
+    TransactionSet::new(set.platforms().clone(), txs.collect()).expect("island members are valid")
+}
+
+/// The verdict a controller at `before` must give `batch`, decided with
+/// Jacobi analyses of the touched islands alone.
+fn jacobi_verdict(before: &AdmissionController, batch: &[AdmissionRequest]) -> Verdict {
+    let mut applied = before.clone();
+    if let Err(message) = applied.apply_unanalyzed(batch) {
+        return Verdict::Rejected(RejectReason::Structural(message));
+    }
+    let set = applied.current_set();
+    let touched = islands_holding(set, &batch_platforms(before.current_set(), batch));
+    let mut utilization: BTreeMap<usize, Rational> = BTreeMap::new();
+    for &i in touched.iter().flatten() {
+        let tx = &set.transactions()[i];
+        for task in tx.tasks() {
+            *utilization.entry(task.platform.0).or_insert(Rational::ZERO) += task.wcet / tx.period;
+        }
+    }
+    let platforms: Vec<String> = utilization
+        .into_iter()
+        .filter(|&(k, u)| u > set.platforms()[PlatformId(k)].alpha())
+        .map(|(k, _)| set.platforms()[PlatformId(k)].name().to_string())
+        .collect();
+    if !platforms.is_empty() {
+        return Verdict::Rejected(RejectReason::Overload { platforms });
+    }
+    let mut misses = Vec::new();
+    for island in &touched {
+        let report = match analyze_with(&alone(set, island), &AnalysisConfig::default()) {
+            Ok(report) => report,
+            Err(error) => return Verdict::Rejected(RejectReason::Analysis(error.to_string())),
+        };
+        for (k, &i) in island.iter().enumerate() {
+            if !report.verdicts[k].schedulable {
+                misses.push((i, report.verdicts[k].name.clone()));
+            }
+        }
+    }
+    if misses.is_empty() {
+        return Verdict::Admitted;
+    }
+    misses.sort();
+    let misses = misses.into_iter().map(|(_, name)| name).collect();
+    Verdict::Rejected(RejectReason::Unschedulable { misses })
+}
+
+/// Commits `batch` and checks the verdict, then every converged island's
+/// cached rows, against the Jacobi oracle. Returns the verdict.
+fn commit_checked(
+    controller: &mut AdmissionController,
+    batch: &[AdmissionRequest],
+    at: &str,
+) -> Verdict {
+    let expected = jacobi_verdict(controller, batch);
+    let verdict = controller.commit(batch).verdict;
+    assert_eq!(verdict, expected, "{at}: verdict differs from Jacobi's");
+    let set = controller.current_set();
+    let cached = controller.report();
+    let every_platform = (0..set.platforms().len()).collect();
+    for island in islands_holding(set, &every_platform) {
+        let jacobi = analyze_with(&alone(set, &island), &AnalysisConfig::default())
+            .unwrap_or_else(|e| panic!("{at}: Jacobi oracle failed: {e}"));
+        if !jacobi.converged || jacobi.diverged {
+            continue;
+        }
+        for (k, &i) in island.iter().enumerate() {
+            let name = &set.transactions()[i].name;
+            assert_eq!(cached.tasks[i], jacobi.tasks[k], "{at}: rows of `{name}`");
+            assert_eq!(
+                cached.verdicts[i], jacobi.verdicts[k],
+                "{at}: verdict of `{name}`"
+            );
+        }
+    }
+    verdict
+}
+
+/// The `deep_cone` island, pruned to schedulable (every deadline miss of the
+/// generated seed removed in one checked epoch).
+fn pruned_controller(seed: u64) -> AdmissionController {
+    let set = random_scenario(&spec(seed));
+    let mut controller =
+        AdmissionController::new(set, AnalysisConfig::default(), AdmissionPolicy::default())
+            .expect("generated scenarios analyze");
+    let prune: Vec<AdmissionRequest> = controller
+        .misses()
+        .into_iter()
+        .map(|name| AdmissionRequest::RemoveTransaction { name })
+        .collect();
+    let verdict = commit_checked(&mut controller, &prune, "prune");
+    assert!(verdict.admitted(), "removing every miss admits: {verdict}");
+    assert!(controller.schedulable());
+    controller
+}
+
+/// The `deep_cone` script on one island: retune the busiest platform down,
+/// admit a top-priority arrival, swap a transaction for a heavier twin, offer
+/// a hog that cannot meet its own deadline, then undo the three changes.
+fn deep_cone_script(set: &TransactionSet) -> Vec<Vec<AdmissionRequest>> {
+    let utilization = set.platform_utilization();
+    let relative = |id: PlatformId| utilization[id.0] / set.platforms()[id].alpha();
+    let mut ids = (0..set.platforms().len()).map(PlatformId);
+    let busiest = ids.clone().max_by_key(|&id| relative(id));
+    let busiest = busiest.expect("platforms");
+    let other = ids.find(|&id| id != busiest).expect("≥ 2 platforms");
+    let platform = &set.platforms()[busiest];
+    let (alpha, delta, beta) = (platform.alpha(), platform.delta(), platform.beta());
+    let retune = |alpha: Rational| {
+        vec![AdmissionRequest::Retune {
+            platform: busiest,
+            alpha,
+            delta,
+            beta,
+        }]
+    };
+    let period = rat(40, 1);
+    let slice = |id: PlatformId| set.platforms()[id].alpha() * period * rat(1, 100);
+    let top = |name: &str, id: PlatformId| Task::new(name, slice(id), slice(id), 5, id);
+    let arrival = Transaction::new(
+        "hp",
+        period,
+        period * rat(2, 1),
+        vec![top("hp_0", busiest), top("hp_1", other)],
+    )
+    .expect("valid arrival");
+    let hog = Transaction::new("hog", period, rat(1, 100), vec![top("hog_0", busiest)])
+        .expect("valid hog");
+    let original = set
+        .transactions()
+        .iter()
+        .find(|tx| tx.tasks().iter().any(|t| t.platform == busiest))
+        .expect("the busiest platform runs something");
+    let heavier_tasks = original.tasks().iter().map(|t| {
+        Task::new(
+            t.name.clone(),
+            t.wcet * rat(21, 20),
+            t.bcet,
+            t.priority,
+            t.platform,
+        )
+    });
+    let heavier = Transaction::new(
+        original.name.clone(),
+        original.period,
+        original.deadline,
+        heavier_tasks.collect(),
+    )
+    .expect("valid twin");
+    let swap = |to: &Transaction| {
+        vec![
+            AdmissionRequest::RemoveTransaction {
+                name: to.name.clone(),
+            },
+            AdmissionRequest::AddTransaction(to.clone()),
+        ]
+    };
+    vec![
+        retune(alpha * rat(19, 20)),
+        vec![AdmissionRequest::AddTransaction(arrival.clone())],
+        swap(&heavier),
+        vec![AdmissionRequest::AddTransaction(hog)],
+        retune(alpha),
+        vec![AdmissionRequest::RemoveTransaction { name: arrival.name }],
+        swap(original),
+    ]
+}
+
+#[test]
+fn deep_cone_script_matches_jacobi() {
+    let mut controller = pruned_controller(2);
+    let script = deep_cone_script(controller.current_set());
+    let mut rejected = 0;
+    for cycle in 0..2 {
+        for (step, batch) in script.iter().enumerate() {
+            let at = format!("cycle {cycle} step {step}");
+            rejected += usize::from(!commit_checked(&mut controller, batch, &at).admitted());
+        }
+    }
+    // The hog step rejects and every other step admits, as on `deep_cone`.
+    assert_eq!(rejected, 2, "one rejection per cycle");
+}
+
+#[test]
+fn random_churn_matches_jacobi() {
+    for seed in 0..4u64 {
+        let mut controller = pruned_controller(2);
+        let mut churn = ChurnGen::new(&spec(2), seed);
+        for step in 0..8 {
+            let batch = churn.next_batch(controller.current_set(), 3);
+            commit_checked(
+                &mut controller,
+                &batch,
+                &format!("churn seed {seed} step {step}"),
+            );
+        }
+    }
 }

@@ -6,7 +6,7 @@ use crate::par::parallel_map;
 use crate::report::{IterationRecord, SchedulabilityReport, TaskResult, TransactionVerdict};
 pub use crate::rta::AnalysisError;
 use crate::rta::{analyze_task, TaskAnalysis, TaskMemo};
-use crate::state::{best_case_offsets, initial_states, TaskState};
+use crate::state::{best_case_offsets, states_at, TaskState};
 use crate::AnalysisConfig;
 use hsched_numeric::Time;
 use hsched_transaction::{TaskRef, TransactionSet};
@@ -142,22 +142,12 @@ impl WarmStart {
     }
 
     fn matches(&self, set: &TransactionSet) -> bool {
-        let shape = |rows: &[Vec<Time>]| {
-            rows.len() == set.transactions().len()
-                && rows
-                    .iter()
-                    .zip(set.transactions())
-                    .all(|(row, tx)| row.len() == tx.len())
-        };
-        shape(&self.jitters)
-            && self.frozen.as_ref().is_none_or(|f| {
-                shape(&f.responses)
-                    && f.active.len() == set.transactions().len()
-                    && f.active
-                        .iter()
-                        .zip(set.transactions())
-                        .all(|(row, tx)| row.len() == tx.len())
-            })
+        fn shape<T>(rows: &[Vec<T>], set: &TransactionSet) -> bool {
+            let txs = set.transactions();
+            rows.len() == txs.len() && rows.iter().zip(txs).all(|(row, tx)| row.len() == tx.len())
+        }
+        let frozen_fits = |f: &FrozenSeed| shape(&f.responses, set) && shape(&f.active, set);
+        shape(&self.jitters, set) && self.frozen.as_ref().is_none_or(frozen_fits)
     }
 }
 
@@ -189,8 +179,8 @@ fn fixpoint(
     warm: Option<&WarmStart>,
     memoize: bool,
 ) -> Result<SchedulabilityReport, AnalysisError> {
-    let (_, best_responses) = best_case_offsets(set, config.service_mode);
-    let mut states = initial_states(set, config.service_mode);
+    let (offsets, best_responses) = best_case_offsets(set, config.service_mode);
+    let mut states = states_at(set, offsets);
     let mut frozen = None;
     if let Some(warm) = warm {
         debug_assert!(warm.matches(set), "warm-start shape mismatch");

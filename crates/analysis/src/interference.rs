@@ -144,7 +144,7 @@ pub(crate) fn w_star(scenarios: &[Scenario], t: Time) -> Cycles {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::state::initial_states;
+    use crate::state::tests::initial_states;
     use crate::ServiceTimeMode;
     use hsched_numeric::rat;
     use hsched_transaction::paper_example;

@@ -106,6 +106,13 @@ pub enum ScenarioMode {
 
 /// Order in which the holistic iteration consumes freshly computed
 /// response times.
+///
+/// Standalone analysis ([`analyze_with`], `hsched analyze`) honours the
+/// configured order. Admission (`hsched-admission`) always iterates
+/// Gauss-Seidel on one thread per island: it keeps only fixpoint values,
+/// never a trace, and the holistic map is monotone, so any fair chaotic
+/// order reaches the same least fixpoint from the same start (Cousot &
+/// Cousot 1977). Only Table 3's per-sweep trace needs Jacobi.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum UpdateOrder {
     /// All tasks analyzed against the previous iteration's jitters, then all
@@ -114,8 +121,8 @@ pub enum UpdateOrder {
     #[default]
     Jacobi,
     /// Each task's fresh response immediately feeds its successor's jitter
-    /// within the same sweep. Converges to the same fixpoint (the iteration
-    /// is monotone) in fewer sweeps; runs sequentially.
+    /// within the same sweep: the same fixpoint in fewer sweeps (about half
+    /// on dense islands); runs sequentially.
     GaussSeidel,
 }
 
@@ -132,7 +139,8 @@ pub struct AnalysisConfig {
     pub service_mode: ServiceTimeMode,
     /// Approximate (reduced scenarios) or exact analysis.
     pub scenario_mode: ScenarioMode,
-    /// Jacobi (paper-faithful trace) or Gauss-Seidel (faster convergence).
+    /// Jacobi (paper-faithful trace) or Gauss-Seidel (faster convergence);
+    /// admission overrides it with Gauss-Seidel (see [`UpdateOrder`]).
     pub update_order: UpdateOrder,
     /// Cap on outer holistic iterations before declaring divergence.
     pub max_outer_iterations: usize,
@@ -141,9 +149,10 @@ pub struct AnalysisConfig {
     /// Declare a task unschedulable (and stop iterating its growth) once its
     /// response exceeds `divergence_factor ×` its transaction deadline.
     pub divergence_factor: u32,
-    /// Analyze tasks of one holistic iteration in parallel worker threads.
-    /// `1` = sequential. The result is identical regardless (Jacobi
-    /// iteration reads only the previous iteration's state).
+    /// Worker threads for the tasks of one Jacobi sweep (`1` = sequential;
+    /// Gauss-Seidel always runs on one). Jacobi's result, trace included,
+    /// is identical at any count: a sweep reads only the previous one's
+    /// state. Admission overrides it with 1 (see [`UpdateOrder`]).
     pub threads: usize,
     /// Per-task blocking terms `B_{a,b}` (time units), indexed like the
     /// transaction set; empty means all zero. The paper carries `B` through
@@ -190,11 +199,6 @@ impl Default for AnalysisConfig {
 }
 
 impl AnalysisConfig {
-    /// The paper's configuration (linear bounds, reduced scenarios).
-    pub fn paper() -> AnalysisConfig {
-        AnalysisConfig::default()
-    }
-
     /// Exact scenario enumeration with the given cap.
     pub fn exact(max_scenarios: u64) -> AnalysisConfig {
         AnalysisConfig {

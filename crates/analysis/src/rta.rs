@@ -416,7 +416,7 @@ impl<'a> TaskContext<'a> {
 mod tests {
     use super::*;
     use crate::holistic::analyze_unmemoized;
-    use crate::state::initial_states;
+    use crate::state::tests::initial_states;
     use crate::{
         analyze_resumed, AnalysisMetrics, DirtySeed, HpGraph, ServiceTimeMode, UpdateOrder,
         WarmStart,

@@ -54,11 +54,11 @@ pub fn best_case_offsets(
     (offsets, best_responses)
 }
 
-/// Initial state: offsets at their best-case values, jitters zero
-/// (§3.2: "the initial values of jitters and offsets") — except the first
-/// task of each transaction, which inherits the stream's release jitter.
-pub fn initial_states(set: &TransactionSet, mode: ServiceTimeMode) -> Vec<Vec<TaskState>> {
-    let (offsets, _) = best_case_offsets(set, mode);
+/// Initial state: offsets at their best-case values (from
+/// [`best_case_offsets`]), jitters zero (§3.2: "the initial values of
+/// jitters and offsets") — except the first task of each transaction,
+/// which inherits the stream's release jitter.
+pub(crate) fn states_at(set: &TransactionSet, offsets: Vec<Vec<Time>>) -> Vec<Vec<TaskState>> {
     offsets
         .into_iter()
         .zip(set.transactions())
@@ -79,10 +79,18 @@ pub fn initial_states(set: &TransactionSet, mode: ServiceTimeMode) -> Vec<Vec<Ta
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use hsched_numeric::rat;
     use hsched_transaction::paper_example;
+
+    /// [`states_at`] the set's best-case offsets.
+    pub(crate) fn initial_states(
+        set: &TransactionSet,
+        mode: ServiceTimeMode,
+    ) -> Vec<Vec<TaskState>> {
+        states_at(set, best_case_offsets(set, mode).0)
+    }
 
     #[test]
     fn paper_offsets_match_table1_phi_min() {

@@ -1,10 +1,12 @@
 //! Property tests for the holistic analysis on randomized small systems:
 //! ordering and monotonicity laws that must hold whatever the workload.
 
-use hsched_analysis::{analyze_with, AnalysisConfig, UpdateOrder};
+use hsched_analysis::{
+    analyze_resumed, analyze_with, AnalysisConfig, DirtySeed, HpGraph, UpdateOrder, WarmStart,
+};
 use hsched_numeric::{rat, Rational};
 use hsched_platform::{Platform, PlatformId, PlatformSet};
-use hsched_transaction::{Task, Transaction, TransactionSet};
+use hsched_transaction::{Task, TaskRef, Transaction, TransactionSet};
 use proptest::prelude::*;
 
 #[derive(Debug, Clone)]
@@ -124,29 +126,6 @@ proptest! {
     }
 
     #[test]
-    fn gauss_seidel_matches_jacobi_fixpoint(raw in raw_system()) {
-        let set = build(&raw);
-        let jacobi = analyze_with(&set, &AnalysisConfig::default()).unwrap();
-        let gs = analyze_with(
-            &set,
-            &AnalysisConfig {
-                update_order: UpdateOrder::GaussSeidel,
-                ..AnalysisConfig::default()
-            },
-        )
-        .unwrap();
-        prop_assume!(jacobi.converged && gs.converged);
-        for r in set.task_refs() {
-            prop_assert_eq!(
-                jacobi.response(r.tx, r.idx),
-                gs.response(r.tx, r.idx),
-                "fixpoints differ at {}", r
-            );
-        }
-        prop_assert!(gs.iterations() <= jacobi.iterations());
-    }
-
-    #[test]
     fn inflating_a_wcet_never_shrinks_any_response(raw in raw_system()) {
         let set = build(&raw);
         let base = analyze_with(&set, &AnalysisConfig::default()).unwrap();
@@ -224,6 +203,58 @@ proptest! {
         prop_assert!(!overloaded.overloaded_platforms().is_empty());
         let report = analyze_with(&overloaded, &AnalysisConfig::default()).unwrap();
         prop_assert!(report.diverged || !report.schedulable());
+    }
+}
+
+/// Case count of the update-order property, env-tunable so CI can run it
+/// extended (`HSCHED_PROPTEST_CASES=500`) without editing it.
+fn stress_cases(tier1: u32) -> u32 {
+    std::env::var("HSCHED_PROPTEST_CASES")
+        .ok()
+        .and_then(|v| v.parse().ok())
+        .unwrap_or(tier1)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(stress_cases(48)))]
+
+    /// Admission iterates Gauss-Seidel wherever the config says Jacobi, so
+    /// Gauss-Seidel must reach Jacobi's cold fixpoint from every start a
+    /// controller builds: cold; warm after the set grew by its last
+    /// transaction; and restricted to the cone of one transaction's first
+    /// task, the cone restarting cold and warm. The two orders agree on
+    /// `converged` and `diverged`, and wherever Jacobi converged bounded,
+    /// on every response, jitter and verdict.
+    #[test]
+    fn gauss_seidel_matches_jacobi_fixpoint(raw in raw_system(), pick in 0usize..8) {
+        let set = build(&raw);
+        let gauss_seidel = AnalysisConfig {
+            update_order: UpdateOrder::GaussSeidel,
+            ..AnalysisConfig::default()
+        };
+        let jacobi = analyze_with(&set, &AnalysisConfig::default()).unwrap();
+        let cold = analyze_with(&set, &gauss_seidel).unwrap();
+        let (last, rest) = set.transactions().split_last().unwrap();
+        let before = TransactionSet::new(set.platforms().clone(), rest.to_vec()).unwrap();
+        let mut grown = WarmStart::from_report(&analyze_with(&before, &gauss_seidel).unwrap());
+        grown.jitters.push(vec![Rational::ZERO; last.len()]);
+        let seed = DirtySeed::Task(TaskRef { tx: pick % set.transactions().len(), idx: 0 });
+        let cone = HpGraph::of(&set).closure(&set, &[seed]);
+        let starts = [
+            Some(grown),
+            Some(WarmStart::restricted(&cold, cone.tasks.clone(), true)),
+            Some(WarmStart::restricted(&cold, cone.tasks.clone(), false)),
+        ];
+        for (k, warm) in std::iter::once(None).chain(starts).enumerate() {
+            let gs = analyze_resumed(&set, &gauss_seidel, warm.as_ref()).unwrap();
+            prop_assert_eq!(gs.converged, jacobi.converged, "start {}: converged", k);
+            prop_assert_eq!(gs.diverged, jacobi.diverged, "start {}: diverged", k);
+            if jacobi.converged && !jacobi.diverged {
+                prop_assert_eq!(&gs.tasks, &jacobi.tasks, "start {}: rows", k);
+                prop_assert_eq!(&gs.verdicts, &jacobi.verdicts, "start {}: verdicts", k);
+                prop_assert!(gs.iterations() <= jacobi.iterations(), "start {}: sweeps", k);
+            }
+        }
     }
 }
 

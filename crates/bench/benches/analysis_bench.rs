@@ -1,11 +1,13 @@
 //! Criterion bench: the holistic analysis — the paper example (Table 3),
 //! scaling in system size, exact vs approximate scenario handling, the
 //! parallel Jacobi step, and one mixed-kind island's cold and warm
-//! fixpoints under both service-time modes.
+//! fixpoints under both service-time modes and both update orders.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use hsched_admission::gen::{random_scenario, PlatformMix, ScenarioSpec};
-use hsched_analysis::{analyze_resumed, analyze_with, AnalysisConfig, ServiceTimeMode, WarmStart};
+use hsched_analysis::{
+    analyze_resumed, analyze_with, AnalysisConfig, ServiceTimeMode, UpdateOrder, WarmStart,
+};
 use hsched_bench::{random_system, WorkloadSpec};
 use hsched_numeric::{rat, Time};
 use hsched_transaction::{paper_example, TransactionSet};
@@ -70,7 +72,9 @@ fn bench_parallel(c: &mut Criterion) {
 /// One island in `deep_cone`'s shape (≈ 10 transactions over 3 platforms
 /// of mixed kinds, 5 priority levels): a cold fixpoint, and a warm one
 /// resumed after the island gained its last transaction — under the
-/// paper's linear bounds and under exact supply inversion.
+/// paper's linear bounds and under exact supply inversion, iterated Jacobi
+/// (the default) and Gauss-Seidel (`…/gauss_seidel/…`, what admission
+/// runs).
 fn bench_island_fixpoint(c: &mut Criterion) {
     let island = random_scenario(&ScenarioSpec {
         clusters: 1,
@@ -88,12 +92,27 @@ fn bench_island_fixpoint(c: &mut Criterion) {
         .expect("a prefix of a valid set");
     let mut group = c.benchmark_group("analysis/island_fixpoint");
     group.sample_size(20);
-    for (name, service_mode) in [
-        ("linear", ServiceTimeMode::LinearBounds),
-        ("exact_curve", ServiceTimeMode::ExactCurve),
+    for (name, service_mode, update_order) in [
+        ("linear", ServiceTimeMode::LinearBounds, UpdateOrder::Jacobi),
+        (
+            "exact_curve",
+            ServiceTimeMode::ExactCurve,
+            UpdateOrder::Jacobi,
+        ),
+        (
+            "linear/gauss_seidel",
+            ServiceTimeMode::LinearBounds,
+            UpdateOrder::GaussSeidel,
+        ),
+        (
+            "exact_curve/gauss_seidel",
+            ServiceTimeMode::ExactCurve,
+            UpdateOrder::GaussSeidel,
+        ),
     ] {
         let config = AnalysisConfig {
             service_mode,
+            update_order,
             ..AnalysisConfig::default()
         };
         let mut warm = WarmStart::from_report(&analyze_with(&before, &config).expect("analyzes"));
