@@ -1010,7 +1010,8 @@ impl AdmissionController {
     /// reasons. Every analysis of the controller passes here, and iterates
     /// Gauss-Seidel on one thread: the cache keeps fixpoints, never a trace,
     /// and every order reaches the same one ([`UpdateOrder`]), Gauss-Seidel
-    /// in about half Jacobi's sweeps. `commit` parallelizes across islands.
+    /// in one dependency-ordered sweep that re-analyzes only the tasks whose
+    /// reads moved. `commit` parallelizes across islands.
     fn guarded_analyze(&self, input: &GroupInput) -> Result<SchedulabilityReport, RejectReason> {
         let config = AnalysisConfig {
             threads: 1,

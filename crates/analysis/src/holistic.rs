@@ -7,7 +7,7 @@ use crate::report::{IterationRecord, SchedulabilityReport, TaskResult, Transacti
 pub use crate::rta::AnalysisError;
 use crate::rta::{analyze_task, TaskAnalysis, TaskMemo};
 use crate::state::{best_case_offsets, states_at, TaskState};
-use crate::AnalysisConfig;
+use crate::{AnalysisConfig, HpGraph, UpdateOrder};
 use hsched_numeric::Time;
 use hsched_transaction::{TaskRef, TransactionSet};
 use std::sync::Mutex;
@@ -162,8 +162,9 @@ pub fn analyze_resumed(
     fixpoint(set, config, warm, true)
 }
 
-/// [`analyze_resumed`] with nothing memoized: the reference the memo's
-/// exactness tests compare against.
+/// [`analyze_resumed`] with nothing memoized and every inner fixpoint
+/// started from zero: the reference the exactness tests of the memo and of
+/// the seeded inner iterations compare against.
 #[cfg(test)]
 pub(crate) fn analyze_unmemoized(
     set: &TransactionSet,
@@ -195,20 +196,30 @@ fn fixpoint(
             frozen = warm.frozen.as_ref();
         }
     }
-    // Frozen coordinates are pinned at the seed and skipped in every sweep;
-    // see the WarmStart docs for why that is exact. Each active task gets a
-    // memo slot, filled on its first analysis, so frozen context never pays
-    // for one. A sweep hands every slot to one worker only: the locks are
-    // uncontended.
-    let active: Vec<(TaskRef, Mutex<Option<TaskMemo>>)> = set
-        .task_refs()
-        .filter(|r| frozen.is_none_or(|f| f.active[r.tx][r.idx]))
-        .map(|r| (r, Mutex::new(None)))
+    // Frozen coordinates are pinned at the seed and never analyzed; see the
+    // WarmStart docs for why that is exact. Every task has a memo slot,
+    // filled on its first analysis, so frozen context never pays for one. A
+    // sweep hands every slot to one worker only: the locks are uncontended.
+    let refs: Vec<TaskRef> = set.task_refs().collect();
+    let active: Vec<bool> = refs
+        .iter()
+        .map(|r| frozen.is_none_or(|f| f.active[r.tx][r.idx]))
         .collect();
-    let analyze = |(r, memo): &(TaskRef, Mutex<Option<TaskMemo>>), states: &[Vec<TaskState>]| {
-        let mut memo = memo.lock().expect("task memo lock poisoned");
-        let memo = memo.get_or_insert_with(|| TaskMemo::new(set, *r, memoize));
-        analyze_task(set, states, *r, config, memo)
+    let memos: Vec<Mutex<Option<TaskMemo>>> = refs.iter().map(|_| Mutex::new(None)).collect();
+    let analyze = |flat: usize, states: &[Vec<TaskState>]| {
+        if let Some(metrics) = &config.metrics {
+            metrics.fixpoint_task_analyses.incr();
+        }
+        let r = refs[flat];
+        let mut memo = memos[flat].lock().expect("task memo lock poisoned");
+        let memo = memo.get_or_insert_with(|| TaskMemo::new(set, r, memoize));
+        analyze_task(set, states, r, config, memo)
+    };
+    let jitters = |states: &[Vec<TaskState>]| -> Vec<Vec<Time>> {
+        states
+            .iter()
+            .map(|row| row.iter().map(|s| s.jitter).collect())
+            .collect()
     };
 
     let mut trace: Vec<IterationRecord> = Vec::new();
@@ -223,64 +234,112 @@ fn fixpoint(
             .collect(),
     };
 
-    for _iteration in 0..config.max_outer_iterations {
-        let sweep_start_jitters: Vec<Vec<Time>> = states
-            .iter()
-            .map(|row| row.iter().map(|s| s.jitter).collect())
-            .collect();
-        all_bounded = true;
-        match config.update_order {
-            crate::UpdateOrder::Jacobi => {
-                // All active tasks analyzed against the previous state
-                // vector (parallelizable, reproduces Table 3 column by
-                // column).
+    match config.update_order {
+        UpdateOrder::Jacobi => {
+            // All active tasks analyzed against the previous sweep's state
+            // vector (parallelizable, reproduces Table 3 column by column).
+            let jobs: Vec<usize> = (0..refs.len()).filter(|&v| active[v]).collect();
+            for _iteration in 0..config.max_outer_iterations {
+                let sweep_start_jitters = jitters(&states);
+                all_bounded = true;
                 let outcomes: Vec<Result<TaskAnalysis, AnalysisError>> =
-                    parallel_map(&active, config.threads, |job| analyze(job, &states));
-                for ((r, _), outcome) in active.iter().zip(outcomes) {
+                    parallel_map(&jobs, config.threads, |&v| analyze(v, &states));
+                for (&v, outcome) in jobs.iter().zip(outcomes) {
                     let outcome = outcome?;
-                    responses[r.tx][r.idx] = outcome.response;
+                    responses[refs[v].tx][refs[v].idx] = outcome.response;
                     all_bounded &= outcome.bounded;
                 }
+                trace.push(IterationRecord {
+                    jitters: sweep_start_jitters,
+                    responses: responses.clone(),
+                });
+                if !all_bounded {
+                    // Demand exceeds platform capacity somewhere; jitters
+                    // would only grow. Report as diverged/unschedulable.
+                    break;
+                }
+                // Eq. (18): J_{i,j} = R_{i,j−1} − Rbest_{i,j−1}; first tasks
+                // keep their release jitter. (Frozen coordinates reproduce
+                // their seed — their predecessor is frozen too, by cone
+                // closure.)
+                let mut changed = false;
+                for (i, tx) in set.transactions().iter().enumerate() {
+                    for j in 1..tx.len() {
+                        let new_jitter =
+                            (responses[i][j - 1] - best_responses[i][j - 1]).max(Time::ZERO);
+                        changed |= new_jitter != states[i][j].jitter;
+                        states[i][j].jitter = new_jitter;
+                    }
+                }
+                if !changed {
+                    converged = true;
+                    break;
+                }
             }
-            crate::UpdateOrder::GaussSeidel => {
-                // Fresh responses feed successors within the sweep.
-                for job in &active {
-                    let r = job.0;
-                    let outcome = analyze(job, &states)?;
-                    responses[r.tx][r.idx] = outcome.response;
-                    all_bounded &= outcome.bounded;
-                    if all_bounded && r.idx + 1 < set.transactions()[r.tx].len() {
-                        states[r.tx][r.idx + 1].jitter =
-                            (outcome.response - best_responses[r.tx][r.idx]).max(Time::ZERO);
+        }
+        UpdateOrder::GaussSeidel => {
+            // One sweep in dependency order: the strongly connected
+            // components of the read graph in topological order, each
+            // passed over in set order until none of its tasks is dirty —
+            // reached by a moved jitter since its last analysis — before
+            // the next is visited. Each fresh response feeds its
+            // successor's jitter at once (Eq. 18), and a jitter that moved
+            // dirties every task reading it, in this component or a later
+            // one, so the sweep ends at the fixpoint.
+            let graph = HpGraph::of(set);
+            let mut dirty = active.clone();
+            // Eq. (18) for the tasks a frozen predecessor feeds: no
+            // analysis ever writes their jitter.
+            if let Some(f) = frozen {
+                for (v, r) in refs.iter().enumerate() {
+                    if active[v] && r.idx > 0 && !active[v - 1] {
+                        states[r.tx][r.idx].jitter = (f.responses[r.tx][r.idx - 1]
+                            - best_responses[r.tx][r.idx - 1])
+                            .max(Time::ZERO);
                     }
                 }
             }
-        }
-        trace.push(IterationRecord {
-            jitters: sweep_start_jitters.clone(),
-            responses: responses.clone(),
-        });
-        if !all_bounded {
-            // Demand exceeds platform capacity somewhere; jitters would only
-            // grow. Report as diverged/unschedulable.
-            break;
-        }
-        // Eq. (18): J_{i,j} = R_{i,j−1} − Rbest_{i,j−1}; first tasks keep
-        // their release jitter. (For Gauss-Seidel this is a no-op re-apply;
-        // convergence is judged on the jitters at sweep boundaries. Frozen
-        // coordinates reproduce their seed — their predecessor is frozen
-        // too, by cone closure.)
-        let mut changed = false;
-        for (i, tx) in set.transactions().iter().enumerate() {
-            for j in 1..tx.len() {
-                let new_jitter = (responses[i][j - 1] - best_responses[i][j - 1]).max(Time::ZERO);
-                changed |= new_jitter != sweep_start_jitters[i][j];
-                states[i][j].jitter = new_jitter;
-            }
-        }
-        if !changed {
+            let sweep_start_jitters = jitters(&states);
             converged = true;
-            break;
+            'sweep: for component in graph.sweep_order(&active) {
+                let mut passes = 0;
+                while component.iter().any(|&v| dirty[v]) {
+                    if passes == config.max_outer_iterations {
+                        converged = false;
+                        break 'sweep;
+                    }
+                    passes += 1;
+                    for &v in &component {
+                        if !std::mem::take(&mut dirty[v]) {
+                            continue;
+                        }
+                        let r = refs[v];
+                        let outcome = analyze(v, &states)?;
+                        responses[r.tx][r.idx] = outcome.response;
+                        if !outcome.bounded {
+                            // Demand exceeds platform capacity somewhere.
+                            all_bounded = false;
+                            converged = false;
+                            break 'sweep;
+                        }
+                        if r.idx + 1 < set.transactions()[r.tx].len() {
+                            let jitter =
+                                (outcome.response - best_responses[r.tx][r.idx]).max(Time::ZERO);
+                            let next = &mut states[r.tx][r.idx + 1].jitter;
+                            if *next != jitter {
+                                *next = jitter;
+                                for &(u, _) in graph.dependents(v) {
+                                    dirty[u] |= active[u];
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+            trace.push(IterationRecord {
+                jitters: sweep_start_jitters,
+                responses: responses.clone(),
+            });
         }
     }
 
@@ -468,6 +527,28 @@ mod tests {
             gs.iterations(),
             jacobi.iterations()
         );
+    }
+
+    #[test]
+    fn task_analyses_count_the_work_of_each_order() {
+        let set = paper_example::transactions();
+        let analyses = |update_order| {
+            let sink = std::sync::Arc::new(crate::AnalysisMetrics::new());
+            let config = AnalysisConfig {
+                update_order,
+                metrics: Some(sink.clone()),
+                ..AnalysisConfig::default()
+            };
+            let report = analyze_with(&set, &config).unwrap();
+            (report.iterations(), sink.fixpoint_task_analyses.get())
+        };
+        // Jacobi: Table 3's four sweeps over all seven tasks.
+        assert_eq!(analyses(UpdateOrder::Jacobi), (4, 28));
+        // Dependency order: one sweep. The cycle τ1,1 → τ1,2 → τ1,3 takes
+        // two passes, the second over τ1,1 alone — it reads J1,4 (τ1,4 is
+        // above it on Π3), which τ1,3 moved after τ1,1 ran — and every
+        // other task is analyzed once.
+        assert_eq!(analyses(UpdateOrder::GaussSeidel), (1, 8));
     }
 
     #[test]

@@ -20,8 +20,14 @@
 //!
 //! [`HpGraph`] is the reusable form of that graph: built once per
 //! transaction set, it answers closure queries for the admission layer's
-//! dirty tracking. (The analysis reads Eq. 17's hp sets directly; it does
-//! not consult this graph.)
+//! dirty tracking, and it orders the Gauss-Seidel sweeps of the holistic
+//! fixpoint. Both read one definition of who reads whom: the analysis of a
+//! task reads its own jitter and those of its hp set, so the **readers** of
+//! task `s`'s jitter are the tasks on `s`'s platform with priority ≤ `s`'s,
+//! `s` itself included. The sweep visits the strongly connected components
+//! of the read graph (`v` → readers of `v`'s successor) in topological
+//! order ([`HpGraph::sweep_order`]) and re-analyzes a task only after a
+//! jitter it reads moved.
 
 use hsched_platform::PlatformId;
 use hsched_transaction::{TaskRef, TransactionSet};
@@ -51,7 +57,8 @@ pub enum DirtySeed {
 #[derive(Debug, Clone, Copy)]
 struct TaskNode {
     priority: u32,
-    platform: usize,
+    /// Index of the task's platform into [`HpGraph::runs`].
+    run: usize,
     /// `true` when the task has a successor in its transaction chain.
     has_successor: bool,
 }
@@ -75,15 +82,20 @@ impl DirtyClosure {
 }
 
 /// The task-level interference graph of one transaction set (see the
-/// module docs for the edge relation). Construction is O(tasks + platform
-/// populations); closure queries are a BFS over the cone only.
+/// module docs for the edge relation). Construction is O(tasks · log tasks)
+/// whatever the size of the platform table; closure queries are a BFS over
+/// the cone only.
 #[derive(Debug, Clone)]
 pub struct HpGraph {
     /// Flat index of the first task of each transaction.
     starts: Vec<usize>,
     nodes: Vec<TaskNode>,
-    /// Platform index → `(flat task index, priority)` of its tasks.
-    platform_tasks: Vec<Vec<(usize, u32)>>,
+    /// `(flat task index, priority)` of every task, grouped by platform and
+    /// by ascending priority inside a platform (set order among equals).
+    by_platform: Vec<(usize, u32)>,
+    /// One `(platform id, start in by_platform)` per platform the set
+    /// uses, by ascending id.
+    runs: Vec<(usize, usize)>,
 }
 
 impl HpGraph {
@@ -91,23 +103,31 @@ impl HpGraph {
     pub fn of(set: &TransactionSet) -> HpGraph {
         let mut starts = Vec::with_capacity(set.transactions().len());
         let mut nodes = Vec::new();
-        let mut platform_tasks: Vec<Vec<(usize, u32)>> = vec![Vec::new(); set.platforms().len()];
+        let mut placed: Vec<(usize, u32, usize)> = Vec::new();
         for tx in set.transactions() {
             starts.push(nodes.len());
             for (j, task) in tx.tasks().iter().enumerate() {
-                let flat = nodes.len();
+                placed.push((task.platform.0, task.priority, nodes.len()));
                 nodes.push(TaskNode {
                     priority: task.priority,
-                    platform: task.platform.0,
+                    run: 0, // set below, once the runs are known
                     has_successor: j + 1 < tx.len(),
                 });
-                platform_tasks[task.platform.0].push((flat, task.priority));
             }
+        }
+        placed.sort_unstable();
+        let mut runs: Vec<(usize, usize)> = Vec::new();
+        for (k, &(platform, _, flat)) in placed.iter().enumerate() {
+            if runs.last().is_none_or(|&(last, _)| last != platform) {
+                runs.push((platform, k));
+            }
+            nodes[flat].run = runs.len() - 1;
         }
         HpGraph {
             starts,
             nodes,
-            platform_tasks,
+            by_platform: placed.into_iter().map(|(_, p, flat)| (flat, p)).collect(),
+            runs,
         }
     }
 
@@ -116,16 +136,112 @@ impl HpGraph {
         self.starts[r.tx] + r.idx
     }
 
+    /// Tasks on the platform of run `run` with priority ≤ `priority`.
+    fn below(&self, run: usize, priority: u32) -> &[(usize, u32)] {
+        let start = self.runs[run].1;
+        let end = self
+            .runs
+            .get(run + 1)
+            .map_or(self.by_platform.len(), |r| r.1);
+        let tasks = &self.by_platform[start..end];
+        &tasks[..tasks.partition_point(|&(_, p)| p <= priority)]
+    }
+
     /// Tasks on `platform` with priority ≤ `priority` — what a task with
     /// these coordinates can interfere with (its direct cone frontier).
     fn sweep_platform(&self, platform: usize, priority: u32, out: &mut Vec<usize>) {
-        if let Some(tasks) = self.platform_tasks.get(platform) {
-            for &(flat, prio) in tasks {
-                if prio <= priority {
-                    out.push(flat);
+        if let Ok(run) = self.runs.binary_search_by_key(&platform, |&(id, _)| id) {
+            out.extend(self.below(run, priority).iter().map(|&(flat, _)| flat));
+        }
+    }
+
+    /// The tasks whose analysis reads task `flat`'s jitter: those on its
+    /// platform with priority ≤ its own (Eq. 17), itself included.
+    fn readers(&self, flat: usize) -> &[(usize, u32)] {
+        let node = self.nodes[flat];
+        self.below(node.run, node.priority)
+    }
+
+    /// `(flat index, priority)` of the tasks that read what task `flat`'s
+    /// analysis writes: its response sets its successor's jitter (Eq. 18),
+    /// so these are the successor's readers — none for the last task of a
+    /// chain.
+    pub(crate) fn dependents(&self, flat: usize) -> &[(usize, u32)] {
+        if self.nodes[flat].has_successor {
+            self.readers(flat + 1)
+        } else {
+            &[]
+        }
+    }
+
+    /// The order in which a Gauss-Seidel sweep visits the tasks with
+    /// `active[flat]` set (flat indices, as [`TransactionSet::task_refs`]
+    /// enumerates them): the strongly connected components of the read
+    /// graph restricted to them, in topological order, each in set order.
+    /// Tarjan's algorithm, iterative: the depth of a long chain costs heap,
+    /// not stack.
+    pub(crate) fn sweep_order(&self, active: &[bool]) -> Vec<Vec<usize>> {
+        const UNSEEN: usize = usize::MAX;
+        let n = self.nodes.len();
+        let mut index = vec![UNSEEN; n];
+        let mut low = vec![0; n];
+        let mut on_stack = vec![false; n];
+        let mut stack: Vec<usize> = Vec::new();
+        // DFS frames: a task and the next of its dependents to visit.
+        let mut frames: Vec<(usize, usize)> = Vec::new();
+        // Components as Tarjan completes them: sinks first.
+        let mut components = Vec::new();
+        let mut next_index = 0;
+        // Roots in reverse set order: where set order is already
+        // topological, the sweep order is set order.
+        for root in (0..n).rev() {
+            if !active[root] || index[root] != UNSEEN {
+                continue;
+            }
+            index[root] = next_index;
+            low[root] = next_index;
+            next_index += 1;
+            stack.push(root);
+            on_stack[root] = true;
+            frames.push((root, 0));
+            while let Some(&(v, edge)) = frames.last() {
+                if let Some(&(w, _)) = self.dependents(v).get(edge) {
+                    frames.last_mut().expect("frame is live").1 += 1;
+                    if !active[w] {
+                        continue;
+                    }
+                    if index[w] == UNSEEN {
+                        index[w] = next_index;
+                        low[w] = next_index;
+                        next_index += 1;
+                        stack.push(w);
+                        on_stack[w] = true;
+                        frames.push((w, 0));
+                    } else if on_stack[w] {
+                        low[v] = low[v].min(index[w]);
+                    }
+                    continue;
+                }
+                frames.pop();
+                if let Some(&(parent, _)) = frames.last() {
+                    low[parent] = low[parent].min(low[v]);
+                }
+                if low[v] == index[v] {
+                    let at = stack
+                        .iter()
+                        .rposition(|&w| w == v)
+                        .expect("v is on the stack");
+                    let mut component = stack.split_off(at);
+                    for &w in &component {
+                        on_stack[w] = false;
+                    }
+                    component.sort_unstable();
+                    components.push(component);
                 }
             }
         }
+        components.reverse();
+        components
     }
 
     /// Forward reachability from the seeds over interference + chain edges:
@@ -154,11 +270,10 @@ impl HpGraph {
             if std::mem::replace(&mut dirty[flat], true) {
                 continue;
             }
-            let node = self.nodes[flat];
             // Interference edges: everything this task can delay.
-            self.sweep_platform(node.platform, node.priority, &mut frontier);
+            frontier.extend(self.readers(flat).iter().map(|&(r, _)| r));
             // Chain edge: the response feeds the successor's jitter.
-            if node.has_successor {
+            if self.nodes[flat].has_successor {
                 frontier.push(flat + 1);
             }
         }
@@ -237,6 +352,75 @@ mod tests {
         let cone = graph.closure(&set, &[DirtySeed::Platform(hsched_platform::PlatformId(0))]);
         // Π1 hosts τ1,2 (chain → τ1,3, τ1,4 → Π3 sweep at p3) and τ2,1.
         assert_eq!(cone.transactions, vec![true, true, false, true]);
+    }
+
+    #[test]
+    fn sweep_order_puts_the_chain_cycle_before_what_it_feeds() {
+        let (_, graph) = paper();
+        // Flat: τ1,1..τ1,4 = 0..3, τ2,1 = 4, τ3,1 = 5, τ4,1 = 6. τ1,1 →
+        // τ1,2 → τ1,3 feed each other's readers, and τ1,3's response sets
+        // J1,4, which τ1,1, τ1,4 and τ4,1 read (Π3, priority ≤ 3): one
+        // cycle {τ1,1, τ1,2, τ1,3}, then τ1,4 and τ4,1.
+        assert_eq!(
+            graph.sweep_order(&[true; 7]),
+            vec![vec![0, 1, 2], vec![3], vec![4], vec![5], vec![6]]
+        );
+        // Frozen tasks are left out, and cut the edges through them.
+        let active = [false, true, true, true, false, false, true];
+        assert_eq!(
+            graph.sweep_order(&active),
+            vec![vec![1], vec![2], vec![3], vec![6]]
+        );
+    }
+
+    #[test]
+    fn sweep_order_is_topological_against_set_order() {
+        // Γ1 = a (Π1, p1); Γ2 = b (Π2, p1) → c (Π1, p2). c's jitter is
+        // read by a (lower priority on Π1), so b must precede a, and the
+        // order departs from set order.
+        let mut platforms = hsched_platform::PlatformSet::new();
+        let p1 = platforms.add(hsched_platform::Platform::dedicated("p1"));
+        let p2 = platforms.add(hsched_platform::Platform::dedicated("p2"));
+        let one = hsched_numeric::rat(1, 1);
+        let task = |name: &str, priority, platform| {
+            hsched_transaction::Task::new(name, one, one, priority, platform)
+        };
+        let tx = |name: &str, tasks| {
+            let period = hsched_numeric::rat(100, 1);
+            hsched_transaction::Transaction::new(name, period, period, tasks).unwrap()
+        };
+        let set = TransactionSet::new(
+            platforms,
+            vec![
+                tx("a", vec![task("a", 1, p1)]),
+                tx("bc", vec![task("b", 1, p2), task("c", 2, p1)]),
+            ],
+        )
+        .unwrap();
+        assert_eq!(
+            HpGraph::of(&set).sweep_order(&[true; 3]),
+            vec![vec![1], vec![0], vec![2]]
+        );
+    }
+
+    #[test]
+    fn sweep_order_of_a_long_chain_needs_no_deep_stack() {
+        // One transaction of 100 000 tasks, each on a platform of its own:
+        // a DFS as deep as the chain, which must not recurse.
+        const N: usize = 100_000;
+        let mut platforms = hsched_platform::PlatformSet::new();
+        let one = hsched_numeric::rat(1, 100_000_000);
+        let tasks = (0..N)
+            .map(|k| {
+                let p = platforms.add(hsched_platform::Platform::dedicated(format!("p{k}")));
+                hsched_transaction::Task::new(format!("t{k}"), one, one, 1, p)
+            })
+            .collect();
+        let period = hsched_numeric::rat(1, 1);
+        let chain = hsched_transaction::Transaction::new("chain", period, period, tasks).unwrap();
+        let set = TransactionSet::new(platforms, vec![chain]).unwrap();
+        let order = HpGraph::of(&set).sweep_order(&vec![true; N]);
+        assert!(order.into_iter().eq((0..N).map(|v| vec![v])));
     }
 
     #[test]

@@ -17,7 +17,10 @@
 //!   it was computed from move;
 //! * `holistic` — the outer dynamic-offset (holistic) fixpoint of §3.2:
 //!   jitter propagation `J_{i,j} = R_{i,j−1} − Rbest_{i,j−1}` iterated to
-//!   convergence, in parallel across tasks;
+//!   convergence, in parallel across tasks (Jacobi) or in dependency order
+//!   (Gauss-Seidel);
+//! * `hpgraph` — who reads whom: the interference cone of a change, and
+//!   the Gauss-Seidel sweep order;
 //! * `report` — the [`SchedulabilityReport`] with the full iteration
 //!   trace (reproducing Table 3) and per-transaction verdicts;
 //! * [`classic`] — an independent, textbook single-processor
@@ -120,9 +123,19 @@ pub enum UpdateOrder {
     /// column and parallelizes perfectly.
     #[default]
     Jacobi,
-    /// Each task's fresh response immediately feeds its successor's jitter
-    /// within the same sweep: the same fixpoint in fewer sweeps (about half
-    /// on dense islands); runs sequentially.
+    /// One sweep in dependency order that skips tasks whose reads did not
+    /// change. A task's analysis reads its own jitter and those of its hp
+    /// set; its fresh response sets its successor's jitter at once
+    /// (Eq. 18). The sweep visits the strongly connected components of this
+    /// read graph in topological order (see [`HpGraph`]) and passes over
+    /// each, in set order, until none of its tasks is dirty — reached by a
+    /// moved jitter since its last analysis. The result is the same least
+    /// fixpoint: re-analyzing a task whose reads did not move reproduces its
+    /// result, so skipping it keeps the iteration fair, and a component is
+    /// entered only once everything upstream of it has settled (Bourdoncle
+    /// 1993), so no task is analyzed against inputs that will still move
+    /// from outside its component. Reports one iteration when it converges;
+    /// runs sequentially.
     GaussSeidel,
 }
 
@@ -139,10 +152,12 @@ pub struct AnalysisConfig {
     pub service_mode: ServiceTimeMode,
     /// Approximate (reduced scenarios) or exact analysis.
     pub scenario_mode: ScenarioMode,
-    /// Jacobi (paper-faithful trace) or Gauss-Seidel (faster convergence);
-    /// admission overrides it with Gauss-Seidel (see [`UpdateOrder`]).
+    /// Jacobi (paper-faithful trace) or Gauss-Seidel (a dependency-ordered
+    /// sweep that skips unchanged tasks); admission overrides it with
+    /// Gauss-Seidel (see [`UpdateOrder`]).
     pub update_order: UpdateOrder,
-    /// Cap on outer holistic iterations before declaring divergence.
+    /// Cap on outer holistic iterations before declaring divergence:
+    /// Jacobi sweeps, or Gauss-Seidel passes over one component.
     pub max_outer_iterations: usize,
     /// Cap on inner fixpoint iterations (busy period / completion time).
     pub max_inner_iterations: usize,

@@ -1,5 +1,5 @@
-//! Analysis-layer telemetry: RTA memo effectiveness and fixpoint
-//! iteration counts, recorded into always-on relaxed atomics.
+//! Analysis-layer telemetry: RTA memo effectiveness, per-task analyses
+//! and fixpoint iteration counts, recorded into always-on relaxed atomics.
 //!
 //! A sink is attached through [`crate::AnalysisConfig::metrics`]; since
 //! the config is cloned into every island/cone analysis, one shared
@@ -19,10 +19,18 @@ pub struct AnalysisMetrics {
     pub rta_foreign_hits: Counter,
     /// Misses on the per-task foreign-interference memo.
     pub rta_foreign_misses: Counter,
+    /// Per-task analyses the holistic fixpoints ran (calls of the
+    /// per-task response-time analysis): deterministic work, which a
+    /// Gauss-Seidel sweep cuts by skipping tasks whose reads did not change.
+    pub fixpoint_task_analyses: Counter,
     /// Outer holistic sweeps per warm-started fixpoint (resumed from a
-    /// previous converged state).
+    /// previous converged state). Gauss-Seidel runs one dependency-ordered
+    /// sweep that repeats each component until it settles, so its
+    /// fixpoints record 1 and their work shows in
+    /// [`Self::fixpoint_task_analyses`].
     pub fixpoint_iterations_warm: Histogram,
-    /// Outer holistic sweeps per cold fixpoint.
+    /// Outer holistic sweeps per cold fixpoint, counted as for
+    /// [`Self::fixpoint_iterations_warm`].
     pub fixpoint_iterations_cold: Histogram,
 }
 
@@ -42,6 +50,10 @@ impl AnalysisMetrics {
         snap.put_counter(
             "analysis.rta_cache.foreign_misses",
             self.rta_foreign_misses.get(),
+        );
+        snap.put_counter(
+            "analysis.fixpoint.task_analyses",
+            self.fixpoint_task_analyses.get(),
         );
         snap.put_histogram(
             "analysis.fixpoint.iterations_warm",

@@ -9,7 +9,8 @@
 /// chunks across `threads` workers. Results come back in input order.
 ///
 /// `threads == 0` uses the available parallelism; `threads == 1` (or a
-/// single-item input) runs inline without spawning.
+/// single-item input, which never asks for the core count) runs inline
+/// without spawning.
 ///
 /// Public because the design-space search (`hsched-design`) parallelizes its
 /// sweeps with the same deterministic chunking.
@@ -20,13 +21,14 @@ where
     F: Fn(&T) -> R + Sync,
 {
     let threads = match threads {
+        _ if items.len() <= 1 => 1,
         0 => std::thread::available_parallelism()
             .map(|n| n.get())
             .unwrap_or(1),
         n => n,
-    };
-    let threads = threads.min(items.len().max(1));
-    if threads <= 1 || items.len() <= 1 {
+    }
+    .min(items.len());
+    if threads <= 1 {
         return items.iter().map(&f).collect();
     }
 

@@ -74,8 +74,10 @@ pub(crate) struct TaskMemo {
     /// States of the foreign hp members `foreign` was computed from, in
     /// `hp` order.
     stamp: Vec<TaskState>,
-    /// `t` → foreign demand in cycles; `None` memoizes nothing (the
-    /// reference the exactness tests compare against).
+    /// `t` → foreign demand in cycles; `None` is the reference the
+    /// exactness tests compare against: it memoizes nothing, and every
+    /// inner fixpoint starts cold from zero (see
+    /// [`TaskContext::analyze_scenario`]).
     foreign: Option<HashMap<Time, Cycles>>,
 }
 
@@ -164,6 +166,9 @@ struct TaskContext<'a> {
     /// Telemetry sink for memo hit/miss accounting, resolved once from
     /// the config so the hot path pays a single pointer check.
     metrics: Option<&'a crate::AnalysisMetrics>,
+    /// Start the completion-time iterations from proven lower bounds of
+    /// their least fixpoints; off for the reference (no memo).
+    seeded: bool,
 }
 
 impl<'a> TaskContext<'a> {
@@ -192,6 +197,7 @@ impl<'a> TaskContext<'a> {
             blocking: config.blocking_of(under.tx, under.idx),
             bound,
             foreign: OnceCell::new(),
+            seeded: memo.is_some(),
             memo,
             metrics: config.metrics.as_deref(),
         }
@@ -336,6 +342,17 @@ impl<'a> TaskContext<'a> {
     /// Analyzes one scenario: busy period started by τa,c's critical
     /// release (`c` may be the task itself). `interference(t)` yields the
     /// total hp demand in cycles for a busy period of length `t`.
+    ///
+    /// Every recurrence here is a monotone map iterated upward to its least
+    /// fixpoint, so it may start from any value proven to lie at or below
+    /// that fixpoint (and below its own image) and still stop exactly
+    /// there. Seeded, job `p > p0` starts from job `p − 1`'s completion
+    /// (one job less, so a smaller map), and job `p0` from the largest
+    /// busy-period iterate computed from an iterate that counted at most
+    /// one own job: by induction each such iterate is at most job `p0`'s
+    /// map applied to the one before, hence at most its least fixpoint.
+    /// When the busy period itself counts exactly one own job it is a
+    /// fixpoint of job `p0`'s map, so it is job `p0`'s completion.
     fn analyze_scenario(
         &self,
         c: usize,
@@ -345,20 +362,24 @@ impl<'a> TaskContext<'a> {
         let phi_c = phase(self.period, starter, self.phi);
         // p0 = 1 − ⌊(Ja,b + ϕ)/Ta⌋ — index of the oldest pending job.
         let p0 = 1 - ((self.jitter + phi_c) / self.period).floor();
-
         // Busy period length L (the paper's iterative expression after
         // Eq. 16); monotone non-decreasing iteration from 0.
         let mut len = Time::ZERO;
+        // The largest iterate computed from one that counted ≤ 1 own job.
+        let mut first_job_floor = Time::ZERO;
         let mut iterations = 0usize;
-        let busy_len = loop {
+        let (busy_len, busy_jobs) = loop {
             // Arrivals clamped at 0 so the L = 0 seed sees the pending jobs
             // (right-limit semantics, as in `Scenario::demand`).
             let own_arrivals = ((len - phi_c) / self.period).ceil().max(0);
             let own_jobs = (own_arrivals - p0 + 1).max(0);
             let demand = Rational::from_integer(own_jobs) * self.wcet + interference(len);
             let next = self.completion(demand);
+            if own_jobs <= 1 {
+                first_job_floor = next;
+            }
             if next == len {
-                break len;
+                break (len, own_jobs);
             }
             if next > self.bound {
                 return Ok(TaskAnalysis {
@@ -376,33 +397,42 @@ impl<'a> TaskContext<'a> {
         let p_last = ((busy_len - phi_c) / self.period).ceil();
 
         let mut best = Time::ZERO;
+        let mut w = if self.seeded {
+            first_job_floor
+        } else {
+            Time::ZERO
+        };
         let mut p = p0;
         while p <= p_last {
-            let mut w = Time::ZERO;
             let jobs = Rational::from_integer(p - p0 + 1);
             let mut iterations = 0usize;
-            let completion = loop {
-                let demand = jobs * self.wcet + interference(w);
-                let next = self.completion(demand);
-                if next == w {
-                    break w;
-                }
-                if next > self.bound {
-                    return Ok(TaskAnalysis {
-                        response: next,
-                        bounded: false,
-                    });
-                }
-                w = next;
-                iterations += 1;
-                if iterations > self.config.max_inner_iterations {
-                    return Err(AnalysisError::InnerIterationCap { task: self.under });
+            let completion = if self.seeded && p == p0 && busy_jobs == 1 {
+                busy_len
+            } else {
+                loop {
+                    let demand = jobs * self.wcet + interference(w);
+                    let next = self.completion(demand);
+                    if next == w {
+                        break w;
+                    }
+                    if next > self.bound {
+                        return Ok(TaskAnalysis {
+                            response: next,
+                            bounded: false,
+                        });
+                    }
+                    w = next;
+                    iterations += 1;
+                    if iterations > self.config.max_inner_iterations {
+                        return Err(AnalysisError::InnerIterationCap { task: self.under });
+                    }
                 }
             };
             // R = w − (ϕ + (p−1)T − φ): completion minus the transaction's
             // activation instant.
             let activation = phi_c + self.period * Rational::from_integer(p - 1) - self.phi;
             best = best.max(completion - activation);
+            w = if self.seeded { completion } else { Time::ZERO };
             p += 1;
         }
         Ok(TaskAnalysis {
@@ -694,10 +724,12 @@ mod tests {
         assert_eq!(r_lo.response, rat(5, 1));
     }
 
-    /// Asserts that the memo is invisible in the whole report on `set`, for
-    /// both update orders and both service modes, from four starts: cold;
-    /// warm after `set` gained its last transaction; and restricted to the
-    /// cone of `seed`, with the cone restarting cold and warm.
+    /// Asserts that the memo and the seeded inner iterations are invisible
+    /// in the whole report on `set` — the reference memoizes nothing and
+    /// starts every busy-period and completion-time iteration from zero —
+    /// for both update orders and both service modes, from four starts:
+    /// cold; warm after `set` gained its last transaction; and restricted
+    /// to the cone of `seed`, with the cone restarting cold and warm.
     fn assert_memo_invisible(set: &TransactionSet, seed: DirtySeed, config: &AnalysisConfig) {
         let (last, rest) = set.transactions().split_last().unwrap();
         let before = TransactionSet::new(set.platforms().clone(), rest.to_vec()).unwrap();
@@ -744,7 +776,7 @@ mod tests {
     }
 
     /// Case count of the generated-systems property, env-tunable so CI can
-    /// run it extended (`HSCHED_PROPTEST_CASES=50`) without editing it.
+    /// run it extended (`HSCHED_PROPTEST_CASES=300`) without editing it.
     fn stress_cases(tier1: u32) -> u32 {
         std::env::var("HSCHED_PROPTEST_CASES")
             .ok()

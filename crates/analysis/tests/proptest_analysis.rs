@@ -258,6 +258,43 @@ proptest! {
     }
 }
 
+/// Case 2 of `gauss_seidel_matches_jacobi_fixpoint`, kept by name: the cone
+/// of Γ2's first task (P0, priority 4) reaches τ3,2 on P0 but not its
+/// predecessor τ3,1 on P1. Restarted cold, τ3,2's jitter is fed by a pinned
+/// response no sweep re-analyzes, so Gauss-Seidel must apply Eq. 18 to it
+/// before the first sweep, or it converges at J3,2 = 0.
+#[test]
+fn gauss_seidel_seeds_jitter_from_a_pinned_predecessor() {
+    let task = |wcet_tenths, bcet_pct, priority, platform| RawTask {
+        wcet_tenths,
+        bcet_pct,
+        priority,
+        platform,
+    };
+    let raw = RawSystem {
+        alphas: vec![3, 9],
+        deltas: vec![0, 2],
+        txs: vec![
+            (1, vec![task(2, 60, 3, 1)]),
+            (4, vec![task(7, 67, 4, 0), task(5, 69, 1, 0)]),
+            (4, vec![task(9, 31, 2, 1), task(8, 39, 2, 0)]),
+        ],
+    };
+    let set = build(&raw);
+    let jacobi = analyze_with(&set, &AnalysisConfig::default()).unwrap();
+    let cone = HpGraph::of(&set).closure(&set, &[DirtySeed::Task(TaskRef { tx: 1, idx: 0 })]);
+    assert_eq!(cone.tasks[2], vec![false, true], "τ3,2 active, τ3,1 pinned");
+    let warm = WarmStart::restricted(&jacobi, cone.tasks, true);
+    let gauss_seidel = AnalysisConfig {
+        update_order: UpdateOrder::GaussSeidel,
+        ..AnalysisConfig::default()
+    };
+    let resumed = analyze_resumed(&set, &gauss_seidel, Some(&warm)).unwrap();
+    assert!(jacobi.converged && resumed.converged);
+    assert_ne!(jacobi.tasks[2][1].jitter, Rational::ZERO);
+    assert_eq!(resumed.tasks, jacobi.tasks);
+}
+
 /// Non-proptest determinism anchor: the same raw system analyzed twice gives
 /// byte-identical reports.
 #[test]
