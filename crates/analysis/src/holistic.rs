@@ -5,12 +5,11 @@
 use crate::par::parallel_map;
 use crate::report::{IterationRecord, SchedulabilityReport, TaskResult, TransactionVerdict};
 pub use crate::rta::AnalysisError;
-use crate::rta::{analyze_task, TaskAnalysis, TaskMemo};
+use crate::rta::{analyze_task, TaskAnalysis, TaskSlots};
 use crate::state::{best_case_offsets, states_at, TaskState};
 use crate::{AnalysisConfig, HpGraph, UpdateOrder};
 use hsched_numeric::Time;
 use hsched_transaction::{TaskRef, TransactionSet};
-use std::sync::Mutex;
 
 /// Runs the paper's analysis with the default (paper-faithful)
 /// configuration: linear platform bounds, reduced scenarios, Jacobi jitter
@@ -162,8 +161,9 @@ pub fn analyze_resumed(
     fixpoint(set, config, warm, true)
 }
 
-/// [`analyze_resumed`] with nothing memoized and every inner fixpoint
-/// started from zero: the reference the exactness tests of the memo and of
+/// [`analyze_resumed`] with no step tables, `W*` evaluated from its
+/// scenarios at every length, and every inner fixpoint iterated from zero
+/// to `next == w`: the reference the exactness tests of the tables and of
 /// the seeded inner iterations compare against.
 #[cfg(test)]
 pub(crate) fn analyze_unmemoized(
@@ -178,7 +178,7 @@ fn fixpoint(
     set: &TransactionSet,
     config: &AnalysisConfig,
     warm: Option<&WarmStart>,
-    memoize: bool,
+    seeded: bool,
 ) -> Result<SchedulabilityReport, AnalysisError> {
     let (offsets, best_responses) = best_case_offsets(set, config.service_mode);
     let mut states = states_at(set, offsets);
@@ -197,23 +197,20 @@ fn fixpoint(
         }
     }
     // Frozen coordinates are pinned at the seed and never analyzed; see the
-    // WarmStart docs for why that is exact. Every task has a memo slot,
-    // filled on its first analysis, so frozen context never pays for one. A
-    // sweep hands every slot to one worker only: the locks are uncontended.
+    // WarmStart docs for why that is exact. Every task has a slot, filled
+    // on its first analysis, so frozen context never pays for its hp sets.
     let refs: Vec<TaskRef> = set.task_refs().collect();
     let active: Vec<bool> = refs
         .iter()
         .map(|r| frozen.is_none_or(|f| f.active[r.tx][r.idx]))
         .collect();
-    let memos: Vec<Mutex<Option<TaskMemo>>> = refs.iter().map(|_| Mutex::new(None)).collect();
+    let graph = HpGraph::of(set);
+    let slots = TaskSlots::new(&graph, seeded);
     let analyze = |flat: usize, states: &[Vec<TaskState>]| {
         if let Some(metrics) = &config.metrics {
             metrics.fixpoint_task_analyses.incr();
         }
-        let r = refs[flat];
-        let mut memo = memos[flat].lock().expect("task memo lock poisoned");
-        let memo = memo.get_or_insert_with(|| TaskMemo::new(set, r, memoize));
-        analyze_task(set, states, r, config, memo)
+        analyze_task(set, states, refs[flat], config, &slots)
     };
     let jitters = |states: &[Vec<TaskState>]| -> Vec<Vec<Time>> {
         states
@@ -286,7 +283,6 @@ fn fixpoint(
             // successor's jitter at once (Eq. 18), and a jitter that moved
             // dirties every task reading it, in this component or a later
             // one, so the sweep ends at the fixpoint.
-            let graph = HpGraph::of(set);
             let mut dirty = active.clone();
             // Eq. (18) for the tasks a frozen predecessor feeds: no
             // analysis ever writes their jitter.

@@ -20,14 +20,18 @@
 //!
 //! [`HpGraph`] is the reusable form of that graph: built once per
 //! transaction set, it answers closure queries for the admission layer's
-//! dirty tracking, and it orders the Gauss-Seidel sweeps of the holistic
-//! fixpoint. Both read one definition of who reads whom: the analysis of a
-//! task reads its own jitter and those of its hp set, so the **readers** of
-//! task `s`'s jitter are the tasks on `s`'s platform with priority ≤ `s`'s,
-//! `s` itself included. The sweep visits the strongly connected components
-//! of the read graph (`v` → readers of `v`'s successor) in topological
-//! order ([`HpGraph::sweep_order`]) and re-analyzes a task only after a
-//! jitter it reads moved.
+//! dirty tracking, and once per holistic fixpoint, whose task analyses
+//! read their hp sets off it and whose Gauss-Seidel sweeps it orders. All
+//! of these read one definition of who reads whom. The tasks of a platform
+//! are kept as one run, by ascending priority; a task's hp sets (Eq. 17)
+//! are the suffix of its run from its own priority up, itself excluded
+//! ([`HpGraph::hp_sets`]). The analysis of a task reads its own jitter and
+//! those of its hp sets, so the **readers** of task `s`'s jitter are the
+//! tasks on `s`'s platform with priority ≤ `s`'s, `s` itself included. The
+//! sweep visits the strongly connected components of the read graph
+//! (`v` → readers of `v`'s successor) in topological order
+//! ([`HpGraph::sweep_order`]) and re-analyzes a task only after a jitter it
+//! reads moved.
 
 use hsched_platform::PlatformId;
 use hsched_transaction::{TaskRef, TransactionSet};
@@ -56,11 +60,35 @@ pub enum DirtySeed {
 /// Per-task record of the graph.
 #[derive(Debug, Clone, Copy)]
 struct TaskNode {
+    /// The task's transaction.
+    tx: usize,
     priority: u32,
     /// Index of the task's platform into [`HpGraph::runs`].
     run: usize,
     /// `true` when the task has a successor in its transaction chain.
     has_successor: bool,
+}
+
+/// The hp sets `hpi(τa,b)` of Eq. (17) of one task τa,b.
+#[derive(Debug)]
+pub(crate) struct HpSets {
+    /// `hpa(τa,b)`, the own transaction's, ascending (possibly empty).
+    pub own: Vec<usize>,
+    /// Every other transaction's non-empty set, by ascending transaction.
+    pub foreign: Vec<ForeignHp>,
+}
+
+/// One foreign transaction's hp set of a task.
+#[derive(Debug)]
+pub(crate) struct ForeignHp {
+    /// The transaction `i`.
+    pub tx: usize,
+    /// `hpi(τa,b)`, ascending.
+    pub members: Vec<usize>,
+    /// Flat index of the set's first member in the platform run. The set
+    /// is every task of Γi in the run from the anchor on, so the anchor
+    /// names it: tasks whose sets share an anchor share one step table.
+    pub anchor: usize,
 }
 
 /// The dirty closure of a batch of seeds: which tasks (and transactions)
@@ -104,11 +132,12 @@ impl HpGraph {
         let mut starts = Vec::with_capacity(set.transactions().len());
         let mut nodes = Vec::new();
         let mut placed: Vec<(usize, u32, usize)> = Vec::new();
-        for tx in set.transactions() {
+        for (i, tx) in set.transactions().iter().enumerate() {
             starts.push(nodes.len());
             for (j, task) in tx.tasks().iter().enumerate() {
                 placed.push((task.platform.0, task.priority, nodes.len()));
                 nodes.push(TaskNode {
+                    tx: i,
                     priority: task.priority,
                     run: 0, // set below, once the runs are known
                     has_successor: j + 1 < tx.len(),
@@ -132,19 +161,64 @@ impl HpGraph {
     }
 
     /// Flat index of a task.
-    fn flat(&self, r: TaskRef) -> usize {
+    pub(crate) fn flat(&self, r: TaskRef) -> usize {
         self.starts[r.tx] + r.idx
     }
 
-    /// Tasks on the platform of run `run` with priority ≤ `priority`.
-    fn below(&self, run: usize, priority: u32) -> &[(usize, u32)] {
+    /// Number of tasks.
+    pub(crate) fn len(&self) -> usize {
+        self.nodes.len()
+    }
+
+    /// The tasks on the platform of run `run`, by ascending priority.
+    fn run(&self, run: usize) -> &[(usize, u32)] {
         let start = self.runs[run].1;
         let end = self
             .runs
             .get(run + 1)
             .map_or(self.by_platform.len(), |r| r.1);
-        let tasks = &self.by_platform[start..end];
+        &self.by_platform[start..end]
+    }
+
+    /// Tasks on the platform of run `run` with priority ≤ `priority`.
+    fn below(&self, run: usize, priority: u32) -> &[(usize, u32)] {
+        let tasks = self.run(run);
         &tasks[..tasks.partition_point(|&(_, p)| p <= priority)]
+    }
+
+    /// The hp sets of task `flat` (Eq. 17): the suffix of its platform run
+    /// with priority ≥ its own, itself left out, split by transaction.
+    pub(crate) fn hp_sets(&self, flat: usize) -> HpSets {
+        let node = self.nodes[flat];
+        let run = self.run(node.run);
+        let suffix = &run[run.partition_point(|&(_, p)| p < node.priority)..];
+        // (transaction, flat index, place in the run), sorted into sets.
+        let mut members: Vec<(usize, usize, usize)> = suffix
+            .iter()
+            .enumerate()
+            .filter(|&(_, &(v, _))| v != flat)
+            .map(|(place, &(v, _))| (self.nodes[v].tx, v, place))
+            .collect();
+        members.sort_unstable();
+        let mut sets = HpSets {
+            own: Vec::new(),
+            foreign: Vec::new(),
+        };
+        for set in members.chunk_by(|a, b| a.0 == b.0) {
+            let tx = set[0].0;
+            let indices = set.iter().map(|&(_, v, _)| v - self.starts[tx]).collect();
+            if tx == node.tx {
+                sets.own = indices;
+            } else {
+                let &(_, anchor, _) = set.iter().min_by_key(|m| m.2).expect("sets are non-empty");
+                sets.foreign.push(ForeignHp {
+                    tx,
+                    members: indices,
+                    anchor,
+                });
+            }
+        }
+        sets
     }
 
     /// Tasks on `platform` with priority ≤ `priority` — what a task with
@@ -293,9 +367,84 @@ impl HpGraph {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use crate::interference::hp_tasks;
     use hsched_transaction::paper_example;
+
+    /// Every task's hp sets read off `set`'s graph are Eq. (17)'s, and
+    /// every foreign set named by one anchor is the same set.
+    pub(crate) fn assert_hp_sets_follow_eq17(set: &TransactionSet) {
+        let graph = HpGraph::of(set);
+        let mut named: Vec<Option<(usize, Vec<usize>)>> = vec![None; graph.len()];
+        for under in set.task_refs() {
+            let sets = graph.hp_sets(graph.flat(under));
+            assert_eq!(
+                sets.own,
+                hp_tasks(set, under.tx, under),
+                "own set of {under}"
+            );
+            let foreign: Vec<(usize, Vec<usize>)> = (0..set.transactions().len())
+                .filter(|&i| i != under.tx)
+                .map(|i| (i, hp_tasks(set, i, under)))
+                .filter(|(_, hp)| !hp.is_empty())
+                .collect();
+            let read: Vec<(usize, Vec<usize>)> = sets
+                .foreign
+                .iter()
+                .map(|f| (f.tx, f.members.clone()))
+                .collect();
+            assert_eq!(read, foreign, "foreign sets of {under}");
+            for f in &sets.foreign {
+                let entry = (f.tx, f.members.clone());
+                let slot = named[f.anchor].get_or_insert_with(|| entry.clone());
+                assert_eq!(*slot, entry, "anchor {} names two sets", f.anchor);
+            }
+        }
+    }
+
+    #[test]
+    fn hp_sets_read_off_the_runs_follow_eq17() {
+        assert_hp_sets_follow_eq17(&paper_example::transactions());
+        // Equal priorities across and within transactions, interleaved on
+        // one platform: a suffix starts at the first task of its priority.
+        let mut platforms = hsched_platform::PlatformSet::new();
+        let p1 = platforms.add(hsched_platform::Platform::dedicated("p1"));
+        let p2 = platforms.add(hsched_platform::Platform::dedicated("p2"));
+        let one = hsched_numeric::rat(1, 1);
+        let task = |name: &str, priority, platform| {
+            hsched_transaction::Task::new(name, one, one, priority, platform)
+        };
+        let tx = |name: &str, tasks| {
+            let period = hsched_numeric::rat(100, 1);
+            hsched_transaction::Transaction::new(name, period, period, tasks).unwrap()
+        };
+        let set = TransactionSet::new(
+            platforms,
+            vec![
+                tx(
+                    "a",
+                    vec![task("a1", 2, p1), task("a2", 1, p2), task("a3", 2, p1)],
+                ),
+                tx(
+                    "b",
+                    vec![task("b1", 2, p1), task("b2", 3, p1), task("b3", 1, p1)],
+                ),
+                tx("c", vec![task("c1", 1, p1), task("c2", 3, p2)]),
+            ],
+        )
+        .unwrap();
+        assert_hp_sets_follow_eq17(&set);
+        // c1 (p1, priority 1) reads {a1, a3} and {b1, b2, b3}; a1
+        // (priority 2) reads {b1, b2} of Γb, a set of its own.
+        let graph = HpGraph::of(&set);
+        let c1 = graph.hp_sets(graph.flat(TaskRef { tx: 2, idx: 0 }));
+        let a1 = graph.hp_sets(graph.flat(TaskRef { tx: 0, idx: 0 }));
+        assert_eq!(c1.foreign[1].members, vec![0, 1, 2]);
+        assert_eq!(a1.own, vec![2]);
+        assert_eq!(a1.foreign[0].members, vec![0, 1]);
+        assert_ne!(a1.foreign[0].anchor, c1.foreign[1].anchor);
+    }
 
     fn paper() -> (TransactionSet, HpGraph) {
         let set = paper_example::transactions();

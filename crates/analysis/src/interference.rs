@@ -1,13 +1,28 @@
 //! Worst-case interference of a transaction on a busy period
 //! (Eqs. 7–11 and 15 of the paper).
+//!
+//! Eq. (11)'s `W^k_i`, in the reduced form of Palencia & González Harbour
+//! (RTSS 1998), is a step function of the busy-window length, and every
+//! analysis above iterates it upward. So evaluations return a [`Step`]:
+//! the demand, and how far it holds. `W*_i` (Eq. 15) of a foreign
+//! transaction is tabulated once per hp set as a [`StepTable`].
 
 use crate::state::TaskState;
 use hsched_numeric::{Cycles, Rational, Time};
-use hsched_transaction::{TaskRef, TransactionSet};
+use hsched_transaction::TransactionSet;
+use std::ops::Add;
 
 /// The set `hpi(τa,b)` of Eq. (17): tasks of transaction `i` with priority
 /// ≥ `p_{a,b}` mapped on the *same platform* as τa,b, excluding τa,b itself.
-pub(crate) fn hp_tasks(set: &TransactionSet, i: usize, under: TaskRef) -> Vec<usize> {
+///
+/// The definition the analysis's hp sets, read off
+/// [`crate::HpGraph`], are checked against.
+#[cfg(test)]
+pub(crate) fn hp_tasks(
+    set: &TransactionSet,
+    i: usize,
+    under: hsched_transaction::TaskRef,
+) -> Vec<usize> {
     let target = set.task(under);
     set.transactions()[i]
         .tasks()
@@ -20,6 +35,43 @@ pub(crate) fn hp_tasks(set: &TransactionSet, i: usize, under: TaskRef) -> Vec<us
         })
         .map(|(j, _)| j)
         .collect()
+}
+
+/// A demand in cycles at a busy-window length `t`, and the largest length
+/// `until ≥ t` up to which it holds unchanged (`None`: it never steps
+/// again). A sum of demands holds until the earliest of their steps.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Step {
+    pub demand: Cycles,
+    pub until: Option<Time>,
+}
+
+impl Step {
+    /// No demand, at any length.
+    pub(crate) const ZERO: Step = Step {
+        demand: Cycles::ZERO,
+        until: None,
+    };
+
+    /// `true` when the demand at `t`, a length at or past the one this
+    /// step was evaluated at, is this step's.
+    pub(crate) fn holds_at(self, t: Time) -> bool {
+        self.until.is_none_or(|until| t <= until)
+    }
+}
+
+impl Add for Step {
+    type Output = Step;
+    fn add(self, other: Step) -> Step {
+        let until = match (self.until, other.until) {
+            (Some(a), Some(b)) => Some(a.min(b)),
+            (a, b) => a.or(b),
+        };
+        Step {
+            demand: self.demand + other.demand,
+            until,
+        }
+    }
 }
 
 /// Phase `ϕ^k_{i,j}` of Eq. (10): the first activation of τi,j after the
@@ -67,6 +119,10 @@ struct Term {
 /// with τi,k's critical release. The states are fixed while one task is
 /// analyzed, so the phases and pending-job counts are computed here, once,
 /// and each evaluated `t` pays only for the arrivals `⌈(t − ϕ)/Ti⌉`.
+///
+/// The analysis evaluates it for the own transaction's scenarios and, in
+/// exact mode, for every transaction's; [`w_star`] over [`scenarios`] is
+/// the reference a [`StepTable`] is checked against.
 #[derive(Debug)]
 pub(crate) struct Scenario {
     period: Time,
@@ -116,6 +172,21 @@ impl Scenario {
         }
         total
     }
+
+    /// [`Self::demand`] at `t`, which holds until the next arrival
+    /// `ϕ + a·Ti` of any term.
+    pub(crate) fn step(&self, t: Time) -> Step {
+        let mut step = Step::ZERO;
+        for term in &self.terms {
+            let arrivals = ((t - term.phase) / self.period).ceil().max(0);
+            step = step
+                + Step {
+                    demand: Rational::from_integer(term.pending + arrivals) * term.wcet,
+                    until: Some(term.phase + self.period * Rational::from_integer(arrivals)),
+                };
+        }
+        step
+    }
 }
 
 /// The scenarios `W*_i(τa,b, ·)` of Eq. (15) maximizes over: one per
@@ -141,13 +212,109 @@ pub(crate) fn w_star(scenarios: &[Scenario], t: Time) -> Cycles {
         .unwrap_or(Cycles::ZERO)
 }
 
+/// `W*_i(τa,b, ·)` of Eq. (15) for a non-empty hp set, tabulated as the
+/// step function it is. Split `t > 0` as `t = q·Ti + r` with
+/// `q = ⌈t/Ti⌉ − 1` and `r ∈ (0, Ti]`: every term then counts `q`
+/// arrivals, plus one more when its phase lies below `r` (phases lie in
+/// `(0, Ti]`). So with `B` the sorted distinct phases of every scenario
+/// and term, and `m` the number of them below `r`,
+///
+/// `W*(t) = q·ΣC + V[m]`, `V[m] = max_k Σ_j Cj·(pending_kj + [ϕ^k_j ≤ B[m−1]])`,
+///
+/// and `W*(0) = V[0]`. The value holds until `t` reaches the next phase
+/// of its period, `q·Ti + B[m]`, or, past the last one, the first phase of
+/// the next period, `(q+1)·Ti + B[0]`: `V[|B|] = V[0] + ΣC`.
+///
+/// The split is not `⌊t/Ti⌋·Ti + r`: with `t` a multiple of `Ti`, that
+/// would put an arrival at phase `Ti` into the next period.
+#[derive(Debug)]
+pub(crate) struct StepTable {
+    /// The hp members' states the table was built from: it is valid
+    /// exactly while they hold.
+    stamp: Vec<TaskState>,
+    period: Time,
+    /// `ΣC` over the hp set: what each period adds.
+    wcet_sum: Cycles,
+    /// `B`, ascending.
+    phases: Vec<Time>,
+    /// `V[0..=|B|]`.
+    values: Vec<Cycles>,
+}
+
+impl StepTable {
+    /// The table of transaction `i`'s hp set `hp` (non-empty) at `states`.
+    pub(crate) fn new(
+        set: &TransactionSet,
+        states: &[Vec<TaskState>],
+        i: usize,
+        hp: &[usize],
+    ) -> StepTable {
+        let scenarios = scenarios(set, states, i, hp);
+        let mut phases: Vec<Time> = scenarios
+            .iter()
+            .flat_map(|s| s.terms.iter().map(|term| term.phase))
+            .collect();
+        phases.sort_unstable();
+        phases.dedup();
+        let mut values = vec![Cycles::ZERO; phases.len() + 1];
+        for scenario in &scenarios {
+            let mut terms: Vec<&Term> = scenario.terms.iter().collect();
+            terms.sort_unstable_by_key(|term| term.phase);
+            let mut value: Cycles = terms
+                .iter()
+                .map(|term| Rational::from_integer(term.pending) * term.wcet)
+                .sum();
+            let mut next = terms.iter().peekable();
+            values[0] = values[0].max(value);
+            for (m, &b) in phases.iter().enumerate() {
+                while let Some(term) = next.next_if(|term| term.phase <= b) {
+                    value += term.wcet;
+                }
+                values[m + 1] = values[m + 1].max(value);
+            }
+        }
+        let tx = &set.transactions()[i];
+        StepTable {
+            stamp: hp.iter().map(|&j| states[i][j]).collect(),
+            period: tx.period,
+            wcet_sum: hp.iter().map(|&j| tx.tasks()[j].wcet).sum(),
+            phases,
+            values,
+        }
+    }
+
+    /// `true` when the table was built from the current states of
+    /// transaction `i`'s hp set `hp`.
+    pub(crate) fn is_current(&self, states: &[Vec<TaskState>], i: usize, hp: &[usize]) -> bool {
+        hp.iter()
+            .map(|&j| states[i][j])
+            .eq(self.stamp.iter().copied())
+    }
+
+    /// `W*(t)` and how far it holds: one division and a binary search.
+    pub(crate) fn step(&self, t: Time) -> Step {
+        // q = ⌈t/T⌉ − 1, r = t − qT ∈ (0, T]; q = 0, r = 0 at t = 0.
+        let q = ((t / self.period).ceil() - 1).max(0);
+        let start = self.period * Rational::from_integer(q);
+        let m = self.phases.partition_point(|&b| b < t - start);
+        let until = match self.phases.get(m) {
+            Some(&b) => start + b,
+            None => start + self.period + self.phases[0],
+        };
+        Step {
+            demand: Rational::from_integer(q) * self.wcet_sum + self.values[m],
+            until: Some(until),
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::state::tests::initial_states;
     use crate::ServiceTimeMode;
     use hsched_numeric::rat;
-    use hsched_transaction::paper_example;
+    use hsched_transaction::{paper_example, TaskRef};
 
     fn paper() -> (TransactionSet, Vec<Vec<TaskState>>) {
         let set = paper_example::transactions();
@@ -331,6 +498,134 @@ mod tests {
                 w_star(&all, t),
                 hp.iter().map(|&k| w_direct(&set, &states, 0, k, &hp, t)).max().unwrap_or(Cycles::ZERO)
             );
+        }
+    }
+
+    /// Checks a step against the reference: `w_star` at `t`, and the same
+    /// value over `(t, until]` (past `t + 4T` for a step claiming to hold
+    /// for ever).
+    fn assert_step(step: Step, reference: &dyn Fn(Time) -> Cycles, t: Time, period: Time) {
+        assert_eq!(step.demand, reference(t), "value at t = {t}");
+        let end = step.until.unwrap_or(t + period * rat(4, 1));
+        assert!(end >= t, "until {end} before t = {t}");
+        for u in [end, (t + end) / rat(2, 1), t + (end - t) / rat(7, 1)] {
+            assert_eq!(
+                reference(u),
+                step.demand,
+                "t = {t} holds to {end}, not at {u}"
+            );
+        }
+    }
+
+    #[test]
+    fn step_table_splits_at_the_period_not_its_floor() {
+        // T = 30, hp {τ0 (φ 0, C 1), τ1 (φ 10, C 1/2)}, no jitter: the
+        // phases are {10, 20, 30}, τ0's own release lying at ϕ = T. At
+        // t = 60, ⌈(60 − 30)/30⌉ = 1 arrival of τ0 and 2 of τ1 join the
+        // pending job of the starter, in either scenario: 2·1 + 2·½ = 3.
+        // Split as ⌊60/30⌋·30 + 0 the arrival at 60 would land in the
+        // third period and count 4, the value just past 60.
+        use hsched_platform::{Platform, PlatformSet};
+        use hsched_transaction::{Task, Transaction};
+        let mut platforms = PlatformSet::new();
+        let cpu = platforms.add(Platform::dedicated("cpu"));
+        let tasks = vec![
+            Task::new("t0", rat(1, 1), rat(1, 1), 1, cpu),
+            Task::new("t1", rat(1, 2), rat(1, 2), 1, cpu),
+        ];
+        let tx = Transaction::new("tx", rat(30, 1), rat(30, 1), tasks).unwrap();
+        let set = TransactionSet::new(platforms, vec![tx]).unwrap();
+        let zero = rat(0, 1);
+        let states = vec![vec![
+            TaskState {
+                phi: zero,
+                jitter: zero,
+            },
+            TaskState {
+                phi: rat(10, 1),
+                jitter: zero,
+            },
+        ]];
+        let table = StepTable::new(&set, &states, 0, &[0, 1]);
+        assert_eq!(
+            table.step(rat(60, 1)),
+            Step {
+                demand: rat(3, 1),
+                until: Some(rat(60, 1)),
+            }
+        );
+        assert_eq!(table.step(rat(601, 10)).demand, rat(4, 1));
+        let all = scenarios(&set, &states, 0, &[0, 1]);
+        assert_eq!(w_star(&all, rat(60, 1)), rat(3, 1));
+        assert_eq!(w_star(&all, rat(601, 10)), rat(4, 1));
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(
+            crate::rta::tests::stress_cases(64)
+        ))]
+
+        /// A step table is `W*` (Eq. 15) evaluated from its scenarios, at
+        /// `t = 0`, at multiples of the period, a phase either side of
+        /// them (phases equal to the period among them: offsets and
+        /// jitters are drawn from few values, so they collide), and at
+        /// fractional lengths, over fractional jitters reaching past the
+        /// period; and each value, the table's and every scenario's, holds
+        /// up to its `until`.
+        #[test]
+        fn step_table_equals_w_star(
+            period in 1i128..40,
+            raw in proptest::collection::vec((0i128..8, 1i128..3, 0i128..12, 1i128..3, 1i128..9), 1..6),
+            pick in 0usize..64,
+            ts in proptest::collection::vec((0i128..400, 1i128..7), 1..6),
+        ) {
+            use hsched_platform::{Platform, PlatformSet};
+            use hsched_transaction::{Task, Transaction};
+            let mut platforms = PlatformSet::new();
+            let cpu = platforms.add(Platform::dedicated("cpu"));
+            let period = rat(period, 1);
+            let tasks = raw
+                .iter()
+                .enumerate()
+                .map(|(j, &(_, _, _, _, c))| Task::new(format!("t{j}"), rat(c, 2), rat(c, 2), 1, cpu))
+                .collect();
+            let tx = Transaction::new("tx", period, period * rat(1000, 1), tasks).unwrap();
+            let set = TransactionSet::new(platforms, vec![tx]).unwrap();
+            // Offsets and jitters in steps of a fifth of the period.
+            let fifth = period / rat(5, 1);
+            let states = vec![raw
+                .iter()
+                .map(|&(phi, phi_den, jitter, jitter_den, _)| TaskState {
+                    phi: fifth * rat(phi, phi_den),
+                    jitter: fifth * rat(jitter, jitter_den),
+                })
+                .collect::<Vec<_>>()];
+            // A non-empty hp set: the tasks `pick`'s bits select, or all.
+            let mut hp: Vec<usize> = (0..raw.len()).filter(|j| pick >> j & 1 == 1).collect();
+            if hp.is_empty() {
+                hp = (0..raw.len()).collect();
+            }
+            let table = StepTable::new(&set, &states, 0, &hp);
+            let all = scenarios(&set, &states, 0, &hp);
+            let reference = |t: Time| w_star(&all, t);
+            let mut lengths = vec![Time::ZERO];
+            for k in 0..4 {
+                let kt = period * rat(k, 1);
+                lengths.push(kt);
+                for &b in &table.phases {
+                    lengths.push(kt + b);
+                    if kt >= b {
+                        lengths.push(kt - b);
+                    }
+                }
+            }
+            lengths.extend(ts.iter().map(|&(n, d)| rat(n, d)));
+            for t in lengths {
+                assert_step(table.step(t), &reference, t, period);
+                for scenario in &all {
+                    assert_step(scenario.step(t), &|u| scenario.demand(u), t, period);
+                }
+            }
         }
     }
 }

@@ -9,18 +9,20 @@
 //!   times, Eq. 18) and jitters J;
 //! * `interference` — the worst-case contribution `W^k_i` of a transaction
 //!   to a busy period (Eqs. 8–11) and the reduced upper bound `W*_i`
-//!   (Eq. 15);
+//!   (Eq. 15), tabulated as the step function of the busy-window length
+//!   it is;
 //! * `rta` — the per-task static-offset analysis: exact scenario
 //!   enumeration (§3.1.1, Eqs. 12–14) and the reduced-scenario
-//!   approximation (§3.1.2, Eq. 16), with a per-task memo of the foreign
-//!   interference that carries over sweeps and is dropped when the states
-//!   it was computed from move;
+//!   approximation (§3.1.2, Eq. 16). One fixpoint's analyses share one
+//!   step table per foreign transaction and hp set, rebuilt when the
+//!   states of its members move, and stop an inner fixpoint once its next
+//!   iterate falls inside the current step;
 //! * `holistic` — the outer dynamic-offset (holistic) fixpoint of §3.2:
 //!   jitter propagation `J_{i,j} = R_{i,j−1} − Rbest_{i,j−1}` iterated to
 //!   convergence, in parallel across tasks (Jacobi) or in dependency order
 //!   (Gauss-Seidel);
-//! * `hpgraph` — who reads whom: the interference cone of a change, and
-//!   the Gauss-Seidel sweep order;
+//! * `hpgraph` — who reads whom: the interference cone of a change, every
+//!   task's hp sets, and the Gauss-Seidel sweep order;
 //! * `report` — the [`SchedulabilityReport`] with the full iteration
 //!   trace (reproducing Table 3) and per-transaction verdicts;
 //! * [`classic`] — an independent, textbook single-processor
@@ -174,8 +176,9 @@ pub struct AnalysisConfig {
     /// Eq. (13)/(16) without prescribing a protocol; this hook lets callers
     /// plug in blocking from e.g. SRP on each platform.
     pub blocking: Vec<Vec<Time>>,
-    /// Optional telemetry sink: RTA memo hit/miss counters and fixpoint
-    /// iteration distributions are recorded here when present (see
+    /// Optional telemetry sink: per-task analyses, interference
+    /// evaluations, step tables built and fixpoint iteration
+    /// distributions are recorded here when present (see
     /// [`AnalysisMetrics`]). The config clone handed to every island
     /// analysis shares the sink, so one `Arc` observes a whole
     /// controller's — or service's — analysis traffic. `None` (the

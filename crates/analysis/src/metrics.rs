@@ -1,5 +1,6 @@
-//! Analysis-layer telemetry: RTA memo effectiveness, per-task analyses
-//! and fixpoint iteration counts, recorded into always-on relaxed atomics.
+//! Analysis-layer telemetry: per-task analyses, interference evaluations,
+//! step tables built and fixpoint iteration counts, recorded into
+//! always-on relaxed atomics.
 //!
 //! A sink is attached through [`crate::AnalysisConfig::metrics`]; since
 //! the config is cloned into every island/cone analysis, one shared
@@ -14,15 +15,18 @@ use hsched_telemetry::{Counter, Histogram, MetricsSnapshot};
 /// never blocks an analysis in flight.
 #[derive(Debug, Default)]
 pub struct AnalysisMetrics {
-    /// Hits on the per-task foreign-interference memo (`W*` totals per
-    /// busy-window length).
-    pub rta_foreign_hits: Counter,
-    /// Misses on the per-task foreign-interference memo.
-    pub rta_foreign_misses: Counter,
     /// Per-task analyses the holistic fixpoints ran (calls of the
     /// per-task response-time analysis): deterministic work, which a
     /// Gauss-Seidel sweep cuts by skipping tasks whose reads did not change.
     pub fixpoint_task_analyses: Counter,
+    /// Interference evaluations of the inner (busy-period and
+    /// completion-time) fixpoints: each sums Eq. (16)'s demand at one
+    /// busy-window length.
+    pub interference_evaluations: Counter,
+    /// Step tables of foreign interference built (`W*_i` of Eq. 15, one
+    /// per foreign transaction and hp set, rebuilt when the states of its
+    /// members move).
+    pub interference_tables: Counter,
     /// Outer holistic sweeps per warm-started fixpoint (resumed from a
     /// previous converged state). Gauss-Seidel runs one dependency-ordered
     /// sweep that repeats each component until it settles, so its
@@ -44,16 +48,16 @@ impl AnalysisMetrics {
     pub fn snapshot(&self) -> MetricsSnapshot {
         let mut snap = MetricsSnapshot::new();
         snap.put_counter(
-            "analysis.rta_cache.foreign_hits",
-            self.rta_foreign_hits.get(),
-        );
-        snap.put_counter(
-            "analysis.rta_cache.foreign_misses",
-            self.rta_foreign_misses.get(),
-        );
-        snap.put_counter(
             "analysis.fixpoint.task_analyses",
             self.fixpoint_task_analyses.get(),
+        );
+        snap.put_counter(
+            "analysis.interference.evaluations",
+            self.interference_evaluations.get(),
+        );
+        snap.put_counter(
+            "analysis.interference.tables",
+            self.interference_tables.get(),
         );
         snap.put_histogram(
             "analysis.fixpoint.iterations_warm",

@@ -1,13 +1,14 @@
 //! Per-task static-offset response-time analysis (§3.1): completion-time
-//! and busy-period fixpoints over scenarios.
+//! and busy-period fixpoints over scenarios, with the foreign interference
+//! read from step tables shared across the analyses of one fixpoint.
 
-use crate::interference::{hp_tasks, phase, scenarios, w_star, Scenario};
+use crate::hpgraph::{ForeignHp, HpSets};
+use crate::interference::{phase, scenarios, w_star, Scenario, Step, StepTable};
 use crate::state::TaskState;
-use crate::{service_time, AnalysisConfig, ScenarioMode};
+use crate::{service_time, AnalysisConfig, HpGraph, ScenarioMode};
 use hsched_numeric::{Cycles, Rational, Time};
 use hsched_transaction::{TaskRef, TransactionSet};
-use std::cell::{OnceCell, RefCell};
-use std::collections::HashMap;
+use std::sync::{Arc, Mutex, OnceLock};
 
 /// Errors that abort the analysis (as opposed to an *unschedulable* verdict,
 /// which is a result).
@@ -58,82 +59,120 @@ pub(crate) struct TaskAnalysis {
     pub bounded: bool,
 }
 
-/// What the analysis of one task keeps across the holistic sweeps of one
-/// `analyze_resumed` call: its hp sets, and a memo of its foreign
-/// interference `Σ_{i ≠ a} W*_i(τa,b, t)` (Eqs. 15–16) per busy-window
-/// length `t`. Every scenario of the task's own transaction, and every
-/// later sweep, re-evaluates that sum at the same lengths; it depends only
-/// on the states of the foreign hp members, so the memo is stamped with
-/// them and [`analyze_task`] drops it when any of them moved.
-#[derive(Debug)]
-pub(crate) struct TaskMemo {
-    /// `(i, hpi(τa,b))` (Eq. 17) for the task's own transaction and every
-    /// other transaction with hp tasks, by transaction index: every task
-    /// holds one for a whole call, so the empty sets are left out.
-    hp: Vec<(usize, Vec<usize>)>,
-    /// States of the foreign hp members `foreign` was computed from, in
-    /// `hp` order.
-    stamp: Vec<TaskState>,
-    /// `t` → foreign demand in cycles; `None` is the reference the
-    /// exactness tests compare against: it memoizes nothing, and every
-    /// inner fixpoint starts cold from zero (see
-    /// [`TaskContext::analyze_scenario`]).
-    foreign: Option<HashMap<Time, Cycles>>,
+/// What the task analyses of one holistic fixpoint share, one slot per
+/// task: the task's hp sets (Eq. 17), read off the [`HpGraph`] on its
+/// first analysis, and the [`StepTable`] of the foreign hp set anchored at
+/// it (see [`ForeignHp::anchor`]). Every task on a platform reading that
+/// set shares the table; it is rebuilt only when the states of its members
+/// move, so within a Jacobi sweep it is built once, and the threads of the
+/// sweep share it too.
+pub(crate) struct TaskSlots<'g> {
+    graph: &'g HpGraph,
+    /// `hp[v]`: task `v`'s hp sets.
+    hp: Vec<OnceLock<HpSets>>,
+    /// `tables[v]`: the table of the foreign hp set anchored at task `v`.
+    tables: Vec<Mutex<Option<Arc<StepTable>>>>,
+    /// Tabulate the foreign interference, start the completion-time
+    /// iterations from proven lower bounds of their least fixpoints, and
+    /// stop them inside their step (see [`TaskContext::analyze_scenario`]);
+    /// off for the reference, which evaluates `W*` from its scenarios at
+    /// every length and iterates every inner fixpoint from zero.
+    seeded: bool,
 }
 
-impl TaskMemo {
-    pub(crate) fn new(set: &TransactionSet, under: TaskRef, memoize: bool) -> TaskMemo {
-        TaskMemo {
-            hp: (0..set.transactions().len())
-                .map(|i| (i, hp_tasks(set, i, under)))
-                .filter(|(i, hp)| *i == under.tx || !hp.is_empty())
-                .collect(),
-            stamp: Vec::new(),
-            foreign: memoize.then(HashMap::new),
+impl<'g> TaskSlots<'g> {
+    pub(crate) fn new(graph: &'g HpGraph, seeded: bool) -> TaskSlots<'g> {
+        TaskSlots {
+            graph,
+            hp: (0..graph.len()).map(|_| OnceLock::new()).collect(),
+            tables: (0..graph.len()).map(|_| Mutex::new(None)).collect(),
+            seeded,
         }
     }
 
-    /// The validity rule: the memo survives exactly while every foreign hp
-    /// member's state equals the stamp.
-    fn revalidate(&mut self, states: &[Vec<TaskState>], under: TaskRef) {
-        let Some(foreign) = &mut self.foreign else {
-            return;
-        };
-        let current = self
-            .hp
-            .iter()
-            .filter(|(i, _)| *i != under.tx)
-            .flat_map(|(i, hp)| hp.iter().map(|&j| states[*i][j]));
-        if !current.clone().eq(self.stamp.iter().copied()) {
-            foreign.clear();
-            self.stamp.clear();
-            self.stamp.extend(current);
+    /// The step table of `hp` at `states`, built unless its slot holds a
+    /// current one.
+    fn table(
+        &self,
+        set: &TransactionSet,
+        states: &[Vec<TaskState>],
+        hp: &ForeignHp,
+        metrics: Option<&crate::AnalysisMetrics>,
+    ) -> Arc<StepTable> {
+        let mut slot = self.tables[hp.anchor]
+            .lock()
+            .expect("step table lock poisoned");
+        match &*slot {
+            Some(table) if table.is_current(states, hp.tx, &hp.members) => table.clone(),
+            _ => {
+                if let Some(m) = metrics {
+                    m.interference_tables.incr();
+                }
+                let table = Arc::new(StepTable::new(set, states, hp.tx, &hp.members));
+                *slot = Some(table.clone());
+                table
+            }
         }
     }
 }
 
 /// Analyzes task `under` given the current offset/jitter state of every
-/// task (§3.1.2 approximate or §3.1.1 exact, per config), reusing what
-/// `memo` still holds from earlier calls for the same task.
+/// task (§3.1.2 approximate or §3.1.1 exact, per config), sharing what
+/// `slots` holds with the other analyses of its fixpoint.
 pub(crate) fn analyze_task(
     set: &TransactionSet,
     states: &[Vec<TaskState>],
     under: TaskRef,
     config: &AnalysisConfig,
-    memo: &mut TaskMemo,
+    slots: &TaskSlots<'_>,
 ) -> Result<TaskAnalysis, AnalysisError> {
-    memo.revalidate(states, under);
-    let ctx = TaskContext::new(
-        set,
-        states,
-        under,
-        config,
-        &memo.hp,
-        memo.foreign.as_mut().map(RefCell::new),
-    );
+    let flat = slots.graph.flat(under);
+    let hp = slots.hp[flat].get_or_init(|| slots.graph.hp_sets(flat));
+    let ctx = TaskContext::new(set, states, under, config, hp, slots.seeded);
     match config.scenario_mode {
-        ScenarioMode::Approximate => ctx.analyze_approximate(),
+        ScenarioMode::Approximate => {
+            let foreign = if slots.seeded {
+                Foreign::Tables(
+                    hp.foreign
+                        .iter()
+                        .map(|f| slots.table(set, states, f, ctx.metrics))
+                        .collect(),
+                )
+            } else {
+                Foreign::Scenarios(
+                    hp.foreign
+                        .iter()
+                        .map(|f| scenarios(set, states, f.tx, &f.members))
+                        .collect(),
+                )
+            };
+            ctx.analyze_approximate(&foreign)
+        }
         ScenarioMode::Exact { max_scenarios } => ctx.analyze_exact(max_scenarios),
+    }
+}
+
+/// `Σ_{i ≠ a} W*_i(τa,b, ·)`: the scenario-independent part of the
+/// reduced analysis's interference (Eqs. 15–16).
+enum Foreign {
+    /// One shared step table per foreign transaction.
+    Tables(Vec<Arc<StepTable>>),
+    /// The reference: every foreign transaction's scenarios, maximized at
+    /// every length.
+    Scenarios(Vec<Vec<Scenario>>),
+}
+
+impl Foreign {
+    fn step(&self, t: Time) -> Step {
+        match self {
+            Foreign::Tables(tables) => tables.iter().fold(Step::ZERO, |sum, w| sum + w.step(t)),
+            // Claims to hold at `t` alone: the reference never stops
+            // inside a step.
+            Foreign::Scenarios(scenarios) => Step {
+                demand: scenarios.iter().map(|w| w_star(w, t)).sum(),
+                until: Some(t),
+            },
+        }
     }
 }
 
@@ -143,8 +182,8 @@ struct TaskContext<'a> {
     states: &'a [Vec<TaskState>],
     under: TaskRef,
     config: &'a AnalysisConfig,
-    /// The task's hp sets (see [`TaskMemo`]).
-    hp: &'a [(usize, Vec<usize>)],
+    /// The task's hp sets.
+    hp: &'a HpSets,
     /// Period of the task's own transaction.
     period: Time,
     /// WCET of the task under analysis.
@@ -157,17 +196,10 @@ struct TaskContext<'a> {
     blocking: Time,
     /// Bail-out bound for busy periods / completion times.
     bound: Time,
-    /// `W*_i` (Eq. 15) of every foreign transaction with hp tasks, built on
-    /// the first [`Self::foreign_demand`] miss: a late sweep whose busy
-    /// windows are all memoized never pays for the phases.
-    foreign: OnceCell<Vec<Vec<Scenario>>>,
-    /// The task's foreign-demand memo, already revalidated.
-    memo: Option<RefCell<&'a mut HashMap<Time, Cycles>>>,
-    /// Telemetry sink for memo hit/miss accounting, resolved once from
-    /// the config so the hot path pays a single pointer check.
+    /// Telemetry sink, resolved once from the config so the hot path pays
+    /// a single pointer check.
     metrics: Option<&'a crate::AnalysisMetrics>,
-    /// Start the completion-time iterations from proven lower bounds of
-    /// their least fixpoints; off for the reference (no memo).
+    /// See [`TaskSlots::seeded`].
     seeded: bool,
 }
 
@@ -177,8 +209,8 @@ impl<'a> TaskContext<'a> {
         states: &'a [Vec<TaskState>],
         under: TaskRef,
         config: &'a AnalysisConfig,
-        hp: &'a [(usize, Vec<usize>)],
-        memo: Option<RefCell<&'a mut HashMap<Time, Cycles>>>,
+        hp: &'a HpSets,
+        seeded: bool,
     ) -> TaskContext<'a> {
         let tx = &set.transactions()[under.tx];
         let st = states[under.tx][under.idx];
@@ -196,10 +228,8 @@ impl<'a> TaskContext<'a> {
             jitter: st.jitter,
             blocking: config.blocking_of(under.tx, under.idx),
             bound,
-            foreign: OnceCell::new(),
-            seeded: memo.is_some(),
-            memo,
             metrics: config.metrics.as_deref(),
+            seeded,
         }
     }
 
@@ -214,42 +244,10 @@ impl<'a> TaskContext<'a> {
         self.blocking + service_time(self.platform(), demand, self.config.service_mode)
     }
 
-    /// `Σ_{i ≠ a} W*_i(τa,b, t)` — the scenario-independent part of the
-    /// reduced analysis's interference, memoized per `t` (see [`TaskMemo`]).
-    fn foreign_demand(&self, t: Time) -> Cycles {
-        if let Some(memo) = &self.memo {
-            if let Some(&w) = memo.borrow().get(&t) {
-                if let Some(m) = self.metrics {
-                    m.rta_foreign_hits.incr();
-                }
-                return w;
-            }
-        }
-        let foreign = self.foreign.get_or_init(|| {
-            self.hp
-                .iter()
-                .filter(|(i, _)| *i != self.under.tx)
-                .map(|(i, hp)| scenarios(self.set, self.states, *i, hp))
-                .collect()
-        });
-        let total = foreign.iter().map(|w| w_star(w, t)).sum();
-        if let Some(memo) = &self.memo {
-            if let Some(m) = self.metrics {
-                m.rta_foreign_misses.incr();
-            }
-            memo.borrow_mut().insert(t, total);
-        }
-        total
-    }
-
     /// §3.1.2: other transactions bounded by `W*`, own transaction's
     /// scenarios enumerated.
-    fn analyze_approximate(&self) -> Result<TaskAnalysis, AnalysisError> {
-        let (_, own_hp) = self
-            .hp
-            .iter()
-            .find(|(i, _)| *i == self.under.tx)
-            .expect("the own transaction's hp set is always kept");
+    fn analyze_approximate(&self, foreign: &Foreign) -> Result<TaskAnalysis, AnalysisError> {
+        let own_hp = &self.hp.own;
         let mut starters = own_hp.clone();
         starters.push(self.under.idx); // τa,b itself starts the busy period
         let mut best = TaskAnalysis {
@@ -258,7 +256,7 @@ impl<'a> TaskContext<'a> {
         };
         for &c in &starters {
             let own = Scenario::new(self.set, self.states, self.under.tx, c, own_hp);
-            let interference = |t: Time| -> Cycles { self.foreign_demand(t) + own.demand(t) };
+            let interference = |t: Time| -> Step { foreign.step(t) + own.step(t) };
             let outcome = self.analyze_scenario(c, &interference)?;
             best.response = best.response.max(outcome.response);
             best.bounded &= outcome.bounded;
@@ -272,21 +270,30 @@ impl<'a> TaskContext<'a> {
     /// §3.1.1: full cartesian enumeration of scenario vectors ν (Eq. 12).
     fn analyze_exact(&self, max_scenarios: u64) -> Result<TaskAnalysis, AnalysisError> {
         // Candidate starters per transaction: hpi for i ≠ a (only the
-        // non-empty ones are kept), hpa ∪ {τa,b} for the own transaction.
-        // Each candidate carries its W^k_i (Eq. 11).
+        // non-empty ones are kept), hpa ∪ {τa,b} for the own transaction,
+        // by ascending transaction. Each candidate carries its W^k_i
+        // (Eq. 11).
+        let mut hp: Vec<(usize, &[usize])> = self
+            .hp
+            .foreign
+            .iter()
+            .map(|f| (f.tx, f.members.as_slice()))
+            .collect();
+        hp.push((self.under.tx, &self.hp.own));
+        hp.sort_unstable_by_key(|&(i, _)| i);
         let mut axes: Vec<(usize, Vec<(usize, Scenario)>)> = Vec::new();
         let mut count: u128 = 1;
-        for (i, hp) in self.hp {
-            let mut candidates = hp.clone();
-            if *i == self.under.tx {
+        for (i, hp) in hp {
+            let mut candidates = hp.to_vec();
+            if i == self.under.tx {
                 candidates.push(self.under.idx);
             }
             count = count.saturating_mul(candidates.len() as u128);
             let candidates = candidates
                 .into_iter()
-                .map(|k| (k, Scenario::new(self.set, self.states, *i, k, hp)))
+                .map(|k| (k, Scenario::new(self.set, self.states, i, k, hp)))
                 .collect();
-            axes.push((*i, candidates));
+            axes.push((i, candidates));
         }
         if count > max_scenarios as u128 {
             return Err(AnalysisError::TooManyScenarios {
@@ -311,11 +318,12 @@ impl<'a> TaskContext<'a> {
         let mut odo = vec![0usize; axes.len()];
         loop {
             let c = axes[own_axis].1[odo[own_axis]].0;
-            let interference = |t: Time| -> Cycles {
+            let interference = |t: Time| -> Step {
                 axes.iter()
                     .zip(&odo)
-                    .map(|((_, candidates), &pick)| candidates[pick].1.demand(t))
-                    .sum()
+                    .fold(Step::ZERO, |sum, ((_, candidates), &pick)| {
+                        sum + candidates[pick].1.step(t)
+                    })
             };
             let outcome = self.analyze_scenario(c, &interference)?;
             best.response = best.response.max(outcome.response);
@@ -341,7 +349,8 @@ impl<'a> TaskContext<'a> {
 
     /// Analyzes one scenario: busy period started by τa,c's critical
     /// release (`c` may be the task itself). `interference(t)` yields the
-    /// total hp demand in cycles for a busy period of length `t`.
+    /// total hp demand in cycles for a busy period of length `t`, and how
+    /// far it holds.
     ///
     /// Every recurrence here is a monotone map iterated upward to its least
     /// fixpoint, so it may start from any value proven to lie at or below
@@ -353,11 +362,25 @@ impl<'a> TaskContext<'a> {
     /// map applied to the one before, hence at most its least fixpoint.
     /// When the busy period itself counts exactly one own job it is a
     /// fixpoint of job `p0`'s map, so it is job `p0`'s completion.
+    ///
+    /// Seeded, an iteration also stops inside its step: when the next
+    /// iterate is no longer than the length up to which the current demand
+    /// holds (for the busy period, up to the task's own next arrival too),
+    /// the map gives it the same demand, so it is a fixpoint, and an
+    /// iterate of an upward iteration, so the least one. The rule is
+    /// checked after the bound and the iteration cap, so it changes no
+    /// bail-out.
     fn analyze_scenario(
         &self,
         c: usize,
-        interference: &dyn Fn(Time) -> Cycles,
+        interference: &dyn Fn(Time) -> Step,
     ) -> Result<TaskAnalysis, AnalysisError> {
+        let evaluate = |t: Time| {
+            if let Some(m) = self.metrics {
+                m.interference_evaluations.incr();
+            }
+            interference(t)
+        };
         let starter = &self.states[self.under.tx][c];
         let phi_c = phase(self.period, starter, self.phi);
         // p0 = 1 − ⌊(Ja,b + ϕ)/Ta⌋ — index of the oldest pending job.
@@ -370,11 +393,15 @@ impl<'a> TaskContext<'a> {
         let mut iterations = 0usize;
         let (busy_len, busy_jobs) = loop {
             // Arrivals clamped at 0 so the L = 0 seed sees the pending jobs
-            // (right-limit semantics, as in `Scenario::demand`).
+            // (right-limit semantics, as in `Scenario::step`).
             let own_arrivals = ((len - phi_c) / self.period).ceil().max(0);
             let own_jobs = (own_arrivals - p0 + 1).max(0);
-            let demand = Rational::from_integer(own_jobs) * self.wcet + interference(len);
-            let next = self.completion(demand);
+            let step = evaluate(len)
+                + Step {
+                    demand: Rational::from_integer(own_jobs) * self.wcet,
+                    until: Some(phi_c + self.period * Rational::from_integer(own_arrivals)),
+                };
+            let next = self.completion(step.demand);
             if own_jobs <= 1 {
                 first_job_floor = next;
             }
@@ -391,6 +418,9 @@ impl<'a> TaskContext<'a> {
             iterations += 1;
             if iterations > self.config.max_inner_iterations {
                 return Err(AnalysisError::InnerIterationCap { task: self.under });
+            }
+            if self.seeded && step.holds_at(len) {
+                break (len, own_jobs);
             }
         };
         // Last job inside the busy period (Eq. 14).
@@ -410,8 +440,8 @@ impl<'a> TaskContext<'a> {
                 busy_len
             } else {
                 loop {
-                    let demand = jobs * self.wcet + interference(w);
-                    let next = self.completion(demand);
+                    let step = evaluate(w);
+                    let next = self.completion(jobs * self.wcet + step.demand);
                     if next == w {
                         break w;
                     }
@@ -425,6 +455,9 @@ impl<'a> TaskContext<'a> {
                     iterations += 1;
                     if iterations > self.config.max_inner_iterations {
                         return Err(AnalysisError::InnerIterationCap { task: self.under });
+                    }
+                    if self.seeded && step.holds_at(w) {
+                        break w;
                     }
                 }
             };
@@ -443,13 +476,12 @@ impl<'a> TaskContext<'a> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::holistic::analyze_unmemoized;
     use crate::state::tests::initial_states;
     use crate::{
-        analyze_resumed, AnalysisMetrics, DirtySeed, HpGraph, ServiceTimeMode, UpdateOrder,
-        WarmStart,
+        analyze_resumed, AnalysisMetrics, DirtySeed, ServiceTimeMode, UpdateOrder, WarmStart,
     };
     use hsched_numeric::rat;
     use hsched_platform::{Platform, PlatformKind, PlatformSet, ServiceModel};
@@ -475,7 +507,7 @@ mod tests {
             states,
             under,
             config,
-            &mut TaskMemo::new(set, under, false),
+            &TaskSlots::new(&HpGraph::of(set), false),
         )
     }
 
@@ -764,20 +796,43 @@ mod tests {
 
     #[test]
     fn memo_matches_reference_on_the_paper_example() {
-        let sink = Arc::new(AnalysisMetrics::new());
-        let config = AnalysisConfig {
+        let set = paper_example::transactions();
+        let seed = DirtySeed::Task(TaskRef { tx: 0, idx: 0 });
+        assert_memo_invisible(&set, seed, &AnalysisConfig::default());
+        // Invisible in results, visible in telemetry. On Table 3's analysis
+        // (four Jacobi sweeps over seven tasks) a table is built on its
+        // first read and again after its members' states moved, and is
+        // evaluated more often than that; the seeded inner iterations,
+        // stopped inside their step, evaluate less than the reference,
+        // which builds no table.
+        let (seeded, reference) = (
+            Arc::new(AnalysisMetrics::new()),
+            Arc::new(AnalysisMetrics::new()),
+        );
+        let reporting_to = |sink: &Arc<AnalysisMetrics>| AnalysisConfig {
             metrics: Some(sink.clone()),
             ..AnalysisConfig::default()
         };
-        let seed = DirtySeed::Task(TaskRef { tx: 0, idx: 0 });
-        assert_memo_invisible(&paper_example::transactions(), seed, &config);
-        // Invisible in results, visible in telemetry: the memo was hit.
-        assert!(sink.rta_foreign_hits.get() > 0);
+        analyze_resumed(&set, &reporting_to(&seeded), None).unwrap();
+        analyze_unmemoized(&set, &reporting_to(&reference), None).unwrap();
+        let counts = |m: &AnalysisMetrics| {
+            (
+                m.interference_tables.get(),
+                m.interference_evaluations.get(),
+            )
+        };
+        // Three foreign hp sets are read: Γ2's and Γ3's never move; Γ1's
+        // {τ1,1, τ1,4}, read by τ4,1, moves with J1,4 in every sweep.
+        let ((tables, evaluations), (reference_tables, reference_evaluations)) =
+            (counts(&seeded), counts(&reference));
+        assert_eq!((tables, evaluations), (6, 45));
+        assert_eq!((reference_tables, reference_evaluations), (0, 138));
+        assert!(tables < evaluations && evaluations < reference_evaluations);
     }
 
     /// Case count of the generated-systems property, env-tunable so CI can
     /// run it extended (`HSCHED_PROPTEST_CASES=300`) without editing it.
-    fn stress_cases(tier1: u32) -> u32 {
+    pub(crate) fn stress_cases(tier1: u32) -> u32 {
         std::env::var("HSCHED_PROPTEST_CASES")
             .ok()
             .and_then(|v| v.parse().ok())
@@ -842,5 +897,83 @@ mod tests {
             let config = AnalysisConfig { threads, ..AnalysisConfig::default() };
             assert_memo_invisible(&set, seed, &config);
         }
+    }
+
+    proptest::proptest! {
+            #![proptest_config(proptest::ProptestConfig::with_cases(stress_cases(256)))]
+
+            /// Seeded analysis, with its shared step tables and its inner
+            /// fixpoints stopped inside their step, equals the reference task
+            /// by task, outside any holistic sweep: on generated systems under
+            /// heavy load, at arbitrary states with jitters past the period, so
+            /// busy periods often span several jobs and often diverge, in both
+            /// scenario and both service modes. Also checks the hp sets read
+            /// off the graph against Eq. (17).
+            #[test]
+            fn memo_matches_reference_task_by_task(
+                kinds in proptest::collection::vec(0u8..3, 1..=2),
+                raw in proptest::collection::vec(
+                    (0usize..4, proptest::collection::vec(
+                        (1i128..=60, 1u32..=3, 0usize..2, 0i128..60, 0i128..90, 1i128..=3),
+                        1..=3,
+                    )),
+                    2..=4,
+                ),
+                modes in 0u8..4,
+            ) {
+                let mut platforms = PlatformSet::new();
+                let ids: Vec<_> = kinds
+                    .iter()
+                    .enumerate()
+                    .map(|(k, &kind)| platforms.add(generated_platform(k, kind)))
+                    .collect();
+                let txs = raw
+                    .iter()
+                    .enumerate()
+                    .map(|(i, (period, tasks))| {
+                        let period = rat([10, 15, 20, 30][*period], 1);
+                        let tasks = tasks
+                            .iter()
+                            .enumerate()
+                            .map(|(j, &(wcet, priority, p, _, _, _))| {
+                                let wcet = rat(wcet, 10);
+                                Task::new(format!("t{i}_{j}"), wcet, wcet / rat(2, 1), priority, ids[p % ids.len()])
+                            })
+                            .collect();
+                        Transaction::new(format!("tx{i}"), period, period * rat(3, 1), tasks).unwrap()
+                    })
+                    .collect();
+                let set = TransactionSet::new(platforms, txs).unwrap();
+                crate::hpgraph::tests::assert_hp_sets_follow_eq17(&set);
+                let states: Vec<Vec<TaskState>> = raw
+                    .iter()
+                    .map(|(_, tasks)| {
+                        tasks
+                            .iter()
+                            .map(|&(_, _, _, phi, jitter, den)| TaskState {
+                                phi: rat(phi, 2),
+                                jitter: rat(jitter, den),
+                            })
+                            .collect()
+                    })
+                    .collect();
+                let mut config = if modes & 1 == 1 {
+                    AnalysisConfig::exact(4096)
+                } else {
+                    AnalysisConfig::default()
+                };
+                if modes & 2 == 2 {
+                    config.service_mode = ServiceTimeMode::ExactCurve;
+                }
+                let graph = HpGraph::of(&set);
+                let (seeded, reference) = (TaskSlots::new(&graph, true), TaskSlots::new(&graph, false));
+                for under in set.task_refs() {
+                    proptest::prop_assert_eq!(
+                        analyze_task(&set, &states, under, &config, &seeded),
+                        analyze_task(&set, &states, under, &config, &reference),
+                        "{}", under
+                    );
+                }
+            }
     }
 }

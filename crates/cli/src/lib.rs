@@ -995,7 +995,7 @@ instance I : W on S node 0;
             "{out}"
         );
         assert!(out.contains("engine.phase.reserve_ns"), "{out}");
-        assert!(out.contains("analysis.rta_cache"), "{out}");
+        assert!(out.contains("analysis.interference"), "{out}");
         assert!(out.contains("admission.cone.transactions"), "{out}");
 
         let json = run(&args(&[

@@ -15,7 +15,7 @@ json=$(cargo run --release --quiet --locked -p hsched-cli --bin hsched -- \
 echo "$json" | grep -q '"telemetry":{'
 echo "$json" | grep -q '"engine.epochs_settled":4'
 echo "$json" | grep -q '"engine.phase.analyze_ns":{'
-echo "$json" | grep -q '"analysis.rta_cache.foreign_hits"'
+echo "$json" | grep -q '"analysis.interference.evaluations"'
 
 # Round-trip: the whole envelope must be valid JSON and the telemetry
 # block must carry coherent figures.
