@@ -2,7 +2,6 @@
 //! cone-restricted re-analysis, warm-started fixpoints, transactional
 //! rollback.
 
-use crate::dirty::{component_context, dirty_components};
 use crate::request::{AdmissionRequest, EpochOutcome, RejectReason, Verdict};
 use hsched_analysis::{
     analyze_resumed, parallel_map, AnalysisConfig, DirtySeed, FrozenSeed, HpGraph,
@@ -13,7 +12,8 @@ use hsched_numeric::{Rational, Time};
 use hsched_platform::{Platform, PlatformId, PlatformSet, ServiceModel};
 use hsched_supply::BoundedDelay;
 use hsched_transaction::{flatten_annotated, FlattenOptions, TaskRef, TransactionSet};
-use std::collections::{BTreeMap, HashSet};
+use std::borrow::Cow;
+use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// Tuning knobs of the controller. The defaults enable every optimization;
@@ -211,9 +211,10 @@ impl AdmissionController {
         // island's divergence (wedging later commits that heal it). With
         // every transaction dirty, the components are the islands.
         let all_dirty = vec![true; self.set.transactions().len()];
-        let inputs: Vec<GroupInput> = dirty_components(&self.set, &all_dirty)
-            .iter()
-            .map(|group| self.group_input(group, &[], false))
+        let (order, bounds) = HpGraph::of(&self.set).islands(&all_dirty);
+        let inputs: Vec<GroupInput> = bounds
+            .windows(2)
+            .map(|w| group_input(&self.set, &self.entries, &order[w[0]..w[1]], &[], false))
             .collect();
         let reports = parallel_map(&inputs, self.policy.island_threads, |input| {
             self.guarded_analyze(input)
@@ -221,8 +222,8 @@ impl AdmissionController {
         .into_iter()
         .collect::<Result<Vec<_>, _>>()?;
         let mut scratch = UndoLog::default();
-        for (input, report) in inputs.iter().zip(&reports) {
-            self.absorb(&input.indices, &input.active, report, &mut scratch);
+        for (input, report) in inputs.iter().zip(reports) {
+            absorb(&mut self.entries, input, report, &mut scratch);
         }
         Ok(())
     }
@@ -346,10 +347,16 @@ impl AdmissionController {
                 }
             }
         }
-        let touched = self.touched_islands(&seeds);
+        // The islands holding a platform a seed names are all the batch can
+        // move (interference never crosses an island, Eq. 17).
+        let graph = HpGraph::of(&self.set);
+        let touched = graph.islands_of(seeds.iter().map(|seed| match *seed {
+            DirtySeed::Task(r) => self.set.task(r).platform,
+            DirtySeed::Footprint { platform, .. } | DirtySeed::Platform(platform) => platform,
+        }));
 
         if self.policy.utilization_precheck {
-            match self.overload_in(touched.iter().flatten().copied()) {
+            match self.overload_in(touched.iter().copied()) {
                 Ok(overloaded) if !overloaded.is_empty() => {
                     return self.reject(
                         undo,
@@ -367,25 +374,30 @@ impl AdmissionController {
         }
 
         // The dirty set is the hp-graph closure of the batch's seeds — or,
-        // with dirty tracking off, every transaction, whose components are
-        // the islands (as in `analyze_from_scratch`).
+        // with dirty tracking off, every transaction, whose parts are the
+        // islands (as in `analyze_from_scratch`).
         let dirty = if self.policy.dirty_tracking {
             self.seed_stale_islands(&touched, &mut seeds);
-            HpGraph::of(&self.set)
-                .closure(&self.set, &seeds)
-                .transactions
+            graph.closure(&self.set, &seeds).transactions
         } else {
             vec![true; self.set.transactions().len()]
         };
         let warm = additive && self.policy.warm_start;
-        let inputs: Vec<GroupInput> = dirty_components(&self.set, &dirty)
-            .into_iter()
-            .map(|members| {
-                let context = component_context(&self.set, &members, &dirty);
-                self.group_input(&members, &context, warm)
+        let (order, bounds) = graph.islands(&dirty);
+        let inputs: Vec<GroupInput> = bounds
+            .windows(2)
+            .map(|w| {
+                let members = &order[w[0]..w[1]];
+                let context = graph.context(members, &dirty);
+                group_input(&self.set, &self.entries, members, &context, warm)
             })
             .collect();
-        let analyzed: usize = inputs.iter().map(GroupInput::active_count).sum();
+        // Transactions actually re-analyzed: the groups' active members.
+        let analyzed = inputs
+            .iter()
+            .flat_map(|input| &input.active)
+            .filter(|&&a| a)
+            .count();
         let total = self.set.transactions().len();
         let islands = inputs.len();
 
@@ -399,7 +411,7 @@ impl AdmissionController {
 
         for (input, result) in inputs.iter().zip(results) {
             match result {
-                Ok(report) => self.absorb(&input.indices, &input.active, &report, &mut undo),
+                Ok(report) => absorb(&mut self.entries, input, report, &mut undo),
                 Err(reason) => return self.reject(undo, batch, reason),
             }
         }
@@ -410,9 +422,7 @@ impl AdmissionController {
             self.stats.warm_epochs += 1;
         }
 
-        let mut judged = touched.concat();
-        judged.sort_unstable();
-        let misses = self.misses_in(judged);
+        let misses = self.misses_in(touched);
         if !misses.is_empty() {
             let mut outcome = self.reject(undo, batch, RejectReason::Unschedulable { misses });
             // The fixpoints did run before the verdict turned the batch away;
@@ -569,12 +579,14 @@ impl AdmissionController {
         if self.set.transactions().is_empty() {
             return vec![self];
         }
-        let islands = dirty_components(&self.set, &vec![true; self.set.transactions().len()]);
-        if islands.len() == 1 {
+        let (order, bounds) =
+            HpGraph::of(&self.set).islands(&vec![true; self.set.transactions().len()]);
+        if bounds.len() == 2 {
             return vec![self];
         }
-        islands
-            .into_iter()
+        bounds
+            .windows(2)
+            .map(|w| &order[w[0]..w[1]])
             .enumerate()
             .map(|(part, members)| {
                 let transactions: Vec<_> = members
@@ -879,32 +891,6 @@ impl AdmissionController {
             .collect())
     }
 
-    /// The islands an applied batch touches: those holding a platform one
-    /// of its `seeds` names — an arrival's tasks, a departure's footprint,
-    /// a retuned platform. Interference never crosses an island (Eq. 17's
-    /// `hp` sets are per platform), so no other island's verdict can move.
-    fn touched_islands(&self, seeds: &[DirtySeed]) -> Vec<Vec<usize>> {
-        let touched: HashSet<usize> = seeds
-            .iter()
-            .map(|seed| match *seed {
-                DirtySeed::Task(r) => self.set.task(r).platform.0,
-                DirtySeed::Footprint { platform, .. } | DirtySeed::Platform(platform) => platform.0,
-            })
-            .collect();
-        let txs = self.set.transactions();
-        dirty_components(&self.set, &vec![true; txs.len()])
-            .into_iter()
-            .filter(|island| {
-                island.iter().any(|&i| {
-                    txs[i]
-                        .tasks()
-                        .iter()
-                        .any(|t| touched.contains(&t.platform.0))
-                })
-            })
-            .collect()
-    }
-
     /// Extends the dirty seeds with every live transaction of a `touched`
     /// island whose cached analysis did **not** converge. A non-converged
     /// cache row holds bail-out values, not a fixpoint — it cannot serve as
@@ -914,8 +900,8 @@ impl AdmissionController {
     /// rows at island granularity re-solves what an island-granular tracker
     /// would, so recovery batches admit identically; untouched islands keep
     /// their (stale, rejected-at-admission) rows exactly as before.
-    fn seed_stale_islands(&self, touched: &[Vec<usize>], seeds: &mut Vec<DirtySeed>) {
-        for &i in touched.iter().flatten() {
+    fn seed_stale_islands(&self, touched: &[usize], seeds: &mut Vec<DirtySeed>) {
+        for &i in touched {
             let stale = self.entries[i]
                 .outcome
                 .as_ref()
@@ -928,93 +914,15 @@ impl AdmissionController {
         }
     }
 
-    /// Builds one analysis sub-problem: the cone members (active) plus
-    /// their clean platform-sharing context (frozen), sharing this
-    /// controller's platform table.
-    ///
-    /// Frozen members are pinned at their cached fixpoint — exact because
-    /// nothing that reaches them changed (cone closure). Active members
-    /// seed from their cached jitters when `warm_actives` (purely additive
-    /// batches: the old fixpoint is ≤ the new one) and restart cold
-    /// otherwise (the downward-restart bound after removals/retunes); both
-    /// are exact, see [`WarmStart`]. The warm seeding additionally requires
-    /// every cached active member to have converged — a diverged cache
-    /// value may exceed the new least fixpoint, so those groups fall back
-    /// to cold actives.
-    fn group_input(&self, members: &[usize], context: &[usize], warm_actives: bool) -> GroupInput {
-        // Merge actives and context ascending so the sub-set preserves the
-        // live set's relative order (determinism + report alignment).
-        let mut indices: Vec<(usize, bool)> = members
-            .iter()
-            .map(|&i| (i, true))
-            .chain(context.iter().map(|&i| (i, false)))
-            .collect();
-        indices.sort_unstable();
-        let (indices, active): (Vec<usize>, Vec<bool>) = indices.into_iter().unzip();
-
-        let transactions = indices
-            .iter()
-            .map(|&i| self.set.transactions()[i].clone())
-            .collect();
-        let sub = TransactionSet::new(self.set.platforms().clone(), transactions)
-            .expect("cone members reference live platforms");
-
-        let warm_seeded = warm_actives
-            && indices
-                .iter()
-                .zip(&active)
-                .all(|(&i, &a)| match &self.entries[i].outcome {
-                    Some(outcome) => !a || (outcome.converged && outcome.bounded),
-                    None => true, // new arrival: cold coordinate
-                });
-        let has_frozen = active.iter().any(|&a| !a);
-        let warm = if has_frozen || warm_seeded {
-            let row = |i: usize, a: bool, f: fn(&TaskResult) -> Time| -> Vec<Time> {
-                match &self.entries[i].outcome {
-                    Some(outcome) if !a || warm_seeded => outcome.tasks.iter().map(f).collect(),
-                    _ => vec![Time::ZERO; self.set.transactions()[i].len()],
-                }
-            };
-            let jitters = indices
-                .iter()
-                .zip(&active)
-                .map(|(&i, &a)| row(i, a, |t| t.jitter))
-                .collect();
-            let frozen = has_frozen.then(|| FrozenSeed {
-                active: indices
-                    .iter()
-                    .zip(&active)
-                    .map(|(&i, &a)| vec![a; self.set.transactions()[i].len()])
-                    .collect(),
-                responses: indices
-                    .iter()
-                    .zip(&active)
-                    .map(|(&i, &a)| row(i, a, |t| t.response))
-                    .collect(),
-            });
-            Some(WarmStart { jitters, frozen })
-        } else {
-            None
-        };
-        GroupInput {
-            indices,
-            active,
-            set: sub,
-            warm,
-            warm_seeded,
-        }
-    }
-
     /// Runs one island's analysis, converting panics (exact-arithmetic
     /// overflow on hostile workloads) and analysis errors into rejection
     /// reasons. Every analysis of the controller passes here, and iterates
-    /// Gauss-Seidel on one thread: the cache keeps fixpoints, never a trace,
+    /// Gauss-Seidel: the cache keeps fixpoints, never a trace,
     /// and every order reaches the same one ([`UpdateOrder`]), Gauss-Seidel
     /// in one dependency-ordered sweep that re-analyzes only the tasks whose
     /// reads moved. `commit` parallelizes across islands.
     fn guarded_analyze(&self, input: &GroupInput) -> Result<SchedulabilityReport, RejectReason> {
         let config = AnalysisConfig {
-            threads: 1,
             update_order: UpdateOrder::GaussSeidel,
             ..self.config.clone()
         };
@@ -1028,36 +936,6 @@ impl AdmissionController {
             Ok(Ok(report)) => Ok(report),
             Ok(Err(error)) => Err(RejectReason::Analysis(error.to_string())),
             Err(payload) => Err(RejectReason::Numeric(panic_message(payload.as_ref()))),
-        }
-    }
-
-    /// Writes a cone report back into the per-transaction cache, saving the
-    /// overwritten outcomes in the undo log. Frozen context positions are
-    /// skipped — their cached values are the pinned seeds the analysis ran
-    /// against, already in place (and possibly shared with a sibling cone's
-    /// context, which must not see them overwritten).
-    fn absorb(
-        &mut self,
-        indices: &[usize],
-        active: &[bool],
-        report: &SchedulabilityReport,
-        undo: &mut UndoLog,
-    ) {
-        for (pos, &index) in indices.iter().enumerate() {
-            if !active[pos] {
-                continue;
-            }
-            let fresh = Some(TxOutcome {
-                tasks: report.tasks[pos].clone(),
-                verdict: report.verdicts[pos].clone(),
-                converged: report.converged,
-                bounded: !report.diverged,
-            });
-            let previous = std::mem::replace(&mut self.entries[index].outcome, fresh);
-            undo.ops.push(UndoOp::RestoreOutcome {
-                index,
-                outcome: previous,
-            });
         }
     }
 
@@ -1081,24 +959,138 @@ impl AdmissionController {
     }
 }
 
-/// One cone's analysis job, prepared under `&self` so cones can run in
+/// Builds one analysis sub-problem of the live `set`: the cone members
+/// (active) plus their clean platform-sharing context (frozen), sharing the
+/// set's platform table. A group that spans the whole set borrows it.
+///
+/// Frozen members are pinned at their cached fixpoint — exact because
+/// nothing that reaches them changed (cone closure). Active members seed
+/// from their cached jitters when `warm_actives` (purely additive batches:
+/// the old fixpoint is ≤ the new one) and restart cold otherwise (the
+/// downward-restart bound after removals/retunes); both are exact, see
+/// [`WarmStart`]. The warm seeding additionally requires every cached
+/// active member to have converged — a diverged cache value may exceed the
+/// new least fixpoint, so those groups fall back to cold actives.
+fn group_input<'s>(
+    set: &'s TransactionSet,
+    entries: &[Entry],
+    members: &[usize],
+    context: &[usize],
+    warm_actives: bool,
+) -> GroupInput<'s> {
+    // Merge actives and context ascending so the sub-set preserves the
+    // live set's relative order (determinism + report alignment).
+    let mut indices: Vec<(usize, bool)> = members
+        .iter()
+        .map(|&i| (i, true))
+        .chain(context.iter().map(|&i| (i, false)))
+        .collect();
+    indices.sort_unstable();
+    let (indices, active): (Vec<usize>, Vec<bool>) = indices.into_iter().unzip();
+
+    let sub = if indices.len() == set.transactions().len() {
+        Cow::Borrowed(set)
+    } else {
+        let transactions = indices
+            .iter()
+            .map(|&i| set.transactions()[i].clone())
+            .collect();
+        Cow::Owned(
+            TransactionSet::new(set.platforms().clone(), transactions)
+                .expect("cone members reference live platforms"),
+        )
+    };
+
+    let warm_seeded = warm_actives
+        && indices
+            .iter()
+            .zip(&active)
+            .all(|(&i, &a)| match &entries[i].outcome {
+                Some(outcome) => !a || (outcome.converged && outcome.bounded),
+                None => true, // new arrival: cold coordinate
+            });
+    let has_frozen = active.iter().any(|&a| !a);
+    let warm = if has_frozen || warm_seeded {
+        let row = |i: usize, a: bool, f: fn(&TaskResult) -> Time| -> Vec<Time> {
+            match &entries[i].outcome {
+                Some(outcome) if !a || warm_seeded => outcome.tasks.iter().map(f).collect(),
+                _ => vec![Time::ZERO; set.transactions()[i].len()],
+            }
+        };
+        let jitters = indices
+            .iter()
+            .zip(&active)
+            .map(|(&i, &a)| row(i, a, |t| t.jitter))
+            .collect();
+        let frozen = has_frozen.then(|| FrozenSeed {
+            active: indices
+                .iter()
+                .zip(&active)
+                .map(|(&i, &a)| vec![a; set.transactions()[i].len()])
+                .collect(),
+            responses: indices
+                .iter()
+                .zip(&active)
+                .map(|(&i, &a)| row(i, a, |t| t.response))
+                .collect(),
+        });
+        Some(WarmStart { jitters, frozen })
+    } else {
+        None
+    };
+    GroupInput {
+        indices,
+        active,
+        set: sub,
+        warm,
+        warm_seeded,
+    }
+}
+
+/// Writes a group's report back into the per-transaction cache `entries`,
+/// moving its rows, and saves the overwritten outcomes in the undo log.
+/// Frozen context positions are skipped — their cached values are the
+/// pinned seeds the analysis ran against, already in place (and possibly
+/// shared with a sibling cone's context, which must not see them
+/// overwritten).
+fn absorb(
+    entries: &mut [Entry],
+    input: &GroupInput<'_>,
+    report: SchedulabilityReport,
+    undo: &mut UndoLog,
+) {
+    let (converged, bounded) = (report.converged, !report.diverged);
+    let rows = report.tasks.into_iter().zip(report.verdicts);
+    for ((&index, &active), (tasks, verdict)) in input.indices.iter().zip(&input.active).zip(rows) {
+        if !active {
+            continue;
+        }
+        let fresh = Some(TxOutcome {
+            tasks,
+            verdict,
+            converged,
+            bounded,
+        });
+        let previous = std::mem::replace(&mut entries[index].outcome, fresh);
+        undo.ops.push(UndoOp::RestoreOutcome {
+            index,
+            outcome: previous,
+        });
+    }
+}
+
+/// One cone's analysis job, prepared from the live set so cones can run in
 /// parallel worker threads. `indices` are global transaction indices
 /// (ascending); `active[pos]` distinguishes cone members (re-analyzed)
 /// from frozen context (pinned).
-struct GroupInput {
+struct GroupInput<'s> {
     indices: Vec<usize>,
     active: Vec<bool>,
-    set: TransactionSet,
+    /// The live set itself when the group spans it, else a copy of its part.
+    set: Cow<'s, TransactionSet>,
     warm: Option<WarmStart>,
     /// Active members were seeded from cached jitters (additive resume).
     warm_seeded: bool,
-}
-
-impl GroupInput {
-    /// Number of transactions actually re-analyzed.
-    fn active_count(&self) -> usize {
-        self.active.iter().filter(|&&a| a).count()
-    }
 }
 
 thread_local! {

@@ -46,8 +46,9 @@
 //! ([`AdmissionController::merge_from`]), runs epochs on disjoint shards
 //! concurrently, and adds typed handles plus a journaled write-ahead log
 //! with byte-identical replay. This single-controller API remains the
-//! shard core and the right tool for small or single-island systems.
-//! [`UnionFind`] is the partition behind the island split.
+//! shard core and the right tool for small or single-island systems. The
+//! islands come from `hsched_analysis::HpGraph::islands`; [`UnionFind`]
+//! groups platforms for callers that partition a set themselves.
 //!
 //! Hostile workloads degrade gracefully: the utilization precheck uses the
 //! fallible `try_*` arithmetic of `hsched-numeric`, and any exact-arithmetic

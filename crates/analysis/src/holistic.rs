@@ -2,7 +2,6 @@
 //! jitters on successor tasks; iterate the static-offset analysis until the
 //! jitter vector stabilizes.
 
-use crate::par::parallel_map;
 use crate::report::{IterationRecord, SchedulabilityReport, TaskResult, TransactionVerdict};
 pub use crate::rta::AnalysisError;
 use crate::rta::{analyze_task, TaskAnalysis, TaskSlots};
@@ -158,27 +157,21 @@ pub fn analyze_resumed(
     config: &AnalysisConfig,
     warm: Option<&WarmStart>,
 ) -> Result<SchedulabilityReport, AnalysisError> {
-    fixpoint(set, config, warm, true)
+    let graph = HpGraph::of(set);
+    let mut slots = TaskSlots::new(&graph);
+    fixpoint(set, config, warm, &graph, |states, under| {
+        analyze_task(set, states, under, config, &mut slots)
+    })
 }
 
-/// [`analyze_resumed`] with no step tables, `W*` evaluated from its
-/// scenarios at every length, and every inner fixpoint iterated from zero
-/// to `next == w`: the reference the exactness tests of the tables and of
-/// the seeded inner iterations compare against.
-#[cfg(test)]
-pub(crate) fn analyze_unmemoized(
-    set: &TransactionSet,
-    config: &AnalysisConfig,
-    warm: Option<&WarmStart>,
-) -> Result<SchedulabilityReport, AnalysisError> {
-    fixpoint(set, config, warm, false)
-}
-
+/// The holistic fixpoint of `set`, whose read graph is `graph`, with
+/// `analyze_task` analyzing one task at the current states.
 fn fixpoint(
     set: &TransactionSet,
     config: &AnalysisConfig,
     warm: Option<&WarmStart>,
-    seeded: bool,
+    graph: &HpGraph,
+    mut analyze_task: impl FnMut(&[Vec<TaskState>], TaskRef) -> Result<TaskAnalysis, AnalysisError>,
 ) -> Result<SchedulabilityReport, AnalysisError> {
     let (offsets, best_responses) = best_case_offsets(set, config.service_mode);
     let mut states = states_at(set, offsets);
@@ -204,13 +197,11 @@ fn fixpoint(
         .iter()
         .map(|r| frozen.is_none_or(|f| f.active[r.tx][r.idx]))
         .collect();
-    let graph = HpGraph::of(set);
-    let slots = TaskSlots::new(&graph, seeded);
-    let analyze = |flat: usize, states: &[Vec<TaskState>]| {
+    let mut analyze = |flat: usize, states: &[Vec<TaskState>]| {
         if let Some(metrics) = &config.metrics {
             metrics.fixpoint_task_analyses.incr();
         }
-        analyze_task(set, states, refs[flat], config, &slots)
+        analyze_task(states, refs[flat])
     };
     let jitters = |states: &[Vec<TaskState>]| -> Vec<Vec<Time>> {
         states
@@ -234,15 +225,12 @@ fn fixpoint(
     match config.update_order {
         UpdateOrder::Jacobi => {
             // All active tasks analyzed against the previous sweep's state
-            // vector (parallelizable, reproduces Table 3 column by column).
-            let jobs: Vec<usize> = (0..refs.len()).filter(|&v| active[v]).collect();
+            // vector (reproduces Table 3 column by column).
             for _iteration in 0..config.max_outer_iterations {
                 let sweep_start_jitters = jitters(&states);
                 all_bounded = true;
-                let outcomes: Vec<Result<TaskAnalysis, AnalysisError>> =
-                    parallel_map(&jobs, config.threads, |&v| analyze(v, &states));
-                for (&v, outcome) in jobs.iter().zip(outcomes) {
-                    let outcome = outcome?;
+                for v in (0..refs.len()).filter(|&v| active[v]) {
+                    let outcome = analyze(v, &states)?;
                     responses[refs[v].tx][refs[v].idx] = outcome.response;
                     all_bounded &= outcome.bounded;
                 }
@@ -297,7 +285,8 @@ fn fixpoint(
             }
             let sweep_start_jitters = jitters(&states);
             converged = true;
-            'sweep: for component in graph.sweep_order(&active) {
+            let (order, bounds) = graph.sweep_order(&active);
+            'sweep: for component in bounds.windows(2).map(|c| &order[c[0]..c[1]]) {
                 let mut passes = 0;
                 while component.iter().any(|&v| dirty[v]) {
                     if passes == config.max_outer_iterations {
@@ -305,7 +294,7 @@ fn fixpoint(
                         break 'sweep;
                     }
                     passes += 1;
-                    for &v in &component {
+                    for &v in component {
                         if !std::mem::take(&mut dirty[v]) {
                             continue;
                         }
@@ -400,11 +389,25 @@ fn build_report(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use hsched_numeric::rat;
     use hsched_platform::{Platform, PlatformId, PlatformSet};
     use hsched_transaction::{paper_example, Task, Transaction};
+
+    /// [`analyze_resumed`] over the reference task analysis: no step tables,
+    /// `W*` evaluated from its scenarios at every length, and every inner
+    /// fixpoint iterated from zero to `next == w`. What the exactness tests of
+    /// the tables and of the seeded inner iterations compare against.
+    pub(crate) fn analyze_unmemoized(
+        set: &TransactionSet,
+        config: &AnalysisConfig,
+        warm: Option<&WarmStart>,
+    ) -> Result<SchedulabilityReport, AnalysisError> {
+        fixpoint(set, config, warm, &HpGraph::of(set), |states, under| {
+            crate::rta::tests::analyze_reference(set, states, under, config)
+        })
+    }
 
     #[test]
     fn paper_example_converges_to_table3_fixpoint() {
@@ -479,22 +482,23 @@ mod tests {
 
     #[test]
     fn parallel_matches_sequential() {
+        // Fixpoints running at once on worker threads, as admission runs
+        // its islands, share nothing: each owns its pools, and its report
+        // is the sequential one, trace included.
         let set = paper_example::transactions();
-        let seq = analyze_with(&set, &AnalysisConfig::default()).unwrap();
-        let par = analyze_with(
-            &set,
-            &AnalysisConfig {
-                threads: 4,
+        let configs: Vec<AnalysisConfig> = [UpdateOrder::Jacobi, UpdateOrder::GaussSeidel]
+            .into_iter()
+            .cycle()
+            .take(8)
+            .map(|update_order| AnalysisConfig {
+                update_order,
                 ..AnalysisConfig::default()
-            },
-        )
-        .unwrap();
-        assert_eq!(seq.tasks.len(), par.tasks.len());
-        for (a, b) in seq.tasks.iter().flatten().zip(par.tasks.iter().flatten()) {
-            assert_eq!(a.response, b.response);
-            assert_eq!(a.jitter, b.jitter);
+            })
+            .collect();
+        let par = crate::parallel_map(&configs, 4, |config| analyze_with(&set, config).unwrap());
+        for (config, report) in configs.iter().zip(par) {
+            assert_eq!(report, analyze_with(&set, config).unwrap());
         }
-        assert_eq!(seq.trace.len(), par.trace.len());
     }
 
     #[test]

@@ -19,8 +19,8 @@
 //! flows from low to high priority.
 //!
 //! [`HpGraph`] is the reusable form of that graph: built once per
-//! transaction set, it answers closure queries for the admission layer's
-//! dirty tracking, and once per holistic fixpoint, whose task analyses
+//! transaction set, it answers the admission layer's island and closure
+//! queries, and once per holistic fixpoint, whose task analyses
 //! read their hp sets off it and whose Gauss-Seidel sweeps it orders. All
 //! of these read one definition of who reads whom. The tasks of a platform
 //! are kept as one run, by ascending priority; a task's hp sets (Eq. 17)
@@ -35,6 +35,7 @@
 
 use hsched_platform::PlatformId;
 use hsched_transaction::{TaskRef, TransactionSet};
+use std::ops::Range;
 
 /// A change to feed into [`HpGraph::closure`]: where new, removed, or
 /// retimed demand enters the system.
@@ -69,26 +70,52 @@ struct TaskNode {
     has_successor: bool,
 }
 
-/// The hp sets `hpi(τa,b)` of Eq. (17) of one task τa,b.
-#[derive(Debug)]
+/// The hp sets `hpi(τa,b)` of Eq. (17) of one task τa,b in its
+/// [`HpPool`]: the own transaction's, ascending (possibly empty), and every
+/// other transaction's non-empty set, by ascending transaction.
+#[derive(Debug, Clone)]
 pub(crate) struct HpSets {
-    /// `hpa(τa,b)`, the own transaction's, ascending (possibly empty).
-    pub own: Vec<usize>,
-    /// Every other transaction's non-empty set, by ascending transaction.
-    pub foreign: Vec<ForeignHp>,
+    own: Range<usize>,
+    foreign: Range<usize>,
 }
 
 /// One foreign transaction's hp set of a task.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub(crate) struct ForeignHp {
     /// The transaction `i`.
     pub tx: usize,
-    /// `hpi(τa,b)`, ascending.
-    pub members: Vec<usize>,
+    /// `hpi(τa,b)`, ascending: a range of the pool's members.
+    members: Range<usize>,
     /// Flat index of the set's first member in the platform run. The set
     /// is every task of Γi in the run from the anchor on, so the anchor
     /// names it: tasks whose sets share an anchor share one step table.
     pub anchor: usize,
+}
+
+/// The hp sets of the tasks one holistic fixpoint analyzed: the members of
+/// every set and every foreign set, appended on a task's first analysis,
+/// and the scratch of [`HpGraph::hp_sets`], `(transaction, flat index,
+/// place in the run)` of one task's hp tasks.
+#[derive(Debug, Default)]
+pub(crate) struct HpPool {
+    members: Vec<usize>,
+    foreign: Vec<ForeignHp>,
+    sorted: Vec<(usize, usize, usize)>,
+}
+
+impl HpPool {
+    /// The own set and the foreign sets of `sets`.
+    pub(crate) fn sets(&self, sets: &HpSets) -> (&[usize], &[ForeignHp]) {
+        (
+            &self.members[sets.own.clone()],
+            &self.foreign[sets.foreign.clone()],
+        )
+    }
+
+    /// The members of a foreign set.
+    pub(crate) fn members(&self, set: &ForeignHp) -> &[usize] {
+        &self.members[set.members.clone()]
+    }
 }
 
 /// The dirty closure of a batch of seeds: which tasks (and transactions)
@@ -129,9 +156,10 @@ pub struct HpGraph {
 impl HpGraph {
     /// Builds the graph of the given set.
     pub fn of(set: &TransactionSet) -> HpGraph {
+        let tasks = set.transactions().iter().map(|tx| tx.len()).sum();
         let mut starts = Vec::with_capacity(set.transactions().len());
-        let mut nodes = Vec::new();
-        let mut placed: Vec<(usize, u32, usize)> = Vec::new();
+        let mut nodes = Vec::with_capacity(tasks);
+        let mut placed: Vec<(usize, u32, usize)> = Vec::with_capacity(tasks);
         for (i, tx) in set.transactions().iter().enumerate() {
             starts.push(nodes.len());
             for (j, task) in tx.tasks().iter().enumerate() {
@@ -186,45 +214,47 @@ impl HpGraph {
         &tasks[..tasks.partition_point(|&(_, p)| p <= priority)]
     }
 
-    /// The hp sets of task `flat` (Eq. 17): the suffix of its platform run
-    /// with priority ≥ its own, itself left out, split by transaction.
-    pub(crate) fn hp_sets(&self, flat: usize) -> HpSets {
+    /// The hp sets of task `flat` (Eq. 17), read into `pool`: the suffix
+    /// of its platform run with priority ≥ its own, itself left out, split
+    /// by transaction.
+    pub(crate) fn hp_sets(&self, flat: usize, pool: &mut HpPool) -> HpSets {
         let node = self.nodes[flat];
         let run = self.run(node.run);
         let suffix = &run[run.partition_point(|&(_, p)| p < node.priority)..];
-        // (transaction, flat index, place in the run), sorted into sets.
-        let mut members: Vec<(usize, usize, usize)> = suffix
-            .iter()
-            .enumerate()
-            .filter(|&(_, &(v, _))| v != flat)
-            .map(|(place, &(v, _))| (self.nodes[v].tx, v, place))
-            .collect();
-        members.sort_unstable();
-        let mut sets = HpSets {
-            own: Vec::new(),
-            foreign: Vec::new(),
-        };
-        for set in members.chunk_by(|a, b| a.0 == b.0) {
-            let tx = set[0].0;
-            let indices = set.iter().map(|&(_, v, _)| v - self.starts[tx]).collect();
+        pool.sorted.clear();
+        pool.sorted.extend(
+            suffix
+                .iter()
+                .enumerate()
+                .filter(|&(_, &(v, _))| v != flat)
+                .map(|(place, &(v, _))| (self.nodes[v].tx, v, place)),
+        );
+        pool.sorted.sort_unstable();
+        let (first_foreign, mut own) = (pool.foreign.len(), 0..0);
+        for set in pool.sorted.chunk_by(|a, b| a.0 == b.0) {
+            let (tx, start) = (set[0].0, pool.members.len());
+            let members = set.iter().map(|&(_, v, _)| v - self.starts[tx]);
+            pool.members.extend(members);
+            let members = start..pool.members.len();
             if tx == node.tx {
-                sets.own = indices;
-            } else {
-                let &(_, anchor, _) = set.iter().min_by_key(|m| m.2).expect("sets are non-empty");
-                sets.foreign.push(ForeignHp {
-                    tx,
-                    members: indices,
-                    anchor,
-                });
+                own = members;
+                continue;
             }
+            let &(_, anchor, _) = set.iter().min_by_key(|m| m.2).expect("sets are non-empty");
+            pool.foreign.push(ForeignHp {
+                tx,
+                members,
+                anchor,
+            });
         }
-        sets
+        let foreign = first_foreign..pool.foreign.len();
+        HpSets { own, foreign }
     }
 
     /// Tasks on `platform` with priority ≤ `priority` — what a task with
     /// these coordinates can interfere with (its direct cone frontier).
     fn sweep_platform(&self, platform: usize, priority: u32, out: &mut Vec<usize>) {
-        if let Ok(run) = self.runs.binary_search_by_key(&platform, |&(id, _)| id) {
+        if let Some(run) = self.run_of(platform) {
             out.extend(self.below(run, priority).iter().map(|&(flat, _)| flat));
         }
     }
@@ -251,10 +281,11 @@ impl HpGraph {
     /// The order in which a Gauss-Seidel sweep visits the tasks with
     /// `active[flat]` set (flat indices, as [`TransactionSet::task_refs`]
     /// enumerates them): the strongly connected components of the read
-    /// graph restricted to them, in topological order, each in set order.
-    /// Tarjan's algorithm, iterative: the depth of a long chain costs heap,
-    /// not stack.
-    pub(crate) fn sweep_order(&self, active: &[bool]) -> Vec<Vec<usize>> {
+    /// graph restricted to them, in topological order, each in set order,
+    /// laid end to end, and their bounds: component `c` is
+    /// `order[bounds[c]..bounds[c + 1]]`. Tarjan's algorithm, iterative:
+    /// the depth of a long chain costs heap, not stack.
+    pub(crate) fn sweep_order(&self, active: &[bool]) -> (Vec<usize>, Vec<usize>) {
         const UNSEEN: usize = usize::MAX;
         let n = self.nodes.len();
         let mut index = vec![UNSEEN; n];
@@ -263,8 +294,11 @@ impl HpGraph {
         let mut stack: Vec<usize> = Vec::new();
         // DFS frames: a task and the next of its dependents to visit.
         let mut frames: Vec<(usize, usize)> = Vec::new();
-        // Components as Tarjan completes them: sinks first.
-        let mut components = Vec::new();
+        // Tarjan completes the components sinks first, so they are laid
+        // into `order` from its end, and their starts collected backwards.
+        let mut end = active.iter().filter(|&&a| a).count();
+        let mut order = vec![0; end];
+        let mut bounds = Vec::new();
         let mut next_index = 0;
         // Roots in reverse set order: where set order is already
         // topological, the sweep order is set order.
@@ -305,17 +339,123 @@ impl HpGraph {
                         .iter()
                         .rposition(|&w| w == v)
                         .expect("v is on the stack");
-                    let mut component = stack.split_off(at);
-                    for &w in &component {
+                    let start = end - (stack.len() - at);
+                    let component = &mut order[start..end];
+                    component.copy_from_slice(&stack[at..]);
+                    component.sort_unstable();
+                    for &w in &*component {
                         on_stack[w] = false;
                     }
-                    component.sort_unstable();
-                    components.push(component);
+                    stack.truncate(at);
+                    bounds.push(start);
+                    end = start;
                 }
             }
         }
-        components.reverse();
-        components
+        bounds.reverse();
+        bounds.push(order.len());
+        (order, bounds)
+    }
+
+    /// The flat indices of transaction `tx`'s tasks.
+    fn tasks_of(&self, tx: usize) -> Range<usize> {
+        self.starts[tx]..self.starts.get(tx + 1).copied().unwrap_or(self.nodes.len())
+    }
+
+    /// The run of `platform`, if the set uses it.
+    fn run_of(&self, platform: usize) -> Option<usize> {
+        self.runs
+            .binary_search_by_key(&platform, |&(id, _)| id)
+            .ok()
+    }
+
+    /// Appends to `reached` the transactions `within` admits reached from
+    /// `runs` and then from theirs, ascending; `seen` marks the runs and
+    /// transactions walked so far.
+    fn walk(
+        &self,
+        runs: impl IntoIterator<Item = usize>,
+        within: impl Fn(usize) -> bool,
+        seen: &mut (Vec<bool>, Vec<bool>),
+        reached: &mut Vec<usize>,
+    ) {
+        let start = reached.len();
+        let mut visit = |run: usize, reached: &mut Vec<usize>| {
+            if !std::mem::replace(&mut seen.0[run], true) {
+                for &(flat, _) in self.run(run) {
+                    let tx = self.nodes[flat].tx;
+                    if within(tx) && !std::mem::replace(&mut seen.1[tx], true) {
+                        reached.push(tx);
+                    }
+                }
+            }
+        };
+        runs.into_iter().for_each(|run| visit(run, reached));
+        let mut next = start;
+        while let Some(&tx) = reached.get(next) {
+            next += 1;
+            for v in self.tasks_of(tx) {
+                visit(self.nodes[v].run, reached);
+            }
+        }
+        reached[start..].sort_unstable();
+    }
+
+    fn unseen(&self) -> (Vec<bool>, Vec<bool>) {
+        (vec![false; self.runs.len()], vec![false; self.starts.len()])
+    }
+
+    /// The platform-sharing islands among the transactions marked in
+    /// `within`, by first member, members ascending, laid end to end, and
+    /// their bounds: island `c` is `order[bounds[c]..bounds[c + 1]]`. With
+    /// every transaction marked, the set's islands, which interference
+    /// never crosses (Eq. 17); with a cone marked, its independently
+    /// analyzable parts.
+    pub fn islands(&self, within: &[bool]) -> (Vec<usize>, Vec<usize>) {
+        let mut seen = self.unseen();
+        let mut order = Vec::with_capacity(within.iter().filter(|&&w| w).count());
+        let mut bounds = vec![0];
+        for tx in 0..self.starts.len() {
+            if within[tx] && !seen.1[tx] {
+                let runs = self.tasks_of(tx).map(|v| self.nodes[v].run);
+                self.walk(runs, |t| within[t], &mut seen, &mut order);
+                bounds.push(order.len());
+            }
+        }
+        (order, bounds)
+    }
+
+    /// The transactions of the islands that run a task on one of
+    /// `platforms`, ascending, walked from there: what a change there can
+    /// reach.
+    pub fn islands_of(&self, platforms: impl IntoIterator<Item = PlatformId>) -> Vec<usize> {
+        let runs = platforms.into_iter().filter_map(|p| self.run_of(p.0));
+        let mut reached = Vec::new();
+        self.walk(runs, |_| true, &mut self.unseen(), &mut reached);
+        reached
+    }
+
+    /// The transactions not marked in `within` that the analysis of
+    /// `members` reads (Eq. 17), ascending: those with a task on a member
+    /// platform at or above the lowest member priority there.
+    pub fn context(&self, members: &[usize], within: &[bool]) -> Vec<usize> {
+        let tasks = members.iter().flat_map(|&i| self.tasks_of(i));
+        let mut floors = Vec::with_capacity(members.iter().map(|&i| self.tasks_of(i).len()).sum());
+        floors.extend(tasks.map(|v| (self.nodes[v].run, self.nodes[v].priority)));
+        floors.sort_unstable();
+        floors.dedup_by_key(|&mut (run, _)| run);
+        let mut context: Vec<usize> = floors
+            .into_iter()
+            .flat_map(|(run, floor)| {
+                let tasks = self.run(run);
+                &tasks[tasks.partition_point(|&(_, p)| p < floor)..]
+            })
+            .map(|&(v, _)| self.nodes[v].tx)
+            .filter(|&tx| !within[tx])
+            .collect();
+        context.sort_unstable();
+        context.dedup();
+        context
     }
 
     /// Forward reachability from the seeds over interference + chain edges:
@@ -369,34 +509,31 @@ impl HpGraph {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
-    use crate::interference::hp_tasks;
+    use crate::interference::tests::hp_tasks;
     use hsched_transaction::paper_example;
 
     /// Every task's hp sets read off `set`'s graph are Eq. (17)'s, and
     /// every foreign set named by one anchor is the same set.
     pub(crate) fn assert_hp_sets_follow_eq17(set: &TransactionSet) {
         let graph = HpGraph::of(set);
+        let mut pool = HpPool::default();
         let mut named: Vec<Option<(usize, Vec<usize>)>> = vec![None; graph.len()];
         for under in set.task_refs() {
-            let sets = graph.hp_sets(graph.flat(under));
-            assert_eq!(
-                sets.own,
-                hp_tasks(set, under.tx, under),
-                "own set of {under}"
-            );
+            let sets = graph.hp_sets(graph.flat(under), &mut pool);
+            let (own, foreign_sets) = pool.sets(&sets);
+            assert_eq!(own, hp_tasks(set, under.tx, under), "own set of {under}");
             let foreign: Vec<(usize, Vec<usize>)> = (0..set.transactions().len())
                 .filter(|&i| i != under.tx)
                 .map(|i| (i, hp_tasks(set, i, under)))
                 .filter(|(_, hp)| !hp.is_empty())
                 .collect();
-            let read: Vec<(usize, Vec<usize>)> = sets
-                .foreign
+            let read: Vec<(usize, Vec<usize>)> = foreign_sets
                 .iter()
-                .map(|f| (f.tx, f.members.clone()))
+                .map(|f| (f.tx, pool.members(f).to_vec()))
                 .collect();
             assert_eq!(read, foreign, "foreign sets of {under}");
-            for f in &sets.foreign {
-                let entry = (f.tx, f.members.clone());
+            for f in foreign_sets {
+                let entry = (f.tx, pool.members(f).to_vec());
                 let slot = named[f.anchor].get_or_insert_with(|| entry.clone());
                 assert_eq!(*slot, entry, "anchor {} names two sets", f.anchor);
             }
@@ -438,12 +575,23 @@ pub(crate) mod tests {
         // c1 (p1, priority 1) reads {a1, a3} and {b1, b2, b3}; a1
         // (priority 2) reads {b1, b2} of Γb, a set of its own.
         let graph = HpGraph::of(&set);
-        let c1 = graph.hp_sets(graph.flat(TaskRef { tx: 2, idx: 0 }));
-        let a1 = graph.hp_sets(graph.flat(TaskRef { tx: 0, idx: 0 }));
-        assert_eq!(c1.foreign[1].members, vec![0, 1, 2]);
-        assert_eq!(a1.own, vec![2]);
-        assert_eq!(a1.foreign[0].members, vec![0, 1]);
-        assert_ne!(a1.foreign[0].anchor, c1.foreign[1].anchor);
+        let mut pool = HpPool::default();
+        let c1 = graph.hp_sets(graph.flat(TaskRef { tx: 2, idx: 0 }), &mut pool);
+        let a1 = graph.hp_sets(graph.flat(TaskRef { tx: 0, idx: 0 }), &mut pool);
+        let (c1_b, (a1_own, a1_foreign)) = (&pool.sets(&c1).1[1], pool.sets(&a1));
+        let a1_b = &a1_foreign[0];
+        assert_eq!(pool.members(c1_b), [0, 1, 2]);
+        assert_eq!(a1_own, [2]);
+        assert_eq!(pool.members(a1_b), [0, 1]);
+        assert_ne!(a1_b.anchor, c1_b.anchor);
+    }
+
+    /// The components of a sweep order, one vector each.
+    fn components((order, bounds): (Vec<usize>, Vec<usize>)) -> Vec<Vec<usize>> {
+        bounds
+            .windows(2)
+            .map(|w| order[w[0]..w[1]].to_vec())
+            .collect()
     }
 
     fn paper() -> (TransactionSet, HpGraph) {
@@ -511,13 +659,13 @@ pub(crate) mod tests {
         // J1,4, which τ1,1, τ1,4 and τ4,1 read (Π3, priority ≤ 3): one
         // cycle {τ1,1, τ1,2, τ1,3}, then τ1,4 and τ4,1.
         assert_eq!(
-            graph.sweep_order(&[true; 7]),
+            components(graph.sweep_order(&[true; 7])),
             vec![vec![0, 1, 2], vec![3], vec![4], vec![5], vec![6]]
         );
         // Frozen tasks are left out, and cut the edges through them.
         let active = [false, true, true, true, false, false, true];
         assert_eq!(
-            graph.sweep_order(&active),
+            components(graph.sweep_order(&active)),
             vec![vec![1], vec![2], vec![3], vec![6]]
         );
     }
@@ -547,7 +695,7 @@ pub(crate) mod tests {
         )
         .unwrap();
         assert_eq!(
-            HpGraph::of(&set).sweep_order(&[true; 3]),
+            components(HpGraph::of(&set).sweep_order(&[true; 3])),
             vec![vec![1], vec![0], vec![2]]
         );
     }
@@ -569,7 +717,51 @@ pub(crate) mod tests {
         let chain = hsched_transaction::Transaction::new("chain", period, period, tasks).unwrap();
         let set = TransactionSet::new(platforms, vec![chain]).unwrap();
         let order = HpGraph::of(&set).sweep_order(&vec![true; N]);
-        assert!(order.into_iter().eq((0..N).map(|v| vec![v])));
+        assert!(components(order).into_iter().eq((0..N).map(|v| vec![v])));
+    }
+
+    #[test]
+    fn islands_are_walked_from_their_platforms() {
+        // One island, joined by Γ1's chain across Π1, Π2 and Π3.
+        let (_, graph) = paper();
+        let p = hsched_platform::PlatformId;
+        assert_eq!(graph.islands_of([p(1)]), vec![0, 1, 2, 3]);
+        assert_eq!(graph.islands(&[true; 4]), (vec![0, 1, 2, 3], vec![0, 4]));
+        // Γ4 reads Γ1 (τ1,1 and τ1,4 above it on Π3). Γ1 reads Γ2 on Π1
+        // and Γ3 on Π2, but not Γ4, below its lowest task on Π3.
+        assert_eq!(graph.context(&[3], &[false, false, false, true]), vec![0]);
+        assert_eq!(
+            graph.context(&[0], &[true, false, false, false]),
+            vec![1, 2]
+        );
+        // Γa on p1, Γbc bridging p2 and p3, Γd on p3, p4 unused: two
+        // islands.
+        let mut platforms = hsched_platform::PlatformSet::new();
+        let ids: Vec<_> = (0..4)
+            .map(|k| platforms.add(hsched_platform::Platform::dedicated(format!("p{k}"))))
+            .collect();
+        let one = hsched_numeric::rat(1, 1);
+        let tx = |name: &str, on: &[usize]| {
+            let tasks = on
+                .iter()
+                .enumerate()
+                .map(|(j, &k)| {
+                    hsched_transaction::Task::new(format!("{name}{j}"), one, one, 1, ids[k])
+                })
+                .collect();
+            let period = hsched_numeric::rat(100, 1);
+            hsched_transaction::Transaction::new(name, period, period, tasks).unwrap()
+        };
+        let set = TransactionSet::new(
+            platforms,
+            vec![tx("a", &[0]), tx("bc", &[1, 2]), tx("d", &[2])],
+        )
+        .unwrap();
+        let graph = HpGraph::of(&set);
+        assert_eq!(graph.islands_of([p(0)]), vec![0]);
+        assert_eq!(graph.islands_of([p(2)]), vec![1, 2]);
+        assert_eq!(graph.islands_of([p(2), p(0), p(1)]), vec![0, 1, 2]);
+        assert!(graph.islands_of([p(3), p(99)]).is_empty());
     }
 
     #[test]

@@ -5,37 +5,13 @@
 //! (RTSS 1998), is a step function of the busy-window length, and every
 //! analysis above iterates it upward. So evaluations return a [`Step`]:
 //! the demand, and how far it holds. `W*_i` (Eq. 15) of a foreign
-//! transaction is tabulated once per hp set as a [`StepTable`].
+//! transaction is tabulated once per hp set, in the [`StepTables`] of its
+//! fixpoint.
 
 use crate::state::TaskState;
 use hsched_numeric::{Cycles, Rational, Time};
 use hsched_transaction::TransactionSet;
-use std::ops::Add;
-
-/// The set `hpi(τa,b)` of Eq. (17): tasks of transaction `i` with priority
-/// ≥ `p_{a,b}` mapped on the *same platform* as τa,b, excluding τa,b itself.
-///
-/// The definition the analysis's hp sets, read off
-/// [`crate::HpGraph`], are checked against.
-#[cfg(test)]
-pub(crate) fn hp_tasks(
-    set: &TransactionSet,
-    i: usize,
-    under: hsched_transaction::TaskRef,
-) -> Vec<usize> {
-    let target = set.task(under);
-    set.transactions()[i]
-        .tasks()
-        .iter()
-        .enumerate()
-        .filter(|(j, t)| {
-            !(i == under.tx && *j == under.idx)
-                && t.platform == target.platform
-                && t.priority >= target.priority
-        })
-        .map(|(j, _)| j)
-        .collect()
-}
+use std::ops::{Add, Range};
 
 /// A demand in cycles at a busy-window length `t`, and the largest length
 /// `until ≥ t` up to which it holds unchanged (`None`: it never steps
@@ -86,25 +62,9 @@ pub(crate) fn phase(
     period - (starter.latest_release() - other_phi).rem_euclid(period)
 }
 
-/// Number of jobs of a task with phase `ϕ`, jitter `J` and period `T`
-/// contributing to a busy period of length `t` (the bracketed factor of
-/// Eq. 8/11): pending jobs `⌊(J + ϕ)/T⌋` plus arrivals `⌈(t − ϕ)/T⌉`.
-///
-/// The definition [`Scenario`] is checked against; the analysis itself
-/// evaluates the two halves at different times.
-#[cfg(test)]
-pub(crate) fn job_count(jitter: Time, phi_k: Time, period: Time, t: Time) -> i128 {
-    let pending = ((jitter + phi_k) / period).floor();
-    // For t > 0 the arrivals term is never negative (ϕ ≤ T); clamping makes
-    // the t = 0 evaluation equal to its right-limit, which is what the busy
-    // period fixpoint iteration needs to get off the ground.
-    let arrivals = ((t - phi_k) / period).ceil().max(0);
-    pending + arrivals
-}
-
 /// One hp task τi,j's term of Eq. (11) with everything that does not
 /// depend on the busy-period length evaluated.
-#[derive(Debug)]
+#[derive(Debug, Clone, Copy)]
 struct Term {
     /// `ϕ^k_{i,j}` (Eq. 10).
     phase: Time,
@@ -120,61 +80,42 @@ struct Term {
 /// analyzed, so the phases and pending-job counts are computed here, once,
 /// and each evaluated `t` pays only for the arrivals `⌈(t − ϕ)/Ti⌉`.
 ///
-/// The analysis evaluates it for the own transaction's scenarios and, in
-/// exact mode, for every transaction's; [`w_star`] over [`scenarios`] is
-/// the reference a [`StepTable`] is checked against.
-#[derive(Debug)]
+/// The analysis evaluates it for the own transaction's scenarios, one
+/// buffer re-targeted at each starter, and, in exact mode, for every
+/// transaction's; `w_star` over `scenarios` is the reference a step table
+/// is checked against.
+#[derive(Debug, Default)]
 pub(crate) struct Scenario {
     period: Time,
     terms: Vec<Term>,
 }
 
 impl Scenario {
-    pub(crate) fn new(
+    /// Makes this `W^k_i`, in the same buffer whatever it held before.
+    pub(crate) fn retarget(
+        &mut self,
         set: &TransactionSet,
         states: &[Vec<TaskState>],
         i: usize,
         k: usize,
         hp: &[usize],
-    ) -> Scenario {
+    ) {
         let tx = &set.transactions()[i];
-        let period = tx.period;
-        let starter = &states[i][k];
-        let terms = hp
-            .iter()
-            .map(|&j| {
-                let st = &states[i][j];
-                let phase = phase(period, starter, st.phi);
-                Term {
-                    phase,
-                    pending: ((st.jitter + phase) / period).floor(),
-                    wcet: tx.tasks()[j].wcet,
-                }
-            })
-            .collect();
-        Scenario { period, terms }
-    }
-
-    /// The demand in **cycles** (not divided by α — the caller inverts the
-    /// platform supply on the total demand) in a busy period of length `t`.
-    pub(crate) fn demand(&self, t: Time) -> Cycles {
-        let mut total = Cycles::ZERO;
-        for term in &self.terms {
-            // For t > 0 the arrivals term is never negative (ϕ ≤ T);
-            // clamping makes the t = 0 evaluation equal to its right-limit,
-            // which is what the busy period fixpoint iteration needs to get
-            // off the ground.
-            let arrivals = ((t - term.phase) / self.period).ceil().max(0);
-            let n = term.pending + arrivals;
-            if n > 0 {
-                total += Rational::from_integer(n) * term.wcet;
+        self.period = tx.period;
+        self.terms.clear();
+        self.terms.extend(hp.iter().map(|&j| {
+            let st = &states[i][j];
+            let phase = phase(tx.period, &states[i][k], st.phi);
+            Term {
+                phase,
+                pending: ((st.jitter + phase) / tx.period).floor(),
+                wcet: tx.tasks()[j].wcet,
             }
-        }
-        total
+        }));
     }
 
-    /// [`Self::demand`] at `t`, which holds until the next arrival
-    /// `ϕ + a·Ti` of any term.
+    /// The demand at `t`, which holds until the next arrival `ϕ + a·Ti` of
+    /// any term.
     pub(crate) fn step(&self, t: Time) -> Step {
         let mut step = Step::ZERO;
         for term in &self.terms {
@@ -189,35 +130,29 @@ impl Scenario {
     }
 }
 
-/// The scenarios `W*_i(τa,b, ·)` of Eq. (15) maximizes over: one per
-/// candidate starter `k ∈ hpi(τa,b)`.
-pub(crate) fn scenarios(
-    set: &TransactionSet,
-    states: &[Vec<TaskState>],
-    i: usize,
-    hp: &[usize],
-) -> Vec<Scenario> {
-    hp.iter()
-        .map(|&k| Scenario::new(set, states, i, k, hp))
-        .collect()
+/// Where one step table lies in the pools of [`StepTables`]: the start of
+/// the hp members' states it was built from (it is valid exactly while
+/// they hold), `B` and the start of `V`.
+#[derive(Debug, Clone)]
+struct TableSlot {
+    stamp: usize,
+    period: Time,
+    /// `ΣC` over the hp set: what each period adds.
+    wcet_sum: Cycles,
+    phases: Range<usize>,
+    values: usize,
 }
 
-/// `W*_i(τa,b, t)` of Eq. (15): the pointwise maximum over `scenarios`, in
-/// cycles. Zero when there are none.
-pub(crate) fn w_star(scenarios: &[Scenario], t: Time) -> Cycles {
-    scenarios
-        .iter()
-        .map(|s| s.demand(t))
-        .max()
-        .unwrap_or(Cycles::ZERO)
-}
-
-/// `W*_i(τa,b, ·)` of Eq. (15) for a non-empty hp set, tabulated as the
-/// step function it is. Split `t > 0` as `t = q·Ti + r` with
-/// `q = ⌈t/Ti⌉ − 1` and `r ∈ (0, Ti]`: every term then counts `q`
-/// arrivals, plus one more when its phase lies below `r` (phases lie in
-/// `(0, Ti]`). So with `B` the sorted distinct phases of every scenario
-/// and term, and `m` the number of them below `r`,
+/// The step tables of one holistic fixpoint: `W*_i(τa,b, ·)` of Eq. (15)
+/// for each foreign hp set its analyses read, tabulated as the step
+/// function it is, one slot per anchor ([`crate::hpgraph::ForeignHp`]),
+/// every table in three pools.
+///
+/// Split `t > 0` as `t = q·Ti + r` with `q = ⌈t/Ti⌉ − 1` and
+/// `r ∈ (0, Ti]`: every term then counts `q` arrivals, plus one more when
+/// its phase lies below `r` (phases lie in `(0, Ti]`). So with `B` the
+/// sorted distinct phases of every scenario and term, and `m` the number
+/// of them below `r`,
 ///
 /// `W*(t) = q·ΣC + V[m]`, `V[m] = max_k Σ_j Cj·(pending_kj + [ϕ^k_j ≤ B[m−1]])`,
 ///
@@ -227,94 +162,229 @@ pub(crate) fn w_star(scenarios: &[Scenario], t: Time) -> Cycles {
 ///
 /// The split is not `⌊t/Ti⌋·Ti + r`: with `t` a multiple of `Ti`, that
 /// would put an arrival at phase `Ti` into the next period.
-#[derive(Debug)]
-pub(crate) struct StepTable {
-    /// The hp members' states the table was built from: it is valid
-    /// exactly while they hold.
-    stamp: Vec<TaskState>,
-    period: Time,
-    /// `ΣC` over the hp set: what each period adds.
-    wcet_sum: Cycles,
-    /// `B`, ascending.
+#[derive(Debug, Default)]
+pub(crate) struct StepTables {
+    /// `slots[anchor]`: the table of the set anchored there, once built.
+    slots: Vec<Option<TableSlot>>,
+    stamps: Vec<TaskState>,
     phases: Vec<Time>,
-    /// `V[0..=|B|]`.
     values: Vec<Cycles>,
+    /// Scratch of a build: the `|hp|²` terms, scenario after scenario,
+    /// each computed in `scenario`, and their distinct phases.
+    terms: Vec<Term>,
+    scenario: Scenario,
+    distinct: Vec<Time>,
 }
 
-impl StepTable {
-    /// The table of transaction `i`'s hp set `hp` (non-empty) at `states`.
-    pub(crate) fn new(
+impl StepTables {
+    /// No table yet, for anchors `0..anchors`.
+    pub(crate) fn new(anchors: usize) -> StepTables {
+        StepTables {
+            slots: vec![None; anchors],
+            ..StepTables::default()
+        }
+    }
+
+    /// Makes the table at `anchor` that of transaction `i`'s hp set `hp`
+    /// (non-empty) at `states`, unless it already is; `true` when it was
+    /// built.
+    pub(crate) fn refresh(
+        &mut self,
         set: &TransactionSet,
         states: &[Vec<TaskState>],
         i: usize,
         hp: &[usize],
-    ) -> StepTable {
-        let scenarios = scenarios(set, states, i, hp);
-        let mut phases: Vec<Time> = scenarios
-            .iter()
-            .flat_map(|s| s.terms.iter().map(|term| term.phase))
-            .collect();
-        phases.sort_unstable();
-        phases.dedup();
-        let mut values = vec![Cycles::ZERO; phases.len() + 1];
-        for scenario in &scenarios {
-            let mut terms: Vec<&Term> = scenario.terms.iter().collect();
-            terms.sort_unstable_by_key(|term| term.phase);
-            let mut value: Cycles = terms
+        anchor: usize,
+    ) -> bool {
+        let now = hp.iter().map(|&j| states[i][j]);
+        let stamp = match &self.slots[anchor] {
+            Some(slot) => slot.stamp,
+            None => {
+                self.stamps.extend(now.clone());
+                self.stamps.len() - hp.len()
+            }
+        };
+        let mut stale = self.slots[anchor].is_none();
+        for (old, new) in self.stamps[stamp..].iter_mut().zip(now) {
+            stale |= *old != new;
+            *old = new;
+        }
+        if !stale {
+            return false;
+        }
+        // Every scenario's terms, each sorted by phase, and `B`.
+        self.terms.clear();
+        for &k in hp {
+            self.scenario.retarget(set, states, i, k, hp);
+            self.scenario.terms.sort_unstable_by_key(|term| term.phase);
+            self.terms.extend_from_slice(&self.scenario.terms);
+        }
+        self.distinct.clear();
+        self.distinct
+            .extend(self.terms.iter().map(|term| term.phase));
+        self.distinct.sort_unstable();
+        self.distinct.dedup();
+        // A build, and every rebuild, takes fresh ranges at the ends of the
+        // pools; they live as long as the fixpoint.
+        let count = self.distinct.len();
+        let (phases, values) = (self.phases.len(), self.values.len());
+        self.phases.extend_from_slice(&self.distinct);
+        self.values.resize(values + count + 1, Cycles::ZERO);
+        let table = &mut self.values[values..];
+        for scenario in self.terms.chunks(hp.len()) {
+            let mut value: Cycles = scenario
                 .iter()
                 .map(|term| Rational::from_integer(term.pending) * term.wcet)
                 .sum();
-            let mut next = terms.iter().peekable();
-            values[0] = values[0].max(value);
-            for (m, &b) in phases.iter().enumerate() {
+            let mut next = scenario.iter().peekable();
+            table[0] = table[0].max(value);
+            for (m, &b) in self.distinct.iter().enumerate() {
                 while let Some(term) = next.next_if(|term| term.phase <= b) {
                     value += term.wcet;
                 }
-                values[m + 1] = values[m + 1].max(value);
+                table[m + 1] = table[m + 1].max(value);
             }
         }
         let tx = &set.transactions()[i];
-        StepTable {
-            stamp: hp.iter().map(|&j| states[i][j]).collect(),
+        self.slots[anchor] = Some(TableSlot {
+            stamp,
             period: tx.period,
             wcet_sum: hp.iter().map(|&j| tx.tasks()[j].wcet).sum(),
-            phases,
+            phases: phases..phases + count,
             values,
-        }
+        });
+        true
     }
 
-    /// `true` when the table was built from the current states of
-    /// transaction `i`'s hp set `hp`.
-    pub(crate) fn is_current(&self, states: &[Vec<TaskState>], i: usize, hp: &[usize]) -> bool {
-        hp.iter()
-            .map(|&j| states[i][j])
-            .eq(self.stamp.iter().copied())
-    }
-
-    /// `W*(t)` and how far it holds: one division and a binary search.
-    pub(crate) fn step(&self, t: Time) -> Step {
+    /// `W*(t)` of the table at `anchor`, and how far it holds: one
+    /// division and a binary search.
+    pub(crate) fn step(&self, anchor: usize, t: Time) -> Step {
+        let slot = self.slots[anchor].as_ref().expect("the table was built");
+        let phases = &self.phases[slot.phases.clone()];
         // q = ⌈t/T⌉ − 1, r = t − qT ∈ (0, T]; q = 0, r = 0 at t = 0.
-        let q = ((t / self.period).ceil() - 1).max(0);
-        let start = self.period * Rational::from_integer(q);
-        let m = self.phases.partition_point(|&b| b < t - start);
-        let until = match self.phases.get(m) {
+        let q = ((t / slot.period).ceil() - 1).max(0);
+        let start = slot.period * Rational::from_integer(q);
+        let m = phases.partition_point(|&b| b < t - start);
+        let until = match phases.get(m) {
             Some(&b) => start + b,
-            None => start + self.period + self.phases[0],
+            None => start + slot.period + phases[0],
         };
         Step {
-            demand: Rational::from_integer(q) * self.wcet_sum + self.values[m],
+            demand: Rational::from_integer(q) * slot.wcet_sum + self.values[slot.values + m],
             until: Some(until),
         }
     }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::state::tests::initial_states;
     use crate::ServiceTimeMode;
     use hsched_numeric::rat;
     use hsched_transaction::{paper_example, TaskRef};
+
+    /// The set `hpi(τa,b)` of Eq. (17): tasks of transaction `i` with priority
+    /// ≥ `p_{a,b}` mapped on the *same platform* as τa,b, excluding τa,b itself.
+    ///
+    /// The definition the analysis's hp sets, read off
+    /// [`crate::HpGraph`], are checked against.
+    pub(crate) fn hp_tasks(
+        set: &TransactionSet,
+        i: usize,
+        under: hsched_transaction::TaskRef,
+    ) -> Vec<usize> {
+        let target = set.task(under);
+        set.transactions()[i]
+            .tasks()
+            .iter()
+            .enumerate()
+            .filter(|(j, t)| {
+                !(i == under.tx && *j == under.idx)
+                    && t.platform == target.platform
+                    && t.priority >= target.priority
+            })
+            .map(|(j, _)| j)
+            .collect()
+    }
+
+    /// Number of jobs of a task with phase `ϕ`, jitter `J` and period `T`
+    /// contributing to a busy period of length `t` (the bracketed factor of
+    /// Eq. 8/11): pending jobs `⌊(J + ϕ)/T⌋` plus arrivals `⌈(t − ϕ)/T⌉`.
+    ///
+    /// The definition [`Scenario`] is checked against; the analysis itself
+    /// evaluates the two halves at different times.
+    pub(crate) fn job_count(jitter: Time, phi_k: Time, period: Time, t: Time) -> i128 {
+        let pending = ((jitter + phi_k) / period).floor();
+        // For t > 0 the arrivals term is never negative (ϕ ≤ T); clamping makes
+        // the t = 0 evaluation equal to its right-limit, which is what the busy
+        // period fixpoint iteration needs to get off the ground.
+        let arrivals = ((t - phi_k) / period).ceil().max(0);
+        pending + arrivals
+    }
+
+    /// The scenarios `W*_i(τa,b, ·)` of Eq. (15) maximizes over: one per
+    /// candidate starter `k ∈ hpi(τa,b)`.
+    pub(crate) fn scenarios(
+        set: &TransactionSet,
+        states: &[Vec<TaskState>],
+        i: usize,
+        hp: &[usize],
+    ) -> Vec<Scenario> {
+        hp.iter()
+            .map(|&k| Scenario::new(set, states, i, k, hp))
+            .collect()
+    }
+
+    /// `W*_i(τa,b, t)` of Eq. (15): the pointwise maximum over `scenarios`, in
+    /// cycles. Zero when there are none.
+    pub(crate) fn w_star(scenarios: &[Scenario], t: Time) -> Cycles {
+        scenarios
+            .iter()
+            .map(|s| s.demand(t))
+            .max()
+            .unwrap_or(Cycles::ZERO)
+    }
+
+    impl Scenario {
+        pub(crate) fn new(
+            set: &TransactionSet,
+            states: &[Vec<TaskState>],
+            i: usize,
+            k: usize,
+            hp: &[usize],
+        ) -> Scenario {
+            let mut scenario = Scenario::default();
+            scenario.retarget(set, states, i, k, hp);
+            scenario
+        }
+
+        /// The demand in **cycles** (not divided by α — the caller inverts the
+        /// platform supply on the total demand) in a busy period of length `t`.
+        pub(crate) fn demand(&self, t: Time) -> Cycles {
+            let mut total = Cycles::ZERO;
+            for term in &self.terms {
+                // For t > 0 the arrivals term is never negative (ϕ ≤ T);
+                // clamping makes the t = 0 evaluation equal to its right-limit,
+                // which is what the busy period fixpoint iteration needs to get
+                // off the ground.
+                let arrivals = ((t - term.phase) / self.period).ceil().max(0);
+                let n = term.pending + arrivals;
+                if n > 0 {
+                    total += Rational::from_integer(n) * term.wcet;
+                }
+            }
+            total
+        }
+    }
+
+    impl StepTables {
+        /// `B` of the table at `anchor`.
+        fn phases(&self, anchor: usize) -> &[Time] {
+            let slot = self.slots[anchor].as_ref().expect("the table was built");
+            &self.phases[slot.phases.clone()]
+        }
+    }
 
     fn paper() -> (TransactionSet, Vec<Vec<TaskState>>) {
         let set = paper_example::transactions();
@@ -546,15 +616,16 @@ mod tests {
                 jitter: zero,
             },
         ]];
-        let table = StepTable::new(&set, &states, 0, &[0, 1]);
+        let mut tables = StepTables::new(1);
+        tables.refresh(&set, &states, 0, &[0, 1], 0);
         assert_eq!(
-            table.step(rat(60, 1)),
+            tables.step(0, rat(60, 1)),
             Step {
                 demand: rat(3, 1),
                 until: Some(rat(60, 1)),
             }
         );
-        assert_eq!(table.step(rat(601, 10)).demand, rat(4, 1));
+        assert_eq!(tables.step(0, rat(601, 10)).demand, rat(4, 1));
         let all = scenarios(&set, &states, 0, &[0, 1]);
         assert_eq!(w_star(&all, rat(60, 1)), rat(3, 1));
         assert_eq!(w_star(&all, rat(601, 10)), rat(4, 1));
@@ -571,12 +642,16 @@ mod tests {
         /// jitters are drawn from few values, so they collide), and at
         /// fractional lengths, over fractional jitters reaching past the
         /// period; and each value, the table's and every scenario's, holds
-        /// up to its `until`.
+        /// up to its `until`. Two tables share the pools, and are rebuilt
+        /// after their members' jitters moved, and again after they moved
+        /// back: a rebuild happens exactly when the states moved, and reads
+        /// its fresh ranges.
         #[test]
         fn step_table_equals_w_star(
             period in 1i128..40,
             raw in proptest::collection::vec((0i128..8, 1i128..3, 0i128..12, 1i128..3, 1i128..9), 1..6),
             pick in 0usize..64,
+            shift in proptest::collection::vec(0i128..4, 6),
             ts in proptest::collection::vec((0i128..400, 1i128..7), 1..6),
         ) {
             use hsched_platform::{Platform, PlatformSet};
@@ -600,30 +675,48 @@ mod tests {
                     jitter: fifth * rat(jitter, jitter_den),
                 })
                 .collect::<Vec<_>>()];
-            // A non-empty hp set: the tasks `pick`'s bits select, or all.
+            let mut moved = states.clone();
+            for (state, &d) in moved[0].iter_mut().zip(&shift) {
+                state.jitter += fifth * rat(d, 1);
+            }
+            // A non-empty hp set, the tasks `pick`'s bits select, or all,
+            // anchored at 0; and the whole transaction, anchored at 1.
             let mut hp: Vec<usize> = (0..raw.len()).filter(|j| pick >> j & 1 == 1).collect();
             if hp.is_empty() {
                 hp = (0..raw.len()).collect();
             }
-            let table = StepTable::new(&set, &states, 0, &hp);
-            let all = scenarios(&set, &states, 0, &hp);
-            let reference = |t: Time| w_star(&all, t);
-            let mut lengths = vec![Time::ZERO];
-            for k in 0..4 {
-                let kt = period * rat(k, 1);
-                lengths.push(kt);
-                for &b in &table.phases {
-                    lengths.push(kt + b);
-                    if kt >= b {
-                        lengths.push(kt - b);
-                    }
+            let every: Vec<usize> = (0..raw.len()).collect();
+            let mut tables = StepTables::new(2);
+            let mut last: [Option<&Vec<Vec<TaskState>>>; 2] = [None, None];
+            for states in [&states, &moved, &states] {
+                for (anchor, hp) in [(0, &hp), (1, &every)] {
+                    let stale = last[anchor]
+                        .is_none_or(|was| hp.iter().any(|&j| was[0][j] != states[0][j]));
+                    proptest::prop_assert_eq!(tables.refresh(&set, states, 0, hp, anchor), stale);
+                    proptest::prop_assert!(!tables.refresh(&set, states, 0, hp, anchor));
+                    last[anchor] = Some(states);
                 }
-            }
-            lengths.extend(ts.iter().map(|&(n, d)| rat(n, d)));
-            for t in lengths {
-                assert_step(table.step(t), &reference, t, period);
-                for scenario in &all {
-                    assert_step(scenario.step(t), &|u| scenario.demand(u), t, period);
+                for (anchor, hp) in [(0, &hp), (1, &every)] {
+                    let all = scenarios(&set, states, 0, hp);
+                    let reference = |t: Time| w_star(&all, t);
+                    let mut lengths = vec![Time::ZERO];
+                    for k in 0..4 {
+                        let kt = period * rat(k, 1);
+                        lengths.push(kt);
+                        for &b in tables.phases(anchor) {
+                            lengths.push(kt + b);
+                            if kt >= b {
+                                lengths.push(kt - b);
+                            }
+                        }
+                    }
+                    lengths.extend(ts.iter().map(|&(n, d)| rat(n, d)));
+                    for t in lengths {
+                        assert_step(tables.step(anchor, t), &reference, t, period);
+                        for scenario in &all {
+                            assert_step(scenario.step(t), &|u| scenario.demand(u), t, period);
+                        }
+                    }
                 }
             }
         }

@@ -16,13 +16,16 @@
 //!   approximation (§3.1.2, Eq. 16). One fixpoint's analyses share one
 //!   step table per foreign transaction and hp set, rebuilt when the
 //!   states of its members move, and stop an inner fixpoint once its next
-//!   iterate falls inside the current step;
+//!   iterate falls inside the current step. The fixpoint owns the hp sets,
+//!   the tables and the scenario scratch in a few pools, so a task
+//!   analysis allocates nothing but the pools' growth;
 //! * `holistic` — the outer dynamic-offset (holistic) fixpoint of §3.2:
 //!   jitter propagation `J_{i,j} = R_{i,j−1} − Rbest_{i,j−1}` iterated to
-//!   convergence, in parallel across tasks (Jacobi) or in dependency order
-//!   (Gauss-Seidel);
-//! * `hpgraph` — who reads whom: the interference cone of a change, every
-//!   task's hp sets, and the Gauss-Seidel sweep order;
+//!   convergence, sweep by sweep (Jacobi) or in dependency order
+//!   (Gauss-Seidel), on one thread;
+//! * `hpgraph` — who reads whom: the interference cone of a change, the
+//!   islands a change touches and their parts, every task's hp sets, and
+//!   the Gauss-Seidel sweep order;
 //! * `report` — the [`SchedulabilityReport`] with the full iteration
 //!   trace (reproducing Table 3) and per-transaction verdicts;
 //! * [`classic`] — an independent, textbook single-processor
@@ -122,7 +125,7 @@ pub enum ScenarioMode {
 pub enum UpdateOrder {
     /// All tasks analyzed against the previous iteration's jitters, then all
     /// jitters updated together. Reproduces the paper's Table 3 column by
-    /// column and parallelizes perfectly.
+    /// column.
     #[default]
     Jacobi,
     /// One sweep in dependency order that skips tasks whose reads did not
@@ -166,11 +169,6 @@ pub struct AnalysisConfig {
     /// Declare a task unschedulable (and stop iterating its growth) once its
     /// response exceeds `divergence_factor ×` its transaction deadline.
     pub divergence_factor: u32,
-    /// Worker threads for the tasks of one Jacobi sweep (`1` = sequential;
-    /// Gauss-Seidel always runs on one). Jacobi's result, trace included,
-    /// is identical at any count: a sweep reads only the previous one's
-    /// state. Admission overrides it with 1 (see [`UpdateOrder`]).
-    pub threads: usize,
     /// Per-task blocking terms `B_{a,b}` (time units), indexed like the
     /// transaction set; empty means all zero. The paper carries `B` through
     /// Eq. (13)/(16) without prescribing a protocol; this hook lets callers
@@ -195,7 +193,6 @@ impl PartialEq for AnalysisConfig {
             && self.max_outer_iterations == other.max_outer_iterations
             && self.max_inner_iterations == other.max_inner_iterations
             && self.divergence_factor == other.divergence_factor
-            && self.threads == other.threads
             && self.blocking == other.blocking
     }
 }
@@ -209,7 +206,6 @@ impl Default for AnalysisConfig {
             max_outer_iterations: 256,
             max_inner_iterations: 100_000,
             divergence_factor: 64,
-            threads: 1,
             blocking: Vec::new(),
             metrics: None,
         }

@@ -1,9 +1,8 @@
 //! Minimal deterministic parallel map over std scoped threads.
 //!
-//! The holistic iteration is a Jacobi scheme: every task's response time in
-//! iteration `k` depends only on the state vector of iteration `k − 1`, so
-//! the per-task analyses of one iteration are embarrassingly parallel and
-//! the result is bit-identical regardless of thread count.
+//! Independent holistic fixpoints share nothing — each owns its pools — so
+//! analyses of disjoint interference islands run in parallel and give the
+//! same results at any thread count.
 
 /// Applies `f` to every item, splitting the index space into contiguous
 /// chunks across `threads` workers. Results come back in input order.
@@ -12,8 +11,9 @@
 /// single-item input, which never asks for the core count) runs inline
 /// without spawning.
 ///
-/// Public because the design-space search (`hsched-design`) parallelizes its
-/// sweeps with the same deterministic chunking.
+/// Public because admission (`hsched-admission`) analyzes its islands, and
+/// the design-space search (`hsched-design`) its sweeps, with the same
+/// deterministic chunking.
 pub fn parallel_map<T, R, F>(items: &[T], threads: usize, f: F) -> Vec<R>
 where
     T: Sync,

@@ -2,13 +2,12 @@
 //! and busy-period fixpoints over scenarios, with the foreign interference
 //! read from step tables shared across the analyses of one fixpoint.
 
-use crate::hpgraph::{ForeignHp, HpSets};
-use crate::interference::{phase, scenarios, w_star, Scenario, Step, StepTable};
+use crate::hpgraph::{HpPool, HpSets};
+use crate::interference::{phase, Scenario, Step, StepTables};
 use crate::state::TaskState;
 use crate::{service_time, AnalysisConfig, HpGraph, ScenarioMode};
 use hsched_numeric::{Cycles, Rational, Time};
 use hsched_transaction::{TaskRef, TransactionSet};
-use std::sync::{Arc, Mutex, OnceLock};
 
 /// Errors that abort the analysis (as opposed to an *unschedulable* verdict,
 /// which is a result).
@@ -59,59 +58,29 @@ pub(crate) struct TaskAnalysis {
     pub bounded: bool,
 }
 
-/// What the task analyses of one holistic fixpoint share, one slot per
-/// task: the task's hp sets (Eq. 17), read off the [`HpGraph`] on its
-/// first analysis, and the [`StepTable`] of the foreign hp set anchored at
-/// it (see [`ForeignHp::anchor`]). Every task on a platform reading that
-/// set shares the table; it is rebuilt only when the states of its members
-/// move, so within a Jacobi sweep it is built once, and the threads of the
-/// sweep share it too.
+/// What the task analyses of one holistic fixpoint share, owned by it:
+/// `hp[v]`, task `v`'s hp sets (Eq. 17), read off the [`HpGraph`] into the
+/// pool on its first analysis; the step table of each foreign hp set, which
+/// every task reading the set shares and which is rebuilt only when the
+/// states of its members move; and the own scenario each starter
+/// re-targets. Once its hp sets are read, a task analysis allocates only
+/// when a table it rebuilds outgrows the pools.
 pub(crate) struct TaskSlots<'g> {
     graph: &'g HpGraph,
-    /// `hp[v]`: task `v`'s hp sets.
-    hp: Vec<OnceLock<HpSets>>,
-    /// `tables[v]`: the table of the foreign hp set anchored at task `v`.
-    tables: Vec<Mutex<Option<Arc<StepTable>>>>,
-    /// Tabulate the foreign interference, start the completion-time
-    /// iterations from proven lower bounds of their least fixpoints, and
-    /// stop them inside their step (see [`TaskContext::analyze_scenario`]);
-    /// off for the reference, which evaluates `W*` from its scenarios at
-    /// every length and iterates every inner fixpoint from zero.
-    seeded: bool,
+    hp: Vec<Option<HpSets>>,
+    pool: HpPool,
+    tables: StepTables,
+    own: Scenario,
 }
 
 impl<'g> TaskSlots<'g> {
-    pub(crate) fn new(graph: &'g HpGraph, seeded: bool) -> TaskSlots<'g> {
+    pub(crate) fn new(graph: &'g HpGraph) -> TaskSlots<'g> {
         TaskSlots {
             graph,
-            hp: (0..graph.len()).map(|_| OnceLock::new()).collect(),
-            tables: (0..graph.len()).map(|_| Mutex::new(None)).collect(),
-            seeded,
-        }
-    }
-
-    /// The step table of `hp` at `states`, built unless its slot holds a
-    /// current one.
-    fn table(
-        &self,
-        set: &TransactionSet,
-        states: &[Vec<TaskState>],
-        hp: &ForeignHp,
-        metrics: Option<&crate::AnalysisMetrics>,
-    ) -> Arc<StepTable> {
-        let mut slot = self.tables[hp.anchor]
-            .lock()
-            .expect("step table lock poisoned");
-        match &*slot {
-            Some(table) if table.is_current(states, hp.tx, &hp.members) => table.clone(),
-            _ => {
-                if let Some(m) = metrics {
-                    m.interference_tables.incr();
-                }
-                let table = Arc::new(StepTable::new(set, states, hp.tx, &hp.members));
-                *slot = Some(table.clone());
-                table
-            }
+            hp: vec![None; graph.len()],
+            pool: HpPool::default(),
+            tables: StepTables::new(graph.len()),
+            own: Scenario::default(),
         }
     }
 }
@@ -124,66 +93,50 @@ pub(crate) fn analyze_task(
     states: &[Vec<TaskState>],
     under: TaskRef,
     config: &AnalysisConfig,
-    slots: &TaskSlots<'_>,
+    slots: &mut TaskSlots<'_>,
 ) -> Result<TaskAnalysis, AnalysisError> {
     let flat = slots.graph.flat(under);
-    let hp = slots.hp[flat].get_or_init(|| slots.graph.hp_sets(flat));
-    let ctx = TaskContext::new(set, states, under, config, hp, slots.seeded);
+    let sets = &*slots.hp[flat].get_or_insert_with(|| slots.graph.hp_sets(flat, &mut slots.pool));
+    let (pool, tables) = (&slots.pool, &mut slots.tables);
+    let (own_hp, foreign) = pool.sets(sets);
+    let ctx = TaskContext::<true>::new(set, states, under, config, own_hp);
     match config.scenario_mode {
         ScenarioMode::Approximate => {
-            let foreign = if slots.seeded {
-                Foreign::Tables(
-                    hp.foreign
-                        .iter()
-                        .map(|f| slots.table(set, states, f, ctx.metrics))
-                        .collect(),
-                )
-            } else {
-                Foreign::Scenarios(
-                    hp.foreign
-                        .iter()
-                        .map(|f| scenarios(set, states, f.tx, &f.members))
-                        .collect(),
-                )
+            for f in foreign {
+                let built = tables.refresh(set, states, f.tx, pool.members(f), f.anchor);
+                if let (true, Some(m)) = (built, ctx.metrics) {
+                    m.interference_tables.incr();
+                }
+            }
+            // `Σ_{i ≠ a} W*_i(τa,b, ·)`: the scenario-independent part of
+            // the reduced analysis's interference (Eqs. 15–16).
+            let tables = &*tables;
+            let foreign = |t: Time| {
+                foreign
+                    .iter()
+                    .fold(Step::ZERO, |sum, f| sum + tables.step(f.anchor, t))
             };
-            ctx.analyze_approximate(&foreign)
+            ctx.analyze_approximate(&foreign, &mut slots.own)
         }
-        ScenarioMode::Exact { max_scenarios } => ctx.analyze_exact(max_scenarios),
+        ScenarioMode::Exact { max_scenarios } => ctx.analyze_exact(
+            foreign.iter().map(|f| (f.tx, pool.members(f))),
+            max_scenarios,
+        ),
     }
 }
 
-/// `Σ_{i ≠ a} W*_i(τa,b, ·)`: the scenario-independent part of the
-/// reduced analysis's interference (Eqs. 15–16).
-enum Foreign {
-    /// One shared step table per foreign transaction.
-    Tables(Vec<Arc<StepTable>>),
-    /// The reference: every foreign transaction's scenarios, maximized at
-    /// every length.
-    Scenarios(Vec<Vec<Scenario>>),
-}
-
-impl Foreign {
-    fn step(&self, t: Time) -> Step {
-        match self {
-            Foreign::Tables(tables) => tables.iter().fold(Step::ZERO, |sum, w| sum + w.step(t)),
-            // Claims to hold at `t` alone: the reference never stops
-            // inside a step.
-            Foreign::Scenarios(scenarios) => Step {
-                demand: scenarios.iter().map(|w| w_star(w, t)).sum(),
-                until: Some(t),
-            },
-        }
-    }
-}
-
-/// Precomputed context for one task's analysis.
-struct TaskContext<'a> {
+/// Precomputed context for one task's analysis. `SEEDED`: start the
+/// completion-time iterations from proven lower bounds of their least
+/// fixpoints, and stop them inside their step (see
+/// [`TaskContext::analyze_scenario`]); only the test reference, which
+/// iterates every inner fixpoint from zero, clears it.
+struct TaskContext<'a, const SEEDED: bool> {
     set: &'a TransactionSet,
     states: &'a [Vec<TaskState>],
     under: TaskRef,
     config: &'a AnalysisConfig,
-    /// The task's hp sets.
-    hp: &'a HpSets,
+    /// `hpa(τa,b)`, the own transaction's hp set.
+    own_hp: &'a [usize],
     /// Period of the task's own transaction.
     period: Time,
     /// WCET of the task under analysis.
@@ -199,19 +152,16 @@ struct TaskContext<'a> {
     /// Telemetry sink, resolved once from the config so the hot path pays
     /// a single pointer check.
     metrics: Option<&'a crate::AnalysisMetrics>,
-    /// See [`TaskSlots::seeded`].
-    seeded: bool,
 }
 
-impl<'a> TaskContext<'a> {
+impl<'a, const SEEDED: bool> TaskContext<'a, SEEDED> {
     fn new(
         set: &'a TransactionSet,
         states: &'a [Vec<TaskState>],
         under: TaskRef,
         config: &'a AnalysisConfig,
-        hp: &'a HpSets,
-        seeded: bool,
-    ) -> TaskContext<'a> {
+        own_hp: &'a [usize],
+    ) -> TaskContext<'a, SEEDED> {
         let tx = &set.transactions()[under.tx];
         let st = states[under.tx][under.idx];
         let bound = (tx.deadline + tx.period + st.jitter)
@@ -221,7 +171,7 @@ impl<'a> TaskContext<'a> {
             states,
             under,
             config,
-            hp,
+            own_hp,
             period: tx.period,
             wcet: tx.tasks()[under.idx].wcet,
             phi: st.phi,
@@ -229,7 +179,6 @@ impl<'a> TaskContext<'a> {
             blocking: config.blocking_of(under.tx, under.idx),
             bound,
             metrics: config.metrics.as_deref(),
-            seeded,
         }
     }
 
@@ -244,19 +193,22 @@ impl<'a> TaskContext<'a> {
         self.blocking + service_time(self.platform(), demand, self.config.service_mode)
     }
 
-    /// §3.1.2: other transactions bounded by `W*`, own transaction's
-    /// scenarios enumerated.
-    fn analyze_approximate(&self, foreign: &Foreign) -> Result<TaskAnalysis, AnalysisError> {
-        let own_hp = &self.hp.own;
-        let mut starters = own_hp.clone();
-        starters.push(self.under.idx); // τa,b itself starts the busy period
+    /// §3.1.2: other transactions bounded by `foreign`, own transaction's
+    /// scenarios enumerated, each re-targeting `own`.
+    fn analyze_approximate(
+        &self,
+        foreign: &impl Fn(Time) -> Step,
+        own: &mut Scenario,
+    ) -> Result<TaskAnalysis, AnalysisError> {
         let mut best = TaskAnalysis {
             response: Time::ZERO,
             bounded: true,
         };
-        for &c in &starters {
-            let own = Scenario::new(self.set, self.states, self.under.tx, c, own_hp);
-            let interference = |t: Time| -> Step { foreign.step(t) + own.step(t) };
+        // τa,b itself starts the busy period too.
+        for &c in self.own_hp.iter().chain(std::iter::once(&self.under.idx)) {
+            own.retarget(self.set, self.states, self.under.tx, c, self.own_hp);
+            let own = &*own;
+            let interference = |t: Time| -> Step { foreign(t) + own.step(t) };
             let outcome = self.analyze_scenario(c, &interference)?;
             best.response = best.response.max(outcome.response);
             best.bounded &= outcome.bounded;
@@ -267,34 +219,35 @@ impl<'a> TaskContext<'a> {
         Ok(best)
     }
 
-    /// §3.1.1: full cartesian enumeration of scenario vectors ν (Eq. 12).
-    fn analyze_exact(&self, max_scenarios: u64) -> Result<TaskAnalysis, AnalysisError> {
+    /// §3.1.1: full cartesian enumeration of scenario vectors ν (Eq. 12),
+    /// over the `(transaction, hp set)` of every non-empty foreign set.
+    fn analyze_exact(
+        &self,
+        foreign: impl Iterator<Item = (usize, &'a [usize])>,
+        max_scenarios: u64,
+    ) -> Result<TaskAnalysis, AnalysisError> {
         // Candidate starters per transaction: hpi for i ≠ a (only the
         // non-empty ones are kept), hpa ∪ {τa,b} for the own transaction,
         // by ascending transaction. Each candidate carries its W^k_i
         // (Eq. 11).
-        let mut hp: Vec<(usize, &[usize])> = self
-            .hp
-            .foreign
-            .iter()
-            .map(|f| (f.tx, f.members.as_slice()))
-            .collect();
-        hp.push((self.under.tx, &self.hp.own));
+        let mut hp: Vec<(usize, &[usize])> = foreign.collect();
+        hp.push((self.under.tx, self.own_hp));
         hp.sort_unstable_by_key(|&(i, _)| i);
-        let mut axes: Vec<(usize, Vec<(usize, Scenario)>)> = Vec::new();
-        let mut count: u128 = 1;
-        for (i, hp) in hp {
-            let mut candidates = hp.to_vec();
-            if i == self.under.tx {
-                candidates.push(self.under.idx);
-            }
-            count = count.saturating_mul(candidates.len() as u128);
-            let candidates = candidates
-                .into_iter()
-                .map(|k| (k, Scenario::new(self.set, self.states, i, k, hp)))
-                .collect();
-            axes.push((i, candidates));
-        }
+        let axes: Vec<(usize, Vec<(usize, Scenario)>)> = hp
+            .into_iter()
+            .map(|(i, hp)| {
+                let own = (i == self.under.tx).then_some(self.under.idx);
+                let candidates = hp.iter().copied().chain(own).map(|k| {
+                    let mut scenario = Scenario::default();
+                    scenario.retarget(self.set, self.states, i, k, hp);
+                    (k, scenario)
+                });
+                (i, candidates.collect())
+            })
+            .collect();
+        let count = axes
+            .iter()
+            .fold(1u128, |n, (_, c)| n.saturating_mul(c.len() as u128));
         if count > max_scenarios as u128 {
             return Err(AnalysisError::TooManyScenarios {
                 task: self.under,
@@ -419,7 +372,7 @@ impl<'a> TaskContext<'a> {
             if iterations > self.config.max_inner_iterations {
                 return Err(AnalysisError::InnerIterationCap { task: self.under });
             }
-            if self.seeded && step.holds_at(len) {
+            if SEEDED && step.holds_at(len) {
                 break (len, own_jobs);
             }
         };
@@ -427,16 +380,12 @@ impl<'a> TaskContext<'a> {
         let p_last = ((busy_len - phi_c) / self.period).ceil();
 
         let mut best = Time::ZERO;
-        let mut w = if self.seeded {
-            first_job_floor
-        } else {
-            Time::ZERO
-        };
+        let mut w = if SEEDED { first_job_floor } else { Time::ZERO };
         let mut p = p0;
         while p <= p_last {
             let jobs = Rational::from_integer(p - p0 + 1);
             let mut iterations = 0usize;
-            let completion = if self.seeded && p == p0 && busy_jobs == 1 {
+            let completion = if SEEDED && p == p0 && busy_jobs == 1 {
                 busy_len
             } else {
                 loop {
@@ -456,7 +405,7 @@ impl<'a> TaskContext<'a> {
                     if iterations > self.config.max_inner_iterations {
                         return Err(AnalysisError::InnerIterationCap { task: self.under });
                     }
-                    if self.seeded && step.holds_at(w) {
+                    if SEEDED && step.holds_at(w) {
                         break w;
                     }
                 }
@@ -465,7 +414,7 @@ impl<'a> TaskContext<'a> {
             // activation instant.
             let activation = phi_c + self.period * Rational::from_integer(p - 1) - self.phi;
             best = best.max(completion - activation);
-            w = if self.seeded { completion } else { Time::ZERO };
+            w = if SEEDED { completion } else { Time::ZERO };
             p += 1;
         }
         Ok(TaskAnalysis {
@@ -478,7 +427,8 @@ impl<'a> TaskContext<'a> {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
-    use crate::holistic::analyze_unmemoized;
+    use crate::holistic::tests::analyze_unmemoized;
+    use crate::interference::tests::{hp_tasks, scenarios, w_star};
     use crate::state::tests::initial_states;
     use crate::{
         analyze_resumed, AnalysisMetrics, DirtySeed, ServiceTimeMode, UpdateOrder, WarmStart,
@@ -502,13 +452,46 @@ pub(crate) mod tests {
         under: TaskRef,
         config: &AnalysisConfig,
     ) -> Result<TaskAnalysis, AnalysisError> {
-        analyze_task(
-            set,
-            states,
-            under,
-            config,
-            &TaskSlots::new(&HpGraph::of(set), false),
-        )
+        let graph = HpGraph::of(set);
+        analyze_task(set, states, under, config, &mut TaskSlots::new(&graph))
+    }
+
+    /// The reference analysis of task `under`, which [`analyze_task`] must
+    /// equal: hp sets by Eq. (17)'s definition, `W*` evaluated from its
+    /// scenarios at every length, and every inner fixpoint iterated from
+    /// zero to `next == w`.
+    pub(crate) fn analyze_reference(
+        set: &TransactionSet,
+        states: &[Vec<TaskState>],
+        under: TaskRef,
+        config: &AnalysisConfig,
+    ) -> Result<TaskAnalysis, AnalysisError> {
+        let own_hp = hp_tasks(set, under.tx, under);
+        let foreign_hp: Vec<(usize, Vec<usize>)> = (0..set.transactions().len())
+            .filter(|&i| i != under.tx)
+            .map(|i| (i, hp_tasks(set, i, under)))
+            .filter(|(_, hp)| !hp.is_empty())
+            .collect();
+        let ctx = TaskContext::<false>::new(set, states, under, config, &own_hp);
+        match config.scenario_mode {
+            ScenarioMode::Approximate => {
+                let foreign: Vec<Vec<Scenario>> = foreign_hp
+                    .iter()
+                    .map(|(i, hp)| scenarios(set, states, *i, hp))
+                    .collect();
+                // Claims to hold at `t` alone: the reference never stops
+                // inside a step.
+                let foreign = |t: Time| Step {
+                    demand: foreign.iter().map(|w| w_star(w, t)).sum(),
+                    until: Some(t),
+                };
+                ctx.analyze_approximate(&foreign, &mut Scenario::default())
+            }
+            ScenarioMode::Exact { max_scenarios } => ctx.analyze_exact(
+                foreign_hp.iter().map(|(i, hp)| (*i, hp.as_slice())),
+                max_scenarios,
+            ),
+        }
     }
 
     #[test]
@@ -859,7 +842,7 @@ pub(crate) mod tests {
         /// The memo is invisible on generated systems: chains of up to four
         /// tasks across two or three platforms at three priority levels, so
         /// foreign transactions often hold several hp tasks (and `W*`
-        /// really maximizes), analyzed on one or two worker threads.
+        /// really maximizes).
         #[test]
         fn memo_matches_reference_on_generated_systems(
             kinds in proptest::collection::vec(0u8..3, 2..=3),
@@ -868,7 +851,6 @@ pub(crate) mod tests {
                 2..=4,
             ),
             pick in 0usize..16,
-            threads in 1usize..=2,
         ) {
             let mut platforms = PlatformSet::new();
             let ids: Vec<_> = kinds
@@ -894,8 +876,7 @@ pub(crate) mod tests {
                 .collect();
             let set = TransactionSet::new(platforms, txs).unwrap();
             let seed = DirtySeed::Task(TaskRef { tx: pick % raw.len(), idx: 0 });
-            let config = AnalysisConfig { threads, ..AnalysisConfig::default() };
-            assert_memo_invisible(&set, seed, &config);
+            assert_memo_invisible(&set, seed, &AnalysisConfig::default());
         }
     }
 
@@ -966,11 +947,11 @@ pub(crate) mod tests {
                     config.service_mode = ServiceTimeMode::ExactCurve;
                 }
                 let graph = HpGraph::of(&set);
-                let (seeded, reference) = (TaskSlots::new(&graph, true), TaskSlots::new(&graph, false));
+                let mut slots = TaskSlots::new(&graph);
                 for under in set.task_refs() {
                     proptest::prop_assert_eq!(
-                        analyze_task(&set, &states, under, &config, &seeded),
-                        analyze_task(&set, &states, under, &config, &reference),
+                        analyze_task(&set, &states, under, &config, &mut slots),
+                        analyze_reference(&set, &states, under, &config),
                         "{}", under
                     );
                 }

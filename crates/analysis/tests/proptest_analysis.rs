@@ -154,23 +154,6 @@ proptest! {
     }
 
     #[test]
-    fn threads_do_not_change_results(raw in raw_system()) {
-        let set = build(&raw);
-        let seq = analyze_with(&set, &AnalysisConfig::default()).unwrap();
-        let par = analyze_with(
-            &set,
-            &AnalysisConfig {
-                threads: 3,
-                ..AnalysisConfig::default()
-            },
-        )
-        .unwrap();
-        for r in set.task_refs() {
-            prop_assert_eq!(seq.response(r.tx, r.idx), par.response(r.tx, r.idx));
-        }
-    }
-
-    #[test]
     fn utilization_overflow_always_detected(raw in raw_system()) {
         // Scale all WCETs so that some platform's demand exceeds its rate:
         // the analysis must report divergence rather than fabricate bounds.

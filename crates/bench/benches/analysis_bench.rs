@@ -1,6 +1,6 @@
 //! Criterion bench: the holistic analysis — the paper example (Table 3),
-//! scaling in system size, exact vs approximate scenario handling, the
-//! parallel Jacobi step, and one mixed-kind island's cold and warm
+//! scaling in system size, exact vs approximate scenario handling, Jacobi
+//! against Gauss-Seidel, and one mixed-kind island's cold and warm
 //! fixpoints under both service-time modes and both update orders.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -45,7 +45,10 @@ fn bench_scaling(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_parallel(c: &mut Criterion) {
+/// The two update orders on one 24-transaction system: Jacobi, the paper's
+/// sweep-by-sweep reference order, against Gauss-Seidel in dependency
+/// order, what admission runs.
+fn bench_update_order(c: &mut Criterion) {
     let set = random_system(&WorkloadSpec {
         platforms: 4,
         transactions: 24,
@@ -53,18 +56,19 @@ fn bench_parallel(c: &mut Criterion) {
         seed: 7,
         ..WorkloadSpec::default()
     });
-    let mut group = c.benchmark_group("analysis/threads");
+    let mut group = c.benchmark_group("analysis/update_order");
     group.sample_size(10);
-    for threads in [1usize, 2, 4] {
+    for (name, update_order) in [
+        ("jacobi", UpdateOrder::Jacobi),
+        ("gauss_seidel", UpdateOrder::GaussSeidel),
+    ] {
         let config = AnalysisConfig {
-            threads,
+            update_order,
             ..AnalysisConfig::default()
         };
-        group.bench_with_input(
-            BenchmarkId::from_parameter(threads),
-            &config,
-            |b, config| b.iter(|| black_box(analyze_with(&set, config))),
-        );
+        group.bench_with_input(BenchmarkId::from_parameter(name), &config, |b, config| {
+            b.iter(|| black_box(analyze_with(&set, config)))
+        });
     }
     group.finish();
 }
@@ -131,7 +135,7 @@ criterion_group!(
     benches,
     bench_paper_example,
     bench_scaling,
-    bench_parallel,
+    bench_update_order,
     bench_island_fixpoint
 );
 criterion_main!(benches);

@@ -103,8 +103,8 @@ COMMANDS:
 ANALYZE OPTIONS:
     --exact <N>       exact scenario analysis, capped at N scenarios
     --exact-supply    invert exact supply staircases instead of (α,Δ,β) bounds
-    --gauss-seidel    Gauss-Seidel jitter propagation (default: Jacobi)
-    --threads <N>     parallel per-task analysis (0 = all cores)
+    --gauss-seidel    Gauss-Seidel jitter propagation in dependency order
+                      (default: Jacobi, sweep by sweep, as in Table 3)
     --trace <TX>      print the iteration trace of transaction index TX
     --no-external     do not generate transactions for unbound provided methods
     --json            machine-readable report on stdout (exit 0 even on MISS)
@@ -279,6 +279,13 @@ fn cmd_check(args: &[String]) -> Result<String, String> {
 }
 
 fn cmd_analyze(args: &[String]) -> Result<String, String> {
+    if opt_flag(args, "--threads") {
+        return Err(
+            "analyze has no --threads: the analysis runs on one thread; \
+             --gauss-seidel is the faster order"
+                .to_string(),
+        );
+    }
     let (path, set) = load(args)?;
     let mut config = AnalysisConfig::default();
     if let Some(n) = opt_value(args, "--exact")? {
@@ -290,9 +297,6 @@ fn cmd_analyze(args: &[String]) -> Result<String, String> {
     }
     if opt_flag(args, "--exact-supply") {
         config.service_mode = ServiceTimeMode::ExactCurve;
-    }
-    if let Some(n) = opt_value(args, "--threads")? {
-        config.threads = n.parse().map_err(|_| format!("bad thread count `{n}`"))?;
     }
     let report = analyze_with(&set, &config).map_err(|e| e.to_string())?;
     if opt_flag(args, "--json") {
@@ -836,11 +840,19 @@ instance I : W on S node 0;
             "analyze",
             path.to_str().unwrap(),
             "--gauss-seidel",
-            "--threads",
-            "2",
         ]))
         .unwrap();
         assert!(out.contains("schedulability: OK"));
+        // The analysis runs on one thread: the flag errors, naming the
+        // faster order instead.
+        let err = run(&args(&[
+            "analyze",
+            path.to_str().unwrap(),
+            "--threads",
+            "2",
+        ]))
+        .unwrap_err();
+        assert!(err.contains("--gauss-seidel"), "{err}");
     }
 
     #[test]
@@ -1976,7 +1988,7 @@ instance I : W on S node 0;
     #[test]
     fn bad_option_values() {
         let path = spec_file();
-        let err = run(&args(&["analyze", path.to_str().unwrap(), "--threads"])).unwrap_err();
+        let err = run(&args(&["analyze", path.to_str().unwrap(), "--exact"])).unwrap_err();
         assert!(err.contains("needs a value"));
         let err = run(&args(&[
             "simulate",
