@@ -378,7 +378,7 @@ impl AdmissionController {
         // islands (as in `analyze_from_scratch`).
         let dirty = if self.policy.dirty_tracking {
             self.seed_stale_islands(&touched, &mut seeds);
-            graph.closure(&self.set, &seeds).transactions
+            graph.closure(&seeds).transactions
         } else {
             vec![true; self.set.transactions().len()]
         };

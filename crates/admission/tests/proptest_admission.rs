@@ -451,7 +451,7 @@ fn check_cone(seed: u64) {
             priority: t.priority,
         })
         .collect();
-    let cone = HpGraph::of(&reduced).closure(&reduced, &seeds);
+    let cone = HpGraph::of(&reduced).closure(&seeds);
     let island = island_dirty(&reduced, &touched);
     verify_cone(
         seed,
@@ -469,7 +469,7 @@ fn check_cone(seed: u64) {
     let seeds: Vec<DirtySeed> = (0..victim.tasks().len())
         .map(|idx| DirtySeed::Task(hsched_transaction::TaskRef { tx: k, idx }))
         .collect();
-    let cone = HpGraph::of(&full).closure(&full, &seeds);
+    let cone = HpGraph::of(&full).closure(&seeds);
     let island = island_dirty(&full, &touched);
     assert!(
         cone.transactions[k],

@@ -2,10 +2,11 @@
 //! jitters on successor tasks; iterate the static-offset analysis until the
 //! jitter vector stabilizes.
 
+use crate::grid::{self, Grid};
 use crate::report::{IterationRecord, SchedulabilityReport, TaskResult, TransactionVerdict};
 pub use crate::rta::AnalysisError;
 use crate::rta::{analyze_task, TaskAnalysis, TaskSlots};
-use crate::state::{best_case_offsets, states_at, TaskState};
+use crate::state::{states_at, TaskState};
 use crate::{AnalysisConfig, HpGraph, UpdateOrder};
 use hsched_numeric::Time;
 use hsched_transaction::{TaskRef, TransactionSet};
@@ -139,7 +140,7 @@ impl WarmStart {
         }
     }
 
-    fn matches(&self, set: &TransactionSet) -> bool {
+    pub(crate) fn matches(&self, set: &TransactionSet) -> bool {
         fn shape<T>(rows: &[Vec<T>], set: &TransactionSet) -> bool {
             let txs = set.transactions();
             rows.len() == txs.len() && rows.iter().zip(txs).all(|(row, tx)| row.len() == tx.len())
@@ -152,29 +153,49 @@ impl WarmStart {
 /// Runs the analysis, optionally resuming the outer fixpoint from a
 /// previous converged state (see [`WarmStart`] for the exactness contract).
 /// `analyze_resumed(set, config, None)` is exactly [`analyze_with`].
+///
+/// The fixpoint runs on the integer grid of `set`: times and cycles scaled
+/// by the lcm of their denominators, so that its exact arithmetic runs on
+/// integers, and the report scaled back. The report is the one the
+/// unscaled inputs give, exactly (see the `grid` module).
 pub fn analyze_resumed(
     set: &TransactionSet,
     config: &AnalysisConfig,
     warm: Option<&WarmStart>,
 ) -> Result<SchedulabilityReport, AnalysisError> {
     let graph = HpGraph::of(set);
-    let mut slots = TaskSlots::new(&graph);
-    fixpoint(set, config, warm, &graph, |states, under| {
+    let scale = grid::scale(set, &graph, config, warm);
+    analyze_at(set, config, warm, &graph, scale)
+}
+
+/// [`analyze_resumed`] on the grid of `scale`, which the denominators of
+/// every input must divide.
+pub(crate) fn analyze_at(
+    set: &TransactionSet,
+    config: &AnalysisConfig,
+    warm: Option<&WarmStart>,
+    graph: &HpGraph,
+    scale: i128,
+) -> Result<SchedulabilityReport, AnalysisError> {
+    let grid = Grid::new(set, graph, config, scale);
+    let mut slots = TaskSlots::new(graph, &grid);
+    fixpoint(set, config, warm, graph, &grid, |states, under| {
         analyze_task(set, states, under, config, &mut slots)
     })
 }
 
-/// The holistic fixpoint of `set`, whose read graph is `graph`, with
-/// `analyze_task` analyzing one task at the current states.
+/// The holistic fixpoint of `set`, whose read graph is `graph`, on `grid`,
+/// with `analyze_task` analyzing one task at the current states.
 fn fixpoint(
     set: &TransactionSet,
     config: &AnalysisConfig,
     warm: Option<&WarmStart>,
     graph: &HpGraph,
+    grid: &Grid,
     mut analyze_task: impl FnMut(&[Vec<TaskState>], TaskRef) -> Result<TaskAnalysis, AnalysisError>,
 ) -> Result<SchedulabilityReport, AnalysisError> {
-    let (offsets, best_responses) = best_case_offsets(set, config.service_mode);
-    let mut states = states_at(set, offsets);
+    let (offsets, best_responses) = grid.best_case_offsets(set, config.service_mode);
+    let mut states = states_at(grid, offsets);
     let mut frozen = None;
     if let Some(warm) = warm {
         debug_assert!(warm.matches(set), "warm-start shape mismatch");
@@ -183,7 +204,7 @@ fn fixpoint(
                 // First tasks keep the stream's release jitter (a constant of
                 // the iteration, not an iterated coordinate).
                 for (state, &j) in row.iter_mut().zip(seed).skip(1) {
-                    state.jitter = state.jitter.max(j);
+                    state.jitter = state.jitter.max(grid.on(j));
                 }
             }
             frozen = warm.frozen.as_ref();
@@ -214,7 +235,11 @@ fn fixpoint(
     let mut converged = false;
     let mut all_bounded = true;
     let mut responses: Vec<Vec<Time>> = match frozen {
-        Some(f) => f.responses.clone(),
+        Some(f) => f
+            .responses
+            .iter()
+            .map(|row| row.iter().map(|&r| grid.on(r)).collect())
+            .collect(),
         None => set
             .transactions()
             .iter()
@@ -274,13 +299,11 @@ fn fixpoint(
             let mut dirty = active.clone();
             // Eq. (18) for the tasks a frozen predecessor feeds: no
             // analysis ever writes their jitter.
-            if let Some(f) = frozen {
-                for (v, r) in refs.iter().enumerate() {
-                    if active[v] && r.idx > 0 && !active[v - 1] {
-                        states[r.tx][r.idx].jitter = (f.responses[r.tx][r.idx - 1]
-                            - best_responses[r.tx][r.idx - 1])
-                            .max(Time::ZERO);
-                    }
+            for (v, r) in refs.iter().enumerate() {
+                if active[v] && r.idx > 0 && !active[v - 1] {
+                    states[r.tx][r.idx].jitter = (responses[r.tx][r.idx - 1]
+                        - best_responses[r.tx][r.idx - 1])
+                        .max(Time::ZERO);
                 }
             }
             let sweep_start_jitters = jitters(&states);
@@ -339,6 +362,7 @@ fn fixpoint(
 
     Ok(build_report(
         set,
+        grid,
         states,
         best_responses,
         responses,
@@ -348,15 +372,25 @@ fn fixpoint(
     ))
 }
 
+/// The report of a fixpoint on `grid`, scaled back off it.
+#[allow(clippy::too_many_arguments)]
 fn build_report(
     set: &TransactionSet,
+    grid: &Grid,
     states: Vec<Vec<TaskState>>,
     best_responses: Vec<Vec<Time>>,
     responses: Vec<Vec<Time>>,
-    trace: Vec<IterationRecord>,
+    mut trace: Vec<IterationRecord>,
     converged: bool,
     all_bounded: bool,
 ) -> SchedulabilityReport {
+    for record in &mut trace {
+        for row in record.jitters.iter_mut().chain(&mut record.responses) {
+            for x in row {
+                *x = grid.off(*x);
+            }
+        }
+    }
     let mut tasks = Vec::new();
     let mut verdicts = Vec::new();
     for (i, tx) in set.transactions().iter().enumerate() {
@@ -364,13 +398,13 @@ fn build_report(
         for (j, task) in tx.tasks().iter().enumerate() {
             row.push(TaskResult {
                 name: task.name.clone(),
-                response: responses[i][j],
-                best_response: best_responses[i][j],
-                phi: states[i][j].phi,
-                jitter: states[i][j].jitter,
+                response: grid.off(responses[i][j]),
+                best_response: grid.off(best_responses[i][j]),
+                phi: grid.off(states[i][j].phi),
+                jitter: grid.off(states[i][j].jitter),
             });
         }
-        let end_to_end = responses[i][tx.len() - 1];
+        let end_to_end = row[tx.len() - 1].response;
         verdicts.push(TransactionVerdict {
             name: tx.name.clone(),
             end_to_end,
@@ -404,8 +438,10 @@ pub(crate) mod tests {
         config: &AnalysisConfig,
         warm: Option<&WarmStart>,
     ) -> Result<SchedulabilityReport, AnalysisError> {
-        fixpoint(set, config, warm, &HpGraph::of(set), |states, under| {
-            crate::rta::tests::analyze_reference(set, states, under, config)
+        let graph = HpGraph::of(set);
+        let grid = Grid::new(set, &graph, config, grid::scale(set, &graph, config, warm));
+        fixpoint(set, config, warm, &graph, &grid, |states, under| {
+            crate::rta::tests::analyze_reference(set, &grid, states, under, config)
         })
     }
 
@@ -664,15 +700,14 @@ pub(crate) mod tests {
             converged: old.converged,
             diverged: old.diverged,
         };
-        let cone = crate::HpGraph::of(&shrunk).closure(
-            &shrunk,
-            &[crate::DirtySeed::Footprint {
-                platform: hsched_platform::PlatformId(1),
-                priority: 3,
-            }],
-        );
+        let graph = crate::HpGraph::of(&shrunk);
+        let seeds = [crate::DirtySeed::Footprint {
+            platform: hsched_platform::PlatformId(1),
+            priority: 3,
+        }];
+        let cone = graph.closure(&seeds);
         assert_eq!(cone.transactions, vec![true, false, true], "Γ2 is clean");
-        let warm = WarmStart::restricted(&survivors, cone.tasks.clone(), true);
+        let warm = WarmStart::restricted(&survivors, graph.task_cone(&seeds), true);
         let resumed = analyze_resumed(&shrunk, &AnalysisConfig::default(), Some(&warm)).unwrap();
         let cold = analyze(&shrunk);
         assert!(resumed.converged && cold.converged);

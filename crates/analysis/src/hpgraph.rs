@@ -118,13 +118,11 @@ impl HpPool {
     }
 }
 
-/// The dirty closure of a batch of seeds: which tasks (and transactions)
-/// are inside the interference cone. Layout-aligned with the set the graph
-/// was built from.
+/// The dirty closure of a batch of seeds: which transactions have a task
+/// inside the interference cone. Layout-aligned with the set the graph was
+/// built from.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DirtyClosure {
-    /// `tasks[i][j]` — task τi,j is inside the cone.
-    pub tasks: Vec<Vec<bool>>,
     /// `transactions[i]` — some task of Γi is inside the cone.
     pub transactions: Vec<bool>,
 }
@@ -458,11 +456,22 @@ impl HpGraph {
         context
     }
 
-    /// Forward reachability from the seeds over interference + chain edges:
-    /// the exact set of tasks whose fixpoint values can differ from the
-    /// pre-change analysis. Out-of-range seeds (e.g. footprints on a
-    /// platform with no remaining tasks) contribute nothing.
-    pub fn closure(&self, set: &TransactionSet, seeds: &[DirtySeed]) -> DirtyClosure {
+    /// Forward reachability from the seeds over interference + chain edges,
+    /// by transaction: the transactions whose fixpoint values can differ
+    /// from the pre-change analysis. Out-of-range seeds (e.g. footprints on
+    /// a platform with no remaining tasks) contribute nothing.
+    pub fn closure(&self, seeds: &[DirtySeed]) -> DirtyClosure {
+        let dirty = self.reached(seeds);
+        DirtyClosure {
+            transactions: (0..self.starts.len())
+                .map(|tx| self.tasks_of(tx).any(|v| dirty[v]))
+                .collect(),
+        }
+    }
+
+    /// The cone of `seeds`, by flat task index: the exact set of tasks
+    /// whose fixpoint values can differ from the pre-change analysis.
+    fn reached(&self, seeds: &[DirtySeed]) -> Vec<bool> {
         let mut dirty = vec![false; self.nodes.len()];
         let mut frontier: Vec<usize> = Vec::new();
         for seed in seeds {
@@ -491,18 +500,28 @@ impl HpGraph {
                 frontier.push(flat + 1);
             }
         }
+        dirty
+    }
 
-        let mut tasks = Vec::with_capacity(set.transactions().len());
-        let mut transactions = Vec::with_capacity(set.transactions().len());
-        for (i, tx) in set.transactions().iter().enumerate() {
-            let row: Vec<bool> = (0..tx.len()).map(|j| dirty[self.starts[i] + j]).collect();
-            transactions.push(row.iter().any(|&d| d));
-            tasks.push(row);
-        }
-        DirtyClosure {
-            tasks,
-            transactions,
-        }
+    /// The platform of each run, by run.
+    pub(crate) fn run_platforms(&self) -> impl ExactSizeIterator<Item = PlatformId> + '_ {
+        self.runs.iter().map(|&(id, _)| PlatformId(id))
+    }
+
+    /// The run of task `flat`'s platform.
+    pub(crate) fn run_of_task(&self, flat: usize) -> usize {
+        self.nodes[flat].run
+    }
+
+    /// The cone of `seeds` by task, `[i][j]` for τi,j: what a warm start
+    /// restricted to it may freeze task by task. Admission freezes whole
+    /// transactions ([`HpGraph::closure`]).
+    #[cfg(test)]
+    pub(crate) fn task_cone(&self, seeds: &[DirtySeed]) -> Vec<Vec<bool>> {
+        let dirty = self.reached(seeds);
+        (0..self.starts.len())
+            .map(|tx| self.tasks_of(tx).map(|v| dirty[v]).collect())
+            .collect()
     }
 }
 
@@ -604,49 +623,50 @@ pub(crate) mod tests {
     /// τ1,4(Π3,p3); Γ2 = τ2,1(Π1,p3); Γ3 = τ3,1(Π2,p3); Γ4 = τ4,1(Π3,p1).
     #[test]
     fn arrival_cone_excludes_higher_priority_tasks() {
-        let (set, graph) = paper();
+        let (_, graph) = paper();
         // A new task on Π3 at priority 1 can only delay priority ≤ 1 tasks
         // on Π3: τ4,1. Nothing propagates further (τ4,1 has no successor
         // and interferes with nothing below it except itself).
-        let cone = graph.closure(
-            &set,
-            &[DirtySeed::Footprint {
-                platform: hsched_platform::PlatformId(2),
-                priority: 1,
-            }],
-        );
+        let seeds = [DirtySeed::Footprint {
+            platform: hsched_platform::PlatformId(2),
+            priority: 1,
+        }];
+        let cone = graph.closure(&seeds);
         assert_eq!(cone.transactions, vec![false, false, false, true]);
-        assert!(cone.tasks[3][0]);
+        assert!(graph.task_cone(&seeds)[3][0]);
     }
 
     #[test]
     fn chain_edges_propagate_downstream_then_across() {
-        let (set, graph) = paper();
+        let (_, graph) = paper();
         // Seed τ1,1 (Π3, p2): its interference targets on Π3 are τ4,1 (p1)
         // — not τ1,4 (p3, higher). Its chain successor τ1,2 (Π1, p1)
         // drags in nothing new on Π1 (τ2,1 has p3), then τ1,3, τ1,4; τ1,4
         // (p3 on Π3) re-sweeps Π3 and confirms τ1,1/τ4,1.
-        let cone = graph.closure(&set, &[DirtySeed::Task(TaskRef { tx: 0, idx: 0 })]);
-        assert_eq!(cone.transactions, vec![true, false, false, true]);
-        assert_eq!(cone.tasks[0], vec![true, true, true, true]);
+        let seeds = [DirtySeed::Task(TaskRef { tx: 0, idx: 0 })];
+        assert_eq!(
+            graph.closure(&seeds).transactions,
+            vec![true, false, false, true]
+        );
+        assert_eq!(graph.task_cone(&seeds)[0], vec![true, true, true, true]);
     }
 
     #[test]
     fn high_priority_island_member_stays_clean() {
-        let (set, graph) = paper();
+        let (_, graph) = paper();
         // Seed the lowest-priority task τ4,1 (Π3, p1): it delays nothing,
         // so the cone is itself alone — even though Π1/Π2/Π3 form one
         // island through Γ1 (the island tracker would re-analyze all four
         // transactions).
-        let cone = graph.closure(&set, &[DirtySeed::Task(TaskRef { tx: 3, idx: 0 })]);
+        let cone = graph.closure(&[DirtySeed::Task(TaskRef { tx: 3, idx: 0 })]);
         assert_eq!(cone.transactions, vec![false, false, false, true]);
         assert_eq!(cone.transaction_count(), 1);
     }
 
     #[test]
     fn retune_sweeps_the_whole_platform() {
-        let (set, graph) = paper();
-        let cone = graph.closure(&set, &[DirtySeed::Platform(hsched_platform::PlatformId(0))]);
+        let (_, graph) = paper();
+        let cone = graph.closure(&[DirtySeed::Platform(hsched_platform::PlatformId(0))]);
         // Π1 hosts τ1,2 (chain → τ1,3, τ1,4 → Π3 sweep at p3) and τ2,1.
         assert_eq!(cone.transactions, vec![true, true, false, true]);
     }
@@ -766,16 +786,13 @@ pub(crate) mod tests {
 
     #[test]
     fn out_of_range_seeds_are_ignored() {
-        let (set, graph) = paper();
-        let cone = graph.closure(
-            &set,
-            &[DirtySeed::Footprint {
-                platform: hsched_platform::PlatformId(99),
-                priority: 5,
-            }],
-        );
+        let (_, graph) = paper();
+        let cone = graph.closure(&[DirtySeed::Footprint {
+            platform: hsched_platform::PlatformId(99),
+            priority: 5,
+        }]);
         assert_eq!(cone.transaction_count(), 0);
-        let cone = graph.closure(&set, &[]);
+        let cone = graph.closure(&[]);
         assert_eq!(cone.transaction_count(), 0);
     }
 }

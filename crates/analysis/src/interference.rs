@@ -8,9 +8,9 @@
 //! transaction is tabulated once per hp set, in the [`StepTables`] of its
 //! fixpoint.
 
+use crate::grid::Grid;
 use crate::state::TaskState;
 use hsched_numeric::{Cycles, Rational, Time};
-use hsched_transaction::TransactionSet;
 use std::ops::{Add, Range};
 
 /// A demand in cycles at a busy-window length `t`, and the largest length
@@ -94,22 +94,22 @@ impl Scenario {
     /// Makes this `W^k_i`, in the same buffer whatever it held before.
     pub(crate) fn retarget(
         &mut self,
-        set: &TransactionSet,
+        grid: &Grid,
         states: &[Vec<TaskState>],
         i: usize,
         k: usize,
         hp: &[usize],
     ) {
-        let tx = &set.transactions()[i];
-        self.period = tx.period;
+        let period = grid.period(i);
+        self.period = period;
         self.terms.clear();
         self.terms.extend(hp.iter().map(|&j| {
             let st = &states[i][j];
-            let phase = phase(tx.period, &states[i][k], st.phi);
+            let phase = phase(period, &states[i][k], st.phi);
             Term {
                 phase,
-                pending: ((st.jitter + phase) / tx.period).floor(),
-                wcet: tx.tasks()[j].wcet,
+                pending: (st.jitter + phase).div_floor(period),
+                wcet: grid.wcet(grid.flat(i, j)),
             }
         }));
     }
@@ -119,7 +119,7 @@ impl Scenario {
     pub(crate) fn step(&self, t: Time) -> Step {
         let mut step = Step::ZERO;
         for term in &self.terms {
-            let arrivals = ((t - term.phase) / self.period).ceil().max(0);
+            let arrivals = (t - term.phase).div_ceil(self.period).max(0);
             step = step
                 + Step {
                     demand: Rational::from_integer(term.pending + arrivals) * term.wcet,
@@ -190,7 +190,7 @@ impl StepTables {
     /// built.
     pub(crate) fn refresh(
         &mut self,
-        set: &TransactionSet,
+        grid: &Grid,
         states: &[Vec<TaskState>],
         i: usize,
         hp: &[usize],
@@ -215,7 +215,7 @@ impl StepTables {
         // Every scenario's terms, each sorted by phase, and `B`.
         self.terms.clear();
         for &k in hp {
-            self.scenario.retarget(set, states, i, k, hp);
+            self.scenario.retarget(grid, states, i, k, hp);
             self.scenario.terms.sort_unstable_by_key(|term| term.phase);
             self.terms.extend_from_slice(&self.scenario.terms);
         }
@@ -245,11 +245,10 @@ impl StepTables {
                 table[m + 1] = table[m + 1].max(value);
             }
         }
-        let tx = &set.transactions()[i];
         self.slots[anchor] = Some(TableSlot {
             stamp,
-            period: tx.period,
-            wcet_sum: hp.iter().map(|&j| tx.tasks()[j].wcet).sum(),
+            period: grid.period(i),
+            wcet_sum: hp.iter().map(|&j| grid.wcet(grid.flat(i, j))).sum(),
             phases: phases..phases + count,
             values,
         });
@@ -262,7 +261,7 @@ impl StepTables {
         let slot = self.slots[anchor].as_ref().expect("the table was built");
         let phases = &self.phases[slot.phases.clone()];
         // q = ⌈t/T⌉ − 1, r = t − qT ∈ (0, T]; q = 0, r = 0 at t = 0.
-        let q = ((t / slot.period).ceil() - 1).max(0);
+        let q = (t.div_ceil(slot.period) - 1).max(0);
         let start = slot.period * Rational::from_integer(q);
         let m = phases.partition_point(|&b| b < t - start);
         let until = match phases.get(m) {
@@ -282,7 +281,7 @@ pub(crate) mod tests {
     use crate::state::tests::initial_states;
     use crate::ServiceTimeMode;
     use hsched_numeric::rat;
-    use hsched_transaction::{paper_example, TaskRef};
+    use hsched_transaction::{paper_example, TaskRef, TransactionSet};
 
     /// The set `hpi(τa,b)` of Eq. (17): tasks of transaction `i` with priority
     /// ≥ `p_{a,b}` mapped on the *same platform* as τa,b, excluding τa,b itself.
@@ -326,13 +325,13 @@ pub(crate) mod tests {
     /// The scenarios `W*_i(τa,b, ·)` of Eq. (15) maximizes over: one per
     /// candidate starter `k ∈ hpi(τa,b)`.
     pub(crate) fn scenarios(
-        set: &TransactionSet,
+        grid: &Grid,
         states: &[Vec<TaskState>],
         i: usize,
         hp: &[usize],
     ) -> Vec<Scenario> {
         hp.iter()
-            .map(|&k| Scenario::new(set, states, i, k, hp))
+            .map(|&k| Scenario::new(grid, states, i, k, hp))
             .collect()
     }
 
@@ -348,14 +347,14 @@ pub(crate) mod tests {
 
     impl Scenario {
         pub(crate) fn new(
-            set: &TransactionSet,
+            grid: &Grid,
             states: &[Vec<TaskState>],
             i: usize,
             k: usize,
             hp: &[usize],
         ) -> Scenario {
             let mut scenario = Scenario::default();
-            scenario.retarget(set, states, i, k, hp);
+            scenario.retarget(grid, states, i, k, hp);
             scenario
         }
 
@@ -478,7 +477,13 @@ pub(crate) mod tests {
         //   t ∈ (0, 15]: 1 cycle; t ∈ (15, 30]: 2 cycles.
         let under = TaskRef { tx: 0, idx: 1 };
         let hp = hp_tasks(&set, 1, under);
-        let w = Scenario::new(&set, &states, 1, 0, &hp);
+        let w = Scenario::new(
+            &Grid::unscaled(&set, &Default::default()),
+            &states,
+            1,
+            0,
+            &hp,
+        );
         assert_eq!(w.demand(rat(6, 1)), rat(1, 1));
         assert_eq!(w.demand(rat(16, 1)), rat(2, 1));
     }
@@ -489,11 +494,12 @@ pub(crate) mod tests {
         let under = TaskRef { tx: 3, idx: 0 }; // τ4,1 on Π3, p=1
         let hp = hp_tasks(&set, 0, under); // {τ1,1, τ1,4}
         let t = rat(10, 1);
-        let w1 = Scenario::new(&set, &states, 0, hp[0], &hp).demand(t);
-        let w4 = Scenario::new(&set, &states, 0, hp[1], &hp).demand(t);
-        assert_eq!(w_star(&scenarios(&set, &states, 0, &hp), t), w1.max(w4));
+        let grid = Grid::unscaled(&set, &Default::default());
+        let w1 = Scenario::new(&grid, &states, 0, hp[0], &hp).demand(t);
+        let w4 = Scenario::new(&grid, &states, 0, hp[1], &hp).demand(t);
+        assert_eq!(w_star(&scenarios(&grid, &states, 0, &hp), t), w1.max(w4));
         // Empty hp → zero.
-        assert_eq!(w_star(&scenarios(&set, &states, 0, &[]), t), Cycles::ZERO);
+        assert_eq!(w_star(&scenarios(&grid, &states, 0, &[]), t), Cycles::ZERO);
     }
 
     /// Eq. (11) written directly from the spec-level definitions, all of it
@@ -551,7 +557,7 @@ pub(crate) mod tests {
             // Every task but the last is an hp task; any task may start.
             let hp: Vec<usize> = (0..raw.len() - 1).collect();
             let k = pick % raw.len();
-            let hoisted = Scenario::new(&set, &states, 0, k, &hp);
+            let hoisted = Scenario::new(&Grid::unscaled(&set, &Default::default()), &states, 0, k, &hp);
             let mut lengths: Vec<Time> = ts.iter().map(|&(n, d)| rat(n, d)).collect();
             lengths.push(Time::ZERO);
             lengths.extend(hp.iter().map(|&j| phase(period, &states[0][k], states[0][j].phi)));
@@ -562,7 +568,7 @@ pub(crate) mod tests {
                     "k = {}, t = {}", k, t
                 );
             }
-            let all = scenarios(&set, &states, 0, &hp);
+            let all = scenarios(&Grid::unscaled(&set, &Default::default()), &states, 0, &hp);
             let t = rat(ts[0].0, ts[0].1);
             proptest::prop_assert_eq!(
                 w_star(&all, t),
@@ -617,7 +623,13 @@ pub(crate) mod tests {
             },
         ]];
         let mut tables = StepTables::new(1);
-        tables.refresh(&set, &states, 0, &[0, 1], 0);
+        tables.refresh(
+            &Grid::unscaled(&set, &Default::default()),
+            &states,
+            0,
+            &[0, 1],
+            0,
+        );
         assert_eq!(
             tables.step(0, rat(60, 1)),
             Step {
@@ -626,7 +638,12 @@ pub(crate) mod tests {
             }
         );
         assert_eq!(tables.step(0, rat(601, 10)).demand, rat(4, 1));
-        let all = scenarios(&set, &states, 0, &[0, 1]);
+        let all = scenarios(
+            &Grid::unscaled(&set, &Default::default()),
+            &states,
+            0,
+            &[0, 1],
+        );
         assert_eq!(w_star(&all, rat(60, 1)), rat(3, 1));
         assert_eq!(w_star(&all, rat(601, 10)), rat(4, 1));
     }
@@ -686,18 +703,19 @@ pub(crate) mod tests {
                 hp = (0..raw.len()).collect();
             }
             let every: Vec<usize> = (0..raw.len()).collect();
+            let grid = Grid::unscaled(&set, &Default::default());
             let mut tables = StepTables::new(2);
             let mut last: [Option<&Vec<Vec<TaskState>>>; 2] = [None, None];
             for states in [&states, &moved, &states] {
                 for (anchor, hp) in [(0, &hp), (1, &every)] {
                     let stale = last[anchor]
                         .is_none_or(|was| hp.iter().any(|&j| was[0][j] != states[0][j]));
-                    proptest::prop_assert_eq!(tables.refresh(&set, states, 0, hp, anchor), stale);
-                    proptest::prop_assert!(!tables.refresh(&set, states, 0, hp, anchor));
+                    proptest::prop_assert_eq!(tables.refresh(&grid, states, 0, hp, anchor), stale);
+                    proptest::prop_assert!(!tables.refresh(&grid, states, 0, hp, anchor));
                     last[anchor] = Some(states);
                 }
                 for (anchor, hp) in [(0, &hp), (1, &every)] {
-                    let all = scenarios(&set, states, 0, hp);
+                    let all = scenarios(&grid, states, 0, hp);
                     let reference = |t: Time| w_star(&all, t);
                     let mut lengths = vec![Time::ZERO];
                     for k in 0..4 {

@@ -23,6 +23,11 @@
 //!   jitter propagation `J_{i,j} = R_{i,j−1} − Rbest_{i,j−1}` iterated to
 //!   convergence, sweep by sweep (Jacobi) or in dependency order
 //!   (Gauss-Seidel), on one thread;
+//! * `grid` — the integer grid a fixpoint computes on: its transactions'
+//!   and tasks' times and cycles, and the models of the platforms they
+//!   use, scaled by the lcm of their denominators, so that the exact
+//!   arithmetic of the iteration runs on integers and the report, scaled
+//!   back, is exactly the unscaled one;
 //! * `hpgraph` — who reads whom: the interference cone of a change, the
 //!   islands a change touches and their parts, every task's hp sets, and
 //!   the Gauss-Seidel sweep order;
@@ -60,6 +65,7 @@
 #![warn(missing_docs)]
 
 pub mod classic;
+mod grid;
 mod holistic;
 mod hpgraph;
 mod interference;
@@ -228,15 +234,6 @@ impl AnalysisConfig {
             .and_then(|row| row.get(idx))
             .copied()
             .unwrap_or(Time::ZERO)
-    }
-}
-
-/// Worst-case time for `platform` to serve `demand` cycles from the start
-/// of a busy interval (pseudo-inverse of Zmin), under the chosen mode.
-pub(crate) fn service_time(platform: &Platform, demand: Cycles, mode: ServiceTimeMode) -> Time {
-    match mode {
-        ServiceTimeMode::LinearBounds => platform.linear_model().worst_case_service(demand),
-        ServiceTimeMode::ExactCurve => platform.time_to_supply_min(demand),
     }
 }
 

@@ -2,10 +2,11 @@
 //! and busy-period fixpoints over scenarios, with the foreign interference
 //! read from step tables shared across the analyses of one fixpoint.
 
+use crate::grid::Grid;
 use crate::hpgraph::{HpPool, HpSets};
 use crate::interference::{phase, Scenario, Step, StepTables};
 use crate::state::TaskState;
-use crate::{service_time, AnalysisConfig, HpGraph, ScenarioMode};
+use crate::{AnalysisConfig, HpGraph, ScenarioMode};
 use hsched_numeric::{Cycles, Rational, Time};
 use hsched_transaction::{TaskRef, TransactionSet};
 
@@ -59,14 +60,15 @@ pub(crate) struct TaskAnalysis {
 }
 
 /// What the task analyses of one holistic fixpoint share, owned by it:
-/// `hp[v]`, task `v`'s hp sets (Eq. 17), read off the [`HpGraph`] into the
-/// pool on its first analysis; the step table of each foreign hp set, which
-/// every task reading the set shares and which is rebuilt only when the
-/// states of its members move; and the own scenario each starter
-/// re-targets. Once its hp sets are read, a task analysis allocates only
+/// the numbers of its [`Grid`]; `hp[v]`, task `v`'s hp sets (Eq. 17), read
+/// off the [`HpGraph`] into the pool on its first analysis; the step table
+/// of each foreign hp set, which every task reading the set shares and
+/// which is rebuilt only when the states of its members move; and the own
+/// scenario each starter re-targets. Once its hp sets are read, a task analysis allocates only
 /// when a table it rebuilds outgrows the pools.
 pub(crate) struct TaskSlots<'g> {
     graph: &'g HpGraph,
+    grid: &'g Grid,
     hp: Vec<Option<HpSets>>,
     pool: HpPool,
     tables: StepTables,
@@ -74,9 +76,10 @@ pub(crate) struct TaskSlots<'g> {
 }
 
 impl<'g> TaskSlots<'g> {
-    pub(crate) fn new(graph: &'g HpGraph) -> TaskSlots<'g> {
+    pub(crate) fn new(graph: &'g HpGraph, grid: &'g Grid) -> TaskSlots<'g> {
         TaskSlots {
             graph,
+            grid,
             hp: vec![None; graph.len()],
             pool: HpPool::default(),
             tables: StepTables::new(graph.len()),
@@ -97,13 +100,13 @@ pub(crate) fn analyze_task(
 ) -> Result<TaskAnalysis, AnalysisError> {
     let flat = slots.graph.flat(under);
     let sets = &*slots.hp[flat].get_or_insert_with(|| slots.graph.hp_sets(flat, &mut slots.pool));
-    let (pool, tables) = (&slots.pool, &mut slots.tables);
+    let (pool, tables, grid) = (&slots.pool, &mut slots.tables, slots.grid);
     let (own_hp, foreign) = pool.sets(sets);
-    let ctx = TaskContext::<true>::new(set, states, under, config, own_hp);
+    let ctx = TaskContext::<true>::new(set, grid, states, under, config, own_hp);
     match config.scenario_mode {
         ScenarioMode::Approximate => {
             for f in foreign {
-                let built = tables.refresh(set, states, f.tx, pool.members(f), f.anchor);
+                let built = tables.refresh(grid, states, f.tx, pool.members(f), f.anchor);
                 if let (true, Some(m)) = (built, ctx.metrics) {
                     m.interference_tables.incr();
                 }
@@ -132,8 +135,11 @@ pub(crate) fn analyze_task(
 /// iterates every inner fixpoint from zero, clears it.
 struct TaskContext<'a, const SEEDED: bool> {
     set: &'a TransactionSet,
+    grid: &'a Grid,
     states: &'a [Vec<TaskState>],
     under: TaskRef,
+    /// Flat index of τa,b.
+    flat: usize,
     config: &'a AnalysisConfig,
     /// `hpa(τa,b)`, the own transaction's hp set.
     own_hp: &'a [usize],
@@ -157,40 +163,42 @@ struct TaskContext<'a, const SEEDED: bool> {
 impl<'a, const SEEDED: bool> TaskContext<'a, SEEDED> {
     fn new(
         set: &'a TransactionSet,
+        grid: &'a Grid,
         states: &'a [Vec<TaskState>],
         under: TaskRef,
         config: &'a AnalysisConfig,
         own_hp: &'a [usize],
     ) -> TaskContext<'a, SEEDED> {
-        let tx = &set.transactions()[under.tx];
+        let flat = grid.flat(under.tx, under.idx);
+        let period = grid.period(under.tx);
         let st = states[under.tx][under.idx];
-        let bound = (tx.deadline + tx.period + st.jitter)
+        let bound = (grid.deadline(under.tx) + period + st.jitter)
             * Rational::from_integer(config.divergence_factor as i128);
         TaskContext {
             set,
+            grid,
             states,
             under,
+            flat,
             config,
             own_hp,
-            period: tx.period,
-            wcet: tx.tasks()[under.idx].wcet,
+            period,
+            wcet: grid.wcet(flat),
             phi: st.phi,
             jitter: st.jitter,
-            blocking: config.blocking_of(under.tx, under.idx),
+            blocking: grid.blocking(flat),
             bound,
             metrics: config.metrics.as_deref(),
         }
     }
 
-    fn platform(&self) -> &hsched_platform::Platform {
-        let id = self.set.task(self.under).platform;
-        &self.set.platforms()[id]
-    }
-
     /// Worst-case time to serve `demand` cycles plus the blocking term:
     /// the `Δ + B + …/α` prefix of Eqs. (13)/(16).
     fn completion(&self, demand: Cycles) -> Time {
-        self.blocking + service_time(self.platform(), demand, self.config.service_mode)
+        self.blocking
+            + self
+                .grid
+                .service(self.set, self.flat, demand, self.config.service_mode)
     }
 
     /// §3.1.2: other transactions bounded by `foreign`, own transaction's
@@ -206,7 +214,7 @@ impl<'a, const SEEDED: bool> TaskContext<'a, SEEDED> {
         };
         // τa,b itself starts the busy period too.
         for &c in self.own_hp.iter().chain(std::iter::once(&self.under.idx)) {
-            own.retarget(self.set, self.states, self.under.tx, c, self.own_hp);
+            own.retarget(self.grid, self.states, self.under.tx, c, self.own_hp);
             let own = &*own;
             let interference = |t: Time| -> Step { foreign(t) + own.step(t) };
             let outcome = self.analyze_scenario(c, &interference)?;
@@ -239,7 +247,7 @@ impl<'a, const SEEDED: bool> TaskContext<'a, SEEDED> {
                 let own = (i == self.under.tx).then_some(self.under.idx);
                 let candidates = hp.iter().copied().chain(own).map(|k| {
                     let mut scenario = Scenario::default();
-                    scenario.retarget(self.set, self.states, i, k, hp);
+                    scenario.retarget(self.grid, self.states, i, k, hp);
                     (k, scenario)
                 });
                 (i, candidates.collect())
@@ -337,7 +345,7 @@ impl<'a, const SEEDED: bool> TaskContext<'a, SEEDED> {
         let starter = &self.states[self.under.tx][c];
         let phi_c = phase(self.period, starter, self.phi);
         // p0 = 1 − ⌊(Ja,b + ϕ)/Ta⌋ — index of the oldest pending job.
-        let p0 = 1 - ((self.jitter + phi_c) / self.period).floor();
+        let p0 = 1 - (self.jitter + phi_c).div_floor(self.period);
         // Busy period length L (the paper's iterative expression after
         // Eq. 16); monotone non-decreasing iteration from 0.
         let mut len = Time::ZERO;
@@ -347,7 +355,7 @@ impl<'a, const SEEDED: bool> TaskContext<'a, SEEDED> {
         let (busy_len, busy_jobs) = loop {
             // Arrivals clamped at 0 so the L = 0 seed sees the pending jobs
             // (right-limit semantics, as in `Scenario::step`).
-            let own_arrivals = ((len - phi_c) / self.period).ceil().max(0);
+            let own_arrivals = (len - phi_c).div_ceil(self.period).max(0);
             let own_jobs = (own_arrivals - p0 + 1).max(0);
             let step = evaluate(len)
                 + Step {
@@ -377,7 +385,7 @@ impl<'a, const SEEDED: bool> TaskContext<'a, SEEDED> {
             }
         };
         // Last job inside the busy period (Eq. 14).
-        let p_last = ((busy_len - phi_c) / self.period).ceil();
+        let p_last = (busy_len - phi_c).div_ceil(self.period);
 
         let mut best = Time::ZERO;
         let mut w = if SEEDED { first_job_floor } else { Time::ZERO };
@@ -453,15 +461,23 @@ pub(crate) mod tests {
         config: &AnalysisConfig,
     ) -> Result<TaskAnalysis, AnalysisError> {
         let graph = HpGraph::of(set);
-        analyze_task(set, states, under, config, &mut TaskSlots::new(&graph))
+        let grid = Grid::new(set, &graph, config, 1);
+        analyze_task(
+            set,
+            states,
+            under,
+            config,
+            &mut TaskSlots::new(&graph, &grid),
+        )
     }
 
-    /// The reference analysis of task `under`, which [`analyze_task`] must
-    /// equal: hp sets by Eq. (17)'s definition, `W*` evaluated from its
-    /// scenarios at every length, and every inner fixpoint iterated from
-    /// zero to `next == w`.
+    /// The reference analysis of task `under` at `states` on `grid`, which
+    /// [`analyze_task`] must equal: hp sets by Eq. (17)'s definition, `W*`
+    /// evaluated from its scenarios at every length, and every inner
+    /// fixpoint iterated from zero to `next == w`.
     pub(crate) fn analyze_reference(
         set: &TransactionSet,
+        grid: &Grid,
         states: &[Vec<TaskState>],
         under: TaskRef,
         config: &AnalysisConfig,
@@ -472,12 +488,12 @@ pub(crate) mod tests {
             .map(|i| (i, hp_tasks(set, i, under)))
             .filter(|(_, hp)| !hp.is_empty())
             .collect();
-        let ctx = TaskContext::<false>::new(set, states, under, config, &own_hp);
+        let ctx = TaskContext::<false>::new(set, grid, states, under, config, &own_hp);
         match config.scenario_mode {
             ScenarioMode::Approximate => {
                 let foreign: Vec<Vec<Scenario>> = foreign_hp
                     .iter()
-                    .map(|(i, hp)| scenarios(set, states, *i, hp))
+                    .map(|(i, hp)| scenarios(grid, states, *i, hp))
                     .collect();
                 // Claims to hold at `t` alone: the reference never stops
                 // inside a step.
@@ -748,7 +764,7 @@ pub(crate) mod tests {
     fn assert_memo_invisible(set: &TransactionSet, seed: DirtySeed, config: &AnalysisConfig) {
         let (last, rest) = set.transactions().split_last().unwrap();
         let before = TransactionSet::new(set.platforms().clone(), rest.to_vec()).unwrap();
-        let cone = HpGraph::of(set).closure(set, &[seed]);
+        let cone = HpGraph::of(set).task_cone(&[seed]);
         for update_order in [UpdateOrder::Jacobi, UpdateOrder::GaussSeidel] {
             for service_mode in [ServiceTimeMode::LinearBounds, ServiceTimeMode::ExactCurve] {
                 let config = AnalysisConfig {
@@ -763,8 +779,8 @@ pub(crate) mod tests {
                 let starts = [
                     None,
                     Some(grown),
-                    Some(WarmStart::restricted(&cold, cone.tasks.clone(), true)),
-                    Some(WarmStart::restricted(&cold, cone.tasks.clone(), false)),
+                    Some(WarmStart::restricted(&cold, cone.clone(), true)),
+                    Some(WarmStart::restricted(&cold, cone.clone(), false)),
                 ];
                 for (k, warm) in starts.iter().enumerate() {
                     assert_eq!(
@@ -947,11 +963,12 @@ pub(crate) mod tests {
                     config.service_mode = ServiceTimeMode::ExactCurve;
                 }
                 let graph = HpGraph::of(&set);
-                let mut slots = TaskSlots::new(&graph);
+                let grid = Grid::new(&set, &graph, &config, 1);
+                let mut slots = TaskSlots::new(&graph, &grid);
                 for under in set.task_refs() {
                     proptest::prop_assert_eq!(
                         analyze_task(&set, &states, under, &config, &mut slots),
-                        analyze_reference(&set, &states, under, &config),
+                        analyze_reference(&set, &grid, &states, under, &config),
                         "{}", under
                     );
                 }

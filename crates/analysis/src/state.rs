@@ -1,5 +1,6 @@
 //! Per-task analysis state: offsets, jitters, response times.
 
+use crate::grid::Grid;
 use crate::{best_service_time, ServiceTimeMode};
 use hsched_numeric::Time;
 use hsched_transaction::TransactionSet;
@@ -35,17 +36,27 @@ pub fn best_case_offsets(
     set: &TransactionSet,
     mode: ServiceTimeMode,
 ) -> (Vec<Vec<Time>>, Vec<Vec<Time>>) {
-    let platforms = set.platforms();
+    chain_offsets(set, |i, j| {
+        let task = &set.transactions()[i].tasks()[j];
+        best_service_time(&set.platforms()[task.platform], task.bcet, mode)
+    })
+}
+
+/// The offsets and best-case responses of `set`'s chains, with `best(i,
+/// j)` the best-case service time of task τi,j.
+pub(crate) fn chain_offsets(
+    set: &TransactionSet,
+    best: impl Fn(usize, usize) -> Time,
+) -> (Vec<Vec<Time>>, Vec<Vec<Time>>) {
     let mut offsets = Vec::with_capacity(set.transactions().len());
     let mut best_responses = Vec::with_capacity(set.transactions().len());
-    for tx in set.transactions() {
+    for (i, tx) in set.transactions().iter().enumerate() {
         let mut row_off = Vec::with_capacity(tx.len());
         let mut row_best = Vec::with_capacity(tx.len());
         let mut acc = Time::ZERO;
-        for task in tx.tasks() {
+        for j in 0..tx.len() {
             row_off.push(acc);
-            let best = best_service_time(&platforms[task.platform], task.bcet, mode);
-            acc += best;
+            acc += best(i, j);
             row_best.push(acc);
         }
         offsets.push(row_off);
@@ -54,21 +65,21 @@ pub fn best_case_offsets(
     (offsets, best_responses)
 }
 
-/// Initial state: offsets at their best-case values (from
-/// [`best_case_offsets`]), jitters zero (§3.2: "the initial values of
-/// jitters and offsets") — except the first task of each transaction,
+/// Initial state on `grid`: offsets at their best-case values (from
+/// [`Grid::best_case_offsets`]), jitters zero (§3.2: "the initial values
+/// of jitters and offsets") — except the first task of each transaction,
 /// which inherits the stream's release jitter.
-pub(crate) fn states_at(set: &TransactionSet, offsets: Vec<Vec<Time>>) -> Vec<Vec<TaskState>> {
+pub(crate) fn states_at(grid: &Grid, offsets: Vec<Vec<Time>>) -> Vec<Vec<TaskState>> {
     offsets
         .into_iter()
-        .zip(set.transactions())
-        .map(|(row, tx)| {
+        .enumerate()
+        .map(|(i, row)| {
             row.into_iter()
                 .enumerate()
                 .map(|(j, phi)| TaskState {
                     phi,
                     jitter: if j == 0 {
-                        tx.release_jitter
+                        grid.release_jitter(i)
                     } else {
                         Time::ZERO
                     },
@@ -89,7 +100,10 @@ pub(crate) mod tests {
         set: &TransactionSet,
         mode: ServiceTimeMode,
     ) -> Vec<Vec<TaskState>> {
-        states_at(set, best_case_offsets(set, mode).0)
+        states_at(
+            &Grid::unscaled(set, &Default::default()),
+            best_case_offsets(set, mode).0,
+        )
     }
 
     #[test]

@@ -48,6 +48,37 @@ fn raw_system() -> impl Strategy<Value = RawSystem> {
         })
 }
 
+/// The interference cone of `seed` by task, from its definition: what the
+/// seed reaches over interference edges (to the tasks on its platform at
+/// or below its priority) and chain edges (to its successor). A warm start
+/// restricted to it freezes tasks one by one, where admission freezes
+/// whole transactions.
+fn task_cone(set: &TransactionSet, seed: TaskRef) -> Vec<Vec<bool>> {
+    let mut cone: Vec<Vec<bool>> = set
+        .transactions()
+        .iter()
+        .map(|tx| vec![false; tx.len()])
+        .collect();
+    let mut frontier = vec![seed];
+    while let Some(r) = frontier.pop() {
+        if std::mem::replace(&mut cone[r.tx][r.idx], true) {
+            continue;
+        }
+        let task = set.task(r);
+        frontier.extend(set.task_refs().filter(|&other| {
+            let t = set.task(other);
+            t.platform == task.platform && t.priority <= task.priority
+        }));
+        if r.idx + 1 < set.transactions()[r.tx].len() {
+            frontier.push(TaskRef {
+                tx: r.tx,
+                idx: r.idx + 1,
+            });
+        }
+    }
+    cone
+}
+
 fn build(raw: &RawSystem) -> TransactionSet {
     let mut platforms = PlatformSet::new();
     for (k, (&a, &d)) in raw.alphas.iter().zip(&raw.deltas).enumerate() {
@@ -221,12 +252,16 @@ proptest! {
         let before = TransactionSet::new(set.platforms().clone(), rest.to_vec()).unwrap();
         let mut grown = WarmStart::from_report(&analyze_with(&before, &gauss_seidel).unwrap());
         grown.jitters.push(vec![Rational::ZERO; last.len()]);
-        let seed = DirtySeed::Task(TaskRef { tx: pick % set.transactions().len(), idx: 0 });
-        let cone = HpGraph::of(&set).closure(&set, &[seed]);
+        let seed = TaskRef { tx: pick % set.transactions().len(), idx: 0 };
+        let cone = task_cone(&set, seed);
+        prop_assert_eq!(
+            HpGraph::of(&set).closure(&[DirtySeed::Task(seed)]).transactions,
+            cone.iter().map(|row| row.contains(&true)).collect::<Vec<_>>()
+        );
         let starts = [
             Some(grown),
-            Some(WarmStart::restricted(&cold, cone.tasks.clone(), true)),
-            Some(WarmStart::restricted(&cold, cone.tasks.clone(), false)),
+            Some(WarmStart::restricted(&cold, cone.clone(), true)),
+            Some(WarmStart::restricted(&cold, cone.clone(), false)),
         ];
         for (k, warm) in std::iter::once(None).chain(starts).enumerate() {
             let gs = analyze_resumed(&set, &gauss_seidel, warm.as_ref()).unwrap();
@@ -265,9 +300,9 @@ fn gauss_seidel_seeds_jitter_from_a_pinned_predecessor() {
     };
     let set = build(&raw);
     let jacobi = analyze_with(&set, &AnalysisConfig::default()).unwrap();
-    let cone = HpGraph::of(&set).closure(&set, &[DirtySeed::Task(TaskRef { tx: 1, idx: 0 })]);
-    assert_eq!(cone.tasks[2], vec![false, true], "τ3,2 active, τ3,1 pinned");
-    let warm = WarmStart::restricted(&jacobi, cone.tasks, true);
+    let cone = task_cone(&set, TaskRef { tx: 1, idx: 0 });
+    assert_eq!(cone[2], vec![false, true], "τ3,2 active, τ3,1 pinned");
+    let warm = WarmStart::restricted(&jacobi, cone, true);
     let gauss_seidel = AnalysisConfig {
         update_order: UpdateOrder::GaussSeidel,
         ..AnalysisConfig::default()

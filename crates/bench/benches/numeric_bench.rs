@@ -1,6 +1,7 @@
-//! Criterion bench: the cost of one `Rational` operation on each side of
-//! the arithmetic-width choice. `Rational` stores `i128/i128` and runs an
-//! operation at 64-bit width when both operands fit; the three decks put
+//! Criterion bench: the cost of one `Rational` operation on each of its
+//! paths. `Rational` stores `i128/i128`, runs integers as plain `i128`s
+//! and any other operation at 64-bit width when both operands fit; the
+//! four decks put the integers of the analysis's grid on the integer path,
 //! two workloads on the narrow side (the integers and short decimals every
 //! benchmark workload consists of) and one on the wide side, whose cost
 //! must stay visible because it is the only path hostile magnitudes take.
@@ -22,6 +23,14 @@ fn small_integers(rng: &mut StdRng) -> Pair {
     (
         rat(rng.gen_range(1..5000), 1),
         rat(rng.gen_range(1..5000), 1),
+    )
+}
+
+/// A fixpoint's values on its integer grid: integers below 2⁴⁰.
+fn grid_integers(rng: &mut StdRng) -> Pair {
+    (
+        rat(rng.gen_range(1..1 << 40), 1),
+        rat(rng.gen_range(1..1 << 40), 1),
     )
 }
 
@@ -58,7 +67,8 @@ fn bench_op<R>(
 }
 
 fn bench_rational_ops(c: &mut Criterion) {
-    let decks: [(&str, Deck); 3] = [
+    let decks: [(&str, Deck); 4] = [
+        ("integers", grid_integers),
         ("small_integers", small_integers),
         ("small_fractions", small_fractions),
         ("wide", wide),
@@ -73,6 +83,9 @@ fn bench_rational_ops(c: &mut Criterion) {
         bench_op(&mut group, id("cmp"), &pairs, |x, y| x < y);
         bench_op(&mut group, id("div"), &pairs, Rational::checked_div);
         bench_op(&mut group, id("floor"), &pairs, |x, _| x.floor());
+        // Every deck's second operand is positive.
+        bench_op(&mut group, id("div_floor"), &pairs, Rational::div_floor);
+        bench_op(&mut group, id("div_ceil"), &pairs, Rational::div_ceil);
     }
     group.finish();
 }

@@ -24,6 +24,14 @@
 //! operation from the operands; the stored form, and with it `==`, `Hash`
 //! and every rendering, is the same whichever path produced a value.
 //!
+//! Integers come first. When both denominators are 1 — every operand of a
+//! fixpoint the analysis runs on its integer grid — `+`, `-`, `*` and the
+//! comparison are one checked `i128` operation each, with no gcd and no
+//! narrowing test, and [`Rational::div_floor`] / [`Rational::div_ceil`]
+//! give the job counts `⌊a/b⌋` and `⌈a/b⌉` as one integer division, without
+//! normalizing a quotient. The comparison is total: operands too wide for
+//! an `i128` cross product compare through an exact 256-bit one.
+//!
 //! # Example
 //!
 //! ```

@@ -1,5 +1,6 @@
 //! The [`Rational`] type: a normalized `i128` fraction whose operations
-//! run at 64-bit width when both operands fit (see the crate docs).
+//! run as plain integers when both operands are integers, and at 64-bit
+//! width when both fit (see the crate docs).
 
 use crate::gcd;
 use std::cmp::Ordering;
@@ -13,6 +14,12 @@ use std::str::FromStr;
 ///
 /// The invariant is established by every constructor and maintained by every
 /// operation, so `==` is structural equality and hashing is consistent.
+///
+/// Three paths share the one stored form. Integer operands (denominator 1)
+/// add, subtract, multiply and compare as checked `i128`s; operands inside
+/// `±i64::MAX` take their gcds at machine width; anything wider takes the
+/// checked full-width reference. Each path gives the reference's value,
+/// and `None` exactly where it does.
 #[derive(Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Rational {
     num: i128,
@@ -236,8 +243,47 @@ impl Rational {
             modulus.is_positive(),
             "rem_euclid with non-positive modulus {modulus}"
         );
-        let q = (self / modulus).floor();
-        self - modulus * Rational::from_integer(q)
+        self - modulus * Rational::from_integer(self.div_floor(modulus))
+    }
+
+    /// `⌊self / rhs⌋` for `rhs > 0`: `(self / rhs).floor()` without
+    /// normalizing the quotient. Integers divide directly; narrow operands
+    /// divide their cross products, which fit `i128`; wider ones take the
+    /// quotient, and panic where it overflows.
+    #[inline]
+    pub fn div_floor(self, rhs: Rational) -> i128 {
+        debug_assert!(rhs.is_positive(), "div_floor by non-positive {rhs}");
+        match self.cross(rhs) {
+            Some((n, d)) => floor_div(n, d).0,
+            None => (self / rhs).floor(),
+        }
+    }
+
+    /// `⌈self / rhs⌉` for `rhs > 0`, as [`Rational::div_floor`] computes
+    /// `⌊self / rhs⌋`.
+    #[inline]
+    pub fn div_ceil(self, rhs: Rational) -> i128 {
+        debug_assert!(rhs.is_positive(), "div_ceil by non-positive {rhs}");
+        match self.cross(rhs) {
+            Some((n, d)) => {
+                let (floor, exact) = floor_div(n, d);
+                floor + i128::from(!exact)
+            }
+            None => (self / rhs).ceil(),
+        }
+    }
+
+    /// `self / rhs` as the fraction `n/d`, `d > 0`, of its cross products
+    /// (`a/b ÷ c/d = (a·d)/(b·c)`), for `rhs > 0` and operands that are
+    /// integers or narrow; `None` for wider ones.
+    #[inline]
+    fn cross(self, rhs: Rational) -> Option<(i128, i128)> {
+        if self.den == 1 && rhs.den == 1 {
+            return Some((self.num, rhs.num));
+        }
+        let ((a, b), (c, d)) = (self.narrowed()?, rhs.narrowed()?);
+        // Products of narrow components are below 2¹²⁶.
+        Some((a as i128 * d as i128, b as i128 * c as i128))
     }
 
     /// `max(self, other)`.
@@ -279,6 +325,14 @@ impl Rational {
     /// Checked addition; `None` on overflow.
     #[inline]
     pub fn checked_add(self, rhs: Rational) -> Option<Rational> {
+        if self.den == 1 && rhs.den == 1 {
+            return self.num.checked_add(rhs.num).map(Rational::from_integer);
+        }
+        self.add_fractions(rhs)
+    }
+
+    /// `checked_add` of operands that are not both integers.
+    fn add_fractions(self, rhs: Rational) -> Option<Rational> {
         match (self.narrowed(), rhs.narrowed()) {
             (Some(lhs), Some(rhs)) => Some(add_narrow(lhs, rhs)),
             _ => self.add_wide(rhs),
@@ -301,6 +355,17 @@ impl Rational {
     /// Checked subtraction; `None` on overflow.
     #[inline]
     pub fn checked_sub(self, rhs: Rational) -> Option<Rational> {
+        if self.den == 1 && rhs.den == 1 {
+            // Negated first, as `sub_wide` does: `x − i128::MIN` is `None`
+            // even where the difference would fit.
+            let sum = self.num.checked_add(rhs.num.checked_neg()?)?;
+            return Some(Rational::from_integer(sum));
+        }
+        self.sub_fractions(rhs)
+    }
+
+    /// `checked_sub` of operands that are not both integers.
+    fn sub_fractions(self, rhs: Rational) -> Option<Rational> {
         match (self.narrowed(), rhs.narrowed()) {
             (Some(lhs), Some((num, den))) => Some(add_narrow(lhs, (-num, den))),
             _ => self.sub_wide(rhs),
@@ -317,6 +382,18 @@ impl Rational {
     /// Checked multiplication; `None` on overflow.
     #[inline]
     pub fn checked_mul(self, rhs: Rational) -> Option<Rational> {
+        if self.den == 1 && rhs.den == 1 {
+            return match (i64::try_from(self.num), i64::try_from(rhs.num)) {
+                // No product of two `i64`s leaves `i128`.
+                (Ok(a), Ok(b)) => Some(Rational::from_integer(a as i128 * b as i128)),
+                _ => self.num.checked_mul(rhs.num).map(Rational::from_integer),
+            };
+        }
+        self.mul_fractions(rhs)
+    }
+
+    /// `checked_mul` of operands that are not both integers.
+    fn mul_fractions(self, rhs: Rational) -> Option<Rational> {
         match (self.narrowed(), rhs.narrowed()) {
             (Some(lhs), Some(rhs)) => Some(mul_narrow(lhs, rhs)),
             _ => self.mul_wide(rhs),
@@ -446,21 +523,32 @@ impl Rational {
 }
 
 macro_rules! forward_binop {
-    ($trait:ident, $method:ident, $fallible:ident) => {
+    ($trait:ident, $method:ident, $checked:ident) => {
         impl $trait for Rational {
             type Output = Rational;
             #[inline]
             fn $method(self, rhs: Rational) -> Rational {
-                self.$fallible(rhs).unwrap_or_else(|e| panic!("{e}"))
+                match self.$checked(rhs) {
+                    Some(value) => value,
+                    None => overflow(stringify!($method), self, rhs),
+                }
             }
         }
     };
 }
 
-forward_binop!(Add, add, try_add);
-forward_binop!(Sub, sub, try_sub);
-forward_binop!(Mul, mul, try_mul);
-forward_binop!(Div, div, try_div);
+forward_binop!(Add, add, checked_add);
+forward_binop!(Sub, sub, checked_sub);
+forward_binop!(Mul, mul, checked_mul);
+forward_binop!(Div, div, checked_div);
+
+/// The operators' panic, kept out of line so that their integer paths
+/// inline: the message of the `try_*` error.
+#[cold]
+#[inline(never)]
+fn overflow(op: &'static str, lhs: Rational, rhs: Rational) -> ! {
+    panic!("{}", NumericError { op, lhs, rhs })
+}
 
 impl Rem for Rational {
     type Output = Rational;
@@ -533,30 +621,62 @@ impl PartialOrd for Rational {
 }
 
 impl Ord for Rational {
+    /// Total: never panics, whatever the operands.
     #[inline]
     fn cmp(&self, other: &Rational) -> Ordering {
+        // One denominator, integers among them: compare the numerators.
+        if self.den == other.den {
+            return self.num.cmp(&other.num);
+        }
         match (self.narrowed(), other.narrowed()) {
             // a/b vs c/d via a*d vs c*b: both products are below 2¹²⁶.
             (Some((a, b)), Some((c, d))) => (a as i128 * d as i128).cmp(&(c as i128 * b as i128)),
-            _ => self
-                .cmp_wide(other)
-                // Exactness loss here would be a bug, so panic instead.
-                .unwrap_or_else(|| panic!("rational comparison overflow: {self} vs {other}")),
+            _ => self.cmp_wide(other),
         }
     }
 }
 
 impl Rational {
-    /// Full-width comparison; `None` in the astronomically unlikely case
-    /// that the cross-reduced products overflow.
-    fn cmp_wide(&self, other: &Rational) -> Option<Ordering> {
-        // Compare a/b vs c/d via a*d vs c*b; cross-reduce to dodge overflow.
-        let g1 = gcd(self.num.unsigned_abs(), other.num.unsigned_abs()).max(1) as i128;
-        let g2 = gcd(self.den as u128, other.den as u128) as i128;
-        let lhs = (self.num / g1).checked_mul(other.den / g2)?;
-        let rhs = (other.num / g1).checked_mul(self.den / g2)?;
-        Some(lhs.cmp(&rhs))
+    /// Full-width comparison: `a/b` vs `c/d` as `a·d` vs `c·b`, the
+    /// products formed exactly in 256 bits. Denominators are positive, so
+    /// the signs of the products are those of the numerators.
+    fn cmp_wide(&self, other: &Rational) -> Ordering {
+        let (lhs, rhs) = (self.num.signum(), other.num.signum());
+        if lhs != rhs || lhs == 0 {
+            return lhs.cmp(&rhs);
+        }
+        let magnitudes = mul_u256(self.num.unsigned_abs(), other.den as u128)
+            .cmp(&mul_u256(other.num.unsigned_abs(), self.den as u128));
+        if lhs < 0 {
+            magnitudes.reverse()
+        } else {
+            magnitudes
+        }
     }
+}
+
+/// `x · y` exactly, as its high and low 128-bit halves.
+fn mul_u256(x: u128, y: u128) -> (u128, u128) {
+    const LOW: u128 = u64::MAX as u128;
+    let (x1, x0, y1, y0) = (x >> 64, x & LOW, y >> 64, y & LOW);
+    let (low, cross_a, cross_b, high) = (x0 * y0, x0 * y1, x1 * y0, x1 * y1);
+    // At most three 64-bit halves: no carry out of 128 bits.
+    let middle = (low >> 64) + (cross_a & LOW) + (cross_b & LOW);
+    (
+        high + (cross_a >> 64) + (cross_b >> 64) + (middle >> 64),
+        (low & LOW) | (middle << 64),
+    )
+}
+
+/// `⌊n/d⌋` for `d > 0`, and whether `d` divides `n`: one truncating
+/// division, at machine width when both fit.
+#[inline]
+fn floor_div(n: i128, d: i128) -> (i128, bool) {
+    let (q, r) = match (i64::try_from(n), i64::try_from(d)) {
+        (Ok(n), Ok(d)) => ((n / d) as i128, (n % d) as i128),
+        _ => (n / d, n % d),
+    };
+    (q - i128::from(r < 0), r == 0)
 }
 
 /// `n` as an `i64` when it lies inside `±i64::MAX`.

@@ -1,7 +1,9 @@
 //! Width-boundary parity: every public operation must equal the
 //! full-width reference (`*_wide`, the only code wide operands ever take)
 //! bit for bit, including `None`, on operands biased to the `i64` seam
-//! where the two arithmetic widths meet.
+//! where the two arithmetic widths meet, and on integer pairs, which take
+//! the integer path. The comparison, whose full-width code is itself under
+//! test, is checked against an independent oracle.
 
 use super::*;
 use proptest::prelude::*;
@@ -49,18 +51,47 @@ fn operand() -> impl Strategy<Value = Rational> {
     })
 }
 
-/// Pairs, a third of them over one denominator (the `common_lower` case).
+/// Pairs, a quarter of them over one denominator (the `common_lower`
+/// case) and a quarter of them integers (the integer path).
 fn operands() -> impl Strategy<Value = (Rational, Rational)> {
-    (operand(), operand(), component(), 0u8..3).prop_filter_map(
+    (operand(), operand(), component(), 0u8..4).prop_filter_map(
         "no i128 normal form",
-        |(a, b, num, same)| {
-            if same == 0 {
-                Some((a, Rational::new_wide(num, a.den)?))
-            } else {
-                Some((a, b))
-            }
+        |(a, b, num, deck)| match deck {
+            0 => Some((a, Rational::new_wide(num, a.den)?)),
+            1 => Some((Rational::from_integer(a.num), Rational::from_integer(num))),
+            _ => Some((a, b)),
         },
     )
+}
+
+/// `x` vs `y` by Euclid's algorithm, sharing no code with `cmp`: compare
+/// the integer parts, then the fractional parts through their reciprocals,
+/// whose order is reversed. Every quantity stays inside its operand's
+/// components, so nothing can overflow.
+fn cmp_by_euclid(x: Rational, y: Rational) -> Ordering {
+    let (qx, qy) = (x.num.div_euclid(x.den), y.num.div_euclid(y.den));
+    if qx != qy {
+        return qx.cmp(&qy);
+    }
+    // n/d in [0, 1) on each side.
+    let (mut nx, mut dx) = (x.num.rem_euclid(x.den) as u128, x.den as u128);
+    let (mut ny, mut dy) = (y.num.rem_euclid(y.den) as u128, y.den as u128);
+    let mut reversed = false;
+    loop {
+        let order = match (nx == 0, ny == 0) {
+            (true, true) => Ordering::Equal,
+            (true, false) => Ordering::Less,
+            (false, true) => Ordering::Greater,
+            // n/d vs n'/d' is d'/n' vs d/n: integer parts, then again.
+            (false, false) if dx / nx != dy / ny => (dy / ny).cmp(&(dx / nx)),
+            (false, false) => {
+                (nx, dx, ny, dy) = (dx % nx, nx, dy % ny, ny);
+                reversed = !reversed;
+                continue;
+            }
+        };
+        return if reversed { order.reverse() } else { order };
+    }
 }
 
 fn assert_normal(r: Rational) {
@@ -94,11 +125,22 @@ proptest! {
         } else {
             same(a.checked_div(b), a.div_wide(b), "div");
         }
-        match a.cmp_wide(&b) {
-            Some(order) => prop_assert_eq!(a.cmp(&b), order),
-            // The public comparison panics exactly where the reference
-            // overflows; that can only be the wide path.
-            None => prop_assert!(a.narrowed().is_none() || b.narrowed().is_none()),
+        let order = cmp_by_euclid(a, b);
+        prop_assert_eq!(a.cmp(&b), order, "{:?} vs {:?}", a, b);
+        prop_assert_eq!(a.cmp_wide(&b), order);
+        if b.is_positive() {
+            match a.div_wide(b) {
+                Some(quotient) => {
+                    prop_assert_eq!(a.div_floor(b), quotient.floor());
+                    prop_assert_eq!(a.div_ceil(b), quotient.ceil());
+                }
+                // Both then panic in the same full-width quotient; integer
+                // and narrow operands never get there.
+                None => prop_assert!(
+                    !(a.is_integer() && b.is_integer())
+                        && (a.narrowed().is_none() || b.narrowed().is_none())
+                ),
+            }
         }
     }
 
@@ -114,6 +156,28 @@ proptest! {
         prop_assume!(den != 0);
         same(Rational::normalized(num, den), Rational::new_wide(num, den), "new");
     }
+}
+
+/// The cast `gcd(|a|, |c|) as i128` once wrapped 2¹²⁷ to `i128::MIN`,
+/// so `i128::MIN` compared above zero and equal to nothing below it.
+#[test]
+fn min_compares_below_zero_and_equal_to_itself() {
+    let min = Rational::from_integer(i128::MIN);
+    for (lhs, rhs, want) in [
+        (min, Rational::ZERO, Ordering::Less),
+        (Rational::ZERO, min, Ordering::Greater),
+        (min, min, Ordering::Equal),
+    ] {
+        assert_eq!(lhs.cmp(&rhs), want, "{lhs:?} vs {rhs:?}");
+        assert_eq!(lhs.cmp_wide(&rhs), want, "{lhs:?} vs {rhs:?}, full width");
+        assert_eq!(cmp_by_euclid(lhs, rhs), want, "{lhs:?} vs {rhs:?}, oracle");
+    }
+    assert_eq!(min.max(Rational::ZERO), Rational::ZERO);
+    assert_eq!(min.min(Rational::ZERO), min);
+    // Cross products past 2¹²⁷ in magnitude, beyond any cross reduction.
+    let (wide, wider) = (Rational::new(i128::MAX, 3), Rational::new(i128::MAX - 1, 5));
+    assert_eq!(wide.cmp(&wider), Ordering::Greater);
+    assert_eq!((-wide).cmp(&-wider), Ordering::Less);
 }
 
 #[test]

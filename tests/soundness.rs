@@ -134,6 +134,47 @@ fn response_times_monotone_in_platform_rate() {
     }
 }
 
+/// Responses are not monotone in a platform's rate. α enters the
+/// best-case responses (`Cbest/α − β`), so lowering it moves the offsets,
+/// and τ4,4's own-transaction term stops interfering with τ4,1. Slowing Π2
+/// from α = 0.3 to 0.27, Δ and β kept, lowers both responses. Admission
+/// restarts a retune's cone cold for this reason: resumed from the old
+/// fixpoint, it would keep the higher values. The rate 27/100 also puts
+/// its numerator 27 into the scale of the analysis's integer grid.
+#[test]
+fn slowing_a_platform_can_lower_responses() {
+    use hsched::platform::ServiceModel;
+    use hsched::supply::BoundedDelay;
+    let set = random_system(&WorkloadSpec {
+        platforms: 3,
+        transactions: 6,
+        max_tasks_per_tx: 4,
+        seed: 114,
+        ..WorkloadSpec::default()
+    });
+    let id = PlatformId(1);
+    let p = &set.platforms()[id];
+    assert_eq!(p.alpha(), rat(3, 10));
+    let slower = BoundedDelay::new(rat(27, 100), p.delta(), p.beta()).unwrap();
+    let mut platforms = set.platforms().clone();
+    let replacement = platforms[id].with_model(ServiceModel::Linear(slower));
+    platforms.replace(id, replacement);
+    let (before, after) = (
+        analyze(&set),
+        analyze(&set.with_platforms(platforms).unwrap()),
+    );
+    assert_eq!(
+        (before.response(3, 0), after.response(3, 0)),
+        (rat(19, 8), rat(31, 40)),
+        "τ4,1: 2.375 → 0.775"
+    );
+    assert_eq!(
+        (before.response(3, 3), after.response(3, 3)),
+        (rat(569, 40), rat(4687, 360)),
+        "τ4,4: 14.225 → 4687/360"
+    );
+}
+
 #[test]
 fn deadline_misses_only_when_analysis_predicts_risk() {
     // Contrapositive check on the verdict: for systems the analysis calls
