@@ -4,8 +4,8 @@
 
 use crate::request::{AdmissionRequest, EpochOutcome, RejectReason, Verdict};
 use hsched_analysis::{
-    analyze_resumed, parallel_map, AnalysisConfig, DirtySeed, FrozenSeed, HpGraph,
-    SchedulabilityReport, TaskResult, TransactionVerdict, UpdateOrder, WarmStart,
+    analyze_resumed, AnalysisConfig, AnalysisError, DirtySeed, FrozenSeed, HpGraph,
+    SchedulabilityReport, ServiceTimeMode, TaskResult, TransactionVerdict, UpdateOrder, WarmStart,
 };
 use hsched_model::{ComponentInstance, NodeId, System, SystemBuilder};
 use hsched_numeric::{Rational, Time};
@@ -14,7 +14,6 @@ use hsched_supply::BoundedDelay;
 use hsched_transaction::{flatten_annotated, FlattenOptions, TaskRef, TransactionSet};
 use std::borrow::Cow;
 use std::collections::BTreeMap;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// Tuning knobs of the controller. The defaults enable every optimization;
 /// benchmarks and the equivalence tests switch individual layers off to
@@ -41,11 +40,6 @@ pub struct AdmissionPolicy {
     /// is on: an overloaded or unsummable island the batch never touches
     /// does not reject it here.
     pub utilization_precheck: bool,
-    /// Worker threads for analyzing independent dirty cones in parallel
-    /// (`0` = all cores, `1` = sequential) — disjoint cones inside one
-    /// island count as independent. Within a cone the fixpoint itself runs
-    /// single-threaded; cones are the parallel grain.
-    pub island_threads: usize,
     /// When flattening an [`AdmissionRequest::AddInstance`], also generate
     /// sporadic transactions for unbound provided methods (the external
     /// service surface), mirroring `FlattenOptions::external_stimuli`.
@@ -58,7 +52,6 @@ impl Default for AdmissionPolicy {
             dirty_tracking: true,
             warm_start: true,
             utilization_precheck: true,
-            island_threads: 0,
             external_stimuli: true,
         }
     }
@@ -168,12 +161,22 @@ impl AdmissionController {
     /// be unschedulable — the controller reports it faithfully, and a batch
     /// is admitted when the islands it touches are schedulable after it
     /// (see [`AdmissionController::commit`]). Islands iterate Gauss-Seidel
-    /// on one thread whatever `config` says (exact; see [`UpdateOrder`]).
+    /// on the caller's thread whatever `config` says (exact; see
+    /// [`UpdateOrder`]). A `config` whose service mode is not
+    /// [`ServiceTimeMode::LinearBounds`] is refused: only that mode has the
+    /// analysis's overflow contract, under which an overflow is a
+    /// [`RejectReason::Numeric`] verdict.
     pub fn new(
         set: TransactionSet,
         config: AnalysisConfig,
         policy: AdmissionPolicy,
     ) -> Result<AdmissionController, String> {
+        if config.service_mode != ServiceTimeMode::LinearBounds {
+            return Err(format!(
+                "admission analyzes under LinearBounds only, not {:?}",
+                config.service_mode
+            ));
+        }
         let mut controller = AdmissionController {
             entries: set
                 .transactions()
@@ -216,11 +219,10 @@ impl AdmissionController {
             .windows(2)
             .map(|w| group_input(&self.set, &self.entries, &order[w[0]..w[1]], &[], false))
             .collect();
-        let reports = parallel_map(&inputs, self.policy.island_threads, |input| {
-            self.guarded_analyze(input)
-        })
-        .into_iter()
-        .collect::<Result<Vec<_>, _>>()?;
+        let reports = inputs
+            .iter()
+            .map(|input| self.analyze_group(input))
+            .collect::<Result<Vec<_>, _>>()?;
         let mut scratch = UndoLog::default();
         for (input, report) in inputs.iter().zip(reports) {
             absorb(&mut self.entries, input, report, &mut scratch);
@@ -315,7 +317,7 @@ impl AdmissionController {
     }
 
     /// Applies a batch of requests as one epoch: all requests are applied,
-    /// the affected interference islands are re-analyzed (in parallel, warm
+    /// the affected interference islands are re-analyzed (one by one, warm
     /// where exact), and the batch is admitted iff every island it touches
     /// — one that, once it is applied, holds a platform of an arrival, a
     /// departure or a retune — is schedulable. Interference never crosses
@@ -404,13 +406,8 @@ impl AdmissionController {
         let warm_started = inputs.iter().any(|input| input.warm_seeded);
         self.metrics
             .record_commit(analyzed, total, islands, warm_started);
-        let results: Vec<Result<SchedulabilityReport, RejectReason>> =
-            parallel_map(&inputs, self.policy.island_threads, |input| {
-                self.guarded_analyze(input)
-            });
-
-        for (input, result) in inputs.iter().zip(results) {
-            match result {
+        for input in &inputs {
+            match self.analyze_group(input) {
                 Ok(report) => absorb(&mut self.entries, input, report, &mut undo),
                 Err(reason) => return self.reject(undo, batch, reason),
             }
@@ -914,29 +911,23 @@ impl AdmissionController {
         }
     }
 
-    /// Runs one island's analysis, converting panics (exact-arithmetic
-    /// overflow on hostile workloads) and analysis errors into rejection
-    /// reasons. Every analysis of the controller passes here, and iterates
-    /// Gauss-Seidel: the cache keeps fixpoints, never a trace,
-    /// and every order reaches the same one ([`UpdateOrder`]), Gauss-Seidel
-    /// in one dependency-ordered sweep that re-analyzes only the tasks whose
-    /// reads moved. `commit` parallelizes across islands.
-    fn guarded_analyze(&self, input: &GroupInput) -> Result<SchedulabilityReport, RejectReason> {
+    /// Runs one group's analysis, turning its errors into rejection
+    /// reasons: a grid the overflow contract refuses is
+    /// [`RejectReason::Numeric`], any other error
+    /// [`RejectReason::Analysis`]. Every analysis of the controller passes
+    /// here, and iterates Gauss-Seidel: the cache keeps fixpoints, never a
+    /// trace, and every order reaches the same one ([`UpdateOrder`]),
+    /// Gauss-Seidel in one dependency-ordered sweep that re-analyzes only
+    /// the tasks whose reads moved.
+    fn analyze_group(&self, input: &GroupInput) -> Result<SchedulabilityReport, RejectReason> {
         let config = AnalysisConfig {
             update_order: UpdateOrder::GaussSeidel,
             ..self.config.clone()
         };
-        install_quiet_panic_hook();
-        SUPPRESS_PANIC_OUTPUT.set(true);
-        let outcome = catch_unwind(AssertUnwindSafe(|| {
-            analyze_resumed(&input.set, &config, input.warm.as_ref())
-        }));
-        SUPPRESS_PANIC_OUTPUT.set(false);
-        match outcome {
-            Ok(Ok(report)) => Ok(report),
-            Ok(Err(error)) => Err(RejectReason::Analysis(error.to_string())),
-            Err(payload) => Err(RejectReason::Numeric(panic_message(payload.as_ref()))),
-        }
+        analyze_resumed(&input.set, &config, input.warm.as_ref()).map_err(|error| match error {
+            AnalysisError::Numeric { .. } => RejectReason::Numeric(error.to_string()),
+            _ => RejectReason::Analysis(error.to_string()),
+        })
     }
 
     fn reject(
@@ -1079,10 +1070,9 @@ fn absorb(
     }
 }
 
-/// One cone's analysis job, prepared from the live set so cones can run in
-/// parallel worker threads. `indices` are global transaction indices
-/// (ascending); `active[pos]` distinguishes cone members (re-analyzed)
-/// from frozen context (pinned).
+/// One cone's analysis job, prepared from the live set. `indices` are
+/// global transaction indices (ascending); `active[pos]` distinguishes
+/// cone members (re-analyzed) from frozen context (pinned).
 struct GroupInput<'s> {
     indices: Vec<usize>,
     active: Vec<bool>,
@@ -1091,28 +1081,6 @@ struct GroupInput<'s> {
     warm: Option<WarmStart>,
     /// Active members were seeded from cached jitters (additive resume).
     warm_seeded: bool,
-}
-
-thread_local! {
-    /// Set while this thread's panic is expected and will be converted to a
-    /// rejection — the hook below then swallows the default stderr report.
-    static SUPPRESS_PANIC_OUTPUT: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
-}
-
-/// Installs (once, process-wide) a panic hook that forwards to the previous
-/// hook except for panics the admission engine is about to catch and turn
-/// into [`RejectReason::Numeric`] — a long-lived controller must not spray
-/// a backtrace to stderr for every hostile request it gracefully rejects.
-fn install_quiet_panic_hook() {
-    static HOOK: std::sync::Once = std::sync::Once::new();
-    HOOK.call_once(|| {
-        let previous = std::panic::take_hook();
-        std::panic::set_hook(Box::new(move |info| {
-            if !SUPPRESS_PANIC_OUTPUT.get() {
-                previous(info);
-            }
-        }));
-    });
 }
 
 /// Compile-time audit that the controller can be moved across threads —
@@ -1126,14 +1094,3 @@ const _: () = {
     assert_send::<AdmissionPolicy>();
     assert_send::<ControllerStats>();
 };
-
-/// Best-effort extraction of a panic payload's message.
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else {
-        "analysis panicked".to_string()
-    }
-}

@@ -32,12 +32,12 @@
 //!    task's analysis memoizes its foreign-interference totals across
 //!    sweeps, and drops them when the hp states they were computed from
 //!    move.
-//! 3. **Batching + parallelism** — requests are coalesced per epoch and
-//!    disjoint dirty cones (even inside one island) are analyzed
-//!    concurrently via [`hsched_analysis::parallel_map`]; a rejected batch
-//!    rolls the controller back byte-identically (transactional semantics)
-//!    by playing back an undo log of inverse requests — O(batch + dirty),
-//!    not a full-state snapshot clone. Nothing reverts an admitted batch.
+//! 3. **Batching** — requests are coalesced per epoch and disjoint dirty
+//!    cones (even inside one island) are analyzed one after another, on
+//!    the caller's thread; a rejected batch rolls the controller back
+//!    byte-identically (transactional semantics) by playing back an undo
+//!    log of inverse requests — O(batch + dirty), not a full-state
+//!    snapshot clone. Nothing reverts an admitted batch.
 //!
 //! At service scale, prefer `hsched-engine`'s `SchedService`: it
 //! partitions the live set into one controller shard per interference
@@ -50,10 +50,11 @@
 //! islands come from `hsched_analysis::HpGraph::islands`; [`UnionFind`]
 //! groups platforms for callers that partition a set themselves.
 //!
-//! Hostile workloads degrade gracefully: the utilization precheck uses the
-//! fallible `try_*` arithmetic of `hsched-numeric`, and any exact-arithmetic
-//! overflow inside the deep analysis is caught and surfaced as a
-//! [`RejectReason::Numeric`] rejection instead of a crash.
+//! Hostile magnitudes are a verdict, not a crash: the utilization precheck
+//! uses the fallible `try_*` arithmetic of `hsched-numeric`, and the
+//! analysis refuses, before its fixpoint starts, any group whose integer
+//! grid it cannot show to stay inside `i128`. Both surface as
+//! [`RejectReason::Numeric`]. Any other panic is a bug, and is not caught.
 //!
 //! # Controller lifecycle
 //!
@@ -474,8 +475,8 @@ mod tests {
         ));
         assert!(controller.schedulable());
 
-        // (b) With the precheck off, the overflow happens inside the busy
-        // period fixpoint and is caught — rejection, not a controller crash.
+        // (b) With the precheck off, the analysis refuses the island, whose
+        // integer grid could leave i128 — rejection, not a controller crash.
         let mut controller = AdmissionController::new(
             paper_example::transactions(),
             AnalysisConfig::default(),
@@ -487,14 +488,28 @@ mod tests {
         .unwrap();
         let outcome = controller.admit(AdmissionRequest::AddTransaction(hostile));
         match &outcome.verdict {
-            Verdict::Rejected(
-                RejectReason::Numeric(_)
-                | RejectReason::Unschedulable { .. }
-                | RejectReason::Analysis(_),
-            ) => {}
-            other => panic!("expected graceful rejection, got {other}"),
+            Verdict::Rejected(RejectReason::Numeric(message)) => {
+                assert!(message.contains("exceeds 2^123"), "{message}");
+            }
+            other => panic!("expected a numeric rejection, got {other}"),
         }
         assert!(controller.schedulable(), "state survived the hostile batch");
+    }
+
+    #[test]
+    fn only_the_linear_service_mode_is_admitted() {
+        // The overflow contract covers `LinearBounds` only, so a controller
+        // over another mode is refused up front.
+        let config = AnalysisConfig {
+            service_mode: hsched_analysis::ServiceTimeMode::ExactCurve,
+            ..AnalysisConfig::default()
+        };
+        let refused = AdmissionController::new(
+            paper_example::transactions(),
+            config,
+            AdmissionPolicy::default(),
+        );
+        assert!(refused.unwrap_err().contains("LinearBounds"));
     }
 
     /// Island A holds `good` on a dedicated platform; island B is `hostile`:

@@ -117,8 +117,9 @@ pub enum RejectReason {
     },
     /// The analysis aborted (scenario cap, iteration cap).
     Analysis(String),
-    /// The analysis overflowed exact arithmetic on a hostile workload; the
-    /// request degrades to a rejection instead of crashing the controller.
+    /// The batch's numbers leave exact 128-bit arithmetic: the utilization
+    /// precheck's sum overflowed, or the analysis refused a group whose
+    /// integer grid could leave `i128` (`AnalysisError::Numeric`).
     Numeric(String),
 }
 
@@ -178,7 +179,7 @@ pub struct EpochOutcome {
     /// Transactions live after request application (dirty + clean).
     pub total_transactions: usize,
     /// Independent interference cones the dirty set split into (analyzed
-    /// in parallel; at most one per platform-sharing island, usually
+    /// one after another; at most one per platform-sharing island, usually
     /// finer).
     pub islands: usize,
     /// Whether any cone's members were warm-seeded from the previous

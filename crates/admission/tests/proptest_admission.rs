@@ -20,7 +20,10 @@ use hsched_admission::gen::{random_scenario, ChurnGen, PlatformMix, ScenarioSpec
 use hsched_admission::{
     AdmissionController, AdmissionPolicy, AdmissionRequest, RejectReason, UnionFind, Verdict,
 };
-use hsched_analysis::{analyze_with, AnalysisConfig, DirtySeed, HpGraph, SchedulabilityReport};
+use hsched_analysis::{
+    analyze_with, AnalysisConfig, AnalysisError, DirtySeed, HpGraph, ScenarioMode,
+    SchedulabilityReport,
+};
 use hsched_numeric::{rat, Rational};
 use hsched_platform::{Platform, PlatformId, PlatformSet};
 use hsched_transaction::{Task, Transaction, TransactionSet};
@@ -204,7 +207,6 @@ proptest! {
         churn_session(seed, 3, 2, AdmissionPolicy {
             dirty_tracking: false,
             warm_start: false,
-            island_threads: 1,
             ..AdmissionPolicy::default()
         });
     }
@@ -796,6 +798,132 @@ fn random_churn_matches_jacobi() {
                 &batch,
                 &format!("churn seed {seed} step {step}"),
             );
+        }
+    }
+}
+
+/// One generated platform of the numeric-contract suite: rate index,
+/// `Δ·3` and `β·5`.
+type RawRate = (usize, i128, i128);
+/// One generated transaction: period index, release jitter `·3`, and its
+/// tasks' WCET numerators, WCET denominator indices, priorities and
+/// platform indices.
+type RawTx = (usize, i128, Vec<(i128, usize, u32, usize)>);
+
+/// The one-island system `rates` and `txs` describe, every time and cycle
+/// multiplied by `s`: rates have odd numerators and every other input an
+/// odd denominator, so the grid's scale `k` is the same for every
+/// `s = q·2ᵐ` with a prime `q` above 27, while its bound `V` grows with
+/// `s`.
+fn contract_system(rates: &[RawRate], txs: &[RawTx], s: i128) -> TransactionSet {
+    let mut platforms = PlatformSet::new();
+    let ids: Vec<_> = rates
+        .iter()
+        .enumerate()
+        .map(|(p, &(alpha, delta, beta))| {
+            let alpha = [rat(3, 10), rat(27, 100), rat(7, 9), rat(1, 2)][alpha];
+            let model =
+                Platform::linear(format!("P{p}"), alpha, rat(delta * s, 3), rat(beta * s, 5));
+            platforms.add(model.unwrap())
+        })
+        .collect();
+    let transactions = txs
+        .iter()
+        .enumerate()
+        .map(|(i, (period, jitter, tasks))| {
+            let (n, d) = [(25, 1), (95, 3), (40, 1), (121, 3)][*period];
+            let tasks = tasks
+                .iter()
+                .enumerate()
+                .map(|(j, &(wcet, den, priority, p))| {
+                    let den = [7, 9][den];
+                    let platform = if j == 0 { ids[0] } else { ids[p % ids.len()] };
+                    let (wcet, bcet) = (rat(wcet * s, den), rat(2 * wcet * s, 3 * den));
+                    Task::new(format!("t{i}_{j}"), wcet, bcet, priority, platform)
+                })
+                .collect();
+            Transaction::new(
+                format!("tx{i}"),
+                rat(n * s, d),
+                rat(5 * n * s, 3 * d),
+                tasks,
+            )
+            .unwrap()
+            .with_release_jitter(rat(jitter * s, 3))
+        })
+        .collect();
+    TransactionSet::new(platforms, transactions).unwrap()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(stress_cases(24)))]
+
+    /// The grid's overflow contract through `commit`, with the utilization
+    /// precheck off so that the analysis meets every batch. Generated
+    /// one-island systems, overloaded ones among them, are scaled so that
+    /// their grid's `k·V` lies within ×2 of 2¹²³, on either side, and
+    /// arrive as one batch at a controller seeded without transactions.
+    /// Inside the bound the analysis returns a report and the batch a
+    /// verdict of the analysis (admitted or unschedulable); outside it the
+    /// analysis returns `AnalysisError::Numeric` and the batch is rejected
+    /// `Numeric`, in both scenario modes, with and without dirty tracking.
+    #[test]
+    fn the_overflow_contract_holds_through_commit(
+        rates in proptest::collection::vec((0usize..4, 0i128..4, 0i128..3), 1..=2),
+        raw in proptest::collection::vec(
+            (0usize..4, 0i128..3, proptest::collection::vec(
+                (1i128..=60, 0usize..2, 1u32..=3, 0usize..2),
+                1..=3,
+            )),
+            2..=3,
+        ),
+        prime in 0usize..5,
+        outside in 0i32..2,
+    ) {
+        let q = [101i128, 103, 107, 109, 113][prime];
+        // At s = q·2¹⁰⁵ every generated system is refused, and the refusal
+        // names its k and V, which scale with s.
+        let product = match analyze_with(&contract_system(&rates, &raw, q << 105), &AnalysisConfig::default()) {
+            Err(AnalysisError::Numeric { scale: Some(k), bound }) => k as f64 * bound / (1u128 << 105) as f64,
+            other => panic!("expected a refusal at 2^105, got {other:?}"),
+        };
+        let m = 122 - product.log2().floor() as i32 + outside;
+        prop_assert!((0..110).contains(&m), "m = {}", m);
+        let set = contract_system(&rates, &raw, q << m);
+        for scenario_mode in [ScenarioMode::Approximate, ScenarioMode::Exact { max_scenarios: 4096 }] {
+            let config = AnalysisConfig { scenario_mode, ..AnalysisConfig::default() };
+            let analysis = analyze_with(&set, &config);
+            prop_assert_eq!(
+                outside == 1,
+                matches!(analysis, Err(AnalysisError::Numeric { .. })),
+                "{:?}: {:?}",
+                scenario_mode,
+                analysis.as_ref().map(|r| r.converged)
+            );
+            prop_assert!(outside == 1 || analysis.is_ok());
+            for dirty_tracking in [true, false] {
+                let policy = AdmissionPolicy {
+                    dirty_tracking,
+                    utilization_precheck: false,
+                    ..AdmissionPolicy::default()
+                };
+                let empty = TransactionSet::new(set.platforms().clone(), Vec::new()).unwrap();
+                let mut controller = AdmissionController::new(empty, config.clone(), policy).unwrap();
+                let batch: Vec<AdmissionRequest> = set
+                    .transactions()
+                    .iter()
+                    .cloned()
+                    .map(AdmissionRequest::AddTransaction)
+                    .collect();
+                let verdict = controller.commit(&batch).verdict;
+                match verdict {
+                    Verdict::Rejected(RejectReason::Numeric(_)) => prop_assert!(outside == 1),
+                    Verdict::Admitted | Verdict::Rejected(RejectReason::Unschedulable { .. }) => {
+                        prop_assert!(outside == 0)
+                    }
+                    other => prop_assert!(false, "{:?}, tracking {}: {}", scenario_mode, dirty_tracking, other),
+                }
+            }
         }
     }
 }

@@ -20,10 +20,12 @@
 //! its `c/α` is an integer too. [`Rational`] runs integers without a gcd.
 //!
 //! The staircases of [`ServiceTimeMode::ExactCurve`] are not rescaled, so
-//! that mode runs at `k = 1`, and so does any system [`scale`] cannot show
-//! to stay inside `i128` once scaled. Scale 1 runs the same code.
+//! that offline mode runs at `k = 1`, on the same code. Under
+//! `LinearBounds` the grid is the analysis's overflow contract: a system
+//! [`scale`] cannot show to stay inside `i128` once scaled is refused with
+//! [`AnalysisError::Numeric`] before the fixpoint starts.
 
-use crate::{AnalysisConfig, HpGraph, ServiceTimeMode, WarmStart};
+use crate::{AnalysisConfig, AnalysisError, HpGraph, ServiceTimeMode, WarmStart};
 use hsched_numeric::{Cycles, Rational, Time};
 use hsched_platform::PlatformId;
 use hsched_supply::{BoundedDelay, SupplyCurve};
@@ -242,38 +244,40 @@ const GRID_LIMIT: f64 = (1u128 << 123) as f64;
 /// below the same bound has components no larger than `k·|v|` and `k`,
 /// and so do the cross products of the exact arithmetic that forms it.
 /// So inside the bound neither run overflows, and both reach the same
-/// result; outside it the analysis runs unscaled, as it always did.
+/// result. Outside it, or when the lcm leaves `u128`, the analysis is
+/// refused with [`AnalysisError::Numeric`], which names `k` and `V`.
+/// `ExactCurve` runs at scale 1 and is not bounded.
 pub(crate) fn scale(
     set: &TransactionSet,
     graph: &HpGraph,
     config: &AnalysisConfig,
     warm: Option<&WarmStart>,
-) -> i128 {
+) -> Result<i128, AnalysisError> {
     if config.service_mode != ServiceTimeMode::LinearBounds {
-        return 1;
+        return Ok(1);
     }
     match lcm_and_bound(set, graph, config, warm) {
-        Some((k, bound)) if (k as f64) * bound <= GRID_LIMIT => k as i128,
-        _ => 1,
+        (Some(k), bound) if (k as f64) * bound <= GRID_LIMIT => Ok(k as i128),
+        (scale, bound) => Err(AnalysisError::Numeric { scale, bound }),
     }
 }
 
-/// The lcm of the grid's denominators and the bound `V` of [`scale`];
-/// `None` when the lcm leaves `u128`.
+/// The lcm of the grid's denominators, `None` once it leaves `u128`, and
+/// the bound `V` of [`scale`].
 fn lcm_and_bound(
     set: &TransactionSet,
     graph: &HpGraph,
     config: &AnalysisConfig,
     warm: Option<&WarmStart>,
-) -> Option<(u128, f64)> {
-    let mut k = Lcm(1);
+) -> (Option<u128>, f64) {
+    let mut k = Lcm(Some(1));
     // Per run: α as f64 and its numerator, ΣC/T and ΣC of its tasks.
     let mut runs: Vec<(f64, u128, f64, f64)> = Vec::with_capacity(graph.run_platforms().len());
     let mut bound = 0.0;
     for id in graph.run_platforms() {
         let model = set.platforms()[id].linear_model();
-        k.take(model.delay())?;
-        k.take(model.burstiness())?;
+        k.take(model.delay());
+        k.take(model.burstiness());
         bound += model.delay().to_f64() + model.burstiness().to_f64();
         let alpha = model.alpha();
         runs.push((alpha.to_f64(), alpha.numer() as u128, 0.0, 0.0));
@@ -285,9 +289,9 @@ fn lcm_and_bound(
     let (mut chain_max, mut blocking_max) = (0.0f64, 0.0f64);
     let mut flat = 0;
     for (i, tx) in set.transactions().iter().enumerate() {
-        k.take(tx.period)?;
-        k.take(tx.deadline)?;
-        k.take(tx.release_jitter)?;
+        k.take(tx.period);
+        k.take(tx.deadline);
+        k.take(tx.release_jitter);
         let (period, deadline) = (tx.period.to_f64(), tx.deadline.to_f64());
         period_max = period_max.max(period);
         deadline_max = deadline_max.max(deadline);
@@ -295,14 +299,14 @@ fn lcm_and_bound(
         for (j, task) in tx.tasks().iter().enumerate() {
             let run = &mut runs[graph.run_of_task(flat)];
             flat += 1;
-            k.take_over(task.wcet, run.1)?;
-            k.take_over(task.bcet, run.1)?;
+            k.take_over(task.wcet, run.1);
+            k.take_over(task.bcet, run.1);
             let wcet = task.wcet.to_f64();
             run.2 += wcet / period;
             run.3 += wcet;
             chain += task.bcet.to_f64() / run.0;
             let blocking = config.blocking_of(i, j);
-            k.take(blocking)?;
+            k.take(blocking);
             blocking_max = blocking_max.max(blocking.to_f64());
         }
         chain_max = chain_max.max(chain);
@@ -311,14 +315,14 @@ fn lcm_and_bound(
         for j in 0..tx.len() {
             // First tasks keep the release jitter, whatever the seed.
             if let Some(seed) = warm.filter(|_| j > 0).map(|w| w.jitters[i][j]) {
-                k.take(seed)?;
+                k.take(seed);
                 jitter = jitter.max(seed.to_f64());
             }
             let window = (deadline + period + jitter) * factor;
             let mut response = window + jitter + chain;
             if let Some(frozen) = warm.and_then(|w| w.frozen.as_ref()) {
                 let pinned = frozen.responses[i][j];
-                k.take(pinned)?;
+                k.take(pinned);
                 response = response.max(pinned.to_f64());
             }
             jitter_max = jitter_max.max(jitter);
@@ -338,31 +342,32 @@ fn lcm_and_bound(
         + 2.0 * period_max
         + deadline_max
         + blocking_max;
-    Some((k.0, bound))
+    (k.0, bound)
 }
 
-/// A running lcm of denominators.
-struct Lcm(u128);
+/// A running lcm of denominators; `None` once it leaves `u128`.
+struct Lcm(Option<u128>);
 
 impl Lcm {
-    /// Takes in the denominator of `x`; `None` once the lcm leaves `u128`.
-    fn take(&mut self, x: Rational) -> Option<()> {
-        self.with(x.denom() as u128)
+    /// Takes in the denominator of `x`.
+    fn take(&mut self, x: Rational) {
+        self.with(Some(x.denom() as u128));
     }
 
     /// Takes in the denominator of `x / n`, `n > 0`: the grid must hold
     /// `x/α` for a rate `α` of numerator `n`.
-    fn take_over(&mut self, x: Rational, n: u128) -> Option<()> {
+    fn take_over(&mut self, x: Rational, n: u128) {
         // x/n = a/(b·n), whose common factors are those of a and n.
         let n = n / gcd(x.numer().unsigned_abs(), n);
-        self.with((x.denom() as u128).checked_mul(n)?)
+        self.with((x.denom() as u128).checked_mul(n));
     }
 
-    fn with(&mut self, d: u128) -> Option<()> {
-        if d != 1 && rem(self.0, d) != 0 {
-            self.0 = (self.0 / gcd(self.0, d)).checked_mul(d)?;
-        }
-        Some(())
+    fn with(&mut self, d: Option<u128>) {
+        self.0 = match (self.0, d) {
+            (Some(k), Some(d)) if d == 1 || rem(k, d) == 0 => Some(k),
+            (Some(k), Some(d)) => (k / gcd(k, d)).checked_mul(d),
+            _ => None,
+        };
     }
 }
 
@@ -410,7 +415,7 @@ mod tests {
         what: &str,
     ) -> i128 {
         let graph = HpGraph::of(set);
-        let k = scale(set, &graph, config, warm);
+        let k = scale(set, &graph, config, warm).unwrap();
         let report = analyze_at(set, config, warm, &graph, k);
         assert_eq!(
             report,
@@ -436,14 +441,16 @@ mod tests {
             service_mode: ServiceTimeMode::ExactCurve,
             ..AnalysisConfig::default()
         };
-        assert_eq!(scale(&set, &HpGraph::of(&set), &exact_curve, None), 1);
+        assert_eq!(scale(&set, &HpGraph::of(&set), &exact_curve, None), Ok(1));
     }
 
     #[test]
-    fn a_hostile_system_runs_unscaled() {
+    fn a_hostile_system_is_refused() {
         // A WCET of 10³⁰/7 every 1/11 on α = 3/13, deadlines of 10²⁰/17:
-        // the busy period diverges at once, and its bail-out window, scaled
-        // by k = 7·11·13·17·…, would leave i128.
+        // the busy period would diverge at once, and its bail-out window,
+        // scaled by k = 7·11·13·17·…, would leave i128. So the linear
+        // analysis refuses the system, naming k and V, in every scenario
+        // mode and through the reference task analysis too.
         let mut platforms = PlatformSet::new();
         let p = platforms.add(Platform::linear("p", rat(3, 13), rat(1, 19), rat(1, 23)).unwrap());
         let huge = rat(10i128.pow(30), 7);
@@ -463,12 +470,198 @@ mod tests {
         .unwrap();
         let set = TransactionSet::new(platforms, vec![hog, victim]).unwrap();
         for config in [AnalysisConfig::default(), AnalysisConfig::exact(64)] {
-            let graph = HpGraph::of(&set);
-            assert_eq!(scale(&set, &graph, &config, None), 1);
-            let report = analyze_with(&set, &config).unwrap();
-            assert!(report.diverged);
-            assert_eq!(report, analyze_unmemoized(&set, &config, None).unwrap());
+            let error = scale(&set, &HpGraph::of(&set), &config, None).unwrap_err();
+            let AnalysisError::Numeric {
+                scale: Some(k),
+                bound,
+            } = error
+            else {
+                panic!("expected a numeric refusal, got {error:?}");
+            };
+            assert!(k as f64 * bound > GRID_LIMIT, "k = {k}, V = {bound}");
+            let message = error.to_string();
+            assert!(message.contains(&format!("k = {k}")), "{message}");
+            assert!(message.contains("V = "), "{message}");
+            assert_eq!(analyze_with(&set, &config), Err(error.clone()));
+            assert_eq!(analyze_unmemoized(&set, &config, None), Err(error));
         }
+    }
+
+    /// One generated platform: rate index, `Δ·3` and `β·5`.
+    type RawRate = (usize, i128, i128);
+    /// One generated task: WCET numerator, WCET denominator index,
+    /// priority, platform index and `B·5`.
+    type RawTask = (i128, usize, u32, usize, i128);
+    /// One generated transaction: period index, release jitter `·3` and its
+    /// tasks.
+    type RawTx = (usize, i128, Vec<RawTask>);
+
+    /// The system `rates` and `txs` describe, every time and cycle
+    /// multiplied by `s`, with the blocking terms of its tasks. Rates have
+    /// odd numerators and every other input an odd denominator, so the
+    /// grid's scale is the same for every `s = q·2ᵐ` with a prime `q` above
+    /// 27, and its bound `V` grows with `s`: the generator places `k·V` by
+    /// picking `s`. Each transaction's first task runs on the first
+    /// platform, so the system is one island.
+    fn contract_system(
+        rates: &[RawRate],
+        txs: &[RawTx],
+        s: i128,
+    ) -> (TransactionSet, Vec<Vec<Time>>) {
+        let mut platforms = PlatformSet::new();
+        let ids: Vec<_> = rates
+            .iter()
+            .enumerate()
+            .map(|(p, &(alpha, delta, beta))| {
+                let alpha = [rat(3, 10), rat(27, 100), rat(7, 9), rat(1, 2)][alpha];
+                let model =
+                    Platform::linear(format!("P{p}"), alpha, rat(delta * s, 3), rat(beta * s, 5));
+                platforms.add(model.unwrap())
+            })
+            .collect();
+        let mut blocking = Vec::new();
+        let transactions = txs
+            .iter()
+            .enumerate()
+            .map(|(i, (period, jitter, tasks))| {
+                let (n, d) = [(25, 1), (95, 3), (40, 1), (121, 3)][*period];
+                let mut row = Vec::new();
+                let tasks = tasks
+                    .iter()
+                    .enumerate()
+                    .map(|(j, &(wcet, den, priority, p, b))| {
+                        let den = [7, 9][den];
+                        let platform = if j == 0 { ids[0] } else { ids[p % ids.len()] };
+                        row.push(rat(b * s, 5));
+                        let (wcet, bcet) = (rat(wcet * s, den), rat(2 * wcet * s, 3 * den));
+                        Task::new(format!("t{i}_{j}"), wcet, bcet, priority, platform)
+                    })
+                    .collect();
+                blocking.push(row);
+                Transaction::new(
+                    format!("tx{i}"),
+                    rat(n * s, d),
+                    rat(5 * n * s, 3 * d),
+                    tasks,
+                )
+                .unwrap()
+                .with_release_jitter(rat(jitter * s, 3))
+            })
+            .collect();
+        (
+            TransactionSet::new(platforms, transactions).unwrap(),
+            blocking,
+        )
+    }
+
+    /// `k·V` of `set`'s fixpoint from `warm` under `config`, infinite when
+    /// the lcm leaves `u128`.
+    fn grid_product(
+        set: &TransactionSet,
+        config: &AnalysisConfig,
+        warm: Option<&WarmStart>,
+    ) -> f64 {
+        match lcm_and_bound(set, &HpGraph::of(set), config, warm) {
+            (Some(k), bound) => k as f64 * bound,
+            (None, _) => f64::INFINITY,
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(stress_cases(32)))]
+
+        /// The grid's bound is the analysis's overflow contract. Generated
+        /// one-island systems, overloaded ones among them (their busy
+        /// periods run to the bail-out window, so the values the fixpoint
+        /// forms come close to `V`), are scaled so that `k·V` lies within ×2
+        /// of 2¹²³, on either side of it. In both scenario modes and both
+        /// update orders, from cold, warm and frozen starts: inside the
+        /// bound the analysis returns a report (`Rational`'s checked
+        /// operators panic on any overflow) whose values lie below `V`;
+        /// outside it, it returns `AnalysisError::Numeric`.
+        #[test]
+        fn the_bound_is_the_overflow_contract(
+            rates in proptest::collection::vec((0usize..4, 0i128..4, 0i128..3), 1..=2),
+            raw in proptest::collection::vec(
+                (0usize..4, 0i128..3, proptest::collection::vec(
+                    (1i128..=60, 0usize..2, 1u32..=3, 0usize..2, 0i128..3),
+                    1..=3,
+                )),
+                2..=3,
+            ),
+            prime in 0usize..5,
+            outside in 0i32..2,
+            pick in 0usize..16,
+        ) {
+            let limit = (1u128 << 123) as f64;
+            let q = [101i128, 103, 107, 109, 113][prime];
+            let (base, blocking) = contract_system(&rates, &raw, q);
+            let config = AnalysisConfig { blocking, ..AnalysisConfig::default() };
+            let m = 122 - grid_product(&base, &config, None).log2().floor() as i32 + outside;
+            proptest::prop_assert!((0..110).contains(&m), "m = {}", m);
+            let (set, blocking) = contract_system(&rates, &raw, q << m);
+            let cold_product = grid_product(&set, &AnalysisConfig { blocking: blocking.clone(), ..config }, None);
+            proptest::prop_assert!(
+                (limit / 2.0..=limit * 2.0).contains(&cold_product),
+                "k·V = 2^{}",
+                cold_product.log2()
+            );
+            let (last, rest) = set.transactions().split_last().unwrap();
+            let before = TransactionSet::new(set.platforms().clone(), rest.to_vec()).unwrap();
+            let cone = HpGraph::of(&set).task_cone(&[DirtySeed::Task(TaskRef {
+                tx: pick % raw.len(),
+                idx: 0,
+            })]);
+            for scenario_mode in [ScenarioMode::Approximate, ScenarioMode::Exact { max_scenarios: 4096 }] {
+                for update_order in [UpdateOrder::Jacobi, UpdateOrder::GaussSeidel] {
+                    let config = AnalysisConfig {
+                        scenario_mode,
+                        update_order,
+                        blocking: blocking.clone(),
+                        ..AnalysisConfig::default()
+                    };
+                    let mut starts = vec![None];
+                    let before_config = AnalysisConfig {
+                        blocking: config.blocking[..rest.len()].to_vec(),
+                        ..config.clone()
+                    };
+                    if let Ok(report) = analyze_with(&before, &before_config) {
+                        let mut grown = WarmStart::from_report(&report);
+                        grown.jitters.push(vec![Time::ZERO; last.len()]);
+                        starts.push(Some(grown));
+                    }
+                    if let Ok(cold) = analyze_with(&set, &config) {
+                        starts.push(Some(WarmStart::restricted(&cold, cone.clone(), true)));
+                        starts.push(Some(WarmStart::restricted(&cold, cone.clone(), false)));
+                    }
+                    for (k, warm) in starts.iter().enumerate() {
+                        let what = format!("{scenario_mode:?}, {update_order:?}, start {k}");
+                        let product = grid_product(&set, &config, warm.as_ref());
+                        let result = crate::analyze_resumed(&set, &config, warm.as_ref());
+                        if product <= limit {
+                            let report = result.unwrap();
+                            let (_, bound) = lcm_and_bound(&set, &HpGraph::of(&set), &config, warm.as_ref());
+                            let largest = report
+                                .tasks
+                                .iter()
+                                .flatten()
+                                .map(|t| t.response.max(t.jitter).to_f64())
+                                .fold(0.0, f64::max);
+                            proptest::prop_assert!(largest <= bound, "{}: {} > V = {}", what, largest, bound);
+                        } else {
+                            proptest::prop_assert!(
+                                matches!(result, Err(AnalysisError::Numeric { .. })),
+                                "{}: k·V = 2^{} gave {:?}",
+                                what,
+                                product.log2(),
+                                result.map(|r| r.converged)
+                            );
+                        }
+                    }
+                }
+            }
+        }
+
     }
 
     proptest::proptest! {

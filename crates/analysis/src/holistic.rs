@@ -157,14 +157,16 @@ impl WarmStart {
 /// The fixpoint runs on the integer grid of `set`: times and cycles scaled
 /// by the lcm of their denominators, so that its exact arithmetic runs on
 /// integers, and the report scaled back. The report is the one the
-/// unscaled inputs give, exactly (see the `grid` module).
+/// unscaled inputs give, exactly (see the `grid` module). Under
+/// `LinearBounds`, a set whose grid could leave `i128` is refused with
+/// [`AnalysisError::Numeric`].
 pub fn analyze_resumed(
     set: &TransactionSet,
     config: &AnalysisConfig,
     warm: Option<&WarmStart>,
 ) -> Result<SchedulabilityReport, AnalysisError> {
     let graph = HpGraph::of(set);
-    let scale = grid::scale(set, &graph, config, warm);
+    let scale = grid::scale(set, &graph, config, warm)?;
     analyze_at(set, config, warm, &graph, scale)
 }
 
@@ -439,7 +441,7 @@ pub(crate) mod tests {
         warm: Option<&WarmStart>,
     ) -> Result<SchedulabilityReport, AnalysisError> {
         let graph = HpGraph::of(set);
-        let grid = Grid::new(set, &graph, config, grid::scale(set, &graph, config, warm));
+        let grid = Grid::new(set, &graph, config, grid::scale(set, &graph, config, warm)?);
         fixpoint(set, config, warm, &graph, &grid, |states, under| {
             crate::rta::tests::analyze_reference(set, &grid, states, under, config)
         })
@@ -518,9 +520,9 @@ pub(crate) mod tests {
 
     #[test]
     fn parallel_matches_sequential() {
-        // Fixpoints running at once on worker threads, as admission runs
-        // its islands, share nothing: each owns its pools, and its report
-        // is the sequential one, trace included.
+        // Fixpoints running at once on several threads, as the engine runs
+        // epochs on disjoint shards, share nothing: each owns its pools,
+        // and its report is the sequential one, trace included.
         let set = paper_example::transactions();
         let configs: Vec<AnalysisConfig> = [UpdateOrder::Jacobi, UpdateOrder::GaussSeidel]
             .into_iter()
@@ -531,7 +533,24 @@ pub(crate) mod tests {
                 ..AnalysisConfig::default()
             })
             .collect();
-        let par = crate::parallel_map(&configs, 4, |config| analyze_with(&set, config).unwrap());
+        let par: Vec<SchedulabilityReport> = std::thread::scope(|scope| {
+            let workers: Vec<_> = configs
+                .chunks(2)
+                .map(|chunk| {
+                    let set = &set;
+                    scope.spawn(move || {
+                        chunk
+                            .iter()
+                            .map(|config| analyze_with(set, config).unwrap())
+                            .collect::<Vec<_>>()
+                    })
+                })
+                .collect();
+            workers
+                .into_iter()
+                .flat_map(|w| w.join().unwrap())
+                .collect()
+        });
         for (config, report) in configs.iter().zip(par) {
             assert_eq!(report, analyze_with(&set, config).unwrap());
         }

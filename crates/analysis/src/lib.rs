@@ -27,7 +27,8 @@
 //!   and tasks' times and cycles, and the models of the platforms they
 //!   use, scaled by the lcm of their denominators, so that the exact
 //!   arithmetic of the iteration runs on integers and the report, scaled
-//!   back, is exactly the unscaled one;
+//!   back, is exactly the unscaled one; under `LinearBounds`, a set whose
+//!   grid could leave `i128` is refused with [`AnalysisError::Numeric`];
 //! * `hpgraph` — who reads whom: the interference cone of a change, the
 //!   islands a change touches and their parts, every task's hp sets, and
 //!   the Gauss-Seidel sweep order;
@@ -70,7 +71,6 @@ mod holistic;
 mod hpgraph;
 mod interference;
 mod metrics;
-mod par;
 mod report;
 mod rta;
 mod state;
@@ -78,7 +78,6 @@ mod state;
 pub use holistic::{analyze, analyze_resumed, analyze_with, AnalysisError, FrozenSeed, WarmStart};
 pub use hpgraph::{DirtyClosure, DirtySeed, HpGraph};
 pub use metrics::AnalysisMetrics;
-pub use par::parallel_map;
 pub use report::{IterationRecord, SchedulabilityReport, TaskResult, TransactionVerdict};
 pub use state::{best_case_offsets, TaskState};
 

@@ -12,7 +12,7 @@ use hsched_transaction::{TaskRef, TransactionSet};
 
 /// Errors that abort the analysis (as opposed to an *unschedulable* verdict,
 /// which is a result).
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum AnalysisError {
     /// Exact mode: the scenario space of Eq. (12) exceeds the configured cap.
     TooManyScenarios {
@@ -29,6 +29,16 @@ pub enum AnalysisError {
         /// The task being analyzed.
         task: TaskRef,
     },
+    /// Linear mode: the fixpoint's integer grid cannot be shown to stay
+    /// inside `i128`, because the scale `k` times the bound `V` on the values
+    /// the fixpoint forms exceeds 2¹²³ (see the `grid` module).
+    Numeric {
+        /// `k`, the lcm of the inputs' denominators; `None` when it leaves
+        /// `u128`.
+        scale: Option<u128>,
+        /// `V`, in the inputs' own units.
+        bound: f64,
+    },
 }
 
 impl std::fmt::Display for AnalysisError {
@@ -40,6 +50,13 @@ impl std::fmt::Display for AnalysisError {
             ),
             AnalysisError::InnerIterationCap { task } => {
                 write!(f, "inner fixpoint for {task} hit the iteration cap")
+            }
+            AnalysisError::Numeric { scale, bound } => {
+                match scale {
+                    Some(k) => write!(f, "the integer grid's scale k = {k}")?,
+                    None => write!(f, "the integer grid's scale k ≥ 2^128")?,
+                }
+                write!(f, " times the bound V = {bound:.3e} on the fixpoint's values exceeds 2^123")
             }
         }
     }

@@ -24,10 +24,7 @@ fn bench_single_tx_churn(c: &mut Criterion) {
     let mut incremental = AdmissionController::new(
         set.clone(),
         AnalysisConfig::default(),
-        AdmissionPolicy {
-            island_threads: 1,
-            ..AdmissionPolicy::default()
-        },
+        AdmissionPolicy::default(),
     )
     .expect("seed analysis");
     group.bench_function("incremental", |b| {
@@ -40,7 +37,6 @@ fn bench_single_tx_churn(c: &mut Criterion) {
         AdmissionPolicy {
             dirty_tracking: false,
             warm_start: false,
-            island_threads: 1,
             ..AdmissionPolicy::default()
         },
     )
@@ -99,15 +95,9 @@ fn bench_batching(c: &mut Criterion) {
             name: format!("batched{i}"),
         })
         .collect();
-    let mut controller = AdmissionController::new(
-        set,
-        AnalysisConfig::default(),
-        AdmissionPolicy {
-            island_threads: 1,
-            ..AdmissionPolicy::default()
-        },
-    )
-    .expect("seed analysis");
+    let mut controller =
+        AdmissionController::new(set, AnalysisConfig::default(), AdmissionPolicy::default())
+            .expect("seed analysis");
 
     let mut group = c.benchmark_group("admission/batching_8_arrivals");
     group.sample_size(20);
@@ -159,10 +149,7 @@ fn bench_platform_scaling(c: &mut Criterion) {
         seed: 1,
         ..ScenarioSpec::default()
     });
-    let policy = AdmissionPolicy {
-        island_threads: 1,
-        ..AdmissionPolicy::default()
-    };
+    let policy = AdmissionPolicy::default();
     let controller_over = |table: PlatformSet, island: &[Transaction]| {
         let set = TransactionSet::new(table, island.to_vec()).expect("island uses platforms 0-1");
         AdmissionController::new(set, AnalysisConfig::default(), policy.clone())

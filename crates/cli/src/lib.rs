@@ -122,7 +122,6 @@ ADMIT: hsched admit <SPEC.hsc> <SCRIPT> [OPTIONS]
                       for per-epoch durability, then one final sync
     --stats           append the engine telemetry report (per-phase epoch
                       timers, contention counters, cache distributions)
-    --threads <N>     parallel shard commits (0 = all cores)
     --no-external     as for analyze
     --cold            disable warm-started fixpoints
     --full            disable dirty tracking (re-analyze everything)
@@ -332,22 +331,14 @@ fn cmd_analyze(args: &[String]) -> Result<String, String> {
 }
 
 /// Parses the engine policy flags shared by `admit`, `replay`, and
-/// `compact` (`--no-external`, `--threads`, `--cold`, `--full`).
-fn engine_policy(args: &[String]) -> Result<AdmissionPolicy, String> {
-    let mut policy = AdmissionPolicy {
+/// `compact` (`--no-external`, `--cold`, `--full`).
+fn engine_policy(args: &[String]) -> AdmissionPolicy {
+    AdmissionPolicy {
+        dirty_tracking: !opt_flag(args, "--full"),
+        warm_start: !opt_flag(args, "--cold"),
         external_stimuli: !opt_flag(args, "--no-external"),
         ..AdmissionPolicy::default()
-    };
-    if let Some(n) = opt_value(args, "--threads")? {
-        policy.island_threads = n.parse().map_err(|_| format!("bad thread count `{n}`"))?;
     }
-    if opt_flag(args, "--cold") {
-        policy.warm_start = false;
-    }
-    if opt_flag(args, "--full") {
-        policy.dirty_tracking = false;
-    }
-    Ok(policy)
 }
 
 /// The strictly positional journal argument of `replay` / `compact`
@@ -392,7 +383,7 @@ fn cmd_admit(args: &[String]) -> Result<String, String> {
     if retry > 0 {
         return Err("--retry is a wire-client knob; it needs --remote".into());
     }
-    let policy = engine_policy(args)?;
+    let policy = engine_policy(args);
     let auto_compact = match opt_value(args, "--auto-compact")? {
         Some(n) => Some(
             n.parse::<u64>()
@@ -427,14 +418,14 @@ fn cmd_stats(args: &[String]) -> Result<String, String> {
     let script = std::fs::read_to_string(script_path)
         .map_err(|e| format!("cannot read `{script_path}`: {e}"))?;
     let batches = admit::parse_script(&script, &set).map_err(|e| format!("{script_path}: {e}"))?;
-    let policy = engine_policy(args)?;
+    let policy = engine_policy(args);
     stats::run_stats(&path, set, &batches, policy, opt_flag(args, "--json"))
 }
 
 fn cmd_replay(args: &[String]) -> Result<String, String> {
     let (path, set) = load(args)?;
     let journal_path = journal_arg(args)?.to_string();
-    let policy = engine_policy(args)?;
+    let policy = engine_policy(args);
     replay::run_replay(
         &path,
         set,
@@ -448,7 +439,7 @@ fn cmd_replay(args: &[String]) -> Result<String, String> {
 fn cmd_compact(args: &[String]) -> Result<String, String> {
     let (path, set) = load(args)?;
     let journal_path = journal_arg(args)?.to_string();
-    let policy = engine_policy(args)?;
+    let policy = engine_policy(args);
     compact::run_compact(&path, set, &journal_path, policy, opt_flag(args, "--json"))
 }
 
@@ -878,6 +869,44 @@ instance I : W on S node 0;
         let bad = f.into_temp_path();
         let out = run(&args(&["analyze", bad.to_str().unwrap(), "--json"])).unwrap();
         assert!(out.contains("\"schedulable\":false"));
+    }
+
+    #[test]
+    fn analyze_refuses_a_system_outside_the_numeric_bound() {
+        // The analysis crate's hostile grid system: scaled by its grid, the
+        // bail-out window would leave i128. Linear analysis refuses it with
+        // the numeric message and prints no report, in text and JSON.
+        let mut f = tempfile::Builder::new().suffix(".hsc").tempfile().unwrap();
+        f.write_all(
+            br#"
+class Hog {
+    thread H periodic period 1/11 deadline 100000000000000000000/17 priority 2 {
+        task h wcet 1000000000000000000000000000000/7 bcet 500000000000000000000000000000/7;
+    }
+}
+class Victim {
+    thread V periodic period 5/29 deadline 100000000000000000000/31 priority 1 {
+        task v wcet 1/37 bcet 1/41;
+    }
+}
+platform p cpu alpha 3/13 delta 1/19 beta 1/23;
+instance hog : Hog on p node 0;
+instance victim : Victim on p node 0;
+"#,
+        )
+        .unwrap();
+        let hostile = f.into_temp_path();
+        for extra in [None, Some("--json")] {
+            let mut list = vec!["analyze", hostile.to_str().unwrap()];
+            list.extend(extra);
+            let err = run(&args(&list)).unwrap_err();
+            assert!(err.contains("scale k = 2340386642517"), "{err}");
+            assert!(err.contains("exceeds 2^123"), "{err}");
+            assert!(
+                !err.contains("schedulability") && !err.contains('{'),
+                "{err}"
+            );
+        }
     }
 
     fn script_file(content: &str) -> tempfile::TempPath {
@@ -1385,7 +1414,7 @@ instance I : W on S node 0;
         let err = run(&args(&[
             "admit",
             spec.to_str().unwrap(),
-            "--threads",
+            "--auto-compact",
             "2",
             script.to_str().unwrap(),
         ]))

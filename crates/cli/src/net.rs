@@ -35,7 +35,7 @@ const WAIT_POLL: Duration = Duration::from_millis(25);
 /// frame, and one final group commit makes everything durable.
 pub(crate) fn run_serve(args: &[String]) -> Result<String, String> {
     let (path, set) = load(args)?;
-    let policy = engine_policy(args)?;
+    let policy = engine_policy(args);
     let addr = opt_value(args, "--addr")?.unwrap_or(DEFAULT_SERVICE_ADDR);
     let repl = opt_value(args, "--repl")?;
     let journal = opt_value(args, "--journal")?;
@@ -134,7 +134,7 @@ pub(crate) fn run_serve(args: &[String]) -> Result<String, String> {
 /// as `hsched serve`.
 pub(crate) fn run_follow(args: &[String]) -> Result<String, String> {
     let (path, set) = load(args)?;
-    let policy = engine_policy(args)?;
+    let policy = engine_policy(args);
     let from = opt_value(args, "--from")?.ok_or_else(|| {
         "follow needs --from HOST:PORT (the primary's replication port)".to_string()
     })?;

@@ -31,6 +31,7 @@
 //! assert!(best < set.platforms()[PlatformId(2)].alpha());
 //! ```
 
+mod par;
 mod sensitivity;
 
 pub use sensitivity::{deadline_slack, sensitivity_report, wcet_headroom, TaskSlack};
@@ -243,7 +244,7 @@ pub fn pareto_sweep(
             max_delta: max_delta(&candidate, id, ceiling, config),
         }
     };
-    hsched_analysis::parallel_map(alphas, config.threads, probe)
+    par::parallel_map(alphas, config.threads, probe)
 }
 
 /// Concrete periodic-server parameters realizing an `(α, Δ)` point

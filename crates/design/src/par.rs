@@ -1,8 +1,8 @@
 //! Minimal deterministic parallel map over std scoped threads.
 //!
 //! Independent holistic fixpoints share nothing — each owns its pools — so
-//! analyses of disjoint interference islands run in parallel and give the
-//! same results at any thread count.
+//! the points of a sweep run in parallel and give the same results at any
+//! thread count.
 
 /// Applies `f` to every item, splitting the index space into contiguous
 /// chunks across `threads` workers. Results come back in input order.
@@ -10,11 +10,7 @@
 /// `threads == 0` uses the available parallelism; `threads == 1` (or a
 /// single-item input, which never asks for the core count) runs inline
 /// without spawning.
-///
-/// Public because admission (`hsched-admission`) analyzes its islands, and
-/// the design-space search (`hsched-design`) its sweeps, with the same
-/// deterministic chunking.
-pub fn parallel_map<T, R, F>(items: &[T], threads: usize, f: F) -> Vec<R>
+pub(crate) fn parallel_map<T, R, F>(items: &[T], threads: usize, f: F) -> Vec<R>
 where
     T: Sync,
     R: Send,

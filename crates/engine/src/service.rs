@@ -2214,9 +2214,8 @@ fn merge(cores: Vec<AdmissionController>) -> AdmissionController {
 
 /// Phase 2 of an epoch ([`Seam::Analyze`]): merges the checked-out
 /// controllers and commits the whole batch on them once, or passes the
-/// rejection reserve decided through. The controller parallelizes across
-/// the batch's disjoint interference cones itself
-/// ([`AdmissionPolicy::island_threads`]).
+/// rejection reserve decided through. The controller analyzes the batch's
+/// disjoint interference cones one after another, on this thread.
 fn commit_merged(
     cores: Result<Vec<AdmissionController>, RejectReason>,
     batch: &[AdmissionRequest],

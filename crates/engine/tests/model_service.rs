@@ -60,13 +60,10 @@ fn arrival(name: &str, platform: usize) -> EngineRequest {
 }
 
 fn service(set: TransactionSet) -> SchedService {
-    // One analysis thread per island: `parallel_map` runs inline, so the
-    // only OS threads in an execution are the model threads themselves.
-    let policy = AdmissionPolicy {
-        island_threads: 1,
-        ..AdmissionPolicy::default()
-    };
-    SchedService::new(set, AnalysisConfig::default(), policy).expect("seed analysis")
+    // The controller analyzes on the calling thread, so the only OS threads
+    // in an execution are the model threads themselves.
+    SchedService::new(set, AnalysisConfig::default(), AdmissionPolicy::default())
+        .expect("seed analysis")
 }
 
 /// Exploration budget: env-tunable (`HSCHED_MODEL_MAX_INTERLEAVINGS`,

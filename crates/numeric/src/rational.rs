@@ -45,9 +45,8 @@ impl std::error::Error for ParseRationalError {}
 /// zero. Carries the operation and both operands for diagnostics.
 ///
 /// The panicking operator impls (`+`, `-`, `*`, `/`) route through this same
-/// API and panic with the error's message; callers that must survive hostile
-/// inputs (e.g. online admission control evaluating generated workloads) use
-/// the `try_*` methods directly and degrade to a rejection instead.
+/// API and panic with the error's message; callers that take unbounded
+/// inputs use the `try_*` methods directly.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct NumericError {
     /// The operation that failed (`"add"`, `"sub"`, `"mul"`, `"div"`).
